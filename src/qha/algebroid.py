@@ -16,11 +16,11 @@ from __future__ import annotations
 from functools import cached_property
 
 from .fields import Field
-from .linalg import (Matrix, Subspace, ShapeError, quotient_section,
+from .linalg import (Matrix, Subspace, quotient_section,
                      intertwiner_space, basis_vec)
 from .reports import CheckReport
 from .quasihopf import (HModule, QuasiHopfAlgebra, StructureError, IntertwinerError,
-                        max_tensor_dim, is_intertwiner)
+                        max_tensor_dim, require_intertwiner)
 
 
 class BaseRing:
@@ -235,6 +235,33 @@ class HopfAlgebroid:
                             vec[x * n + j] = f.sub(vec[x * n + j], v)
                     gens.append(tuple(vec))
         return Subspace.from_generators(f, n * n, gens)
+
+    # -- monoidal primitives (shared with QuasiHopfAlgebra) -----------------------
+
+    def tensor(self, V, W):
+        """V (x)_{R_l} W and its base relations."""
+        return tensor_over_base(V, W)
+
+    def tensor_relations(self, *factors):
+        """Base relations of the last stage of ((F1 (x) F2) (x) ...) (x) Fn."""
+        left = factors[0]
+        for V in factors[1:-1]:
+            left = tensor_over_base(left, V)[0]
+        return module_tensor_relations(left, factors[-1])
+
+    def associativity(self, U, V, W) -> Matrix:
+        """(U (x) V) (x) W -> U (x) (V (x) W) on the quotient carriers: the
+        strict requotient through the ambient U (x) V (x) W."""
+        UV, uv = tensor_over_base(U, V)
+        VW, vw = tensor_over_base(V, W)
+        f = self.field
+        return (module_tensor_relations(U, VW).projector
+                * Matrix.identity(f, U.dim).kron(vw.projector)
+                * uv.lift.kron(Matrix.identity(f, W.dim))
+                * module_tensor_relations(UV, W).lift)
+
+    def unit_object(self):
+        return base_module(self)
 
     def structural_key(self):
         return ("algebroid", self.dim, self.base.dim, self.mult, self.unit,
@@ -459,7 +486,7 @@ def zeta_l_algebroid(f_mat: Matrix, M: AlgebroidModule, N: AlgebroidModule,
     H = M.parent
     f = H.field
     tens, rel = tensor_over_base(M, N)
-    _check_morphism(f_mat, tens, L, "zeta_l input")
+    require_intertwiner(f_mat, tens, L, "zeta_l input")
     hom_mod, hom_basis = left_hom_algebroid(N, L)
     cols = []
     for i in range(M.dim):
@@ -475,7 +502,7 @@ def zeta_l_algebroid(f_mat: Matrix, M: AlgebroidModule, N: AlgebroidModule,
             raise IntertwinerError("zeta_l image is not base-linear")
         cols.append(coords)
     out = Matrix.from_cols(f, cols, ambient=hom_mod.dim)
-    _check_morphism(out, M, hom_mod, "zeta_l output")
+    require_intertwiner(out, M, hom_mod, "zeta_l output")
     return out
 
 
@@ -485,7 +512,7 @@ def eta_l_algebroid(g_mat: Matrix, M: AlgebroidModule, N: AlgebroidModule,
     H = M.parent
     f = H.field
     hom_mod, hom_basis = left_hom_algebroid(N, L)
-    _check_morphism(g_mat, M, hom_mod, "eta_l input")
+    require_intertwiner(g_mat, M, hom_mod, "eta_l input")
     tens, rel = tensor_over_base(M, N)
     bm = hom_basis.basis_matrix()
     amb_cols = []
@@ -497,7 +524,7 @@ def eta_l_algebroid(g_mat: Matrix, M: AlgebroidModule, N: AlgebroidModule,
     out = amb * rel.lift
     if out * rel.projector != amb:
         raise StructureError("eta_l image not constant on relation classes")
-    _check_morphism(out, tens, L, "eta_l output")
+    require_intertwiner(out, tens, L, "eta_l output")
     return out
 
 
@@ -507,7 +534,7 @@ def zeta_r_algebroid(f_mat: Matrix, N: AlgebroidModule, M: AlgebroidModule,
     H = M.parent
     f = H.field
     tens, rel = tensor_over_base(N, M)
-    _check_morphism(f_mat, tens, L, "zeta_r input")
+    require_intertwiner(f_mat, tens, L, "zeta_r input")
     hom_mod, hom_basis = right_hom_algebroid(N, L)
     cols = []
     for i in range(M.dim):
@@ -523,7 +550,7 @@ def zeta_r_algebroid(f_mat: Matrix, N: AlgebroidModule, M: AlgebroidModule,
             raise IntertwinerError("zeta_r image is not base-linear")
         cols.append(coords)
     out = Matrix.from_cols(f, cols, ambient=hom_mod.dim)
-    _check_morphism(out, M, hom_mod, "zeta_r output")
+    require_intertwiner(out, M, hom_mod, "zeta_r output")
     return out
 
 
@@ -533,7 +560,7 @@ def eta_r_algebroid(g_mat: Matrix, N: AlgebroidModule, M: AlgebroidModule,
     H = M.parent
     f = H.field
     hom_mod, hom_basis = right_hom_algebroid(N, L)
-    _check_morphism(g_mat, M, hom_mod, "eta_r input")
+    require_intertwiner(g_mat, M, hom_mod, "eta_r input")
     tens, rel = tensor_over_base(N, M)
     bm = hom_basis.basis_matrix()
     amb_cols = []
@@ -545,16 +572,8 @@ def eta_r_algebroid(g_mat: Matrix, N: AlgebroidModule, M: AlgebroidModule,
     out = amb * rel.lift
     if out * rel.projector != amb:
         raise StructureError("eta_r image not constant on relation classes")
-    _check_morphism(out, tens, L, "eta_r output")
+    require_intertwiner(out, tens, L, "eta_r output")
     return out
-
-
-def _check_morphism(f_mat: Matrix, src, dst, what: str):
-    if f_mat.rows != dst.dim or f_mat.cols != src.dim:
-        raise ShapeError("%s must be %dx%d, got %dx%d"
-                         % (what, dst.dim, src.dim, f_mat.rows, f_mat.cols))
-    if not is_intertwiner(f_mat, src, dst):
-        raise IntertwinerError("%s is not an H-module morphism" % what)
 
 
 def eval_adjunctions_algebroid(M: AlgebroidModule, N: AlgebroidModule,
@@ -565,8 +584,8 @@ def eval_adjunctions_algebroid(M: AlgebroidModule, N: AlgebroidModule,
     adjunction maps; the evaluations are verified H-module morphisms."""
     ev_l, hl_mod, _, (tens_l, _) = ev_l_algebroid(N, L)
     ev_r, hr_mod, _, (tens_r, _) = ev_r_algebroid(N, L)
-    _check_morphism(ev_l, tens_l, L, "ev^l")
-    _check_morphism(ev_r, tens_r, L, "ev^r")
+    require_intertwiner(ev_l, tens_l, L, "ev^l")
+    require_intertwiner(ev_r, tens_r, L, "ev^r")
     return {
         "ev_l": ev_l,
         "ev_r": ev_r,
@@ -578,10 +597,6 @@ def eval_adjunctions_algebroid(M: AlgebroidModule, N: AlgebroidModule,
 
 
 # -- axiom checks -------------------------------------------------------------
-
-def _pair_dict(terms):
-    return {(p, q): c for c, p, q in terms}
-
 
 def _tensor2_vec(f, n, terms):
     out = [f.zero] * (n * n)

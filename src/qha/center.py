@@ -6,10 +6,12 @@ and cached by structural hash.  Stability of the coefficient makes every
 tau_V invertible (checked as an exact rank condition), which is what turns
 the weak-center datum into an honest center element.
 
-Quasi-Hopf coefficients run on full hom carriers with Phi-decorated
-associativity maps; algebroid coefficients run on base-linear sub-carriers
-with strict requotient maps, so the two flavors share only the shape of
-the computations here, not the matrices.
+The contratrace iota takes its tensor products from the parent's
+``tensor`` primitive, so it is written once for both flavors.  The
+hexagon, unitality and stability checks still differ by flavor: over a
+quasi-Hopf algebra they run on full hom carriers with Phi-decorated
+associativity maps, over a Hopf algebroid on base-linear sub-carriers with
+strict requotient maps.
 """
 
 from __future__ import annotations
@@ -17,9 +19,8 @@ from __future__ import annotations
 from .linalg import Matrix
 from .reports import CheckReport
 from .coefficients import (Contramodule, tau_from_contramodule, hexagon_sides,
-                           tau_sub_raw_algebroid, ALGEBROID_MU)
-from .quasihopf import (tensor_module, trivial_module, zeta_l, eta_r,
-                        hom_module_morphisms)
+                           tau_sub_raw_algebroid, ALGEBROID_MU, _perm_mwv_to_mvw)
+from .quasihopf import trivial_module, zeta_l, eta_r, hom_module_morphisms
 from . import algebroid as alg
 
 
@@ -133,12 +134,8 @@ def contratrace_iota(E: CenterElement, T, V) -> Matrix:
     H = E.parent
     f = H.field
     M = E.carrier
-    if _is_algebroid(E):
-        tv = alg.tensor_over_base(T, V)[0]
-        vt = alg.tensor_over_base(V, T)[0]
-    else:
-        tv = tensor_module(T, V)
-        vt = tensor_module(V, T)
+    tv, _ = H.tensor(T, V)
+    vt, _ = H.tensor(V, T)
     dom = hom_module_morphisms(tv, M)
     cod = hom_module_morphisms(vt, M)
     cols = []
@@ -246,7 +243,7 @@ def hexagon_sides_algebroid(C: Contramodule, V, W, tau_override=None):
     # step 3: post-compose with tau_V
     m3 = _sub_coords_map(d3_b, d4_b, tau_v.kron(eye_w))
 
-    perm = _perm_full(f, M.dim, W.dim, V.dim)
+    perm = _perm_mwv_to_mvw(f, M.dim, W.dim, V.dim)
     e1 = x1_b.basis_matrix().kron(eye_v) * d1_b.basis_matrix()
     e2 = x2_b.basis_matrix().kron(eye_v) * d2_b.basis_matrix()
     e3 = x3_b.basis_matrix().kron(eye_w) * d3_b.basis_matrix()
@@ -275,16 +272,3 @@ def _full_coords_change(target_emb: Matrix, full_mat: Matrix) -> Matrix:
     if out is None:
         raise ValueError("hexagon leg left its canonical carrier")
     return out
-
-
-def _perm_full(f, d, dw, dv) -> Matrix:
-    """Permutation from (m, w, v)-ordered full carriers to (m, v, w)-ordered."""
-    size = d * dw * dv
-    ent = [f.zero] * (size * size)
-    for m in range(d):
-        for w in range(dw):
-            for v in range(dv):
-                src = (m * dw + w) * dv + v
-                dst = (m * dv + v) * dw + w
-                ent[dst * size + src] = f.one
-    return Matrix(f, size, size, ent)

@@ -173,8 +173,8 @@ def check_ayd_hopf(C: Contramodule) -> AydReport:
     if not C.parent.is_hopf():
         raise FlavorError("HopfMu checks need a Hopf parent (trivial Phi, alpha, beta)")
     rep = AydReport()
-    rep.extend(_ayd_form_one(C))
-    rep.extend(_ayd_form_two(C, "ayd_eq_two"))
+    rep.extend(_ayd_report("ayd_eq_one", _ayd_pairs_one(C)))
+    rep.extend(_ayd_report("ayd_eq_two", _ayd_pairs_two(C)))
     return rep
 
 
@@ -188,13 +188,15 @@ def _sweedler3(H: QuasiHopfAlgebra, c: int):
     return out
 
 
-def _ayd_form_one(C: Contramodule) -> AydReport:
+def _ayd_pairs_one(C: Contramodule):
+    """Instances of h mu(f) = mu(h^2 f(S(h^3) - h^1)) per (basis h, matrix
+    unit f), in lexicographic order, with h^1 (x) h^2 (x) h^3 =
+    (id (x) Delta) Delta(h).  This is aYD form one, and the type II
+    equation for nu."""
     H = C.parent
     f = C.field
     n, d = H.dim, C.carrier.dim
     M = C.carrier
-    rep = AydReport()
-    ok, wit = True, None
     for h in range(n):
         legs = _sweedler3(H, h)
         for j in range(d):
@@ -214,15 +216,7 @@ def _ayd_form_one(C: Contramodule) -> AydReport:
                                     rhs_rows[i][y] = f.add(rhs_rows[i][y],
                                                            f.mul(c2, post_col[i]))
                 rhs = C.mu_apply(Matrix.from_rows(f, rhs_rows))
-                if lhs != rhs:
-                    ok, wit = False, (("h", h), ("f_row", j), ("f_col", a))
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    rep.add("ayd_eq_one", ok, wit)
-    return rep
+                yield (h, j, a), lhs, rhs
 
 
 def _ayd_pairs_two(C: Contramodule):
@@ -261,10 +255,11 @@ def _ayd_pairs_two(C: Contramodule):
                 yield (h, j, a), lhs, rhs
 
 
-def _ayd_form_two(C: Contramodule, check_id: str) -> AydReport:
+def _ayd_report(check_id: str, pairs) -> AydReport:
+    """One aYD check: the first instance whose two sides differ."""
     rep = AydReport()
     ok, wit = True, None
-    for (h, j, a), lhs, rhs in _ayd_pairs_two(C):
+    for (h, j, a), lhs, rhs in pairs:
         if lhs != rhs:
             ok, wit = False, (("h", h), ("f_row", j), ("f_col", a))
             break
@@ -287,16 +282,13 @@ def ayd_compatibility_system(carrier: HModule, flavor: str) -> Matrix:
     for t in range(size):
         mu = Matrix(f, d, d * n, [f.one if i == t else f.zero for i in range(size)])
         C = Contramodule(carrier, mu, flavor)
-        res = []
         if flavor in (HOPF_MU, QUASI_I):
-            for _, lhs, rhs in _ayd_pairs_two(C):
-                res.extend(f.sub(x, y) for x, y in zip(lhs, rhs))
+            pairs = _ayd_pairs_two(C)
         elif flavor == QUASI_II:
-            for _, lhs, rhs in _ayd_pairs_form_II(C):
-                res.extend(f.sub(x, y) for x, y in zip(lhs, rhs))
+            pairs = _ayd_pairs_one(C)
         else:
             raise FlavorError("no linear aYD system for flavor %s" % flavor)
-        cols.append(tuple(res))
+        cols.append(tuple(f.sub(x, y) for _, lhs, rhs in pairs for x, y in zip(lhs, rhs)))
     return Matrix.from_cols(f, cols)
 
 
@@ -602,7 +594,7 @@ def check_ayd_quasi_I(C: Contramodule) -> AydReport:
     """Type I anti-Yetter-Drinfeld contramodule equations."""
     _require(C, QUASI_I)
     rep = AydReport()
-    rep.extend(_ayd_form_two(C, "ayd_type_I"))
+    rep.extend(_ayd_report("ayd_type_I", _ayd_pairs_two(C)))
     rep.extend(_quasi_contra_check(C, "quasi_contra_I"))
     rep.extend(_contra_counit(C, "contra_unit_I", use_beta=False))
     return rep
@@ -612,53 +604,10 @@ def check_ayd_quasi_II(C: Contramodule) -> AydReport:
     """Type II anti-Yetter-Drinfeld contramodule equations."""
     _require(C, QUASI_II)
     rep = AydReport()
-    rep.extend(_ayd_form_II(C))
-    rep.extend(_quasi_contra_check_II(C))
+    rep.extend(_ayd_report("ayd_type_II", _ayd_pairs_one(C)))
+    rep.extend(_quasi_contra_check(C, "quasi_contra_II"))
     rep.extend(_contra_counit(C, "contra_unit_II", use_beta=True))
     return rep
-
-
-def _ayd_pairs_form_II(C: Contramodule):
-    """Instances of h nu(f) = nu(h^21 f(S(h^22) - h^1)) per (basis h, unit f),
-    with h^1 (x) h^21 (x) h^22 = (id (x) Delta) Delta(h)."""
-    H = C.parent
-    f = C.field
-    n, d = H.dim, C.carrier.dim
-    M = C.carrier
-    for h in range(n):
-        legs = _sweedler3(H, h)
-        for j in range(d):
-            for a in range(n):
-                lhs = M.mats[h].apply(C.mu.col(j * n + a))
-                rhs_rows = [[f.zero] * n for _ in range(d)]
-                for coef, h1, h21, h22 in legs:
-                    post_col = M.mats[h21].col(j)
-                    ssw = H.apply_s(H.basis(h22))
-                    for y in range(n):
-                        w = H.prod(ssw, H.basis(y), H.basis(h1))
-                        if w[a] != 0:
-                            c2 = f.mul(coef, w[a])
-                            for i in range(d):
-                                if post_col[i] != 0:
-                                    rhs_rows[i][y] = f.add(rhs_rows[i][y],
-                                                           f.mul(c2, post_col[i]))
-                rhs = C.mu_apply(Matrix.from_rows(f, rhs_rows))
-                yield (h, j, a), lhs, rhs
-
-
-def _ayd_form_II(C: Contramodule) -> AydReport:
-    rep = AydReport()
-    ok, wit = True, None
-    for (h, j, a), lhs, rhs in _ayd_pairs_form_II(C):
-        if lhs != rhs:
-            ok, wit = False, (("h", h), ("f_row", j), ("f_col", a))
-            break
-    rep.add("ayd_type_II", ok, wit)
-    return rep
-
-
-def _quasi_contra_check_II(C: Contramodule) -> AydReport:
-    return _quasi_contra_check(C, "quasi_contra_II")
 
 
 def convert_I_to_II(C: Contramodule) -> Contramodule:

@@ -4,11 +4,16 @@ Given a unital associative algebra object A in the module category and a
 stable aYD contramodule M, the spaces C^n = Hom_H(A^(x)(n+1), M) carry
 cofaces (precomposition with adjacent multiplications), codegeneracies
 (precomposition with unit insertions) and cyclic operators built from the
-contratrace maps.  Tensor powers are bracketed left to right; the quasi
-case rebrackets through explicit associator composites, the algebroid case
-through requotient maps.  The build verifies every cosimplicial and
-cocyclic identity as an exact matrix identity and refuses to return a
-structure that fails any of them.
+contratrace maps.  Tensor powers are bracketed left to right.
+
+The construction is written once, against the monoidal primitives that
+both parents provide: ``tensor`` (the module and its base relations, none
+over a quasi-Hopf algebra), ``tensor_relations``, ``associativity`` (the
+action of Phi, or the strict requotient over a Hopf algebroid) and
+``unit_object``.  A map f (x) g between tensor carriers passes through the
+base relations as projector . (f (x) g) . lift.  The build verifies every
+cosimplicial and cocyclic identity as an exact matrix identity and refuses
+to return a structure that fails any of them.
 
 Hochschild cohomology is computed from the coface alternating sum, cyclic
 cohomology from the first-quadrant bicomplex with columns b, -b' and rows
@@ -23,7 +28,6 @@ from .fields import Field
 from .linalg import Matrix
 from .reports import CheckReport
 from .quasihopf import (QuasiHopfAlgebra, StructureError,
-                        tensor_module, trivial_module, associator,
                         hom_module_morphisms, is_intertwiner, max_tensor_dim)
 from .coefficients import Contramodule, HOPF_MU, QUASI_I, QUASI_II, \
     check_stability_hopf, check_stability_quasi, check_stability_algebroid
@@ -35,12 +39,24 @@ class CocyclicError(ValueError):
     """A cocyclic identity failed during construction."""
 
 
+def _kron(f: Matrix, g: Matrix, src_rel, dst_rel) -> Matrix:
+    """f (x) g between tensor carriers: projector . (f (x) g) . lift, where
+    either relation space may be None (no base relations)."""
+    out = f.kron(g)
+    if dst_rel is not None:
+        out = dst_rel.projector * out
+    if src_rel is not None:
+        out = out * src_rel.lift
+    return out
+
+
 class ModuleAlgebra:
     """A unital associative algebra object in the module category.
 
-    ``mult`` maps the tensor square (the quotient carrier, for algebroids)
-    to the carrier; ``unit`` is a matrix from the unit object's carrier
-    (one column over a quasi-Hopf algebra, the base ring for algebroids).
+    ``mult`` maps the carrier of the tensor square (the quotient carrier,
+    for algebroids) to the carrier; ``unit`` is a matrix from the unit
+    object's carrier (one column over a quasi-Hopf algebra, the base ring
+    for algebroids).
     """
 
     def __init__(self, carrier, mult: Matrix, unit: Matrix):
@@ -48,14 +64,10 @@ class ModuleAlgebra:
         self.mult = mult
         self.unit = unit
         H = carrier.parent
-        if isinstance(H, QuasiHopfAlgebra):
-            self.is_algebroid = False
-            sq = carrier.dim * carrier.dim
-            unit_cols = 1
-        else:
-            self.is_algebroid = True
-            sq = alg.tensor_over_base(carrier, carrier)[0].dim
-            unit_cols = H.base.dim
+        self.is_algebroid = not isinstance(H, QuasiHopfAlgebra)
+        rel = H.tensor_relations(carrier, carrier)
+        sq = carrier.dim * carrier.dim if rel is None else rel.quotient_dim
+        unit_cols = H.unit_object().dim
         if mult.rows != carrier.dim or mult.cols != sq:
             raise StructureError("mult must be %dx%d" % (carrier.dim, sq))
         if unit.rows != carrier.dim or unit.cols != unit_cols:
@@ -79,10 +91,9 @@ class ModuleAlgebra:
 def unit_algebra(H) -> ModuleAlgebra:
     """The monoidal unit as an algebra object (A = k, or A = R)."""
     f = H.field
+    carrier = H.unit_object()
     if isinstance(H, QuasiHopfAlgebra):
-        carrier = trivial_module(H)
         return ModuleAlgebra(carrier, Matrix.identity(f, 1), Matrix.identity(f, 1))
-    carrier = alg.base_module(H)
     _, rel = alg.tensor_over_base(carrier, carrier)
     # multiplication descends from r (x) r' |-> r r'
     amb_cols = []
@@ -99,111 +110,65 @@ def check_algebra_object(A: ModuleAlgebra) -> CheckReport:
     """Morphism property of mult/unit, associativity up to the associator,
     and two-sided unitality."""
     rep = CheckReport()
-    if A.is_algebroid:
-        return _check_algebra_object_algebroid(A, rep)
     H = A.parent
     f = A.field
     V = A.carrier
-    sq = tensor_module(V, V)
+    sq, rel = H.tensor(V, V)
     rep.add("mult_is_morphism", is_intertwiner(A.mult, sq, V))
-    unit_mod = trivial_module(H)
-    rep.add("unit_is_morphism", is_intertwiner(A.unit, unit_mod, V))
+    rep.add("unit_is_morphism", is_intertwiner(A.unit, H.unit_object(), V))
     eye = Matrix.identity(f, V.dim)
-    lhs = A.mult * A.mult.kron(eye)
-    rhs = A.mult * eye.kron(A.mult) * associator(V, V, V)
+    lhs = A.mult * _kron(A.mult, eye, H.tensor_relations(V, V, V), rel)
+    rhs = A.mult * _kron(eye, A.mult, H.tensor_relations(V, sq), rel) \
+        * H.associativity(V, V, V)
     rep.add("associative_up_to_phi", lhs == rhs)
-    u = A.unit_element()
-    ucol = Matrix.from_cols(f, [u], ambient=V.dim)
-    rep.add("left_unital", (A.mult * ucol.kron(eye)) == eye)
-    rep.add("right_unital", (A.mult * eye.kron(ucol)) == eye)
-    return rep
-
-
-def _check_algebra_object_algebroid(A: ModuleAlgebra, rep: CheckReport) -> CheckReport:
-    H = A.parent
-    f = A.field
-    V = A.carrier
-    sq, rel = alg.tensor_over_base(V, V)
-    rep.add("mult_is_morphism", is_intertwiner(A.mult, sq, V))
-    unit_mod = alg.base_module(H)
-    rep.add("unit_is_morphism", is_intertwiner(A.unit, unit_mod, V))
-    # associativity on the triple quotient (strict associators)
-    trip, rel3 = alg.tensor_over_base(sq, V)
-    trip2, rel3b = alg.tensor_over_base(V, sq)
-    eye = Matrix.identity(f, V.dim)
-    m_amb = A.mult * rel.projector                      # ambient V (x) V -> V
-    lhs = A.mult * rel.projector * m_amb.kron(eye)      # ambient V^3 -> V
-    rhs = A.mult * rel.projector * eye.kron(m_amb)
-    rep.add("associative_up_to_phi", lhs == rhs)
-    u = A.unit_element()
-    ucol = Matrix.from_cols(f, [u], ambient=V.dim)
-    rep.add("left_unital", (A.mult * rel.projector * ucol.kron(eye)) == eye)
-    rep.add("right_unital", (A.mult * rel.projector * eye.kron(ucol)) == eye)
+    ucol = Matrix.from_cols(f, [A.unit_element()], ambient=V.dim)
+    rep.add("left_unital", (A.mult * _kron(ucol, eye, None, rel)) == eye)
+    rep.add("right_unital", (A.mult * _kron(eye, ucol, None, rel)) == eye)
     return rep
 
 
 # -- tensor powers with bracketing ------------------------------------------------
 
 class TensorPowerChain:
-    """Left-nested tensor powers of A with projection/lift bookkeeping.
+    """Left-nested tensor powers L_k = L_(k-1) (x) A of A.
 
-    For each k the carrier of L_k = (..(A (x) A) .. (x) A) is reached from
-    the ambient k-fold tensor power by the composite projection; the quasi
-    case has identity projections, the algebroid case collapses the base
-    relations stage by stage.  ``rebracket_front(k)`` caches nothing itself
-    but is built from the stored stage data, so repeated calls agree
-    bit for bit.
+    ``mods[k]`` is L_k and ``rels[k]`` the base relations of its last
+    stage L_(k-1) (x) A (None when the parent has none).  Every map below
+    is one recursion on k through these stages; ``rebracket_front(k)``
+    caches nothing itself, so repeated calls agree bit for bit.
     """
 
     def __init__(self, A: ModuleAlgebra, depth: int):
         self.A = A
         H = A.parent
-        f = A.field
         d = A.carrier.dim
         if d ** depth > max_tensor_dim():
             raise StructureError(
                 "tensor power dimension %d exceeds QHA_MAX_DIM "
                 "(set the environment variable to raise the cap)" % d ** depth)
         self.mods = [None, A.carrier]
-        self.proj = [None, Matrix.identity(f, d)]   # ambient A^k -> L_k carrier
-        self.lift = [None, Matrix.identity(f, d)]
-        eye = Matrix.identity(f, d)
-        for k in range(2, depth + 1):
-            if A.is_algebroid:
-                mod, rel = alg.tensor_over_base(self.mods[k - 1], A.carrier)
-                stage_p, stage_l = rel.projector, rel.lift
-            else:
-                mod = tensor_module(self.mods[k - 1], A.carrier)
-                stage_p = Matrix.identity(f, mod.dim)
-                stage_l = stage_p
+        self.rels = [None, None]
+        for _ in range(2, depth + 1):
+            mod, rel = H.tensor(self.mods[-1], A.carrier)
             self.mods.append(mod)
-            self.proj.append(stage_p * self.proj[k - 1].kron(eye))
-            self.lift.append(self.lift[k - 1].kron(eye) * stage_l)
+            self.rels.append(rel)
 
     def module(self, k: int):
         """The left-nested k-th tensor power as a module (1 <= k)."""
         return self.mods[k]
 
     def rebracket_front(self, k: int) -> Matrix:
-        """The morphism A (x) L_k -> L_(k+1) identifying the two bracketings.
-
-        Quasi case: the composite of inverse associators moving the front
-        factor into the left-nested tree; algebroid case: the requotient map
-        through the ambient identity."""
+        """The morphism A (x) L_k -> L_(k+1) identifying the two bracketings:
+        A (x) L_k -> (A (x) L_(k-1)) (x) A -> L_k (x) A, recursively."""
         A = self.A
+        H = A.parent
         f = A.field
-        d = A.carrier.dim
-        if A.is_algebroid:
-            # lift to A (x) (ambient k-power), then project as a (k+1)-power
-            _, relf = alg.tensor_over_base(A.carrier, self.mods[k])
-            expand = Matrix.identity(f, d).kron(self.lift[k])
-            return self.proj[k + 1] * expand * relf.lift
         if k == 1:
-            return Matrix.identity(f, d * d)
-        # A (x) L_k -> (A (x) L_(k-1)) (x) A -> L_k (x) A, recursively
-        eye = Matrix.identity(f, d)
-        step = associator(A.carrier, self.mods[k - 1], A.carrier).inverse()
-        return self.rebracket_front(k - 1).kron(eye) * step
+            return Matrix.identity(f, self.mods[2].dim)
+        step = H.associativity(A.carrier, self.mods[k - 1], A.carrier).inverse()
+        front = H.tensor_relations(A.carrier, self.mods[k - 1], A.carrier)
+        eye = Matrix.identity(f, A.carrier.dim)
+        return _kron(self.rebracket_front(k - 1), eye, front, self.rels[k + 1]) * step
 
 
 def tensor_power_bracketed(A: ModuleAlgebra, n: int) -> TensorPowerChain:
@@ -218,38 +183,32 @@ def tensor_power_bracketed(A: ModuleAlgebra, n: int) -> TensorPowerChain:
 def _mult_map(chain: TensorPowerChain, k: int, i: int) -> Matrix:
     """The morphism L_(k) -> L_(k-1) multiplying slots i, i+1 (0-based)."""
     A = chain.A
+    H = A.parent
     f = A.field
-    d = A.carrier.dim
-    if A.is_algebroid:
-        m_amb = A.mult * alg.tensor_over_base(A.carrier, A.carrier)[1].projector
-        slot = Matrix.identity(f, d ** i).kron(m_amb).kron(
-            Matrix.identity(f, d ** (k - i - 2)))
-        return chain.proj[k - 1] * slot * chain.lift[k]
-    if i == k - 2:
-        # rebracket the last pair together, then multiply
-        alpha = associator(chain.mods[k - 2], A.carrier, A.carrier) if k > 2 else None
-        eye_prefix = Matrix.identity(f, d ** (k - 2))
-        if k == 2:
-            return A.mult
-        return eye_prefix.kron(A.mult) * alpha
-    return _mult_map(chain, k - 1, i).kron(Matrix.identity(f, d))
+    if k == 2:
+        return A.mult
+    if i < k - 2:
+        eye = Matrix.identity(f, A.carrier.dim)
+        return _kron(_mult_map(chain, k - 1, i), eye, chain.rels[k], chain.rels[k - 1])
+    # rebracket the last pair together, then multiply
+    front = chain.mods[k - 2]
+    eye = Matrix.identity(f, front.dim)
+    step = _kron(eye, A.mult, H.tensor_relations(front, chain.mods[2]), chain.rels[k - 1])
+    return step * H.associativity(front, A.carrier, A.carrier)
 
 
 def _unit_insertion(chain: TensorPowerChain, k: int, p: int) -> Matrix:
     """The morphism L_k -> L_(k+1) inserting the unit of A at slot p."""
     A = chain.A
     f = A.field
-    d = A.carrier.dim
-    ucol = Matrix.from_cols(f, [A.unit_element()], ambient=d)
-    if A.is_algebroid:
-        slot = Matrix.identity(f, d ** p).kron(ucol).kron(
-            Matrix.identity(f, d ** (k - p)))
-        return chain.proj[k + 1] * slot * chain.lift[k]
+    ucol = Matrix.from_cols(f, [A.unit_element()], ambient=A.carrier.dim)
     if p == k:
-        return Matrix.identity(f, d ** k).kron(ucol)
-    if k == 1 and p == 0:
-        return ucol.kron(Matrix.identity(f, d))
-    return _unit_insertion(chain, k - 1, p).kron(Matrix.identity(f, d))
+        eye = Matrix.identity(f, chain.mods[k].dim)
+        return _kron(eye, ucol, None, chain.rels[k + 1])
+    eye = Matrix.identity(f, A.carrier.dim)
+    if k == 1:
+        return _kron(ucol, eye, None, chain.rels[2])
+    return _kron(_unit_insertion(chain, k - 1, p), eye, chain.rels[k], chain.rels[k + 1])
 
 
 # -- the cocyclic module ---------------------------------------------------------

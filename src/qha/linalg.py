@@ -431,14 +431,6 @@ def basis_vec(field: Field, n: int, i: int):
     v[i] = field.one
     return tuple(v)
 
-def vec_add(field: Field, u, v):
-    return tuple(field.add(a, b) for a, b in zip(u, v))
-
-def vec_sub(field: Field, u, v):
-    return tuple(field.sub(a, b) for a, b in zip(u, v))
 
 def vec_scale(field: Field, c, v):
     return tuple(field.mul(c, a) for a in v)
-
-def vec_is_zero(v) -> bool:
-    return all(a == 0 for a in v)

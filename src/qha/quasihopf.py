@@ -123,9 +123,6 @@ class QuasiHopfAlgebra:
     def s_col(self, i: int):
         return self.antipode.col(i)
 
-    def s_inv_col(self, i: int):
-        return self.antipode_inv.col(i)
-
     # -- element arithmetic -------------------------------------------------
 
     def mult_vec(self, a, b):
@@ -202,6 +199,44 @@ class QuasiHopfAlgebra:
                 for z in range(n):
                     triv[(x * n + y) * n + z] = f.mul(u[x], f.mul(u[y], u[z]))
         return (tuple(triv) == self.phi and self.alpha == u and self.beta == u)
+
+    @cached_property
+    def cop(self) -> "QuasiHopfAlgebra":
+        """The co-opposite H^cop: Delta^cop(h) = h_2 (x) h_1, Phi_cop = Phi^-1
+        with its legs in order 3, 2, 1, antipode S^-1, and decorations
+        S^-1(alpha), S^-1(beta).  Its modules are those of H; its left-hand
+        biclosed maps are the right-hand maps of H."""
+        n = self.dim
+
+        def legs_reversed(flat):
+            return [flat[(z * n + y) * n + x]
+                    for x in range(n) for y in range(n) for z in range(n)]
+
+        comult = [[row[q * n + p] for p in range(n) for q in range(n)]
+                  for row in self.comult]
+        return QuasiHopfAlgebra(
+            self.field, n, self.mult, self.unit, comult, self.counit,
+            self.antipode_inv, self.antipode,
+            legs_reversed(self.phi_inv), legs_reversed(self.phi),
+            self.apply_s_inv(self.alpha), self.apply_s_inv(self.beta),
+            name=self.name + "^cop")
+
+    # -- monoidal primitives (shared with HopfAlgebroid) ------------------------
+
+    def tensor(self, V, W):
+        """V (x) W and its base relations: none over a quasi-Hopf algebra."""
+        return tensor_module(V, W), None
+
+    def tensor_relations(self, *factors):
+        """Base relations of the last stage of ((F1 (x) F2) (x) ...) (x) Fn."""
+        return None
+
+    def associativity(self, U, V, W) -> Matrix:
+        """(U (x) V) (x) W -> U (x) (V (x) W): the action of Phi."""
+        return associator(U, V, W)
+
+    def unit_object(self):
+        return trivial_module(self)
 
     def structural_key(self):
         return ("qha", self.dim, self.mult, self.unit, self.comult, self.counit,
@@ -441,25 +476,32 @@ def left_hom(V: HModule, M: HModule) -> HModule:
 
 
 def right_hom(V: HModule, M: HModule) -> HModule:
-    """Hom^r(V, M): carrier Hom_k(V, M), action h.phi = h^2 phi(S^-1(h^1) -)."""
-    if V.parent is not M.parent:
-        raise StructureError("hom factors must share a parent algebra")
-    H = V.parent
+    """Hom^r(V, M): carrier Hom_k(V, M), action h.phi = h^2 phi(S^-1(h^1) -).
 
-    def legs(i):
-        return [(c, H.basis(q), H.s_inv_col(p)) for c, p, q in H.delta_terms(i)]
-
-    mod = _hom_action(M, V, legs)
-    mod.name = "Hom^r(%s,%s)" % (V.name, M.name)
-    return mod
+    This is Hom^l(V, M) over H^cop, on the same action matrices."""
+    mod = left_hom(*_over_cop(V, M))
+    return HModule(V.parent, mod.mats, name="Hom^r(%s,%s)" % (V.name, M.name))
 
 
-def hom_vec_to_matrix(f: Field, vec, d_m: int, d_v: int) -> Matrix:
-    return Matrix(f, d_m, d_v, vec)
+# -- the right-hand maps are the left-hand maps over H^cop ---------------------
+#
+# An H-module is an H^cop-module on the same matrices, and V (x) W over H^cop
+# is W (x) V over H with the factors swapped.  So each right-hand map is the
+# matching left-hand map over H^cop, with the columns of its tensor domain
+# reindexed.
+
+def _over_cop(*mods):
+    return tuple(HModule(X.parent.cop, X.mats, name=X.name) for X in mods)
 
 
-def matrix_to_hom_vec(m: Matrix):
-    return m.entries
+def _swap_factors(m: Matrix, d1: int, d2: int) -> Matrix:
+    """m on a domain V1 (x) V2 (dims d1, d2), re-read on V2 (x) V1."""
+    if m.cols != d1 * d2:
+        raise ShapeError("map has %d columns, want %d" % (m.cols, d1 * d2))
+    order = [i * d2 + j for j in range(d2) for i in range(d1)]
+    e, c = m.entries, m.cols
+    return Matrix(m.field, m.rows, c,
+                  [e[r * c + k] for r in range(m.rows) for k in order])
 
 
 def eval_left(V: HModule, M: HModule) -> Matrix:
@@ -493,33 +535,10 @@ def eval_left(V: HModule, M: HModule) -> Matrix:
 
 
 def eval_right(V: HModule, M: HModule) -> Matrix:
-    """ev^r: V (x) Hom^r(V,M) -> M, m (x) phi |-> R( phi(S^-1(Q) S^-1(alpha) P m) )."""
-    if V.parent is not M.parent:
-        raise StructureError("evaluation factors must share a parent algebra")
-    H = V.parent
-    f = H.field
-    dh = M.dim * V.dim
-    cols = {}
-    for (p, q, r), c in H.phi_inv_terms().items():
-        post = M.act(H.basis(r))
-        inner = V.act(H.prod(H.apply_s_inv(H.basis(q)), H.apply_s_inv(H.alpha), H.basis(p)))
-        for a in range(M.dim):
-            pa = post.col(a)
-            for b in range(V.dim):
-                for v in range(V.dim):
-                    w = inner.get(b, v)
-                    if w == 0:
-                        continue
-                    key = v * dh + (a * V.dim + b)
-                    cw = f.mul(c, w)
-                    cur = cols.get(key)
-                    cols[key] = vec_scale(f, cw, pa) if cur is None else \
-                        tuple(f.add(s, f.mul(cw, t)) for s, t in zip(cur, pa))
-    out = []
-    zero_col = tuple([f.zero] * M.dim)
-    for j in range(V.dim * dh):
-        out.append(cols.get(j, zero_col))
-    return Matrix.from_cols(f, out, ambient=M.dim)
+    """ev^r: V (x) Hom^r(V,M) -> M, m (x) phi |-> R( phi(S^-1(Q) S^-1(alpha) P m) ).
+
+    This is ev^l over H^cop, read on the swapped tensor domain."""
+    return _swap_factors(eval_left(*_over_cop(V, M)), M.dim * V.dim, V.dim)
 
 
 def is_intertwiner(f_mat: Matrix, src: HModule, dst: HModule) -> bool:
@@ -529,7 +548,8 @@ def is_intertwiner(f_mat: Matrix, src: HModule, dst: HModule) -> bool:
 
 def require_intertwiner(f_mat: Matrix, src: HModule, dst: HModule, what: str):
     if f_mat.rows != dst.dim or f_mat.cols != src.dim:
-        raise ShapeError("%s must be %dx%d" % (what, dst.dim, src.dim))
+        raise ShapeError("%s must be %dx%d, got %dx%d"
+                         % (what, dst.dim, src.dim, f_mat.rows, f_mat.cols))
     if not is_intertwiner(f_mat, src, dst):
         raise IntertwinerError("%s is not an H-module morphism" % what)
 
@@ -596,50 +616,18 @@ def eta_l(g_mat: Matrix, M: HModule, N: HModule, L: HModule) -> Matrix:
 def zeta_r(f_mat: Matrix, N: HModule, M: HModule, L: HModule) -> Matrix:
     """zeta^r: Hom_H(N (x) M, L) -> Hom_H(M, Hom^r(N, L)).
 
-    f |-> (m |-> f(Y S^-1(beta) S^-1(X) - (x) Z m)).
+    f |-> (m |-> f(Y S^-1(beta) S^-1(X) - (x) Z m)), which is zeta^l over
+    H^cop applied to f read on M (x) N.
     """
-    H = M.parent
-    fld = H.field
-    require_intertwiner(f_mat, tensor_module(N, M), L, "zeta_r input")
-    out = Matrix.zeros(fld, L.dim * N.dim, M.dim)
-    for (x, y, z), c in H.phi_terms().items():
-        mz = M.act(H.basis(z))
-        ny = N.act(H.prod(H.basis(y), H.apply_s_inv(H.beta), H.apply_s_inv(H.basis(x))))
-        rows = []
-        for a in range(L.dim):
-            for b in range(N.dim):
-                row = []
-                for i in range(M.dim):
-                    s = fld.zero
-                    for mi in range(M.dim):
-                        u = mz.get(mi, i)
-                        if u == 0:
-                            continue
-                        for nj in range(N.dim):
-                            w = ny.get(nj, b)
-                            if w == 0:
-                                continue
-                            e = f_mat.get(a, nj * M.dim + mi)
-                            if e != 0:
-                                s = fld.add(s, fld.mul(fld.mul(u, w), e))
-                    row.append(s)
-                rows.append(row)
-        out = out + Matrix.from_rows(fld, rows).scale(c)
-    result = out
-    require_intertwiner(result, M, right_hom(N, L), "zeta_r output")
-    return result
+    Nc, Mc, Lc = _over_cop(N, M, L)
+    return zeta_l(_swap_factors(f_mat, N.dim, M.dim), Mc, Nc, Lc)
 
 
 def eta_r(g_mat: Matrix, N: HModule, M: HModule, L: HModule) -> Matrix:
-    """eta^r(g) = ev^r o (id (x) g): Hom_H(M, Hom^r(N,L)) -> Hom_H(N (x) M, L)."""
-    H = M.parent
-    hr = right_hom(N, L)
-    require_intertwiner(g_mat, M, hr, "eta_r input")
-    ev = eval_right(N, L)
-    eye_n = Matrix.identity(H.field, N.dim)
-    result = ev * eye_n.kron(g_mat)
-    require_intertwiner(result, tensor_module(N, M), L, "eta_r output")
-    return result
+    """eta^r(g) = ev^r o (id (x) g): Hom_H(M, Hom^r(N,L)) -> Hom_H(N (x) M, L),
+    which is eta^l over H^cop read on the swapped tensor domain."""
+    Nc, Mc, Lc = _over_cop(N, M, L)
+    return _swap_factors(eta_l(g_mat, Mc, Nc, Lc), M.dim, N.dim)
 
 
 # -- axiom checks --------------------------------------------------------------
@@ -799,7 +787,8 @@ def check_quasi_hopf(H: QuasiHopfAlgebra) -> CheckReport:
 
     acc = tuple([f.zero] * n)
     for (p, q, r), c in H.phi_inv_terms().items():
-        term = H.prod(H.apply_s(H.basis(p)), H.alpha, H.basis(q), H.beta, H.basis(r))
+        term = H.prod(H.apply_s(H.basis(p)), H.alpha, H.basis(q), H.beta,
+                      H.apply_s(H.basis(r)))
         acc = tuple(f.add(a, f.mul(c, t)) for a, t in zip(acc, term))
     rep.add("coev_ev", acc == H.unit)
 
@@ -953,11 +942,9 @@ def twisted_dual_group_algebra(field: Field, table, omega,
     beta = sum w(x, x^-1, x)^-1 d_x.
 
     The antipode of functions on a group is forced to be the inversion
-    permutation, and with diagonal alpha, beta the two evaluation
-    normalisations are simultaneously satisfiable iff w(x, x^-1, x^2) = 1
-    for every x.  That holds automatically on exponent-two groups; for
-    other groups pick a representative of the cohomology class with that
-    property (z3_nontrivial_cocycle returns one for Z/3).
+    permutation.  With alpha = 1 and this beta both evaluation
+    normalisations hold for every normalised 3-cocycle, because the
+    cocycle identity gives w(x, x^-1, x) w(x^-1, x, x^-1) = 1.
     """
     table, e, inv = _validate_group(table)
     n = len(table)
@@ -1022,8 +1009,8 @@ def primitive_root_of_unity(field: Field, order: int):
 
 
 def z3_nontrivial_cocycle(field: Field):
-    """A generator of the order-three part of H^3(Z/3, k^*), normalised so
-    that w(x, x^-1, x^2) = 1 (which the plain-antipode twisted dual needs).
+    """A normalised representative of a generator of the order-three part
+    of H^3(Z/3, k^*).
 
     Needs a primitive cube root of unity in the field, so GF(p) with
     p = 1 mod 3."""

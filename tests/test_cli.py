@@ -228,3 +228,89 @@ def test_cohomology_command_algebroid(tmp_path, capsys):
                  "--degree", "2", "--theory", "cyclic", "--reproducible"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["dims"] == [2, 0, 2]
+
+
+# -- golden report digests -------------------------------------------------------
+#
+# sha256 of each --reproducible report (and of the converted coefficient
+# file) for small versions of the structures of the cli-Q benchmark
+# session.  Reports must stay byte-identical across refactors, so a digest
+# changes only with an intended change of output.
+
+GOLDEN_REPORTS = {
+    "check kS3": "9931df228e8713168aa14ed9ce83c3f9cd5bd7f7114b50a6435ce1d4e7b0b16c",
+    "check env": "67760c41161c39a93990595889d46c37f370aa6c71cad59cf469a9d07780f0ac",
+    "check tw": "985fe911f8493feb82e6b28e9eccf581a69a4b3287fe7b9d01c85da69804c50c",
+    "ayd kS3": "8f3b623cf929cd2328fbe5a7b628ea3d12bae0c4c0dc2ab2ced1334672fde647",
+    "stability kS3": "77b65fbd6b93b000dfc479176ce2260032cad6989abe30408b60b5fe30ef6982",
+    "ayd env": "772e188acf18190572e476cff78c0702ffa1a29943af20dc1d093edc1ef743c2",
+    "stability env": "87213d45f0561f255ba53b81b28ac36c486361e0c3cd370c90dd08f2f3beed6a",
+    "ayd tw typeI": "54be2bc3be9585251197beb2003ee8274b1c09ba57e1e9207d564110d9bb0be3",
+    "convert typeII": "c8607c9572f70fa31a5287967da81b9da294881a181cabd7d0b37eaef031723d",
+    "ayd tw typeII": "1b91006afcd1619b2b7cdb97d5f803827544eeb8996e80b4c3e8bfb560a8459d",
+    "stability tw typeII": "fc46a923c418144e3f8ccd581476c6319a6a138557be2752771d02648eaff47f",
+    "cohomology env cyclic":
+        "6d28eb1a83cf2f38d94818bef146ac6e46bc2f3de4869ba0ef09e856d8337822",
+    "cohomology env hochschild":
+        "291862365702905f55416dc77eaaad9595254c6123aaca5bd1dd20ac7eea0301",
+    "cohomology tw cyclic":
+        "528b6f763c2db152983da2a9f21b0f4aff47e517b65fcb477cdbb0e27a5b1e37",
+    "cohomology tw hochschild":
+        "cdb36f622e1c8eaa18b2911884708fe7d5eb82296bdee733723a38a0fc9d2145",
+}
+
+
+def _golden_inputs():
+    from qha.algebroid import base_module
+    from qha.coefficients import ALGEBROID_MU
+    from qha.linalg import Matrix
+    for argv in (["group_algebra", "--symmetric", "3", "--out", "kS3.json"],
+                 ["enveloping_dual_numbers", "--out", "env.json"],
+                 ["twisted_dual_z2", "--out", "tw.json"],
+                 ["trivial_contramodule", "--structure", "kS3.json", "--out", "kS3M.json"],
+                 ["trivial_contramodule", "--structure", "tw.json", "--out", "twM.json"],
+                 ["unit_algebra", "--structure", "env.json", "--out", "envA.json"],
+                 ["unit_algebra", "--structure", "tw.json", "--out", "twA.json"]):
+        assert main(["generate"] + argv) == 0
+    env = parse_structure("env.json")
+    f = env.field
+    mu = Matrix(f, 2, 8, [f.from_int(x) for x in
+                          (0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 1, 0, 0, 0)])
+    write_structure("envM.json", Contramodule(base_module(env), mu, ALGEBROID_MU),
+                    "stableM")
+
+
+def test_golden_report_digests(tmp_path, monkeypatch, capsys):
+    import hashlib
+    monkeypatch.chdir(tmp_path)
+    _golden_inputs()
+    capsys.readouterr()
+    runs = {
+        "check kS3": ["check", "kS3.json"],
+        "check env": ["check", "env.json"],
+        "check tw": ["check", "tw.json"],
+        "ayd kS3": ["ayd", "kS3.json", "kS3M.json"],
+        "stability kS3": ["stability", "kS3.json", "kS3M.json"],
+        "ayd env": ["ayd", "env.json", "envM.json"],
+        "stability env": ["stability", "env.json", "envM.json"],
+        "ayd tw typeI": ["ayd", "tw.json", "twM.json"],
+        "ayd tw typeII": ["ayd", "tw.json", "twM2.json"],
+        "stability tw typeII": ["stability", "tw.json", "twM2.json"],
+        "cohomology env cyclic": ["cohomology", "env.json", "envA.json", "envM.json",
+                                  "--degree", "3", "--theory", "cyclic"],
+        "cohomology env hochschild": ["cohomology", "env.json", "envA.json", "envM.json",
+                                      "--degree", "3", "--theory", "hochschild"],
+        "cohomology tw cyclic": ["cohomology", "tw.json", "twA.json", "twM.json",
+                                 "--degree", "3", "--theory", "cyclic"],
+        "cohomology tw hochschild": ["cohomology", "tw.json", "twA.json", "twM.json",
+                                     "--degree", "3", "--theory", "hochschild"],
+    }
+    digests = {}
+    assert main(["convert", "twM.json", "--to", "typeII", "--out", "twM2.json"]) == 0
+    digests["convert typeII"] = hashlib.sha256(
+        (tmp_path / "twM2.json").read_bytes()).hexdigest()
+    for label, argv in runs.items():
+        assert main(argv + ["--reproducible"]) == 0, label
+        digests[label] = hashlib.sha256(
+            capsys.readouterr().out.encode("utf-8")).hexdigest()
+    assert digests == GOLDEN_REPORTS

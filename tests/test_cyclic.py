@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from qha.fields import prime_field
 from qha.linalg import Matrix
 from qha.quasihopf import (group_algebra, cyclic_group_table, trivial_module,
                            HModule, StructureError)
@@ -383,3 +384,43 @@ def test_z3_twisted_cocyclic():
     assert verify_cocyclic_identities(cc) is None
     assert hochschild_cohomology(cc, 3).dims == [1, 0, 0, 0]
     assert cyclic_cohomology(cc, 3).dims == [1, 0, 1, 0]
+
+
+# -- cross-flavor oracle ----------------------------------------------------------
+#
+# A Hopf algebra viewed as a Hopf algebroid over the scalars has no base
+# relations, so both flavors must produce the same cocyclic module matrix
+# for matrix.
+
+def functions_on_cyclic(H, n):
+    """k^(C_n) with C_n acting by translation, over any parent of dim n."""
+    f = H.field
+    mats = []
+    for g in range(n):
+        ent = [f.zero] * (n * n)
+        for i in range(n):
+            ent[((i + g) % n) * n + i] = f.one
+        mats.append(Matrix(f, n, n, ent))
+    cols = [tuple(f.one if i == j == k else f.zero for k in range(n))
+            for i in range(n) for j in range(n)]
+    return ModuleAlgebra(HModule(H, mats, name="k^C%d" % n),
+                         Matrix.from_cols(f, cols, ambient=n),
+                         Matrix.from_cols(f, [(f.one,) * n], ambient=n))
+
+
+@pytest.mark.parametrize("order,n_max", [(2, 3), (3, 2)])
+@pytest.mark.parametrize("field", [QQ, prime_field(7)], ids=["Q", "GF7"])
+def test_cross_flavor_oracle(order, n_max, field):
+    from qha.algebroid import algebroid_from_hopf
+    H = group_algebra(field, cyclic_group_table(order), "kC%d" % order)
+    Hal = algebroid_from_hopf(H)
+    built = []
+    for parent, flavor in ((H, HOPF_MU), (Hal, ALGEBROID_MU)):
+        k = parent.unit_object()
+        M = Contramodule(k, evaluation_at_unit(k), flavor)
+        built.append(build_cocyclic(functions_on_cyclic(parent, order), M, n_max))
+    quasi, algebroid = built
+    assert quasi.spaces == algebroid.spaces
+    assert quasi.cofaces == algebroid.cofaces
+    assert quasi.codegens == algebroid.codegens
+    assert quasi.cyclics == algebroid.cyclics

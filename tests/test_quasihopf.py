@@ -1,10 +1,12 @@
 import pytest
 
+from qha.fields import prime_field
 from qha.linalg import Matrix
 from qha.quasihopf import (
-    GroupTableError, StructureError, IntertwinerError,
+    QuasiHopfAlgebra, GroupTableError, StructureError, IntertwinerError,
     group_algebra, sweedler_h4, twisted_dual_group_algebra,
     cyclic_group_table, symmetric_group_table, z2_nontrivial_cocycle,
+    z3_nontrivial_cocycle, primitive_root_of_unity,
     validate_structure, check_quasi_bialgebra, check_quasi_hopf,
     trivial_module, regular_module, tensor_module, check_module, associator,
     left_hom, right_hom, eval_left, eval_right,
@@ -277,16 +279,51 @@ def test_z3_twisted_dual_full_suite():
     assert primitive_root_of_unity(prime_field(7), 3) in (2, 4)
 
 
-def test_z3_generator_representative_fails_evaluation_normalisation():
-    # the textbook generator w(g^a,g^b,g^c) = zeta^(a*floor((b+c)/3)) is a
-    # cocycle, but with the forced inversion antipode the second evaluation
-    # normalisation cannot hold because w(x, x^-1, x^2) != 1
-    from qha.fields import prime_field
+def z3_generator(field):
+    """The textbook generator w(g^a, g^b, g^c) = zeta^(a * floor((b + c) / 3))."""
+    zeta = primitive_root_of_unity(field, 3)
+    return [[[field.from_int(pow(zeta, a * ((b + c) // 3), field.p))
+              for c in range(3)] for b in range(3)] for a in range(3)]
+
+
+def with_decorations(H, alpha, beta):
+    return QuasiHopfAlgebra(H.field, H.dim, H.mult, H.unit, H.comult, H.counit,
+                            H.antipode, H.antipode_inv, H.phi, H.phi_inv,
+                            alpha, beta, name=H.name)
+
+
+def test_z3_generator_representative_passes_every_check():
+    # Drinfeld's axiom S(P) alpha Q beta S(R) = 1 holds for every normalised
+    # 3-cocycle on functions on a group, so the textbook generator (which
+    # has w(x, x^-1, x^2) != 1) is a quasi-Hopf algebra as well
     field = prime_field(7)
-    zeta = 2
-    w = [[[field.from_int(pow(zeta, (a * ((b + c) // 3)) % 3, 7))
-           for c in range(3)] for b in range(3)] for a in range(3)]
-    H = twisted_dual_group_algebra(field, cyclic_group_table(3), w)
-    assert check_quasi_bialgebra(H).passed          # it is a 3-cocycle
-    rep = check_quasi_hopf(H)
-    assert rep.failed_ids() == ["coev_ev"]
+    H = twisted_dual_group_algebra(field, cyclic_group_table(3), z3_generator(field))
+    assert all_checks_pass(H)
+    k, reg = trivial_module(H), regular_module(H)
+    for seed, (M, N, L) in enumerate([(reg, reg, reg), (k, reg, reg), (reg, reg, k)]):
+        f = random_intertwiner(tensor_module(M, N), L, seed)
+        assert eta_l(zeta_l(f, M, N, L), M, N, L) == f
+        f = random_intertwiner(tensor_module(N, M), L, seed + 100)
+        assert eta_r(zeta_r(f, N, M, L), N, M, L) == f
+    # the check still has teeth: doubling alpha or beta at one element fails it
+    two = field.from_int(2)
+    for i in range(H.dim):
+        doubled = tuple(field.mul(two, c) if j == i else c for j, c in enumerate(H.alpha))
+        assert "coev_ev" in check_quasi_hopf(with_decorations(H, doubled, H.beta)).failed_ids()
+        doubled = tuple(field.mul(two, c) if j == i else c for j, c in enumerate(H.beta))
+        assert "coev_ev" in check_quasi_hopf(with_decorations(H, H.alpha, doubled)).failed_ids()
+
+
+@pytest.mark.parametrize("name", ["H4", "k^Z2_w", "k^Z3_w", "k^Z3_w generator", "kS3"])
+def test_cop_passes_every_suite(name):
+    F7 = prime_field(7)
+    H = {"H4": lambda: sweedler_h4(QQ),
+         "k^Z2_w": lambda: twisted_dual_group_algebra(QQ, cyclic_group_table(2),
+                                                      z2_nontrivial_cocycle(QQ)),
+         "k^Z3_w": lambda: twisted_dual_group_algebra(F7, cyclic_group_table(3),
+                                                      z3_nontrivial_cocycle(F7)),
+         "k^Z3_w generator": lambda: twisted_dual_group_algebra(
+             F7, cyclic_group_table(3), z3_generator(F7)),
+         "kS3": lambda: group_algebra(QQ, symmetric_group_table(3))}[name]()
+    assert all_checks_pass(H.cop)
+    assert H.cop is H.cop
