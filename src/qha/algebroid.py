@@ -7,8 +7,11 @@ relations" is checked by projecting with a canonical quotient section, and
 the checks verify that stored lifts are compatible with the relations
 (Takeuchi membership, bimodule properties) rather than assuming it.
 
-The left base ring R is the stored one; the right base is represented as
-the same carrier with opposite multiplication.
+The left base ring R is the stored one; the right base is its opposite
+ring ``BaseRing.op``.  Right-hand constructions are not written out: the
+right-hand biclosed maps are the left-hand ones over the co-opposite
+algebroid ``H.cop`` (over R^op), and the right bialgebroid axioms are the
+left ones over the opposite algebroid ``H.op``.
 """
 
 from __future__ import annotations
@@ -20,7 +23,18 @@ from .linalg import (Matrix, Subspace, quotient_section,
                      intertwiner_space, basis_vec)
 from .reports import CheckReport
 from .quasihopf import (HModule, QuasiHopfAlgebra, StructureError, IntertwinerError,
-                        max_tensor_dim, require_intertwiner)
+                        max_tensor_dim, require_intertwiner, _over_cop, _swap_factors)
+
+
+def _opposite(mult, n: int):
+    """Structure constants of the opposite multiplication a.b = ba."""
+    return [mult[(j * n + i) * n + k] for i in range(n) for j in range(n) for k in range(n)]
+
+
+def _flip_legs(lift: Matrix) -> Matrix:
+    """A coproduct lift with the two legs of every column exchanged."""
+    n = lift.cols
+    return _swap_factors(lift.transpose(), n, n).transpose()
 
 
 class BaseRing:
@@ -57,6 +71,12 @@ class BaseRing:
 
     def basis(self, i: int):
         return basis_vec(self.field, self.dim, i)
+
+    @cached_property
+    def op(self) -> "BaseRing":
+        """R^op: the same carrier with the opposite multiplication."""
+        return BaseRing(self.field, self.dim, _opposite(self.mult, self.dim), self.unit,
+                        name=self.name + "^op")
 
     def validate(self) -> CheckReport:
         rep = CheckReport()
@@ -236,6 +256,36 @@ class HopfAlgebroid:
                     gens.append(tuple(vec))
         return Subspace.from_generators(f, n * n, gens)
 
+    # -- reversed structures --------------------------------------------------
+
+    @cached_property
+    def cop(self) -> "HopfAlgebroid":
+        """The co-opposite H^cop over R^op: s_l <-> t_l, s_r <-> t_r, both
+        coproduct lifts with their legs exchanged, the same counits, and the
+        antipode S^-1 (with inverse S).  Its modules are those of H, and
+        M (x) N over H^cop is N (x)_R M over H with the factors swapped; its
+        left-hand biclosed maps are the right-hand maps of H."""
+        return HopfAlgebroid(
+            self.base.op, self.dim, self.mult, self.unit,
+            self.t_l, self.s_l, self.t_r, self.s_r,
+            _flip_legs(self.delta_l_lift), _flip_legs(self.delta_r_lift),
+            self.eps_l, self.eps_r, self.antipode_inv, self.antipode,
+            name=self.name + "^cop")
+
+    @cached_property
+    def op(self) -> "HopfAlgebroid":
+        """The opposite H^op over R^op, with left and right exchanged:
+        s_l = t_r, t_l = s_r, s_r = t_l, t_r = s_l, Delta_l <-> Delta_r,
+        eps_l <-> eps_r, and the antipode S^-1 (with inverse S), as for the
+        opposite of a Hopf algebra.  Its left bialgebroid is the right
+        bialgebroid of H."""
+        return HopfAlgebroid(
+            self.base.op, self.dim, _opposite(self.mult, self.dim), self.unit,
+            self.t_r, self.s_r, self.t_l, self.s_l,
+            self.delta_r_lift, self.delta_l_lift,
+            self.eps_r, self.eps_l, self.antipode_inv, self.antipode,
+            name=self.name + "^op")
+
     # -- monoidal primitives (shared with QuasiHopfAlgebra) -----------------------
 
     def tensor(self, V, W):
@@ -262,6 +312,31 @@ class HopfAlgebroid:
 
     def unit_object(self):
         return base_module(self)
+
+    def left_unitor(self, V) -> Matrix:
+        """R (x)_R V -> V, r (x) v |-> s_l(r) v, on the quotient carrier."""
+        r = self.base.dim
+        cols = [V.act(self.s_l.col(j)).col(v) for j in range(r) for v in range(V.dim)]
+        amb = Matrix.from_cols(self.field, cols, ambient=V.dim)
+        return amb * module_tensor_relations(base_module(self), V).lift
+
+    def right_unitor(self, V) -> Matrix:
+        """V (x)_R R -> V, v (x) r |-> t_l(r) v, on the quotient carrier."""
+        r = self.base.dim
+        cols = [V.act(self.t_l.col(j)).col(v) for v in range(V.dim) for j in range(r)]
+        amb = Matrix.from_cols(self.field, cols, ambient=V.dim)
+        return amb * module_tensor_relations(V, base_module(self)).lift
+
+    # the biclosed adjunctions, so that the weak center is written once
+
+    def zeta_l(self, f_mat, M, N, L) -> Matrix:
+        return zeta_l_algebroid(f_mat, M, N, L)
+
+    def zeta_r(self, f_mat, N, M, L) -> Matrix:
+        return zeta_r_algebroid(f_mat, N, M, L)
+
+    def eta_r(self, g_mat, N, M, L) -> Matrix:
+        return eta_r_algebroid(g_mat, N, M, L)
 
     def structural_key(self):
         return ("algebroid", self.dim, self.base.dim, self.mult, self.unit,
@@ -383,57 +458,53 @@ def left_linear_hom_basis(M: AlgebroidModule, N: AlgebroidModule) -> Subspace:
     return intertwiner_space(H.field, pairs, N.dim, M.dim)
 
 
-def _hom_action_subspace(M: AlgebroidModule, V: AlgebroidModule, basis: Subspace,
-                         legs_fn) -> AlgebroidModule:
-    """Express a full-carrier hom action in the coordinates of a sub-carrier."""
-    H = M.parent
-    f = H.field
-    bmat = basis.basis_matrix()
-    mats = []
-    for i in range(H.dim):
-        full = Matrix.zeros(f, M.dim * V.dim, M.dim * V.dim)
-        for c, post_vec, pre_vec in legs_fn(i):
-            full = full + M.act(post_vec).kron(V.act(pre_vec).transpose()).scale(c)
-        sub = bmat.solve_matrix(full * bmat)
-        if sub is None:
-            raise StructureError("hom action does not preserve the base-linear carrier")
-        mats.append(sub)
-    return AlgebroidModule(H, mats)
-
-
 def left_hom_algebroid(V: AlgebroidModule, M: AlgebroidModule):
     """Hom^l(V, M) = Hom(V, M)_{R_l} with h.phi = h^1 phi(S(h^2) -), Delta_r legs.
 
     Returns (module, basis) where basis is the canonical carrier subspace of
-    Hom_k(V, M)."""
+    Hom_k(V, M), in whose coordinates the full-carrier action is expressed."""
     if V.parent is not M.parent:
         raise StructureError("hom factors must share a parent algebroid")
     H = V.parent
+    f = H.field
     basis = right_linear_hom_basis(V, M)
+    bmat = basis.basis_matrix()
+    mats = []
+    for i in range(H.dim):
+        full = Matrix.zeros(f, M.dim * V.dim, M.dim * V.dim)
+        for c, p, q in H.delta_r_terms(i):
+            pre = V.act(H.apply_s(H.basis(q))).transpose()
+            full = full + M.act(H.basis(p)).kron(pre).scale(c)
+        sub = bmat.solve_matrix(full * bmat)
+        if sub is None:
+            raise StructureError("hom action does not preserve the base-linear carrier")
+        mats.append(sub)
+    return AlgebroidModule(H, mats, name="Hom^l(%s,%s)" % (V.name, M.name)), basis
 
-    def legs(i):
-        return [(c, H.basis(p), H.apply_s(H.basis(q)))
-                for c, p, q in H.delta_r_terms(i)]
 
-    mod = _hom_action_subspace(M, V, basis, legs)
-    mod.name = "Hom^l(%s,%s)" % (V.name, M.name)
-    return mod, basis
-
+# -- the right-hand maps are the left-hand maps over H^cop ---------------------
+#
+# An H-module is an H^cop-module on the same matrices, and V (x) W over H^cop
+# is W (x)_R V over H with the factors swapped.  The two quotient carriers
+# have their own canonical sections, so a map on one tensor domain is re-read
+# on the other through the ambient space.
 
 def right_hom_algebroid(V: AlgebroidModule, M: AlgebroidModule):
-    """Hom^r(V, M) = Hom_{R_l}(V, M) with h.phi = h^2 phi(S^-1(h^1) -), Delta_r legs."""
-    if V.parent is not M.parent:
-        raise StructureError("hom factors must share a parent algebroid")
-    H = V.parent
-    basis = left_linear_hom_basis(V, M)
+    """Hom^r(V, M) = Hom_{R_l}(V, M) with h.phi = h^2 phi(S^-1(h^1) -), Delta_r legs.
 
-    def legs(i):
-        return [(c, H.basis(q), H.apply_s_inv(H.basis(p)))
-                for c, p, q in H.delta_r_terms(i)]
+    This is Hom^l(V, M) over H^cop, on the same action matrices and carrier."""
+    mod, basis = left_hom_algebroid(*_over_cop(V, M))
+    return _hom_r_module(mod, V, M), basis
 
-    mod = _hom_action_subspace(M, V, basis, legs)
-    mod.name = "Hom^r(%s,%s)" % (V.name, M.name)
-    return mod, basis
+
+def _hom_r_module(cop_mod: AlgebroidModule, V: AlgebroidModule, M: AlgebroidModule):
+    return AlgebroidModule(V.parent, cop_mod.mats, name="Hom^r(%s,%s)" % (V.name, M.name))
+
+
+def _swap_domain(f_mat: Matrix, src: RelationSpace, dst: RelationSpace,
+                 d1: int, d2: int) -> Matrix:
+    """f on the quotient of V1 (x) V2 (dims d1, d2), re-read on V2 (x) V1."""
+    return _swap_factors(f_mat * src.projector, d1, d2) * dst.lift
 
 
 # -- adjunctions (strict evaluations over the base) -------------------------------
@@ -460,21 +531,13 @@ def ev_l_algebroid(V: AlgebroidModule, M: AlgebroidModule):
 
 
 def ev_r_algebroid(V: AlgebroidModule, M: AlgebroidModule):
-    """ev^r: V (x)_{R_l} Hom^r(V,M) -> M, v (x) phi |-> phi(v)."""
-    hom_mod, hom_basis = right_hom_algebroid(V, M)
+    """ev^r: V (x)_{R_l} Hom^r(V,M) -> M, v (x) phi |-> phi(v): ev^l over H^cop
+    read on the swapped tensor domain."""
+    ev, cop_mod, hom_basis, (_, cop_rel) = ev_l_algebroid(*_over_cop(V, M))
+    hom_mod = _hom_r_module(cop_mod, V, M)
     tens, rel = tensor_over_base(V, hom_mod)
-    f = M.parent.field
-    bm = hom_basis.basis_matrix()
-    amb_cols = []
-    for v in range(V.dim):
-        for c in range(hom_mod.dim):
-            fmat = Matrix(f, M.dim, V.dim, bm.col(c))
-            amb_cols.append(fmat.col(v))
-    amb = Matrix.from_cols(f, amb_cols, ambient=M.dim)
-    ev = amb * rel.lift
-    if ev * rel.projector != amb:
-        raise StructureError("ev^r is not constant on tensor relation classes")
-    return ev, hom_mod, hom_basis, (tens, rel)
+    return (_swap_domain(ev, cop_rel, rel, hom_mod.dim, V.dim), hom_mod, hom_basis,
+            (tens, rel))
 
 
 def zeta_l_algebroid(f_mat: Matrix, M: AlgebroidModule, N: AlgebroidModule,
@@ -530,50 +593,22 @@ def eta_l_algebroid(g_mat: Matrix, M: AlgebroidModule, N: AlgebroidModule,
 
 def zeta_r_algebroid(f_mat: Matrix, N: AlgebroidModule, M: AlgebroidModule,
                      L: AlgebroidModule) -> Matrix:
-    """zeta^r: Hom_H(N (x)_R M, L) -> Hom_H(M, Hom^r(N, L)), f |-> (m |-> f(- (x) m))."""
-    H = M.parent
-    f = H.field
-    tens, rel = tensor_over_base(N, M)
-    require_intertwiner(f_mat, tens, L, "zeta_r input")
-    hom_mod, hom_basis = right_hom_algebroid(N, L)
-    cols = []
-    for i in range(M.dim):
-        full = []
-        for a in range(L.dim):
-            for j in range(N.dim):
-                amb = [f.zero] * (N.dim * M.dim)
-                amb[j * M.dim + i] = f.one
-                val = f_mat.apply(rel.projector.apply(amb))
-                full.append(val[a])
-        coords = hom_basis.coordinates(tuple(full))
-        if coords is None:
-            raise IntertwinerError("zeta_r image is not base-linear")
-        cols.append(coords)
-    out = Matrix.from_cols(f, cols, ambient=hom_mod.dim)
-    require_intertwiner(out, M, hom_mod, "zeta_r output")
-    return out
+    """zeta^r: Hom_H(N (x)_R M, L) -> Hom_H(M, Hom^r(N, L)), f |-> (m |-> f(- (x) m)),
+    which is zeta^l over H^cop applied to f read on M (x) N."""
+    Nc, Mc, Lc = _over_cop(N, M, L)
+    f_cop = _swap_domain(f_mat, module_tensor_relations(N, M),
+                         module_tensor_relations(Mc, Nc), N.dim, M.dim)
+    return zeta_l_algebroid(f_cop, Mc, Nc, Lc)
 
 
 def eta_r_algebroid(g_mat: Matrix, N: AlgebroidModule, M: AlgebroidModule,
                     L: AlgebroidModule) -> Matrix:
-    """eta^r(g) = ev^r o (id (x) g): back to Hom_H(N (x)_R M, L)."""
-    H = M.parent
-    f = H.field
-    hom_mod, hom_basis = right_hom_algebroid(N, L)
-    require_intertwiner(g_mat, M, hom_mod, "eta_r input")
-    tens, rel = tensor_over_base(N, M)
-    bm = hom_basis.basis_matrix()
-    amb_cols = []
-    for j in range(N.dim):
-        for i in range(M.dim):
-            gfull = Matrix(f, L.dim, N.dim, bm.apply(g_mat.col(i)))
-            amb_cols.append(gfull.col(j))
-    amb = Matrix.from_cols(f, amb_cols, ambient=L.dim)
-    out = amb * rel.lift
-    if out * rel.projector != amb:
-        raise StructureError("eta_r image not constant on relation classes")
-    require_intertwiner(out, tens, L, "eta_r output")
-    return out
+    """eta^r(g) = ev^r o (id (x) g): back to Hom_H(N (x)_R M, L), which is
+    eta^l over H^cop read on the swapped tensor domain."""
+    Nc, Mc, Lc = _over_cop(N, M, L)
+    return _swap_domain(eta_l_algebroid(g_mat, Mc, Nc, Lc),
+                        module_tensor_relations(Mc, Nc), module_tensor_relations(N, M),
+                        M.dim, N.dim)
 
 
 def eval_adjunctions_algebroid(M: AlgebroidModule, N: AlgebroidModule,
@@ -897,128 +932,18 @@ def _delta3(H: HopfAlgebroid, lift_outer: Matrix, lift_inner: Matrix, i: int,
 
 
 def check_right_bialgebroid(H: HopfAlgebroid) -> CheckReport:
-    """Mirror of the left bialgebroid axioms for (Delta_r, eps_r) over R^op."""
-    f = H.field
-    n, r = H.dim, H.base.dim
+    """The right bialgebroid axioms for (Delta_r, eps_r): the left suite run on
+    H^op, whose left bialgebroid is the right one of H.
+
+    The ids are the left ones with l/left read as r/right, in the same order.
+    Counterexamples name the indices of the loops over H^op, where the
+    product of (b, bp) = (i, j) is e_j e_i in H; so where such products are
+    quantified (eps_r_character, delta_r_multiplicative) the first failure
+    found can be the transposed pair of a loop over H."""
     rep = CheckReport()
-    rel = H.rel_r
-
-    def op_mult(a, b):
-        return H.base.mult_vec(b, a)
-
-    ok, wit = True, None
-    for b in range(r):
-        for i in range(n):
-            # r . b = b t_r(r): first leg multiplied on the right by t_r(r)
-            tr = H.t_r.col(b)
-            lhs = _tensor2_vec(f, n, _expand_delta(H, H.delta_r_lift,
-                                                   H.mult_vec(H.basis(i), tr)))
-            rhs = _tensor2_vec(f, n, _mult_into_leg(H, H.delta_r_terms(i), tr, 0, "r"))
-            if not rel.contains(tuple(f.sub(x, y) for x, y in zip(lhs, rhs))):
-                ok, wit = False, (("r", b), ("b", i), ("side", 0))
-                break
-            sr = H.s_r.col(b)
-            lhs = _tensor2_vec(f, n, _expand_delta(H, H.delta_r_lift,
-                                                   H.mult_vec(H.basis(i), sr)))
-            rhs = _tensor2_vec(f, n, _mult_into_leg(H, H.delta_r_terms(i), sr, 1, "r"))
-            if not rel.contains(tuple(f.sub(x, y) for x, y in zip(lhs, rhs))):
-                ok, wit = False, (("r", b), ("b", i), ("side", 1))
-                break
-        if not ok:
-            break
-    rep.add("delta_r_bimodule", ok, wit)
-
-    rel3 = _triple_relations(H, ("r", "r"))
-    ok, wit = True, None
-    for i in range(n):
-        lhs = _delta3(H, H.delta_r_lift, H.delta_r_lift, i, expand_first=True)
-        rhs = _delta3(H, H.delta_r_lift, H.delta_r_lift, i, expand_first=False)
-        if not rel3.contains(tuple(f.sub(x, y) for x, y in zip(lhs, rhs))):
-            ok, wit = False, (("b", i),)
-            break
-    rep.add("delta_r_coassoc", ok, wit)
-
-    ok, wit = True, None
-    for i in range(n):
-        acc1 = tuple([f.zero] * n)
-        acc2 = tuple([f.zero] * n)
-        for c, p, q in H.delta_r_terms(i):
-            term1 = H.mult_vec(H.basis(p), H.s_r.apply(H.eps_r.apply(H.basis(q))))
-            acc1 = tuple(f.add(x, f.mul(c, t)) for x, t in zip(acc1, term1))
-            term2 = H.mult_vec(H.basis(q), H.t_r.apply(H.eps_r.apply(H.basis(p))))
-            acc2 = tuple(f.add(x, f.mul(c, t)) for x, t in zip(acc2, term2))
-        if acc1 != H.basis(i) or acc2 != H.basis(i):
-            ok, wit = False, (("b", i),)
-            break
-    rep.add("delta_r_counital", ok, wit)
-
-    ok, wit = True, None
-    for a in range(r):
-        for b in range(r):
-            for i in range(n):
-                val = H.mult_vec(H.mult_vec(H.basis(i), H.t_r.col(a)), H.s_r.col(b))
-                lhs = H.eps_r.apply(val)
-                rhs = op_mult(op_mult(H.base.basis(a), H.eps_r.apply(H.basis(i))),
-                              H.base.basis(b))
-                if lhs != rhs:
-                    ok, wit = False, (("r", a), ("rp", b), ("b", i))
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    rep.add("eps_r_bimodule", ok, wit)
-
-    ok, wit = True, None
-    for i in range(n):
-        for b in range(r):
-            sr = H.s_r.col(b)
-            tr = H.t_r.col(b)
-            one = _tensor2_vec(f, n, _mult_into_leg(H, H.delta_r_terms(i), sr, 0, "l"))
-            two = _tensor2_vec(f, n, _mult_into_leg(H, H.delta_r_terms(i), tr, 1, "l"))
-            if not rel.contains(tuple(f.sub(x, y) for x, y in zip(one, two))):
-                ok, wit = False, (("b", i), ("r", b))
-                break
-        if not ok:
-            break
-    rep.add("takeuchi_right", ok, wit)
-
-    ok, wit = True, None
-    for i in range(n):
-        for j in range(n):
-            prod = H.mult_vec(H.basis(i), H.basis(j))
-            lhs = _tensor2_vec(f, n, _expand_delta(H, H.delta_r_lift, prod))
-            rhs = _pair_product(H, H.delta_r_terms(i), H.delta_r_terms(j))
-            if not rel.contains(tuple(f.sub(x, y) for x, y in zip(lhs, rhs))):
-                ok, wit = False, (("b", i), ("bp", j))
-                break
-        if not ok:
-            break
-    uvec = [f.zero] * (n * n)
-    for p, cp in enumerate(H.unit):
-        if cp != 0:
-            for q, cq in enumerate(H.unit):
-                if cq != 0:
-                    uvec[p * n + q] = f.mul(cp, cq)
-    lhsu = _tensor2_vec(f, n, _expand_delta(H, H.delta_r_lift, H.unit))
-    rep.add("delta_r_multiplicative",
-            ok and rel.contains(tuple(f.sub(x, y) for x, y in zip(lhsu, uvec))), wit)
-
-    ok, wit = True, None
-    for i in range(n):
-        for j in range(n):
-            prod = H.mult_vec(H.basis(i), H.basis(j))
-            lhs = H.eps_r.apply(prod)
-            mid = H.eps_r.apply(H.mult_vec(
-                H.s_r.apply(H.eps_r.apply(H.basis(i))), H.basis(j)))
-            rgt = H.eps_r.apply(H.mult_vec(
-                H.t_r.apply(H.eps_r.apply(H.basis(i))), H.basis(j)))
-            if lhs != mid or lhs != rgt:
-                ok, wit = False, (("b", i), ("bp", j))
-                break
-        if not ok:
-            break
-    rep.add("eps_r_character", ok, wit)
+    for res in check_left_bialgebroid(H.op).results:
+        rep.add(res.check_id.replace("_l_", "_r_").replace("_left", "_right"),
+                res.passed, res.counterexample)
     return rep
 
 

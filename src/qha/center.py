@@ -6,12 +6,12 @@ and cached by structural hash.  Stability of the coefficient makes every
 tau_V invertible (checked as an exact rank condition), which is what turns
 the weak-center datum into an honest center element.
 
-The contratrace iota takes its tensor products from the parent's
-``tensor`` primitive, so it is written once for both flavors.  The
-hexagon, unitality and stability checks still differ by flavor: over a
-quasi-Hopf algebra they run on full hom carriers with Phi-decorated
-associativity maps, over a Hopf algebroid on base-linear sub-carriers with
-strict requotient maps.
+The contratrace, unitality and central stability are written once against
+the biclosed primitives both parents provide (``tensor``, ``unit_object``,
+the unitors, zeta^l, zeta^r and eta^r).  Only the hexagon still differs by
+flavor: over a quasi-Hopf algebra it runs on full hom carriers with
+Phi-decorated associativity maps, over a Hopf algebroid on base-linear
+sub-carriers with strict requotient maps.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .linalg import Matrix
 from .reports import CheckReport
 from .coefficients import (Contramodule, tau_from_contramodule, hexagon_sides,
                            tau_sub_raw_algebroid, ALGEBROID_MU, _perm_mwv_to_mvw)
-from .quasihopf import trivial_module, zeta_l, eta_r, hom_module_morphisms
+from .quasihopf import hom_module_morphisms
 from . import algebroid as alg
 
 
@@ -54,14 +54,10 @@ class CenterElement:
         self._tau_cache[V.structural_key()] = mat
 
 
-def _is_algebroid(E: CenterElement) -> bool:
-    return E.coefficient.flavor == ALGEBROID_MU
-
-
 def check_hexagon(E: CenterElement, V, W) -> CheckReport:
     """The hexagon for the cached taus at V, W and V (x) W."""
     rep = CheckReport()
-    if _is_algebroid(E):
+    if E.coefficient.flavor == ALGEBROID_MU:
         lhs, rhs = hexagon_sides_algebroid(E.coefficient, V, W,
                                            tau_override=lambda X: E.tau(X))
     else:
@@ -76,36 +72,31 @@ def check_hexagon(E: CenterElement, V, W) -> CheckReport:
 
 
 def check_unitality(E: CenterElement) -> CheckReport:
-    """tau on the unit object is the identity in the canonical coordinates.
+    """tau on the unit object matches the two unitors:
+    tau_1 . zeta^l(rho_M) = zeta^r(lambda_M) in Hom_H(M, Hom^r(1, M)).
 
-    For quasi-Hopf flavors the unit is k and tau_k acts on Hom(k, M) = M;
-    for algebroids it is the base R and the identifications send m to
-    r |-> t_l(r) m on the left and read off psi(1_R) on the right."""
+    Over a quasi-Hopf algebra both unitors are identities and this says
+    tau_k = id on Hom(k, M) = M; over an algebroid it says tau_R sends
+    r |-> t_l(r) m to r |-> s_l(r) m."""
+    H = E.parent
+    M = E.carrier
+    unit = H.unit_object()
+    lhs = E.tau(unit) * H.zeta_l(H.right_unitor(M), M, unit, M)
     rep = CheckReport()
-    if _is_algebroid(E):
-        rep.add("unitality", _unit_tau_canonical_algebroid(E).is_identity())
-    else:
-        rep.add("unitality", E.tau(trivial_module(E.parent)).is_identity())
+    rep.add("unitality", lhs == H.zeta_r(H.left_unitor(M), unit, M, M))
     return rep
 
 
 def check_stability_central(E: CenterElement) -> CheckReport:
     """Stability as in the center definition: the identity of M survives the
-    chain Hom(M,M) ~ Hom(1, M <| M) -> Hom(1, M |> M) ~ Hom(M,M)."""
-    rep = CheckReport()
-    if _is_algebroid(E):
-        rep.add("stability_central", _stability_chain_algebroid(E))
-        return rep
+    chain Hom(M,M) ~ Hom(1, M <| M) -> Hom(1, M |> M) ~ Hom(M,M), that is
+    eta^r(tau_M . zeta^l(lambda_M)) = rho_M."""
     H = E.parent
-    f = H.field
     M = E.carrier
-    unit = trivial_module(H)
-    # the left unitor k (x) M -> M is the identity on carriers
-    lam = Matrix.identity(f, M.dim)
-    g = zeta_l(lam, unit, M, M)                  # Hom(1, M <| M), one column
-    h = E.tau(M) * g
-    back = eta_r(h, M, unit, M)                  # Hom(M (x) 1, M) = Hom(M, M)
-    rep.add("stability_central", back.is_identity())
+    unit = H.unit_object()
+    g = E.tau(M) * H.zeta_l(H.left_unitor(M), unit, M, M)
+    rep = CheckReport()
+    rep.add("stability_central", H.eta_r(g, M, unit, M) == H.right_unitor(M))
     return rep
 
 
@@ -120,12 +111,10 @@ def check_weakstrong(E: CenterElement, V) -> CheckReport:
 def iota_apply(E: CenterElement, T, V, f_mat: Matrix) -> Matrix:
     """The contratrace map on a single intertwiner:
     Hom_H(T (x) V, M) -> Hom_H(V (x) T, M), f |-> eta^r(tau_V o zeta^l(f))."""
+    H = E.parent
     M = E.carrier
-    if _is_algebroid(E):
-        g = alg.zeta_l_algebroid(f_mat, T, V, M)
-        return alg.eta_r_algebroid(E.tau(V) * g, V, T, M)
-    g = zeta_l(f_mat, T, V, M)
-    return eta_r(E.tau(V) * g, V, T, M)
+    g = H.zeta_l(f_mat, T, V, M)
+    return H.eta_r(E.tau(V) * g, V, T, M)
 
 
 def contratrace_iota(E: CenterElement, T, V) -> Matrix:
@@ -149,62 +138,7 @@ def contratrace_iota(E: CenterElement, T, V) -> Matrix:
     return Matrix.from_cols(f, cols, ambient=cod.dim)
 
 
-# -- algebroid flavor internals ------------------------------------------------
-
-def _unit_tau_canonical_algebroid(E: CenterElement) -> Matrix:
-    H = E.parent
-    f = H.field
-    M = E.carrier
-    R = alg.base_module(H)
-    tau = E.tau(R)
-    bl = alg.right_linear_hom_basis(R, M)
-    br = alg.left_linear_hom_basis(R, M)
-    emb_cols = []
-    for m in range(M.dim):
-        fm = Matrix.from_cols(f, [M.act(H.t_l.col(j)).col(m)
-                                  for j in range(R.dim)], ambient=M.dim)
-        coords = bl.coordinates(fm.entries)
-        if coords is None:
-            raise ValueError("canonical embedding misses the hom carrier")
-        emb_cols.append(coords)
-    emb = Matrix.from_cols(f, emb_cols, ambient=bl.dim)
-    brm = br.basis_matrix()
-    ext_cols = []
-    for c in range(br.dim):
-        psi = Matrix(f, M.dim, R.dim, brm.col(c))
-        ext_cols.append(psi.apply(H.base.unit))
-    ext = Matrix.from_cols(f, ext_cols, ambient=M.dim)
-    return ext * tau * emb
-
-
-def _stability_chain_algebroid(E: CenterElement) -> bool:
-    H = E.parent
-    f = H.field
-    M = E.carrier
-    R = alg.base_module(H)
-    _, rel = alg.tensor_over_base(R, M)
-    # left unitor r (x) m |-> s_l(r) m on the quotient carrier
-    amb_cols = []
-    for j in range(R.dim):
-        sl = M.act(H.s_l.col(j))
-        for m in range(M.dim):
-            amb_cols.append(sl.col(m))
-    amb = Matrix.from_cols(f, amb_cols, ambient=M.dim)
-    lam = amb * rel.lift
-    g = alg.zeta_l_algebroid(lam, R, M, M)
-    h = E.tau(M) * g
-    back = alg.eta_r_algebroid(h, M, R, M)
-    _, rel2 = alg.tensor_over_base(M, R)
-    inv_cols = []
-    for m in range(M.dim):
-        vec = [f.zero] * (M.dim * R.dim)
-        for j, c in enumerate(H.base.unit):
-            if c != 0:
-                vec[m * R.dim + j] = c
-        inv_cols.append(rel2.projector.apply(vec))
-    rho_inv = Matrix.from_cols(f, inv_cols, ambient=rel2.projector.rows)
-    return (back * rho_inv).is_identity()
-
+# -- algebroid hexagon ---------------------------------------------------------
 
 def hexagon_sides_algebroid(C: Contramodule, V, W, tau_override=None):
     """Hexagon composites for an algebroid coefficient, in the canonical

@@ -32,7 +32,6 @@ from .quasihopf import (QuasiHopfAlgebra, StructureError,
 from .coefficients import Contramodule, HOPF_MU, QUASI_I, QUASI_II, \
     check_stability_hopf, check_stability_quasi, check_stability_algebroid
 from .center import CenterElement, iota_apply
-from . import algebroid as alg
 
 
 class CocyclicError(ValueError):
@@ -89,21 +88,11 @@ class ModuleAlgebra:
 
 
 def unit_algebra(H) -> ModuleAlgebra:
-    """The monoidal unit as an algebra object (A = k, or A = R)."""
-    f = H.field
+    """The monoidal unit as an algebra object (A = k, or A = R): its
+    multiplication is the left unitor 1 (x) 1 -> 1, its unit the identity."""
     carrier = H.unit_object()
-    if isinstance(H, QuasiHopfAlgebra):
-        return ModuleAlgebra(carrier, Matrix.identity(f, 1), Matrix.identity(f, 1))
-    _, rel = alg.tensor_over_base(carrier, carrier)
-    # multiplication descends from r (x) r' |-> r r'
-    amb_cols = []
-    r = carrier.dim
-    for i in range(r):
-        for j in range(r):
-            amb_cols.append(H.base.mult_vec(H.base.basis(i), H.base.basis(j)))
-    amb = Matrix.from_cols(f, amb_cols, ambient=r)
-    mult = amb * rel.lift
-    return ModuleAlgebra(carrier, mult, Matrix.identity(f, r))
+    return ModuleAlgebra(carrier, H.left_unitor(carrier),
+                         Matrix.identity(H.field, carrier.dim))
 
 
 def check_algebra_object(A: ModuleAlgebra) -> CheckReport:
@@ -434,11 +423,9 @@ def hochschild_cohomology(cc: CocyclicModule, up_to: int) -> CohomologyResult:
     for n in range(up_to):
         if not (bs[n + 1] * bs[n]).is_zero():
             raise CocyclicError("b o b != 0 at degree %d" % n)
-    dims = []
-    for n in range(up_to + 1):
-        ker = cc.dim(n) - bs[n].rank()
-        im = bs[n - 1].rank() if n >= 1 else 0
-        dims.append(ker - im)
+    ranks = [b.rank() for b in bs]
+    dims = [cc.dim(n) - ranks[n] - (ranks[n - 1] if n >= 1 else 0)
+            for n in range(up_to + 1)]
     return CohomologyResult("hochschild", f, dims)
 
 
@@ -486,10 +473,7 @@ def cyclic_cohomology(cc: CocyclicModule, up_to: int) -> CohomologyResult:
                         ent[row_off[p + 1] + i][col_off[p] + j] = v
         return Matrix.from_rows(f, ent) if rows else Matrix(f, 0, cols, [])
 
-    dims = []
-    for n in range(up_to + 1):
-        dn = total_matrix(n)
-        ker = total_dim(n) - dn.rank()
-        im = total_matrix(n - 1).rank() if n >= 1 else 0
-        dims.append(ker - im)
+    ranks = [total_matrix(n).rank() for n in range(up_to + 1)]
+    dims = [total_dim(n) - ranks[n] - (ranks[n - 1] if n >= 1 else 0)
+            for n in range(up_to + 1)]
     return CohomologyResult("cyclic", f, dims)

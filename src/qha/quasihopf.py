@@ -29,11 +29,13 @@ class IntertwinerError(ValueError):
 
 
 def max_tensor_dim() -> int:
-    """Ambient-dimension cap for tensor constructions (env QHA_MAX_DIM)."""
+    """Ambient-dimension cap for tensor constructions (env QHA_MAX_DIM, default
+    4096); a value that is not an integer is a StructureError."""
+    raw = os.environ.get("QHA_MAX_DIM", "4096")
     try:
-        return int(os.environ.get("QHA_MAX_DIM", "4096"))
+        return int(raw)
     except ValueError:
-        return 4096
+        raise StructureError("QHA_MAX_DIM must be an integer, got %r" % raw) from None
 
 
 class QuasiHopfAlgebra:
@@ -237,6 +239,25 @@ class QuasiHopfAlgebra:
 
     def unit_object(self):
         return trivial_module(self)
+
+    def left_unitor(self, V) -> Matrix:
+        """k (x) V -> V: the identity on carriers."""
+        return Matrix.identity(self.field, V.dim)
+
+    def right_unitor(self, V) -> Matrix:
+        """V (x) k -> V: the identity on carriers."""
+        return Matrix.identity(self.field, V.dim)
+
+    # the biclosed adjunctions, so that the weak center is written once
+
+    def zeta_l(self, f_mat, M, N, L) -> Matrix:
+        return zeta_l(f_mat, M, N, L)
+
+    def zeta_r(self, f_mat, N, M, L) -> Matrix:
+        return zeta_r(f_mat, N, M, L)
+
+    def eta_r(self, g_mat, N, M, L) -> Matrix:
+        return eta_r(g_mat, N, M, L)
 
     def structural_key(self):
         return ("qha", self.dim, self.mult, self.unit, self.comult, self.counit,
@@ -449,30 +470,19 @@ def associator(V: HModule, W: HModule, U: HModule) -> Matrix:
 # The carrier of Hom(V, M) is k^(dM*dV) in the matrix-unit basis E_ab
 # (e_b |-> m_a), flattened row-major: index a*dV + b.
 
-def _hom_action(M: HModule, V: HModule, legs_fn) -> HModule:
-    H = M.parent
-    f = H.field
-    mats = []
-    for i in range(H.dim):
-        m = Matrix.zeros(f, M.dim * V.dim, M.dim * V.dim)
-        for c, post_vec, pre_vec in legs_fn(i):
-            m = m + M.act(post_vec).kron(V.act(pre_vec).transpose()).scale(c)
-        mats.append(m)
-    return HModule(H, mats)
-
-
 def left_hom(V: HModule, M: HModule) -> HModule:
     """Hom^l(V, M): carrier Hom_k(V, M), action h.phi = h^1 phi(S(h^2) -)."""
     if V.parent is not M.parent:
         raise StructureError("hom factors must share a parent algebra")
     H = V.parent
-
-    def legs(i):
-        return [(c, H.basis(p), H.s_col(q)) for c, p, q in H.delta_terms(i)]
-
-    mod = _hom_action(M, V, legs)
-    mod.name = "Hom^l(%s,%s)" % (V.name, M.name)
-    return mod
+    f = H.field
+    mats = []
+    for i in range(H.dim):
+        m = Matrix.zeros(f, M.dim * V.dim, M.dim * V.dim)
+        for c, p, q in H.delta_terms(i):
+            m = m + M.act(H.basis(p)).kron(V.act(H.s_col(q)).transpose()).scale(c)
+        mats.append(m)
+    return HModule(H, mats, name="Hom^l(%s,%s)" % (V.name, M.name))
 
 
 def right_hom(V: HModule, M: HModule) -> HModule:
@@ -488,10 +498,10 @@ def right_hom(V: HModule, M: HModule) -> HModule:
 # An H-module is an H^cop-module on the same matrices, and V (x) W over H^cop
 # is W (x) V over H with the factors swapped.  So each right-hand map is the
 # matching left-hand map over H^cop, with the columns of its tensor domain
-# reindexed.
+# reindexed.  The same holds over a Hopf algebroid (see algebroid.py).
 
 def _over_cop(*mods):
-    return tuple(HModule(X.parent.cop, X.mats, name=X.name) for X in mods)
+    return tuple(type(X)(X.parent.cop, X.mats, name=X.name) for X in mods)
 
 
 def _swap_factors(m: Matrix, d1: int, d2: int) -> Matrix:

@@ -8,6 +8,7 @@ from qha.quasihopf import (group_algebra, sweedler_h4, twisted_dual_group_algebr
                            cyclic_group_table, symmetric_group_table,
                            z2_nontrivial_cocycle, regular_module, trivial_module,
                            hom_module_morphisms, HModule)
+from qha.algebroid import BaseRing
 
 QQ = rationals()
 F5 = prime_field(5)
@@ -43,6 +44,16 @@ def twisted_q():
 def twisted_f5():
     return twisted_dual_group_algebra(F5, cyclic_group_table(2),
                                       z2_nontrivial_cocycle(F5))
+
+
+def base_ring_t2(field):
+    """T2, the upper-triangular 2x2 matrices: basis e11, e12, e22, a
+    noncommutative base ring."""
+    z, o = field.zero, field.one
+    mult = [z] * 27
+    for i, j, k in ((0, 0, 0), (0, 1, 1), (1, 2, 1), (2, 2, 2)):
+        mult[(i * 3 + j) * 3 + k] = o
+    return BaseRing(field, 3, mult, (o, z, o), name="T2")
 
 
 def random_module(H, dim, seed):

@@ -4,6 +4,7 @@ from qha.linalg import Matrix
 from qha.quasihopf import (trivial_module, regular_module, tensor_module,
                            left_hom, right_hom, zeta_l, eta_l, zeta_r,
                            hom_module_morphisms, check_module, is_intertwiner,
+                           group_algebra, cyclic_group_table, sweedler_h4,
                            StructureError)
 from qha.algebroid import (
     BaseRing, HopfAlgebroid,
@@ -17,7 +18,7 @@ from qha.algebroid import (
     check_algebroid_structure, check_left_bialgebroid,
     check_right_bialgebroid, check_hopf_algebroid)
 
-from conftest import QQ, F5, random_intertwiner
+from conftest import QQ, F5, random_intertwiner, base_ring_t2
 
 
 @pytest.fixture(scope="module")
@@ -30,6 +31,11 @@ def env_q():
     return enveloping_algebroid(base_ring_dual_numbers(QQ))
 
 
+@pytest.fixture(scope="module")
+def t2e_f5():
+    return enveloping_algebroid(base_ring_t2(F5))
+
+
 def all_pass(H):
     return (check_algebroid_structure(H).passed
             and check_left_bialgebroid(H).passed
@@ -40,6 +46,35 @@ def all_pass(H):
 @pytest.mark.parametrize("field", [QQ, F5])
 def test_enveloping_algebroid_passes_all_checks(field):
     assert all_pass(enveloping_algebroid(base_ring_dual_numbers(field)))
+
+
+def test_t2_base_is_noncommutative(t2e_f5):
+    R = t2e_f5.base
+    assert R.validate().passed
+    assert R.mult_vec(R.basis(0), R.basis(1)) != R.mult_vec(R.basis(1), R.basis(0))
+
+
+REVERSED_INPUTS = [
+    pytest.param(lambda: enveloping_algebroid(base_ring_dual_numbers(QQ)), id="env-Q"),
+    pytest.param(lambda: enveloping_algebroid(base_ring_dual_numbers(F5)), id="env-F5"),
+    pytest.param(lambda: enveloping_algebroid(base_ring_t2(F5)), id="T2e-F5"),
+    pytest.param(lambda: algebroid_from_hopf(
+        group_algebra(QQ, cyclic_group_table(3), "kC3")), id="kC3-Q"),
+    # S has order four, so S and S^-1 differ
+    pytest.param(lambda: algebroid_from_hopf(sweedler_h4(QQ)), id="H4-Q"),
+]
+
+
+@pytest.mark.parametrize("make", REVERSED_INPUTS)
+def test_reversed_algebroids_pass_every_suite(make):
+    H = make()
+    for X in (H, H.cop, H.op):
+        assert all_pass(X), X.name
+    assert H.cop.base.mult == H.op.base.mult == H.base.op.mult
+    assert H.cop.cop.base.mult == H.op.op.base.mult == H.base.mult
+    assert H.cop.cop.structural_key() == H.structural_key()
+    assert H.op.op.structural_key() == H.structural_key()
+    assert H.cop is H.cop and H.op is H.op
 
 
 def test_trivial_enveloping_of_scalars():
@@ -76,6 +111,50 @@ def test_corrupt_delta_lift_flagged(env_q):
                      "delta_l_counital", "delta_l_multiplicative"}
 
 
+def _replace(H, **changes):
+    fields = dict(base=H.base, dim=H.dim, mult=H.mult, unit=H.unit,
+                  s_l=H.s_l, t_l=H.t_l, s_r=H.s_r, t_r=H.t_r,
+                  delta_l_lift=H.delta_l_lift, delta_r_lift=H.delta_r_lift,
+                  eps_l=H.eps_l, eps_r=H.eps_r,
+                  antipode=H.antipode, antipode_inv=H.antipode_inv)
+    fields.update(changes)
+    return HopfAlgebroid(**fields)
+
+
+# (structure matrix, entry bumped by one) -> failed ids of the right suite,
+# recorded with the hand-written right bialgebroid checks
+RIGHT_SUITE_CORRUPTIONS = [
+    ("delta_r_lift", 0, {"delta_r_bimodule", "delta_r_coassoc", "delta_r_counital",
+                         "delta_r_multiplicative"}),
+    ("delta_r_lift", 3, {"delta_r_bimodule", "delta_r_counital",
+                         "delta_r_multiplicative"}),
+    ("delta_r_lift", 36, {"delta_r_coassoc", "delta_r_counital",
+                          "delta_r_multiplicative"}),
+    ("delta_r_lift", 45, {"delta_r_bimodule", "delta_r_coassoc"}),
+    ("delta_r_lift", 24, set()),            # a change inside the relations
+    ("eps_r", 0, {"delta_r_counital", "eps_r_bimodule", "eps_r_character"}),
+    ("eps_r", 3, {"eps_r_bimodule", "eps_r_character"}),
+    ("eps_r", 4, {"delta_r_counital", "eps_r_character"}),
+    ("t_r", 0, {"delta_r_counital", "eps_r_bimodule", "eps_r_character"}),
+    ("t_r", 2, {"delta_r_bimodule", "delta_r_counital", "eps_r_bimodule",
+                "eps_r_character"}),
+    ("t_r", 6, {"delta_r_bimodule", "delta_r_counital"}),
+]
+
+
+@pytest.mark.parametrize("attr,k,failed", RIGHT_SUITE_CORRUPTIONS)
+def test_corrupt_right_structure_flagged(env_q, attr, k, failed):
+    m = getattr(env_q, attr)
+    ent = list(m.entries)
+    ent[k] = QQ.add(ent[k], QQ.one)
+    bad = _replace(env_q, **{attr: Matrix(QQ, m.rows, m.cols, ent)})
+    rep = check_right_bialgebroid(bad)
+    assert [r.check_id for r in rep.results] == [
+        "delta_r_bimodule", "delta_r_coassoc", "delta_r_counital", "eps_r_bimodule",
+        "takeuchi_right", "delta_r_multiplicative", "eps_r_character"]
+    assert set(rep.failed_ids()) == failed
+
+
 def test_corrupt_antipode_fails_axiom_3_or_4(env_q):
     H = env_q
     ent = list(H.antipode.entries)
@@ -87,6 +166,16 @@ def test_corrupt_antipode_fails_axiom_3_or_4(env_q):
     failed = set(rep.failed_ids())
     assert failed & {"antipode_twisted_linear", "antipode_convolution_left",
                      "antipode_convolution_right"}
+
+
+def test_unitors_are_module_isomorphisms(t2e_f5):
+    H = t2e_f5
+    unit = H.unit_object()
+    for V in (regular_algebroid_module(H), unit):
+        for lam, tens in ((H.left_unitor(V), H.tensor(unit, V)[0]),
+                          (H.right_unitor(V), H.tensor(V, unit)[0])):
+            assert is_intertwiner(lam, tens, V)
+            assert lam.rows == lam.cols == V.dim == lam.rank()
 
 
 def test_tensor_over_base_quotient_dims(env_f5):
@@ -171,65 +260,101 @@ def test_hom_action_independent_of_lift(env_f5):
     assert all(a == b for a, b in zip(hl.mats, hl2.mats))
 
 
-def test_lemma_rights_identities(env_f5):
+def _reg_and_base(*algebroids):
+    for H in algebroids:
+        yield H, regular_algebroid_module(H), base_module(H)
+
+
+def test_lemma_rights_identities(env_f5, t2e_f5):
     # t_l(r).phi = phi(s_l(r) -) and s_l(r).phi = s_l(r) phi(-) on Hom^l;
     # s_l(r).psi = psi(t_l(r) -) and t_l(r).psi = t_l(r) psi(-) on Hom^r.
-    H = env_f5
-    f = H.field
-    reg = regular_algebroid_module(H)
-    R = base_module(H)
-    for V, M in [(reg, R), (R, reg), (reg, reg)]:
-        hl, bl = left_hom_algebroid(V, M)
-        blm = bl.basis_matrix()
-        hr, br = right_hom_algebroid(V, M)
-        brm = br.basis_matrix()
-        for b in range(H.base.dim):
-            tl, sl = H.t_l.col(b), H.s_l.col(b)
-            for t in range(bl.dim):
-                phi = Matrix(f, M.dim, V.dim, blm.col(t))
-                acted = Matrix(f, M.dim, V.dim,
-                               blm.apply(hl.act(tl).col(t)))
-                assert acted == phi * V.act(sl)
-                acted = Matrix(f, M.dim, V.dim, blm.apply(hl.act(sl).col(t)))
-                assert acted == M.act(sl) * phi
-            for t in range(br.dim):
-                psi = Matrix(f, M.dim, V.dim, brm.col(t))
-                acted = Matrix(f, M.dim, V.dim, brm.apply(hr.act(sl).col(t)))
-                assert acted == psi * V.act(tl)
-                acted = Matrix(f, M.dim, V.dim, brm.apply(hr.act(tl).col(t)))
-                assert acted == M.act(tl) * psi
+    for H, reg, R in _reg_and_base(env_f5, t2e_f5):
+        f = H.field
+        for V, M in [(reg, R), (R, reg), (reg, reg)]:
+            hl, bl = left_hom_algebroid(V, M)
+            blm = bl.basis_matrix()
+            hr, br = right_hom_algebroid(V, M)
+            brm = br.basis_matrix()
+            for b in range(H.base.dim):
+                tl, sl = H.t_l.col(b), H.s_l.col(b)
+                for t in range(bl.dim):
+                    phi = Matrix(f, M.dim, V.dim, blm.col(t))
+                    acted = Matrix(f, M.dim, V.dim,
+                                   blm.apply(hl.act(tl).col(t)))
+                    assert acted == phi * V.act(sl)
+                    acted = Matrix(f, M.dim, V.dim, blm.apply(hl.act(sl).col(t)))
+                    assert acted == M.act(sl) * phi
+                for t in range(br.dim):
+                    psi = Matrix(f, M.dim, V.dim, brm.col(t))
+                    acted = Matrix(f, M.dim, V.dim, brm.apply(hr.act(sl).col(t)))
+                    assert acted == psi * V.act(tl)
+                    acted = Matrix(f, M.dim, V.dim, brm.apply(hr.act(tl).col(t)))
+                    assert acted == M.act(tl) * psi
 
 
-def test_evaluations_are_morphisms(env_f5):
-    H = env_f5
-    reg = regular_algebroid_module(H)
-    R = base_module(H)
-    for V, M in [(reg, reg), (reg, R), (R, reg)]:
-        ev, hm, hb, (tens, rel) = ev_l_algebroid(V, M)
-        assert is_intertwiner(ev, tens, M)
-        evr, hmr, hbr, (tensr, relr) = ev_r_algebroid(V, M)
-        assert is_intertwiner(evr, tensr, M)
+def test_evaluations_are_morphisms(env_f5, t2e_f5):
+    for H, reg, R in _reg_and_base(env_f5, t2e_f5):
+        pairs = [(reg, R), (R, reg)]
+        if H is env_f5:
+            # over T2^e, V = M = reg puts a 243-dim ambient tensor behind
+            # each evaluation, which takes about a minute
+            pairs.insert(0, (reg, reg))
+        for V, M in pairs:
+            ev, hm, hb, (tens, rel) = ev_l_algebroid(V, M)
+            assert is_intertwiner(ev, tens, M)
+            evr, hmr, hbr, (tensr, relr) = ev_r_algebroid(V, M)
+            assert is_intertwiner(evr, tensr, M)
 
 
-def test_adjunction_roundtrips_algebroid(env_f5):
-    H = env_f5
-    reg = regular_algebroid_module(H)
-    R = base_module(H)
-    seed = 0
-    for M, N, L in [(reg, R, reg), (R, reg, reg), (reg, reg, R), (R, R, R)]:
-        seed += 1
-        tens, _ = tensor_over_base(M, N)
-        f = random_intertwiner(tens, L, seed)
-        if f is not None:
-            g = zeta_l_algebroid(f, M, N, L)
-            assert eta_l_algebroid(g, M, N, L) == f
-            assert zeta_l_algebroid(eta_l_algebroid(g, M, N, L), M, N, L) == g
-        tens, _ = tensor_over_base(N, M)
-        f = random_intertwiner(tens, L, seed + 50)
-        if f is not None:
-            g = zeta_r_algebroid(f, N, M, L)
-            assert eta_r_algebroid(g, N, M, L) == f
-            assert zeta_r_algebroid(eta_r_algebroid(g, N, M, L), N, M, L) == g
+def _unit_vec(f, n, i):
+    return tuple(f.one if k == i else f.zero for k in range(n))
+
+
+def test_right_hand_maps_act_on_the_second_factor(env_f5, t2e_f5):
+    # ev^r(v (x) phi) = phi(v) and zeta^r(f)(m) = f(- (x) m), read directly
+    # off the canonical Hom^r carrier and the N (x)_R M quotient
+    for H, reg, R in _reg_and_base(env_f5, t2e_f5):
+        f = H.field
+        for N, M in [(reg, R), (R, reg)]:
+            ev, hom_mod, hom_basis, (_, rel) = ev_r_algebroid(N, M)
+            bm = hom_basis.basis_matrix()
+            for v in range(N.dim):
+                for c in range(hom_mod.dim):
+                    amb = _unit_vec(f, N.dim * hom_mod.dim, v * hom_mod.dim + c)
+                    phi = Matrix(f, M.dim, N.dim, bm.col(c))
+                    assert ev.apply(rel.projector.apply(amb)) == phi.col(v)
+        for N, M, L in [(reg, R, reg), (R, reg, reg)]:
+            tens, rel = tensor_over_base(N, M)
+            fm = random_intertwiner(tens, L, 7)
+            g = zeta_r_algebroid(fm, N, M, L)
+            bm = right_hom_algebroid(N, L)[1].basis_matrix()
+            for i in range(M.dim):
+                phi = Matrix(f, L.dim, N.dim, bm.apply(g.col(i)))
+                for j in range(N.dim):
+                    amb = _unit_vec(f, N.dim * M.dim, j * M.dim + i)
+                    assert phi.col(j) == fm.apply(rel.projector.apply(amb))
+
+
+def test_adjunction_roundtrips_algebroid(env_f5, t2e_f5):
+    for H, reg, R in _reg_and_base(env_f5, t2e_f5):
+        triples = [(reg, R, reg), (R, reg, reg), (R, R, R)]
+        if H is env_f5:
+            triples.insert(2, (reg, reg, R))     # about 5 s over T2^e
+        seed = 0
+        for M, N, L in triples:
+            seed += 1
+            tens, _ = tensor_over_base(M, N)
+            f = random_intertwiner(tens, L, seed)
+            if f is not None:
+                g = zeta_l_algebroid(f, M, N, L)
+                assert eta_l_algebroid(g, M, N, L) == f
+                assert zeta_l_algebroid(eta_l_algebroid(g, M, N, L), M, N, L) == g
+            tens, _ = tensor_over_base(N, M)
+            f = random_intertwiner(tens, L, seed + 50)
+            if f is not None:
+                g = zeta_r_algebroid(f, N, M, L)
+                assert eta_r_algebroid(g, N, M, L) == f
+                assert zeta_r_algebroid(eta_r_algebroid(g, N, M, L), N, M, L) == g
 
 
 def test_eval_adjunctions_bundle(env_f5):

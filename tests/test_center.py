@@ -28,6 +28,22 @@ def test_hexagon_degenerates_to_unitality_on_unit(kc2_q):
     assert check_unitality(E).passed
 
 
+def _doubled_unit_tau(E):
+    unit = E.parent.unit_object()
+    E.set_tau(unit, E.tau(unit).scale(E.parent.field.from_int(2)))
+    return E
+
+
+def test_doubled_unit_tau_fails_unitality(kc2_q, twisted_q):
+    from qha.coefficients import convert_I_to_II
+    centers = [center_of(kc2_q, HOPF_MU), center_of(twisted_q, QUASI_I),
+               CenterElement(convert_I_to_II(center_of(twisted_q, QUASI_I).coefficient)),
+               algebroid_center()[1]]
+    for E in centers:
+        assert check_unitality(E).passed
+        assert not check_unitality(_doubled_unit_tau(E)).passed
+
+
 def test_scaled_tau_fails_hexagon(kc2_q):
     E = center_of(kc2_q, HOPF_MU)
     reg = regular_module(kc2_q)

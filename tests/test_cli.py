@@ -161,6 +161,33 @@ def test_generate_group_table_file(tmp_path):
     assert main(["generate", "group_algebra", "--table", str(bad_table)]) == 2
 
 
+def test_generate_enveloping_over_noncommutative_base(tmp_path):
+    # T2, the upper-triangular 2x2 matrices (basis e11, e12, e22)
+    mult = [[["0"] * 3 for _ in range(3)] for _ in range(3)]
+    for i, j, k in ((0, 0, 0), (0, 1, 1), (1, 2, 1), (2, 2, 2)):
+        mult[i][j][k] = "1"
+    base = tmp_path / "t2.json"
+    base.write_text(json.dumps({"dim": 3, "mult": mult, "unit": ["1", "0", "1"]}))
+    out = tmp_path / "t2e.json"
+    assert main(["generate", "enveloping", "--base", str(base), "--field", "GFp",
+                 "--out", str(out)]) == 0
+    assert main(["check", str(out), "--reproducible"]) == 0
+
+
+def test_malformed_max_dim_is_usage_error(tmp_path, kc2_file, monkeypatch, capsys):
+    unit_a = tmp_path / "unitA.json"
+    coeff = tmp_path / "m.json"
+    assert main(["generate", "unit_algebra", "--structure", kc2_file,
+                 "--out", str(unit_a)]) == 0
+    assert main(["generate", "trivial_contramodule", "--structure", kc2_file,
+                 "--out", str(coeff)]) == 0
+    monkeypatch.setenv("QHA_MAX_DIM", "4k")
+    assert main(["cohomology", kc2_file, str(unit_a), str(coeff),
+                 "--degree", "1", "--reproducible"]) == 2
+    err = capsys.readouterr().err
+    assert "error [usage]" in err and "'4k'" in err
+
+
 def test_generate_twisted_from_files(tmp_path):
     table = tmp_path / "table.json"
     table.write_text(json.dumps(cyclic_group_table(2)))

@@ -15,7 +15,7 @@ from qha.cyclic import (ModuleAlgebra, unit_algebra, check_algebra_object,
                         build_cocyclic, verify_cocyclic_identities,
                         hochschild_cohomology, cyclic_cohomology)
 
-from conftest import QQ, F5, random_invertible
+from conftest import QQ, F5, random_invertible, base_ring_t2
 
 
 def trivial_hopf(field):
@@ -65,6 +65,20 @@ def unit_coefficient(H, flavor=HOPF_MU):
 
 def test_unit_algebra_object(kc2_q):
     assert check_algebra_object(unit_algebra(kc2_q)).passed
+
+
+def test_unit_algebra_over_noncommutative_base():
+    # the multiplication of R as an algebra object is r (x) r' |-> r r'
+    R = base_ring_t2(F5)
+    H = enveloping_algebroid(R)
+    A = unit_algebra(H)
+    assert check_algebra_object(A).passed
+    proj = H.tensor_relations(A.carrier, A.carrier).projector
+    for i in range(R.dim):
+        for j in range(R.dim):
+            amb = [F5.zero] * (R.dim * R.dim)
+            amb[i * R.dim + j] = F5.one
+            assert A.mult.apply(proj.apply(amb)) == R.mult_vec(R.basis(i), R.basis(j))
 
 
 def test_functions_algebra_is_module_algebra(kc2_q):

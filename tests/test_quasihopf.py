@@ -10,7 +10,8 @@ from qha.quasihopf import (
     validate_structure, check_quasi_bialgebra, check_quasi_hopf,
     trivial_module, regular_module, tensor_module, check_module, associator,
     left_hom, right_hom, eval_left, eval_right,
-    zeta_l, eta_l, zeta_r, eta_r, is_intertwiner, hom_module_morphisms)
+    zeta_l, eta_l, zeta_r, eta_r, is_intertwiner, hom_module_morphisms,
+    max_tensor_dim)
 
 from conftest import QQ, F5, random_intertwiner
 
@@ -27,6 +28,21 @@ def test_axiom_suites(field):
     assert all_checks_pass(sweedler_h4(field))
     assert all_checks_pass(twisted_dual_group_algebra(
         field, cyclic_group_table(2), z2_nontrivial_cocycle(field)))
+
+
+def test_max_tensor_dim_reads_the_environment(monkeypatch, kc2_q):
+    monkeypatch.delenv("QHA_MAX_DIM", raising=False)
+    assert max_tensor_dim() == 4096
+    monkeypatch.setenv("QHA_MAX_DIM", "3")
+    assert max_tensor_dim() == 3
+    reg = regular_module(kc2_q)
+    with pytest.raises(StructureError, match="exceeds QHA_MAX_DIM"):
+        tensor_module(reg, reg)
+    monkeypatch.setenv("QHA_MAX_DIM", "lots")
+    with pytest.raises(StructureError, match="'lots'"):
+        max_tensor_dim()
+    with pytest.raises(StructureError, match="'lots'"):
+        tensor_module(reg, reg)
 
 
 def test_sweedler_has_order_four_antipode(h4_q):
