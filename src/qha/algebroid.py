@@ -20,10 +20,11 @@ from functools import cached_property
 
 from .fields import Field
 from .linalg import (Matrix, Subspace, quotient_section,
-                     intertwiner_space, basis_vec)
+                     intertwiner_space, lmul_blocks, basis_vec)
 from .reports import CheckReport
 from .quasihopf import (HModule, QuasiHopfAlgebra, StructureError, IntertwinerError,
-                        max_tensor_dim, require_intertwiner, _over_cop, _swap_factors)
+                        max_tensor_dim, require_intertwiner, _over_cop, _swap_factors,
+                        _curry, _uncurry)
 
 
 def _opposite(mult, n: int):
@@ -431,12 +432,12 @@ def tensor_over_base(M: AlgebroidModule, N: AlgebroidModule):
         for c, p, q in H.delta_l_terms(i):
             m = m + M.mats[p].kron(N.mats[q]).scale(c)
         amb.append(m)
+    relations = rel.relations.basis_matrix()
     for i in range(H.dim):
-        for v in rel.relations.basis:
-            if not rel.relations.contains(amb[i].apply(v)):
-                raise StructureError(
-                    "tensor action ill-defined: basis element %d maps a relation "
-                    "outside the relation space" % i)
+        if rel.relations.coordinate_matrix(amb[i] * relations) is None:
+            raise StructureError(
+                "tensor action ill-defined: basis element %d maps a relation "
+                "outside the relation space" % i)
     mats = [rel.projector * a * rel.lift for a in amb]
     mod = AlgebroidModule(H, mats, name="(%s)x_R(%s)" % (M.name, N.name))
     return mod, rel
@@ -475,7 +476,7 @@ def left_hom_algebroid(V: AlgebroidModule, M: AlgebroidModule):
         for c, p, q in H.delta_r_terms(i):
             pre = V.act(H.apply_s(H.basis(q))).transpose()
             full = full + M.act(H.basis(p)).kron(pre).scale(c)
-        sub = bmat.solve_matrix(full * bmat)
+        sub = basis.coordinate_matrix(full * bmat)
         if sub is None:
             raise StructureError("hom action does not preserve the base-linear carrier")
         mats.append(sub)
@@ -532,12 +533,24 @@ def ev_l_algebroid(V: AlgebroidModule, M: AlgebroidModule):
 
 def ev_r_algebroid(V: AlgebroidModule, M: AlgebroidModule):
     """ev^r: V (x)_{R_l} Hom^r(V,M) -> M, v (x) phi |-> phi(v): ev^l over H^cop
-    read on the swapped tensor domain."""
-    ev, cop_mod, hom_basis, (_, cop_rel) = ev_l_algebroid(*_over_cop(V, M))
+    read on the swapped tensor domain.
+
+    The tensor V (x)_R Hom^r(V, M) is the H^cop tensor Hom (x) V with its
+    factors swapped: the relations are the swapped ones, put back in
+    canonical form, and the actions are the H^cop actions carried across
+    the swap of quotient carriers."""
+    ev, cop_mod, hom_basis, (cop_tens, cop_rel) = ev_l_algebroid(*_over_cop(V, M))
     hom_mod = _hom_r_module(cop_mod, V, M)
-    tens, rel = tensor_over_base(V, hom_mod)
-    return (_swap_domain(ev, cop_rel, rel, hom_mod.dim, V.dim), hom_mod, hom_basis,
-            (tens, rel))
+    f = M.parent.field
+    d1, d2 = hom_mod.dim, V.dim
+    swapped = _swap_factors(cop_rel.relations.basis_stack(d1 * d2), d1, d2)
+    rel = RelationSpace(f, d1 * d2, Subspace.from_generators(
+        f, d1 * d2, [swapped.row(i) for i in range(swapped.rows)]))
+    # cop quotient -> H quotient: projector . (swap of the ambient) . lift
+    to_h = rel.projector * _swap_factors(cop_rel.lift.transpose(), d1, d2).transpose()
+    mats = [to_h * _swap_domain(m, cop_rel, rel, d1, d2) for m in cop_tens.mats]
+    tens = AlgebroidModule(V.parent, mats, name="(%s)x_R(%s)" % (V.name, hom_mod.name))
+    return _swap_domain(ev, cop_rel, rel, d1, d2), hom_mod, hom_basis, (tens, rel)
 
 
 def zeta_l_algebroid(f_mat: Matrix, M: AlgebroidModule, N: AlgebroidModule,
@@ -545,45 +558,29 @@ def zeta_l_algebroid(f_mat: Matrix, M: AlgebroidModule, N: AlgebroidModule,
     """zeta^l: Hom_H(M (x)_R N, L) -> Hom_H(M, Hom^l(N, L)), f |-> (m |-> f(m (x) -)).
 
     Input and output are verified H-module morphisms; coordinates on the
-    target side are taken in the canonical hom-carrier basis."""
-    H = M.parent
-    f = H.field
+    target side are taken in the canonical hom-carrier basis.  f_mat may be
+    a vertical stack of maps; the result is the stack of their images."""
     tens, rel = tensor_over_base(M, N)
     require_intertwiner(f_mat, tens, L, "zeta_l input")
     hom_mod, hom_basis = left_hom_algebroid(N, L)
-    cols = []
-    for i in range(M.dim):
-        full = []
-        for a in range(L.dim):
-            for j in range(N.dim):
-                amb = [f.zero] * (M.dim * N.dim)
-                amb[i * N.dim + j] = f.one
-                val = f_mat.apply(rel.projector.apply(amb))
-                full.append(val[a])
-        coords = hom_basis.coordinates(tuple(full))
-        if coords is None:
-            raise IntertwinerError("zeta_l image is not base-linear")
-        cols.append(coords)
-    out = Matrix.from_cols(f, cols, ambient=hom_mod.dim)
+    # the columns of every curried map are full-carrier vectors of Hom_k(N, L)
+    full = _curry(f_mat * rel.projector, N.dim).side_by_side(L.dim * N.dim)
+    coords = hom_basis.coordinate_matrix(full)
+    if coords is None:
+        raise IntertwinerError("zeta_l image is not base-linear")
+    out = coords.stacked(M.dim)
     require_intertwiner(out, M, hom_mod, "zeta_l output")
     return out
 
 
 def eta_l_algebroid(g_mat: Matrix, M: AlgebroidModule, N: AlgebroidModule,
                     L: AlgebroidModule) -> Matrix:
-    """eta^l(g) = ev^l o (g (x) id): back to Hom_H(M (x)_R N, L)."""
-    H = M.parent
-    f = H.field
+    """eta^l(g) = ev^l o (g (x) id): back to Hom_H(M (x)_R N, L), for one map
+    or for every map of a vertical stack."""
     hom_mod, hom_basis = left_hom_algebroid(N, L)
     require_intertwiner(g_mat, M, hom_mod, "eta_l input")
     tens, rel = tensor_over_base(M, N)
-    bm = hom_basis.basis_matrix()
-    amb_cols = []
-    for i in range(M.dim):
-        gfull = Matrix(f, L.dim, N.dim, bm.apply(g_mat.col(i)))
-        for j in range(N.dim):
-            amb_cols.append(gfull.col(j))
-    amb = Matrix.from_cols(f, amb_cols, ambient=L.dim)
+    amb = _uncurry(lmul_blocks(hom_basis.basis_matrix(), g_mat), N.dim)
     out = amb * rel.lift
     if out * rel.projector != amb:
         raise StructureError("eta_l image not constant on relation classes")

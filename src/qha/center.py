@@ -16,7 +16,7 @@ sub-carriers with strict requotient maps.
 
 from __future__ import annotations
 
-from .linalg import Matrix
+from .linalg import Matrix, lmul_blocks
 from .reports import CheckReport
 from .coefficients import (Contramodule, tau_from_contramodule, hexagon_sides,
                            tau_sub_raw_algebroid, ALGEBROID_MU, _perm_mwv_to_mvw)
@@ -109,33 +109,32 @@ def check_weakstrong(E: CenterElement, V) -> CheckReport:
 
 
 def iota_apply(E: CenterElement, T, V, f_mat: Matrix) -> Matrix:
-    """The contratrace map on a single intertwiner:
-    Hom_H(T (x) V, M) -> Hom_H(V (x) T, M), f |-> eta^r(tau_V o zeta^l(f))."""
+    """The contratrace map Hom_H(T (x) V, M) -> Hom_H(V (x) T, M),
+    f |-> eta^r(tau_V o zeta^l(f)).
+
+    f_mat is a vertical stack of intertwiners (row blocks of dim M rows) and
+    the result the stack of their images, so every module behind zeta^l,
+    tau_V and eta^r is built once for the whole stack; one intertwiner is
+    a stack of one."""
     H = E.parent
     M = E.carrier
     g = H.zeta_l(f_mat, T, V, M)
-    return H.eta_r(E.tau(V) * g, V, T, M)
+    return H.eta_r(lmul_blocks(E.tau(V), g), V, T, M)
 
 
 def contratrace_iota(E: CenterElement, T, V) -> Matrix:
     """iota as a matrix between the canonical bases of the two intertwiner
     subspaces Hom_H(T (x) V, M) and Hom_H(V (x) T, M)."""
     H = E.parent
-    f = H.field
     M = E.carrier
     tv, _ = H.tensor(T, V)
     vt, _ = H.tensor(V, T)
     dom = hom_module_morphisms(tv, M)
     cod = hom_module_morphisms(vt, M)
-    cols = []
-    for b in dom.basis:
-        f_mat = Matrix(f, M.dim, tv.dim, b)
-        out = iota_apply(E, T, V, f_mat)
-        coords = cod.coordinates(out.entries)
-        if coords is None:
-            raise ValueError("iota image left the intertwiner subspace")
-        cols.append(coords)
-    return Matrix.from_cols(f, cols, ambient=cod.dim)
+    out = cod.stack_coordinates(iota_apply(E, T, V, dom.basis_stack(tv.dim)))
+    if out is None:
+        raise ValueError("iota image left the intertwiner subspace")
+    return out
 
 
 # -- algebroid hexagon ---------------------------------------------------------

@@ -24,14 +24,12 @@ from .algebroid import (HopfAlgebroid, BaseRing, enveloping_algebroid,
                         check_algebroid_structure, check_left_bialgebroid,
                         check_right_bialgebroid, check_hopf_algebroid)
 from .coefficients import (Contramodule, FlavorError, HOPF_MU, QUASI_I, QUASI_II,
-                           evaluation_at_unit,
+                           evaluation_at_unit, check_stability,
                            check_contramodule_hopf, check_ayd_hopf,
-                           check_stability_hopf, check_ayd_quasi_I,
-                           check_ayd_quasi_II, check_stability_quasi,
+                           check_ayd_quasi_I, check_ayd_quasi_II,
                            check_contramodule_algebroid, check_ayd_algebroid,
-                           check_stability_algebroid,
                            convert_I_to_II, convert_II_to_I)
-from .cyclic import (ModuleAlgebra, build_cocyclic,
+from .cyclic import (ModuleAlgebra, build_cocyclic, check_algebra_object,
                      hochschild_cohomology, cyclic_cohomology, CocyclicError)
 from .structures import (parse_structure, serialize, write_structure,
                          content_hash, StructureFileError, FLAVOR_NAMES)
@@ -115,30 +113,18 @@ def cmd_check(args) -> int:
     return _emit(report, args)
 
 
-def _coefficient_checks(coeff: Contramodule, stability: bool) -> CheckReport:
+def _ayd_checks(coeff: Contramodule) -> CheckReport:
     rep = CheckReport()
     if coeff.flavor == HOPF_MU:
-        if stability:
-            rep.extend(check_stability_hopf(coeff))
-        else:
-            rep.extend(check_contramodule_hopf(coeff))
-            rep.extend(check_ayd_hopf(coeff))
+        rep.extend(check_contramodule_hopf(coeff))
+        rep.extend(check_ayd_hopf(coeff))
     elif coeff.flavor == QUASI_I:
-        if stability:
-            rep.extend(check_stability_quasi(coeff))
-        else:
-            rep.extend(check_ayd_quasi_I(coeff))
+        rep.extend(check_ayd_quasi_I(coeff))
     elif coeff.flavor == QUASI_II:
-        if stability:
-            rep.extend(check_stability_quasi(convert_II_to_I(coeff)))
-        else:
-            rep.extend(check_ayd_quasi_II(coeff))
+        rep.extend(check_ayd_quasi_II(coeff))
     else:
-        if stability:
-            rep.extend(check_stability_algebroid(coeff))
-        else:
-            rep.extend(check_contramodule_algebroid(coeff))
-            rep.extend(check_ayd_algebroid(coeff))
+        rep.extend(check_contramodule_algebroid(coeff))
+        rep.extend(check_ayd_algebroid(coeff))
     return rep
 
 
@@ -153,7 +139,7 @@ def _load_coefficient(args):
 
 def cmd_ayd(args) -> int:
     structure, coeff = _load_coefficient(args)
-    rep = _coefficient_checks(coeff, stability=False)
+    rep = _ayd_checks(coeff)
     report = {
         "command": "ayd",
         "inputs": [_input_record(structure.name, args.structure, structure),
@@ -167,7 +153,7 @@ def cmd_ayd(args) -> int:
 
 def cmd_stability(args) -> int:
     structure, coeff = _load_coefficient(args)
-    rep = _coefficient_checks(coeff, stability=True)
+    rep = check_stability(coeff)
     report = {
         "command": "stability",
         "inputs": [_input_record(structure.name, args.structure, structure),
@@ -203,6 +189,16 @@ def cmd_convert(args) -> int:
     return 0
 
 
+def _check_entries(check_id: str, rep: CheckReport):
+    """One passing entry, or one failed entry per failed relation of rep."""
+    failed = [r for r in rep.results if not r.passed]
+    if not failed:
+        return [{"check": check_id, "pass": True, "counterexample": None}]
+    return [{"check": check_id, "pass": False,
+             "counterexample": {"relation": r.check_id, **dict(r.counterexample or ())}}
+            for r in failed]
+
+
 def cmd_cohomology(args) -> int:
     structure = parse_structure(args.structure)
     algebra = parse_structure(args.algebra, parent=structure)
@@ -211,27 +207,30 @@ def cmd_cohomology(args) -> int:
         raise UsageError("expected a module_algebra file for the algebra object")
     if not isinstance(coeff, Contramodule):
         raise UsageError("expected a contramodule file for the coefficient")
-    n_max = args.degree + 1
-    cc = build_cocyclic(algebra, coeff, n_max)
-    if args.theory == "hochschild":
-        result = hochschild_cohomology(cc, args.degree)
-    else:
-        result = cyclic_cohomology(cc, args.degree)
-    checks = [{"check": "algebra_object", "pass": True, "counterexample": None},
-              {"check": "coefficient_stable", "pass": True, "counterexample": None},
-              {"check": "cocyclic_identities", "pass": True, "counterexample": None}]
+    checks = (_check_entries("algebra_object", check_algebra_object(algebra))
+              + _check_entries("coefficient_stable", check_stability(coeff)))
     report = {
         "command": "cohomology",
         "inputs": [_input_record(structure.name, args.structure, structure),
                    _input_record("algebra", args.algebra, algebra),
                    _input_record("coefficient", args.coefficient, coeff)],
-        "theory": result.theory,
-        "field": str(result.field),
+        "theory": args.theory,
+        "field": str(algebra.field),
         "degree": args.degree,
-        "dims": list(result.dims),
         "checks": checks,
-        "pass": True,
     }
+    # the cocyclic module is built only on inputs that pass both checks
+    if all(c["pass"] for c in checks):
+        theory = hochschild_cohomology if args.theory == "hochschild" else cyclic_cohomology
+        try:
+            report["dims"] = list(theory(build_cocyclic(algebra, coeff, args.degree + 1),
+                                         args.degree).dims)
+            checks.append({"check": "cocyclic_identities", "pass": True,
+                           "counterexample": None})
+        except CocyclicError as e:
+            checks.append({"check": "cocyclic_identities", "pass": False,
+                           "counterexample": {"relation": e.relation, **dict(e.indices)}})
+    report["pass"] = all(c["pass"] for c in checks)
     return _emit(report, args)
 
 
@@ -391,7 +390,7 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (StructureFileError, UsageError, FlavorError, GroupTableError,
-            StructureError, CocyclicError, FieldError, OSError) as e:
+            StructureError, FieldError, OSError) as e:
         code = getattr(e, "code", "usage")
         sys.stderr.write("error [%s]: %s\n" % (code, e))
         return 2

@@ -855,8 +855,7 @@ def tau_sub_raw_algebroid(C: Contramodule, V) -> Matrix:
     from .algebroid import right_linear_hom_basis, left_linear_hom_basis
     full = tau_matrix(C, V)
     bl = right_linear_hom_basis(V, C.carrier).basis_matrix()
-    br = left_linear_hom_basis(V, C.carrier).basis_matrix()
-    sub = br.solve_matrix(full * bl)
+    sub = left_linear_hom_basis(V, C.carrier).coordinate_matrix(full * bl)
     if sub is None:
         raise IntertwinerError("tau image is not left base-linear "
                                "(the left mu axiom fails)")
@@ -909,3 +908,15 @@ def check_stability_quasi(C: Contramodule) -> AydReport:
             break
     rep.add("stability_type_I", ok, wit)
     return rep
+
+
+def check_stability(C: Contramodule) -> AydReport:
+    """The stability check of C's flavor; a type II coefficient is checked
+    on its type I form."""
+    if C.flavor == HOPF_MU:
+        return check_stability_hopf(C)
+    if C.flavor == QUASI_I:
+        return check_stability_quasi(C)
+    if C.flavor == QUASI_II:
+        return check_stability_quasi(convert_II_to_I(C))
+    return check_stability_algebroid(C)

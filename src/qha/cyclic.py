@@ -29,13 +29,21 @@ from .linalg import Matrix
 from .reports import CheckReport
 from .quasihopf import (QuasiHopfAlgebra, StructureError,
                         hom_module_morphisms, is_intertwiner, max_tensor_dim)
-from .coefficients import Contramodule, HOPF_MU, QUASI_I, QUASI_II, \
-    check_stability_hopf, check_stability_quasi, check_stability_algebroid
+from .coefficients import Contramodule, check_stability
 from .center import CenterElement, iota_apply
 
 
 class CocyclicError(ValueError):
-    """A cocyclic identity failed during construction."""
+    """A cocyclic identity failed during construction.
+
+    ``relation`` names it and ``indices`` holds its (name, value) pairs,
+    which the message repeats."""
+
+    def __init__(self, relation: str, **indices):
+        self.relation = relation
+        self.indices = tuple(indices.items())
+        super().__init__("%s (%s)" % (relation,
+                                      ", ".join("%s=%s" % kv for kv in self.indices)))
 
 
 def _kron(f: Matrix, g: Matrix, src_rel, dst_rel) -> Matrix:
@@ -123,8 +131,9 @@ class TensorPowerChain:
 
     ``mods[k]`` is L_k and ``rels[k]`` the base relations of its last
     stage L_(k-1) (x) A (None when the parent has none).  Every map below
-    is one recursion on k through these stages; ``rebracket_front(k)``
-    caches nothing itself, so repeated calls agree bit for bit.
+    is one recursion on k through these stages; the chain keeps each
+    ``rebracket_front(k)`` it has built, so each associator is inverted
+    once per chain.
     """
 
     def __init__(self, A: ModuleAlgebra, depth: int):
@@ -141,6 +150,7 @@ class TensorPowerChain:
             mod, rel = H.tensor(self.mods[-1], A.carrier)
             self.mods.append(mod)
             self.rels.append(rel)
+        self._fronts = [None]
 
     def module(self, k: int):
         """The left-nested k-th tensor power as a module (1 <= k)."""
@@ -152,12 +162,17 @@ class TensorPowerChain:
         A = self.A
         H = A.parent
         f = A.field
-        if k == 1:
-            return Matrix.identity(f, self.mods[2].dim)
-        step = H.associativity(A.carrier, self.mods[k - 1], A.carrier).inverse()
-        front = H.tensor_relations(A.carrier, self.mods[k - 1], A.carrier)
         eye = Matrix.identity(f, A.carrier.dim)
-        return _kron(self.rebracket_front(k - 1), eye, front, self.rels[k + 1]) * step
+        while len(self._fronts) <= k:
+            j = len(self._fronts)
+            if j == 1:
+                self._fronts.append(Matrix.identity(f, self.mods[2].dim))
+                continue
+            step = H.associativity(A.carrier, self.mods[j - 1], A.carrier).inverse()
+            front = H.tensor_relations(A.carrier, self.mods[j - 1], A.carrier)
+            self._fronts.append(
+                _kron(self._fronts[j - 1], eye, front, self.rels[j + 1]) * step)
+        return self._fronts[k]
 
 
 def tensor_power_bracketed(A: ModuleAlgebra, n: int) -> TensorPowerChain:
@@ -265,26 +280,20 @@ class CocyclicModule:
         return out
 
 
-def _check_stability(M: Contramodule) -> bool:
-    if M.flavor == HOPF_MU:
-        return check_stability_hopf(M).passed
-    if M.flavor == QUASI_I:
-        return check_stability_quasi(M).passed
-    if M.flavor == QUASI_II:
-        from .coefficients import convert_II_to_I
-        return check_stability_quasi(convert_II_to_I(M)).passed
-    return check_stability_algebroid(M).passed
-
-
 def build_cocyclic(A: ModuleAlgebra, M: Contramodule, n_max: int) -> CocyclicModule:
     """Materialise the cocyclic module up to degree n_max and verify every
     cosimplicial and cocyclic identity; raises CocyclicError naming the
-    first failing relation otherwise."""
+    first failing relation otherwise.
+
+    Every structure map of a degree is one linear map applied to the whole
+    stacked basis of its source space: cofaces and codegeneracies are one
+    product each, t_n one call of iota_apply.  Each image is checked to lie
+    in its target space."""
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     if not check_algebra_object(A).passed:
         raise StructureError("the algebra object fails its axioms")
-    if not _check_stability(M):
+    if not check_stability(M).passed:
         raise StructureError("the coefficient contramodule is not stable")
     if A.parent is not M.parent:
         raise StructureError("algebra object and coefficient parents differ")
@@ -297,76 +306,67 @@ def build_cocyclic(A: ModuleAlgebra, M: Contramodule, n_max: int) -> CocyclicMod
     spaces = [hom_module_morphisms(chain.mods[n + 1], coeff)
               for n in range(n_max + 1)]
 
-    def coords(space, vec):
-        c = space.coordinates(vec)
-        if c is None:
-            raise CocyclicError("an operator image left its intertwiner space")
-        return c
+    def coords(space, stack, relation, **indices) -> Matrix:
+        """The maps of a stack in the coordinates of space, one column each."""
+        out = space.stack_coordinates(stack)
+        if out is None:
+            amb = space.ambient_dim
+            b = next(j for j in range(len(stack.entries) // amb)
+                     if space.coordinates(stack.entries[j * amb:(j + 1) * amb]) is None)
+            raise CocyclicError("%s left its intertwiner space" % relation,
+                                **indices, basis=b)
+        return out
 
-    def precompose(space_src, space_dst, carrier_map: Matrix) -> Matrix:
-        """F |-> F o carrier_map, in intertwiner coordinates."""
-        cols = []
-        for b in space_src.basis:
-            fm = Matrix(f, coeff.dim, carrier_map.rows, b)
-            cols.append(coords(space_dst, (fm * carrier_map).entries))
-        return Matrix.from_cols(f, cols, ambient=space_dst.dim)
+    def precompose(n_src, n_dst, carrier_map: Matrix, relation, **indices) -> Matrix:
+        """F |-> F o carrier_map from C^n_src to C^n_dst, in intertwiner coordinates."""
+        stack = spaces[n_src].basis_stack(carrier_map.rows) * carrier_map
+        return coords(spaces[n_dst], stack, relation, **indices)
 
-    cofaces = []
-    codegens = []
-    cyclics = []
-
-    def t_op(n: int, space_n) -> Matrix:
+    def t_op(n: int) -> Matrix:
         if n == 0:
             # the order-one cyclic operator is forced to be the identity
-            return Matrix.identity(f, space_n.dim)
-        r_n = chain.rebracket_front(n)
-        cols = []
-        for b in space_n.basis:
-            fm = Matrix(f, coeff.dim, chain.mods[n + 1].dim, b)
-            g = fm * r_n
-            out = iota_apply(E, A.carrier, chain.mods[n], g)
-            cols.append(coords(space_n, out.entries))
-        return Matrix.from_cols(f, cols, ambient=space_n.dim)
+            return Matrix.identity(f, spaces[0].dim)
+        stack = spaces[n].basis_stack(chain.mods[n + 1].dim) * chain.rebracket_front(n)
+        images = iota_apply(E, A.carrier, chain.mods[n], stack)
+        return coords(spaces[n], images, "cyclic operator", n=n)
 
-    for n in range(n_max + 1):
-        cyclics.append(t_op(n, spaces[n]))
-
+    cyclics = [t_op(n) for n in range(n_max + 1)]
+    cofaces = []
+    codegens = []
     for n in range(n_max):
-        row = []
-        for i in range(n + 1):
-            mm = _mult_map(chain, n + 2, i)
-            row.append(precompose(spaces[n], spaces[n + 1], mm))
+        row = [precompose(n, n + 1, _mult_map(chain, n + 2, i), "coface", n=n, i=i)
+               for i in range(n + 1)]
         # the wrap-around coface: t_(n+1) o delta_0
         row.append(cyclics[n + 1] * row[0])
         cofaces.append(row)
-        srow = []
-        for j in range(n + 1):
-            ins = _unit_insertion(chain, n + 1, j + 1)
-            srow.append(precompose(spaces[n + 1], spaces[n], ins))
-        codegens.append(srow)
+        codegens.append([precompose(n + 1, n, _unit_insertion(chain, n + 1, j + 1),
+                                    "codegeneracy", n=n, j=j)
+                         for j in range(n + 1)])
 
     cc = CocyclicModule(n_max, spaces, cofaces, codegens, cyclics, f)
     problem = verify_cocyclic_identities(cc)
     if problem is not None:
-        raise CocyclicError("cocyclic identity failed: %s" % problem)
+        raise problem
     return cc
 
 
 def verify_cocyclic_identities(cc: CocyclicModule):
-    """Return None when all identities hold, else a description string."""
+    """Return None when all identities hold, else a CocyclicError (not
+    raised) naming the first failing relation and its indices; its message
+    describes the relation."""
     f = cc.field
     for n in range(cc.n_max - 1):
         d_lo, d_hi = cc.cofaces[n], cc.cofaces[n + 1]
         for j in range(n + 3):
             for i in range(j):
                 if d_hi[j] * d_lo[i] != d_hi[i] * d_lo[j - 1]:
-                    return "coface relation (n=%d, i=%d, j=%d)" % (n, i, j)
+                    return CocyclicError("coface relation", n=n, i=i, j=j)
     for n in range(cc.n_max - 1):
         s_hi, s_lo = cc.codegens[n + 1], cc.codegens[n]
         for j in range(n + 1):
             for i in range(j + 1):
                 if s_lo[i] * s_hi[j + 1] != s_lo[j] * s_hi[i]:
-                    return "codegeneracy relation (n=%d, i=%d, j=%d)" % (n, i, j)
+                    return CocyclicError("codegeneracy relation", n=n, i=i, j=j)
     for n in range(cc.n_max):
         d, s = cc.cofaces[n], cc.codegens[n]
         eye = Matrix.identity(f, cc.dim(n))
@@ -377,38 +377,38 @@ def verify_cocyclic_identities(cc: CocyclicModule):
                     dd = cc.cofaces[n - 1][i] if n >= 1 else None
                     ss = cc.codegens[n - 1][j - 1] if n >= 1 else None
                     if dd is None or lhs != dd * ss:
-                        return "mixed relation (n=%d, i=%d, j=%d)" % (n, i, j)
+                        return CocyclicError("mixed relation", n=n, i=i, j=j)
                 elif i in (j, j + 1):
                     if lhs != eye:
-                        return "mixed identity relation (n=%d, i=%d, j=%d)" % (n, i, j)
+                        return CocyclicError("mixed identity relation", n=n, i=i, j=j)
                 else:
                     if n >= 1:
                         dd = cc.cofaces[n - 1][i - 1]
                         ss = cc.codegens[n - 1][j]
                         if lhs != dd * ss:
-                            return "mixed relation (n=%d, i=%d, j=%d)" % (n, i, j)
+                            return CocyclicError("mixed relation", n=n, i=i, j=j)
     for n in range(cc.n_max + 1):
         t = cc.cyclics[n]
         acc = Matrix.identity(f, cc.dim(n))
         for _ in range(n + 1):
             acc = acc * t
         if not acc.is_identity():
-            return "t^(n+1) != id (n=%d)" % n
+            return CocyclicError("t^(n+1) != id", n=n)
     for n in range(cc.n_max):
         t_hi = cc.cyclics[n + 1]
         t_lo = cc.cyclics[n]
         d = cc.cofaces[n]
         if t_hi * d[0] != d[n + 1]:
-            return "cyclic coface wrap (n=%d)" % n
+            return CocyclicError("cyclic coface wrap", n=n)
         for i in range(1, n + 2):
             if t_hi * d[i] != d[i - 1] * t_lo:
-                return "cyclic coface relation (n=%d, i=%d)" % (n, i)
+                return CocyclicError("cyclic coface relation", n=n, i=i)
         s = cc.codegens[n]
         for i in range(1, n + 1):
             if t_lo * s[i] != s[i - 1] * t_hi:
-                return "cyclic codegeneracy relation (n=%d, i=%d)" % (n, i)
+                return CocyclicError("cyclic codegeneracy relation", n=n, i=i)
         if t_lo * s[0] != s[n] * (t_hi * t_hi):
-            return "cyclic codegeneracy wrap (n=%d)" % n
+            return CocyclicError("cyclic codegeneracy wrap", n=n)
     return None
 
 
@@ -422,7 +422,7 @@ def hochschild_cohomology(cc: CocyclicModule, up_to: int) -> CohomologyResult:
     bs = [cc.boundary(n) for n in range(up_to + 1)]
     for n in range(up_to):
         if not (bs[n + 1] * bs[n]).is_zero():
-            raise CocyclicError("b o b != 0 at degree %d" % n)
+            raise CocyclicError("b o b != 0", degree=n)
     ranks = [b.rank() for b in bs]
     dims = [cc.dim(n) - ranks[n] - (ranks[n - 1] if n >= 1 else 0)
             for n in range(up_to + 1)]

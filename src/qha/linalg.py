@@ -246,27 +246,27 @@ class Matrix:
         """
         if len(rhs) != self.rows:
             raise ShapeError("rhs length %d != rows %d" % (len(rhs), self.rows))
-        f = self.field
-        aug = Matrix(f, self.rows, self.cols + 1,
-                     [a for i in range(self.rows)
-                      for a in (*self.row(i), rhs[i])])
-        red, pivots = aug.rref()
-        if self.cols in pivots:
-            return None
-        x = [f.zero] * self.cols
-        for r, c in enumerate(pivots):
-            x[c] = red.get(r, self.cols)
-        return tuple(x)
+        x = self.solve_matrix(Matrix(self.field, self.rows, 1, rhs))
+        return None if x is None else x.entries
 
     def solve_matrix(self, rhs: "Matrix"):
-        """Columnwise solve: X with self @ X = rhs, or None if any column fails."""
-        cols = []
-        for j in range(rhs.cols):
-            x = self.solve(rhs.col(j))
-            if x is None:
-                return None
-            cols.append(x)
-        return Matrix.from_cols(self.field, cols, ambient=self.cols)
+        """X with self @ X = rhs, or None if any column is inconsistent.
+
+        One elimination of [self | rhs]; free variables are set to zero, so
+        every column equals what ``solve`` gives for it."""
+        if rhs.rows != self.rows:
+            raise ShapeError("rhs has %d rows, want %d" % (rhs.rows, self.rows))
+        f = self.field
+        n, w = self.cols, rhs.cols
+        aug = Matrix(f, self.rows, n + w,
+                     [a for i in range(self.rows) for a in (*self.row(i), *rhs.row(i))])
+        red, pivots = aug.rref()
+        if pivots and pivots[-1] >= n:
+            return None
+        out = [f.zero] * (n * w)
+        for r, c in enumerate(pivots):
+            out[c * w:(c + 1) * w] = red.row(r)[n:]
+        return Matrix(f, n, w, out)
 
     def inverse(self) -> "Matrix":
         if self.rows != self.cols:
@@ -276,6 +276,30 @@ class Matrix:
             raise ShapeError("matrix is singular")
         return inv
 
+    # -- stacks of maps ----------------------------------------------------
+    #
+    # A vertical stack holds k maps of equal shape as the row blocks of one
+    # matrix.  Right multiplication acts on every map at once (vec(F C) =
+    # (I (x) C^T) vec(F) for each); one map is a stack of one.
+
+    def side_by_side(self, h: int) -> "Matrix":
+        """The row blocks of h rows placed side by side: (k*h) x c -> h x (k*c)."""
+        if h <= 0 or self.rows % h:
+            raise ShapeError("%d rows do not split into blocks of %d" % (self.rows, h))
+        k, c, e = self.rows // h, self.cols, self.entries
+        return Matrix(self.field, h, k * c,
+                      [a for r in range(h) for j in range(k)
+                       for a in e[(j * h + r) * c:(j * h + r + 1) * c]])
+
+    def stacked(self, c: int) -> "Matrix":
+        """The column blocks of c columns stacked vertically: h x (k*c) -> (k*h) x c."""
+        if c <= 0 or self.cols % c:
+            raise ShapeError("%d columns do not split into blocks of %d" % (self.cols, c))
+        k, h, w, e = self.cols // c, self.rows, self.cols, self.entries
+        return Matrix(self.field, k * h, c,
+                      [a for j in range(k) for r in range(h)
+                       for a in e[r * w + j * c:r * w + (j + 1) * c]])
+
     def __repr__(self):
         return "Matrix(%dx%d over %s)" % (self.rows, self.cols, self.field)
 
@@ -284,14 +308,23 @@ class Matrix:
         return "\n".join(" ".join(fmt(a) for a in self.row(i)) for i in range(self.rows))
 
 
+def lmul_blocks(a: Matrix, stack: Matrix) -> Matrix:
+    """a @ X for every row block X of a vertical stack (blocks of a.cols
+    rows), as the stack of the products; for one block this is a @ stack."""
+    if stack.rows == a.cols:
+        return a * stack
+    return (a * stack.side_by_side(a.cols)).stacked(stack.cols)
+
+
 class Subspace:
     """A subspace of k^n stored by its canonical reduced-echelon basis.
 
     The basis vectors are the nonzero rows of the RREF of any generating
     set, so two computations of the same subspace store identical bases.
+    A basis handed to the constructor must already be in that form.
     """
 
-    __slots__ = ("field", "ambient_dim", "basis")
+    __slots__ = ("field", "ambient_dim", "basis", "_pivots", "_basis_matrix")
 
     def __init__(self, field: Field, ambient_dim: int, basis):
         self.field = field
@@ -301,6 +334,8 @@ class Subspace:
             if len(v) != ambient_dim:
                 raise ShapeError("basis vector length %d != ambient %d"
                                  % (len(v), ambient_dim))
+        self._pivots = None
+        self._basis_matrix = None
 
     @staticmethod
     def from_generators(field: Field, ambient_dim: int, gens) -> "Subspace":
@@ -326,22 +361,57 @@ class Subspace:
 
     def basis_matrix(self) -> Matrix:
         """Matrix whose columns are the basis vectors (ambient_dim x dim)."""
-        return Matrix.from_cols(self.field, self.basis, ambient=self.ambient_dim)
+        if self._basis_matrix is None:
+            self._basis_matrix = Matrix.from_cols(self.field, self.basis,
+                                                  ambient=self.ambient_dim)
+        return self._basis_matrix
+
+    def basis_stack(self, cols: int) -> Matrix:
+        """The basis vectors read as row-major maps with ``cols`` columns,
+        as one vertical stack (one row block per basis vector)."""
+        return Matrix(self.field, self.dim * (self.ambient_dim // cols), cols,
+                      [a for v in self.basis for a in v])
 
     def pivots(self):
-        out = []
-        for v in self.basis:
-            for c, a in enumerate(v):
-                if a != 0:
-                    out.append(c)
-                    break
-        return out
+        if self._pivots is None:
+            out = []
+            for v in self.basis:
+                for c, a in enumerate(v):
+                    if a != 0:
+                        out.append(c)
+                        break
+            self._pivots = out
+        return list(self._pivots)
+
+    def coordinate_matrix(self, vecs: Matrix):
+        """Coordinates of every column of vecs in the stored basis, as the
+        columns of a dim x vecs.cols matrix, or None if some column is not
+        a member.
+
+        In the reduced-echelon basis the coordinates of a member are its
+        entries at the pivots; membership is confirmed by rebuilding every
+        column from them, with no elimination."""
+        if vecs.rows != self.ambient_dim:
+            raise ShapeError("vectors of length %d, ambient %d"
+                             % (vecs.rows, self.ambient_dim))
+        k, e = vecs.cols, vecs.entries
+        coords = Matrix(self.field, self.dim, k,
+                        [a for p in self.pivots() for a in e[p * k:(p + 1) * k]])
+        if self.basis_matrix() * coords != vecs:
+            return None
+        return coords
+
+    def stack_coordinates(self, stack: Matrix):
+        """coordinate_matrix of the maps of a vertical stack, each read
+        row-major as one vector (the inverse of ``basis_stack``)."""
+        n = self.ambient_dim
+        vecs = Matrix(self.field, len(stack.entries) // n, n, stack.entries)
+        return self.coordinate_matrix(vecs.transpose())
 
     def coordinates(self, vec):
         """Coordinates of vec in the stored basis, or None if not a member."""
-        if not self.basis:
-            return () if all(a == 0 for a in vec) else None
-        return self.basis_matrix().solve(vec)
+        coords = self.coordinate_matrix(Matrix(self.field, self.ambient_dim, 1, vec))
+        return None if coords is None else coords.entries
 
     def contains(self, vec) -> bool:
         return self.coordinates(vec) is not None

@@ -16,7 +16,8 @@ import os
 from functools import cached_property
 
 from .fields import Field
-from .linalg import Matrix, Subspace, ShapeError, intertwiner_space, basis_vec, vec_scale
+from .linalg import (Matrix, Subspace, ShapeError, intertwiner_space, lmul_blocks,
+                     basis_vec, vec_scale)
 from .reports import CheckReport
 
 
@@ -514,6 +515,27 @@ def _swap_factors(m: Matrix, d1: int, d2: int) -> Matrix:
                   [e[r * c + k] for r in range(m.rows) for k in order])
 
 
+# Currying moves the second tensor factor of a map's domain into its
+# values: f on V1 (x) V2 (dims d1, d2) becomes V1 -> Hom(V2, L), whose value
+# at e_i is the map e_b |-> f(e_i (x) e_b), at hom-carrier index a*d2 + b.
+# On a vertical stack both act on every map at once.
+
+def _curry(m: Matrix, d2: int) -> Matrix:
+    """R x (d1*d2) -> (R*d2) x d1: out[r*d2 + b, i] = m[r, i*d2 + b]."""
+    d1, e, c = m.cols // d2, m.entries, m.cols
+    return Matrix(m.field, m.rows * d2, d1,
+                  [e[r * c + i * d2 + b] for r in range(m.rows) for b in range(d2)
+                   for i in range(d1)])
+
+
+def _uncurry(m: Matrix, d2: int) -> Matrix:
+    """(R*d2) x d1 -> R x (d1*d2), the inverse of _curry."""
+    d1, e = m.cols, m.entries
+    return Matrix(m.field, m.rows // d2, d1 * d2,
+                  [e[(r * d2 + b) * d1 + i] for r in range(m.rows // d2)
+                   for i in range(d1) for b in range(d2)])
+
+
 def eval_left(V: HModule, M: HModule) -> Matrix:
     """ev^l: Hom^l(V,M) (x) V -> M, phi (x) m |-> X( phi(S(Y) alpha Z m) )."""
     if V.parent is not M.parent:
@@ -552,12 +574,16 @@ def eval_right(V: HModule, M: HModule) -> Matrix:
 
 
 def is_intertwiner(f_mat: Matrix, src: HModule, dst: HModule) -> bool:
-    return all(f_mat * src.mats[i] == dst.mats[i] * f_mat
+    """f_mat rho_src(e_i) = rho_dst(e_i) f_mat for every basis element; on a
+    vertical stack of maps (blocks of dst.dim rows), for every map of it."""
+    return all(f_mat * src.mats[i] == lmul_blocks(dst.mats[i], f_mat)
                for i in range(src.parent.dim))
 
 
 def require_intertwiner(f_mat: Matrix, src: HModule, dst: HModule, what: str):
-    if f_mat.rows != dst.dim or f_mat.cols != src.dim:
+    """Raise unless f_mat (one map, or a vertical stack of maps) is H-linear."""
+    whole_maps = f_mat.rows % dst.dim == 0 if dst.dim else f_mat.rows == 0
+    if f_mat.cols != src.dim or not whole_maps:
         raise ShapeError("%s must be %dx%d, got %dx%d"
                          % (what, dst.dim, src.dim, f_mat.rows, f_mat.cols))
     if not is_intertwiner(f_mat, src, dst):
@@ -577,48 +603,30 @@ def hom_module_morphisms(V: HModule, W: HModule) -> Subspace:
 def zeta_l(f_mat: Matrix, M: HModule, N: HModule, L: HModule) -> Matrix:
     """zeta^l: Hom_H(M (x) N, L) -> Hom_H(M, Hom^l(N, L)).
 
-    f |-> (m |-> f(P m (x) Q beta S(R) -)).
+    f |-> (m |-> f(P m (x) Q beta S(R) -)), that is curry(f . K) with K the
+    action of P (x) Q beta S(R) on M (x) N.  f_mat may be a vertical stack
+    of maps; the result is the stack of their images, and the input and
+    output checks cover every map of it.
     """
     H = M.parent
     fld = H.field
     require_intertwiner(f_mat, tensor_module(M, N), L, "zeta_l input")
-    out = Matrix.zeros(fld, L.dim * N.dim, M.dim)
+    kmat = Matrix.zeros(fld, M.dim * N.dim, M.dim * N.dim)
     for (p, q, r), c in H.phi_inv_terms().items():
-        mp = M.act(H.basis(p))
         nq = N.act(H.prod(H.basis(q), H.beta, H.apply_s(H.basis(r))))
-        rows = []
-        for a in range(L.dim):
-            for b in range(N.dim):
-                row = []
-                for i in range(M.dim):
-                    s = fld.zero
-                    for mi in range(M.dim):
-                        u = mp.get(mi, i)
-                        if u == 0:
-                            continue
-                        for nj in range(N.dim):
-                            w = nq.get(nj, b)
-                            if w == 0:
-                                continue
-                            e = f_mat.get(a, mi * N.dim + nj)
-                            if e != 0:
-                                s = fld.add(s, fld.mul(fld.mul(u, w), e))
-                    row.append(s)
-                rows.append(row)
-        out = out + Matrix.from_rows(fld, rows).scale(c)
-    result = out
+        kmat = kmat + M.act(H.basis(p)).kron(nq).scale(c)
+    result = _curry(f_mat * kmat, N.dim)
     require_intertwiner(result, M, left_hom(N, L), "zeta_l output")
     return result
 
 
 def eta_l(g_mat: Matrix, M: HModule, N: HModule, L: HModule) -> Matrix:
-    """eta^l(g) = ev^l o (g (x) id): Hom_H(M, Hom^l(N,L)) -> Hom_H(M (x) N, L)."""
-    H = M.parent
+    """eta^l(g) = ev^l o (g (x) id): Hom_H(M, Hom^l(N,L)) -> Hom_H(M (x) N, L),
+    that is uncurry(curry(ev^l) . g); on a vertical stack, for every map."""
     hl = left_hom(N, L)
     require_intertwiner(g_mat, M, hl, "eta_l input")
-    ev = eval_left(N, L)
-    eye_n = Matrix.identity(H.field, N.dim)
-    result = ev * g_mat.kron(eye_n)
+    ev = _curry(eval_left(N, L), N.dim)
+    result = _uncurry(lmul_blocks(ev, g_mat), N.dim)
     require_intertwiner(result, tensor_module(M, N), L, "eta_l output")
     return result
 

@@ -94,6 +94,11 @@ def random_invertible(f, n, rng):
             return m
 
 
+def vstack(maps):
+    """Maps of one shape as a vertical stack, one row block per map."""
+    return Matrix.from_rows(maps[0].field, [r for m in maps for r in m.row_list()])
+
+
 def random_intertwiner(V, W, seed):
     """A random H-linear map V -> W from the canonical intertwiner basis."""
     sp = hom_module_morphisms(V, W)

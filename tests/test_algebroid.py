@@ -18,7 +18,7 @@ from qha.algebroid import (
     check_algebroid_structure, check_left_bialgebroid,
     check_right_bialgebroid, check_hopf_algebroid)
 
-from conftest import QQ, F5, random_intertwiner, base_ring_t2
+from conftest import QQ, F5, random_intertwiner, base_ring_t2, vstack
 
 
 @pytest.fixture(scope="module")
@@ -355,6 +355,35 @@ def test_adjunction_roundtrips_algebroid(env_f5, t2e_f5):
                 g = zeta_r_algebroid(f, N, M, L)
                 assert eta_r_algebroid(g, N, M, L) == f
                 assert zeta_r_algebroid(eta_r_algebroid(g, N, M, L), N, M, L) == g
+
+
+def test_adjunctions_act_on_stacks_algebroid(env_f5, t2e_f5):
+    for H, reg, R in _reg_and_base(env_f5, t2e_f5):
+        for M, N, L in [(reg, R, reg), (R, reg, reg)]:
+            tens, _ = tensor_over_base(M, N)
+            fs = [random_intertwiner(tens, L, s) for s in (1, 2, 3)]
+            gs = [zeta_l_algebroid(f, M, N, L) for f in fs]
+            assert zeta_l_algebroid(vstack(fs), M, N, L) == vstack(gs)
+            assert eta_l_algebroid(vstack(gs), M, N, L) == vstack(fs)
+            tens, _ = tensor_over_base(N, M)
+            fs = [random_intertwiner(tens, L, s) for s in (4, 5, 6)]
+            gs = [zeta_r_algebroid(f, N, M, L) for f in fs]
+            assert zeta_r_algebroid(vstack(fs), N, M, L) == vstack(gs)
+            assert eta_r_algebroid(vstack(gs), N, M, L) == vstack(fs)
+
+
+def test_ev_r_tensor_equals_tensor_over_base(env_q, t2e_f5):
+    # ev^r takes its tensor from the H^cop one through the factor swap; it
+    # must be the tensor over H itself, actions, relations and sections
+    kc3 = algebroid_from_hopf(group_algebra(QQ, cyclic_group_table(3), "kC3"))
+    for H, reg, R in _reg_and_base(env_q, t2e_f5, kc3):
+        for V, M in [(reg, R), (R, reg), (reg, reg)]:
+            _, hom_mod, _, (tens, rel) = ev_r_algebroid(V, M)
+            direct, direct_rel = tensor_over_base(V, hom_mod)
+            assert tens.structural_key() == direct.structural_key()
+            assert tens.name == direct.name
+            assert rel.relations == direct_rel.relations
+            assert (rel.projector, rel.lift) == (direct_rel.projector, direct_rel.lift)
 
 
 def test_eval_adjunctions_bundle(env_f5):

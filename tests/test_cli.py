@@ -106,6 +106,63 @@ def test_ayd_and_stability_commands(tmp_path, kc2_file):
     assert main(["stability", kc2_file, str(bad), "--reproducible"]) == 1
 
 
+def _kc2_cohomology_inputs(tmp_path, kc2_file):
+    unit_a = tmp_path / "unitA.json"
+    coeff = tmp_path / "m.json"
+    assert main(["generate", "unit_algebra", "--structure", kc2_file,
+                 "--out", str(unit_a)]) == 0
+    assert main(["generate", "trivial_contramodule", "--structure", kc2_file,
+                 "--out", str(coeff)]) == 0
+    return unit_a, coeff
+
+
+def _failed_checks(capsys):
+    out = json.loads(capsys.readouterr().out)
+    assert out["pass"] is False and "dims" not in out
+    return [(c["check"], c["counterexample"]) for c in out["checks"] if not c["pass"]]
+
+
+def test_cohomology_reports_failed_inputs_as_failed_checks(tmp_path, kc2_file, capsys):
+    unit_a, coeff = _kc2_cohomology_inputs(tmp_path, kc2_file)
+    # the scaled contraaction of test_ayd_and_stability_commands
+    doc = json.load(open(coeff))
+    doc["contraaction"][0] = [[str(2 * int(x)) for x in row]
+                              for row in doc["contraaction"][0]]
+    scaled = tmp_path / "scaled.json"
+    scaled.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["cohomology", kc2_file, str(unit_a), str(scaled),
+                 "--degree", "2", "--reproducible"]) == 1
+    assert _failed_checks(capsys) == [
+        ("coefficient_stable", {"relation": "stability", "m": 0})]
+    # a doubled multiplication of k breaks both unit laws, one entry each
+    doc = json.load(open(unit_a))
+    doc["mult"] = [[str(2 * int(x)) for x in row] for row in doc["mult"]]
+    doubled = tmp_path / "doubled.json"
+    doubled.write_text(json.dumps(doc))
+    assert main(["cohomology", kc2_file, str(doubled), str(coeff),
+                 "--degree", "2", "--reproducible"]) == 1
+    assert _failed_checks(capsys) == [
+        ("algebra_object", {"relation": "left_unital"}),
+        ("algebra_object", {"relation": "right_unital"})]
+
+
+def test_cohomology_reports_broken_identity_as_failed_check(tmp_path, kc2_file,
+                                                            monkeypatch, capsys):
+    import qha.cli
+    from qha.cyclic import CocyclicError
+
+    def broken(A, M, n_max):
+        raise CocyclicError("coface relation", n=1, i=0, j=2)
+    unit_a, coeff = _kc2_cohomology_inputs(tmp_path, kc2_file)
+    monkeypatch.setattr(qha.cli, "build_cocyclic", broken)
+    capsys.readouterr()
+    assert main(["cohomology", kc2_file, str(unit_a), str(coeff),
+                 "--degree", "2", "--reproducible"]) == 1
+    assert _failed_checks(capsys) == [
+        ("cocyclic_identities", {"relation": "coface relation", "n": 1, "i": 0, "j": 2})]
+
+
 def test_incompatible_kinds_usage_error(tmp_path, kc2_file, capsys):
     env = tmp_path / "env.json"
     assert main(["generate", "enveloping_dual_numbers", "--out", str(env)]) == 0

@@ -438,3 +438,114 @@ def test_cross_flavor_oracle(order, n_max, field):
     assert quasi.cofaces == algebroid.cofaces
     assert quasi.codegens == algebroid.codegens
     assert quasi.cyclics == algebroid.cyclics
+
+
+# -- the stacked build against a vector-at-a-time reference -----------------------
+#
+# The build applies every structure map to the whole stacked basis of its
+# source space and reads coordinates at the RREF pivots.  The reference
+# below applies the same maps one basis vector at a time, with one
+# iota_apply per vector and coordinates from an elimination.
+
+def _rref_coordinates(space, vec):
+    if not space.basis:
+        return () if all(a == 0 for a in vec) else None
+    return space.basis_matrix().solve(vec)
+
+
+def reference_cocyclic(A, M, n_max):
+    from qha.center import CenterElement, iota_apply
+    from qha.cyclic import TensorPowerChain, _mult_map, _unit_insertion
+    from qha.quasihopf import hom_module_morphisms
+    f = A.field
+    E = CenterElement(M)
+    chain = TensorPowerChain(A, n_max + 1)
+    d = M.carrier.dim
+    spaces = [hom_module_morphisms(chain.mods[n + 1], M.carrier) for n in range(n_max + 1)]
+
+    def in_coordinates(space, images):
+        cols = [_rref_coordinates(space, g.entries) for g in images]
+        assert None not in cols
+        return Matrix.from_cols(f, cols, ambient=space.dim)
+
+    def precompose(src, dst, cmap):
+        return in_coordinates(dst, [Matrix(f, d, cmap.rows, b) * cmap for b in src.basis])
+
+    cyclics = [Matrix.identity(f, spaces[0].dim)]
+    for n in range(1, n_max + 1):
+        r_n = chain.rebracket_front(n)
+        cyclics.append(in_coordinates(spaces[n], [
+            iota_apply(E, A.carrier, chain.mods[n], Matrix(f, d, r_n.rows, b) * r_n)
+            for b in spaces[n].basis]))
+    cofaces = [[precompose(spaces[n], spaces[n + 1], _mult_map(chain, n + 2, i))
+                for i in range(n + 1)] for n in range(n_max)]
+    for n in range(n_max):
+        cofaces[n].append(cyclics[n + 1] * cofaces[n][0])
+    codegens = [[precompose(spaces[n + 1], spaces[n], _unit_insertion(chain, n + 1, j + 1))
+                 for j in range(n + 1)] for n in range(n_max)]
+    return spaces, cofaces, codegens, cyclics
+
+
+def _stacked_build_inputs():
+    from qha.quasihopf import sweedler_h4, twisted_dual_group_algebra, z2_nontrivial_cocycle
+    kc2 = group_algebra(QQ, cyclic_group_table(2), "kC2")
+    tw = twisted_dual_group_algebra(QQ, cyclic_group_table(2), z2_nontrivial_cocycle(QQ))
+    kc3 = group_algebra(prime_field(7), cyclic_group_table(3), "kC3")
+    h4 = sweedler_h4(QQ)
+    env = enveloping_algebroid(base_ring_dual_numbers(F5))
+    env_mu = Contramodule(base_module(env),
+                          Matrix(F5, 2, 8, [0, 0, 0, 0, 0, 0, 1, 0,
+                                            0, 0, 0, 0, 1, 0, 0, 0]), ALGEBROID_MU)
+    return {
+        "kC2-Q": (functions_algebra(kc2), unit_coefficient(kc2), 3),
+        "twisted-Q": (dual_numbers_algebra_trivial_over(tw), unit_coefficient(tw, QUASI_I), 3),
+        "kC3-GF7": (functions_on_cyclic(kc3, 3), unit_coefficient(kc3), 3),
+        "H4-Q": (dual_numbers_algebra_trivial_over(h4), unit_coefficient(h4), 3),
+        "env-GF5": (unit_algebra(env), env_mu, 4),
+    }
+
+
+@pytest.mark.parametrize("name", ["kC2-Q", "twisted-Q", "kC3-GF7", "H4-Q", "env-GF5"])
+def test_stacked_build_matches_vector_at_a_time_reference(name):
+    A, M, n_max = _stacked_build_inputs()[name]
+    cc = build_cocyclic(A, M, n_max)
+    spaces, cofaces, codegens, cyclics = reference_cocyclic(A, M, n_max)
+    assert cc.spaces == spaces
+    assert cc.cyclics == cyclics
+    assert cc.cofaces == cofaces
+    assert cc.codegens == codegens
+
+
+def test_image_outside_its_space_names_the_map_and_basis_vector(kc2_q, monkeypatch):
+    import qha.cyclic
+    from qha.cyclic import CocyclicError
+    A = functions_algebra(kc2_q)
+    real = qha.cyclic._mult_map
+
+    def skewed(chain, k, i):
+        # the multiplication of degree 1, slot 1 followed by a map that is
+        # not H-linear: its images leave Hom_H(A^(x)2, k)
+        out = real(chain, k, i)
+        if (k, i) == (3, 1):
+            first = Matrix(QQ, 2, 2, [QQ.from_int(3), QQ.zero, QQ.zero, QQ.zero])
+            out = out * first.kron(Matrix.identity(QQ, out.cols // 2))
+        return out
+    monkeypatch.setattr(qha.cyclic, "_mult_map", skewed)
+    with pytest.raises(CocyclicError) as err:
+        build_cocyclic(A, unit_coefficient(kc2_q), 2)
+    assert err.value.relation == "coface left its intertwiner space"
+    assert [k for k, _ in err.value.indices] == ["n", "i", "basis"]
+    assert dict(err.value.indices)["n"] == 1 and dict(err.value.indices)["i"] == 1
+
+
+def test_rebracketing_is_built_once_per_chain(twisted_q):
+    from qha.cyclic import TensorPowerChain
+    A = dual_numbers_algebra_trivial_over(twisted_q)
+    chain = TensorPowerChain(A, 5)
+    order = (4, 2, 3, 1)
+    fronts = [chain.rebracket_front(k) for k in order]
+    assert all(chain.rebracket_front(k) is m for k, m in zip(order, fronts))
+    # the kept maps do not depend on the order they were asked for in
+    fresh = TensorPowerChain(A, 5)
+    assert [fresh.rebracket_front(k) for k in sorted(order)] == \
+        [m for _, m in sorted(zip(order, fronts), key=lambda km: km[0])]

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from qha.fields import FieldError, rationals, prime_field
 from qha.linalg import (Matrix, Subspace, ShapeError, kernel, solve,
-                        quotient_section, tensor_index, intertwiner_space)
+                        quotient_section, tensor_index, intertwiner_space,
+                        lmul_blocks)
 
 QQ = rationals()
 F2 = prime_field(2)
@@ -188,3 +189,66 @@ def test_quotient_section_contract(n, data):
     for r in rel.basis:
         assert all(x == 0 for x in proj.apply(r))
     assert proj.kernel() == rel
+
+
+# -- coordinates read at the pivots, one elimination per solve_matrix -----------
+
+def test_coordinates_need_the_whole_vector():
+    # span{(1, 0, 2), (0, 1, 3)} has pivots 0 and 1: (1, 1, 0) agrees with
+    # the member (1, 1, 5) at both pivots and is still not a member
+    s = Subspace.from_generators(QQ, 3, [vec(QQ, [1, 0, 2]), vec(QQ, [0, 1, 3])])
+    assert s.coordinates(vec(QQ, [1, 1, 5])) == vec(QQ, [1, 1])
+    assert s.coordinates(vec(QQ, [1, 1, 0])) is None
+    assert Subspace.zero(QQ, 2).coordinates(vec(QQ, [0, 0])) == ()
+    assert Subspace.zero(QQ, 2).coordinates(vec(QQ, [0, 1])) is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5), st.data())
+def test_coordinates_agree_with_solve_gf5(n, data):
+    gens = data.draw(st.lists(
+        st.lists(st.integers(0, 4), min_size=n, max_size=n), min_size=1, max_size=4))
+    s = Subspace.from_generators(F5, n, gens)
+    probes = data.draw(st.lists(
+        st.lists(st.integers(0, 4), min_size=n, max_size=n), min_size=1, max_size=3))
+    # and a member: a combination of the generators
+    cs = data.draw(st.lists(st.integers(0, 4), min_size=len(gens), max_size=len(gens)))
+    probes.append([sum(c * g[i] for c, g in zip(cs, gens)) % 5 for i in range(n)])
+    for v in probes:
+        want = s.basis_matrix().solve(tuple(v)) if s.basis else \
+            (() if not any(v) else None)
+        assert s.coordinates(tuple(v)) == want
+    vecs = Matrix.from_cols(F5, [tuple(v) for v in probes], ambient=n)
+    cm = s.coordinate_matrix(vecs)
+    cols = [s.coordinates(tuple(v)) for v in probes]
+    assert (cm is None) == (None in cols)
+    if cm is not None:
+        assert [cm.col(j) for j in range(cm.cols)] == cols
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 3), st.data())
+def test_solve_matrix_is_columnwise_solve(rows, cols, width, data):
+    a = Matrix(F5, rows, cols, data.draw(st.lists(
+        st.integers(0, 4), min_size=rows * cols, max_size=rows * cols)))
+    b = Matrix(F5, rows, width, data.draw(st.lists(
+        st.integers(0, 4), min_size=rows * width, max_size=rows * width)))
+    x = a.solve_matrix(b)
+    per_column = [a.solve(b.col(j)) for j in range(width)]
+    if None in per_column:
+        assert x is None
+    else:
+        assert x == Matrix.from_cols(F5, per_column, ambient=cols)
+
+
+def test_stacks_of_maps():
+    blocks = [mat(QQ, [[1, 2, 0], [0, 1, 3]]), mat(QQ, [[4, 0, 1], [1, 1, 1]])]
+    stack = Matrix.from_rows(QQ, [r for b in blocks for r in b.row_list()])
+    assert stack.side_by_side(2).stacked(3) == stack
+    a = mat(QQ, [[1, 1], [2, -1], [0, 5]])
+    assert lmul_blocks(a, stack) == Matrix.from_rows(
+        QQ, [r for b in blocks for r in (a * b).row_list()])
+    s = Subspace.from_generators(QQ, 6, [b.entries for b in blocks])
+    assert s.stack_coordinates(s.basis_stack(3)).is_identity()
+    with pytest.raises(ShapeError):
+        stack.side_by_side(3)

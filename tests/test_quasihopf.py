@@ -13,7 +13,7 @@ from qha.quasihopf import (
     zeta_l, eta_l, zeta_r, eta_r, is_intertwiner, hom_module_morphisms,
     max_tensor_dim)
 
-from conftest import QQ, F5, random_intertwiner
+from conftest import QQ, F5, random_intertwiner, vstack
 
 
 def all_checks_pass(H):
@@ -195,6 +195,29 @@ def test_adjunction_roundtrips(algebra, kc2_q, h4_q, twisted_q):
             g = zeta_r(f, N, M, L)
             assert eta_r(g, N, M, L) == f
             assert zeta_r(eta_r(g, N, M, L), N, M, L) == g
+
+
+@pytest.mark.parametrize("algebra", ["kc2", "h4", "twisted"])
+def test_adjunctions_act_on_stacks(algebra, kc2_q, h4_q, twisted_q):
+    # a vertical stack of maps goes through each map in one call, and the
+    # intertwiner checks see every map of the stack
+    H = {"kc2": kc2_q, "h4": h4_q, "twisted": twisted_q}[algebra]
+    k, reg = trivial_module(H), regular_module(H)
+    for M, N, L in [(reg, reg, reg), (k, reg, reg), (reg, reg, k)]:
+        fs = [random_intertwiner(tensor_module(M, N), L, s) for s in (1, 2, 3)]
+        gs = [zeta_l(f, M, N, L) for f in fs]
+        assert zeta_l(vstack(fs), M, N, L) == vstack(gs)
+        assert eta_l(vstack(gs), M, N, L) == vstack(fs)
+        fs = [random_intertwiner(tensor_module(N, M), L, s) for s in (4, 5, 6)]
+        gs = [zeta_r(f, N, M, L) for f in fs]
+        assert zeta_r(vstack(fs), N, M, L) == vstack(gs)
+        assert eta_r(vstack(gs), N, M, L) == vstack(fs)
+    f = random_intertwiner(tensor_module(reg, reg), reg, 1)
+    bad = Matrix(H.field, reg.dim, reg.dim * reg.dim,
+                 [H.field.from_int(i % 3) for i in range(reg.dim ** 3)])
+    assert not is_intertwiner(bad, tensor_module(reg, reg), reg)
+    with pytest.raises(IntertwinerError):
+        zeta_l(vstack([f, f, bad]), reg, reg, reg)
 
 
 def test_zeta_rejects_non_intertwiner(kc2_q):
