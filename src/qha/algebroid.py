@@ -20,7 +20,7 @@ from functools import cached_property
 
 from .fields import Field
 from .linalg import (Matrix, Subspace, quotient_section,
-                     intertwiner_space, lmul_blocks, basis_vec)
+                     intertwiner_space, kron_sum, lmul_blocks, basis_vec)
 from .reports import CheckReport
 from .quasihopf import (HModule, QuasiHopfAlgebra, StructureError, IntertwinerError,
                         max_tensor_dim, require_intertwiner, _over_cop, _swap_factors,
@@ -426,12 +426,9 @@ def tensor_over_base(M: AlgebroidModule, N: AlgebroidModule):
     if M.dim * N.dim > max_tensor_dim():
         raise StructureError("tensor dimension %d exceeds QHA_MAX_DIM" % (M.dim * N.dim))
     rel = module_tensor_relations(M, N)
-    amb = []
-    for i in range(H.dim):
-        m = Matrix.zeros(f, M.dim * N.dim, M.dim * N.dim)
-        for c, p, q in H.delta_l_terms(i):
-            m = m + M.mats[p].kron(N.mats[q]).scale(c)
-        amb.append(m)
+    d = M.dim * N.dim
+    amb = [kron_sum(f, d, d, [(c, [M.mats[p], N.mats[q]]) for c, p, q in H.delta_l_terms(i)])
+           for i in range(H.dim)]
     relations = rel.relations.basis_matrix()
     for i in range(H.dim):
         if rel.relations.coordinate_matrix(amb[i] * relations) is None:
@@ -470,12 +467,11 @@ def left_hom_algebroid(V: AlgebroidModule, M: AlgebroidModule):
     f = H.field
     basis = right_linear_hom_basis(V, M)
     bmat = basis.basis_matrix()
+    d = M.dim * V.dim
+    pre = [V.act(H.apply_s(H.basis(q))).transpose() for q in range(H.dim)]
     mats = []
     for i in range(H.dim):
-        full = Matrix.zeros(f, M.dim * V.dim, M.dim * V.dim)
-        for c, p, q in H.delta_r_terms(i):
-            pre = V.act(H.apply_s(H.basis(q))).transpose()
-            full = full + M.act(H.basis(p)).kron(pre).scale(c)
+        full = kron_sum(f, d, d, [(c, [M.mats[p], pre[q]]) for c, p, q in H.delta_r_terms(i)])
         sub = basis.coordinate_matrix(full * bmat)
         if sub is None:
             raise StructureError("hom action does not preserve the base-linear carrier")

@@ -12,7 +12,8 @@ constraint.  Every check rejects data of the wrong flavor.
 
 from __future__ import annotations
 
-from .linalg import Matrix, basis_vec, vec_scale, intertwiner_space, quotient_section
+from .linalg import (Matrix, basis_vec, vec_scale, intertwiner_space, kron_sum,
+                     quotient_section)
 from .reports import AydReport
 from .quasihopf import (HModule, QuasiHopfAlgebra, IntertwinerError, StructureError,
                         left_hom, right_hom, tensor_module, regular_module,
@@ -384,7 +385,7 @@ def tau_matrix_type_II(C: Contramodule, V: HModule) -> Matrix:
     H = C.parent
     f = C.field
     d, dv, n = C.carrier.dim, V.dim, H.dim
-    out = Matrix.zeros(f, d * dv, d * dv)
+    terms = []
     for (x, y, z), coef in H.phi_terms().items():
         w = H.prod(H.basis(y), H.apply_s_inv(H.beta), H.apply_s_inv(H.basis(x)))
         v_w = V.act(w)
@@ -403,7 +404,6 @@ def tau_matrix_type_II(C: Contramodule, V: HModule) -> Matrix:
                         for xx in range(n):
                             s = chain[xx].get(b, c)
                             if s != 0:
-                                s = f.mul(c2, s)
                                 for i in range(d):
                                     if pa[i] != 0:
                                         g_rows[i][xx] = f.add(g_rows[i][xx],
@@ -415,8 +415,8 @@ def tau_matrix_type_II(C: Contramodule, V: HModule) -> Matrix:
                         for i in range(d):
                             if res[i] != 0:
                                 cols.setdefault(a * dv + b, {})[i * dv + c] = res[i]
-            out = out + _cols_to_matrix(f, cols, d * dv, d * dv)
-    return out
+            terms.append((c2, [_cols_to_matrix(f, cols, d * dv, d * dv)]))
+    return kron_sum(f, d * dv, d * dv, terms)
 
 
 def tau_theta_hopf(C: Contramodule, V: HModule):
@@ -468,43 +468,32 @@ def mu_from_tau(C_carrier: HModule, tau_h: Matrix) -> Matrix:
 
 # -- quasi-Hopf flavors ---------------------------------------------------------
 
+def _phi_decorated(H, V: HModule, W: HModule, M: HModule, legs) -> Matrix:
+    """Sum over Phi of rho_M(l_1) (x) rho_V(S(l_2))^T (x) rho_W(S(l_3))^T, with
+    l_1, l_2, l_3 the legs of Phi at the positions in ``legs``."""
+    d = M.dim * V.dim * W.dim
+    sv = [V.act(H.apply_s(H.basis(i))).transpose() for i in range(H.dim)]
+    sw = [W.act(H.apply_s(H.basis(i))).transpose() for i in range(H.dim)]
+    m, v, w = legs
+    return kron_sum(H.field, d, d, [(c, [M.mats[t[m]], sv[t[v]], sw[t[w]]])
+                                    for t, c in H.phi_terms().items()])
+
+
 def assoc_left_nest(H, V: HModule, W: HModule, M: HModule) -> Matrix:
     """V <| (W <| M) -> (V (x) W) <| M: f |-> (v (x) w |-> X f_{S(Z) v}(S(Y) w))."""
-    f = H.field
-    d, dv, dw = M.dim, V.dim, W.dim
-    out = Matrix.zeros(f, d * dv * dw, d * dv * dw)
-    for (x, y, z), coef in H.phi_terms().items():
-        post = M.mats[x]
-        pv = V.act(H.apply_s(H.basis(z)))
-        pw = W.act(H.apply_s(H.basis(y)))
-        out = out + post.kron(pv.transpose()).kron(pw.transpose()).scale(coef)
-    return out * _perm_mwv_to_mvw(f, d, dw, dv)
+    return (_phi_decorated(H, V, W, M, (0, 2, 1))
+            * _perm_mwv_to_mvw(H.field, M.dim, W.dim, V.dim))
 
 
 def assoc_swap_curry(H, V: HModule, W: HModule, M: HModule) -> Matrix:
     """V <| (M |> W) -> (V <| M) |> W: f |-> (w |-> (v |-> Y f_{S(Z) v}(S(X) w)))."""
-    f = H.field
-    d, dv, dw = M.dim, V.dim, W.dim
-    out = Matrix.zeros(f, d * dv * dw, d * dv * dw)
-    for (x, y, z), coef in H.phi_terms().items():
-        post = M.mats[y]
-        pv = V.act(H.apply_s(H.basis(z)))
-        pw = W.act(H.apply_s(H.basis(x)))
-        out = out + post.kron(pv.transpose()).kron(pw.transpose()).scale(coef)
-    return out * _perm_mwv_to_mvw(f, d, dw, dv)
+    return (_phi_decorated(H, V, W, M, (1, 2, 0))
+            * _perm_mwv_to_mvw(H.field, M.dim, W.dim, V.dim))
 
 
 def assoc_right_nest(H, V: HModule, W: HModule, M: HModule) -> Matrix:
     """M |> (V (x) W) -> (M |> V) |> W: f |-> (w |-> (v |-> Z f(S(Y) v (x) S(X) w)))."""
-    f = H.field
-    d, dv, dw = M.dim, V.dim, W.dim
-    out = Matrix.zeros(f, d * dv * dw, d * dv * dw)
-    for (x, y, z), coef in H.phi_terms().items():
-        post = M.mats[z]
-        pv = V.act(H.apply_s(H.basis(y)))
-        pw = W.act(H.apply_s(H.basis(x)))
-        out = out + post.kron(pv.transpose()).kron(pw.transpose()).scale(coef)
-    return out
+    return _phi_decorated(H, V, W, M, (2, 1, 0))
 
 
 def _perm_mwv_to_mvw(f, d, dw, dv) -> Matrix:
@@ -616,7 +605,7 @@ def convert_I_to_II(C: Contramodule) -> Contramodule:
     H = C.parent
     f = C.field
     d, n = C.carrier.dim, H.dim
-    out = Matrix.zeros(f, d, d * n)
+    terms = []
     for (p, q, r), coef in H.phi_inv_terms().items():
         w = H.prod(H.apply_s_inv(H.basis(q)), H.apply_s_inv(H.alpha), H.basis(p))
         rw = _right_mult_matrix(H, w)
@@ -628,8 +617,8 @@ def convert_I_to_II(C: Contramodule) -> Contramodule:
                     f, [[rw.get(a, x) if i == j else f.zero for x in range(n)]
                         for i in range(d)])
                 cols.append(post.apply(C.mu_apply(g)))
-        out = out + Matrix.from_cols(f, cols, ambient=d).scale(coef)
-    return Contramodule(C.carrier, out, QUASI_II)
+        terms.append((coef, [Matrix.from_cols(f, cols, ambient=d)]))
+    return Contramodule(C.carrier, kron_sum(f, d, d * n, terms), QUASI_II)
 
 
 def convert_II_to_I(C: Contramodule) -> Contramodule:
@@ -638,7 +627,7 @@ def convert_II_to_I(C: Contramodule) -> Contramodule:
     H = C.parent
     f = C.field
     d, n = C.carrier.dim, H.dim
-    out = Matrix.zeros(f, d, d * n)
+    terms = []
     for (x, y, z), coef in H.phi_terms().items():
         w = H.prod(H.basis(y), H.apply_s_inv(H.beta), H.apply_s_inv(H.basis(x)))
         for cz, z1, z2 in H.delta_terms(z):
@@ -657,8 +646,8 @@ def convert_II_to_I(C: Contramodule) -> Contramodule:
                                 if pj[i] != 0:
                                     g_rows[i][h] = f.add(g_rows[i][h], f.mul(s, pj[i]))
                     cols.append(C.mu_apply(Matrix.from_rows(f, g_rows)))
-            out = out + Matrix.from_cols(f, cols, ambient=d).scale(c2)
-    return Contramodule(C.carrier, out, QUASI_I)
+            terms.append((c2, [Matrix.from_cols(f, cols, ambient=d)]))
+    return Contramodule(C.carrier, kron_sum(f, d, d * n, terms), QUASI_I)
 
 
 # -- algebroid flavor ------------------------------------------------------------
@@ -755,11 +744,9 @@ def _ayd_algebroid_residuals(C: Contramodule, delta_r_lift: Matrix):
                 rm = H.right_mult_matrix(H.apply_s_inv(H.basis(h1)))
                 term = M.act(H.basis(h2)).apply(C.mu_apply(fm * rm))
                 lhs = tuple(f.add(x, f.mul(coef, v)) for x, v in zip(lhs, term))
-            rhs_g = Matrix.zeros(f, d, n)
-            for coef, h1, h2 in legs:
-                lm = H.left_mult_matrix(H.apply_s(H.basis(h2)))
-                rhs_g = rhs_g + (M.act(H.basis(h1)) * fm * lm).scale(coef)
-            rhs = C.mu_apply(rhs_g)
+            rhs = C.mu_apply(kron_sum(f, d, n, [
+                (coef, [M.mats[h1] * fm * H.left_mult_matrix(H.apply_s(H.basis(h2)))])
+                for coef, h1, h2 in legs]))
             yield (h, t), lhs, rhs
 
 

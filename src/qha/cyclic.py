@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .fields import Field
-from .linalg import Matrix
+from .linalg import Matrix, kron_sum
 from .reports import CheckReport
 from .quasihopf import (QuasiHopfAlgebra, StructureError,
                         hom_module_morphisms, is_intertwiner, max_tensor_dim)
@@ -132,8 +132,8 @@ class TensorPowerChain:
     ``mods[k]`` is L_k and ``rels[k]`` the base relations of its last
     stage L_(k-1) (x) A (None when the parent has none).  Every map below
     is one recursion on k through these stages; the chain keeps each
-    ``rebracket_front(k)`` it has built, so each associator is inverted
-    once per chain.
+    ``rebracket_front(k)``, multiplication map and unit insertion it has
+    built, so each associator is built and inverted once per chain.
     """
 
     def __init__(self, A: ModuleAlgebra, depth: int):
@@ -151,6 +151,8 @@ class TensorPowerChain:
             self.mods.append(mod)
             self.rels.append(rel)
         self._fronts = [None]
+        self._mults = {}
+        self._units = {}
 
     def module(self, k: int):
         """The left-nested k-th tensor power as a module (1 <= k)."""
@@ -186,33 +188,44 @@ def tensor_power_bracketed(A: ModuleAlgebra, n: int) -> TensorPowerChain:
 
 def _mult_map(chain: TensorPowerChain, k: int, i: int) -> Matrix:
     """The morphism L_(k) -> L_(k-1) multiplying slots i, i+1 (0-based)."""
+    kept = chain._mults.get((k, i))
+    if kept is not None:
+        return kept
     A = chain.A
     H = A.parent
     f = A.field
     if k == 2:
-        return A.mult
-    if i < k - 2:
+        out = A.mult
+    elif i < k - 2:
         eye = Matrix.identity(f, A.carrier.dim)
-        return _kron(_mult_map(chain, k - 1, i), eye, chain.rels[k], chain.rels[k - 1])
-    # rebracket the last pair together, then multiply
-    front = chain.mods[k - 2]
-    eye = Matrix.identity(f, front.dim)
-    step = _kron(eye, A.mult, H.tensor_relations(front, chain.mods[2]), chain.rels[k - 1])
-    return step * H.associativity(front, A.carrier, A.carrier)
+        out = _kron(_mult_map(chain, k - 1, i), eye, chain.rels[k], chain.rels[k - 1])
+    else:
+        # rebracket the last pair together, then multiply
+        front = chain.mods[k - 2]
+        eye = Matrix.identity(f, front.dim)
+        step = _kron(eye, A.mult, H.tensor_relations(front, chain.mods[2]), chain.rels[k - 1])
+        out = step * H.associativity(front, A.carrier, A.carrier)
+    chain._mults[(k, i)] = out
+    return out
 
 
 def _unit_insertion(chain: TensorPowerChain, k: int, p: int) -> Matrix:
     """The morphism L_k -> L_(k+1) inserting the unit of A at slot p."""
+    kept = chain._units.get((k, p))
+    if kept is not None:
+        return kept
     A = chain.A
     f = A.field
     ucol = Matrix.from_cols(f, [A.unit_element()], ambient=A.carrier.dim)
-    if p == k:
-        eye = Matrix.identity(f, chain.mods[k].dim)
-        return _kron(eye, ucol, None, chain.rels[k + 1])
     eye = Matrix.identity(f, A.carrier.dim)
-    if k == 1:
-        return _kron(ucol, eye, None, chain.rels[2])
-    return _kron(_unit_insertion(chain, k - 1, p), eye, chain.rels[k], chain.rels[k + 1])
+    if p == k:
+        out = _kron(Matrix.identity(f, chain.mods[k].dim), ucol, None, chain.rels[k + 1])
+    elif k == 1:
+        out = _kron(ucol, eye, None, chain.rels[2])
+    else:
+        out = _kron(_unit_insertion(chain, k - 1, p), eye, chain.rels[k], chain.rels[k + 1])
+    chain._units[(k, p)] = out
+    return out
 
 
 # -- the cocyclic module ---------------------------------------------------------
@@ -244,23 +257,17 @@ class CocyclicModule:
 
     def boundary(self, n: int) -> Matrix:
         """Hochschild coboundary b = sum (-1)^i delta_i : C^n -> C^(n+1)."""
-        f = self.field
-        out = Matrix.zeros(f, self.dim(n + 1), self.dim(n))
-        sign = f.one
-        for d in self.cofaces[n]:
-            out = out + d.scale(sign)
-            sign = f.neg(sign)
-        return out
+        return self._alternating_sum(n, self.cofaces[n])
 
     def boundary_prime(self, n: int) -> Matrix:
         """b' = sum_{i <= n} (-1)^i delta_i (the last coface omitted)."""
+        return self._alternating_sum(n, self.cofaces[n][:-1])
+
+    def _alternating_sum(self, n: int, maps) -> Matrix:
         f = self.field
-        out = Matrix.zeros(f, self.dim(n + 1), self.dim(n))
-        sign = f.one
-        for d in self.cofaces[n][:-1]:
-            out = out + d.scale(sign)
-            sign = f.neg(sign)
-        return out
+        signs = (f.one, f.neg(f.one))
+        return kron_sum(f, self.dim(n + 1), self.dim(n),
+                        [(signs[i % 2], [d]) for i, d in enumerate(maps)])
 
     def lam(self, n: int) -> Matrix:
         """lambda_n = (-1)^n t_n."""
@@ -272,12 +279,10 @@ class CocyclicModule:
         """N = sum_{i=0}^{n} lambda^i."""
         f = self.field
         lam = self.lam(n)
-        out = Matrix.identity(f, self.dim(n))
-        acc = Matrix.identity(f, self.dim(n))
+        powers = [Matrix.identity(f, self.dim(n))]
         for _ in range(n):
-            acc = acc * lam
-            out = out + acc
-        return out
+            powers.append(powers[-1] * lam)
+        return kron_sum(f, self.dim(n), self.dim(n), [(f.one, [p]) for p in powers])
 
 
 def build_cocyclic(A: ModuleAlgebra, M: Contramodule, n_max: int) -> CocyclicModule:

@@ -8,6 +8,8 @@ bit-reproducible.  Matrices are immutable once built.
 
 from __future__ import annotations
 
+from math import prod
+
 from .fields import Field
 
 
@@ -161,24 +163,8 @@ class Matrix:
 
     def kron(self, other: "Matrix") -> "Matrix":
         """Kronecker product, consistent with ``tensor_index`` ordering."""
-        f = self.field
-        mul = f.mul
-        rows = self.rows * other.rows
-        cols = self.cols * other.cols
-        out = [f.zero] * (rows * cols)
-        for i in range(self.rows):
-            for j in range(self.cols):
-                a = self.get(i, j)
-                if a == 0:
-                    continue
-                for k in range(other.rows):
-                    rb = (i * other.rows + k) * cols + j * other.cols
-                    ob = k * other.cols
-                    for l in range(other.cols):
-                        b = other.entries[ob + l]
-                        if b != 0:
-                            out[rb + l] = mul(a, b)
-        return Matrix(f, rows, cols, out)
+        return kron_sum(self.field, self.rows * other.rows, self.cols * other.cols,
+                        [(self.field.one, [self, other])])
 
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.entries)
@@ -306,6 +292,39 @@ class Matrix:
     def pretty(self) -> str:
         fmt = self.field.format
         return "\n".join(" ".join(fmt(a) for a in self.row(i)) for i in range(self.rows))
+
+
+def kron_sum(field: Field, rows: int, cols: int, terms) -> Matrix:
+    """The rows x cols matrix sum c * (F_1 (x) ... (x) F_k) over the terms
+    (c, [F_1, ..., F_k]), in ``Matrix.kron`` order; with no terms, zero.
+
+    Only the nonzero entries of each factor are visited, and every product
+    goes straight into one output list: no Kronecker product, scaled copy
+    or partial sum is built as a matrix."""
+    add, mul, zero = field.add, field.mul, field.zero
+    out = [zero] * (rows * cols)
+    # id -> (factor, its nonzero entries (i, j, a)); holding the factor
+    # keeps its id from being reused by another matrix during the call
+    nonzeros = {}
+    for c, factors in terms:
+        shape = (prod(F.rows for F in factors), prod(F.cols for F in factors))
+        if shape != (rows, cols):
+            raise ShapeError("a %dx%d term in a %dx%d sum" % (*shape, rows, cols))
+        if c == 0:
+            continue
+        part = [(0, 0, c)]
+        for F in factors:
+            fr, fc = F.rows, F.cols
+            if id(F) not in nonzeros:
+                nonzeros[id(F)] = (F, [(k // fc, k % fc, a)
+                                       for k, a in enumerate(F.entries) if a != 0])
+            part = [(i * fr + p, j * fc + q, mul(v, a))
+                    for i, j, v in part for p, q, a in nonzeros[id(F)][1]]
+        for i, j, v in part:
+            k = i * cols + j
+            cur = out[k]
+            out[k] = v if cur is zero else add(cur, v)
+    return Matrix(field, rows, cols, out)
 
 
 def lmul_blocks(a: Matrix, stack: Matrix) -> Matrix:
@@ -481,13 +500,15 @@ def intertwiner_space(field: Field, constraints, rows: int, cols: int) -> Subspa
     blocks = []
     eye_r = Matrix.identity(field, rows)
     eye_c = Matrix.identity(field, cols)
+    n = rows * cols
     for a, b in constraints:
         if a.rows != cols or a.cols != cols:
             raise ShapeError("A constraint must be %dx%d" % (cols, cols))
         if b.rows != rows or b.cols != rows:
             raise ShapeError("B constraint must be %dx%d" % (rows, rows))
         # vec(XA - BX) = (I (x) A^T - B (x) I) vec(X), row-major vec.
-        blocks.append(eye_r.kron(a.transpose()) - b.kron(eye_c))
+        blocks.append(kron_sum(field, n, n, [(field.one, [eye_r, a.transpose()]),
+                                             (field.neg(field.one), [b, eye_c])]))
     if not blocks:
         return Subspace.full(field, rows * cols)
     stacked = Matrix.from_rows(field, [r for blk in blocks for r in blk.row_list()])

@@ -12,12 +12,13 @@ first failing basis tuple, so runs are reproducible bit for bit.
 
 from __future__ import annotations
 
+import itertools
 import os
 from functools import cached_property
 
 from .fields import Field
-from .linalg import (Matrix, Subspace, ShapeError, intertwiner_space, lmul_blocks,
-                     basis_vec, vec_scale)
+from .linalg import (Matrix, Subspace, ShapeError, intertwiner_space, kron_sum,
+                     lmul_blocks, basis_vec, vec_scale)
 from .reports import CheckReport
 
 
@@ -171,19 +172,6 @@ class QuasiHopfAlgebra:
         """Sweedler decomposition of Delta(e_i) as (coef, leg1, leg2) triples."""
         return self._delta_sparse[i]
 
-    def delta_vec(self, vec):
-        """Delta of an arbitrary element, as a sparse 2-tensor dict."""
-        f = self.field
-        out = {}
-        for i, c in enumerate(vec):
-            if c == 0:
-                continue
-            for cd, p, q in self._delta_sparse[i]:
-                key = (p, q)
-                v = f.mul(c, cd)
-                out[key] = f.add(out.get(key, f.zero), v)
-        return {k: v for k, v in out.items() if v != 0}
-
     def phi_terms(self):
         """Nonzero terms of Phi as a dict {(x, y, z): coef}."""
         return self._phi_sparse
@@ -273,17 +261,22 @@ class QuasiHopfAlgebra:
 # Elements of H^(x)k appear in the axiom checks (pentagon lives in H^(x)4).
 # They are kept as dicts {(i_1,...,i_k): coef} over basis tuples.
 
+def _collect(f: Field, pairs) -> dict:
+    """The sum of (key, value) pairs as a dict, keys of zero sum dropped."""
+    out = {}
+    for k, v in pairs:
+        out[k] = f.add(out[k], v) if k in out else v
+    return {k: v for k, v in out.items() if v != 0}
+
+
 def tp_from_vec(vec):
     return {(i,): c for i, c in enumerate(vec) if c != 0}
 
 
 def tp_tensor(H, a, b):
     f = H.field
-    out = {}
-    for ka, ca in a.items():
-        for kb, cb in b.items():
-            out[ka + kb] = f.add(out.get(ka + kb, f.zero), f.mul(ca, cb))
-    return {k: v for k, v in out.items() if v != 0}
+    return _collect(f, ((ka + kb, f.mul(ca, cb))
+                        for ka, ca in a.items() for kb, cb in b.items()))
 
 
 def tp_unit(H, k: int):
@@ -320,25 +313,15 @@ def tp_mul(H, a, b):
 def tp_delta_slot(H, a, slot: int):
     """Apply Delta to one tensor slot, raising the tensor degree by one."""
     f = H.field
-    out = {}
-    for key, c in a.items():
-        for cd, p, q in H.delta_terms(key[slot]):
-            nk = key[:slot] + (p, q) + key[slot + 1:]
-            out[nk] = f.add(out.get(nk, f.zero), f.mul(c, cd))
-    return {k: v for k, v in out.items() if v != 0}
+    return _collect(f, ((key[:slot] + (p, q) + key[slot + 1:], f.mul(c, cd))
+                        for key, c in a.items() for cd, p, q in H.delta_terms(key[slot])))
 
 
 def tp_eps_slot(H, a, slot: int):
     """Apply the counit to one tensor slot, lowering the degree by one."""
     f = H.field
-    out = {}
-    for key, c in a.items():
-        e = H.counit[key[slot]]
-        if e == 0:
-            continue
-        nk = key[:slot] + key[slot + 1:]
-        out[nk] = f.add(out.get(nk, f.zero), f.mul(c, e))
-    return {k: v for k, v in out.items() if v != 0}
+    return _collect(f, ((key[:slot] + key[slot + 1:], f.mul(c, H.counit[key[slot]]))
+                        for key, c in a.items() if H.counit[key[slot]] != 0))
 
 
 def tp_eq(a, b) -> bool:
@@ -373,12 +356,8 @@ class HModule:
 
     def act(self, vec) -> Matrix:
         """Action matrix of an arbitrary algebra element."""
-        f = self.parent.field
-        out = Matrix.zeros(f, self.dim, self.dim)
-        for i, c in enumerate(vec):
-            if c != 0:
-                out = out + self.mats[i].scale(c)
-        return out
+        return kron_sum(self.parent.field, self.dim, self.dim,
+                        [(c, [m]) for c, m in zip(vec, self.mats)])
 
     def action_tensor(self):
         """rho[i][a][b] flat: coefficient of v_b in e_i . v_a."""
@@ -439,16 +418,12 @@ def tensor_module(V: HModule, W: HModule) -> HModule:
     if V.parent is not W.parent:
         raise StructureError("tensor factors must share a parent algebra")
     H = V.parent
-    f = H.field
     d = V.dim * W.dim
     if d > max_tensor_dim():
         raise StructureError("tensor dimension %d exceeds QHA_MAX_DIM" % d)
-    mats = []
-    for i in range(H.dim):
-        m = Matrix.zeros(f, d, d)
-        for c, p, q in H.delta_terms(i):
-            m = m + V.mats[p].kron(W.mats[q]).scale(c)
-        mats.append(m)
+    mats = [kron_sum(H.field, d, d, [(c, [V.mats[p], W.mats[q]])
+                                     for c, p, q in H.delta_terms(i)])
+            for i in range(H.dim)]
     return HModule(H, mats, name="(%s)x(%s)" % (V.name, W.name))
 
 
@@ -458,12 +433,9 @@ def associator(V: HModule, W: HModule, U: HModule) -> Matrix:
         if X.parent is not V.parent:
             raise StructureError("associator factors must share a parent algebra")
     H = V.parent
-    f = H.field
     d = V.dim * W.dim * U.dim
-    out = Matrix.zeros(f, d, d)
-    for (x, y, z), c in H.phi_terms().items():
-        out = out + V.mats[x].kron(W.mats[y]).kron(U.mats[z]).scale(c)
-    return out
+    return kron_sum(H.field, d, d, [(c, [V.mats[x], W.mats[y], U.mats[z]])
+                                    for (x, y, z), c in H.phi_terms().items()])
 
 
 # -- internal homs -----------------------------------------------------------
@@ -476,13 +448,11 @@ def left_hom(V: HModule, M: HModule) -> HModule:
     if V.parent is not M.parent:
         raise StructureError("hom factors must share a parent algebra")
     H = V.parent
-    f = H.field
-    mats = []
-    for i in range(H.dim):
-        m = Matrix.zeros(f, M.dim * V.dim, M.dim * V.dim)
-        for c, p, q in H.delta_terms(i):
-            m = m + M.act(H.basis(p)).kron(V.act(H.s_col(q)).transpose()).scale(c)
-        mats.append(m)
+    d = M.dim * V.dim
+    pre = [V.act(H.s_col(q)).transpose() for q in range(H.dim)]
+    mats = [kron_sum(H.field, d, d, [(c, [M.mats[p], pre[q]])
+                                     for c, p, q in H.delta_terms(i)])
+            for i in range(H.dim)]
     return HModule(H, mats, name="Hom^l(%s,%s)" % (V.name, M.name))
 
 
@@ -609,12 +579,11 @@ def zeta_l(f_mat: Matrix, M: HModule, N: HModule, L: HModule) -> Matrix:
     output checks cover every map of it.
     """
     H = M.parent
-    fld = H.field
     require_intertwiner(f_mat, tensor_module(M, N), L, "zeta_l input")
-    kmat = Matrix.zeros(fld, M.dim * N.dim, M.dim * N.dim)
-    for (p, q, r), c in H.phi_inv_terms().items():
-        nq = N.act(H.prod(H.basis(q), H.beta, H.apply_s(H.basis(r))))
-        kmat = kmat + M.act(H.basis(p)).kron(nq).scale(c)
+    d = M.dim * N.dim
+    kmat = kron_sum(H.field, d, d, [
+        (c, [M.mats[p], N.act(H.prod(H.basis(q), H.beta, H.apply_s(H.basis(r))))])
+        for (p, q, r), c in H.phi_inv_terms().items()])
     result = _curry(f_mat * kmat, N.dim)
     require_intertwiner(result, M, left_hom(N, L), "zeta_l output")
     return result
@@ -650,62 +619,64 @@ def eta_r(g_mat: Matrix, N: HModule, M: HModule, L: HModule) -> Matrix:
 
 # -- axiom checks --------------------------------------------------------------
 
+def _first_failure(names, n: int, bad):
+    """The witness ((name, index), ...) of the lexicographically first tuple
+    of range(n)^len(names) at which bad holds, or None."""
+    for idx in itertools.product(range(n), repeat=len(names)):
+        if bad(*idx):
+            return tuple(zip(names, idx))
+    return None
+
+
 def validate_structure(H: QuasiHopfAlgebra) -> CheckReport:
     """Type invariants: associative unital algebra, Delta/eps algebra maps,
-    Phi invertible, S anti-automorphism with the stored inverse."""
+    Phi invertible, S anti-automorphism with the stored inverse.
+
+    Elements are sparse dicts {basis index: coefficient}; the products
+    e_i e_j are read once from the structure constants."""
     f = H.field
     n = H.dim
     rep = CheckReport()
+    table = H._mult_sparse
+    e = [{i: f.one} for i in range(n)]
+    prods = [[dict(table[i][j]) for j in range(n)] for i in range(n)]
+    deltas = [dict(((p, q), c) for c, p, q in H.delta_terms(i)) for i in range(n)]
+    s_cols = [_collect(f, enumerate(H.s_col(i))) for i in range(n)]
+    unit = _collect(f, enumerate(H.unit))
 
-    ok, wit = True, None
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                lhs = H.mult_vec(H.mult_vec(H.basis(i), H.basis(j)), H.basis(k))
-                rhs = H.mult_vec(H.basis(i), H.mult_vec(H.basis(j), H.basis(k)))
-                if lhs != rhs:
-                    ok, wit = False, (("i", i), ("j", j), ("k", k))
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    rep.add("mult_associative", ok, wit)
+    def mul(a, b):
+        return _collect(f, ((k, f.mul(f.mul(ca, cb), ck)) for i, ca in a.items()
+                            for j, cb in b.items() for k, ck in table[i][j]))
 
-    ok, wit = True, None
-    for i in range(n):
-        if H.mult_vec(H.unit, H.basis(i)) != H.basis(i) or \
-           H.mult_vec(H.basis(i), H.unit) != H.basis(i):
-            ok, wit = False, (("i", i),)
-            break
-    rep.add("mult_unital", ok, wit)
+    def delta(a):
+        return _collect(f, (((p, q), f.mul(c, cd)) for i, c in a.items()
+                            for cd, p, q in H.delta_terms(i)))
 
-    ok, wit = True, None
-    for i in range(n):
-        for j in range(n):
-            prod_ij = H.mult_vec(H.basis(i), H.basis(j))
-            lhs = H.delta_vec(prod_ij)
-            rhs = tp_mul(H, dict(((p, q), c) for c, p, q in H.delta_terms(i)),
-                         dict(((p, q), c) for c, p, q in H.delta_terms(j)))
-            if not tp_eq(lhs, rhs):
-                ok, wit = False, (("i", i), ("j", j))
-                break
-        if not ok:
-            break
-    unit_ok = tp_eq(H.delta_vec(H.unit), tp_unit(H, 2))
-    rep.add("comult_algebra_map", ok and unit_ok, wit)
+    def antipode(a):
+        return _collect(f, ((k, f.mul(c, v)) for i, c in a.items()
+                            for k, v in s_cols[i].items()))
 
-    ok, wit = True, None
-    for i in range(n):
-        for j in range(n):
-            lhs = H.eps(H.mult_vec(H.basis(i), H.basis(j)))
-            rhs = f.mul(H.counit[i], H.counit[j])
-            if lhs != rhs:
-                ok, wit = False, (("i", i), ("j", j))
-                break
-        if not ok:
-            break
-    rep.add("counit_algebra_map", ok and f.is_one(H.eps(H.unit)), wit)
+    def eps(a):
+        out = f.zero
+        for i, c in a.items():
+            out = f.add(out, f.mul(c, H.counit[i]))
+        return out
+
+    wit = _first_failure(("i", "j", "k"), n, lambda i, j, k:
+                         mul(prods[i][j], e[k]) != mul(e[i], prods[j][k]))
+    rep.add("mult_associative", wit is None, wit)
+
+    wit = _first_failure(("i",), n, lambda i:
+                         mul(unit, e[i]) != e[i] or mul(e[i], unit) != e[i])
+    rep.add("mult_unital", wit is None, wit)
+
+    wit = _first_failure(("i", "j"), n, lambda i, j:
+                         delta(prods[i][j]) != tp_mul(H, deltas[i], deltas[j]))
+    rep.add("comult_algebra_map", wit is None and tp_eq(delta(unit), tp_unit(H, 2)), wit)
+
+    wit = _first_failure(("i", "j"), n, lambda i, j:
+                         eps(prods[i][j]) != f.mul(H.counit[i], H.counit[j]))
+    rep.add("counit_algebra_map", wit is None and f.is_one(H.eps(H.unit)), wit)
 
     prod_f = tp_mul(H, H.phi_terms(), H.phi_inv_terms())
     prod_b = tp_mul(H, H.phi_inv_terms(), H.phi_terms())
@@ -715,17 +686,9 @@ def validate_structure(H: QuasiHopfAlgebra) -> CheckReport:
     rep.add("antipode_inverse_pair",
             H.antipode * H.antipode_inv == eye and H.antipode_inv * H.antipode == eye)
 
-    ok, wit = True, None
-    for i in range(n):
-        for j in range(n):
-            lhs = H.apply_s(H.mult_vec(H.basis(i), H.basis(j)))
-            rhs = H.mult_vec(H.apply_s(H.basis(j)), H.apply_s(H.basis(i)))
-            if lhs != rhs:
-                ok, wit = False, (("i", i), ("j", j))
-                break
-        if not ok:
-            break
-    rep.add("antipode_antihom", ok and H.apply_s(H.unit) == H.unit, wit)
+    wit = _first_failure(("i", "j"), n, lambda i, j:
+                         antipode(prods[i][j]) != mul(s_cols[j], s_cols[i]))
+    rep.add("antipode_antihom", wit is None and H.apply_s(H.unit) == H.unit, wit)
     return rep
 
 

@@ -6,8 +6,8 @@ from qha.fields import rationals, prime_field
 from qha.linalg import Matrix
 from qha.quasihopf import (group_algebra, sweedler_h4, twisted_dual_group_algebra,
                            cyclic_group_table, symmetric_group_table,
-                           z2_nontrivial_cocycle, regular_module, trivial_module,
-                           hom_module_morphisms, HModule)
+                           z2_nontrivial_cocycle, z3_nontrivial_cocycle,
+                           regular_module, trivial_module, hom_module_morphisms, HModule)
 from qha.algebroid import BaseRing
 
 QQ = rationals()
@@ -44,6 +44,13 @@ def twisted_q():
 def twisted_f5():
     return twisted_dual_group_algebra(F5, cyclic_group_table(2),
                                       z2_nontrivial_cocycle(F5))
+
+
+@pytest.fixture(scope="session")
+def twisted_z3_f7():
+    """k^Z3_w over GF(7): its Phi changes when two of its legs are exchanged."""
+    f = prime_field(7)
+    return twisted_dual_group_algebra(f, cyclic_group_table(3), z3_nontrivial_cocycle(f))
 
 
 def base_ring_t2(field):

@@ -549,3 +549,32 @@ def test_rebracketing_is_built_once_per_chain(twisted_q):
     fresh = TensorPowerChain(A, 5)
     assert [fresh.rebracket_front(k) for k in sorted(order)] == \
         [m for _, m in sorted(zip(order, fronts), key=lambda km: km[0])]
+
+
+def test_multiplications_and_unit_insertions_are_built_once_per_chain(twisted_q,
+                                                                      monkeypatch):
+    import qha.quasihopf
+    from qha.cyclic import TensorPowerChain, _mult_map, _unit_insertion
+    A = dual_numbers_algebra_trivial_over(twisted_q)
+    real = qha.quasihopf.associator
+    built = []
+
+    def counted(*mods):
+        built.append(tuple(X.dim for X in mods))
+        return real(*mods)
+    monkeypatch.setattr(qha.quasihopf, "associator", counted)
+    chain = TensorPowerChain(A, 5)
+    mult_keys = [(5, 3), (4, 0), (5, 0), (3, 1), (2, 0), (4, 2), (5, 1), (3, 0)]
+    unit_keys = [(4, 1), (2, 2), (4, 4), (1, 0), (3, 1), (4, 0), (1, 1)]
+    mults = [_mult_map(chain, k, i) for k, i in mult_keys]
+    units = [_unit_insertion(chain, k, p) for k, p in unit_keys]
+    assert all(_mult_map(chain, k, i) is m for (k, i), m in zip(mult_keys, mults))
+    assert all(_unit_insertion(chain, k, p) is u for (k, p), u in zip(unit_keys, units))
+    # one associator per last-slot multiplication (k = 3, 4, 5), each built once
+    assert sorted(built) == [(2, 2, 2), (4, 2, 2), (8, 2, 2)]
+    # the kept maps do not depend on the order they were asked for in
+    fresh = TensorPowerChain(A, 5)
+    assert [_mult_map(fresh, k, i) for k, i in sorted(mult_keys)] == \
+        [m for _, m in sorted(zip(mult_keys, mults), key=lambda km: km[0])]
+    assert [_unit_insertion(fresh, k, p) for k, p in sorted(unit_keys)] == \
+        [u for _, u in sorted(zip(unit_keys, units), key=lambda ku: ku[0])]

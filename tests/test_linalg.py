@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from qha.fields import FieldError, rationals, prime_field
 from qha.linalg import (Matrix, Subspace, ShapeError, kernel, solve,
                         quotient_section, tensor_index, intertwiner_space,
-                        lmul_blocks)
+                        kron_sum, lmul_blocks)
 
 QQ = rationals()
 F2 = prime_field(2)
@@ -252,3 +252,67 @@ def test_stacks_of_maps():
     assert s.stack_coordinates(s.basis_stack(3)).is_identity()
     with pytest.raises(ShapeError):
         stack.side_by_side(3)
+
+
+# -- the sparse Kronecker accumulator ------------------------------------------
+
+def entrywise_kron(a, b):
+    """a (x) b entry by entry: a[i, j] b[k, l] sits in row tensor_index(i, k)
+    and column tensor_index(j, l)."""
+    f = a.field
+    ent = [[f.zero] * (a.cols * b.cols) for _ in range(a.rows * b.rows)]
+    for i, j, k, l in itertools.product(range(a.rows), range(a.cols),
+                                        range(b.rows), range(b.cols)):
+        ent[tensor_index(i, k, b.rows)][tensor_index(j, l, b.cols)] = \
+            f.mul(a.get(i, j), b.get(k, l))
+    return Matrix(f, a.rows * b.rows, a.cols * b.cols, [x for r in ent for x in r])
+
+
+def dense_kron_sum(field, rows, cols, terms):
+    """The reference: sum of c * (F_1 (x) ... (x) F_k), one dense matrix per term."""
+    out = Matrix.zeros(field, rows, cols)
+    for c, factors in terms:
+        prod = factors[0]
+        for g in factors[1:]:
+            prod = entrywise_kron(prod, g)
+        out = out + prod.scale(c)
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), min_size=1, max_size=3),
+       st.integers(0, 4), st.booleans(), st.data())
+def test_kron_sum_is_the_dense_sum_gf5(shapes, n_terms, cancel, data):
+    rows = cols = 1
+    for r, c in shapes:
+        rows, cols = rows * r, cols * c
+    # sparse factors: most entries zero, as in action matrices
+    entry = st.sampled_from([0, 0, 0, 1, 2, 3, 4])
+    terms = [(data.draw(st.integers(0, 4)),
+              [Matrix(F5, r, c, data.draw(st.lists(entry, min_size=r * c, max_size=r * c)))
+               for r, c in shapes])
+             for _ in range(n_terms)]
+    if cancel and terms:
+        # a term and its negative: together they add up to zero
+        c, factors = terms[0]
+        terms.append((F5.neg(c), factors))
+    got = kron_sum(F5, rows, cols, terms)
+    assert got == dense_kron_sum(F5, rows, cols, terms)
+    assert kron_sum(F5, rows, cols, terms[::-1]) == got
+    if cancel and n_terms == 1:
+        assert got.is_zero()
+
+
+def test_kron_sum_edge_cases():
+    a = mat(QQ, [[1, 0], [0, 2]])
+    b = mat(QQ, [[0, 3, 1]])
+    assert kron_sum(QQ, 2, 6, []) == Matrix.zeros(QQ, 2, 6)
+    assert kron_sum(QQ, 2, 6, [(QQ.zero, [a, b])]) == Matrix.zeros(QQ, 2, 6)
+    two = QQ.from_int(2)
+    assert kron_sum(QQ, 2, 6, [(two, [a, b]), (QQ.neg(two), [a, b])]).is_zero()
+    assert a.kron(b) == entrywise_kron(a, b)
+    assert b.transpose().kron(a) == entrywise_kron(b.transpose(), a)
+    # an element's action: a one-factor sum
+    assert kron_sum(QQ, 2, 2, [(QQ.from_int(3), [a]), (QQ.one, [a])]) == a.scale(two + two)
+    with pytest.raises(ShapeError):
+        kron_sum(QQ, 2, 6, [(QQ.one, [a, b]), (QQ.one, [a, a])])

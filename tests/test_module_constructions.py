@@ -1,0 +1,157 @@
+"""Module constructions against dense references.
+
+Every construction below is a short sum of Kronecker products of action
+matrices.  The references build each term as a dense matrix and add them
+one by one, straight from the defining formulas.
+"""
+
+import pytest
+
+from qha.linalg import Matrix
+from qha.quasihopf import (regular_module, trivial_module, tensor_module, associator,
+                           left_hom, zeta_l)
+from qha.algebroid import (base_ring_dual_numbers, enveloping_algebroid,
+                           regular_algebroid_module, base_module, tensor_over_base,
+                           module_tensor_relations, left_hom_algebroid,
+                           right_linear_hom_basis)
+from qha.coefficients import assoc_left_nest, assoc_swap_curry, assoc_right_nest
+
+from conftest import F5, random_module, random_intertwiner
+
+
+def dense_act(V, vec):
+    f = V.parent.field
+    out = Matrix.zeros(f, V.dim, V.dim)
+    for i, c in enumerate(vec):
+        out = out + V.mats[i].scale(c)
+    return out
+
+
+def dense_tensor_actions(V, W, terms):
+    """a . (v (x) w) = a^1 v (x) a^2 w, one matrix per basis element a."""
+    H = V.parent
+    d = V.dim * W.dim
+    mats = []
+    for i in range(H.dim):
+        m = Matrix.zeros(H.field, d, d)
+        for c, p, q in terms(i):
+            m = m + dense_act(V, H.basis(p)).kron(dense_act(W, H.basis(q))).scale(c)
+        mats.append(m)
+    return mats
+
+
+def dense_associator(V, W, U):
+    H = V.parent
+    d = V.dim * W.dim * U.dim
+    out = Matrix.zeros(H.field, d, d)
+    for (x, y, z), c in H.phi_terms().items():
+        out = out + V.mats[x].kron(W.mats[y]).kron(U.mats[z]).scale(c)
+    return out
+
+
+def dense_hom_actions(V, M, terms, antipode):
+    """h . phi = h^1 phi(S(h^2) -) on Hom_k(V, M), row-major."""
+    H = V.parent
+    d = M.dim * V.dim
+    mats = []
+    for i in range(H.dim):
+        m = Matrix.zeros(H.field, d, d)
+        for c, p, q in terms(i):
+            pre = dense_act(V, antipode(H.basis(q))).transpose()
+            m = m + dense_act(M, H.basis(p)).kron(pre).scale(c)
+        mats.append(m)
+    return mats
+
+
+def dense_zeta_l(f_mat, M, N, L):
+    """f |-> (m |-> f(P m (x) Q beta S(R) -)), read off column by column."""
+    H = M.parent
+    d = M.dim * N.dim
+    kmat = Matrix.zeros(H.field, d, d)
+    for (p, q, r), c in H.phi_inv_terms().items():
+        nq = dense_act(N, H.prod(H.basis(q), H.beta, H.apply_s(H.basis(r))))
+        kmat = kmat + dense_act(M, H.basis(p)).kron(nq).scale(c)
+    g = f_mat * kmat
+    # the value at e_i is the map e_b |-> g(e_i (x) e_b), at index a*dN + b
+    return Matrix.from_rows(H.field, [[g.get(a, i * N.dim + b) for i in range(M.dim)]
+                                      for a in range(L.dim) for b in range(N.dim)])
+
+
+def dense_phi_decorated(V, W, M, legs):
+    H = V.parent
+    d = M.dim * V.dim * W.dim
+    out = Matrix.zeros(H.field, d, d)
+    for xyz, c in H.phi_terms().items():
+        m, v, w = (xyz[k] for k in legs)
+        pv = dense_act(V, H.apply_s(H.basis(v))).transpose()
+        pw = dense_act(W, H.apply_s(H.basis(w))).transpose()
+        out = out + M.mats[m].kron(pv).kron(pw).scale(c)
+    return out
+
+
+def swap_mw_v(f, d, dw, dv):
+    """The permutation from (m, w, v)-ordered carriers to (m, v, w)-ordered ones."""
+    size = d * dw * dv
+    cols = []
+    for m in range(d):
+        for w in range(dw):
+            for v in range(dv):
+                col = [f.zero] * size
+                col[(m * dv + v) * dw + w] = f.one
+                cols.append(col)
+    return Matrix.from_cols(f, cols, ambient=size)
+
+
+@pytest.fixture(params=["h4_q", "twisted_q", "twisted_z3_f7"])
+def quasi(request):
+    H = request.getfixturevalue(request.param)
+    return H, [regular_module(H), trivial_module(H), random_module(H, 3, seed=7)]
+
+
+def test_quasi_hopf_constructions_match_dense_references(quasi):
+    H, (reg, triv, rand) = quasi
+    pairs = [(reg, rand), (rand, reg), (rand, triv), (triv, reg)]
+    for V, W in pairs:
+        assert list(tensor_module(V, W).mats) == dense_tensor_actions(V, W, H.delta_terms)
+        assert list(left_hom(V, W).mats) == \
+            dense_hom_actions(V, W, H.delta_terms, H.apply_s)
+        assert dense_act(V, H.beta) == V.act(H.beta)
+    for U, V, W in [(reg, rand, triv), (rand, reg, rand), (triv, triv, reg)]:
+        assert associator(U, V, W) == dense_associator(U, V, W)
+
+
+def test_zeta_l_matches_dense_reference(quasi):
+    H, (reg, triv, rand) = quasi
+    checked = 0
+    for M, N, L in [(reg, rand, reg), (rand, reg, rand), (reg, reg, triv)]:
+        f_mat = random_intertwiner(tensor_module(M, N), L, seed=3)
+        if f_mat is not None:
+            assert zeta_l(f_mat, M, N, L) == dense_zeta_l(f_mat, M, N, L)
+            checked += 1
+    assert checked >= 2
+
+
+def test_phi_decorated_associativity_maps_match_dense_references(quasi):
+    H, (reg, triv, rand) = quasi
+    f = H.field
+    for V, W, M in [(reg, rand, triv), (rand, reg, rand), (triv, reg, reg)]:
+        perm = swap_mw_v(f, M.dim, W.dim, V.dim)
+        assert assoc_left_nest(H, V, W, M) == dense_phi_decorated(V, W, M, (0, 2, 1)) * perm
+        assert assoc_swap_curry(H, V, W, M) == dense_phi_decorated(V, W, M, (1, 2, 0)) * perm
+        assert assoc_right_nest(H, V, W, M) == dense_phi_decorated(V, W, M, (2, 1, 0))
+
+
+def test_algebroid_constructions_match_dense_references():
+    H = enveloping_algebroid(base_ring_dual_numbers(F5))
+    reg, base = regular_algebroid_module(H), base_module(H)
+    for M, N in [(reg, base), (base, reg), (base, base), (reg, reg)]:
+        mod, rel = tensor_over_base(M, N)
+        assert rel.relations == module_tensor_relations(M, N).relations
+        amb = dense_tensor_actions(M, N, H.delta_l_terms)
+        assert list(mod.mats) == [rel.projector * a * rel.lift for a in amb]
+
+        hom, basis = left_hom_algebroid(M, N)
+        assert basis == right_linear_hom_basis(M, N)
+        full = dense_hom_actions(M, N, H.delta_r_terms, H.apply_s)
+        assert list(hom.mats) == [basis.coordinate_matrix(m * basis.basis_matrix())
+                                  for m in full]

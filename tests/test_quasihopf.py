@@ -366,3 +366,77 @@ def test_cop_passes_every_suite(name):
          "kS3": lambda: group_algebra(QQ, symmetric_group_table(3))}[name]()
     assert all_checks_pass(H.cop)
     assert H.cop is H.cop
+
+
+def _bumped(H, part, pos):
+    """H with one structure constant raised by one."""
+    f, n = H.field, H.dim
+    parts = {"mult": list(H.mult), "unit": list(H.unit), "counit": list(H.counit),
+             "comult": [x for row in H.comult for x in row],
+             "antipode": list(H.antipode.entries)}
+    parts[part][pos] = f.add(parts[part][pos], f.one)
+    comult = [parts["comult"][i * n * n:(i + 1) * n * n] for i in range(n)]
+    return QuasiHopfAlgebra(f, n, parts["mult"], parts["unit"], comult, parts["counit"],
+                            Matrix(f, n, n, parts["antipode"]), H.antipode_inv,
+                            H.phi, H.phi_inv, H.alpha, H.beta, name=H.name)
+
+
+# failed check -> witness (indices i, j, k), recorded with the dense
+# vector-at-a-time implementation of validate_structure
+BUMPED_STRUCTURE_FAILURES = {
+    ("kS3", "mult", 0): {"mult_associative": (0, 0, 1), "mult_unital": (0,),
+                         "comult_algebra_map": (0, 0), "counit_algebra_map": (0, 0),
+                         "phi_invertible": None},
+    ("kS3", "mult", 7): {"mult_associative": (0, 0, 1), "mult_unital": (1,),
+                         "comult_algebra_map": (0, 1), "counit_algebra_map": (0, 1),
+                         "antipode_antihom": (0, 1)},
+    ("kS3", "mult", 36): {"mult_associative": (1, 0, 0), "mult_unital": (1,),
+                          "comult_algebra_map": (1, 0), "counit_algebra_map": (1, 0),
+                          "antipode_antihom": (0, 1)},
+    ("kS3", "mult", 43): {"mult_associative": (1, 1, 2), "comult_algebra_map": (1, 1),
+                          "counit_algebra_map": (1, 1)},
+    ("kS3", "mult", 100): {"mult_associative": (1, 2, 4), "comult_algebra_map": (2, 4),
+                           "counit_algebra_map": (2, 4), "antipode_antihom": (2, 4)},
+    ("kS3", "mult", 151): {"mult_associative": (1, 2, 1), "comult_algebra_map": (4, 1),
+                           "counit_algebra_map": (4, 1), "antipode_antihom": (1, 3)},
+    ("kS3", "mult", 215): {"mult_associative": (1, 3, 5), "comult_algebra_map": (5, 5),
+                           "counit_algebra_map": (5, 5)},
+    ("kS3", "unit", 2): {"mult_unital": (0,), "comult_algebra_map": None,
+                         "counit_algebra_map": None, "phi_invertible": None},
+    ("kS3", "counit", 4): {"counit_algebra_map": (1, 2)},
+    ("kS3", "comult", 50): {"comult_algebra_map": (1, 1)},
+    ("kS3", "antipode", 13): {"antipode_inverse_pair": None, "antipode_antihom": (1, 1)},
+    ("H4", "mult", 0): {"mult_associative": (0, 0, 1), "mult_unital": (0,),
+                        "comult_algebra_map": (0, 0), "counit_algebra_map": (0, 0),
+                        "phi_invertible": None},
+    ("H4", "mult", 5): {"mult_associative": (0, 0, 1), "mult_unital": (1,),
+                        "comult_algebra_map": (0, 1), "counit_algebra_map": (0, 1),
+                        "antipode_antihom": (0, 1)},
+    ("H4", "mult", 17): {"mult_associative": (1, 0, 0), "mult_unital": (1,),
+                         "comult_algebra_map": (1, 0), "counit_algebra_map": (1, 0),
+                         "antipode_antihom": (0, 1)},
+    ("H4", "mult", 22): {"mult_associative": (1, 1, 1), "comult_algebra_map": (1, 1),
+                         "antipode_antihom": (1, 1)},
+    ("H4", "mult", 41): {"mult_associative": (1, 2, 2), "comult_algebra_map": (2, 2),
+                         "counit_algebra_map": (2, 2), "antipode_antihom": (2, 2)},
+    ("H4", "mult", 58): {"mult_associative": (1, 2, 2), "comult_algebra_map": (3, 2),
+                         "antipode_antihom": (3, 2)},
+    ("H4", "mult", 63): {"mult_associative": (1, 2, 3), "comult_algebra_map": (3, 3),
+                         "antipode_antihom": (2, 2)},
+    ("H4", "unit", 0): {"mult_unital": (0,), "comult_algebra_map": None,
+                        "counit_algebra_map": None, "phi_invertible": None},
+    ("H4", "counit", 2): {"counit_algebra_map": (1, 2)},
+    ("H4", "comult", 37): {"comult_algebra_map": (1, 2)},
+    ("H4", "antipode", 11): {"antipode_inverse_pair": None, "antipode_antihom": (1, 2)},
+}
+
+
+@pytest.mark.parametrize("case", sorted(BUMPED_STRUCTURE_FAILURES))
+def test_corrupted_structure_constants_keep_their_witnesses(case, ks3_q, h4_q):
+    name, part, pos = case
+    H = _bumped({"kS3": ks3_q, "H4": h4_q}[name], part, pos)
+    rep = validate_structure(H)
+    got = {r.check_id: r.counterexample for r in rep.results if not r.passed}
+    want = {cid: None if idx is None else tuple(zip("ijk", idx))
+            for cid, idx in BUMPED_STRUCTURE_FAILURES[case].items()}
+    assert got == want
