@@ -19,7 +19,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from .fields import Field
-from .linalg import (Matrix, Subspace, quotient_section,
+from .linalg import (Matrix, Subspace, block_matrix, quotient_section,
                      intertwiner_space, kron_sum, lmul_blocks, basis_vec)
 from .reports import CheckReport
 from .quasihopf import (HModule, QuasiHopfAlgebra, StructureError, IntertwinerError,
@@ -189,18 +189,6 @@ class HopfAlgebroid:
     def apply_s_inv(self, vec):
         return self.antipode_inv.apply(vec)
 
-    def s_l_vec(self, rvec):
-        return self.s_l.apply(rvec)
-
-    def t_l_vec(self, rvec):
-        return self.t_l.apply(rvec)
-
-    def s_r_vec(self, rvec):
-        return self.s_r.apply(rvec)
-
-    def t_r_vec(self, rvec):
-        return self.t_r.apply(rvec)
-
     def delta_l_terms(self, i: int):
         return self._delta_terms(self.delta_l_lift, i)
 
@@ -238,24 +226,8 @@ class HopfAlgebroid:
             lambda b: self.right_mult_matrix(self.t_r.col(b)))
 
     def _pair_relations(self, first_op, second_op) -> Subspace:
-        f = self.field
-        n = self.dim
-        gens = []
-        for b in range(self.base.dim):
-            op1, op2 = first_op(b), second_op(b)
-            for x in range(n):
-                c1 = op1.col(x)
-                for y in range(n):
-                    vec = [f.zero] * (n * n)
-                    for i, v in enumerate(c1):
-                        if v != 0:
-                            vec[i * n + y] = v
-                    c2 = op2.col(y)
-                    for j, v in enumerate(c2):
-                        if v != 0:
-                            vec[x * n + j] = f.sub(vec[x * n + j], v)
-                    gens.append(tuple(vec))
-        return Subspace.from_generators(f, n * n, gens)
+        return _relation_space(self.field, [(first_op(b), second_op(b))
+                                            for b in range(self.base.dim)], self.dim, self.dim)
 
     # -- reversed structures --------------------------------------------------
 
@@ -341,10 +313,8 @@ class HopfAlgebroid:
 
     def structural_key(self):
         return ("algebroid", self.dim, self.base.dim, self.mult, self.unit,
-                self.s_l.entries, self.t_l.entries, self.s_r.entries,
-                self.t_r.entries, self.delta_l_lift.entries,
-                self.delta_r_lift.entries, self.eps_l.entries, self.eps_r.entries,
-                self.antipode.entries)
+                self.s_l, self.t_l, self.s_r, self.t_r, self.delta_l_lift,
+                self.delta_r_lift, self.eps_l, self.eps_r, self.antipode)
 
     def __repr__(self):
         return "HopfAlgebroid(%s, dim %d over base dim %d)" % (
@@ -390,26 +360,22 @@ class RelationSpace:
             self.ambient_dim, self.relations.dim)
 
 
+def _relation_space(f: Field, pairs, d1: int, d2: int) -> Subspace:
+    """The span of (A x) (x) y - x (x) (B y) over the pairs (A, B) of d1 x d1
+    and d2 x d2 matrices and all basis vectors x, y: the rows of the
+    transposes of A (x) I - I (x) B, stacked."""
+    d = d1 * d2
+    eye1, eye2 = Matrix.identity(f, d1), Matrix.identity(f, d2)
+    blocks = [(k * d, 0, kron_sum(f, d, d, [(f.one, [a.transpose(), eye2]),
+                                            (f.neg(f.one), [eye1, b.transpose()])]))
+              for k, (a, b) in enumerate(pairs)]
+    return Subspace.row_space(block_matrix(f, len(blocks) * d, d, blocks))
+
+
 def module_tensor_relations(M: AlgebroidModule, N: AlgebroidModule) -> RelationSpace:
     H = M.parent
-    f = H.field
-    gens = []
-    for b in range(H.base.dim):
-        tl = M.act(H.t_l.col(b))
-        sl = N.act(H.s_l.col(b))
-        for x in range(M.dim):
-            c1 = tl.col(x)
-            for y in range(N.dim):
-                vec = [f.zero] * (M.dim * N.dim)
-                for i, v in enumerate(c1):
-                    if v != 0:
-                        vec[i * N.dim + y] = v
-                c2 = sl.col(y)
-                for j, v in enumerate(c2):
-                    if v != 0:
-                        vec[x * N.dim + j] = f.sub(vec[x * N.dim + j], v)
-                gens.append(tuple(vec))
-    return RelationSpace(f, M.dim * N.dim, Subspace.from_generators(f, M.dim * N.dim, gens))
+    pairs = [(M.act(H.t_l.col(b)), N.act(H.s_l.col(b))) for b in range(H.base.dim)]
+    return RelationSpace(H.field, M.dim * N.dim, _relation_space(H.field, pairs, M.dim, N.dim))
 
 
 def tensor_over_base(M: AlgebroidModule, N: AlgebroidModule):
@@ -513,14 +479,8 @@ def ev_l_algebroid(V: AlgebroidModule, M: AlgebroidModule):
     """
     hom_mod, hom_basis = left_hom_algebroid(V, M)
     tens, rel = tensor_over_base(hom_mod, V)
-    f = M.parent.field
-    amb_cols = []
-    bm = hom_basis.basis_matrix()
-    for c in range(hom_mod.dim):
-        fmat = Matrix(f, M.dim, V.dim, bm.col(c))
-        for v in range(V.dim):
-            amb_cols.append(fmat.col(v))
-    amb = Matrix.from_cols(f, amb_cols, ambient=M.dim)
+    # column c*dV + v: the hom basis map c evaluated at e_v
+    amb = _uncurry(hom_basis.basis_matrix(), V.dim)
     ev = amb * rel.lift
     if ev * rel.projector != amb:
         raise StructureError("ev^l is not constant on tensor relation classes")
@@ -540,8 +500,7 @@ def ev_r_algebroid(V: AlgebroidModule, M: AlgebroidModule):
     f = M.parent.field
     d1, d2 = hom_mod.dim, V.dim
     swapped = _swap_factors(cop_rel.relations.basis_stack(d1 * d2), d1, d2)
-    rel = RelationSpace(f, d1 * d2, Subspace.from_generators(
-        f, d1 * d2, [swapped.row(i) for i in range(swapped.rows)]))
+    rel = RelationSpace(f, d1 * d2, Subspace.row_space(swapped))
     # cop quotient -> H quotient: projector . (swap of the ambient) . lift
     to_h = rel.projector * _swap_factors(cop_rel.lift.transpose(), d1, d2).transpose()
     mats = [to_h * _swap_domain(m, cop_rel, rel, d1, d2) for m in cop_tens.mats]
@@ -882,28 +841,15 @@ def _pair_product(H: HopfAlgebroid, terms1, terms2):
 
 def _triple_relations(H: HopfAlgebroid, kinds) -> Subspace:
     """Relation subspace of H^(x)3 for the pair of tensor signs in ``kinds``:
-    "l" for (x)_{R_l} (t_l x (x) y - x (x) s_l y), "r" for (x)_{R_r}."""
+    "l" for (x)_{R_l} (t_l x (x) y - x (x) s_l y), "r" for (x)_{R_r}; the
+    first sign sits between slots 1|2, the second between 2|3."""
     f = H.field
-    n = H.dim
-    gens = []
-    for pos, kind in enumerate(kinds):       # pos 0: between slots 1|2, pos 1: 2|3
-        if kind == "l":
-            pair = H.rel_l
-        else:
-            pair = H.rel_r
-        for v in pair.basis:
-            for extra in range(n):
-                vec = [f.zero] * (n ** 3)
-                for idx, c in enumerate(v):
-                    if c == 0:
-                        continue
-                    p, q = divmod(idx, n)
-                    if pos == 0:
-                        vec[(p * n + q) * n + extra] = c
-                    else:
-                        vec[(extra * n + p) * n + q] = c
-                gens.append(tuple(vec))
-    return Subspace.from_generators(f, n ** 3, gens)
+    eye = Matrix.identity(f, H.dim)
+    first, second = [(H.rel_l if kind == "l" else H.rel_r).basis_matrix().transpose()
+                     for kind in kinds]
+    a, b = first.kron(eye), eye.kron(second)
+    return Subspace.row_space(block_matrix(f, a.rows + b.rows, H.dim ** 3,
+                                           [(0, 0, a), (a.rows, 0, b)]))
 
 
 def _delta3(H: HopfAlgebroid, lift_outer: Matrix, lift_inner: Matrix, i: int,

@@ -12,12 +12,12 @@ constraint.  Every check rejects data of the wrong flavor.
 
 from __future__ import annotations
 
-from .linalg import (Matrix, basis_vec, vec_scale, intertwiner_space, kron_sum,
-                     quotient_section)
+from .linalg import (Matrix, basis_vec, block_matrix, vec_scale, intertwiner_space,
+                     kron_sum, quotient_section)
 from .reports import AydReport
 from .quasihopf import (HModule, QuasiHopfAlgebra, IntertwinerError, StructureError,
                         left_hom, right_hom, tensor_module, regular_module,
-                        is_intertwiner)
+                        is_intertwiner, _swap_factors)
 
 HOPF_MU = "HopfMu"
 QUASI_I = "QuasiTypeI"
@@ -54,7 +54,7 @@ class Contramodule:
 
     def mu_apply(self, g: Matrix):
         """mu of the map H -> M with matrix g (dM x dim H)."""
-        return self.mu.apply(g.entries)
+        return (self.mu * g.reshaped(g.rows * g.cols, 1)).col(0)
 
     def with_flavor(self, flavor: str) -> "Contramodule":
         return Contramodule(self.carrier, self.mu, flavor)
@@ -335,49 +335,26 @@ def tau_matrix(C: Contramodule, V: HModule) -> Matrix:
     This is the weak-center map for the Hopf, type I and algebroid flavors;
     type II uses the Phi-decorated reconstruction in tau_matrix_type_II.
     """
-    H = C.parent
-    f = C.field
-    d, dv, n = C.carrier.dim, V.dim, H.dim
-    cols = {}
-    for a in range(d):
-        for b in range(dv):
-            for c in range(dv):
-                g = Matrix.from_rows(
-                    f, [[V.mats[x].get(b, c) if i == a else f.zero for x in range(n)]
-                        for i in range(d)])
-                out = C.mu_apply(g)
-                for i in range(d):
-                    if out[i] != 0:
-                        cols.setdefault(a * dv + b, {})[i * dv + c] = out[i]
-    return _cols_to_matrix(f, cols, d * dv, d * dv)
+    return _mu_contraction(C.mu, V.mats, V.dim)
 
 
 def theta_matrix(C: Contramodule, V: HModule) -> Matrix:
     """theta_V(f)(v) = mu(h |-> f(S^-1(h) v)), inverse to tau in the Hopf case."""
     H = C.parent
-    f = C.field
-    d, dv, n = C.carrier.dim, V.dim, H.dim
-    pre = [V.act(H.apply_s_inv(H.basis(x))) for x in range(n)]
-    cols = {}
-    for a in range(d):
-        for b in range(dv):
-            for c in range(dv):
-                g = Matrix.from_rows(
-                    f, [[pre[x].get(b, c) if i == a else f.zero for x in range(n)]
-                        for i in range(d)])
-                out = C.mu_apply(g)
-                for i in range(d):
-                    if out[i] != 0:
-                        cols.setdefault(a * dv + b, {})[i * dv + c] = out[i]
-    return _cols_to_matrix(f, cols, d * dv, d * dv)
+    return _mu_contraction(C.mu, [V.act(H.apply_s_inv(H.basis(x))) for x in range(H.dim)],
+                           V.dim)
 
 
-def _cols_to_matrix(f, cols, nrows, ncols) -> Matrix:
-    ent = [f.zero] * (nrows * ncols)
-    for j, col in cols.items():
-        for i, v in col.items():
-            ent[i * ncols + j] = v
-    return Matrix(f, nrows, ncols, ent)
+def _mu_contraction(mu: Matrix, mats, dv: int) -> Matrix:
+    """f |-> (v |-> mu(x |-> f(mats[x] v))) on the carrier of Hom(V, M), for
+    a d x (d*n) contraaction mu and n matrices acting on V (dv x dv)."""
+    d, n = mu.rows, len(mats)
+    acts = block_matrix(mu.field, n, dv * dv,
+                        [(x, 0, m.reshaped(1, dv * dv)) for x, m in enumerate(mats)])
+    # (mu read as (d*d) x n) * acts holds sum_x mu[i, a*n + x] mats[x][b, c] at
+    # (i*d + a, b*dv + c); the map has it at (i*dv + c, a*dv + b)
+    return (mu.reshaped(d * d, n) * acts).reindexed(
+        d * dv, d * dv, lambda r, k: (r // d * dv + k % dv, r % d * dv + k // dv))
 
 
 def tau_matrix_type_II(C: Contramodule, V: HModule) -> Matrix:
@@ -385,6 +362,7 @@ def tau_matrix_type_II(C: Contramodule, V: HModule) -> Matrix:
     H = C.parent
     f = C.field
     d, dv, n = C.carrier.dim, V.dim, H.dim
+    eye_n = Matrix.identity(f, n)
     terms = []
     for (x, y, z), coef in H.phi_terms().items():
         w = H.prod(H.basis(y), H.apply_s_inv(H.beta), H.apply_s_inv(H.basis(x)))
@@ -394,28 +372,7 @@ def tau_matrix_type_II(C: Contramodule, V: HModule) -> Matrix:
             v_pre = V.act(H.apply_s(H.basis(z2)))
             post = C.carrier.mats[z1]
             chain = [v_pre * V.mats[xx] * v_w for xx in range(n)]
-            cols = {}
-            for a in range(d):
-                pa = post.col(a)
-                for b in range(dv):
-                    for c in range(dv):
-                        g_rows = [[f.zero] * n for _ in range(d)]
-                        nonzero = False
-                        for xx in range(n):
-                            s = chain[xx].get(b, c)
-                            if s != 0:
-                                for i in range(d):
-                                    if pa[i] != 0:
-                                        g_rows[i][xx] = f.add(g_rows[i][xx],
-                                                              f.mul(s, pa[i]))
-                                nonzero = True
-                        if not nonzero:
-                            continue
-                        res = C.mu_apply(Matrix.from_rows(f, g_rows))
-                        for i in range(d):
-                            if res[i] != 0:
-                                cols.setdefault(a * dv + b, {})[i * dv + c] = res[i]
-            terms.append((c2, [_cols_to_matrix(f, cols, d * dv, d * dv)]))
+            terms.append((c2, [_mu_contraction(C.mu * post.kron(eye_n), chain, dv)]))
     return kron_sum(f, d * dv, d * dv, terms)
 
 
@@ -450,20 +407,8 @@ def tau_from_contramodule(C: Contramodule, V: HModule) -> Matrix:
 def mu_from_tau(C_carrier: HModule, tau_h: Matrix) -> Matrix:
     """Extract mu(f) = tau_H(f)(1) from tau on the regular module."""
     H = C_carrier.parent
-    f = H.field
-    d, n = C_carrier.dim, H.dim
-    cols = []
-    for j in range(d):
-        for a in range(n):
-            tcol = tau_h.col(j * n + a)
-            out = [f.zero] * d
-            for i in range(d):
-                for c in range(n):
-                    u = H.unit[c]
-                    if u != 0 and tcol[i * n + c] != 0:
-                        out[i] = f.add(out[i], f.mul(u, tcol[i * n + c]))
-            cols.append(tuple(out))
-    return Matrix.from_cols(f, cols, ambient=d)
+    unit = Matrix(H.field, 1, H.dim, H.unit)
+    return Matrix.identity(H.field, C_carrier.dim).kron(unit) * tau_h
 
 
 # -- quasi-Hopf flavors ---------------------------------------------------------
@@ -498,15 +443,7 @@ def assoc_right_nest(H, V: HModule, W: HModule, M: HModule) -> Matrix:
 
 def _perm_mwv_to_mvw(f, d, dw, dv) -> Matrix:
     """Permutation from (m, w, v)-ordered carriers to (m, v, w)-ordered ones."""
-    size = d * dw * dv
-    ent = [f.zero] * (size * size)
-    for m in range(d):
-        for w in range(dw):
-            for v in range(dv):
-                src = (m * dw + w) * dv + v
-                dst = (m * dv + v) * dw + w
-                ent[dst * size + src] = f.one
-    return Matrix(f, size, size, ent)
+    return Matrix.identity(f, d).kron(_swap_factors(Matrix.identity(f, dw * dv), dv, dw))
 
 
 def tau_raw(C: Contramodule, V: HModule) -> Matrix:
@@ -542,18 +479,8 @@ def hexagon_sides(C: Contramodule, V: HModule, W: HModule, tau_override=None):
 def _eval_at_unit_unit(H, d: int) -> Matrix:
     """Hom(H, Hom(H, M)) -> M, g |-> g(1)(1), both slots the regular module."""
     f = H.field
-    n = H.dim
-    ent = [f.zero] * (d * d * n * n)
-    for i in range(d):
-        for v in range(n):
-            if H.unit[v] == 0:
-                continue
-            for w in range(n):
-                if H.unit[w] == 0:
-                    continue
-                src = (i * n + v) * n + w
-                ent[i * (d * n * n) + src] = f.mul(H.unit[v], H.unit[w])
-    return Matrix(f, d, d * n * n, ent)
+    unit = Matrix(f, 1, H.dim, H.unit)
+    return kron_sum(f, d, d * H.dim * H.dim, [(f.one, [Matrix.identity(f, d), unit, unit])])
 
 
 def _quasi_contra_check(C: Contramodule, check_id: str) -> AydReport:
@@ -692,8 +619,8 @@ def check_contramodule_algebroid(C: Contramodule) -> AydReport:
     phi_basis = intertwiner_space(f, pairs, d, q)
 
     ok, wit = True, None
-    for t in range(phi_basis.dim):
-        amb = Matrix(f, d, q, phi_basis.basis[t]) * proj     # d x n^2
+    for t, vec in enumerate(phi_basis.basis):
+        amb = Matrix(f, d, q, vec) * proj     # d x n^2
         outer = []
         for x in range(n):
             gx = Matrix.from_cols(f, [amb.col(x * n + y) for y in range(n)],
@@ -737,8 +664,8 @@ def _ayd_algebroid_residuals(C: Contramodule, delta_r_lift: Matrix):
         col = delta_r_lift.col(h)
         legs = [(col[p * n + q], p, q) for p in range(n) for q in range(n)
                 if col[p * n + q] != 0]
-        for t in range(basis.dim):
-            fm = Matrix(f, d, n, basis.basis[t])
+        for t, vec in enumerate(basis.basis):
+            fm = Matrix(f, d, n, vec)
             lhs = tuple([f.zero] * d)
             for coef, h1, h2 in legs:
                 rm = H.right_mult_matrix(H.apply_s_inv(H.basis(h1)))
@@ -773,11 +700,9 @@ def check_ayd_algebroid(C: Contramodule) -> AydReport:
 
     # perturb the Delta_r lift by a relation element; residuals must not move
     if H.rel_r.dim > 0:
-        pert = list(H.delta_r_lift.entries)
         relvec = H.rel_r.basis[0]
-        for i in range(n * n):
-            pert[i * n] = f.add(pert[i * n], relvec[i])
-        perturbed = Matrix(f, n * n, n, pert)
+        perturbed = H.delta_r_lift + block_matrix(
+            f, n * n, n, [(0, 0, Matrix.from_cols(f, [relvec]))])
         same = all(
             l1 == l2 and r1 == r2
             for ((l1, r1), (_, l2, r2)) in zip(
@@ -806,8 +731,8 @@ def check_ayd_algebroid(C: Contramodule) -> AydReport:
     for b in range(H.base.dim):
         lm = H.left_mult_matrix(H.s_l.col(b))
         post = M.act(H.t_l.col(b))
-        for t in range(basis.dim):
-            fm = Matrix(f, d, n, basis.basis[t])
+        for t, vec in enumerate(basis.basis):
+            fm = Matrix(f, d, n, vec)
             if C.mu_apply(fm * lm) != post.apply(C.mu_apply(fm)):
                 ok, wit = False, (("r", b), ("f_index", t))
                 break
@@ -819,8 +744,8 @@ def check_ayd_algebroid(C: Contramodule) -> AydReport:
     for b in range(H.base.dim):
         rm = H.right_mult_matrix(H.s_l.col(b))
         post = M.act(H.s_l.col(b))
-        for t in range(basis.dim):
-            fm = Matrix(f, d, n, basis.basis[t])
+        for t, vec in enumerate(basis.basis):
+            fm = Matrix(f, d, n, vec)
             if C.mu_apply(fm * rm) != post.apply(C.mu_apply(fm)):
                 ok, wit = False, (("r", b), ("f_index", t))
                 break

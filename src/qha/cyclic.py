@@ -23,9 +23,10 @@ cohomology from the first-quadrant bicomplex with columns b, -b' and rows
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .fields import Field
-from .linalg import Matrix, kron_sum
+from .linalg import Matrix, block_matrix, kron_sum
 from .reports import CheckReport
 from .quasihopf import (QuasiHopfAlgebra, StructureError,
                         hom_module_morphisms, is_intertwiner, max_tensor_dim)
@@ -316,8 +317,8 @@ def build_cocyclic(A: ModuleAlgebra, M: Contramodule, n_max: int) -> CocyclicMod
         out = space.stack_coordinates(stack)
         if out is None:
             amb = space.ambient_dim
-            b = next(j for j in range(len(stack.entries) // amb)
-                     if space.coordinates(stack.entries[j * amb:(j + 1) * amb]) is None)
+            vecs = stack.reshaped(stack.rows * stack.cols // amb, amb)
+            b = next(j for j in range(vecs.rows) if space.coordinates(vecs.row(j)) is None)
             raise CocyclicError("%s left its intertwiner space" % relation,
                                 **indices, basis=b)
         return out
@@ -447,36 +448,17 @@ def cyclic_cohomology(cc: CocyclicModule, up_to: int) -> CohomologyResult:
         return sum(cc.dim(n - p) for p in range(n + 1))
 
     def total_matrix(n):
-        rows = total_dim(n + 1)
-        cols = total_dim(n)
-        ent = [[f.zero] * cols for _ in range(rows)]
-        col_off = []
-        off = 0
-        for p in range(n + 1):
-            col_off.append(off)
-            off += cc.dim(n - p)
-        row_off = []
-        off = 0
-        for p in range(n + 2):
-            row_off.append(off)
-            off += cc.dim(n + 1 - p)
+        col_off = list(accumulate((cc.dim(n - p) for p in range(n + 1)), initial=0))
+        row_off = list(accumulate((cc.dim(n + 1 - p) for p in range(n + 2)), initial=0))
+        blocks = []
         for p in range(n + 1):
             q = n - p
             vert = cc.boundary(q) if p % 2 == 0 else \
                 cc.boundary_prime(q).scale(f.neg(f.one))
-            for i in range(vert.rows):
-                for j in range(vert.cols):
-                    v = vert.get(i, j)
-                    if v != 0:
-                        ent[row_off[p] + i][col_off[p] + j] = v
             eye = Matrix.identity(f, cc.dim(q))
             horiz = (eye - cc.lam(q)) if p % 2 == 0 else cc.norm(q)
-            for i in range(horiz.rows):
-                for j in range(horiz.cols):
-                    v = horiz.get(i, j)
-                    if v != 0:
-                        ent[row_off[p + 1] + i][col_off[p] + j] = v
-        return Matrix.from_rows(f, ent) if rows else Matrix(f, 0, cols, [])
+            blocks += [(row_off[p], col_off[p], vert), (row_off[p + 1], col_off[p], horiz)]
+        return block_matrix(f, row_off[-1], col_off[-1], blocks)
 
     ranks = [total_matrix(n).rank() for n in range(up_to + 1)]
     dims = [total_dim(n) - ranks[n] - (ranks[n - 1] if n >= 1 else 0)

@@ -11,6 +11,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 
+# the shared constants of Q: one object each, so that comparing two zeros
+# (or two ones) can stop at identity
+_Q_ZERO = Fraction(0)
+_Q_ONE = Fraction(1)
+
+
 class FieldError(ValueError):
     """Bad field specification (non-prime characteristic, etc.)."""
 
@@ -59,11 +65,11 @@ class Field:
 
     @property
     def zero(self):
-        return Fraction(0) if self.kind == "Q" else 0
+        return _Q_ZERO if self.kind == "Q" else 0
 
     @property
     def one(self):
-        return Fraction(1) if self.kind == "Q" else 1 % self.p
+        return _Q_ONE if self.kind == "Q" else 1 % self.p
 
     @property
     def characteristic(self) -> int:
@@ -107,6 +113,9 @@ class Field:
     def parse(self, s: str):
         """Parse a scalar string: "3", "-1/2" over Q; a plain residue over GF(p)."""
         s = s.strip()
+        # most scalars of a structure file are "0" or "1": skip the parser
+        if s == "0" or s == "1":
+            return self.from_int(int(s))
         if self.kind == "Q":
             try:
                 return Fraction(s)
@@ -119,7 +128,11 @@ class Field:
         return n % self.p
 
     def format(self, a) -> str:
-        return str(a)
+        # "0" and "1" are most scalars of a structure file; the literals are
+        # shared objects, where str() would make a new string for each
+        if not a:
+            return "0"
+        return "1" if a == 1 else str(a)
 
     def elements(self):
         """Iterate all field elements; only available for GF(p)."""

@@ -1,13 +1,22 @@
-"""Dense exact linear algebra: matrices, canonical subspaces, quotients.
+"""Sparse exact linear algebra: matrices, canonical subspaces, quotients.
+
+A matrix stores each row as a dict {column: value} of its nonzero entries
+and never stores a zero (all its zero rows are one shared empty dict), so
+every kernel (products, sums, Kronecker sums, index permutations, stacks,
+comparison, elimination) visits the nonzeros only.  Dense row-major entries go in through the constructor and come out
+through ``entries``, ``row``, ``col`` and ``get``.
 
 Everything here is deterministic and exact.  Subspaces are always stored
 with a reduced-row-echelon basis (pivot search by lowest column index), so
 equal subspaces have identical stored bases and all downstream reports are
-bit-reproducible.  Matrices are immutable once built.
+bit-reproducible.  Matrices are immutable once built; their row dicts are
+never changed after construction, so matrices may share them.
 """
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
+from itertools import compress
 from math import prod
 
 from .fields import Field
@@ -29,30 +38,66 @@ def tensor_index(i: int, j: int, dim_w: int, dim_v: int | None = None) -> int:
     return i * dim_w + j
 
 
-class Matrix:
-    """Immutable dense matrix over an exact field, row-major entries."""
+# every all-zero row of every matrix is this one dict, so a tall, mostly
+# empty stack costs one reference per zero row; row dicts are never changed
+# once they are in a matrix
+_EMPTY = {}
 
-    __slots__ = ("field", "rows", "cols", "entries")
+
+def _filled(rows):
+    """The indices of the nonempty rows, skipping the empty ones in C."""
+    return compress(range(len(rows)), rows)
+
+
+def _row_list(rows: int, given: dict) -> list:
+    """rows row dicts: those of given ({row: dict}) where nonempty, the
+    shared empty row elsewhere."""
+    out = [_EMPTY] * rows
+    for i, r in given.items():
+        if r:
+            out[i] = r
+    return out
+
+
+class Matrix:
+    """Immutable sparse matrix over an exact field: one {column: nonzero}
+    dict per row."""
+
+    __slots__ = ("field", "rows", "cols", "_rows")
 
     def __init__(self, field: Field, rows: int, cols: int, entries):
+        """The matrix with the given dense row-major entries; zeros are dropped."""
         entries = tuple(entries)
         if rows < 0 or cols < 0 or len(entries) != rows * cols:
             raise ShapeError("entry count %d does not match %dx%d" % (len(entries), rows, cols))
         self.field = field
         self.rows = rows
         self.cols = cols
-        self.entries = entries
+        self._rows = tuple(
+            {j: a for j, a in enumerate(entries[i * cols:(i + 1) * cols]) if a} or _EMPTY
+            for i in range(rows))
+
+    @classmethod
+    def _sparse(cls, field: Field, rows: int, cols: int, row_maps) -> "Matrix":
+        """The matrix with the given {column: value} rows, taken as they are:
+        one map per row, columns in range and no zero values."""
+        m = object.__new__(cls)
+        m.field = field
+        m.rows = rows
+        m.cols = cols
+        m._rows = tuple(row_maps)
+        return m
 
     # -- construction --------------------------------------------------
 
     @staticmethod
     def zeros(field: Field, rows: int, cols: int) -> "Matrix":
-        return Matrix(field, rows, cols, [field.zero] * (rows * cols))
+        return Matrix._sparse(field, rows, cols, [_EMPTY] * rows)
 
     @staticmethod
     def identity(field: Field, n: int) -> "Matrix":
-        z, o = field.zero, field.one
-        return Matrix(field, n, n, [o if i == j else z for i in range(n) for j in range(n)])
+        one = field.one
+        return Matrix._sparse(field, n, n, [{i: one} for i in range(n)])
 
     @staticmethod
     def from_rows(field: Field, rows) -> "Matrix":
@@ -61,105 +106,157 @@ class Matrix:
         for r in rows:
             if len(r) != ncols:
                 raise ShapeError("ragged rows")
-        return Matrix(field, len(rows), ncols, [a for r in rows for a in r])
+        return Matrix._sparse(field, len(rows), ncols,
+                              [{j: a for j, a in enumerate(r) if a} or _EMPTY for r in rows])
 
     @staticmethod
     def from_cols(field: Field, cols, ambient: int | None = None) -> "Matrix":
         cols = [tuple(c) for c in cols]
         nrows = len(cols[0]) if cols else (ambient or 0)
-        for c in cols:
+        out = [{} for _ in range(nrows)]
+        for j, c in enumerate(cols):
             if len(c) != nrows:
                 raise ShapeError("ragged columns")
-        return Matrix(field, nrows, len(cols),
-                      [cols[j][i] for i in range(nrows) for j in range(len(cols))])
+            for i, a in enumerate(c):
+                if a:
+                    out[i][j] = a
+        return Matrix._sparse(field, nrows, len(cols), [r or _EMPTY for r in out])
 
     # -- access ---------------------------------------------------------
 
     def get(self, i: int, j: int):
-        return self.entries[i * self.cols + j]
+        return self._rows[i].get(j, self.field.zero)
 
     def row(self, i: int):
-        return self.entries[i * self.cols:(i + 1) * self.cols]
+        r, zero = self._rows[i], self.field.zero
+        return tuple(r.get(j, zero) for j in range(self.cols)) if r else (zero,) * self.cols
 
     def col(self, j: int):
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
+        zero = self.field.zero
+        return tuple(r.get(j, zero) for r in self._rows)
 
     def row_list(self):
         return [list(self.row(i)) for i in range(self.rows)]
+
+    @property
+    def entries(self):
+        """The dense row-major entries, built on each access."""
+        return tuple(a for i in range(self.rows) for a in self.row(i))
+
+    def _nonzeros(self):
+        """The nonzero entries as (row, column, value), row-major."""
+        rows = self._rows
+        return [(i, j, a) for i in _filled(rows) for j, a in rows[i].items()]
 
     # -- algebra ----------------------------------------------------------
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.rows == other.rows
-                and self.cols == other.cols and self.entries == other.entries)
+                and self.cols == other.cols and self._rows == other._rows)
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
+        return hash((self.rows, self.cols, frozenset(self._nonzeros())))
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        self._same_shape(other)
-        add = self.field.add
-        return Matrix(self.field, self.rows, self.cols,
-                      [add(a, b) for a, b in zip(self.entries, other.entries)])
+        return self._merge(other, self.field.add)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
+        return self._merge(other, self.field.sub)
+
+    def _merge(self, other: "Matrix", op) -> "Matrix":
+        """The entrywise op(self, other) for op = add or sub (op(0, 0) = 0)."""
         self._same_shape(other)
-        sub = self.field.sub
-        return Matrix(self.field, self.rows, self.cols,
-                      [sub(a, b) for a, b in zip(self.entries, other.entries)])
+        zero = self.field.zero
+        out = list(self._rows)
+        for i in _filled(other._rows):
+            d = dict(out[i])
+            for j, b in other._rows[i].items():
+                v = op(d.get(j, zero), b)
+                if v:
+                    d[j] = v
+                else:
+                    del d[j]
+            out[i] = d or _EMPTY
+        return Matrix._sparse(self.field, self.rows, self.cols, out)
 
     def __neg__(self) -> "Matrix":
         neg = self.field.neg
-        return Matrix(self.field, self.rows, self.cols, [neg(a) for a in self.entries])
+        return Matrix._sparse(self.field, self.rows, self.cols,
+                              [{j: neg(a) for j, a in r.items()} if r else _EMPTY
+                               for r in self._rows])
 
     def scale(self, c) -> "Matrix":
+        if not c:
+            return Matrix.zeros(self.field, self.rows, self.cols)
         mul = self.field.mul
-        return Matrix(self.field, self.rows, self.cols, [mul(c, a) for a in self.entries])
+        return Matrix._sparse(self.field, self.rows, self.cols,
+                              [{j: mul(c, a) for j, a in r.items()} if r else _EMPTY
+                               for r in self._rows])
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ShapeError("cannot multiply %dx%d by %dx%d"
                              % (self.rows, self.cols, other.rows, other.cols))
         f = self.field
-        add, mul, zero = f.add, f.mul, f.zero
-        n, m, l = self.rows, self.cols, other.cols
-        out = [zero] * (n * l)
-        se, oe = self.entries, other.entries
-        for i in range(n):
-            base = i * m
-            for k in range(m):
-                a = se[base + k]
-                if a == 0:
-                    continue
-                ob = k * l
-                rb = i * l
-                for j in range(l):
-                    b = oe[ob + j]
-                    if b != 0:
-                        out[rb + j] = add(out[rb + j], mul(a, b))
-        return Matrix(f, n, l, out)
+        add, mul = f.add, f.mul
+        srows, orows = self._rows, other._rows
+        out = [_EMPTY] * self.rows
+        for i in _filled(srows):
+            ra = srows[i]
+            if len(ra) == 1:
+                # one nonzero: a scaled row of other, with nothing to cancel
+                (k, a), = ra.items()
+                out[i] = orows[k] if a == 1 or not orows[k] else \
+                    {j: mul(a, b) for j, b in orows[k].items()}
+                continue
+            acc = {}
+            for k, a in ra.items():
+                for j, b in orows[k].items():
+                    acc[j] = add(acc[j], mul(a, b)) if j in acc else mul(a, b)
+            out[i] = (acc if all(acc.values()) else
+                      {j: v for j, v in acc.items() if v}) or _EMPTY
+        return Matrix._sparse(f, self.rows, other.cols, out)
 
     def apply(self, vec):
         """Matrix times column vector (a tuple), returning a tuple."""
         if len(vec) != self.cols:
             raise ShapeError("vector length %d != cols %d" % (len(vec), self.cols))
         f = self.field
+        add, mul = f.add, f.mul
         out = []
-        for i in range(self.rows):
+        for r in self._rows:
             s = f.zero
-            base = i * self.cols
-            for j, v in enumerate(vec):
-                if v != 0:
-                    e = self.entries[base + j]
-                    if e != 0:
-                        s = f.add(s, f.mul(e, v))
+            for j, a in r.items():
+                v = vec[j]
+                if v:
+                    s = add(s, mul(a, v))
             out.append(s)
         return tuple(out)
 
+    def reindexed(self, rows: int, cols: int, index) -> "Matrix":
+        """The rows x cols matrix holding entry (i, j) of self at index(i, j),
+        for a one-to-one index map into range: a permutation of the nonzeros."""
+        src, out = self._rows, {}
+        for i in _filled(src):
+            for j, a in src[i].items():
+                p, q = index(i, j)
+                r = out.get(p)
+                if r is None:
+                    out[p] = {q: a}
+                else:
+                    r[q] = a
+        return Matrix._sparse(self.field, rows, cols, _row_list(rows, out))
+
+    def reshaped(self, rows: int, cols: int) -> "Matrix":
+        """The same row-major entries read as a rows x cols matrix."""
+        if rows * cols != self.rows * self.cols:
+            raise ShapeError("cannot reshape %dx%d to %dx%d"
+                             % (self.rows, self.cols, rows, cols))
+        c = self.cols
+        return self.reindexed(rows, cols, lambda i, j: divmod(i * c + j, cols))
+
     def transpose(self) -> "Matrix":
-        return Matrix(self.field, self.cols, self.rows,
-                      [self.entries[i * self.cols + j]
-                       for j in range(self.cols) for i in range(self.rows)])
+        return self.reindexed(self.cols, self.rows, lambda i, j: (j, i))
 
     def kron(self, other: "Matrix") -> "Matrix":
         """Kronecker product, consistent with ``tensor_index`` ordering."""
@@ -167,10 +264,11 @@ class Matrix:
                         [(self.field.one, [self, other])])
 
     def is_zero(self) -> bool:
-        return all(a == 0 for a in self.entries)
+        return not any(self._rows)
 
     def is_identity(self) -> bool:
-        return self.rows == self.cols and self == Matrix.identity(self.field, self.rows)
+        return self.rows == self.cols and all(
+            len(r) == 1 and r.get(i) == 1 for i, r in enumerate(self._rows))
 
     def _same_shape(self, other):
         if self.rows != other.rows or self.cols != other.cols:
@@ -179,51 +277,69 @@ class Matrix:
 
     # -- elimination -----------------------------------------------------
 
+    def _echelon(self) -> dict:
+        """A row echelon basis of the row space: {pivot column: row}, each
+        row 1 at its pivot and zero left of it.
+
+        Every row is reduced by the existing pivot rows in increasing column
+        order until its lowest column is new, so the pivots are the lowest-
+        column-first pivots of the reduced row echelon form."""
+        f = self.field
+        sub, mul = f.sub, f.mul
+        piv = {}
+        for r in filter(None, self._rows):
+            v = dict(r)
+            heap = list(v)
+            heapify(heap)
+            while heap:
+                c = heappop(heap)
+                a = v.get(c)
+                if a is None:
+                    continue
+                p = piv.get(c)
+                if p is None:
+                    if a != 1:
+                        s = f.inv(a)
+                        v = {j: mul(s, b) for j, b in v.items()}
+                    piv[c] = v
+                    break
+                for j in _subtract_multiple(v, a, p, sub, mul):
+                    heappush(heap, j)
+        return piv
+
     def rref(self):
         """Reduced row echelon form.  Returns (matrix, pivot column list)."""
         f = self.field
-        m = self.row_list()
-        nr, nc = self.rows, self.cols
-        pivots = []
-        r = 0
-        for c in range(nc):
-            if r == nr:
-                break
-            pr = None
-            for i in range(r, nr):
-                if m[i][c] != 0:
-                    pr = i
-                    break
-            if pr is None:
-                continue
-            m[r], m[pr] = m[pr], m[r]
-            inv = f.inv(m[r][c])
-            if not f.is_one(m[r][c]):
-                m[r] = [f.mul(inv, a) for a in m[r]]
-            for i in range(nr):
-                if i != r and m[i][c] != 0:
-                    q = m[i][c]
-                    m[i] = [f.sub(a, f.mul(q, b)) for a, b in zip(m[i], m[r])]
-            pivots.append(c)
-            r += 1
-        return Matrix.from_rows(f, m) if nr else self, pivots
+        piv = self._echelon()
+        pivots = sorted(piv)
+        # clear each pivot column above its pivot, last pivot first: the row
+        # subtracted is then already clear at every pivot to its right
+        for k in range(len(pivots) - 1, 0, -1):
+            p = pivots[k]
+            row = piv[p]
+            for q in pivots[:k]:
+                v = piv[q]
+                a = v.get(p)
+                if a is not None:
+                    _subtract_multiple(v, a, row, f.sub, f.mul)
+        rows = [piv[c] for c in pivots] + [_EMPTY] * (self.rows - len(pivots))
+        return Matrix._sparse(f, self.rows, self.cols, rows), pivots
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        return len(self._echelon())
 
     def kernel(self) -> "Subspace":
         """Canonical basis of the null space {v : self @ v = 0}."""
         red, pivots = self.rref()
         f = self.field
-        free = [c for c in range(self.cols) if c not in pivots]
-        gens = []
-        for c in free:
-            v = [f.zero] * self.cols
-            v[c] = f.one
-            for r, pc in enumerate(pivots):
-                v[pc] = f.neg(red.get(r, c))
-            gens.append(tuple(v))
-        return Subspace.from_generators(f, self.cols, gens)
+        pivset = set(pivots)
+        # e_c minus the pivot entries of column c, for every free column c
+        gens = {c: {c: f.one} for c in range(self.cols) if c not in pivset}
+        for pc, r in zip(pivots, red._rows):
+            for c, a in r.items():
+                if c != pc:
+                    gens[c][pc] = f.neg(a)
+        return Subspace.row_space(Matrix._sparse(f, len(gens), self.cols, gens.values()))
 
     def solve(self, rhs):
         """A particular solution of self @ x = rhs, or None if inconsistent.
@@ -233,7 +349,7 @@ class Matrix:
         if len(rhs) != self.rows:
             raise ShapeError("rhs length %d != rows %d" % (len(rhs), self.rows))
         x = self.solve_matrix(Matrix(self.field, self.rows, 1, rhs))
-        return None if x is None else x.entries
+        return None if x is None else x.col(0)
 
     def solve_matrix(self, rhs: "Matrix"):
         """X with self @ X = rhs, or None if any column is inconsistent.
@@ -242,17 +358,15 @@ class Matrix:
         every column equals what ``solve`` gives for it."""
         if rhs.rows != self.rows:
             raise ShapeError("rhs has %d rows, want %d" % (rhs.rows, self.rows))
-        f = self.field
         n, w = self.cols, rhs.cols
-        aug = Matrix(f, self.rows, n + w,
-                     [a for i in range(self.rows) for a in (*self.row(i), *rhs.row(i))])
+        aug = block_matrix(self.field, self.rows, n + w, [(0, 0, self), (0, n, rhs)])
         red, pivots = aug.rref()
         if pivots and pivots[-1] >= n:
             return None
-        out = [f.zero] * (n * w)
-        for r, c in enumerate(pivots):
-            out[c * w:(c + 1) * w] = red.row(r)[n:]
-        return Matrix(f, n, w, out)
+        out = [_EMPTY] * n
+        for c, r in zip(pivots, red._rows):
+            out[c] = {j - n: a for j, a in r.items() if j >= n} or _EMPTY
+        return Matrix._sparse(self.field, n, w, out)
 
     def inverse(self) -> "Matrix":
         if self.rows != self.cols:
@@ -272,19 +386,15 @@ class Matrix:
         """The row blocks of h rows placed side by side: (k*h) x c -> h x (k*c)."""
         if h <= 0 or self.rows % h:
             raise ShapeError("%d rows do not split into blocks of %d" % (self.rows, h))
-        k, c, e = self.rows // h, self.cols, self.entries
-        return Matrix(self.field, h, k * c,
-                      [a for r in range(h) for j in range(k)
-                       for a in e[(j * h + r) * c:(j * h + r + 1) * c]])
+        c = self.cols
+        return self.reindexed(h, self.rows // h * c, lambda i, j: (i % h, i // h * c + j))
 
     def stacked(self, c: int) -> "Matrix":
         """The column blocks of c columns stacked vertically: h x (k*c) -> (k*h) x c."""
         if c <= 0 or self.cols % c:
             raise ShapeError("%d columns do not split into blocks of %d" % (self.cols, c))
-        k, h, w, e = self.cols // c, self.rows, self.cols, self.entries
-        return Matrix(self.field, k * h, c,
-                      [a for j in range(k) for r in range(h)
-                       for a in e[r * w + j * c:r * w + (j + 1) * c]])
+        h = self.rows
+        return self.reindexed(self.cols // c * h, c, lambda i, j: (j // c * h + i, j % c))
 
     def __repr__(self):
         return "Matrix(%dx%d over %s)" % (self.rows, self.cols, self.field)
@@ -294,15 +404,49 @@ class Matrix:
         return "\n".join(" ".join(fmt(a) for a in self.row(i)) for i in range(self.rows))
 
 
+def _subtract_multiple(v: dict, a, p: dict, sub, mul):
+    """v -= a * p in place on {column: value} rows, dropping the zeros;
+    returns the columns it added to v."""
+    fresh = []
+    for j, b in p.items():
+        if j in v:
+            w = sub(v[j], mul(a, b))
+            if w:
+                v[j] = w
+            else:
+                del v[j]
+        else:
+            v[j] = sub(0, mul(a, b))
+            fresh.append(j)
+    return fresh
+
+
+def block_matrix(field: Field, rows: int, cols: int, blocks) -> Matrix:
+    """The rows x cols matrix holding each (i, j, B) of blocks with the top
+    left entry of B at (i, j); the blocks do not overlap, and the rest is
+    zero."""
+    out = {}
+    for i0, j0, b in blocks:
+        if i0 < 0 or j0 < 0 or i0 + b.rows > rows or j0 + b.cols > cols:
+            raise ShapeError("a %dx%d block at (%d, %d) leaves a %dx%d matrix"
+                             % (b.rows, b.cols, i0, j0, rows, cols))
+        for i in _filled(b._rows):
+            r = out.get(i0 + i)
+            if r is None:
+                r = out[i0 + i] = {}
+            r.update(((j0 + j, a) for j, a in b._rows[i].items()) if j0 else b._rows[i])
+    return Matrix._sparse(field, rows, cols, _row_list(rows, out))
+
+
 def kron_sum(field: Field, rows: int, cols: int, terms) -> Matrix:
     """The rows x cols matrix sum c * (F_1 (x) ... (x) F_k) over the terms
     (c, [F_1, ..., F_k]), in ``Matrix.kron`` order; with no terms, zero.
 
     Only the nonzero entries of each factor are visited, and every product
-    goes straight into one output list: no Kronecker product, scaled copy
+    goes straight into the output rows: no Kronecker product, scaled copy
     or partial sum is built as a matrix."""
-    add, mul, zero = field.add, field.mul, field.zero
-    out = [zero] * (rows * cols)
+    add, mul = field.add, field.mul
+    out = {}
     # id -> (factor, its nonzero entries (i, j, a)); holding the factor
     # keeps its id from being reused by another matrix during the call
     nonzeros = {}
@@ -310,21 +454,24 @@ def kron_sum(field: Field, rows: int, cols: int, terms) -> Matrix:
         shape = (prod(F.rows for F in factors), prod(F.cols for F in factors))
         if shape != (rows, cols):
             raise ShapeError("a %dx%d term in a %dx%d sum" % (*shape, rows, cols))
-        if c == 0:
+        if not c:
             continue
         part = [(0, 0, c)]
         for F in factors:
             fr, fc = F.rows, F.cols
             if id(F) not in nonzeros:
-                nonzeros[id(F)] = (F, [(k // fc, k % fc, a)
-                                       for k, a in enumerate(F.entries) if a != 0])
+                nonzeros[id(F)] = (F, F._nonzeros())
             part = [(i * fr + p, j * fc + q, mul(v, a))
                     for i, j, v in part for p, q, a in nonzeros[id(F)][1]]
         for i, j, v in part:
-            k = i * cols + j
-            cur = out[k]
-            out[k] = v if cur is zero else add(cur, v)
-    return Matrix(field, rows, cols, out)
+            r = out.get(i)
+            if r is None:
+                out[i] = {j: v}
+            else:
+                r[j] = add(r[j], v) if j in r else v
+    return Matrix._sparse(field, rows, cols, _row_list(rows, {
+        i: r if all(r.values()) else {j: v for j, v in r.items() if v}
+        for i, r in out.items()}))
 
 
 def lmul_blocks(a: Matrix, stack: Matrix) -> Matrix:
@@ -340,66 +487,64 @@ class Subspace:
 
     The basis vectors are the nonzero rows of the RREF of any generating
     set, so two computations of the same subspace store identical bases.
-    A basis handed to the constructor must already be in that form.
     """
 
-    __slots__ = ("field", "ambient_dim", "basis", "_pivots", "_basis_matrix")
+    __slots__ = ("field", "ambient_dim", "_rows", "_pivots", "_basis_matrix")
 
-    def __init__(self, field: Field, ambient_dim: int, basis):
-        self.field = field
-        self.ambient_dim = ambient_dim
-        self.basis = tuple(tuple(v) for v in basis)
-        for v in self.basis:
-            if len(v) != ambient_dim:
-                raise ShapeError("basis vector length %d != ambient %d"
-                                 % (len(v), ambient_dim))
-        self._pivots = None
+    def __init__(self, rows: Matrix, pivots):
+        """The subspace spanned by the rows of ``rows``, a matrix in reduced
+        row echelon form with no zero row and pivot columns ``pivots``."""
+        self.field = rows.field
+        self.ambient_dim = rows.cols
+        self._rows = rows
+        self._pivots = tuple(pivots)
         self._basis_matrix = None
+
+    @staticmethod
+    def row_space(m: Matrix) -> "Subspace":
+        """The span of the rows of m."""
+        red, pivots = m.rref()
+        return Subspace(Matrix._sparse(m.field, len(pivots), m.cols, red._rows[:len(pivots)]),
+                        pivots)
 
     @staticmethod
     def from_generators(field: Field, ambient_dim: int, gens) -> "Subspace":
         gens = [tuple(g) for g in gens]
-        if not gens:
-            return Subspace(field, ambient_dim, [])
-        red, pivots = Matrix.from_rows(field, gens).rref()
-        basis = [red.row(i) for i in range(len(pivots))]
-        return Subspace(field, ambient_dim, basis)
+        for g in gens:
+            if len(g) != ambient_dim:
+                raise ShapeError("generator length %d != ambient %d" % (len(g), ambient_dim))
+        return Subspace.row_space(Matrix(field, len(gens), ambient_dim,
+                                         [a for g in gens for a in g]))
 
     @staticmethod
     def zero(field: Field, ambient_dim: int) -> "Subspace":
-        return Subspace(field, ambient_dim, [])
+        return Subspace(Matrix.zeros(field, 0, ambient_dim), ())
 
     @staticmethod
     def full(field: Field, ambient_dim: int) -> "Subspace":
-        eye = Matrix.identity(field, ambient_dim)
-        return Subspace(field, ambient_dim, [eye.row(i) for i in range(ambient_dim)])
+        return Subspace(Matrix.identity(field, ambient_dim), range(ambient_dim))
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return self._rows.rows
+
+    @property
+    def basis(self):
+        """The basis vectors as dense tuples, built on each access."""
+        return tuple(self._rows.row(i) for i in range(self.dim))
 
     def basis_matrix(self) -> Matrix:
         """Matrix whose columns are the basis vectors (ambient_dim x dim)."""
         if self._basis_matrix is None:
-            self._basis_matrix = Matrix.from_cols(self.field, self.basis,
-                                                  ambient=self.ambient_dim)
+            self._basis_matrix = self._rows.transpose()
         return self._basis_matrix
 
     def basis_stack(self, cols: int) -> Matrix:
         """The basis vectors read as row-major maps with ``cols`` columns,
         as one vertical stack (one row block per basis vector)."""
-        return Matrix(self.field, self.dim * (self.ambient_dim // cols), cols,
-                      [a for v in self.basis for a in v])
+        return self._rows.reshaped(self.dim * (self.ambient_dim // cols), cols)
 
     def pivots(self):
-        if self._pivots is None:
-            out = []
-            for v in self.basis:
-                for c, a in enumerate(v):
-                    if a != 0:
-                        out.append(c)
-                        break
-            self._pivots = out
         return list(self._pivots)
 
     def coordinate_matrix(self, vecs: Matrix):
@@ -413,9 +558,8 @@ class Subspace:
         if vecs.rows != self.ambient_dim:
             raise ShapeError("vectors of length %d, ambient %d"
                              % (vecs.rows, self.ambient_dim))
-        k, e = vecs.cols, vecs.entries
-        coords = Matrix(self.field, self.dim, k,
-                        [a for p in self.pivots() for a in e[p * k:(p + 1) * k]])
+        coords = Matrix._sparse(self.field, self.dim, vecs.cols,
+                                [vecs._rows[p] for p in self._pivots])
         if self.basis_matrix() * coords != vecs:
             return None
         return coords
@@ -424,26 +568,23 @@ class Subspace:
         """coordinate_matrix of the maps of a vertical stack, each read
         row-major as one vector (the inverse of ``basis_stack``)."""
         n = self.ambient_dim
-        vecs = Matrix(self.field, len(stack.entries) // n, n, stack.entries)
-        return self.coordinate_matrix(vecs.transpose())
+        return self.coordinate_matrix(
+            stack.reshaped(stack.rows * stack.cols // n, n).transpose())
 
     def coordinates(self, vec):
         """Coordinates of vec in the stored basis, or None if not a member."""
         coords = self.coordinate_matrix(Matrix(self.field, self.ambient_dim, 1, vec))
-        return None if coords is None else coords.entries
+        return None if coords is None else coords.col(0)
 
     def contains(self, vec) -> bool:
         return self.coordinates(vec) is not None
 
-    def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(v) for v in other.basis)
-
     def __eq__(self, other):
         return (isinstance(other, Subspace) and self.ambient_dim == other.ambient_dim
-                and self.basis == other.basis)
+                and self._rows == other._rows)
 
     def __hash__(self):
-        return hash((self.ambient_dim, self.basis))
+        return hash((self.ambient_dim, self._rows))
 
     def __repr__(self):
         return "Subspace(dim %d of k^%d)" % (self.dim, self.ambient_dim)
@@ -469,24 +610,20 @@ def quotient_section(field: Field, ambient_dim: int, relations: Subspace):
         raise ShapeError("relations live in k^%d, not k^%d"
                          % (relations.ambient_dim, ambient_dim))
     pivots = relations.pivots()
-    free = [c for c in range(ambient_dim) if c not in pivots]
-    zero, one = field.zero, field.one
-    # projector row for free coordinate c: e_c minus the relation corrections.
-    proj_rows = []
-    for c in free:
-        row = [zero] * ambient_dim
-        row[c] = one
-        for r, pc in enumerate(pivots):
-            # subtracting x[pc] * basis[r] zeroes every pivot coordinate
-            row[pc] = field.neg(relations.basis[r][c])
-        proj_rows.append(row)
-    projector = Matrix.from_rows(field, proj_rows) if proj_rows else Matrix(field, 0, ambient_dim, [])
-    lift_cols = []
-    for c in free:
-        v = [zero] * ambient_dim
-        v[c] = one
-        lift_cols.append(v)
-    lift = Matrix.from_cols(field, lift_cols, ambient=ambient_dim)
+    pivset = set(pivots)
+    free = [c for c in range(ambient_dim) if c not in pivset]
+    slot = {c: k for k, c in enumerate(free)}
+    one = field.one
+    # projector row for free coordinate c: e_c minus the relation corrections;
+    # subtracting x[pc] * basis[r] zeroes every pivot coordinate
+    proj_rows = [{c: one} for c in free]
+    for pc, r in zip(pivots, relations._rows._rows):
+        for c, a in r.items():
+            if c != pc:
+                proj_rows[slot[c]][pc] = field.neg(a)
+    projector = Matrix._sparse(field, len(free), ambient_dim, proj_rows)
+    lift = Matrix._sparse(field, ambient_dim, len(free),
+                          [{slot[c]: one} if c in slot else _EMPTY for c in range(ambient_dim)])
     return projector, lift
 
 
@@ -507,12 +644,12 @@ def intertwiner_space(field: Field, constraints, rows: int, cols: int) -> Subspa
         if b.rows != rows or b.cols != rows:
             raise ShapeError("B constraint must be %dx%d" % (rows, rows))
         # vec(XA - BX) = (I (x) A^T - B (x) I) vec(X), row-major vec.
-        blocks.append(kron_sum(field, n, n, [(field.one, [eye_r, a.transpose()]),
-                                             (field.neg(field.one), [b, eye_c])]))
+        blocks.append((len(blocks) * n, 0,
+                       kron_sum(field, n, n, [(field.one, [eye_r, a.transpose()]),
+                                              (field.neg(field.one), [b, eye_c])])))
     if not blocks:
         return Subspace.full(field, rows * cols)
-    stacked = Matrix.from_rows(field, [r for blk in blocks for r in blk.row_list()])
-    return stacked.kernel()
+    return block_matrix(field, len(blocks) * n, n, blocks).kernel()
 
 
 # -- small vector helpers used across the package -------------------------

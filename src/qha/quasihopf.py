@@ -250,7 +250,7 @@ class QuasiHopfAlgebra:
 
     def structural_key(self):
         return ("qha", self.dim, self.mult, self.unit, self.comult, self.counit,
-                self.antipode.entries, self.phi, self.alpha, self.beta)
+                self.antipode, self.phi, self.alpha, self.beta)
 
     def __repr__(self):
         return "QuasiHopfAlgebra(%s, dim %d over %s)" % (self.name, self.dim, self.field)
@@ -359,17 +359,8 @@ class HModule:
         return kron_sum(self.parent.field, self.dim, self.dim,
                         [(c, [m]) for c, m in zip(vec, self.mats)])
 
-    def action_tensor(self):
-        """rho[i][a][b] flat: coefficient of v_b in e_i . v_a."""
-        # stored matrices are column-action: (mats[i])[b, a]; transpose per slice
-        out = []
-        for m in self.mats:
-            t = m.transpose()
-            out.extend(t.entries)
-        return tuple(out)
-
     def structural_key(self):
-        return ("mod", self.dim, tuple(m.entries for m in self.mats),
+        return ("mod", self.dim, self.mats,
                 self.parent.structural_key())
 
     def __repr__(self):
@@ -479,10 +470,7 @@ def _swap_factors(m: Matrix, d1: int, d2: int) -> Matrix:
     """m on a domain V1 (x) V2 (dims d1, d2), re-read on V2 (x) V1."""
     if m.cols != d1 * d2:
         raise ShapeError("map has %d columns, want %d" % (m.cols, d1 * d2))
-    order = [i * d2 + j for j in range(d2) for i in range(d1)]
-    e, c = m.entries, m.cols
-    return Matrix(m.field, m.rows, c,
-                  [e[r * c + k] for r in range(m.rows) for k in order])
+    return m.reindexed(m.rows, m.cols, lambda r, k: (r, k % d2 * d1 + k // d2))
 
 
 # Currying moves the second tensor factor of a map's domain into its
@@ -492,18 +480,12 @@ def _swap_factors(m: Matrix, d1: int, d2: int) -> Matrix:
 
 def _curry(m: Matrix, d2: int) -> Matrix:
     """R x (d1*d2) -> (R*d2) x d1: out[r*d2 + b, i] = m[r, i*d2 + b]."""
-    d1, e, c = m.cols // d2, m.entries, m.cols
-    return Matrix(m.field, m.rows * d2, d1,
-                  [e[r * c + i * d2 + b] for r in range(m.rows) for b in range(d2)
-                   for i in range(d1)])
+    return m.reindexed(m.rows * d2, m.cols // d2, lambda r, k: (r * d2 + k % d2, k // d2))
 
 
 def _uncurry(m: Matrix, d2: int) -> Matrix:
     """(R*d2) x d1 -> R x (d1*d2), the inverse of _curry."""
-    d1, e = m.cols, m.entries
-    return Matrix(m.field, m.rows // d2, d1 * d2,
-                  [e[(r * d2 + b) * d1 + i] for r in range(m.rows // d2)
-                   for i in range(d1) for b in range(d2)])
+    return m.reindexed(m.rows // d2, m.cols * d2, lambda s, i: (s // d2, i * d2 + s % d2))
 
 
 def eval_left(V: HModule, M: HModule) -> Matrix:
@@ -511,29 +493,12 @@ def eval_left(V: HModule, M: HModule) -> Matrix:
     if V.parent is not M.parent:
         raise StructureError("evaluation factors must share a parent algebra")
     H = V.parent
-    f = H.field
-    dh = M.dim * V.dim
-    cols = {}
-    for (x, y, z), c in H.phi_terms().items():
-        post = M.act(H.basis(x))                       # X acting on the value
-        inner = V.act(H.prod(H.apply_s(H.basis(y)), H.alpha, H.basis(z)))
-        for a in range(M.dim):
-            pa = post.col(a)
-            for b in range(V.dim):
-                for v in range(V.dim):
-                    w = inner.get(b, v)
-                    if w == 0:
-                        continue
-                    key = (a * V.dim + b) * V.dim + v
-                    cw = f.mul(c, w)
-                    cur = cols.get(key)
-                    cols[key] = vec_scale(f, cw, pa) if cur is None else \
-                        tuple(f.add(s, f.mul(cw, t)) for s, t in zip(cur, pa))
-    out = []
-    zero_col = tuple([f.zero] * M.dim)
-    for j in range(dh * V.dim):
-        out.append(cols.get(j, zero_col))
-    return Matrix.from_cols(f, out, ambient=M.dim)
+    # column (a*dV + b)*dV + v: X e_a scaled by the (b, v) entry of S(Y) alpha Z
+    terms = [(c, [M.act(H.basis(x)),
+                  V.act(H.prod(H.apply_s(H.basis(y)), H.alpha, H.basis(z)))
+                  .reshaped(1, V.dim * V.dim)])
+             for (x, y, z), c in H.phi_terms().items()]
+    return kron_sum(H.field, M.dim, M.dim * V.dim * V.dim, terms)
 
 
 def eval_right(V: HModule, M: HModule) -> Matrix:

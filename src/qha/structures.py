@@ -13,7 +13,7 @@ import hashlib
 import json
 
 from .fields import Field, FieldError, ScalarParseError, rationals, prime_field
-from .linalg import Matrix
+from .linalg import Matrix, block_matrix
 from .quasihopf import QuasiHopfAlgebra, HModule
 from .algebroid import BaseRing, HopfAlgebroid, AlgebroidModule
 from .coefficients import Contramodule, HOPF_MU, QUASI_I, QUASI_II, ALGEBROID_MU
@@ -61,30 +61,35 @@ def parse_field(doc, where="$.field") -> Field:
     raise StructureFileError("schema", "unknown field type %r" % typ, where)
 
 
-def _scalar(f: Field, s, where):
+def _at(where, *index):
+    """The location ``where[i][j]...``, formatted only when an error needs it."""
+    return where + "".join("[%d]" % i for i in index)
+
+
+def _scalar(f: Field, s, where, *index):
     if not isinstance(s, str):
         raise StructureFileError("scalar_parse", "scalars must be strings, got %r" % (s,),
-                                 where)
+                                 _at(where, *index))
     try:
         return f.parse(s)
     except ScalarParseError as e:
-        raise StructureFileError("scalar_parse", str(e), where) from None
+        raise StructureFileError("scalar_parse", str(e), _at(where, *index)) from None
 
 
-def _vector(f, doc, length, where):
+def _vector(f, doc, length, where, *index):
     if not isinstance(doc, list) or len(doc) != length:
         raise StructureFileError("dimension_mismatch",
-                                 "expected a list of %d scalars" % length, where)
-    return tuple(_scalar(f, s, "%s[%d]" % (where, i)) for i, s in enumerate(doc))
+                                 "expected a list of %d scalars" % length, _at(where, *index))
+    return tuple(_scalar(f, s, where, *index, i) for i, s in enumerate(doc))
 
 
-def _matrix(f, doc, rows, cols, where) -> Matrix:
+def _matrix(f, doc, rows, cols, where, *index) -> Matrix:
     if not isinstance(doc, list) or len(doc) != rows:
         raise StructureFileError("dimension_mismatch",
-                                 "expected %d rows" % rows, where)
+                                 "expected %d rows" % rows, _at(where, *index))
     ent = []
     for i, row in enumerate(doc):
-        ent.extend(_vector(f, row, cols, "%s[%d]" % (where, i)))
+        ent.extend(_vector(f, row, cols, where, *index, i))
     return Matrix(f, rows, cols, ent)
 
 
@@ -96,9 +101,9 @@ def _tensor3(f, doc, n, where):
     for i, slab in enumerate(doc):
         if not isinstance(slab, list) or len(slab) != n:
             raise StructureFileError("dimension_mismatch", "expected %d rows" % n,
-                                     "%s[%d]" % (where, i))
+                                     _at(where, i))
         for j, row in enumerate(slab):
-            out.extend(_vector(f, row, n, "%s[%d][%d]" % (where, i, j)))
+            out.extend(_vector(f, row, n, where, i, j))
     return tuple(out)
 
 
@@ -128,7 +133,7 @@ def _parse_quasi_hopf(f: Field, doc, name) -> QuasiHopfAlgebra:
     if len(comult) != n:
         raise StructureFileError("dimension_mismatch", "comult needs %d rows" % n,
                                  "$.comult")
-    comult = [_vector(f, row, n * n, "$.comult[%d]" % i)
+    comult = [_vector(f, row, n * n, "$.comult", i)
               for i, row in enumerate(comult)]
     counit = _vector(f, _want(doc, "counit", list, "$"), n, "$.counit")
     s = _matrix(f, _want(doc, "antipode", list, "$"), n, n, "$.antipode")
@@ -214,7 +219,7 @@ def _parse_action(f, doc, n, d, where):
                                  "action needs %d slices" % n, where)
     mats = []
     for i, slab in enumerate(doc):
-        m = _matrix(f, slab, d, d, "%s[%d]" % (where, i))
+        m = _matrix(f, slab, d, d, where, i)
         mats.append(m.transpose())
     return mats
 
@@ -356,13 +361,9 @@ def parse_document(doc, parent=None):
             raise StructureFileError("dimension_mismatch",
                                      "contraaction needs %d slices" % d,
                                      "$.contraaction")
-        ent = [f.zero] * (d * d * n)
-        for i, slab in enumerate(raw):
-            m = _matrix(f, slab, d, n, "$.contraaction[%d]" % i)
-            for j in range(d):
-                for a in range(n):
-                    ent[i * (d * n) + j * n + a] = m.get(j, a)
-        mu = Matrix(f, d, d * n, ent)
+        # row i of the contraaction is slice i read row-major
+        mu = block_matrix(f, d, d * n, [(i, 0, _matrix(f, slab, d, n, "$.contraaction", i)
+                                           .reshaped(1, d * n)) for i, slab in enumerate(raw)])
         flavor = FLAVOR_TAGS[flavor_tag]
         want_algebroid = isinstance(use_parent, HopfAlgebroid)
         if want_algebroid != (flavor == ALGEBROID_MU):

@@ -1,13 +1,15 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qha import linalg
 from qha.fields import FieldError, rationals, prime_field
 from qha.linalg import (Matrix, Subspace, ShapeError, kernel, solve,
                         quotient_section, tensor_index, intertwiner_space,
-                        kron_sum, lmul_blocks)
+                        kron_sum, lmul_blocks, block_matrix)
 
 QQ = rationals()
 F2 = prime_field(2)
@@ -316,3 +318,273 @@ def test_kron_sum_edge_cases():
     assert kron_sum(QQ, 2, 2, [(QQ.from_int(3), [a]), (QQ.one, [a])]) == a.scale(two + two)
     with pytest.raises(ShapeError):
         kron_sum(QQ, 2, 6, [(QQ.one, [a, b]), (QQ.one, [a, a])])
+
+
+# -- the sparse core against dense references -----------------------------------
+#
+# A dense matrix here is a list of rows of field scalars.  Every reference is
+# written entry by entry, with no call into linalg.
+
+Q_SCALARS = [0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 2)]
+
+
+def scalars(field):
+    if field.characteristic:
+        return st.sampled_from([0, 0, 0, 1, 2, 3, 4])
+    # a fresh Fraction(0) for every zero, not the field's shared one
+    return st.sampled_from(Q_SCALARS).map(Fraction)
+
+
+def dense(field, rows, cols):
+    return st.lists(st.lists(scalars(field), min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows)
+
+
+def of_dense(field, d, cols):
+    return Matrix(field, len(d), cols, [a for r in d for a in r])
+
+
+def assert_matches(m, d, rows, cols):
+    """m holds exactly the dense d, and stores only nonzeros, in range."""
+    assert (m.rows, m.cols) == (rows, cols)
+    assert m.entries == tuple(a for r in d for a in r)
+    assert m.row_list() == [list(r) for r in d]
+    assert all(0 <= j < cols and a != 0 for r in m._rows for j, a in r.items())
+    assert not linalg._EMPTY, "the shared empty row was written to"
+
+
+def dense_mul(f, a, b, inner, cols):
+    return [[sum_(f, (f.mul(r[k], b[k][j]) for k in range(inner))) for j in range(cols)]
+            for r in a]
+
+
+def sum_(f, xs):
+    s = f.zero
+    for x in xs:
+        s = f.add(s, x)
+    return s
+
+
+def dense_transpose(d, rows, cols):
+    return [[d[i][j] for i in range(rows)] for j in range(cols)]
+
+
+def old_rref(f, m, nr, nc):
+    """The dense Gauss-Jordan elimination this package used before it stored
+    only nonzeros: rows as lists, lowest pivot column first."""
+    m = [list(r) for r in m]
+    pivots = []
+    r = 0
+    for c in range(nc):
+        if r == nr:
+            break
+        pr = None
+        for i in range(r, nr):
+            if m[i][c] != 0:
+                pr = i
+                break
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        inv = f.inv(m[r][c])
+        if not f.is_one(m[r][c]):
+            m[r] = [f.mul(inv, a) for a in m[r]]
+        for i in range(nr):
+            if i != r and m[i][c] != 0:
+                q = m[i][c]
+                m[i] = [f.sub(a, f.mul(q, b)) for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m, pivots
+
+
+def old_kernel_basis(f, m, nr, nc):
+    red, pivots = old_rref(f, m, nr, nc)
+    gens = []
+    for c in range(nc):
+        if c in pivots:
+            continue
+        v = [f.zero] * nc
+        v[c] = f.one
+        for r, pc in enumerate(pivots):
+            v[pc] = f.neg(red[r][c])
+        gens.append(v)
+    red, pivots = old_rref(f, gens, len(gens), nc)
+    return tuple(tuple(r) for r in red[:len(pivots)])
+
+
+def old_solve_matrix(f, a, b, nr, n, w):
+    red, pivots = old_rref(f, [ra + rb for ra, rb in zip(a, b)], nr, n + w)
+    if pivots and pivots[-1] >= n:
+        return None
+    out = [[f.zero] * w for _ in range(n)]
+    for r, c in enumerate(pivots):
+        out[c] = red[r][n:]
+    return out
+
+
+FIELDS = [F5, QQ]
+shape = st.integers(0, 4)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@settings(max_examples=60, deadline=None)
+@given(rows=shape, inner=shape, cols=shape, data=st.data())
+def test_products_and_sums_match_dense(field, rows, inner, cols, data):
+    f = field
+    da, db = data.draw(dense(f, rows, inner)), data.draw(dense(f, inner, cols))
+    dc = data.draw(dense(f, rows, inner))
+    a, b, c = of_dense(f, da, inner), of_dense(f, db, cols), of_dense(f, dc, inner)
+    assert_matches(a, da, rows, inner)
+    assert_matches(a * b, dense_mul(f, da, db, inner, cols), rows, cols)
+    assert_matches(a + c, [[f.add(x, y) for x, y in zip(r, s)] for r, s in zip(da, dc)],
+                   rows, inner)
+    assert_matches(a - c, [[f.sub(x, y) for x, y in zip(r, s)] for r, s in zip(da, dc)],
+                   rows, inner)
+    assert_matches(-a, [[f.neg(x) for x in r] for r in da], rows, inner)
+    k = data.draw(scalars(f))
+    assert_matches(a.scale(k), [[f.mul(k, x) for x in r] for r in da], rows, inner)
+    v = data.draw(st.lists(scalars(f), min_size=inner, max_size=inner))
+    assert a.apply(tuple(v)) == tuple(sum_(f, (f.mul(x, y) for x, y in zip(r, v))) for r in da)
+    assert_matches(a.transpose(), dense_transpose(da, rows, inner), inner, rows)
+    assert [a.get(i, j) for i in range(rows) for j in range(inner)] == list(a.entries)
+    assert [a.col(j) for j in range(inner)] == [tuple(r[j] for r in da) for j in range(inner)]
+    assert a.is_zero() == all(x == 0 for r in da for x in r)
+    assert a.is_identity() == (rows == inner and all(
+        da[i][j] == (1 if i == j else 0) for i in range(rows) for j in range(inner)))
+    # equal matrices hash equally, however they were reached
+    assert (a == c) == (da == dc)
+    assert a + c == c + a and hash(a + c) == hash(c + a)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@settings(max_examples=60, deadline=None)
+@given(rows=shape, cols=shape, data=st.data())
+def test_zeros_are_never_stored(field, rows, cols, data):
+    f = field
+    d = data.draw(dense(f, rows, cols))
+    a = of_dense(f, d, cols)
+    zero = Matrix.zeros(f, rows, cols)
+    for z in (a - a, a + (-a), a.scale(f.zero), a.scale(f.one) - a):
+        assert z == zero and hash(z) == hash(zero) and z.is_zero()
+        assert not any(z._rows)
+    # fresh zeros and the field's shared zero give the same matrix
+    fresh = Matrix(f, rows, cols, [f.from_int(0)] * (rows * cols))
+    assert fresh == zero and hash(fresh) == hash(zero)
+    shared = Matrix(f, rows, cols, [f.zero if x == 0 else x for r in d for x in r])
+    assert shared == a and hash(shared) == hash(a)
+    assert Matrix.identity(f, rows) - Matrix.identity(f, rows) == Matrix.zeros(f, rows, rows)
+
+
+def test_shared_scalars():
+    assert QQ.zero is QQ.zero and QQ.one is QQ.one
+    assert QQ.parse(" 0 ") == 0 and QQ.parse("1") == 1 and type(QQ.parse("1")) is Fraction
+    assert F5.parse("1") == 1 and F5.parse("0") == 0 and F5.parse("6") == 1
+    assert [QQ.format(x) for x in (QQ.zero, QQ.one, QQ.parse("-1/2"), QQ.from_int(7))] == \
+        ["0", "1", "-1/2", "7"]
+    assert [F5.format(x) for x in (0, 1, 4)] == ["0", "1", "4"]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(1, 3), h=st.integers(1, 3), c=st.integers(1, 3), data=st.data())
+def test_stacks_and_index_permutations_match_dense(field, k, h, c, data):
+    f = field
+    d = data.draw(dense(f, k * h, c))
+    s = of_dense(f, d, c)
+    side = [[d[j * h + r][x] for j in range(k) for x in range(c)] for r in range(h)]
+    assert_matches(s.side_by_side(h), side, h, k * c)
+    assert s.side_by_side(h).stacked(c) == s
+    flat = [a for r in d for a in r]
+    assert_matches(s.reshaped(k, h * c), [flat[i * h * c:(i + 1) * h * c] for i in range(k)],
+                   k, h * c)
+    # a permutation of the nonzeros: the rows in reverse order
+    assert_matches(s.reindexed(k * h, c, lambda i, j: (k * h - 1 - i, j)), d[::-1], k * h, c)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@settings(max_examples=40, deadline=None)
+@given(r1=shape, r2=shape, c1=shape, c2=shape, data=st.data())
+def test_block_matrix_matches_dense(field, r1, r2, c1, c2, data):
+    f = field
+    da, db = data.draw(dense(f, r1, c1)), data.draw(dense(f, r2, c2))
+    got = block_matrix(f, r1 + r2, c1 + c2, [(0, 0, of_dense(f, da, c1)),
+                                             (r1, c1, of_dense(f, db, c2))])
+    want = [r + [f.zero] * c2 for r in da] + [[f.zero] * c1 + r for r in db]
+    assert_matches(got, want, r1 + r2, c1 + c2)
+    with pytest.raises(ShapeError):
+        block_matrix(f, r1, c1 + c2, [(0, c1 + 1, of_dense(f, db, c2))])
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@settings(max_examples=80, deadline=None)
+@given(rows=shape, cols=shape, width=st.integers(0, 3), data=st.data())
+def test_elimination_matches_the_old_dense_elimination(field, rows, cols, width, data):
+    f = field
+    d = data.draw(dense(f, rows, cols))
+    if rows >= 3 and data.draw(st.booleans()):
+        # a dependent row, and with four rows an all-zero one
+        d[2] = [f.add(x, y) for x, y in zip(d[0], d[1])]
+        d[3:] = [[f.zero] * cols for _ in d[3:]]
+    m = of_dense(f, d, cols)
+    red, pivots = m.rref()
+    want, want_pivots = old_rref(f, d, rows, cols)
+    assert pivots == want_pivots
+    assert_matches(red, want, rows, cols)
+    assert m.rank() == len(want_pivots)
+    assert m.kernel().basis == old_kernel_basis(f, d, rows, cols)
+    assert Subspace.from_generators(f, cols, d).basis == \
+        tuple(tuple(r) for r in want[:len(want_pivots)])
+    db = data.draw(dense(f, rows, width))
+    x = m.solve_matrix(of_dense(f, db, width))
+    want_x = old_solve_matrix(f, d, db, rows, cols, width)
+    if want_x is None:
+        assert x is None
+    else:
+        assert_matches(x, want_x, cols, width)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 5), cols=st.integers(1, 5), data=st.data())
+def test_subspace_maps_match_dense(field, n, cols, data):
+    f = field
+    gens = data.draw(dense(f, data.draw(st.integers(0, 4)), n * cols))
+    s = Subspace.from_generators(f, n * cols, gens)
+    basis = [list(v) for v in s.basis]
+    assert_matches(s.basis_matrix(), dense_transpose(basis, s.dim, n * cols), n * cols, s.dim)
+    assert_matches(s.basis_stack(cols), [v[i * cols:(i + 1) * cols] for v in basis
+                                         for i in range(n)], s.dim * n, cols)
+    assert s.pivots() == [next(j for j, a in enumerate(v) if a != 0) for v in basis]
+    # a member (a combination of the basis) and an arbitrary vector
+    cs = data.draw(st.lists(scalars(f), min_size=s.dim, max_size=s.dim))
+    member = [sum_(f, (f.mul(c, v[j]) for c, v in zip(cs, basis))) for j in range(n * cols)]
+    probe = data.draw(st.lists(scalars(f), min_size=n * cols, max_size=n * cols))
+    vecs = Matrix.from_cols(f, [member], ambient=n * cols)
+    assert_matches(s.coordinate_matrix(vecs), [[c] for c in cs], s.dim, 1)
+    in_s = old_rref(f, basis + [probe], s.dim + 1, n * cols)[1] == s.pivots()
+    assert s.contains(tuple(probe)) == in_s
+    assert s.stack_coordinates(s.basis_stack(cols)) == Matrix.identity(f, s.dim)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@settings(max_examples=40, deadline=None)
+@given(rows=st.integers(1, 3), cols=st.integers(1, 3), data=st.data())
+def test_intertwiner_space_matches_dense_system(field, rows, cols, data):
+    f = field
+    pairs = [(data.draw(dense(f, cols, cols)), data.draw(dense(f, rows, rows)))
+             for _ in range(data.draw(st.integers(1, 2)))]
+    got = intertwiner_space(f, [(of_dense(f, a, cols), of_dense(f, b, rows))
+                                for a, b in pairs], rows, cols)
+    # the row of the system for entry (i, j) of X A - B X, on row-major vec(X)
+    system = []
+    for a, b in pairs:
+        for i in range(rows):
+            for j in range(cols):
+                row = [f.zero] * (rows * cols)
+                for k in range(cols):
+                    row[i * cols + k] = f.add(row[i * cols + k], a[k][j])
+                for k in range(rows):
+                    row[k * cols + j] = f.sub(row[k * cols + j], b[i][k])
+                system.append(row)
+    assert got.basis == old_kernel_basis(f, system, len(system), rows * cols)
