@@ -12,6 +12,15 @@ ring ``BaseRing.op``.  Right-hand constructions are not written out: the
 right-hand biclosed maps are the left-hand ones over the co-opposite
 algebroid ``H.cop`` (over R^op), and the right bialgebroid axioms are the
 left ones over the opposite algebroid ``H.op``.
+
+The axiom checks work on sparse elements {basis index: coefficient} and
+sparse tensors {(i_1, ..., i_k): coefficient}, as the quasi-Hopf checks
+do; a tensor becomes a dense vector only where a relation subspace is
+asked whether it contains a difference.  A failed check reports the
+lexicographically first failing index tuple, in the order the check names
+its indices.  The right bialgebroid checks name the indices of H^op, so
+where they quantify over products of pairs (eps_r_character,
+delta_r_multiplicative) the witness can be the transposed pair of H.
 """
 
 from __future__ import annotations
@@ -21,10 +30,11 @@ from functools import cached_property
 from .fields import Field
 from .linalg import (Matrix, Subspace, block_matrix, quotient_section,
                      intertwiner_space, kron_sum, lmul_blocks, basis_vec)
-from .reports import CheckReport
-from .quasihopf import (HModule, QuasiHopfAlgebra, StructureError, IntertwinerError,
-                        max_tensor_dim, require_intertwiner, _over_cop, _swap_factors,
-                        _curry, _uncurry)
+from .reports import CheckReport, first_failure
+from .quasihopf import (Algebra, HModule, QuasiHopfAlgebra, StructureError,
+                        IntertwinerError, max_tensor_dim, require_intertwiner, _over_cop,
+                        _swap_factors, _curry, _uncurry, _collect, _terms_dict, sparse_apply,
+                        check_antipode_pair, tp_contract, tp_leg, tp_mul, tp_slot, tp_unit)
 
 
 def _opposite(mult, n: int):
@@ -38,7 +48,7 @@ def _flip_legs(lift: Matrix) -> Matrix:
     return _swap_factors(lift.transpose(), n, n).transpose()
 
 
-class BaseRing:
+class BaseRing(Algebra):
     """An associative unital algebra over the scalar field (the base R)."""
 
     def __init__(self, field: Field, dim: int, mult, unit, name: str = "R"):
@@ -52,27 +62,6 @@ class BaseRing:
         if len(self.mult) != dim ** 3 or len(self.unit) != dim:
             raise StructureError("base ring tensors have wrong shape")
 
-    def mult_vec(self, a, b):
-        f = self.field
-        n = self.dim
-        out = [f.zero] * n
-        for i, ca in enumerate(a):
-            if ca == 0:
-                continue
-            for j, cb in enumerate(b):
-                if cb == 0:
-                    continue
-                c = f.mul(ca, cb)
-                base = (i * n + j) * n
-                for k in range(n):
-                    m = self.mult[base + k]
-                    if m != 0:
-                        out[k] = f.add(out[k], f.mul(c, m))
-        return tuple(out)
-
-    def basis(self, i: int):
-        return basis_vec(self.field, self.dim, i)
-
     @cached_property
     def op(self) -> "BaseRing":
         """R^op: the same carrier with the opposite multiplication."""
@@ -81,34 +70,14 @@ class BaseRing:
 
     def validate(self) -> CheckReport:
         rep = CheckReport()
-        n = self.dim
-        ok, wit = True, None
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    lhs = self.mult_vec(self.mult_vec(self.basis(i), self.basis(j)),
-                                        self.basis(k))
-                    rhs = self.mult_vec(self.basis(i),
-                                        self.mult_vec(self.basis(j), self.basis(k)))
-                    if lhs != rhs:
-                        ok, wit = False, (("i", i), ("j", j), ("k", k))
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        rep.add("base_associative", ok, wit)
-        ok = all(self.mult_vec(self.unit, self.basis(i)) == self.basis(i)
-                 and self.mult_vec(self.basis(i), self.unit) == self.basis(i)
-                 for i in range(n))
-        rep.add("base_unital", ok)
+        self.check_algebra(rep, "base", unit_witness=False)
         return rep
 
     def __repr__(self):
         return "BaseRing(%s, dim %d over %s)" % (self.name, self.dim, self.field)
 
 
-class HopfAlgebroid:
+class HopfAlgebroid(Algebra):
     """Structure data (H, s_l, t_l, s_r, t_r, Delta_l, Delta_r, eps_l, eps_r, S).
 
     Source/target maps are stored as dim(H) x dim(R) matrices, the coproduct
@@ -146,68 +115,26 @@ class HopfAlgebroid:
 
     # -- algebra plumbing ---------------------------------------------------
 
-    @cached_property
-    def _mult_sparse(self):
-        n = self.dim
-        table = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                base = (i * n + j) * n
-                row.append(tuple((k, self.mult[base + k]) for k in range(n)
-                                 if self.mult[base + k] != 0))
-            table.append(tuple(row))
-        return tuple(table)
-
-    def mult_vec(self, a, b):
-        f = self.field
-        out = [f.zero] * self.dim
-        for i, ca in enumerate(a):
-            if ca == 0:
-                continue
-            row = self._mult_sparse[i]
-            for j, cb in enumerate(b):
-                if cb == 0:
-                    continue
-                c = f.mul(ca, cb)
-                for k, ck in row[j]:
-                    out[k] = f.add(out[k], f.mul(c, ck))
-        return tuple(out)
-
-    def prod(self, *vecs):
-        out = vecs[0]
-        for v in vecs[1:]:
-            out = self.mult_vec(out, v)
-        return out
-
-    def basis(self, i: int):
-        return basis_vec(self.field, self.dim, i)
-
     def apply_s(self, vec):
         return self.antipode.apply(vec)
 
     def apply_s_inv(self, vec):
         return self.antipode_inv.apply(vec)
 
+    @cached_property
+    def _lift_terms(self):
+        """The Sweedler terms (coef, p, q) of Delta_l(e_i) and of Delta_r(e_i),
+        read from the stored lifts."""
+        n = self.dim
+        return tuple([tuple((c, *divmod(k, n)) for k, c in col.items())
+                      for col in lift.col_maps()]
+                     for lift in (self.delta_l_lift, self.delta_r_lift))
+
     def delta_l_terms(self, i: int):
-        return self._delta_terms(self.delta_l_lift, i)
+        return self._lift_terms[0][i]
 
     def delta_r_terms(self, i: int):
-        return self._delta_terms(self.delta_r_lift, i)
-
-    def _delta_terms(self, lift: Matrix, i: int):
-        n = self.dim
-        col = lift.col(i)
-        return tuple((col[p * n + q], p, q) for p in range(n) for q in range(n)
-                     if col[p * n + q] != 0)
-
-    def left_mult_matrix(self, vec) -> Matrix:
-        cols = [self.mult_vec(vec, self.basis(j)) for j in range(self.dim)]
-        return Matrix.from_cols(self.field, cols, ambient=self.dim)
-
-    def right_mult_matrix(self, vec) -> Matrix:
-        cols = [self.mult_vec(self.basis(j), vec) for j in range(self.dim)]
-        return Matrix.from_cols(self.field, cols, ambient=self.dim)
+        return self._lift_terms[1][i]
 
     # -- relation subspaces --------------------------------------------------
 
@@ -585,71 +512,40 @@ def eval_adjunctions_algebroid(M: AlgebroidModule, N: AlgebroidModule,
 
 # -- axiom checks -------------------------------------------------------------
 
-def _tensor2_vec(f, n, terms):
-    out = [f.zero] * (n * n)
-    for c, p, q in terms:
-        out[p * n + q] = f.add(out[p * n + q], c)
-    return tuple(out)
+def _congruent(H: HopfAlgebroid, rel: Subspace, x: dict, y: dict) -> bool:
+    """Whether the sparse tensors x and y of H^(x)k agree modulo rel, a
+    subspace of k^(n^k) with n = dim H."""
+    f, n = H.field, H.dim
+    vec = [f.zero] * rel.ambient_dim
+    diff = _collect(f, list(x.items()) + [(k, f.neg(c)) for k, c in y.items()])
+    for key, c in diff.items():
+        index = 0
+        for i in key:
+            index = index * n + i
+        vec[index] = c
+    return rel.contains(vec)
 
 
-def _mult_into_leg(H, terms, vec, leg, side):
-    """Multiply one leg of a 2-tensor by a fixed element of H."""
-    f = H.field
-    out = []
-    for c, p, q in terms:
-        if leg == 0:
-            prod = H.mult_vec(vec, H.basis(p)) if side == "l" else \
-                H.mult_vec(H.basis(p), vec)
-            for k, v in enumerate(prod):
-                if v != 0:
-                    out.append((f.mul(c, v), k, q))
-        else:
-            prod = H.mult_vec(vec, H.basis(q)) if side == "l" else \
-                H.mult_vec(H.basis(q), vec)
-            for k, v in enumerate(prod):
-                if v != 0:
-                    out.append((f.mul(c, v), p, k))
-    return out
+def _sweedler_dicts(H: HopfAlgebroid, terms):
+    return [_terms_dict(terms(i)) for i in range(H.dim)]
 
 
 def check_algebroid_structure(H: HopfAlgebroid) -> CheckReport:
     """Ring-map invariants: algebra axioms, source/target (anti)homomorphisms
     with commuting images, and the antipode pair."""
-    f = H.field
-    n, r = H.dim, H.base.dim
+    f, R = H.field, H.base
+    r = R.dim
     rep = CheckReport()
-    rep.extend(H.base.validate())
-
-    ok, wit = True, None
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                lhs = H.mult_vec(H.mult_vec(H.basis(i), H.basis(j)), H.basis(k))
-                rhs = H.mult_vec(H.basis(i), H.mult_vec(H.basis(j), H.basis(k)))
-                if lhs != rhs:
-                    ok, wit = False, (("i", i), ("j", j), ("k", k))
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    rep.add("mult_associative", ok, wit)
-    rep.add("mult_unital", all(
-        H.mult_vec(H.unit, H.basis(i)) == H.basis(i)
-        and H.mult_vec(H.basis(i), H.unit) == H.basis(i) for i in range(n)))
+    rep.extend(R.validate())
+    H.check_algebra(rep, "mult", unit_witness=False)
 
     def is_hom(mat, opposite):
-        for a in range(r):
-            for b in range(r):
-                rab = H.base.mult_vec(H.base.basis(a), H.base.basis(b))
-                lhs = mat.apply(rab)
-                if opposite:
-                    rhs = H.mult_vec(mat.col(b), mat.col(a))
-                else:
-                    rhs = H.mult_vec(mat.col(a), mat.col(b))
-                if lhs != rhs:
-                    return False
-        return mat.apply(H.base.unit) == H.unit
+        img, e = mat.col_maps(), R._basis_sparse
+        return first_failure((("a", r), ("b", r)), lambda a, b:
+                             sparse_apply(f, img, R.mul(e[a], e[b]))
+                             != (H.mul(img[b], img[a]) if opposite
+                                 else H.mul(img[a], img[b]))) is None \
+            and mat.apply(R.unit) == H.unit
 
     rep.add("s_l_homomorphism", is_hom(H.s_l, opposite=False))
     rep.add("t_l_antihomomorphism", is_hom(H.t_l, opposite=True))
@@ -657,186 +553,68 @@ def check_algebroid_structure(H: HopfAlgebroid) -> CheckReport:
     rep.add("s_r_homomorphism_op", is_hom(H.s_r, opposite=True))
     rep.add("t_r_homomorphism", is_hom(H.t_r, opposite=False))
 
-    rep.add("left_images_commute", all(
-        H.mult_vec(H.s_l.col(a), H.t_l.col(b)) == H.mult_vec(H.t_l.col(b), H.s_l.col(a))
-        for a in range(r) for b in range(r)))
-    rep.add("right_images_commute", all(
-        H.mult_vec(H.s_r.col(a), H.t_r.col(b)) == H.mult_vec(H.t_r.col(b), H.s_r.col(a))
-        for a in range(r) for b in range(r)))
+    def images_commute(source, target):
+        xs, ys = source.col_maps(), target.col_maps()
+        return first_failure((("a", r), ("b", r)), lambda a, b:
+                             H.mul(xs[a], ys[b]) != H.mul(ys[b], xs[a])) is None
 
-    eye = Matrix.identity(f, n)
-    rep.add("antipode_inverse_pair",
-            H.antipode * H.antipode_inv == eye and H.antipode_inv * H.antipode == eye)
-    ok, wit = True, None
-    for i in range(n):
-        for j in range(n):
-            lhs = H.apply_s(H.mult_vec(H.basis(i), H.basis(j)))
-            rhs = H.mult_vec(H.apply_s(H.basis(j)), H.apply_s(H.basis(i)))
-            if lhs != rhs:
-                ok, wit = False, (("i", i), ("j", j))
-                break
-        if not ok:
-            break
-    rep.add("antipode_antihom", ok and H.apply_s(H.unit) == H.unit, wit)
+    rep.add("left_images_commute", images_commute(H.s_l, H.t_l))
+    rep.add("right_images_commute", images_commute(H.s_r, H.t_r))
+    check_antipode_pair(rep, H)
     return rep
 
 
 def check_left_bialgebroid(H: HopfAlgebroid) -> CheckReport:
     """The left bialgebroid axioms, all identities taken modulo the
     (x)_{R_l} relation subspace(s)."""
-    f = H.field
-    n, r = H.dim, H.base.dim
+    f, R = H.field, H.base
+    n, r = H.dim, R.dim
     rep = CheckReport()
     rel = H.rel_l
+    e, prods = H._basis_sparse, H._products
+    s_l, t_l, eps_l = H.s_l.col_maps(), H.t_l.col_maps(), H.eps_l.col_maps()
+    delta = _sweedler_dicts(H, H.delta_l_terms)
 
-    ok, wit = True, None
-    for b in range(r):
-        for i in range(n):
-            sl = H.s_l.col(b)
-            lhs = _tensor2_vec(f, n, _expand_delta(H, H.delta_l_lift,
-                                                   H.mult_vec(sl, H.basis(i))))
-            rhs = _tensor2_vec(f, n, _mult_into_leg(H, H.delta_l_terms(i), sl, 0, "l"))
-            if not rel.contains(tuple(f.sub(x, y) for x, y in zip(lhs, rhs))):
-                ok, wit = False, (("r", b), ("b", i), ("side", 0))
-                break
-            tl = H.t_l.col(b)
-            lhs = _tensor2_vec(f, n, _expand_delta(H, H.delta_l_lift,
-                                                   H.mult_vec(tl, H.basis(i))))
-            rhs = _tensor2_vec(f, n, _mult_into_leg(H, H.delta_l_terms(i), tl, 1, "l"))
-            if not rel.contains(tuple(f.sub(x, y) for x, y in zip(lhs, rhs))):
-                ok, wit = False, (("r", b), ("b", i), ("side", 1))
-                break
-        if not ok:
-            break
-    rep.add("delta_l_bimodule", ok, wit)
+    # Delta(s_l(a) b) = s_l(a) b_1 (x) b_2 and Delta(t_l(a) b) = b_1 (x) t_l(a) b_2
+    def bimodule_fails(b, i, side):
+        x = (s_l, t_l)[side][b]
+        return not _congruent(H, rel, sparse_apply(f, delta, H.mul(x, e[i])),
+                              tp_leg(H, delta[i], side, lambda p: H.mul(x, e[p])))
+
+    rep.search("delta_l_bimodule", (("r", r), ("b", n), ("side", 2)), bimodule_fails)
 
     rel3 = _triple_relations(H, ("l", "l"))
-    ok, wit = True, None
-    for i in range(n):
-        lhs = _delta3(H, H.delta_l_lift, H.delta_l_lift, i, expand_first=True)
-        rhs = _delta3(H, H.delta_l_lift, H.delta_l_lift, i, expand_first=False)
-        diff = tuple(f.sub(x, y) for x, y in zip(lhs, rhs))
-        if not rel3.contains(diff):
-            ok, wit = False, (("b", i),)
-            break
-    rep.add("delta_l_coassoc", ok, wit)
+    rep.search("delta_l_coassoc", (("b", n),), lambda i: not _congruent(
+        H, rel3, tp_slot(H, delta[i], 0, delta), tp_slot(H, delta[i], 1, delta)))
 
-    ok, wit = True, None
-    for i in range(n):
-        acc1 = tuple([f.zero] * n)
-        acc2 = tuple([f.zero] * n)
-        for c, p, q in H.delta_l_terms(i):
-            term1 = H.mult_vec(H.s_l.apply(H.eps_l.apply(H.basis(p))), H.basis(q))
-            acc1 = tuple(f.add(x, f.mul(c, t)) for x, t in zip(acc1, term1))
-            term2 = H.mult_vec(H.t_l.apply(H.eps_l.apply(H.basis(q))), H.basis(p))
-            acc2 = tuple(f.add(x, f.mul(c, t)) for x, t in zip(acc2, term2))
-        if acc1 != H.basis(i) or acc2 != H.basis(i):
-            ok, wit = False, (("b", i),)
-            break
-    rep.add("delta_l_counital", ok, wit)
+    # s_l(eps_l(b_1)) b_2 = b = t_l(eps_l(b_2)) b_1
+    sl_eps = [sparse_apply(f, s_l, eps_l[p]) for p in range(n)]
+    tl_eps = [sparse_apply(f, t_l, eps_l[p]) for p in range(n)]
+    rep.search("delta_l_counital", (("b", n),), lambda i:
+               tp_contract(H, delta[i], lambda p, q: H.mul(sl_eps[p], e[q])) != e[i]
+               or tp_contract(H, delta[i], lambda p, q: H.mul(tl_eps[q], e[p])) != e[i])
 
-    ok, wit = True, None
-    for a in range(r):
-        for b in range(r):
-            for i in range(n):
-                val = H.mult_vec(H.mult_vec(H.s_l.col(a), H.t_l.col(b)), H.basis(i))
-                lhs = H.eps_l.apply(val)
-                rhs = H.base.mult_vec(H.base.mult_vec(H.base.basis(a),
-                                                      H.eps_l.apply(H.basis(i))),
-                                      H.base.basis(b))
-                if lhs != rhs:
-                    ok, wit = False, (("r", a), ("rp", b), ("b", i))
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    rep.add("eps_l_bimodule", ok, wit)
+    def eps(a):
+        return sparse_apply(f, eps_l, a)
 
-    ok, wit = True, None
-    for i in range(n):
-        for b in range(r):
-            tlr = H.t_l.col(b)
-            slr = H.s_l.col(b)
-            one = _tensor2_vec(f, n, _mult_into_leg(H, H.delta_l_terms(i), tlr, 0, "r"))
-            two = _tensor2_vec(f, n, _mult_into_leg(H, H.delta_l_terms(i), slr, 1, "r"))
-            if not rel.contains(tuple(f.sub(x, y) for x, y in zip(one, two))):
-                ok, wit = False, (("b", i), ("r", b))
-                break
-        if not ok:
-            break
-    rep.add("takeuchi_left", ok, wit)
+    eR = R._basis_sparse
+    rep.search("eps_l_bimodule", (("r", r), ("rp", r), ("b", n)), lambda a, b, i:
+               eps(H.mul(s_l[a], t_l[b], e[i])) != R.mul(eR[a], eps_l[i], eR[b]))
 
-    ok, wit = True, None
-    for i in range(n):
-        for j in range(n):
-            prod = H.mult_vec(H.basis(i), H.basis(j))
-            lhs = _tensor2_vec(f, n, _expand_delta(H, H.delta_l_lift, prod))
-            rhs = _pair_product(H, H.delta_l_terms(i), H.delta_l_terms(j))
-            if not rel.contains(tuple(f.sub(x, y) for x, y in zip(lhs, rhs))):
-                ok, wit = False, (("b", i), ("bp", j))
-                break
-        if not ok:
-            break
-    uvec = [f.zero] * (n * n)
-    for p, cp in enumerate(H.unit):
-        if cp != 0:
-            for q, cq in enumerate(H.unit):
-                if cq != 0:
-                    uvec[p * n + q] = f.mul(cp, cq)
-    lhsu = _tensor2_vec(f, n, _expand_delta(H, H.delta_l_lift, H.unit))
-    unit_ok = rel.contains(tuple(f.sub(x, y) for x, y in zip(lhsu, uvec)))
-    rep.add("delta_l_multiplicative", ok and unit_ok, wit)
+    # b_1 t_l(a) (x) b_2 = b_1 (x) b_2 s_l(a)
+    rep.search("takeuchi_left", (("b", n), ("r", r)), lambda i, b: not _congruent(
+        H, rel, tp_leg(H, delta[i], 0, lambda p: H.mul(e[p], t_l[b])),
+        tp_leg(H, delta[i], 1, lambda q: H.mul(e[q], s_l[b]))))
 
-    ok, wit = True, None
-    for i in range(n):
-        for j in range(n):
-            prod = H.mult_vec(H.basis(i), H.basis(j))
-            lhs = H.eps_l.apply(prod)
-            mid = H.eps_l.apply(H.mult_vec(
-                H.basis(i), H.s_l.apply(H.eps_l.apply(H.basis(j)))))
-            rgt = H.eps_l.apply(H.mult_vec(
-                H.basis(i), H.t_l.apply(H.eps_l.apply(H.basis(j)))))
-            if lhs != mid or lhs != rgt:
-                ok, wit = False, (("b", i), ("bp", j))
-                break
-        if not ok:
-            break
-    rep.add("eps_l_character", ok, wit)
+    rep.search("delta_l_multiplicative", (("b", n), ("bp", n)), lambda i, j: not _congruent(
+        H, rel, sparse_apply(f, delta, prods[i][j]), tp_mul(H, delta[i], delta[j])),
+        _congruent(H, rel, sparse_apply(f, delta, H.elem(H.unit)), tp_unit(H, 2)))
+
+    # eps_l(b b') = eps_l(b s_l(eps_l(b'))) = eps_l(b t_l(eps_l(b')))
+    rep.search("eps_l_character", (("b", n), ("bp", n)), lambda i, j:
+               eps(prods[i][j]) != eps(H.mul(e[i], sl_eps[j]))
+               or eps(prods[i][j]) != eps(H.mul(e[i], tl_eps[j])))
     return rep
-
-
-def _expand_delta(H: HopfAlgebroid, lift: Matrix, vec):
-    """Delta of an arbitrary element through the stored lift, as sparse terms."""
-    f = H.field
-    n = H.dim
-    out = []
-    for i, c in enumerate(vec):
-        if c == 0:
-            continue
-        for cd, p, q in H._delta_terms(lift, i):
-            out.append((f.mul(c, cd), p, q))
-    return out
-
-
-def _pair_product(H: HopfAlgebroid, terms1, terms2):
-    """Componentwise product of two lifted 2-tensors, as a dense vector."""
-    f = H.field
-    n = H.dim
-    out = [f.zero] * (n * n)
-    for c1, p1, q1 in terms1:
-        for c2, p2, q2 in terms2:
-            c = f.mul(c1, c2)
-            left = H.mult_vec(H.basis(p1), H.basis(p2))
-            right = H.mult_vec(H.basis(q1), H.basis(q2))
-            for k, lv in enumerate(left):
-                if lv == 0:
-                    continue
-                for l, rv in enumerate(right):
-                    if rv != 0:
-                        out[k * n + l] = f.add(out[k * n + l],
-                                               f.mul(c, f.mul(lv, rv)))
-    return tuple(out)
 
 
 def _triple_relations(H: HopfAlgebroid, kinds) -> Subspace:
@@ -850,24 +628,6 @@ def _triple_relations(H: HopfAlgebroid, kinds) -> Subspace:
     a, b = first.kron(eye), eye.kron(second)
     return Subspace.row_space(block_matrix(f, a.rows + b.rows, H.dim ** 3,
                                            [(0, 0, a), (a.rows, 0, b)]))
-
-
-def _delta3(H: HopfAlgebroid, lift_outer: Matrix, lift_inner: Matrix, i: int,
-            expand_first: bool):
-    """(Delta (x) id) Delta or (id (x) Delta) Delta through stored lifts."""
-    f = H.field
-    n = H.dim
-    out = [f.zero] * (n ** 3)
-    for c, p, q in H._delta_terms(lift_outer, i):
-        if expand_first:
-            for c2, a, b in H._delta_terms(lift_inner, p):
-                out[(a * n + b) * n + q] = f.add(out[(a * n + b) * n + q],
-                                                 f.mul(c, c2))
-        else:
-            for c2, a, b in H._delta_terms(lift_inner, q):
-                out[(p * n + a) * n + b] = f.add(out[(p * n + a) * n + b],
-                                                 f.mul(c, c2))
-    return tuple(out)
 
 
 def check_right_bialgebroid(H: HopfAlgebroid) -> CheckReport:
@@ -898,84 +658,29 @@ def check_hopf_algebroid(H: HopfAlgebroid) -> CheckReport:
     rep.add("counit_source_target_3", H.t_l * H.eps_l * H.s_r == H.s_r)
     rep.add("counit_source_target_4", H.t_r * H.eps_r * H.s_l == H.s_l)
 
-    rel_lr = _triple_relations(H, ("l", "r"))
-    ok, wit = True, None
-    for i in range(n):
-        lhs = _delta3(H, H.delta_r_lift, H.delta_l_lift, i, expand_first=True)
-        rhs = _delta3(H, H.delta_l_lift, H.delta_r_lift, i, expand_first=False)
-        if not rel_lr.contains(tuple(f.sub(x, y) for x, y in zip(lhs, rhs))):
-            ok, wit = False, (("b", i),)
-            break
-    rep.add("mixed_coassoc_1", ok, wit)
+    dl = _sweedler_dicts(H, H.delta_l_terms)
+    dr = _sweedler_dicts(H, H.delta_r_terms)
+    for check_id, kinds, first, second in (("mixed_coassoc_1", ("l", "r"), dr, dl),
+                                           ("mixed_coassoc_2", ("r", "l"), dl, dr)):
+        # (Delta' (x) id) Delta = (id (x) Delta) Delta' for the two orders
+        rel3 = _triple_relations(H, kinds)
+        rep.search(check_id, (("b", n),), lambda i: not _congruent(
+            H, rel3, tp_slot(H, first[i], 0, second), tp_slot(H, second[i], 1, first)))
 
-    rel_rl = _triple_relations(H, ("r", "l"))
-    ok, wit = True, None
-    for i in range(n):
-        lhs = _delta3(H, H.delta_l_lift, H.delta_r_lift, i, expand_first=True)
-        rhs = _delta3(H, H.delta_r_lift, H.delta_l_lift, i, expand_first=False)
-        if not rel_rl.contains(tuple(f.sub(x, y) for x, y in zip(lhs, rhs))):
-            ok, wit = False, (("b", i),)
-            break
-    rep.add("mixed_coassoc_2", ok, wit)
+    e = H._basis_sparse
+    s, s_inv = H.antipode.col_maps(), H.antipode_inv.col_maps()
+    s_l, t_l, s_r, t_r, eps_l, eps_r = (
+        m.col_maps() for m in (H.s_l, H.t_l, H.s_r, H.t_r, H.eps_l, H.eps_r))
+    rep.search("antipode_twisted_linear", (("r", r), ("h", n), ("rp", r)), lambda a, i, b:
+               sparse_apply(f, s, H.mul(t_l[a], e[i], t_r[b])) != H.mul(s_r[b], s[i], s_l[a]))
 
-    ok, wit = True, None
-    for a in range(r):
-        for i in range(n):
-            for b in range(r):
-                lhs = H.apply_s(H.prod(H.t_l.col(a), H.basis(i), H.t_r.col(b)))
-                rhs = H.prod(H.s_r.col(b), H.apply_s(H.basis(i)), H.s_l.col(a))
-                if lhs != rhs:
-                    ok, wit = False, (("r", a), ("h", i), ("rp", b))
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    rep.add("antipode_twisted_linear", ok, wit)
-
-    ok, wit = True, None
-    for i in range(n):
-        acc = tuple([f.zero] * n)
-        for c, p, q in H.delta_l_terms(i):
-            term = H.mult_vec(H.apply_s(H.basis(p)), H.basis(q))
-            acc = tuple(f.add(x, f.mul(c, t)) for x, t in zip(acc, term))
-        if acc != H.s_r.apply(H.eps_r.apply(H.basis(i))):
-            ok, wit = False, (("b", i),)
-            break
-    rep.add("antipode_convolution_left", ok, wit)
-
-    ok, wit = True, None
-    for i in range(n):
-        acc = tuple([f.zero] * n)
-        for c, p, q in H.delta_r_terms(i):
-            term = H.mult_vec(H.basis(p), H.apply_s(H.basis(q)))
-            acc = tuple(f.add(x, f.mul(c, t)) for x, t in zip(acc, term))
-        if acc != H.s_l.apply(H.eps_l.apply(H.basis(i))):
-            ok, wit = False, (("b", i),)
-            break
-    rep.add("antipode_convolution_right", ok, wit)
-
-    ok, wit = True, None
-    for i in range(n):
-        acc = tuple([f.zero] * n)
-        for c, p, q in H.delta_l_terms(i):
-            term = H.mult_vec(H.apply_s_inv(H.basis(q)), H.basis(p))
-            acc = tuple(f.add(x, f.mul(c, t)) for x, t in zip(acc, term))
-        if acc != H.t_r.apply(H.eps_r.apply(H.basis(i))):
-            ok, wit = False, (("b", i),)
-            break
-    rep.add("derived_sinv_convolution", ok, wit)
-
-    ok, wit = True, None
-    for i in range(n):
-        acc = tuple([f.zero] * n)
-        for c, p, q in H.delta_r_terms(i):
-            term = H.mult_vec(H.basis(q), H.apply_s_inv(H.basis(p)))
-            acc = tuple(f.add(x, f.mul(c, t)) for x, t in zip(acc, term))
-        if acc != H.t_l.apply(H.eps_l.apply(H.basis(i))):
-            ok, wit = False, (("b", i),)
-            break
-    rep.add("derived_tl_convolution", ok, wit)
+    for check_id, delta, term, source, counit in (
+            ("antipode_convolution_left", dl, lambda p, q: H.mul(s[p], e[q]), s_r, eps_r),
+            ("antipode_convolution_right", dr, lambda p, q: H.mul(e[p], s[q]), s_l, eps_l),
+            ("derived_sinv_convolution", dl, lambda p, q: H.mul(s_inv[q], e[p]), t_r, eps_r),
+            ("derived_tl_convolution", dr, lambda p, q: H.mul(e[q], s_inv[p]), t_l, eps_l)):
+        rep.search(check_id, (("b", n),), lambda i: tp_contract(H, delta[i], term)
+                   != sparse_apply(f, source, counit[i]))
 
     kow_a = H.t_r * H.eps_r * H.t_l == Matrix.from_cols(
         f, [H.apply_s_inv(H.t_l.col(b)) for b in range(r)], ambient=n)
@@ -983,20 +688,9 @@ def check_hopf_algebroid(H: HopfAlgebroid) -> CheckReport:
         f, [H.apply_s(H.s_l.col(b)) for b in range(r)], ambient=n)
     rep.add("kow_identity", kow_a and kow_b)
 
-    ok, wit = True, None
-    for a in range(r):
-        for i in range(n):
-            for b in range(r):
-                lhs = H.prod(H.t_r.col(b), H.apply_s_inv(H.basis(i)), H.t_l.col(a))
-                rhs = H.apply_s_inv(H.prod(H.s_l.col(a), H.basis(i), H.s_r.col(b)))
-                if lhs != rhs:
-                    ok, wit = False, (("r", a), ("h", i), ("rp", b))
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    rep.add("sinv_twisted_linear", ok, wit)
+    rep.search("sinv_twisted_linear", (("r", r), ("h", n), ("rp", r)), lambda a, i, b:
+               H.mul(t_r[b], s_inv[i], t_l[a])
+               != sparse_apply(f, s_inv, H.mul(s_l[a], e[i], s_r[b])))
     return rep
 
 

@@ -14,7 +14,7 @@ import time
 
 from .fields import rationals, prime_field, FieldError
 from .reports import CheckReport
-from .quasihopf import (QuasiHopfAlgebra, StructureError, GroupTableError,
+from .quasihopf import (QuasiHopfAlgebra, StructureError, GroupTableError, IntertwinerError,
                         group_algebra, sweedler_h4, twisted_dual_group_algebra,
                         cyclic_group_table, symmetric_group_table,
                         z2_nontrivial_cocycle, z3_nontrivial_cocycle, trivial_module,
@@ -230,6 +230,10 @@ def cmd_cohomology(args) -> int:
         except CocyclicError as e:
             checks.append({"check": "cocyclic_identities", "pass": False,
                            "counterexample": {"relation": e.relation, **dict(e.indices)}})
+        except IntertwinerError as e:
+            # a stable coefficient that is not aYD: its tau is not H-linear
+            checks.append({"check": "cocyclic_identities", "pass": False,
+                           "counterexample": {"relation": str(e)}})
     report["pass"] = all(c["pass"] for c in checks)
     return _emit(report, args)
 

@@ -8,16 +8,25 @@ Four flavors are supported: the Hopf contraaction, the two quasi-Hopf
 unravelings (type I fed by the naive evaluation, type II by the categorical
 one), and the algebroid contraaction whose domain carries a base-linearity
 constraint.  Every check rejects data of the wrong flavor.
+
+A failed check reports the lexicographically first failing index tuple, in
+the order the check names its indices (``CheckReport.search``): basis
+elements h of H, vectors m of M, base indices r, matrix units E_ja of
+Hom(H, M) as (f_row, f_col) = (j, a), and f_index for the canonical basis
+of the base-linear maps.
 """
 
 from __future__ import annotations
 
+import itertools
+import operator
+
 from .linalg import (Matrix, basis_vec, block_matrix, vec_scale, intertwiner_space,
                      kron_sum, quotient_section)
-from .reports import AydReport
+from .reports import AydReport, first_failure
 from .quasihopf import (HModule, QuasiHopfAlgebra, IntertwinerError, StructureError,
                         left_hom, right_hom, tensor_module, regular_module,
-                        is_intertwiner, _swap_factors)
+                        is_intertwiner, eps_p_q_beta_s_r, _swap_factors)
 
 HOPF_MU = "HopfMu"
 QUASI_I = "QuasiTypeI"
@@ -84,16 +93,6 @@ def _require(C: Contramodule, flavor: str):
         raise FlavorError("expected flavor %s, got %s" % (flavor, C.flavor))
 
 
-def _first_col_diff(a: Matrix, b: Matrix):
-    for j in range(a.cols):
-        ca, cb = a.col(j), b.col(j)
-        if ca != cb:
-            for i, (x, y) in enumerate(zip(ca, cb)):
-                if x != y:
-                    return j, i
-    return None
-
-
 # -- Hopf flavor ---------------------------------------------------------------
 
 def check_contramodule_hopf(C: Contramodule) -> AydReport:
@@ -116,31 +115,24 @@ def _contra_coassoc_hopf(C: Contramodule) -> AydReport:
     H = C.parent
     f = C.field
     n, d = H.dim, C.carrier.dim
+    zero_col = tuple([f.zero] * d)
+
+    def fails(b, j, a):
+        # the matrix unit of Hom(H, Hom(H, M)) at outer source b, row j, column a
+        mu_col = C.mu.col(j * n + a)
+        lhs = C.mu_apply(Matrix.from_cols(
+            f, [mu_col if c == b else zero_col for c in range(n)], ambient=d))
+        rhs_cols = []
+        for c in range(n):
+            s = f.zero
+            for coef, p, q in H.delta_terms(c):
+                if p == b and q == a:
+                    s = f.add(s, coef)
+            rhs_cols.append(vec_scale(f, s, basis_vec(f, d, j)))
+        return lhs != C.mu_apply(Matrix.from_cols(f, rhs_cols, ambient=d))
+
     rep = AydReport()
-    ok, wit = True, None
-    for b in range(n):                 # outer source index of the f unit
-        for j in range(d):
-            for a in range(n):
-                mu_col = C.mu.col(j * n + a)
-                lhs = C.mu_apply(Matrix.from_cols(
-                    f, [mu_col if c == b else tuple([f.zero] * d) for c in range(n)],
-                    ambient=d))
-                rhs_cols = []
-                for c in range(n):
-                    s = f.zero
-                    for coef, p, q in H.delta_terms(c):
-                        if p == b and q == a:
-                            s = f.add(s, coef)
-                    rhs_cols.append(vec_scale(f, s, basis_vec(f, d, j)))
-                rhs = C.mu_apply(Matrix.from_cols(f, rhs_cols, ambient=d))
-                if lhs != rhs:
-                    ok, wit = False, (("f_outer", b), ("f_row", j), ("f_col", a))
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    rep.add("contra_coassoc", ok, wit)
+    rep.search("contra_coassoc", (("f_outer", n), ("f_row", d), ("f_col", n)), fails)
     return rep
 
 
@@ -151,15 +143,9 @@ def _contra_counit(C: Contramodule, check_id: str, use_beta: bool) -> AydReport:
     d = C.carrier.dim
     scale = H.eps(H.beta) if use_beta else f.one
     rep = AydReport()
-    ok, wit = True, None
-    for m in range(d):
-        g = Matrix.from_cols(
-            f, [vec_scale(f, f.mul(scale, H.counit[c]), basis_vec(f, d, m))
-                for c in range(H.dim)], ambient=d)
-        if C.mu_apply(g) != basis_vec(f, d, m):
-            ok, wit = False, (("m", m),)
-            break
-    rep.add(check_id, ok, wit)
+    rep.search(check_id, (("m", d),), lambda m: C.mu_apply(Matrix.from_cols(
+        f, [vec_scale(f, f.mul(scale, H.counit[c]), basis_vec(f, d, m))
+            for c in range(H.dim)], ambient=d)) != basis_vec(f, d, m))
     return rep
 
 
@@ -174,8 +160,8 @@ def check_ayd_hopf(C: Contramodule) -> AydReport:
     if not C.parent.is_hopf():
         raise FlavorError("HopfMu checks need a Hopf parent (trivial Phi, alpha, beta)")
     rep = AydReport()
-    rep.extend(_ayd_report("ayd_eq_one", _ayd_pairs_one(C)))
-    rep.extend(_ayd_report("ayd_eq_two", _ayd_pairs_two(C)))
+    rep.extend(_ayd_report("ayd_eq_one", C, _ayd_sides_one(C)))
+    rep.extend(_ayd_report("ayd_eq_two", C, _ayd_sides_two(C)))
     return rep
 
 
@@ -189,82 +175,75 @@ def _sweedler3(H: QuasiHopfAlgebra, c: int):
     return out
 
 
-def _ayd_pairs_one(C: Contramodule):
-    """Instances of h mu(f) = mu(h^2 f(S(h^3) - h^1)) per (basis h, matrix
-    unit f), in lexicographic order, with h^1 (x) h^2 (x) h^3 =
+def _ayd_sides_one(C: Contramodule):
+    """(h, j, a) |-> the two sides of h mu(f) = mu(h^2 f(S(h^3) - h^1)) at the
+    basis element h and the matrix unit f = E_ja, with h^1 (x) h^2 (x) h^3 =
     (id (x) Delta) Delta(h).  This is aYD form one, and the type II
     equation for nu."""
     H = C.parent
     f = C.field
     n, d = H.dim, C.carrier.dim
     M = C.carrier
-    for h in range(n):
-        legs = _sweedler3(H, h)
-        for j in range(d):
-            for a in range(n):
-                lhs = M.mats[h].apply(C.mu.col(j * n + a))
-                rhs_rows = [[f.zero] * n for _ in range(d)]
-                for coef, h1, h2, h3 in legs:
-                    # y |-> h2 . f(S(h3) y h1): column y of the inner map
-                    post_col = M.mats[h2].col(j)
-                    sh3 = H.apply_s(H.basis(h3))
-                    for y in range(n):
-                        w = H.prod(sh3, H.basis(y), H.basis(h1))
-                        if w[a] != 0:
-                            c2 = f.mul(coef, w[a])
-                            for i in range(d):
-                                if post_col[i] != 0:
-                                    rhs_rows[i][y] = f.add(rhs_rows[i][y],
-                                                           f.mul(c2, post_col[i]))
-                rhs = C.mu_apply(Matrix.from_rows(f, rhs_rows))
-                yield (h, j, a), lhs, rhs
+    legs = [_sweedler3(H, h) for h in range(n)]
+
+    def sides(h, j, a):
+        lhs = M.mats[h].apply(C.mu.col(j * n + a))
+        rhs_rows = [[f.zero] * n for _ in range(d)]
+        for coef, h1, h2, h3 in legs[h]:
+            # y |-> h2 . f(S(h3) y h1): column y of the inner map
+            post_col = M.mats[h2].col(j)
+            sh3 = H.apply_s(H.basis(h3))
+            for y in range(n):
+                w = H.prod(sh3, H.basis(y), H.basis(h1))
+                if w[a] != 0:
+                    c2 = f.mul(coef, w[a])
+                    for i in range(d):
+                        if post_col[i] != 0:
+                            rhs_rows[i][y] = f.add(rhs_rows[i][y], f.mul(c2, post_col[i]))
+        return lhs, C.mu_apply(Matrix.from_rows(f, rhs_rows))
+    return sides
 
 
-def _ayd_pairs_two(C: Contramodule):
-    """Instances of h^2 mu(f(- S^-1(h^1))) = mu(h^1 f(S(h^2) -)) per
-    (basis h, matrix unit f), in lexicographic order."""
+def _ayd_sides_two(C: Contramodule):
+    """(h, j, a) |-> the two sides of h^2 mu(f(- S^-1(h^1))) = mu(h^1 f(S(h^2) -))
+    at the basis element h and the matrix unit f = E_ja."""
     H = C.parent
     f = C.field
     n, d = H.dim, C.carrier.dim
     M = C.carrier
-    for h in range(n):
-        legs = H.delta_terms(h)
-        ra = [_right_mult_matrix(H, H.apply_s_inv(H.basis(h1))) for _, h1, _ in legs]
-        la = [_left_mult_matrix(H, H.apply_s(H.basis(h2))) for _, _, h2 in legs]
-        for j in range(d):
-            for a in range(n):
-                lhs = tuple([f.zero] * d)
-                for t, (coef, h1, h2) in enumerate(legs):
-                    rows = [[f.zero] * n for _ in range(d)]
-                    for y in range(n):
-                        w = ra[t].get(a, y)       # (e_y S^-1(h1))_a
-                        if w != 0:
-                            rows[j][y] = w
-                    term = M.mats[h2].apply(C.mu_apply(Matrix.from_rows(f, rows)))
-                    lhs = tuple(f.add(x, f.mul(coef, v)) for x, v in zip(lhs, term))
-                rhs_rows = [[f.zero] * n for _ in range(d)]
-                for t, (coef, h1, h2) in enumerate(legs):
-                    post_col = M.mats[h1].col(j)
-                    for y in range(n):
-                        w = la[t].get(a, y)       # (S(h2) e_y)_a
-                        if w != 0:
-                            c2 = f.mul(coef, w)
-                            for i in range(d):
-                                rhs_rows[i][y] = f.add(rhs_rows[i][y],
-                                                       f.mul(c2, post_col[i]))
-                rhs = C.mu_apply(Matrix.from_rows(f, rhs_rows))
-                yield (h, j, a), lhs, rhs
+    legs = [H.delta_terms(h) for h in range(n)]
+    ra = [[H.right_mult_matrix(H.apply_s_inv(H.basis(h1))) for _, h1, _ in t] for t in legs]
+    la = [[H.left_mult_matrix(H.apply_s(H.basis(h2))) for _, _, h2 in t] for t in legs]
+
+    def sides(h, j, a):
+        lhs = tuple([f.zero] * d)
+        for t, (coef, h1, h2) in enumerate(legs[h]):
+            rows = [[f.zero] * n for _ in range(d)]
+            for y in range(n):
+                w = ra[h][t].get(a, y)       # (e_y S^-1(h1))_a
+                if w != 0:
+                    rows[j][y] = w
+            term = M.mats[h2].apply(C.mu_apply(Matrix.from_rows(f, rows)))
+            lhs = tuple(f.add(x, f.mul(coef, v)) for x, v in zip(lhs, term))
+        rhs_rows = [[f.zero] * n for _ in range(d)]
+        for t, (coef, h1, h2) in enumerate(legs[h]):
+            post_col = M.mats[h1].col(j)
+            for y in range(n):
+                w = la[h][t].get(a, y)       # (S(h2) e_y)_a
+                if w != 0:
+                    c2 = f.mul(coef, w)
+                    for i in range(d):
+                        rhs_rows[i][y] = f.add(rhs_rows[i][y], f.mul(c2, post_col[i]))
+        return lhs, C.mu_apply(Matrix.from_rows(f, rhs_rows))
+    return sides
 
 
-def _ayd_report(check_id: str, pairs) -> AydReport:
-    """One aYD check: the first instance whose two sides differ."""
+def _ayd_report(check_id: str, C: Contramodule, sides) -> AydReport:
+    """One aYD check: the first instance (h, f_row, f_col) whose two sides differ."""
+    n, d = C.parent.dim, C.carrier.dim
     rep = AydReport()
-    ok, wit = True, None
-    for (h, j, a), lhs, rhs in pairs:
-        if lhs != rhs:
-            ok, wit = False, (("h", h), ("f_row", j), ("f_col", a))
-            break
-    rep.add(check_id, ok, wit)
+    rep.search(check_id, (("h", n), ("f_row", d), ("f_col", n)),
+               lambda *idx: operator.ne(*sides(*idx)))
     return rep
 
 
@@ -284,23 +263,14 @@ def ayd_compatibility_system(carrier: HModule, flavor: str) -> Matrix:
         mu = Matrix(f, d, d * n, [f.one if i == t else f.zero for i in range(size)])
         C = Contramodule(carrier, mu, flavor)
         if flavor in (HOPF_MU, QUASI_I):
-            pairs = _ayd_pairs_two(C)
+            sides = _ayd_sides_two(C)
         elif flavor == QUASI_II:
-            pairs = _ayd_pairs_one(C)
+            sides = _ayd_sides_one(C)
         else:
             raise FlavorError("no linear aYD system for flavor %s" % flavor)
-        cols.append(tuple(f.sub(x, y) for _, lhs, rhs in pairs for x, y in zip(lhs, rhs)))
+        cols.append(tuple(f.sub(x, y) for idx in itertools.product(range(n), range(d), range(n))
+                          for x, y in zip(*sides(*idx))))
     return Matrix.from_cols(f, cols)
-
-
-def _left_mult_matrix(H: QuasiHopfAlgebra, vec) -> Matrix:
-    cols = [H.mult_vec(vec, H.basis(j)) for j in range(H.dim)]
-    return Matrix.from_cols(H.field, cols, ambient=H.dim)
-
-
-def _right_mult_matrix(H: QuasiHopfAlgebra, vec) -> Matrix:
-    cols = [H.mult_vec(H.basis(j), vec) for j in range(H.dim)]
-    return Matrix.from_cols(H.field, cols, ambient=H.dim)
 
 
 def check_stability_hopf(C: Contramodule) -> AydReport:
@@ -316,14 +286,8 @@ def _stability_plain(C: Contramodule) -> AydReport:
     f = C.field
     d = C.carrier.dim
     rep = AydReport()
-    ok, wit = True, None
-    for m in range(d):
-        g = Matrix.from_cols(f, [C.carrier.mats[x].col(m) for x in range(H.dim)],
-                             ambient=d)
-        if C.mu_apply(g) != basis_vec(f, d, m):
-            ok, wit = False, (("m", m),)
-            break
-    rep.add("stability", ok, wit)
+    rep.search("stability", (("m", d),), lambda m: C.mu_apply(Matrix.from_cols(
+        f, [C.carrier.mats[x].col(m) for x in range(H.dim)], ambient=d)) != basis_vec(f, d, m))
     return rep
 
 
@@ -493,16 +457,16 @@ def _quasi_contra_check(C: Contramodule, check_id: str) -> AydReport:
     reg = regular_module(H)
     lhs, rhs = hexagon_sides(C, reg, reg)
     ev = _eval_at_unit_unit(H, C.carrier.dim)
-    diff = _first_col_diff(ev * lhs, ev * rhs)
-    rep = AydReport()
-    if diff is None:
-        rep.add(check_id, True)
-    else:
-        j, i = diff
+    a, b = ev * lhs, ev * rhs
+    # column j = (f_row * n + f_col) * n + f_outer of the evaluated sides
+    wit = first_failure((("j", a.cols), ("coord", a.rows)), lambda j, i:
+                        a.get(i, j) != b.get(i, j))
+    if wit is not None:
+        (_, j), coord = wit
         n = H.dim
-        rep.add(check_id, False,
-                (("f_outer", j % n), ("f_row", (j // n) // n), ("f_col", (j // n) % n),
-                 ("coord", i)))
+        wit = (("f_outer", j % n), ("f_row", j // n // n), ("f_col", j // n % n), coord)
+    rep = AydReport()
+    rep.add(check_id, wit is None, wit)
     return rep
 
 
@@ -510,7 +474,7 @@ def check_ayd_quasi_I(C: Contramodule) -> AydReport:
     """Type I anti-Yetter-Drinfeld contramodule equations."""
     _require(C, QUASI_I)
     rep = AydReport()
-    rep.extend(_ayd_report("ayd_type_I", _ayd_pairs_two(C)))
+    rep.extend(_ayd_report("ayd_type_I", C, _ayd_sides_two(C)))
     rep.extend(_quasi_contra_check(C, "quasi_contra_I"))
     rep.extend(_contra_counit(C, "contra_unit_I", use_beta=False))
     return rep
@@ -520,7 +484,7 @@ def check_ayd_quasi_II(C: Contramodule) -> AydReport:
     """Type II anti-Yetter-Drinfeld contramodule equations."""
     _require(C, QUASI_II)
     rep = AydReport()
-    rep.extend(_ayd_report("ayd_type_II", _ayd_pairs_one(C)))
+    rep.extend(_ayd_report("ayd_type_II", C, _ayd_sides_one(C)))
     rep.extend(_quasi_contra_check(C, "quasi_contra_II"))
     rep.extend(_contra_counit(C, "contra_unit_II", use_beta=True))
     return rep
@@ -535,7 +499,7 @@ def convert_I_to_II(C: Contramodule) -> Contramodule:
     terms = []
     for (p, q, r), coef in H.phi_inv_terms().items():
         w = H.prod(H.apply_s_inv(H.basis(q)), H.apply_s_inv(H.alpha), H.basis(p))
-        rw = _right_mult_matrix(H, w)
+        rw = H.right_mult_matrix(w)
         post = C.carrier.mats[r]
         cols = []
         for j in range(d):
@@ -618,9 +582,8 @@ def check_contramodule_algebroid(C: Contramodule) -> AydReport:
         pairs.append((proj * eye.kron(tl_h) * lift, M.act(H.t_l.col(b))))
     phi_basis = intertwiner_space(f, pairs, d, q)
 
-    ok, wit = True, None
-    for t, vec in enumerate(phi_basis.basis):
-        amb = Matrix(f, d, q, vec) * proj     # d x n^2
+    def assoc_fails(t):
+        amb = Matrix(f, d, q, phi_basis.basis[t]) * proj     # d x n^2
         outer = []
         for x in range(n):
             gx = Matrix.from_cols(f, [amb.col(x * n + y) for y in range(n)],
@@ -634,47 +597,38 @@ def check_contramodule_algebroid(C: Contramodule) -> AydReport:
                 col = amb.col(p * n + qq)
                 acc = tuple(f.add(x2, f.mul(c, y2)) for x2, y2 in zip(acc, col))
             rhs_cols.append(acc)
-        rhs = C.mu_apply(Matrix.from_cols(f, rhs_cols, ambient=d))
-        if lhs != rhs:
-            ok, wit = False, (("phi_index", t),)
-            break
-    rep.add("contra_assoc_algebroid", ok, wit)
+        return lhs != C.mu_apply(Matrix.from_cols(f, rhs_cols, ambient=d))
 
-    ok, wit = True, None
-    for m in range(d):
-        g = Matrix.from_cols(
-            f, [M.act(H.t_l.apply(H.eps_l.apply(H.basis(x)))).col(m)
-                for x in range(n)], ambient=d)
-        if C.mu_apply(g) != basis_vec(f, d, m):
-            ok, wit = False, (("m", m),)
-            break
-    rep.add("contra_unit_algebroid", ok, wit)
+    rep.search("contra_assoc_algebroid", (("phi_index", phi_basis.dim),), assoc_fails)
+    rep.search("contra_unit_algebroid", (("m", d),), lambda m: C.mu_apply(Matrix.from_cols(
+        f, [M.act(H.t_l.apply(H.eps_l.apply(H.basis(x)))).col(m) for x in range(n)],
+        ambient=d)) != basis_vec(f, d, m))
     return rep
 
 
-def _ayd_algebroid_residuals(C: Contramodule, delta_r_lift: Matrix):
-    """lhs/rhs of h^2 mu(f(- S^-1(h^1))) = mu(h^1 f(S(h^2) -)) with Delta_r
-    legs read from the given lift and f over the constrained hom basis."""
+def _ayd_algebroid_sides(C: Contramodule, delta_r_lift: Matrix, maps):
+    """(h, t) |-> the two sides of h^2 mu(f(- S^-1(h^1))) = mu(h^1 f(S(h^2) -))
+    at the basis element h and f = maps[t], with Delta_r legs read from the
+    given lift."""
     H = C.parent
     f = C.field
     n, d = H.dim, C.carrier.dim
     M = C.carrier
-    basis = _constrained_hom_basis(C)
-    for h in range(n):
-        col = delta_r_lift.col(h)
-        legs = [(col[p * n + q], p, q) for p in range(n) for q in range(n)
-                if col[p * n + q] != 0]
-        for t, vec in enumerate(basis.basis):
-            fm = Matrix(f, d, n, vec)
-            lhs = tuple([f.zero] * d)
-            for coef, h1, h2 in legs:
-                rm = H.right_mult_matrix(H.apply_s_inv(H.basis(h1)))
-                term = M.act(H.basis(h2)).apply(C.mu_apply(fm * rm))
-                lhs = tuple(f.add(x, f.mul(coef, v)) for x, v in zip(lhs, term))
-            rhs = C.mu_apply(kron_sum(f, d, n, [
-                (coef, [M.mats[h1] * fm * H.left_mult_matrix(H.apply_s(H.basis(h2)))])
-                for coef, h1, h2 in legs]))
-            yield (h, t), lhs, rhs
+    legs = [tuple((c, *divmod(k, n)) for k, c in col.items())
+            for col in delta_r_lift.col_maps()]
+
+    def sides(h, t):
+        fm = maps[t]
+        lhs = tuple([f.zero] * d)
+        for coef, h1, h2 in legs[h]:
+            rm = H.right_mult_matrix(H.apply_s_inv(H.basis(h1)))
+            term = M.act(H.basis(h2)).apply(C.mu_apply(fm * rm))
+            lhs = tuple(f.add(x, f.mul(coef, v)) for x, v in zip(lhs, term))
+        rhs = C.mu_apply(kron_sum(f, d, n, [
+            (coef, [M.mats[h1] * fm * H.left_mult_matrix(H.apply_s(H.basis(h2)))])
+            for coef, h1, h2 in legs[h]]))
+        return lhs, rhs
+    return sides
 
 
 def check_ayd_algebroid(C: Contramodule) -> AydReport:
@@ -682,76 +636,42 @@ def check_ayd_algebroid(C: Contramodule) -> AydReport:
 
     Checks the S/S^-1-twisted equation (with Delta_r legs and its
     independence of the stored lift), the coincidence of the induced left
-    base action with s_l, and the right/left base-linearity of mu."""
+    base action with s_l, and the right/left base-linearity of mu, with f
+    over the canonical basis of the constrained maps Hom(H, M)_{R_l}."""
     _require_algebroid(C)
     H = C.parent
     f = C.field
-    n, d = H.dim, C.carrier.dim
+    n, d, r = H.dim, C.carrier.dim, H.base.dim
     M = C.carrier
     rep = AydReport()
+    maps = [Matrix(f, d, n, vec) for vec in _constrained_hom_basis(C).basis]
+    ranges = (("h", n), ("f_index", len(maps)))
 
-    ok, wit = True, None
-    baseline = []
-    for (h, t), lhs, rhs in _ayd_algebroid_residuals(C, H.delta_r_lift):
-        baseline.append((lhs, rhs))
-        if ok and lhs != rhs:
-            ok, wit = False, (("h", h), ("f_index", t))
-    rep.add("ayd_algebroid", ok, wit)
+    sides = _ayd_algebroid_sides(C, H.delta_r_lift, maps)
+    baseline = {idx: sides(*idx) for idx in itertools.product(range(n), range(len(maps)))}
+    rep.search("ayd_algebroid", ranges, lambda h, t: operator.ne(*baseline[h, t]))
 
     # perturb the Delta_r lift by a relation element; residuals must not move
+    same = True
     if H.rel_r.dim > 0:
-        relvec = H.rel_r.basis[0]
         perturbed = H.delta_r_lift + block_matrix(
-            f, n * n, n, [(0, 0, Matrix.from_cols(f, [relvec]))])
-        same = all(
-            l1 == l2 and r1 == r2
-            for ((l1, r1), (_, l2, r2)) in zip(
-                baseline, _ayd_algebroid_residuals(C, perturbed)))
-        rep.add("ayd_lift_independent", same)
-    else:
-        rep.add("ayd_lift_independent", True)
+            f, n * n, n, [(0, 0, Matrix.from_cols(f, [H.rel_r.basis[0]]))])
+        moved = _ayd_algebroid_sides(C, perturbed, maps)
+        same = first_failure(ranges, lambda h, t: moved(h, t) != baseline[h, t]) is None
+    rep.add("ayd_lift_independent", same)
 
-    ok, wit = True, None
-    for b in range(H.base.dim):
-        slr = H.s_l.col(b)
-        for m in range(d):
-            g = Matrix.from_cols(
-                f, [M.act(H.t_l.apply(H.eps_l.apply(
-                    H.mult_vec(H.basis(x), slr)))).col(m) for x in range(n)],
-                ambient=d)
-            if C.mu_apply(g) != M.act(slr).col(m):
-                ok, wit = False, (("r", b), ("m", m))
-                break
-        if not ok:
-            break
-    rep.add("bimodule_compatible", ok, wit)
+    s_l = [H.s_l.col(b) for b in range(r)]
+    rep.search("bimodule_compatible", (("r", r), ("m", d)), lambda b, m: C.mu_apply(
+        Matrix.from_cols(f, [M.act(H.t_l.apply(H.eps_l.apply(H.mult_vec(H.basis(x), s_l[b]))))
+                             .col(m) for x in range(n)], ambient=d)) != M.act(s_l[b]).col(m))
 
-    basis = _constrained_hom_basis(C)
-    ok, wit = True, None
-    for b in range(H.base.dim):
-        lm = H.left_mult_matrix(H.s_l.col(b))
-        post = M.act(H.t_l.col(b))
-        for t, vec in enumerate(basis.basis):
-            fm = Matrix(f, d, n, vec)
-            if C.mu_apply(fm * lm) != post.apply(C.mu_apply(fm)):
-                ok, wit = False, (("r", b), ("f_index", t))
-                break
-        if not ok:
-            break
-    rep.add("mu_right_linear", ok, wit)
-
-    ok, wit = True, None
-    for b in range(H.base.dim):
-        rm = H.right_mult_matrix(H.s_l.col(b))
-        post = M.act(H.s_l.col(b))
-        for t, vec in enumerate(basis.basis):
-            fm = Matrix(f, d, n, vec)
-            if C.mu_apply(fm * rm) != post.apply(C.mu_apply(fm)):
-                ok, wit = False, (("r", b), ("f_index", t))
-                break
-        if not ok:
-            break
-    rep.add("mu_left_linear", ok, wit)
+    # mu(f(s_l(r) -)) = t_l(r) mu(f) and mu(f(- s_l(r))) = s_l(r) mu(f)
+    for check_id, mult, post in (("mu_right_linear", H.left_mult_matrix, H.t_l),
+                                 ("mu_left_linear", H.right_mult_matrix, H.s_l)):
+        pres = [mult(s_l[b]) for b in range(r)]
+        posts = [M.act(post.col(b)) for b in range(r)]
+        rep.search(check_id, (("r", r), ("f_index", len(maps))), lambda b, t:
+                   C.mu_apply(maps[t] * pres[b]) != posts[b].apply(C.mu_apply(maps[t])))
     return rep
 
 
@@ -798,27 +718,21 @@ def check_stability_quasi(C: Contramodule) -> AydReport:
     M = C.carrier
     rep = AydReport()
 
-    acc = tuple([f.zero] * n)
-    for (p, q, r), coef in H.phi_inv_terms().items():
-        term = H.prod(H.basis(q), H.beta, H.apply_s(H.basis(r)))
-        acc = tuple(f.add(a2, f.mul(f.mul(coef, H.counit[p]), t))
-                    for a2, t in zip(acc, term))
-    rep.add("helper_eps_p_q_beta_s_r", acc == H.beta)
+    rep.add("helper_eps_p_q_beta_s_r", eps_p_q_beta_s_r(H))
+    tails = [(coef, r, H.prod(H.apply_s_inv(H.basis(q)), H.apply_s_inv(H.alpha), H.basis(p)))
+             for (p, q, r), coef in H.phi_inv_terms().items()]
 
-    ok, wit = True, None
-    for m in range(d):
+    def fails(m):
         total = tuple([f.zero] * d)
-        for (p, q, r), coef in H.phi_inv_terms().items():
-            tail = H.prod(H.apply_s_inv(H.basis(q)), H.apply_s_inv(H.alpha), H.basis(p))
+        for coef, r, tail in tails:
             g = Matrix.from_cols(
                 f, [M.act(H.prod(H.beta, H.basis(x), tail)).col(m) for x in range(n)],
                 ambient=d)
             term = M.mats[r].apply(C.mu_apply(g))
             total = tuple(f.add(t0, f.mul(coef, t)) for t0, t in zip(total, term))
-        if total != basis_vec(f, d, m):
-            ok, wit = False, (("m", m),)
-            break
-    rep.add("stability_type_I", ok, wit)
+        return total != basis_vec(f, d, m)
+
+    rep.search("stability_type_I", (("m", d),), fails)
     return rep
 
 

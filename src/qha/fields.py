@@ -114,8 +114,11 @@ class Field:
         """Parse a scalar string: "3", "-1/2" over Q; a plain residue over GF(p)."""
         s = s.strip()
         # most scalars of a structure file are "0" or "1": skip the parser
-        if s == "0" or s == "1":
-            return self.from_int(int(s))
+        # and return the shared constants
+        if s == "0":
+            return self.zero
+        if s == "1":
+            return self.one
         if self.kind == "Q":
             try:
                 return Fraction(s)

@@ -135,6 +135,10 @@ class Matrix:
         zero = self.field.zero
         return tuple(r.get(j, zero) for r in self._rows)
 
+    def col_maps(self):
+        """Every column as a {row: nonzero value} dict."""
+        return self.transpose()._rows
+
     def row_list(self):
         return [list(self.row(i)) for i in range(self.rows)]
 

@@ -12,14 +12,13 @@ first failing basis tuple, so runs are reproducible bit for bit.
 
 from __future__ import annotations
 
-import itertools
 import os
 from functools import cached_property
 
 from .fields import Field
 from .linalg import (Matrix, Subspace, ShapeError, intertwiner_space, kron_sum,
                      lmul_blocks, basis_vec, vec_scale)
-from .reports import CheckReport
+from .reports import CheckReport, first_failure
 
 
 class StructureError(ValueError):
@@ -40,7 +39,80 @@ def max_tensor_dim() -> int:
         raise StructureError("QHA_MAX_DIM must be an integer, got %r" % raw) from None
 
 
-class QuasiHopfAlgebra:
+class Algebra:
+    """The arithmetic of an associative algebra given by structure constants,
+    shared by quasi-Hopf algebras, Hopf algebroids and their base rings.
+
+    Subclasses set field, dim, mult and unit; mult[(i*n + j)*n + k] is the
+    e_k coefficient of e_i e_j.  Elements are dense coefficient vectors, or
+    sparse dicts {basis index: coefficient} (``elem``, ``mul``), the form
+    the axiom checks work in.
+    """
+
+    @cached_property
+    def _mult_sparse(self):
+        """table[i][j]: the nonzero (k, coefficient) pairs of e_i e_j."""
+        n, m = self.dim, self.mult
+        return tuple(tuple(tuple((k, m[(i * n + j) * n + k]) for k in range(n)
+                                 if m[(i * n + j) * n + k] != 0)
+                           for j in range(n)) for i in range(n))
+
+    @cached_property
+    def _products(self):
+        """The products e_i e_j as sparse elements."""
+        return [[dict(t) for t in row] for row in self._mult_sparse]
+
+    @cached_property
+    def _basis_sparse(self):
+        return [{i: self.field.one} for i in range(self.dim)]
+
+    def basis(self, i: int):
+        return basis_vec(self.field, self.dim, i)
+
+    def elem(self, vec) -> dict:
+        """A dense coefficient vector as a sparse element."""
+        return {i: c for i, c in enumerate(vec) if c != 0}
+
+    def mul(self, a: dict, *rest) -> dict:
+        """The product of sparse elements, bracketed from the left."""
+        f, table = self.field, self._mult_sparse
+        for b in rest:
+            a = _collect(f, ((k, f.mul(f.mul(ca, cb), ck)) for i, ca in a.items()
+                             for j, cb in b.items() for k, ck in table[i][j]))
+        return a
+
+    def prod(self, *vecs):
+        """The product of dense elements, bracketed from the left."""
+        out, zero = self.mul(*map(self.elem, vecs)), self.field.zero
+        return tuple(out.get(k, zero) for k in range(self.dim))
+
+    def mult_vec(self, a, b):
+        """Product of two elements given as coefficient vectors."""
+        return self.prod(a, b)
+
+    def left_mult_matrix(self, vec) -> Matrix:
+        """The matrix of x |-> vec x."""
+        return Matrix.from_cols(self.field, [self.prod(vec, self.basis(j))
+                                             for j in range(self.dim)], ambient=self.dim)
+
+    def right_mult_matrix(self, vec) -> Matrix:
+        """The matrix of x |-> x vec."""
+        return Matrix.from_cols(self.field, [self.prod(self.basis(j), vec)
+                                             for j in range(self.dim)], ambient=self.dim)
+
+    def check_algebra(self, rep: CheckReport, prefix: str, unit_witness: bool):
+        """Add prefix_associative, with witness (i, j, k), and prefix_unital,
+        with witness (i,) when unit_witness, to rep."""
+        n, e, prods = self.dim, self._basis_sparse, self._products
+        unit = self.elem(self.unit)
+        rep.search(prefix + "_associative", (("i", n), ("j", n), ("k", n)), lambda i, j, k:
+                   self.mul(prods[i][j], e[k]) != self.mul(e[i], prods[j][k]))
+        wit = first_failure((("i", n),), lambda i:
+                            self.mul(unit, e[i]) != e[i] or self.mul(e[i], unit) != e[i])
+        rep.add(prefix + "_unital", wit is None, wit if unit_witness else None)
+
+
+class QuasiHopfAlgebra(Algebra):
     """Structure-constant presentation of (H, m, u, Delta, eps, S, S^-1, Phi, alpha, beta).
 
     mult[i][j][k] is the e_k coefficient of e_i * e_j, stored flat (row-major);
@@ -83,19 +155,6 @@ class QuasiHopfAlgebra:
     # -- derived tables (lazy, immutable once computed) --------------------
 
     @cached_property
-    def _mult_sparse(self):
-        n = self.dim
-        table = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                base = (i * n + j) * n
-                row.append(tuple((k, self.mult[base + k]) for k in range(n)
-                                 if self.mult[base + k] != 0))
-            table.append(tuple(row))
-        return tuple(table)
-
-    @cached_property
     def _delta_sparse(self):
         n = self.dim
         out = []
@@ -104,6 +163,16 @@ class QuasiHopfAlgebra:
             out.append(tuple((row[p * n + q], p, q) for p in range(n) for q in range(n)
                              if row[p * n + q] != 0))
         return tuple(out)
+
+    @cached_property
+    def _deltas(self):
+        """Delta(e_i) as sparse 2-tensors {(p, q): coef}."""
+        return [_terms_dict(terms) for terms in self._delta_sparse]
+
+    @cached_property
+    def _counits(self):
+        """eps(e_i) as sparse 0-tensors {(): eps(e_i)}."""
+        return [{(): c} if c != 0 else {} for c in self.counit]
 
     @cached_property
     def _phi_sparse(self):
@@ -123,36 +192,6 @@ class QuasiHopfAlgebra:
                     if c != 0:
                         out[(x, y, z)] = c
         return out
-
-    def s_col(self, i: int):
-        return self.antipode.col(i)
-
-    # -- element arithmetic -------------------------------------------------
-
-    def mult_vec(self, a, b):
-        """Product of two elements given as coefficient vectors."""
-        f = self.field
-        out = [f.zero] * self.dim
-        for i, ca in enumerate(a):
-            if ca == 0:
-                continue
-            row = self._mult_sparse[i]
-            for j, cb in enumerate(b):
-                if cb == 0:
-                    continue
-                c = f.mul(ca, cb)
-                for k, ck in row[j]:
-                    out[k] = f.add(out[k], f.mul(c, ck))
-        return tuple(out)
-
-    def prod(self, *vecs):
-        out = vecs[0]
-        for v in vecs[1:]:
-            out = self.mult_vec(out, v)
-        return out
-
-    def basis(self, i: int):
-        return basis_vec(self.field, self.dim, i)
 
     def apply_s(self, vec):
         return self.antipode.apply(vec)
@@ -269,6 +308,16 @@ def _collect(f: Field, pairs) -> dict:
     return {k: v for k, v in out.items() if v != 0}
 
 
+def _terms_dict(terms) -> dict:
+    """Sweedler terms (coef, p, q) as a sparse 2-tensor {(p, q): coef}."""
+    return {(p, q): c for c, p, q in terms}
+
+
+def sparse_apply(f: Field, images, a: dict) -> dict:
+    """The linear map e_i |-> images[i] (sparse dicts) applied to sparse a."""
+    return _collect(f, ((k, f.mul(c, v)) for i, c in a.items() for k, v in images[i].items()))
+
+
 def tp_from_vec(vec):
     return {(i,): c for i, c in enumerate(vec) if c != 0}
 
@@ -310,18 +359,35 @@ def tp_mul(H, a, b):
     return {k: v for k, v in out.items() if v != 0}
 
 
+def tp_slot(H, a, slot: int, images):
+    """a with each basis index i at position slot replaced by the sparse
+    tensor images[i], of any degree."""
+    f = H.field
+    return _collect(f, ((key[:slot] + k2 + key[slot + 1:], f.mul(c, c2))
+                        for key, c in a.items() for k2, c2 in images[key[slot]].items()))
+
+
+def tp_leg(H, a, slot: int, fn):
+    """a with each basis index i at position slot replaced by the sparse
+    element fn(i)."""
+    return tp_slot(H, a, slot, [{(k,): c for k, c in fn(i).items()} for i in range(H.dim)])
+
+
 def tp_delta_slot(H, a, slot: int):
     """Apply Delta to one tensor slot, raising the tensor degree by one."""
-    f = H.field
-    return _collect(f, ((key[:slot] + (p, q) + key[slot + 1:], f.mul(c, cd))
-                        for key, c in a.items() for cd, p, q in H.delta_terms(key[slot])))
+    return tp_slot(H, a, slot, H._deltas)
 
 
 def tp_eps_slot(H, a, slot: int):
     """Apply the counit to one tensor slot, lowering the degree by one."""
+    return tp_slot(H, a, slot, H._counits)
+
+
+def tp_contract(H, a, fn) -> dict:
+    """The element sum of c fn(*key) over the terms c e_key of the sparse
+    tensor a, for fn giving sparse elements."""
     f = H.field
-    return _collect(f, ((key[:slot] + key[slot + 1:], f.mul(c, H.counit[key[slot]]))
-                        for key, c in a.items() if H.counit[key[slot]] != 0))
+    return _collect(f, ((k, f.mul(c, v)) for key, c in a.items() for k, v in fn(*key).items()))
 
 
 def tp_eq(a, b) -> bool:
@@ -372,19 +438,8 @@ def check_module(V: HModule) -> CheckReport:
     H = V.parent
     rep = CheckReport()
     rep.add("module_unit", V.act(H.unit).is_identity())
-    ok = True
-    witness = None
-    for i in range(H.dim):
-        for j in range(H.dim):
-            lhs = V.act(H.mult_vec(H.basis(i), H.basis(j)))
-            rhs = V.mats[i] * V.mats[j]
-            if lhs != rhs:
-                ok = False
-                witness = (("i", i), ("j", j))
-                break
-        if not ok:
-            break
-    rep.add("module_multiplicative", ok, witness)
+    rep.search("module_multiplicative", (("i", H.dim), ("j", H.dim)), lambda i, j:
+               V.act(H.mult_vec(H.basis(i), H.basis(j))) != V.mats[i] * V.mats[j])
     return rep
 
 
@@ -396,12 +451,7 @@ def trivial_module(H: QuasiHopfAlgebra) -> HModule:
 
 def regular_module(H: QuasiHopfAlgebra) -> HModule:
     """H acting on itself by left multiplication."""
-    f = H.field
-    mats = []
-    for i in range(H.dim):
-        cols = [H.mult_vec(H.basis(i), H.basis(j)) for j in range(H.dim)]
-        mats.append(Matrix.from_cols(f, cols, ambient=H.dim))
-    return HModule(H, mats, name="regular")
+    return HModule(H, [H.left_mult_matrix(H.basis(i)) for i in range(H.dim)], name="regular")
 
 
 def tensor_module(V: HModule, W: HModule) -> HModule:
@@ -440,7 +490,7 @@ def left_hom(V: HModule, M: HModule) -> HModule:
         raise StructureError("hom factors must share a parent algebra")
     H = V.parent
     d = M.dim * V.dim
-    pre = [V.act(H.s_col(q)).transpose() for q in range(H.dim)]
+    pre = [V.act(H.antipode.col(q)).transpose() for q in range(H.dim)]
     mats = [kron_sum(H.field, d, d, [(c, [M.mats[p], pre[q]])
                                      for c, p, q in H.delta_terms(i)])
             for i in range(H.dim)]
@@ -584,15 +634,6 @@ def eta_r(g_mat: Matrix, N: HModule, M: HModule, L: HModule) -> Matrix:
 
 # -- axiom checks --------------------------------------------------------------
 
-def _first_failure(names, n: int, bad):
-    """The witness ((name, index), ...) of the lexicographically first tuple
-    of range(n)^len(names) at which bad holds, or None."""
-    for idx in itertools.product(range(n), repeat=len(names)):
-        if bad(*idx):
-            return tuple(zip(names, idx))
-    return None
-
-
 def validate_structure(H: QuasiHopfAlgebra) -> CheckReport:
     """Type invariants: associative unital algebra, Delta/eps algebra maps,
     Phi invertible, S anti-automorphism with the stored inverse.
@@ -602,59 +643,37 @@ def validate_structure(H: QuasiHopfAlgebra) -> CheckReport:
     f = H.field
     n = H.dim
     rep = CheckReport()
-    table = H._mult_sparse
-    e = [{i: f.one} for i in range(n)]
-    prods = [[dict(table[i][j]) for j in range(n)] for i in range(n)]
-    deltas = [dict(((p, q), c) for c, p, q in H.delta_terms(i)) for i in range(n)]
-    s_cols = [_collect(f, enumerate(H.s_col(i))) for i in range(n)]
-    unit = _collect(f, enumerate(H.unit))
+    prods = H._products
+    H.check_algebra(rep, "mult", unit_witness=True)
 
-    def mul(a, b):
-        return _collect(f, ((k, f.mul(f.mul(ca, cb), ck)) for i, ca in a.items()
-                            for j, cb in b.items() for k, ck in table[i][j]))
+    rep.search("comult_algebra_map", (("i", n), ("j", n)), lambda i, j:
+               sparse_apply(f, H._deltas, prods[i][j]) != tp_mul(H, H._deltas[i], H._deltas[j]),
+               tp_eq(sparse_apply(f, H._deltas, H.elem(H.unit)), tp_unit(H, 2)))
 
-    def delta(a):
-        return _collect(f, (((p, q), f.mul(c, cd)) for i, c in a.items()
-                            for cd, p, q in H.delta_terms(i)))
-
-    def antipode(a):
-        return _collect(f, ((k, f.mul(c, v)) for i, c in a.items()
-                            for k, v in s_cols[i].items()))
-
-    def eps(a):
-        out = f.zero
-        for i, c in a.items():
-            out = f.add(out, f.mul(c, H.counit[i]))
-        return out
-
-    wit = _first_failure(("i", "j", "k"), n, lambda i, j, k:
-                         mul(prods[i][j], e[k]) != mul(e[i], prods[j][k]))
-    rep.add("mult_associative", wit is None, wit)
-
-    wit = _first_failure(("i",), n, lambda i:
-                         mul(unit, e[i]) != e[i] or mul(e[i], unit) != e[i])
-    rep.add("mult_unital", wit is None, wit)
-
-    wit = _first_failure(("i", "j"), n, lambda i, j:
-                         delta(prods[i][j]) != tp_mul(H, deltas[i], deltas[j]))
-    rep.add("comult_algebra_map", wit is None and tp_eq(delta(unit), tp_unit(H, 2)), wit)
-
-    wit = _first_failure(("i", "j"), n, lambda i, j:
-                         eps(prods[i][j]) != f.mul(H.counit[i], H.counit[j]))
-    rep.add("counit_algebra_map", wit is None and f.is_one(H.eps(H.unit)), wit)
+    rep.search("counit_algebra_map", (("i", n), ("j", n)), lambda i, j:
+               sparse_apply(f, H._counits, prods[i][j])
+               != tp_tensor(H, H._counits[i], H._counits[j]),
+               f.is_one(H.eps(H.unit)))
 
     prod_f = tp_mul(H, H.phi_terms(), H.phi_inv_terms())
     prod_b = tp_mul(H, H.phi_inv_terms(), H.phi_terms())
     rep.add("phi_invertible", tp_eq(prod_f, tp_unit(H, 3)) and tp_eq(prod_b, tp_unit(H, 3)))
+    check_antipode_pair(rep, H)
+    return rep
 
-    eye = Matrix.identity(f, n)
+
+def check_antipode_pair(rep: CheckReport, H):
+    """Add antipode_inverse_pair and antipode_antihom, with witness (i, j), to
+    rep: S and the stored S^-1 are inverse, S(e_i e_j) = S(e_j) S(e_i) and
+    S(1) = 1."""
+    n = H.dim
+    eye = Matrix.identity(H.field, n)
     rep.add("antipode_inverse_pair",
             H.antipode * H.antipode_inv == eye and H.antipode_inv * H.antipode == eye)
-
-    wit = _first_failure(("i", "j"), n, lambda i, j:
-                         antipode(prods[i][j]) != mul(s_cols[j], s_cols[i]))
-    rep.add("antipode_antihom", wit is None and H.apply_s(H.unit) == H.unit, wit)
-    return rep
+    s, prods = H.antipode.col_maps(), H._products
+    rep.search("antipode_antihom", (("i", n), ("j", n)), lambda i, j:
+               sparse_apply(H.field, s, prods[i][j]) != H.mul(s[j], s[i]),
+               H.apply_s(H.unit) == H.unit)
 
 
 def check_quasi_bialgebra(H: QuasiHopfAlgebra) -> CheckReport:
@@ -662,18 +681,11 @@ def check_quasi_bialgebra(H: QuasiHopfAlgebra) -> CheckReport:
     counitality, and the Phi counit normalisation."""
     rep = CheckReport()
     n = H.dim
-
-    ok, wit = True, None
-    phi = H.phi_terms()
-    phi_inv = H.phi_inv_terms()
-    for i in range(n):
-        d = dict(((p, q), c) for c, p, q in H.delta_terms(i))
-        lhs = tp_delta_slot(H, d, 1)                   # (id (x) Delta) Delta
-        rhs = tp_mul(H, tp_mul(H, phi, tp_delta_slot(H, d, 0)), phi_inv)
-        if not tp_eq(lhs, rhs):
-            ok, wit = False, (("a", i),)
-            break
-    rep.add("coassoc_twisted", ok, wit)
+    phi, phi_inv, deltas = H.phi_terms(), H.phi_inv_terms(), H._deltas
+    # (id (x) Delta) Delta = Phi ((Delta (x) id) Delta) Phi^-1
+    rep.search("coassoc_twisted", (("a", n),), lambda i: not tp_eq(
+        tp_delta_slot(H, deltas[i], 1),
+        tp_mul(H, tp_mul(H, phi, tp_delta_slot(H, deltas[i], 0)), phi_inv)))
 
     lhs = tp_mul(H, tp_delta_slot(H, phi, 2), tp_delta_slot(H, phi, 0))
     one = tp_from_vec(H.unit)
@@ -682,19 +694,19 @@ def check_quasi_bialgebra(H: QuasiHopfAlgebra) -> CheckReport:
     diff = tp_first_diff(lhs, rhs)
     rep.add("pentagon", diff is None, None if diff is None else (("tuple", diff),))
 
-    ok, wit = True, None
-    for i in range(n):
-        d = dict(((p, q), c) for c, p, q in H.delta_terms(i))
-        left = tp_eps_slot(H, d, 0)
-        right = tp_eps_slot(H, d, 1)
-        want = {(i,): H.field.one}
-        if not (tp_eq(left, want) and tp_eq(right, want)):
-            ok, wit = False, (("a", i),)
-            break
-    rep.add("counit", ok, wit)
+    rep.search("counit", (("a", n),), lambda i: not (
+        tp_eq(tp_eps_slot(H, deltas[i], 0), {(i,): H.field.one})
+        and tp_eq(tp_eps_slot(H, deltas[i], 1), {(i,): H.field.one})))
 
     rep.add("phi_counit", tp_eq(tp_eps_slot(H, phi, 1), tp_unit(H, 2)))
     return rep
+
+
+def eps_p_q_beta_s_r(H: QuasiHopfAlgebra) -> bool:
+    """The identity eps(P) Q beta S(R) = beta, for Phi^-1 = P (x) Q (x) R."""
+    e, beta, s = H._basis_sparse, H.elem(H.beta), H.antipode.col_maps()
+    return tp_contract(H, tp_eps_slot(H, H.phi_inv_terms(), 0),
+                       lambda q, r: H.mul(e[q], beta, s[r])) == beta
 
 
 def check_quasi_hopf(H: QuasiHopfAlgebra) -> CheckReport:
@@ -702,54 +714,28 @@ def check_quasi_hopf(H: QuasiHopfAlgebra) -> CheckReport:
     f = H.field
     n = H.dim
     rep = CheckReport()
+    e, s = H._basis_sparse, H.antipode.col_maps()
+    alpha, beta = H.elem(H.alpha), H.elem(H.beta)
 
-    ok, wit = True, None
-    for i in range(n):
-        acc = tuple([f.zero] * n)
-        for c, p, q in H.delta_terms(i):
-            term = H.prod(H.apply_s(H.basis(p)), H.alpha, H.basis(q))
-            acc = tuple(f.add(a, f.mul(c, t)) for a, t in zip(acc, term))
-        if acc != vec_scale(f, H.counit[i], H.alpha):
-            ok, wit = False, (("h", i),)
-            break
-    rep.add("alpha_axiom", ok, wit)
+    def scaled(c, a):
+        return {k: f.mul(c, v) for k, v in a.items()} if c != 0 else {}
 
-    ok, wit = True, None
-    for i in range(n):
-        acc = tuple([f.zero] * n)
-        for c, p, q in H.delta_terms(i):
-            term = H.prod(H.basis(p), H.beta, H.apply_s(H.basis(q)))
-            acc = tuple(f.add(a, f.mul(c, t)) for a, t in zip(acc, term))
-        if acc != vec_scale(f, H.counit[i], H.beta):
-            ok, wit = False, (("h", i),)
-            break
-    rep.add("beta_axiom", ok, wit)
+    # S(h_1) alpha h_2 = eps(h) alpha and h_1 beta S(h_2) = eps(h) beta
+    rep.search("alpha_axiom", (("h", n),), lambda i:
+               tp_contract(H, H._deltas[i], lambda p, q: H.mul(s[p], alpha, e[q]))
+               != scaled(H.counit[i], alpha))
+    rep.search("beta_axiom", (("h", n),), lambda i:
+               tp_contract(H, H._deltas[i], lambda p, q: H.mul(e[p], beta, s[q]))
+               != scaled(H.counit[i], beta))
 
-    acc = tuple([f.zero] * n)
-    for (x, y, z), c in H.phi_terms().items():
-        term = H.prod(H.basis(x), H.beta, H.apply_s(H.basis(y)), H.alpha, H.basis(z))
-        acc = tuple(f.add(a, f.mul(c, t)) for a, t in zip(acc, term))
-    rep.add("ev_coev", acc == H.unit)
-
-    acc = tuple([f.zero] * n)
-    for (p, q, r), c in H.phi_inv_terms().items():
-        term = H.prod(H.apply_s(H.basis(p)), H.alpha, H.basis(q), H.beta,
-                      H.apply_s(H.basis(r)))
-        acc = tuple(f.add(a, f.mul(c, t)) for a, t in zip(acc, term))
-    rep.add("coev_ev", acc == H.unit)
-
-    ok, wit = True, None
-    for i in range(n):
-        if H.eps(H.apply_s(H.basis(i))) != H.counit[i]:
-            ok, wit = False, (("h", i),)
-            break
-    rep.add("eps_antipode", ok, wit)
-
-    acc = tuple([f.zero] * n)
-    for (p, q, r), c in H.phi_inv_terms().items():
-        term = H.prod(H.basis(q), H.beta, H.apply_s(H.basis(r)))
-        acc = tuple(f.add(a, f.mul(f.mul(c, H.counit[p]), t)) for a, t in zip(acc, term))
-    rep.add("eps_p_q_beta_s_r", acc == H.beta)
+    unit = H.elem(H.unit)
+    rep.add("ev_coev", tp_contract(H, H.phi_terms(), lambda x, y, z:
+                                   H.mul(e[x], beta, s[y], alpha, e[z])) == unit)
+    rep.add("coev_ev", tp_contract(H, H.phi_inv_terms(), lambda p, q, r:
+                                   H.mul(s[p], alpha, e[q], beta, s[r])) == unit)
+    rep.search("eps_antipode", (("h", n),), lambda i:
+               H.eps(H.antipode.col(i)) != H.counit[i])
+    rep.add("eps_p_q_beta_s_r", eps_p_q_beta_s_r(H))
     return rep
 
 

@@ -1,8 +1,25 @@
-"""Check reports: named pass/fail results with first-counterexample data."""
+"""Check reports: named pass/fail results with first-counterexample data.
+
+Every check quantified over basis indices reports the same witness: the
+lexicographically first failing index tuple, in the order the check names
+its indices (``first_failure``).
+"""
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
+
+
+def first_failure(ranges, bad):
+    """The witness ((name, index), ...) of the lexicographically first tuple
+    of range(size_1) x range(size_2) x ... at which bad(*indices) holds, for
+    ranges ((name_1, size_1), (name_2, size_2), ...), or None."""
+    names = [name for name, _ in ranges]
+    for idx in itertools.product(*(range(size) for _, size in ranges)):
+        if bad(*idx):
+            return tuple(zip(names, idx))
+    return None
 
 
 @dataclass(frozen=True)
@@ -31,6 +48,12 @@ class CheckReport:
         elif counterexample is not None:
             counterexample = tuple(counterexample)
         self.results.append(CheckResult(check_id, bool(passed), counterexample))
+
+    def search(self, check_id: str, ranges, bad, holds: bool = True):
+        """Add check_id, failed at the first_failure of bad over ranges, or
+        failed without a witness when the extra condition holds is false."""
+        witness = first_failure(ranges, bad)
+        self.add(check_id, witness is None and holds, witness)
 
     def extend(self, other: "CheckReport"):
         self.results.extend(other.results)

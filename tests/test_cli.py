@@ -398,3 +398,42 @@ def test_golden_report_digests(tmp_path, monkeypatch, capsys):
         digests[label] = hashlib.sha256(
             capsys.readouterr().out.encode("utf-8")).hexdigest()
     assert digests == GOLDEN_REPORTS
+
+
+def test_cohomology_reports_stable_non_ayd_coefficient_as_failed_check(tmp_path, capsys):
+    # H = kS3, A = kS3 with the adjoint action g.x = g x g^-1, and M = k with
+    # mu(f) = f(e_1), evaluation at a transposition: stable but not aYD
+    from qha.fields import rationals
+    from qha.linalg import Matrix
+    from qha.quasihopf import group_algebra, symmetric_group_table, HModule
+    from qha.cyclic import ModuleAlgebra
+    QQ = rationals()
+    table = symmetric_group_table(3)
+    n = len(table)
+    H = group_algebra(QQ, table, "kS3")
+    inv = [next(h for h in range(n) if table[g][h] == 0) for g in range(n)]
+
+    def basis_map(image):
+        return Matrix.from_cols(QQ, [[QQ.one if k == image(x) else QQ.zero
+                                      for k in range(n)] for x in range(n)])
+
+    adjoint = HModule(H, [basis_map(lambda x, g=g: table[table[g][x]][inv[g]])
+                          for g in range(n)], name="adjoint")
+    mult = Matrix.from_cols(QQ, [[QQ.one if k == table[x][y] else QQ.zero for k in range(n)]
+                                 for x in range(n) for y in range(n)])
+    unit = Matrix.from_cols(QQ, [[QQ.one if k == 0 else QQ.zero for k in range(n)]])
+    mu = Matrix(QQ, 1, n, [QQ.zero, QQ.one] + [QQ.zero] * (n - 2))
+    paths = [str(tmp_path / name) for name in ("kS3.json", "adjoint.json", "ev.json")]
+    write_structure(paths[0], H, "kS3")
+    write_structure(paths[1], ModuleAlgebra(adjoint, mult, unit), "adjoint")
+    write_structure(paths[2], Contramodule(trivial_module(H), mu, HOPF_MU), "evTransposition")
+    assert main(["stability"] + paths[::2] + ["--reproducible"]) == 0
+    assert main(["ayd"] + paths[::2] + ["--reproducible"]) == 1
+    capsys.readouterr()
+    assert main(["cohomology"] + paths + ["--degree", "2", "--reproducible"]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["pass"] is False and "dims" not in out
+    assert [(c["check"], c["pass"], c["counterexample"]) for c in out["checks"]] == [
+        ("algebra_object", True, None), ("coefficient_stable", True, None),
+        ("cocyclic_identities", False,
+         {"relation": "tau is not H-linear; aYD condition fails"})]

@@ -588,3 +588,12 @@ def test_intertwiner_space_matches_dense_system(field, rows, cols, data):
                     row[k * cols + j] = f.sub(row[k * cols + j], b[i][k])
                 system.append(row)
     assert got.basis == old_kernel_basis(f, system, len(system), rows * cols)
+
+
+@pytest.mark.parametrize("field", [rationals(), prime_field(5), prime_field(2)])
+def test_parse_returns_the_shared_zero_and_one(field):
+    for text in ("0", " 0 ", "0\n"):
+        assert field.parse(text) is field.zero
+    for text in ("1", " 1"):
+        assert field.parse(text) is field.one
+    assert field.parse("2") == field.from_int(2)
