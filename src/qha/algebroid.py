@@ -34,7 +34,8 @@ from .reports import CheckReport, first_failure
 from .quasihopf import (Algebra, HModule, QuasiHopfAlgebra, StructureError,
                         IntertwinerError, max_tensor_dim, require_intertwiner, _over_cop,
                         _swap_factors, _curry, _uncurry, _collect, _terms_dict, sparse_apply,
-                        check_antipode_pair, tp_contract, tp_leg, tp_mul, tp_slot, tp_unit)
+                        check_antipode_pair, perm_mwv_to_mvw, tp_contract, tp_leg, tp_mul,
+                        tp_slot, tp_unit)
 
 
 def _opposite(mult, n: int):
@@ -237,6 +238,27 @@ class HopfAlgebroid(Algebra):
 
     def eta_r(self, g_mat, N, M, L) -> Matrix:
         return eta_r_algebroid(g_mat, N, M, L)
+
+    # the hom carriers and the hom associativity maps, so that tau and the
+    # hexagon are written once: the carriers are the base-linear maps, and
+    # the associativity maps are the strict currying ones, with the hom out
+    # of V (x)_R W read on the ambient V (x) W through its relations
+
+    def hom_l(self, V, M):
+        return left_hom_algebroid(V, M)
+
+    def hom_r(self, V, M):
+        return right_hom_algebroid(V, M)
+
+    def hom_associativity(self, V, W, M):
+        """The three maps of QuasiHopfAlgebra.hom_associativity, between the
+        full carriers of the k-linear homs."""
+        f = self.field
+        eye_m = Matrix.identity(f, M.dim)
+        rel = self.tensor_relations(V, W)
+        perm = perm_mwv_to_mvw(f, M.dim, W.dim, V.dim)
+        return (eye_m.kron(rel.lift.transpose()) * perm, perm,
+                eye_m.kron(rel.projector.transpose()))
 
     def structural_key(self):
         return ("algebroid", self.dim, self.base.dim, self.mult, self.unit,

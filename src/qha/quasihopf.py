@@ -287,6 +287,22 @@ class QuasiHopfAlgebra(Algebra):
     def eta_r(self, g_mat, N, M, L) -> Matrix:
         return eta_r(g_mat, N, M, L)
 
+    # the hom carriers and the hom associativity maps, so that tau and the
+    # hexagon are written once: every carrier is all of Hom_k (None), and
+    # the associativity maps carry the Phi-decoration
+
+    def hom_l(self, V, M):
+        return left_hom(V, M), None
+
+    def hom_r(self, V, M):
+        return right_hom(V, M), None
+
+    def hom_associativity(self, V, W, M):
+        """The maps V <| (W <| M) -> (V (x) W) <| M, V <| (M |> W) -> (V <| M) |> W
+        and M |> (V (x) W) -> (M |> V) |> W between the full hom carriers."""
+        return (assoc_left_nest(self, V, W, M), assoc_swap_curry(self, V, W, M),
+                assoc_right_nest(self, V, W, M))
+
     def structural_key(self):
         return ("qha", self.dim, self.mult, self.unit, self.comult, self.counit,
                 self.antipode, self.phi, self.alpha, self.beta)
@@ -630,6 +646,45 @@ def eta_r(g_mat: Matrix, N: HModule, M: HModule, L: HModule) -> Matrix:
     which is eta^l over H^cop read on the swapped tensor domain."""
     Nc, Mc, Lc = _over_cop(N, M, L)
     return _swap_factors(eta_l(g_mat, Mc, Nc, Lc), M.dim, N.dim)
+
+
+# -- hom associativity on full carriers --------------------------------------
+#
+# The three maps of the weak-center hexagon between nested homs, on the
+# Hom_k carriers; the carriers of V <| (W <| M) and V <| (M |> W) are read
+# in (m, w, v) order, the others in (m, v, w) order.
+
+def _phi_decorated(H, V: HModule, W: HModule, M: HModule, legs) -> Matrix:
+    """Sum over Phi of rho_M(l_1) (x) rho_V(S(l_2))^T (x) rho_W(S(l_3))^T, with
+    l_1, l_2, l_3 the legs of Phi at the positions in ``legs``."""
+    d = M.dim * V.dim * W.dim
+    sv = [V.act(H.apply_s(H.basis(i))).transpose() for i in range(H.dim)]
+    sw = [W.act(H.apply_s(H.basis(i))).transpose() for i in range(H.dim)]
+    m, v, w = legs
+    return kron_sum(H.field, d, d, [(c, [M.mats[t[m]], sv[t[v]], sw[t[w]]])
+                                    for t, c in H.phi_terms().items()])
+
+
+def assoc_left_nest(H, V: HModule, W: HModule, M: HModule) -> Matrix:
+    """V <| (W <| M) -> (V (x) W) <| M: f |-> (v (x) w |-> X f_{S(Z) v}(S(Y) w))."""
+    return (_phi_decorated(H, V, W, M, (0, 2, 1))
+            * perm_mwv_to_mvw(H.field, M.dim, W.dim, V.dim))
+
+
+def assoc_swap_curry(H, V: HModule, W: HModule, M: HModule) -> Matrix:
+    """V <| (M |> W) -> (V <| M) |> W: f |-> (w |-> (v |-> Y f_{S(Z) v}(S(X) w)))."""
+    return (_phi_decorated(H, V, W, M, (1, 2, 0))
+            * perm_mwv_to_mvw(H.field, M.dim, W.dim, V.dim))
+
+
+def assoc_right_nest(H, V: HModule, W: HModule, M: HModule) -> Matrix:
+    """M |> (V (x) W) -> (M |> V) |> W: f |-> (w |-> (v |-> Z f(S(Y) v (x) S(X) w)))."""
+    return _phi_decorated(H, V, W, M, (2, 1, 0))
+
+
+def perm_mwv_to_mvw(f: Field, d: int, dw: int, dv: int) -> Matrix:
+    """Permutation from (m, w, v)-ordered carriers to (m, v, w)-ordered ones."""
+    return Matrix.identity(f, d).kron(_swap_factors(Matrix.identity(f, dw * dv), dv, dw))
 
 
 # -- axiom checks --------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -11,9 +12,9 @@ from qha.coefficients import (
     check_stability_hopf, tau_theta_hopf, tau_matrix, tau_matrix_type_II,
     check_ayd_quasi_I, check_ayd_quasi_II, check_stability_quasi,
     convert_I_to_II, convert_II_to_I, tau_from_contramodule, mu_from_tau,
-    ayd_compatibility_system, hexagon_sides)
+    ayd_compatibility_system, hexagon_sides, tau_raw)
 
-from conftest import QQ, F5, random_intertwiner
+from conftest import QQ, F5, random_intertwiner, random_module
 
 
 def ev_unit(H, flavor=HOPF_MU, module=None):
@@ -221,12 +222,39 @@ def test_tau_rejects_non_ayd(twisted_q):
             tau_from_contramodule(C, reg)
 
 
+def test_ayd_system_digest(h4_q, twisted_q):
+    # the whole linear aYD system, entry for entry, on regular, trivial and
+    # random carriers; both sides' forms are read (form two for HopfMu and
+    # type I, form one for type II); recorded before the sides were split
+    # into a set-up per carrier and an evaluation per contraaction
+    h = hashlib.sha256()
+    for H, flavors in ((h4_q, (HOPF_MU, QUASI_II)), (twisted_q, (QUASI_I, QUASI_II))):
+        for M in (regular_module(H), trivial_module(H), random_module(H, 3, 5)):
+            for flavor in flavors:
+                S = ayd_compatibility_system(M, flavor)
+                h.update(("%d %d " % (S.rows, S.cols)
+                          + ",".join(map(str, S.entries)) + ";").encode())
+    assert h.hexdigest() == \
+        "c961e4471e68da3903665754b84c3cccdb4a60f92e52262cba1da9fd3081211a"
+
+
 def test_hexagon_sides_equal_for_valid_coefficient(twisted_q):
     C = ev_unit(twisted_q, flavor=QUASI_I)
     reg = regular_module(twisted_q)
     k = trivial_module(twisted_q)
     for V, W in [(reg, reg), (k, reg), (reg, k)]:
-        lhs, rhs = hexagon_sides(C, V, W)
+        lhs, rhs = hexagon_sides(C, V, W, lambda X: tau_raw(C, X))
+        assert lhs == rhs
+    # the same function on the type II conversion, on a random module and
+    # on the base-linear carriers of an algebroid coefficient
+    rnd = random_module(twisted_q, 2, 11)
+    H, Ca = solved_algebroid_coefficient()
+    R, rega = base_module(H), regular_algebroid_module(H)
+    cases = [(convert_I_to_II(C), V, W) for V, W in [(reg, reg), (k, reg), (reg, k)]]
+    cases += [(C, rnd, reg), (C, reg, rnd)]
+    cases += [(Ca, V, W) for V, W in [(R, R), (rega, R), (R, rega), (rega, rega)]]
+    for C2, V, W in cases:
+        lhs, rhs = hexagon_sides(C2, V, W, lambda X: tau_raw(C2, X))
         assert lhs == rhs
 
 
@@ -236,8 +264,7 @@ from qha.algebroid import (enveloping_algebroid, base_ring_dual_numbers,
                            base_module, regular_algebroid_module,
                            algebroid_from_hopf)
 from qha.coefficients import (ALGEBROID_MU, check_contramodule_algebroid,
-                              check_ayd_algebroid, check_stability_algebroid,
-                              tau_matrix_algebroid)
+                              check_ayd_algebroid, check_stability_algebroid)
 
 
 def solved_algebroid_coefficient():
@@ -288,7 +315,7 @@ def test_algebroid_scaled_mu_unstable():
 def test_algebroid_tau_is_morphism():
     H, C = solved_algebroid_coefficient()
     for V in (base_module(H), regular_algebroid_module(H)):
-        tau = tau_matrix_algebroid(C, V)
+        tau = tau_from_contramodule(C, V)
         assert tau.rank() == tau.rows      # stability forces invertibility
 
 
@@ -302,7 +329,7 @@ def test_algebroid_r_equals_k_agrees_with_hopf(kc2_f5):
         check_contramodule_hopf(Cq).passed
     assert check_ayd_algebroid(Ca).passed == check_ayd_hopf(Cq).passed
     assert check_stability_algebroid(Ca).passed == check_stability_hopf(Cq).passed
-    assert tau_matrix_algebroid(Ca, regular_algebroid_module(Ha)) == \
+    assert tau_from_contramodule(Ca, regular_algebroid_module(Ha)) == \
         tau_from_contramodule(Cq, regular_module(kc2_f5))
 
 

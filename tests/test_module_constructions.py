@@ -14,7 +14,7 @@ from qha.algebroid import (base_ring_dual_numbers, enveloping_algebroid,
                            regular_algebroid_module, base_module, tensor_over_base,
                            module_tensor_relations, left_hom_algebroid,
                            right_linear_hom_basis)
-from qha.coefficients import assoc_left_nest, assoc_swap_curry, assoc_right_nest
+from qha.quasihopf import assoc_left_nest, assoc_swap_curry, assoc_right_nest
 
 from conftest import F5, random_module, random_intertwiner
 

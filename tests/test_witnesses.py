@@ -16,7 +16,8 @@ from qha.quasihopf import (QuasiHopfAlgebra, sweedler_h4, twisted_dual_group_alg
                            check_quasi_bialgebra, check_quasi_hopf, check_module,
                            regular_module, trivial_module, HModule)
 from qha.algebroid import (BaseRing, HopfAlgebroid, enveloping_algebroid,
-                           base_ring_dual_numbers, base_module, check_algebroid_structure,
+                           base_ring_dual_numbers, base_module, regular_algebroid_module,
+                           check_algebroid_structure,
                            check_left_bialgebroid, check_right_bialgebroid,
                            check_hopf_algebroid)
 from qha.coefficients import (Contramodule, HOPF_MU, QUASI_I, ALGEBROID_MU,
@@ -25,6 +26,7 @@ from qha.coefficients import (Contramodule, HOPF_MU, QUASI_I, ALGEBROID_MU,
                               check_ayd_quasi_II, check_stability_quasi, check_stability,
                               check_contramodule_algebroid, check_ayd_algebroid,
                               check_stability_algebroid)
+from qha.center import CenterElement, check_hexagon
 
 from conftest import QQ, F5, base_ring_t2
 
@@ -2050,3 +2052,123 @@ def test_suite_check_ids_and_order():
     for suites, arg in _suite_inputs():
         for suite in suites:
             assert [r.check_id for r in suite(arg).results] == SUITE_CHECK_IDS[suite.__name__]
+
+
+# -- the hexagon ------------------------------------------------------------------
+
+def _hexagon_modules(C):
+    """The two modules the hexagon runs on: the monoidal unit and the regular
+    module of the coefficient's parent."""
+    H = C.parent
+    if C.flavor == ALGEBROID_MU:
+        return {"R": base_module(H), "reg": regular_algebroid_module(H)}
+    return {"k": trivial_module(H), "reg": regular_module(H)}
+
+
+def observe_hexagon(name, v, w, where, pos):
+    """The full check_hexagon report at (V, W), as (check id, passed,
+    counterexample) triples, after the cached tau at W or at V (x) W has had
+    its entry pos (modulo its size) raised by one, or has been doubled for
+    pos "scale"; an exception is recorded by its type."""
+    E = CenterElement(COEFFICIENTS[name][0]())
+    mods = _hexagon_modules(E.coefficient)
+    V, W = mods[v], mods[w]
+    X = W if where == "W" else E.parent.tensor(V, W)[0]
+    tau = E.tau(X)
+    E.set_tau(X, tau.scale(tau.field.from_int(2)) if pos == "scale"
+              else _bump_matrix(tau, pos % (tau.rows * tau.cols)))
+    try:
+        rep = check_hexagon(E, V, W)
+    except ValueError as e:
+        return type(e).__name__
+    return [(r.check_id, r.passed, r.counterexample) for r in rep.results]
+
+
+# case (coefficient, V, W, perturbed tau, entry) -> the full check_hexagon report
+HEXAGON_WITNESSES = {
+    ("typeI", "reg", "reg", "W", 0): [("hexagon", False, (("f_index", 0),))],
+    ("typeI", "reg", "reg", "W", 1): [("hexagon", False, (("f_index", 1),))],
+    ("typeI", "reg", "reg", "W", 5): [("hexagon", False, (("f_index", 1),))],
+    ("typeI", "reg", "reg", "W", "scale"): [("hexagon", False, (("f_index", 0),))],
+    ("typeI", "reg", "reg", "VW", 0): [("hexagon", False, (("f_index", 0),))],
+    ("typeI", "reg", "reg", "VW", 1): [("hexagon", False, (("f_index", 2),))],
+    ("typeI", "reg", "reg", "VW", 5): [("hexagon", False, (("f_index", 6),))],
+    ("typeI", "reg", "reg", "VW", "scale"): [("hexagon", False, (("f_index", 0),))],
+    ("typeI", "k", "reg", "W", 0): [("hexagon", True, None)],
+    ("typeI", "k", "reg", "W", 1): [("hexagon", True, None)],
+    ("typeI", "k", "reg", "W", 5): [("hexagon", True, None)],
+    ("typeI", "k", "reg", "W", "scale"): [("hexagon", True, None)],
+    ("typeI", "k", "reg", "VW", 0): [("hexagon", True, None)],
+    ("typeI", "k", "reg", "VW", 1): [("hexagon", True, None)],
+    ("typeI", "k", "reg", "VW", 5): [("hexagon", True, None)],
+    ("typeI", "k", "reg", "VW", "scale"): [("hexagon", True, None)],
+    ("typeI", "reg", "k", "W", 0): [("hexagon", False, (("f_index", 0),))],
+    ("typeI", "reg", "k", "W", 1): [("hexagon", False, (("f_index", 2),))],
+    ("typeI", "reg", "k", "W", 5): [("hexagon", False, (("f_index", 2),))],
+    ("typeI", "reg", "k", "W", "scale"): [("hexagon", False, (("f_index", 0),))],
+    ("typeI", "reg", "k", "VW", 0): [("hexagon", True, None)],
+    ("typeI", "reg", "k", "VW", 1): [("hexagon", True, None)],
+    ("typeI", "reg", "k", "VW", 5): [("hexagon", True, None)],
+    ("typeI", "reg", "k", "VW", "scale"): [("hexagon", True, None)],
+    ("algebroid", "R", "R", "W", 0): "ValueError",
+    ("algebroid", "R", "R", "W", 1): "ValueError",
+    ("algebroid", "R", "R", "W", 5): "ValueError",
+    ("algebroid", "R", "R", "W", "scale"): [("hexagon", False, (("f_index", 0),))],
+    ("algebroid", "R", "R", "VW", 0): "ValueError",
+    ("algebroid", "R", "R", "VW", 1): "ValueError",
+    ("algebroid", "R", "R", "VW", 5): "ValueError",
+    ("algebroid", "R", "R", "VW", "scale"): [("hexagon", False, (("f_index", 0),))],
+    ("algebroid", "reg", "R", "W", 0): "ValueError",
+    ("algebroid", "reg", "R", "W", 1): "ValueError",
+    ("algebroid", "reg", "R", "W", 5): "ValueError",
+    ("algebroid", "reg", "R", "W", "scale"): [("hexagon", False, (("f_index", 0),))],
+    ("algebroid", "reg", "R", "VW", 0): [("hexagon", True, None)],
+    ("algebroid", "reg", "R", "VW", 1): [("hexagon", True, None)],
+    ("algebroid", "reg", "R", "VW", 5): "ValueError",
+    ("algebroid", "reg", "R", "VW", "scale"): [("hexagon", True, None)],
+    ("algebroid", "R", "reg", "W", 0): "ValueError",
+    ("algebroid", "R", "reg", "W", 1): "ValueError",
+    ("algebroid", "R", "reg", "W", 5): "ValueError",
+    ("algebroid", "R", "reg", "W", "scale"): [("hexagon", True, None)],
+    ("algebroid", "R", "reg", "VW", 0): "ValueError",
+    ("algebroid", "R", "reg", "VW", 1): "ValueError",
+    ("algebroid", "R", "reg", "VW", 5): "ValueError",
+    ("algebroid", "R", "reg", "VW", "scale"): [("hexagon", True, None)],
+    ("algebroid", "reg", "reg", "W", 0): "ValueError",
+    ("algebroid", "reg", "reg", "W", 1): "ValueError",
+    ("algebroid", "reg", "reg", "W", 5): "ValueError",
+    ("algebroid", "reg", "reg", "W", "scale"): [("hexagon", False, (("f_index", 0),))],
+    ("algebroid", "reg", "reg", "VW", 0): [("hexagon", False, (("f_index", 0),))],
+    ("algebroid", "reg", "reg", "VW", 1): [("hexagon", False, (("f_index", 1),))],
+    ("algebroid", "reg", "reg", "VW", 5): [("hexagon", False, (("f_index", 5),))],
+    ("algebroid", "reg", "reg", "VW", "scale"): [("hexagon", False, (("f_index", 0),))],
+    ("typeII", "reg", "reg", "W", 0): [("hexagon", False, (("f_index", 0),))],
+    ("typeII", "reg", "reg", "W", 1): [("hexagon", False, (("f_index", 1),))],
+    ("typeII", "reg", "reg", "W", 5): [("hexagon", False, (("f_index", 1),))],
+    ("typeII", "reg", "reg", "W", "scale"): [("hexagon", False, (("f_index", 0),))],
+    ("typeII", "reg", "reg", "VW", 0): [("hexagon", False, (("f_index", 0),))],
+    ("typeII", "reg", "reg", "VW", 1): [("hexagon", False, (("f_index", 2),))],
+    ("typeII", "reg", "reg", "VW", 5): [("hexagon", False, (("f_index", 6),))],
+    ("typeII", "reg", "reg", "VW", "scale"): [("hexagon", False, (("f_index", 0),))],
+    ("typeII", "k", "reg", "W", 0): [("hexagon", True, None)],
+    ("typeII", "k", "reg", "W", 1): [("hexagon", True, None)],
+    ("typeII", "k", "reg", "W", 5): [("hexagon", True, None)],
+    ("typeII", "k", "reg", "W", "scale"): [("hexagon", True, None)],
+    ("typeII", "k", "reg", "VW", 0): [("hexagon", True, None)],
+    ("typeII", "k", "reg", "VW", 1): [("hexagon", True, None)],
+    ("typeII", "k", "reg", "VW", 5): [("hexagon", True, None)],
+    ("typeII", "k", "reg", "VW", "scale"): [("hexagon", True, None)],
+    ("typeII", "reg", "k", "W", 0): [("hexagon", False, (("f_index", 0),))],
+    ("typeII", "reg", "k", "W", 1): [("hexagon", False, (("f_index", 2),))],
+    ("typeII", "reg", "k", "W", 5): [("hexagon", False, (("f_index", 2),))],
+    ("typeII", "reg", "k", "W", "scale"): [("hexagon", False, (("f_index", 0),))],
+    ("typeII", "reg", "k", "VW", 0): [("hexagon", True, None)],
+    ("typeII", "reg", "k", "VW", 1): [("hexagon", True, None)],
+    ("typeII", "reg", "k", "VW", 5): [("hexagon", True, None)],
+    ("typeII", "reg", "k", "VW", "scale"): [("hexagon", True, None)],
+}
+
+
+@pytest.mark.parametrize("case", list(HEXAGON_WITNESSES), ids=str)
+def test_perturbed_tau_hexagon_witnesses(case):
+    assert observe_hexagon(*case) == HEXAGON_WITNESSES[case]
