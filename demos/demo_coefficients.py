@@ -12,8 +12,8 @@ from qha.coefficients import (Contramodule, evaluation_at_unit, HOPF_MU, QUASI_I
                               check_contramodule_hopf, check_ayd_hopf,
                               check_stability_hopf, tau_theta_hopf,
                               check_ayd_quasi_I, check_stability_quasi,
-                              convert_I_to_II, check_ayd_quasi_II,
-                              tau_matrix, tau_matrix_type_II)
+                              convert_I_to_II, convert_II_to_I, check_ayd_quasi_II,
+                              tau_matrix)
 from qha.center import (CenterElement, check_hexagon, check_unitality,
                         check_stability_central, check_weakstrong,
                         contratrace_iota)
@@ -48,7 +48,7 @@ CII = convert_I_to_II(CI)
 print(check_ayd_quasi_II(CII).pretty())
 regt = regular_module(Ht)
 print("tau from type I equals tau from the converted type II:",
-      tau_matrix(CI, regt) == tau_matrix_type_II(CII, regt))
+      tau_matrix(CI, regt) == tau_matrix(convert_II_to_I(CII), regt))
 
 print("\n== the weak center of the twisted example ==")
 E = CenterElement(CI)

@@ -43,6 +43,12 @@ def _opposite(mult, n: int):
     return [mult[(j * n + i) * n + k] for i in range(n) for j in range(n) for k in range(n)]
 
 
+def lift_legs(lift: Matrix):
+    """The Sweedler terms (coef, p, q) of every column of a coproduct lift."""
+    n = lift.cols
+    return [tuple((c, *divmod(k, n)) for k, c in col.items()) for col in lift.col_maps()]
+
+
 def _flip_legs(lift: Matrix) -> Matrix:
     """A coproduct lift with the two legs of every column exchanged."""
     n = lift.cols
@@ -126,10 +132,7 @@ class HopfAlgebroid(Algebra):
     def _lift_terms(self):
         """The Sweedler terms (coef, p, q) of Delta_l(e_i) and of Delta_r(e_i),
         read from the stored lifts."""
-        n = self.dim
-        return tuple([tuple((c, *divmod(k, n)) for k, c in col.items())
-                      for col in lift.col_maps()]
-                     for lift in (self.delta_l_lift, self.delta_r_lift))
+        return tuple(lift_legs(lift) for lift in (self.delta_l_lift, self.delta_r_lift))
 
     def delta_l_terms(self, i: int):
         return self._lift_terms[0][i]
@@ -249,6 +252,10 @@ class HopfAlgebroid(Algebra):
 
     def hom_r(self, V, M):
         return right_hom_algebroid(V, M)
+
+    def hom_carriers(self, V, M):
+        """The carriers of Hom^l(V, M) and Hom^r(V, M), without their modules."""
+        return right_linear_hom_basis(V, M), left_linear_hom_basis(V, M)
 
     def hom_associativity(self, V, W, M):
         """The three maps of QuasiHopfAlgebra.hom_associativity, between the

@@ -297,6 +297,10 @@ class QuasiHopfAlgebra(Algebra):
     def hom_r(self, V, M):
         return right_hom(V, M), None
 
+    def hom_carriers(self, V, M):
+        """The carriers of Hom^l(V, M) and Hom^r(V, M), without their modules."""
+        return None, None
+
     def hom_associativity(self, V, W, M):
         """The maps V <| (W <| M) -> (V (x) W) <| M, V <| (M |> W) -> (V <| M) |> W
         and M |> (V (x) W) -> (M |> V) |> W between the full hom carriers."""

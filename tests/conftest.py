@@ -7,7 +7,8 @@ from qha.linalg import Matrix
 from qha.quasihopf import (group_algebra, sweedler_h4, twisted_dual_group_algebra,
                            cyclic_group_table, symmetric_group_table,
                            z2_nontrivial_cocycle, z3_nontrivial_cocycle,
-                           regular_module, trivial_module, hom_module_morphisms, HModule)
+                           regular_module, trivial_module, hom_module_morphisms, HModule,
+                           QuasiHopfAlgebra, tp_delta_slot, tp_mul, tp_tensor, tp_unit)
 from qha.algebroid import BaseRing
 
 QQ = rationals()
@@ -51,6 +52,80 @@ def twisted_z3_f7():
     """k^Z3_w over GF(7): its Phi changes when two of its legs are exchanged."""
     f = prime_field(7)
     return twisted_dual_group_algebra(f, cyclic_group_table(3), z3_nontrivial_cocycle(f))
+
+
+def cohomologous_z3_cocycle(f, beta):
+    """z3_nontrivial_cocycle times the coboundary of the normalised
+    2-cochain beta on Z/3: w'(x, y, z) = w(x, y, z) beta(y, z)
+    beta(x, y + z) / (beta(x + y, z) beta(x, y))."""
+    w = z3_nontrivial_cocycle(f)
+    b = [[f.from_int(v) for v in row] for row in beta]
+    return [[[f.div(f.mul(f.mul(w[x][y][z], b[y][z]), b[x][(y + z) % 3]),
+                    f.mul(b[(x + y) % 3][z], b[x][y]))
+              for z in range(3)] for y in range(3)] for x in range(3)]
+
+
+@pytest.fixture(scope="session")
+def twisted_z3_skew_f7():
+    """k^Z3_w' over GF(7) for a cocycle w' cohomologous to the one of
+    twisted_z3_f7 but not symmetric in its first two arguments, so its Phi
+    changes when its first two legs are exchanged."""
+    f = prime_field(7)
+    omega = cohomologous_z3_cocycle(f, [[1, 1, 1], [1, 2, 3], [1, 5, 4]])
+    return twisted_dual_group_algebra(f, cyclic_group_table(3), omega, "k^Z3_w'")
+
+
+def drinfeld_twist(H, F, F_inv, name):
+    """H twisted by the counital invertible F in H (x) H (sparse tensors
+    {(i, j): c}): Delta_F = F Delta F^-1, Phi_F = F_23 (id (x) Delta)(F) Phi
+    (Delta (x) id)(F^-1) F_12^-1, alpha_F = S(F^-1,1) alpha F^-1,2 and
+    beta_F = F^1 beta S(F^2); the algebra and S are those of H."""
+    f, n = H.field, H.dim
+
+    def flat(t, k):
+        out = [f.zero] * n ** k
+        for key, c in t.items():
+            out[sum(i * n ** (k - 1 - s) for s, i in enumerate(key))] = c
+        return out
+
+    def product(*ts):
+        out = ts[0]
+        for t in ts[1:]:
+            out = tp_mul(H, out, t)
+        return out
+
+    def legs(flat3):
+        return {(k // n // n, k // n % n, k % n): c for k, c in enumerate(flat3) if c}
+
+    def contract(t, left, right):
+        out = [f.zero] * n
+        for (a, b), c in t.items():
+            out = [f.add(x, f.mul(c, y)) for x, y in zip(out, H.prod(left(a), right(b)))]
+        return out
+
+    one = tp_unit(H, 1)
+    comult = [flat(product(F, {(p, q): c for c, p, q in H.delta_terms(i)}, F_inv), 2)
+              for i in range(n)]
+    phi = product(tp_tensor(H, one, F), tp_delta_slot(H, F, 1), legs(H.phi),
+                  tp_delta_slot(H, F_inv, 0), tp_tensor(H, F_inv, one))
+    phi_inv = product(tp_tensor(H, F, one), tp_delta_slot(H, F, 0), legs(H.phi_inv),
+                      tp_delta_slot(H, F_inv, 1), tp_tensor(H, one, F_inv))
+    alpha = contract(F_inv, lambda a: H.apply_s(H.basis(a)),
+                     lambda b: H.prod(H.alpha, H.basis(b)))
+    beta = contract(F, lambda a: H.prod(H.basis(a), H.beta),
+                    lambda b: H.apply_s(H.basis(b)))
+    return QuasiHopfAlgebra(f, n, H.mult, H.unit, comult, H.counit, H.antipode,
+                            H.antipode_inv, flat(phi, 3), flat(phi_inv, 3), alpha, beta, name)
+
+
+@pytest.fixture(scope="session")
+def twisted_h4_q():
+    """Sweedler's H4 over Q (basis 1, g, x, gx) twisted by
+    F = 1 (x) 1 + x (x) (1 - g): a noncommutative quasi-Hopf algebra with
+    nontrivial Phi, alpha and beta."""
+    o, m = QQ.one, QQ.neg(QQ.one)
+    return drinfeld_twist(sweedler_h4(QQ), {(0, 0): o, (2, 0): o, (2, 1): m},
+                          {(0, 0): o, (2, 0): m, (2, 1): o}, "H4^F")
 
 
 def base_ring_t2(field):

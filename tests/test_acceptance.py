@@ -27,7 +27,7 @@ from qha.algebroid import (
 from qha.coefficients import (
     Contramodule, HOPF_MU, QUASI_I, ALGEBROID_MU,
     evaluation_at_unit, check_contramodule_hopf, check_ayd_hopf,
-    check_stability_hopf, tau_theta_hopf, tau_matrix, tau_matrix_type_II,
+    check_stability_hopf, tau_theta_hopf, tau_matrix,
     convert_I_to_II, convert_II_to_I, tau_from_contramodule,
     check_contramodule_algebroid, check_ayd_algebroid, check_stability_algebroid,
     ayd_compatibility_system)
@@ -291,7 +291,7 @@ def test_criterion_5_conversion_coherence():
         CII = convert_I_to_II(C)
         k = trivial_module(H)
         for V in (k, reg):
-            ok = ok and tau_matrix(C, V) == tau_matrix_type_II(CII, V)
+            ok = ok and tau_matrix(C, V) == tau_matrix(convert_II_to_I(CII), V)
     record(5, "type I<->II conversion roundtrips tensor-exact on 50 random "
               "contraaction tensors per algebra; identity when Phi trivial; "
               "tau agreement exact", ok)

@@ -227,6 +227,19 @@ def test_hom_carriers_and_lemma_right_left(env_f5):
         assert via_sl == via_tr
 
 
+def test_hom_carriers_without_modules(env_f5, t2e_f5, twisted_q):
+    # the carrier-only query gives the carriers of the hom modules; the
+    # left-linear maps are the carrier of Hom^r, the H^cop carrier
+    for H in (env_f5, t2e_f5):
+        reg, R = regular_algebroid_module(H), base_module(H)
+        for V, M in [(reg, reg), (reg, R), (R, reg), (R, R)]:
+            assert H.hom_carriers(V, M) == (H.hom_l(V, M)[1], H.hom_r(V, M)[1])
+            assert H.hom_carriers(V, M)[1] == left_linear_hom_basis(V, M)
+    reg = regular_module(twisted_q)
+    assert twisted_q.hom_carriers(reg, reg) == (None, None)
+    assert twisted_q.hom_l(reg, reg)[1] is None and twisted_q.hom_r(reg, reg)[1] is None
+
+
 def test_hom_modules_are_unital_actions(env_f5):
     H = env_f5
     reg = regular_algebroid_module(H)

@@ -9,10 +9,12 @@ from qha.quasihopf import (trivial_module, regular_module, tensor_module,
 from qha.coefficients import (
     Contramodule, FlavorError, HOPF_MU, QUASI_I, QUASI_II,
     evaluation_at_unit, check_contramodule_hopf, check_ayd_hopf,
-    check_stability_hopf, tau_theta_hopf, tau_matrix, tau_matrix_type_II,
+    check_stability_hopf, tau_theta_hopf, tau_matrix,
     check_ayd_quasi_I, check_ayd_quasi_II, check_stability_quasi,
     convert_I_to_II, convert_II_to_I, tau_from_contramodule, mu_from_tau,
     ayd_compatibility_system, hexagon_sides, tau_raw)
+
+from qha.cyclic import build_cocyclic, unit_algebra
 
 from conftest import QQ, F5, random_intertwiner, random_module
 
@@ -130,6 +132,10 @@ def test_hopf_checks_reject_quasi_parent(twisted_q):
     C = ev_unit(twisted_q, flavor=HOPF_MU)
     with pytest.raises(FlavorError):
         check_ayd_hopf(C)
+    for check in (check_contramodule_hopf, check_stability_hopf,
+                  lambda C: build_cocyclic(unit_algebra(twisted_q), C, 2)):
+        with pytest.raises(FlavorError):
+            check(C)
 
 
 # -- quasi flavors ---------------------------------------------------------------
@@ -193,7 +199,7 @@ def test_tau_agreement_between_flavors(twisted_q):
     C = ev_unit(twisted_q, flavor=QUASI_I)
     CII = convert_I_to_II(C)
     reg = regular_module(twisted_q)
-    assert tau_matrix(C, reg) == tau_matrix_type_II(CII, reg)
+    assert tau_matrix(C, reg) == tau_matrix(convert_II_to_I(CII), reg)
 
 
 def test_mu_extraction_inverts_tau(kc2_q, twisted_q):
@@ -236,6 +242,30 @@ def test_ayd_system_digest(h4_q, twisted_q):
                           + ",".join(map(str, S.entries)) + ";").encode())
     assert h.hexdigest() == \
         "c961e4471e68da3903665754b84c3cccdb4a60f92e52262cba1da9fd3081211a"
+
+
+def test_type_II_digest(twisted_q, twisted_z3_f7, twisted_z3_skew_f7, twisted_h4_q):
+    # both conversions and the type II tau at random contraactions on
+    # regular, trivial and random carriers, entry for entry, over commutative
+    # twisted duals and a noncommutative twist of H4; recorded with the
+    # Phi-decorated type II tau formula, before the type II tau was read as
+    # the type I tau of the converted coefficient
+    h = hashlib.sha256()
+    for H in (twisted_q, twisted_z3_f7, twisted_z3_skew_f7, twisted_h4_q):
+        f = H.field
+        reg, k = regular_module(H), trivial_module(H)
+        for M in (reg, k, random_module(H, 3, 5)):
+            rng = random.Random(M.dim)
+            mu = Matrix(f, M.dim, M.dim * H.dim,
+                        [f.from_int(rng.randrange(-3, 4)) for _ in range(M.dim ** 2 * H.dim)])
+            CII = Contramodule(M, mu, QUASI_II)
+            outs = [convert_I_to_II(Contramodule(M, mu, QUASI_I)).mu, convert_II_to_I(CII).mu]
+            outs += [tau_matrix(convert_II_to_I(CII), V) for V in (reg, k, M)]
+            for S in outs:
+                h.update(("%d %d " % (S.rows, S.cols)
+                          + ",".join(map(str, S.entries)) + ";").encode())
+    assert h.hexdigest() == \
+        "49987df3e555631e3595494c92d8660dc3174e2f7f4aa02fa97962ae77a428a5"
 
 
 def test_hexagon_sides_equal_for_valid_coefficient(twisted_q):
@@ -420,4 +450,4 @@ def test_z3_twisted_coefficient_pipeline():
     assert check_ayd_quasi_II(CII).passed
     assert convert_II_to_I(CII).mu == C.mu
     reg = regular_module(H)
-    assert tau_matrix(C, reg) == tau_matrix_type_II(CII, reg)
+    assert tau_matrix(C, reg) == tau_matrix(convert_II_to_I(CII), reg)

@@ -102,7 +102,8 @@ def swap_mw_v(f, d, dw, dv):
     return Matrix.from_cols(f, cols, ambient=size)
 
 
-@pytest.fixture(params=["h4_q", "twisted_q", "twisted_z3_f7"])
+@pytest.fixture(params=["h4_q", "twisted_q", "twisted_z3_f7", "twisted_z3_skew_f7",
+                        "twisted_h4_q"])
 def quasi(request):
     H = request.getfixturevalue(request.param)
     return H, [regular_module(H), trivial_module(H), random_module(H, 3, seed=7)]

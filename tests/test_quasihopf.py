@@ -30,6 +30,19 @@ def test_axiom_suites(field):
         field, cyclic_group_table(2), z2_nontrivial_cocycle(field)))
 
 
+def test_fixture_quasi_hopf_algebras(twisted_z3_skew_f7, twisted_h4_q):
+    # the Phi of the skew Z3 fixture is not symmetric in its first two legs;
+    # the twist of H4 is noncommutative, with nontrivial Phi, alpha and beta
+    for H in (twisted_z3_skew_f7, twisted_h4_q):
+        assert all_checks_pass(H) and not H.is_hopf()
+    phi = twisted_z3_skew_f7.phi_terms()
+    assert any(phi.get((y, x, z)) != c for (x, y, z), c in phi.items())
+    H = twisted_h4_q
+    e = [H.basis(i) for i in range(H.dim)]
+    assert any(H.mult_vec(a, b) != H.mult_vec(b, a) for a in e for b in e)
+    assert H.alpha != H.unit and H.beta != H.unit
+
+
 def test_max_tensor_dim_reads_the_environment(monkeypatch, kc2_q):
     monkeypatch.delenv("QHA_MAX_DIM", raising=False)
     assert max_tensor_dim() == 4096
