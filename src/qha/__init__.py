@@ -16,7 +16,6 @@ from .algebroid import (BaseRing, HopfAlgebroid, AlgebroidModule, RelationSpace,
                         enveloping_algebroid, algebroid_from_hopf,
                         base_module, regular_algebroid_module, tensor_over_base,
                         left_hom_algebroid, right_hom_algebroid,
-                        eval_adjunctions_algebroid,
                         check_algebroid_structure, check_left_bialgebroid,
                         check_right_bialgebroid, check_hopf_algebroid)
 from .coefficients import (Contramodule, HOPF_MU, QUASI_I, QUASI_II, ALGEBROID_MU,

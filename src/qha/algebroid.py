@@ -8,9 +8,12 @@ the checks verify that stored lifts are compatible with the relations
 (Takeuchi membership, bimodule properties) rather than assuming it.
 
 The left base ring R is the stored one; the right base is its opposite
-ring ``BaseRing.op``.  Right-hand constructions are not written out: the
-right-hand biclosed maps are the left-hand ones over the co-opposite
-algebroid ``H.cop`` (over R^op), and the right bialgebroid axioms are the
+ring ``BaseRing.op``.  The biclosed maps (Hom^l, Hom^r, zeta and eta) are
+not written here: they are the one layer of quasihopf.py, to which a
+Hopf algebroid gives its Delta_r legs, the right-base-linear maps as the
+carrier of Hom^l, no zeta^l decoration and the plain evaluation; the
+right-hand maps there are the left-hand ones over the co-opposite
+algebroid ``H.cop`` (over R^op).  The right bialgebroid axioms are the
 left ones over the opposite algebroid ``H.op``.
 
 The axiom checks work on sparse elements {basis index: coefficient} and
@@ -29,11 +32,11 @@ from functools import cached_property
 
 from .fields import Field
 from .linalg import (Matrix, Subspace, block_matrix, quotient_section,
-                     intertwiner_space, kron_sum, lmul_blocks, basis_vec)
+                     intertwiner_space, kron_sum, basis_vec)
 from .reports import CheckReport, first_failure
-from .quasihopf import (Algebra, HModule, QuasiHopfAlgebra, StructureError,
-                        IntertwinerError, max_tensor_dim, require_intertwiner, _over_cop,
-                        _swap_factors, _curry, _uncurry, _collect, _terms_dict, sparse_apply,
+from .quasihopf import (Algebra, HModule, QuasiHopfAlgebra, StructureError, max_tensor_dim,
+                        left_hom, right_hom, zeta_l, eta_l, zeta_r, eta_r, _over_cop,
+                        _swap_factors, _collect, _terms_dict, sparse_apply,
                         check_antipode_pair, perm_mwv_to_mvw, tp_contract, tp_leg, tp_mul,
                         tp_slot, tp_unit)
 
@@ -231,31 +234,25 @@ class HopfAlgebroid(Algebra):
         amb = Matrix.from_cols(self.field, cols, ambient=V.dim)
         return amb * module_tensor_relations(V, base_module(self)).lift
 
-    # the biclosed adjunctions, so that the weak center is written once
+    # the four data of the biclosed layer of quasihopf.py: the Delta_r legs,
+    # the right-base-linear maps as carrier of Hom^l, no zeta^l decoration
+    # and the plain evaluation phi (x) v |-> phi(v)
 
-    def zeta_l(self, f_mat, M, N, L) -> Matrix:
-        return zeta_l_algebroid(f_mat, M, N, L)
+    def hom_legs(self, i: int):
+        return self.delta_r_terms(i)
 
-    def zeta_r(self, f_mat, N, M, L) -> Matrix:
-        return zeta_r_algebroid(f_mat, N, M, L)
+    def hom_carrier(self, V, M):
+        return right_linear_hom_basis(V, M)
 
-    def eta_r(self, g_mat, N, M, L) -> Matrix:
-        return eta_r_algebroid(g_mat, N, M, L)
+    def zeta_decoration(self, M, N):
+        return None
 
-    # the hom carriers and the hom associativity maps, so that tau and the
-    # hexagon are written once: the carriers are the base-linear maps, and
-    # the associativity maps are the strict currying ones, with the hom out
-    # of V (x)_R W read on the ambient V (x) W through its relations
+    def hom_evaluation(self, V, M):
+        return None
 
-    def hom_l(self, V, M):
-        return left_hom_algebroid(V, M)
-
-    def hom_r(self, V, M):
-        return right_hom_algebroid(V, M)
-
-    def hom_carriers(self, V, M):
-        """The carriers of Hom^l(V, M) and Hom^r(V, M), without their modules."""
-        return right_linear_hom_basis(V, M), left_linear_hom_basis(V, M)
+    # the hom associativity maps, so that tau and the hexagon are written
+    # once: the strict currying maps, with the hom out of V (x)_R W read on
+    # the ambient V (x) W through its relations
 
     def hom_associativity(self, V, W, M):
         """The three maps of QuasiHopfAlgebra.hom_associativity, between the
@@ -292,7 +289,7 @@ def base_module(H: HopfAlgebroid) -> AlgebroidModule:
     r = H.base.dim
     mats = []
     for i in range(H.dim):
-        cols = [H.eps_l.apply(H.mult_vec(H.basis(i), H.s_l.col(j)))
+        cols = [H.eps_l.apply(H.prod(H.basis(i), H.s_l.col(j)))
                 for j in range(r)]
         mats.append(Matrix.from_cols(f, cols, ambient=r))
     return AlgebroidModule(H, mats, name="R")
@@ -372,171 +369,30 @@ def right_linear_hom_basis(M: AlgebroidModule, N: AlgebroidModule) -> Subspace:
 
 
 def left_linear_hom_basis(M: AlgebroidModule, N: AlgebroidModule) -> Subspace:
-    """Hom_{R_l}(M, N): maps commuting with every s_l(r)-action."""
-    H = M.parent
-    pairs = [(M.act(H.s_l.col(b)), N.act(H.s_l.col(b))) for b in range(H.base.dim)]
-    return intertwiner_space(H.field, pairs, N.dim, M.dim)
+    """Hom_{R_l}(M, N): maps commuting with every s_l(r)-action, which are
+    the right-base-linear maps over H^cop (t_l of H^cop is s_l), the
+    carrier of Hom^r(M, N)."""
+    return right_linear_hom_basis(*_over_cop(M, N))
 
 
-def left_hom_algebroid(V: AlgebroidModule, M: AlgebroidModule):
-    """Hom^l(V, M) = Hom(V, M)_{R_l} with h.phi = h^1 phi(S(h^2) -), Delta_r legs.
+# The biclosed maps of an algebroid are those of quasihopf.py, read on the
+# four data of HopfAlgebroid.  The algebroid names call them and are not
+# aliases: bench/tracing.py wraps a function under every name bound to it,
+# and counts the calls through these names as the algebroid's.
 
-    Returns (module, basis) where basis is the canonical carrier subspace of
-    Hom_k(V, M), in whose coordinates the full-carrier action is expressed."""
-    if V.parent is not M.parent:
-        raise StructureError("hom factors must share a parent algebroid")
-    H = V.parent
-    f = H.field
-    basis = right_linear_hom_basis(V, M)
-    bmat = basis.basis_matrix()
-    d = M.dim * V.dim
-    pre = [V.act(H.apply_s(H.basis(q))).transpose() for q in range(H.dim)]
-    mats = []
-    for i in range(H.dim):
-        full = kron_sum(f, d, d, [(c, [M.mats[p], pre[q]]) for c, p, q in H.delta_r_terms(i)])
-        sub = basis.coordinate_matrix(full * bmat)
-        if sub is None:
-            raise StructureError("hom action does not preserve the base-linear carrier")
-        mats.append(sub)
-    return AlgebroidModule(H, mats, name="Hom^l(%s,%s)" % (V.name, M.name)), basis
+def _algebroid_name(fn, name):
+    def entry(*args, **kwargs):
+        return fn(*args, **kwargs)
+    entry.__name__, entry.__qualname__, entry.__doc__ = name, name, fn.__doc__
+    return entry
 
 
-# -- the right-hand maps are the left-hand maps over H^cop ---------------------
-#
-# An H-module is an H^cop-module on the same matrices, and V (x) W over H^cop
-# is W (x)_R V over H with the factors swapped.  The two quotient carriers
-# have their own canonical sections, so a map on one tensor domain is re-read
-# on the other through the ambient space.
-
-def right_hom_algebroid(V: AlgebroidModule, M: AlgebroidModule):
-    """Hom^r(V, M) = Hom_{R_l}(V, M) with h.phi = h^2 phi(S^-1(h^1) -), Delta_r legs.
-
-    This is Hom^l(V, M) over H^cop, on the same action matrices and carrier."""
-    mod, basis = left_hom_algebroid(*_over_cop(V, M))
-    return _hom_r_module(mod, V, M), basis
-
-
-def _hom_r_module(cop_mod: AlgebroidModule, V: AlgebroidModule, M: AlgebroidModule):
-    return AlgebroidModule(V.parent, cop_mod.mats, name="Hom^r(%s,%s)" % (V.name, M.name))
-
-
-def _swap_domain(f_mat: Matrix, src: RelationSpace, dst: RelationSpace,
-                 d1: int, d2: int) -> Matrix:
-    """f on the quotient of V1 (x) V2 (dims d1, d2), re-read on V2 (x) V1."""
-    return _swap_factors(f_mat * src.projector, d1, d2) * dst.lift
-
-
-# -- adjunctions (strict evaluations over the base) -------------------------------
-
-def ev_l_algebroid(V: AlgebroidModule, M: AlgebroidModule):
-    """ev^l: Hom^l(V,M) (x)_{R_l} V -> M, phi (x) v |-> phi(v).
-
-    Returns (matrix on the quotient carrier, hom module, hom basis, tensor data).
-    """
-    hom_mod, hom_basis = left_hom_algebroid(V, M)
-    tens, rel = tensor_over_base(hom_mod, V)
-    # column c*dV + v: the hom basis map c evaluated at e_v
-    amb = _uncurry(hom_basis.basis_matrix(), V.dim)
-    ev = amb * rel.lift
-    if ev * rel.projector != amb:
-        raise StructureError("ev^l is not constant on tensor relation classes")
-    return ev, hom_mod, hom_basis, (tens, rel)
-
-
-def ev_r_algebroid(V: AlgebroidModule, M: AlgebroidModule):
-    """ev^r: V (x)_{R_l} Hom^r(V,M) -> M, v (x) phi |-> phi(v): ev^l over H^cop
-    read on the swapped tensor domain.
-
-    The tensor V (x)_R Hom^r(V, M) is the H^cop tensor Hom (x) V with its
-    factors swapped: the relations are the swapped ones, put back in
-    canonical form, and the actions are the H^cop actions carried across
-    the swap of quotient carriers."""
-    ev, cop_mod, hom_basis, (cop_tens, cop_rel) = ev_l_algebroid(*_over_cop(V, M))
-    hom_mod = _hom_r_module(cop_mod, V, M)
-    f = M.parent.field
-    d1, d2 = hom_mod.dim, V.dim
-    swapped = _swap_factors(cop_rel.relations.basis_stack(d1 * d2), d1, d2)
-    rel = RelationSpace(f, d1 * d2, Subspace.row_space(swapped))
-    # cop quotient -> H quotient: projector . (swap of the ambient) . lift
-    to_h = rel.projector * _swap_factors(cop_rel.lift.transpose(), d1, d2).transpose()
-    mats = [to_h * _swap_domain(m, cop_rel, rel, d1, d2) for m in cop_tens.mats]
-    tens = AlgebroidModule(V.parent, mats, name="(%s)x_R(%s)" % (V.name, hom_mod.name))
-    return _swap_domain(ev, cop_rel, rel, d1, d2), hom_mod, hom_basis, (tens, rel)
-
-
-def zeta_l_algebroid(f_mat: Matrix, M: AlgebroidModule, N: AlgebroidModule,
-                     L: AlgebroidModule) -> Matrix:
-    """zeta^l: Hom_H(M (x)_R N, L) -> Hom_H(M, Hom^l(N, L)), f |-> (m |-> f(m (x) -)).
-
-    Input and output are verified H-module morphisms; coordinates on the
-    target side are taken in the canonical hom-carrier basis.  f_mat may be
-    a vertical stack of maps; the result is the stack of their images."""
-    tens, rel = tensor_over_base(M, N)
-    require_intertwiner(f_mat, tens, L, "zeta_l input")
-    hom_mod, hom_basis = left_hom_algebroid(N, L)
-    # the columns of every curried map are full-carrier vectors of Hom_k(N, L)
-    full = _curry(f_mat * rel.projector, N.dim).side_by_side(L.dim * N.dim)
-    coords = hom_basis.coordinate_matrix(full)
-    if coords is None:
-        raise IntertwinerError("zeta_l image is not base-linear")
-    out = coords.stacked(M.dim)
-    require_intertwiner(out, M, hom_mod, "zeta_l output")
-    return out
-
-
-def eta_l_algebroid(g_mat: Matrix, M: AlgebroidModule, N: AlgebroidModule,
-                    L: AlgebroidModule) -> Matrix:
-    """eta^l(g) = ev^l o (g (x) id): back to Hom_H(M (x)_R N, L), for one map
-    or for every map of a vertical stack."""
-    hom_mod, hom_basis = left_hom_algebroid(N, L)
-    require_intertwiner(g_mat, M, hom_mod, "eta_l input")
-    tens, rel = tensor_over_base(M, N)
-    amb = _uncurry(lmul_blocks(hom_basis.basis_matrix(), g_mat), N.dim)
-    out = amb * rel.lift
-    if out * rel.projector != amb:
-        raise StructureError("eta_l image not constant on relation classes")
-    require_intertwiner(out, tens, L, "eta_l output")
-    return out
-
-
-def zeta_r_algebroid(f_mat: Matrix, N: AlgebroidModule, M: AlgebroidModule,
-                     L: AlgebroidModule) -> Matrix:
-    """zeta^r: Hom_H(N (x)_R M, L) -> Hom_H(M, Hom^r(N, L)), f |-> (m |-> f(- (x) m)),
-    which is zeta^l over H^cop applied to f read on M (x) N."""
-    Nc, Mc, Lc = _over_cop(N, M, L)
-    f_cop = _swap_domain(f_mat, module_tensor_relations(N, M),
-                         module_tensor_relations(Mc, Nc), N.dim, M.dim)
-    return zeta_l_algebroid(f_cop, Mc, Nc, Lc)
-
-
-def eta_r_algebroid(g_mat: Matrix, N: AlgebroidModule, M: AlgebroidModule,
-                    L: AlgebroidModule) -> Matrix:
-    """eta^r(g) = ev^r o (id (x) g): back to Hom_H(N (x)_R M, L), which is
-    eta^l over H^cop read on the swapped tensor domain."""
-    Nc, Mc, Lc = _over_cop(N, M, L)
-    return _swap_domain(eta_l_algebroid(g_mat, Mc, Nc, Lc),
-                        module_tensor_relations(Mc, Nc), module_tensor_relations(N, M),
-                        M.dim, N.dim)
-
-
-def eval_adjunctions_algebroid(M: AlgebroidModule, N: AlgebroidModule,
-                               L: AlgebroidModule) -> dict:
-    """The biclosed-structure maps for the triple (M, N, L) at matrix level.
-
-    Returns the two evaluation matrices together with closures for the four
-    adjunction maps; the evaluations are verified H-module morphisms."""
-    ev_l, hl_mod, _, (tens_l, _) = ev_l_algebroid(N, L)
-    ev_r, hr_mod, _, (tens_r, _) = ev_r_algebroid(N, L)
-    require_intertwiner(ev_l, tens_l, L, "ev^l")
-    require_intertwiner(ev_r, tens_r, L, "ev^r")
-    return {
-        "ev_l": ev_l,
-        "ev_r": ev_r,
-        "zeta_l": lambda fm: zeta_l_algebroid(fm, M, N, L),
-        "eta_l": lambda gm: eta_l_algebroid(gm, M, N, L),
-        "zeta_r": lambda fm: zeta_r_algebroid(fm, N, M, L),
-        "eta_r": lambda gm: eta_r_algebroid(gm, N, M, L),
-    }
+left_hom_algebroid = _algebroid_name(left_hom, "left_hom_algebroid")
+right_hom_algebroid = _algebroid_name(right_hom, "right_hom_algebroid")
+zeta_l_algebroid = _algebroid_name(zeta_l, "zeta_l_algebroid")
+eta_l_algebroid = _algebroid_name(eta_l, "eta_l_algebroid")
+zeta_r_algebroid = _algebroid_name(zeta_r, "zeta_r_algebroid")
+eta_r_algebroid = _algebroid_name(eta_r, "eta_r_algebroid")
 
 
 # -- axiom checks -------------------------------------------------------------
@@ -755,8 +611,8 @@ def enveloping_algebroid(A: BaseRing, name: str = "") -> HopfAlgebroid:
         for j1 in range(r):
             for i2 in range(r):
                 for j2 in range(r):
-                    left = A.mult_vec(A.basis(i1), A.basis(i2))
-                    right = A.mult_vec(A.basis(j2), A.basis(j1))
+                    left = A.prod(A.basis(i1), A.basis(i2))
+                    right = A.prod(A.basis(j2), A.basis(j1))
                     row = (idx(i1, j1) * n + idx(i2, j2)) * n
                     for k, lv in enumerate(left):
                         if lv == 0:
@@ -804,9 +660,9 @@ def enveloping_algebroid(A: BaseRing, name: str = "") -> HopfAlgebroid:
             lift_cols.append(v)
     lift = Matrix.from_cols(f, lift_cols, ambient=n * n)
 
-    eps_l = Matrix.from_cols(f, [A.mult_vec(A.basis(i), A.basis(j))
+    eps_l = Matrix.from_cols(f, [A.prod(A.basis(i), A.basis(j))
                                  for i in range(r) for j in range(r)], ambient=r)
-    eps_r = Matrix.from_cols(f, [A.mult_vec(A.basis(j), A.basis(i))
+    eps_r = Matrix.from_cols(f, [A.prod(A.basis(j), A.basis(i))
                                  for i in range(r) for j in range(r)], ambient=r)
 
     s_cols = [basis_vec(f, n, idx(j, i)) for i in range(r) for j in range(r)]

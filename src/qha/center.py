@@ -6,14 +6,15 @@ and cached by structural hash.  Stability of the coefficient makes every
 tau_V invertible (checked as an exact rank condition), which is what turns
 the weak-center datum into an honest center element.
 
-Every check here is written once against the primitives both parents
-provide: ``tensor``, ``unit_object``, the unitors, zeta^l, zeta^r and eta^r
-for the contratrace, unitality and central stability, and for tau and the
-hexagon the hom carriers (``hom_l``, ``hom_r``) and the hom associativity
-maps (``hom_associativity``).  Over a quasi-Hopf algebra every hom carrier
-is all of Hom_k and the associativity maps carry the Phi-decoration; over
-a Hopf algebroid the carriers are the base-linear maps and the
-associativity maps are strict.
+Every check here is written once, for both parents: the contratrace,
+unitality and central stability call the one biclosed layer of
+quasihopf.py (zeta^l, zeta^r, eta^r, under the algebroid's names over a
+Hopf algebroid) and the parent's ``tensor``, ``unit_object`` and
+unitors; tau and the hexagon read the hom modules and carriers of that
+layer and the parent's hom associativity maps (``hom_associativity``).
+Over a quasi-Hopf algebra every hom carrier is all of Hom_k and the
+associativity maps carry the Phi-decoration; over a Hopf algebroid the
+carriers are the base-linear maps and the associativity maps are strict.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from __future__ import annotations
 from .linalg import Matrix, lmul_blocks
 from .reports import CheckReport
 from .coefficients import Contramodule, tau_from_contramodule, hexagon_sides
-from .quasihopf import hom_module_morphisms
+from .quasihopf import hom_module_morphisms, zeta_l, zeta_r, eta_r
+from .algebroid import HopfAlgebroid, zeta_l_algebroid, zeta_r_algebroid, eta_r_algebroid
 
 
 class CenterElement:
@@ -54,6 +56,14 @@ class CenterElement:
         self._tau_cache[V.structural_key()] = mat
 
 
+def _adjunctions(H):
+    """zeta^l, zeta^r and eta^r: the one body of each, under the
+    algebroid's names over a Hopf algebroid."""
+    if isinstance(H, HopfAlgebroid):
+        return zeta_l_algebroid, zeta_r_algebroid, eta_r_algebroid
+    return zeta_l, zeta_r, eta_r
+
+
 def check_hexagon(E: CenterElement, V, W) -> CheckReport:
     """The hexagon for the cached taus at V, W and V (x) W."""
     lhs, rhs = hexagon_sides(E.coefficient, V, W, E.tau)
@@ -72,9 +82,10 @@ def check_unitality(E: CenterElement) -> CheckReport:
     H = E.parent
     M = E.carrier
     unit = H.unit_object()
-    lhs = E.tau(unit) * H.zeta_l(H.right_unitor(M), M, unit, M)
+    zl, zr, _ = _adjunctions(H)
+    lhs = E.tau(unit) * zl(H.right_unitor(M), M, unit, M)
     rep = CheckReport()
-    rep.add("unitality", lhs == H.zeta_r(H.left_unitor(M), unit, M, M))
+    rep.add("unitality", lhs == zr(H.left_unitor(M), unit, M, M))
     return rep
 
 
@@ -85,9 +96,10 @@ def check_stability_central(E: CenterElement) -> CheckReport:
     H = E.parent
     M = E.carrier
     unit = H.unit_object()
-    g = E.tau(M) * H.zeta_l(H.left_unitor(M), unit, M, M)
+    zl, _, er = _adjunctions(H)
+    g = E.tau(M) * zl(H.left_unitor(M), unit, M, M)
     rep = CheckReport()
-    rep.add("stability_central", H.eta_r(g, M, unit, M) == H.right_unitor(M))
+    rep.add("stability_central", er(g, M, unit, M) == H.right_unitor(M))
     return rep
 
 
@@ -107,10 +119,9 @@ def iota_apply(E: CenterElement, T, V, f_mat: Matrix) -> Matrix:
     the result the stack of their images, so every module behind zeta^l,
     tau_V and eta^r is built once for the whole stack; one intertwiner is
     a stack of one."""
-    H = E.parent
     M = E.carrier
-    g = H.zeta_l(f_mat, T, V, M)
-    return H.eta_r(lmul_blocks(E.tau(V), g), V, T, M)
+    zl, _, er = _adjunctions(E.parent)
+    return er(lmul_blocks(E.tau(V), zl(f_mat, T, V, M)), V, T, M)
 
 
 def contratrace_iota(E: CenterElement, T, V) -> Matrix:

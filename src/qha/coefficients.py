@@ -23,12 +23,14 @@ base-linear maps.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .linalg import (Matrix, Subspace, block_matrix, intertwiner_space, kron_sum,
                      quotient_section)
 from .reports import AydReport
 from .quasihopf import (HModule, QuasiHopfAlgebra, IntertwinerError, StructureError,
-                        regular_module, is_intertwiner,
-                        eps_p_q_beta_s_r)
+                        regular_module, is_intertwiner, eps_p_q_beta_s_r, left_hom, right_hom,
+                        hom_carriers, right_hom_carrier, _restricted)
 
 HOPF_MU = "HopfMu"
 QUASI_I = "QuasiTypeI"
@@ -62,6 +64,12 @@ class Contramodule:
     @property
     def field(self):
         return self.carrier.parent.field
+
+    @cached_property
+    def type_I(self) -> "Contramodule":
+        """This coefficient in type I form: the conversion of a type II
+        coefficient, made once; any other flavor is its own."""
+        return convert_II_to_I(self) if self.flavor == QUASI_II else self
 
     def with_flavor(self, flavor: str) -> "Contramodule":
         return Contramodule(self.carrier, self.mu, flavor)
@@ -343,34 +351,23 @@ def tau_raw(C: Contramodule, V: HModule) -> Matrix:
     """tau_V on the hom carriers of the parent, without the intertwiner
     verification (used inside equation checks, which must report failures
     rather than raise)."""
-    return _tau_on_carriers(C, V, *C.parent.hom_carriers(V, C.carrier))
+    return _tau_on_carriers(C, V, *hom_carriers(V, C.carrier))
 
 
 def _tau_on_carriers(C: Contramodule, V: HModule, src, dst) -> Matrix:
-    """tau_matrix, of the type I conversion for a type II coefficient, read
-    from the carrier src of Hom^l(V, M) to the carrier dst of Hom^r(V, M)."""
-    tau = _restricted(tau_matrix(convert_II_to_I(C) if C.flavor == QUASI_II else C, V),
-                      src, dst)
+    """tau_matrix of C's type I form, read from the carrier src of
+    Hom^l(V, M) to the carrier dst of Hom^r(V, M)."""
+    tau = _restricted(tau_matrix(C.type_I, V), src, dst)
     if tau is None:
         raise IntertwinerError("tau image is not left base-linear "
                                "(the left mu axiom fails)")
     return tau
 
 
-def _restricted(op: Matrix, src, dst):
-    """op read from the carrier src to the carrier dst, in their canonical
-    coordinates, or None when its image leaves dst.  A carrier is a
-    Subspace of the full k-linear carrier, or None for all of it; between
-    full carriers this is op itself, with no product and no solve."""
-    if src is not None:
-        op = op * src.basis_matrix()
-    return op if dst is None else dst.coordinate_matrix(op)
-
-
 def tau_from_contramodule(C: Contramodule, V: HModule) -> Matrix:
     """The weak-center map tau_V : Hom^l(V, M) -> Hom^r(V, M) for any flavor,
     on the hom carriers of the parent, verified to be a module morphism."""
-    (hl, src), (hr, dst) = C.parent.hom_l(V, C.carrier), C.parent.hom_r(V, C.carrier)
+    (hl, src), (hr, dst) = left_hom(V, C.carrier), right_hom(V, C.carrier)
     tau = _tau_on_carriers(C, V, src, dst)
     if not is_intertwiner(tau, hl, hr):
         raise IntertwinerError("tau is not H-linear; aYD condition fails")
@@ -404,10 +401,11 @@ def hexagon_sides(C: Contramodule, V: HModule, W: HModule, tau):
 
     ``tau`` maps a module X to tau_X on the hom carriers of the parent: a
     center element's cached (possibly perturbed) family, or tau_raw.  The
-    parent supplies the hom carriers and the three hom associativity maps
-    between full carriers; the hexagon reads those maps, and tau (x) id,
-    between the carriers.  Over a quasi-Hopf algebra every carrier is full,
-    so the sides are the plain products of the decorated maps and the taus.
+    hom carriers come from the biclosed layer and the three hom
+    associativity maps between full carriers from the parent; the hexagon
+    reads those maps, and tau (x) id, between the carriers.  Over a
+    quasi-Hopf algebra every carrier is full, so the sides are the plain
+    products of the decorated maps and the taus.
     """
     H = C.parent
     f = C.field
@@ -415,15 +413,21 @@ def hexagon_sides(C: Contramodule, V: HModule, W: HModule, tau):
     tau_w, tau_v = tau(W), tau(V)
     vw = H.tensor(V, W)[0]
     tau_vw = tau(vw)
-    cw, cv, cvw = H.hom_carriers(W, M), H.hom_carriers(V, M), H.hom_carriers(vw, M)
+    cvw = hom_carriers(vw, M)
     left, swap, right = H.hom_associativity(V, W, M)
 
-    # the carriers of Hom^l(V, -) and Hom^r(W, -) into the homs out of W and
-    # out of V; all of Hom_k, with no hom module built, where those are (None)
-    d1, d2 = (None if c is None else H.hom_carriers(V, hom(W, M)[0])[0]
-              for c, hom in zip(cw, (H.hom_l, H.hom_r)))
-    d3, d4 = (None if c is None else H.hom_carriers(W, hom(V, M)[0])[1]
-              for c, hom in zip(cv, (H.hom_l, H.hom_r)))
+    # the carriers of Hom(W, M) and Hom(V, M), read off their hom modules,
+    # and inside those the carriers of Hom^l(V, -) and Hom^r(W, -); where
+    # the parent's carriers are all of Hom_k (None) no hom module is built
+    if cvw == (None, None):
+        cw = cv = cvw
+        d1 = d2 = d3 = d4 = None
+    else:
+        (hlw, cwl), (hrw, cwr) = left_hom(W, M), right_hom(W, M)
+        (hlv, cvl), (hrv, cvr) = left_hom(V, M), right_hom(V, M)
+        cw, cv = (cwl, cwr), (cvl, cvr)
+        d1, d2 = H.hom_carrier(V, hlw), H.hom_carrier(V, hrw)
+        d3, d4 = right_hom_carrier(W, hlv), right_hom_carrier(W, hrv)
 
     def leg(op, src, dst):
         out = _restricted(op, src, dst)
@@ -585,7 +589,7 @@ def check_ayd_algebroid(C: Contramodule) -> AydReport:
 
     s_l = [H.s_l.col(b) for b in range(r)]
     rep.extend(_compare("bimodule_compatible", (("r", r), ("m", d)), C.mu * _beside(f, d * n, [
-        _action_map([M.act(H.t_l.apply(H.eps_l.apply(H.mult_vec(H.basis(x), s_l[b]))))
+        _action_map([M.act(H.t_l.apply(H.eps_l.apply(H.prod(H.basis(x), s_l[b]))))
                      for x in range(n)]) for b in range(r)]),
         _beside(f, d, [M.act(s_l[b]) for b in range(r)])))
 
@@ -630,8 +634,6 @@ def check_stability(C: Contramodule) -> AydReport:
     on its type I form."""
     if C.flavor == HOPF_MU:
         return check_stability_hopf(C)
-    if C.flavor == QUASI_I:
-        return check_stability_quasi(C)
-    if C.flavor == QUASI_II:
-        return check_stability_quasi(convert_II_to_I(C))
+    if C.flavor in (QUASI_I, QUASI_II):
+        return check_stability_quasi(C.type_I)
     return check_stability_algebroid(C)

@@ -6,6 +6,15 @@ invertible antipode pair (S, S inverse), the associator element Phi with
 its inverse, and the two antipode decorations alpha, beta.  Hopf algebras
 are the special case Phi = 1 (x) 1 (x) 1, alpha = beta = 1.
 
+The biclosed layer of both parents is written here once: Hom^l (with its
+carrier), zeta^l and eta^l, and Hom^r, zeta^r and eta^r as those over the
+co-opposite parent.  A parent gives it four data and no algorithm: the
+coproduct legs of the hom action (Delta here, Delta_r over a Hopf
+algebroid), the carrier of Hom^l (None here: all of Hom_k), the zeta^l
+decoration (the action of P (x) Q beta S(R), none over an algebroid) and
+the evaluation (eval_left, none over an algebroid), besides ``tensor``,
+``tensor_relations`` and ``cop``.
+
 All axiom checks report per-axiom pass/fail with the lexicographically
 first failing basis tuple, so runs are reproducible bit for bit.
 """
@@ -85,10 +94,6 @@ class Algebra:
         """The product of dense elements, bracketed from the left."""
         out, zero = self.mul(*map(self.elem, vecs)), self.field.zero
         return tuple(out.get(k, zero) for k in range(self.dim))
-
-    def mult_vec(self, a, b):
-        """Product of two elements given as coefficient vectors."""
-        return self.prod(a, b)
 
     def left_mult_matrix(self, vec) -> Matrix:
         """The matrix of x |-> vec x."""
@@ -276,30 +281,28 @@ class QuasiHopfAlgebra(Algebra):
         """V (x) k -> V: the identity on carriers."""
         return Matrix.identity(self.field, V.dim)
 
-    # the biclosed adjunctions, so that the weak center is written once
+    # the four data of the biclosed layer (left_hom, zeta_l, eta_l and their
+    # mirrors), which is written once below: the Delta legs, all of Hom_k
+    # as carrier, the Phi-decoration of zeta^l and the evaluation eval_left
 
-    def zeta_l(self, f_mat, M, N, L) -> Matrix:
-        return zeta_l(f_mat, M, N, L)
+    def hom_legs(self, i: int):
+        return self.delta_terms(i)
 
-    def zeta_r(self, f_mat, N, M, L) -> Matrix:
-        return zeta_r(f_mat, N, M, L)
+    def hom_carrier(self, V, M):
+        return None
 
-    def eta_r(self, g_mat, N, M, L) -> Matrix:
-        return eta_r(g_mat, N, M, L)
+    def zeta_decoration(self, M, N) -> Matrix:
+        """The action of P (x) Q beta S(R) on M (x) N, for Phi^-1 = P (x) Q (x) R."""
+        d, e = M.dim * N.dim, self.basis
+        return kron_sum(self.field, d, d, [
+            (c, [M.mats[p], N.act(self.prod(e(q), self.beta, self.apply_s(e(r))))])
+            for (p, q, r), c in self.phi_inv_terms().items()])
 
-    # the hom carriers and the hom associativity maps, so that tau and the
-    # hexagon are written once: every carrier is all of Hom_k (None), and
-    # the associativity maps carry the Phi-decoration
+    def hom_evaluation(self, V, M) -> Matrix:
+        return eval_left(V, M)
 
-    def hom_l(self, V, M):
-        return left_hom(V, M), None
-
-    def hom_r(self, V, M):
-        return right_hom(V, M), None
-
-    def hom_carriers(self, V, M):
-        """The carriers of Hom^l(V, M) and Hom^r(V, M), without their modules."""
-        return None, None
+    # the hom associativity maps, so that tau and the hexagon are written
+    # once: they carry the Phi-decoration between the full hom carriers
 
     def hom_associativity(self, V, W, M):
         """The maps V <| (W <| M) -> (V (x) W) <| M, V <| (M |> W) -> (V <| M) |> W
@@ -459,7 +462,7 @@ def check_module(V: HModule) -> CheckReport:
     rep = CheckReport()
     rep.add("module_unit", V.act(H.unit).is_identity())
     rep.search("module_multiplicative", (("i", H.dim), ("j", H.dim)), lambda i, j:
-               V.act(H.mult_vec(H.basis(i), H.basis(j))) != V.mats[i] * V.mats[j])
+               V.act(H.prod(H.basis(i), H.basis(j))) != V.mats[i] * V.mats[j])
     return rep
 
 
@@ -499,38 +502,18 @@ def associator(V: HModule, W: HModule, U: HModule) -> Matrix:
                                     for (x, y, z), c in H.phi_terms().items()])
 
 
-# -- internal homs -----------------------------------------------------------
+# -- the biclosed layer, written once for both parents --------------------------
 #
-# The carrier of Hom(V, M) is k^(dM*dV) in the matrix-unit basis E_ab
-# (e_b |-> m_a), flattened row-major: index a*dV + b.
-
-def left_hom(V: HModule, M: HModule) -> HModule:
-    """Hom^l(V, M): carrier Hom_k(V, M), action h.phi = h^1 phi(S(h^2) -)."""
-    if V.parent is not M.parent:
-        raise StructureError("hom factors must share a parent algebra")
-    H = V.parent
-    d = M.dim * V.dim
-    pre = [V.act(H.antipode.col(q)).transpose() for q in range(H.dim)]
-    mats = [kron_sum(H.field, d, d, [(c, [M.mats[p], pre[q]])
-                                     for c, p, q in H.delta_terms(i)])
-            for i in range(H.dim)]
-    return HModule(H, mats, name="Hom^l(%s,%s)" % (V.name, M.name))
-
-
-def right_hom(V: HModule, M: HModule) -> HModule:
-    """Hom^r(V, M): carrier Hom_k(V, M), action h.phi = h^2 phi(S^-1(h^1) -).
-
-    This is Hom^l(V, M) over H^cop, on the same action matrices."""
-    mod = left_hom(*_over_cop(V, M))
-    return HModule(V.parent, mod.mats, name="Hom^r(%s,%s)" % (V.name, M.name))
-
-
-# -- the right-hand maps are the left-hand maps over H^cop ---------------------
-#
-# An H-module is an H^cop-module on the same matrices, and V (x) W over H^cop
-# is W (x) V over H with the factors swapped.  So each right-hand map is the
-# matching left-hand map over H^cop, with the columns of its tensor domain
-# reindexed.  The same holds over a Hopf algebroid (see algebroid.py).
+# The carrier of Hom_k(V, M) is k^(dM*dV) in the matrix-unit basis E_ab
+# (e_b |-> m_a), flattened row-major: index a*dV + b.  The parent's four
+# data (see the module docstring) are ``hom_legs(i)``, the Sweedler terms
+# (coef, h1, h2) of the hom action; ``hom_carrier(V, M)``, a Subspace of
+# Hom_k(V, M) or None for all of it; ``zeta_decoration(M, N)``, a map on
+# M (x) N or None; and ``hom_evaluation(V, M)``, a map Hom_k(V, M) (x) V
+# -> M or None for phi (x) v |-> phi(v).  An H-module is an H^cop-module
+# on the same matrices, and V (x) W over H^cop is W (x) V over H with the
+# factors swapped, so each right-hand map is the left-hand one over H^cop
+# re-read on the swapped tensor domain (``_swap_domain``).
 
 def _over_cop(*mods):
     return tuple(type(X)(X.parent.cop, X.mats, name=X.name) for X in mods)
@@ -541,6 +524,15 @@ def _swap_factors(m: Matrix, d1: int, d2: int) -> Matrix:
     if m.cols != d1 * d2:
         raise ShapeError("map has %d columns, want %d" % (m.cols, d1 * d2))
     return m.reindexed(m.rows, m.cols, lambda r, k: (r, k % d2 * d1 + k // d2))
+
+
+def _swap_domain(f_mat: Matrix, src, dst, d1: int, d2: int) -> Matrix:
+    """f on the quotient src of V1 (x) V2 (dims d1, d2), re-read on the
+    quotient dst of V2 (x) V1; between full tensor carriers (both None)
+    this is _swap_factors."""
+    if src is None and dst is None:
+        return _swap_factors(f_mat, d1, d2)
+    return _swap_factors(f_mat * src.projector, d1, d2) * dst.lift
 
 
 # Currying moves the second tensor factor of a map's domain into its
@@ -558,24 +550,14 @@ def _uncurry(m: Matrix, d2: int) -> Matrix:
     return m.reindexed(m.rows // d2, m.cols * d2, lambda s, i: (s // d2, i * d2 + s % d2))
 
 
-def eval_left(V: HModule, M: HModule) -> Matrix:
-    """ev^l: Hom^l(V,M) (x) V -> M, phi (x) m |-> X( phi(S(Y) alpha Z m) )."""
-    if V.parent is not M.parent:
-        raise StructureError("evaluation factors must share a parent algebra")
-    H = V.parent
-    # column (a*dV + b)*dV + v: X e_a scaled by the (b, v) entry of S(Y) alpha Z
-    terms = [(c, [M.act(H.basis(x)),
-                  V.act(H.prod(H.apply_s(H.basis(y)), H.alpha, H.basis(z)))
-                  .reshaped(1, V.dim * V.dim)])
-             for (x, y, z), c in H.phi_terms().items()]
-    return kron_sum(H.field, M.dim, M.dim * V.dim * V.dim, terms)
-
-
-def eval_right(V: HModule, M: HModule) -> Matrix:
-    """ev^r: V (x) Hom^r(V,M) -> M, m (x) phi |-> R( phi(S^-1(Q) S^-1(alpha) P m) ).
-
-    This is ev^l over H^cop, read on the swapped tensor domain."""
-    return _swap_factors(eval_left(*_over_cop(V, M)), M.dim * V.dim, V.dim)
+def _restricted(op: Matrix, src, dst):
+    """op read from the carrier src to the carrier dst, in their canonical
+    coordinates, or None when its image leaves dst.  A carrier is a
+    Subspace of the full k-linear carrier, or None for all of it; between
+    full carriers this is op itself, with no product and no solve."""
+    if src is not None:
+        op = op * src.basis_matrix()
+    return op if dst is None else dst.coordinate_matrix(op)
 
 
 def is_intertwiner(f_mat: Matrix, src: HModule, dst: HModule) -> bool:
@@ -603,53 +585,138 @@ def hom_module_morphisms(V: HModule, W: HModule) -> Subspace:
     return intertwiner_space(V.parent.field, pairs, W.dim, V.dim)
 
 
-# -- the biclosed-structure adjunctions ----------------------------------------
+def left_hom(V: HModule, M: HModule):
+    """Hom^l(V, M) and its carrier: the action h.phi = h^1 phi(S(h^2) -) on
+    Hom_k(V, M), for the parent's hom legs h^1 (x) h^2, read in the
+    coordinates of the parent's carrier (None: all of Hom_k(V, M))."""
+    if V.parent is not M.parent:
+        raise StructureError("hom factors must share a parent algebra")
+    H = V.parent
+    carrier = H.hom_carrier(V, M)
+    d = M.dim * V.dim
+    pre = [V.act(H.antipode.col(q)).transpose() for q in range(H.dim)]
+    mats = []
+    for i in range(H.dim):
+        full = kron_sum(H.field, d, d, [(c, [M.mats[p], pre[q]]) for c, p, q in H.hom_legs(i)])
+        mat = _restricted(full, carrier, carrier)
+        if mat is None:
+            raise StructureError("hom action does not preserve the base-linear carrier")
+        mats.append(mat)
+    return type(V)(H, mats, name="Hom^l(%s,%s)" % (V.name, M.name)), carrier
+
+
+def right_hom(V: HModule, M: HModule):
+    """Hom^r(V, M) and its carrier: h.phi = h^2 phi(S^-1(h^1) -), which is
+    Hom^l(V, M) over the co-opposite parent, on the same action matrices
+    and carrier."""
+    mod, carrier = left_hom(*_over_cop(V, M))
+    return type(V)(V.parent, mod.mats, name="Hom^r(%s,%s)" % (V.name, M.name)), carrier
+
+
+def right_hom_carrier(V: HModule, M: HModule):
+    """The carrier of Hom^r(V, M), without its module."""
+    Vc, Mc = _over_cop(V, M)
+    return Vc.parent.hom_carrier(Vc, Mc)
+
+
+def hom_carriers(V: HModule, M: HModule):
+    """The carriers of Hom^l(V, M) and Hom^r(V, M), without their modules."""
+    return V.parent.hom_carrier(V, M), right_hom_carrier(V, M)
+
+
+def eval_left(V: HModule, M: HModule) -> Matrix:
+    """ev^l: Hom^l(V,M) (x) V -> M, phi (x) m |-> X( phi(S(Y) alpha Z m) ),
+    the evaluation of a quasi-Hopf parent."""
+    if V.parent is not M.parent:
+        raise StructureError("evaluation factors must share a parent algebra")
+    H = V.parent
+    # column (a*dV + b)*dV + v: X e_a scaled by the (b, v) entry of S(Y) alpha Z
+    terms = [(c, [M.act(H.basis(x)),
+                  V.act(H.prod(H.apply_s(H.basis(y)), H.alpha, H.basis(z)))
+                  .reshaped(1, V.dim * V.dim)])
+             for (x, y, z), c in H.phi_terms().items()]
+    return kron_sum(H.field, M.dim, M.dim * V.dim * V.dim, terms)
+
+
+def eval_right(V: HModule, M: HModule) -> Matrix:
+    """ev^r: V (x) Hom^r(V,M) -> M, m (x) phi |-> R( phi(S^-1(Q) S^-1(alpha) P m) ).
+
+    This is ev^l over H^cop, read on the swapped tensor domain."""
+    return _swap_factors(eval_left(*_over_cop(V, M)), M.dim * V.dim, V.dim)
+
 
 def zeta_l(f_mat: Matrix, M: HModule, N: HModule, L: HModule) -> Matrix:
-    """zeta^l: Hom_H(M (x) N, L) -> Hom_H(M, Hom^l(N, L)).
+    """zeta^l: Hom_H(M (x) N, L) -> Hom_H(M, Hom^l(N, L)), f |-> curry(f . proj . K),
+    read in the coordinates of the carrier of Hom^l(N, L).
 
-    f |-> (m |-> f(P m (x) Q beta S(R) -)), that is curry(f . K) with K the
-    action of P (x) Q beta S(R) on M (x) N.  f_mat may be a vertical stack
-    of maps; the result is the stack of their images, and the input and
-    output checks cover every map of it.
+    proj is the quotient projector of M (x) N and K the parent's decoration:
+    f |-> (m |-> f(P m (x) Q beta S(R) -)) over a quasi-Hopf algebra, plain
+    currying f |-> (m |-> f(m (x) -)) over an algebroid.  f_mat may be a
+    vertical stack of maps; the result is the stack of their images, and
+    the input and output checks cover every map of it.
     """
     H = M.parent
-    require_intertwiner(f_mat, tensor_module(M, N), L, "zeta_l input")
-    d = M.dim * N.dim
-    kmat = kron_sum(H.field, d, d, [
-        (c, [M.mats[p], N.act(H.prod(H.basis(q), H.beta, H.apply_s(H.basis(r))))])
-        for (p, q, r), c in H.phi_inv_terms().items()])
-    result = _curry(f_mat * kmat, N.dim)
-    require_intertwiner(result, M, left_hom(N, L), "zeta_l output")
-    return result
+    tens, rel = H.tensor(M, N)
+    require_intertwiner(f_mat, tens, L, "zeta_l input")
+    hom, carrier = left_hom(N, L)
+    m = f_mat if rel is None else f_mat * rel.projector
+    k = H.zeta_decoration(M, N)
+    out = _curry(m if k is None else m * k, N.dim)
+    if carrier is not None:
+        # the columns of every curried map are full-carrier vectors of Hom_k(N, L)
+        out = carrier.coordinate_matrix(out.side_by_side(L.dim * N.dim))
+        if out is None:
+            raise IntertwinerError("zeta_l image is not base-linear")
+        out = out.stacked(M.dim)
+    require_intertwiner(out, M, hom, "zeta_l output")
+    return out
 
 
 def eta_l(g_mat: Matrix, M: HModule, N: HModule, L: HModule) -> Matrix:
-    """eta^l(g) = ev^l o (g (x) id): Hom_H(M, Hom^l(N,L)) -> Hom_H(M (x) N, L),
-    that is uncurry(curry(ev^l) . g); on a vertical stack, for every map."""
-    hl = left_hom(N, L)
-    require_intertwiner(g_mat, M, hl, "eta_l input")
-    ev = _curry(eval_left(N, L), N.dim)
-    result = _uncurry(lmul_blocks(ev, g_mat), N.dim)
-    require_intertwiner(result, tensor_module(M, N), L, "eta_l output")
-    return result
+    """eta^l(g) = ev^l o (g (x) id): Hom_H(M, Hom^l(N, L)) -> Hom_H(M (x) N, L),
+    g |-> uncurry(curry(ev) . basis . g) . lift.
+
+    basis embeds the carrier of Hom^l(N, L) in Hom_k(N, L), ev is the
+    parent's evaluation (phi (x) m |-> X phi(S(Y) alpha Z m) over a
+    quasi-Hopf algebra, phi(m) over an algebroid) and lift is the section
+    of the quotient M (x) N, on whose relation classes the result must be
+    constant.  On a vertical stack, for every map."""
+    H = M.parent
+    hom, carrier = left_hom(N, L)
+    require_intertwiner(g_mat, M, hom, "eta_l input")
+    amb = g_mat
+    if carrier is not None:
+        amb = lmul_blocks(carrier.basis_matrix(), amb)
+    ev = H.hom_evaluation(N, L)
+    if ev is not None:
+        amb = lmul_blocks(_curry(ev, N.dim), amb)
+    amb = _uncurry(amb, N.dim)
+    tens, rel = H.tensor(M, N)
+    out = amb if rel is None else amb * rel.lift
+    if rel is not None and out * rel.projector != amb:
+        raise StructureError("eta_l image not constant on relation classes")
+    require_intertwiner(out, tens, L, "eta_l output")
+    return out
 
 
 def zeta_r(f_mat: Matrix, N: HModule, M: HModule, L: HModule) -> Matrix:
-    """zeta^r: Hom_H(N (x) M, L) -> Hom_H(M, Hom^r(N, L)).
-
-    f |-> (m |-> f(Y S^-1(beta) S^-1(X) - (x) Z m)), which is zeta^l over
-    H^cop applied to f read on M (x) N.
-    """
+    """zeta^r: Hom_H(N (x) M, L) -> Hom_H(M, Hom^r(N, L)), which is zeta^l
+    over the co-opposite parent applied to f read on M (x) N: over a
+    quasi-Hopf algebra f |-> (m |-> f(Y S^-1(beta) S^-1(X) - (x) Z m)),
+    over an algebroid f |-> (m |-> f(- (x) m))."""
     Nc, Mc, Lc = _over_cop(N, M, L)
-    return zeta_l(_swap_factors(f_mat, N.dim, M.dim), Mc, Nc, Lc)
+    f_cop = _swap_domain(f_mat, N.parent.tensor_relations(N, M),
+                         Mc.parent.tensor_relations(Mc, Nc), N.dim, M.dim)
+    return zeta_l(f_cop, Mc, Nc, Lc)
 
 
 def eta_r(g_mat: Matrix, N: HModule, M: HModule, L: HModule) -> Matrix:
-    """eta^r(g) = ev^r o (id (x) g): Hom_H(M, Hom^r(N,L)) -> Hom_H(N (x) M, L),
-    which is eta^l over H^cop read on the swapped tensor domain."""
+    """eta^r(g) = ev^r o (id (x) g): Hom_H(M, Hom^r(N, L)) -> Hom_H(N (x) M, L),
+    which is eta^l over the co-opposite parent read on the swapped tensor
+    domain."""
     Nc, Mc, Lc = _over_cop(N, M, L)
-    return _swap_factors(eta_l(g_mat, Mc, Nc, Lc), M.dim, N.dim)
+    return _swap_domain(eta_l(g_mat, Mc, Nc, Lc), Mc.parent.tensor_relations(Mc, Nc),
+                        N.parent.tensor_relations(N, M), M.dim, N.dim)
 
 
 # -- hom associativity on full carriers --------------------------------------

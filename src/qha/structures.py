@@ -280,12 +280,8 @@ def serialize(obj, name: str = "") -> dict:
         field = obj.field
         parent = obj.parent
         d = obj.carrier.dim
-        if obj.is_algebroid:
-            from .algebroid import tensor_over_base
-            _, rel = tensor_over_base(obj.carrier, obj.carrier)
-            amb = obj.mult * rel.projector
-        else:
-            amb = obj.mult
+        rel = parent.tensor_relations(obj.carrier, obj.carrier)
+        amb = obj.mult if rel is None else obj.mult * rel.projector
         doc = {
             "module": {
                 "dim": d,

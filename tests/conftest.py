@@ -9,7 +9,7 @@ from qha.quasihopf import (group_algebra, sweedler_h4, twisted_dual_group_algebr
                            z2_nontrivial_cocycle, z3_nontrivial_cocycle,
                            regular_module, trivial_module, hom_module_morphisms, HModule,
                            QuasiHopfAlgebra, tp_delta_slot, tp_mul, tp_tensor, tp_unit)
-from qha.algebroid import BaseRing
+from qha.algebroid import BaseRing, base_ring_dual_numbers, enveloping_algebroid
 
 QQ = rationals()
 F5 = prime_field(5)
@@ -136,6 +136,21 @@ def base_ring_t2(field):
     for i, j, k in ((0, 0, 0), (0, 1, 1), (1, 2, 1), (2, 2, 2)):
         mult[(i * 3 + j) * 3 + k] = o
     return BaseRing(field, 3, mult, (o, z, o), name="T2")
+
+
+@pytest.fixture(scope="session")
+def env_f5():
+    return enveloping_algebroid(base_ring_dual_numbers(F5))
+
+
+@pytest.fixture(scope="session")
+def env_q():
+    return enveloping_algebroid(base_ring_dual_numbers(QQ))
+
+
+@pytest.fixture(scope="session")
+def t2e_f5():
+    return enveloping_algebroid(base_ring_t2(F5))
 
 
 def random_module(H, dim, seed):

@@ -398,8 +398,8 @@ def test_criterion_9_algebroid_suite():
     from qha.quasihopf import left_hom, right_hom
     hla, _ = left_hom_algebroid(rega, rega)
     hra, _ = right_hom_algebroid(rega, rega)
-    ok = ok and all(a == b for a, b in zip(left_hom(regq, regq).mats, hla.mats))
-    ok = ok and all(a == b for a, b in zip(right_hom(regq, regq).mats, hra.mats))
+    ok = ok and all(a == b for a, b in zip(left_hom(regq, regq)[0].mats, hla.mats))
+    ok = ok and all(a == b for a, b in zip(right_hom(regq, regq)[0].mats, hra.mats))
     sp = hom_module_morphisms(tq, regq)
     fm = Matrix(F5, regq.dim, tq.dim, sp.basis[0])
     ok = ok and zeta_l(fm, regq, regq, regq) == zeta_l_algebroid(fm, rega, rega, rega)

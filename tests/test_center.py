@@ -133,6 +133,42 @@ def test_algebroid_hexagon():
         assert check_hexagon(E, V, W).passed
 
 
+def test_hexagon_builds_each_hom_carrier_once(monkeypatch, twisted_q):
+    # with its taus cached, an algebroid hexagon solves for ten carriers:
+    # the two of Hom(V (x) W, M), the four read off the hom modules out of
+    # V and W, and the four nested ones inside those (18 when the carriers
+    # out of V and W were built twice); a quasi-Hopf hexagon builds no hom
+    # module at all
+    import qha.algebroid
+    import qha.coefficients
+    calls = {"solve": 0, "hom": 0}
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapper
+    monkeypatch.setattr(qha.algebroid, "intertwiner_space",
+                        counted("solve", qha.algebroid.intertwiner_space))
+    for name in ("left_hom", "right_hom"):
+        monkeypatch.setattr(qha.coefficients, name,
+                            counted("hom", getattr(qha.coefficients, name)))
+    H, E = algebroid_center()
+    reg = regular_algebroid_module(H)
+    for X in (reg, H.tensor(reg, reg)[0]):
+        E.tau(X)
+    calls.update(solve=0, hom=0)
+    assert check_hexagon(E, reg, reg).passed
+    assert calls == {"solve": 10, "hom": 4}
+    E = center_of(twisted_q, QUASI_I)
+    reg = regular_module(twisted_q)
+    for X in (reg, tensor_module(reg, reg)):
+        E.tau(X)
+    calls["hom"] = 0
+    assert check_hexagon(E, reg, reg).passed
+    assert calls["hom"] == 0
+
+
 def test_algebroid_unitality_and_stability():
     H, E = algebroid_center()
     assert check_unitality(E).passed

@@ -99,7 +99,7 @@ def test_tau_theta_hopf(kc2_q):
     reg = regular_module(kc2_q)
     tau, theta = tau_theta_hopf(C, reg)
     assert (tau * theta).is_identity() and (theta * tau).is_identity()
-    assert is_intertwiner(tau, left_hom(reg, C.carrier), right_hom(reg, C.carrier))
+    assert is_intertwiner(tau, left_hom(reg, C.carrier)[0], right_hom(reg, C.carrier)[0])
     # V = k: tau is the identity
     tau_k, _ = tau_theta_hopf(C, trivial_module(kc2_q))
     assert tau_k.is_identity()
@@ -213,6 +213,40 @@ def test_quasi_stability_scaled_fails(twisted_q):
     C = ev_unit(twisted_q, flavor=QUASI_I).scaled(QQ.from_int(3))
     rep = check_stability_quasi(C)
     assert not rep.result("stability_type_I").passed
+
+
+def test_stability_quasi_reads_beta_on_the_left(twisted_h4_q):
+    # over H4^F beta does not commute with the algebra, so beta x and x beta
+    # give different stability equations; every solution of the one built
+    # here, densely, from r'_m(x) = beta x S^-1(Q) S^-1(alpha) P m passes
+    # check_stability_quasi on the regular module
+    H = twisted_h4_q
+    f, n = H.field, H.dim
+    M = regular_module(H)
+    d = M.dim
+    assert any(H.prod(H.beta, H.basis(x)) != H.prod(H.basis(x), H.beta) for x in range(n))
+
+    def dense_act(vec):
+        out = Matrix.zeros(f, d, d)
+        for i, c in enumerate(vec):
+            out = out + M.mats[i].scale(c)
+        return out
+
+    # R mu(B m) = m for all m, with B: m |-> r'_m into the carrier of
+    # Hom(H, M) (coordinate i of the value at e_x at i*n + x), is
+    # sum c (M(R) (x) B^T) vec(mu) = vec(I) over Phi^-1 = sum c P (x) Q (x) R
+    system = Matrix.zeros(f, d * d, d * d * n)
+    for (p, q, r), c in H.phi_inv_terms().items():
+        tail = H.prod(H.apply_s_inv(H.basis(q)), H.apply_s_inv(H.alpha), H.basis(p))
+        acts = [dense_act(H.prod(H.beta, H.basis(x), tail)) for x in range(n)]
+        b = Matrix.from_rows(f, [[acts[x].get(i, j) for j in range(d)]
+                                 for i in range(d) for x in range(n)])
+        system = system + M.mats[r].kron(b.transpose()).scale(c)
+    particular = system.solve(Matrix.identity(f, d).entries)
+    assert particular is not None
+    for extra in [(f.zero,) * (d * d * n)] + list(system.kernel().basis):
+        mu = Matrix(f, d, d * n, [f.add(a, b) for a, b in zip(particular, extra)])
+        assert check_stability_quasi(Contramodule(M, mu, QUASI_I)).passed
 
 
 def test_tau_rejects_non_ayd(twisted_q):

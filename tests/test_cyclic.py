@@ -78,7 +78,7 @@ def test_unit_algebra_over_noncommutative_base():
         for j in range(R.dim):
             amb = [F5.zero] * (R.dim * R.dim)
             amb[i * R.dim + j] = F5.one
-            assert A.mult.apply(proj.apply(amb)) == R.mult_vec(R.basis(i), R.basis(j))
+            assert A.mult.apply(proj.apply(amb)) == R.prod(R.basis(i), R.basis(j))
 
 
 def test_functions_algebra_is_module_algebra(kc2_q):

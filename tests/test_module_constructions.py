@@ -114,7 +114,7 @@ def test_quasi_hopf_constructions_match_dense_references(quasi):
     pairs = [(reg, rand), (rand, reg), (rand, triv), (triv, reg)]
     for V, W in pairs:
         assert list(tensor_module(V, W).mats) == dense_tensor_actions(V, W, H.delta_terms)
-        assert list(left_hom(V, W).mats) == \
+        assert list(left_hom(V, W)[0].mats) == \
             dense_hom_actions(V, W, H.delta_terms, H.apply_s)
         assert dense_act(V, H.beta) == V.act(H.beta)
     for U, V, W in [(reg, rand, triv), (rand, reg, rand), (triv, triv, reg)]:

@@ -13,6 +13,8 @@ from qha.quasihopf import (
     zeta_l, eta_l, zeta_r, eta_r, is_intertwiner, hom_module_morphisms,
     max_tensor_dim)
 
+from qha.algebroid import HopfAlgebroid, regular_algebroid_module
+
 from conftest import QQ, F5, random_intertwiner, vstack
 
 
@@ -39,7 +41,7 @@ def test_fixture_quasi_hopf_algebras(twisted_z3_skew_f7, twisted_h4_q):
     assert any(phi.get((y, x, z)) != c for (x, y, z), c in phi.items())
     H = twisted_h4_q
     e = [H.basis(i) for i in range(H.dim)]
-    assert any(H.mult_vec(a, b) != H.mult_vec(b, a) for a in e for b in e)
+    assert any(H.prod(a, b) != H.prod(b, a) for a in e for b in e)
     assert H.alpha != H.unit and H.beta != H.unit
 
 
@@ -147,22 +149,22 @@ def test_associator_pentagon_as_matrices(twisted_q):
 def test_left_hom_unit_object_recovers_module(kc2_q):
     k = trivial_module(kc2_q)
     reg = regular_module(kc2_q)
-    hl = left_hom(k, reg)
+    hl, _ = left_hom(k, reg)
     assert all(hl.mats[i] == reg.mats[i] for i in range(kc2_q.dim))
-    hr = right_hom(k, reg)
+    hr, _ = right_hom(k, reg)
     assert all(hr.mats[i] == reg.mats[i] for i in range(kc2_q.dim))
 
 
 def test_left_hom_is_module(h4_q):
     reg = regular_module(h4_q)
-    assert check_module(left_hom(reg, reg)).passed
-    assert check_module(right_hom(reg, reg)).passed
+    assert check_module(left_hom(reg, reg)[0]).passed
+    assert check_module(right_hom(reg, reg)[0]).passed
 
 
 def test_left_right_hom_agree_on_cocommutative(kc2_q):
     # kC2 is cocommutative with S = S^-1, so the two hom actions coincide
     reg = regular_module(kc2_q)
-    hl, hr = left_hom(reg, reg), right_hom(reg, reg)
+    (hl, _), (hr, _) = left_hom(reg, reg), right_hom(reg, reg)
     assert all(hl.mats[i] == hr.mats[i] for i in range(kc2_q.dim))
 
 
@@ -182,53 +184,82 @@ def test_hopf_case_eval_is_plain_evaluation(kc2_q):
 
 @pytest.mark.parametrize("algebra", ["kc2", "h4", "twisted"])
 def test_evaluations_are_intertwiners(algebra, kc2_q, h4_q, twisted_q):
+    # ev^l = eta^l(id) and ev^r = eta^r(id) are morphisms, and over a
+    # quasi-Hopf algebra they are the Phi-decorated evaluations
     H = {"kc2": kc2_q, "h4": h4_q, "twisted": twisted_q}[algebra]
     for V in (trivial_module(H), regular_module(H)):
         for M in (trivial_module(H), regular_module(H)):
-            ev = eval_left(V, M)
-            assert is_intertwiner(ev, tensor_module(left_hom(V, M), V), M)
-            evr = eval_right(V, M)
-            assert is_intertwiner(evr, tensor_module(V, right_hom(V, M)), M)
+            hl, _ = left_hom(V, M)
+            ev = eta_l(Matrix.identity(H.field, hl.dim), hl, V, M)
+            assert is_intertwiner(ev, tensor_module(hl, V), M)
+            assert ev == eval_left(V, M)
+            hr, _ = right_hom(V, M)
+            evr = eta_r(Matrix.identity(H.field, hr.dim), V, hr, M)
+            assert is_intertwiner(evr, tensor_module(V, hr), M)
+            assert evr == eval_right(V, M)
 
 
-@pytest.mark.parametrize("algebra", ["kc2", "h4", "twisted"])
-def test_adjunction_roundtrips(algebra, kc2_q, h4_q, twisted_q):
-    H = {"kc2": kc2_q, "h4": h4_q, "twisted": twisted_q}[algebra]
-    k, reg = trivial_module(H), regular_module(H)
-    seed = 0
-    for M, N, L in [(reg, reg, reg), (k, reg, reg), (reg, k, reg), (reg, reg, k)]:
-        seed += 1
-        f = random_intertwiner(tensor_module(M, N), L, seed)
+# The parents the one biclosed layer is tested over, with the triples
+# (M, N, L) of the round trips and of the stacks ("u" the unit object, "r"
+# the regular module) and the seed offset of the right-hand maps.
+BICLOSED_PARENTS = {
+    "kc2": ("kc2_q", ["rrr", "urr", "rur", "rru"], ["rrr", "urr", "rru"], 100),
+    "h4": ("h4_q", ["rrr", "urr", "rur", "rru"], ["rrr", "urr", "rru"], 100),
+    "twisted": ("twisted_q", ["rrr", "urr", "rur", "rru"], ["rrr", "urr", "rru"], 100),
+    "env-F5": ("env_f5", ["rur", "urr", "rru", "uuu"], ["rur", "urr"], 50),
+    # rru takes about 5 s over T2^e
+    "T2e-F5": ("t2e_f5", ["rur", "urr", "uuu"], ["rur", "urr"], 50),
+}
+
+
+def _biclosed_inputs(request, name):
+    """The parent, its regular module, its round-trip and stack triples and
+    its right-hand seed offset."""
+    fixture, roundtrips, stacks, offset = BICLOSED_PARENTS[name]
+    H = request.getfixturevalue(fixture)
+    reg = regular_algebroid_module(H) if isinstance(H, HopfAlgebroid) else regular_module(H)
+    mods = {"u": H.unit_object(), "r": reg}
+
+    def triples(names):
+        return [tuple(mods[c] for c in t) for t in names]
+    return H, reg, triples(roundtrips), triples(stacks), offset
+
+
+@pytest.mark.parametrize("parent", list(BICLOSED_PARENTS))
+def test_adjunction_roundtrips(parent, request):
+    H, _, triples, _, offset = _biclosed_inputs(request, parent)
+    for seed, (M, N, L) in enumerate(triples, start=1):
+        f = random_intertwiner(H.tensor(M, N)[0], L, seed)
         if f is not None:
             g = zeta_l(f, M, N, L)
             assert eta_l(g, M, N, L) == f
             assert zeta_l(eta_l(g, M, N, L), M, N, L) == g
-        f = random_intertwiner(tensor_module(N, M), L, seed + 100)
+        f = random_intertwiner(H.tensor(N, M)[0], L, seed + offset)
         if f is not None:
             g = zeta_r(f, N, M, L)
             assert eta_r(g, N, M, L) == f
             assert zeta_r(eta_r(g, N, M, L), N, M, L) == g
 
 
-@pytest.mark.parametrize("algebra", ["kc2", "h4", "twisted"])
-def test_adjunctions_act_on_stacks(algebra, kc2_q, h4_q, twisted_q):
+@pytest.mark.parametrize("parent", list(BICLOSED_PARENTS))
+def test_adjunctions_act_on_stacks(parent, request):
     # a vertical stack of maps goes through each map in one call, and the
     # intertwiner checks see every map of the stack
-    H = {"kc2": kc2_q, "h4": h4_q, "twisted": twisted_q}[algebra]
-    k, reg = trivial_module(H), regular_module(H)
-    for M, N, L in [(reg, reg, reg), (k, reg, reg), (reg, reg, k)]:
-        fs = [random_intertwiner(tensor_module(M, N), L, s) for s in (1, 2, 3)]
+    H, reg, _, triples, _ = _biclosed_inputs(request, parent)
+    for M, N, L in triples:
+        fs = [random_intertwiner(H.tensor(M, N)[0], L, s) for s in (1, 2, 3)]
         gs = [zeta_l(f, M, N, L) for f in fs]
         assert zeta_l(vstack(fs), M, N, L) == vstack(gs)
         assert eta_l(vstack(gs), M, N, L) == vstack(fs)
-        fs = [random_intertwiner(tensor_module(N, M), L, s) for s in (4, 5, 6)]
+        fs = [random_intertwiner(H.tensor(N, M)[0], L, s) for s in (4, 5, 6)]
         gs = [zeta_r(f, N, M, L) for f in fs]
         assert zeta_r(vstack(fs), N, M, L) == vstack(gs)
         assert eta_r(vstack(gs), N, M, L) == vstack(fs)
-    f = random_intertwiner(tensor_module(reg, reg), reg, 1)
-    bad = Matrix(H.field, reg.dim, reg.dim * reg.dim,
-                 [H.field.from_int(i % 3) for i in range(reg.dim ** 3)])
-    assert not is_intertwiner(bad, tensor_module(reg, reg), reg)
+    tens = H.tensor(reg, reg)[0]
+    f = random_intertwiner(tens, reg, 1)
+    bad = Matrix(H.field, reg.dim, tens.dim,
+                 [H.field.from_int(i % 3) for i in range(reg.dim * tens.dim)])
+    assert not is_intertwiner(bad, tens, reg)
     with pytest.raises(IntertwinerError):
         zeta_l(vstack([f, f, bad]), reg, reg, reg)
 
@@ -247,7 +278,7 @@ def test_zeta_on_identity_is_coevaluation_style(kc2_q):
     eye = Matrix.identity(QQ, m2.dim)
     # curry the identity of M (x) N over the second factor
     g = zeta_l(eye, reg, reg, m2)
-    assert is_intertwiner(g, reg, left_hom(reg, m2))
+    assert is_intertwiner(g, reg, left_hom(reg, m2)[0])
 
 
 def test_hom_module_morphisms(kc2_q, h4_q):
@@ -274,7 +305,7 @@ def test_hopf_specialization_matches_classical(kc2_q):
     # classical h^1 phi(S(h^2) -) action; spot-check on the regular module
     H = kc2_q
     reg = regular_module(H)
-    hl = left_hom(reg, reg)
+    hl, _ = left_hom(reg, reg)
     f = QQ
     for i in range(H.dim):
         m = Matrix.zeros(f, hl.dim, hl.dim)

@@ -21,17 +21,31 @@ def _span_groups():
     return tracing.SPAN_GROUPS
 
 
-def _resolves(mod_name, path):
+def _target(mod_name, path):
     owner = importlib.import_module("qha." + mod_name)
     *parents, attr = path.split(".")
     for part in parents:
         owner = getattr(owner, part, None)
     if isinstance(owner, type):
-        return callable(owner.__dict__.get(attr))
-    return callable(getattr(owner, attr, None))
+        return owner.__dict__.get(attr)
+    return getattr(owner, attr, None)
+
+
+def _resolves(mod_name, path):
+    return callable(_target(mod_name, path))
 
 
 def test_every_span_target_resolves():
     targets = [t for group in _span_groups().values() for t in group]
     assert targets
     assert [".".join(t) for t in targets if not _resolves(*t)] == []
+
+
+def test_no_function_is_a_target_of_two_groups():
+    """The tracer wraps a function under every name bound to it, so one
+    function named by two groups (an alias) is counted in both."""
+    groups = {}
+    for group, targets in _span_groups().items():
+        for t in targets:
+            groups.setdefault(id(_target(*t)), set()).add(group)
+    assert [g for g in groups.values() if len(g) > 1] == []
