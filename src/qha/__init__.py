@@ -3,7 +3,7 @@
 from .fields import Field, rationals, prime_field
 from .linalg import (Matrix, Subspace, kernel, solve, quotient_section,
                      tensor_index, intertwiner_space)
-from .reports import CheckReport, AydReport
+from .reports import CheckReport
 from .quasihopf import (QuasiHopfAlgebra, HModule,
                         group_algebra, sweedler_h4, twisted_dual_group_algebra,
                         cyclic_group_table, symmetric_group_table,

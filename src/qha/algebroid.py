@@ -32,7 +32,7 @@ from functools import cached_property
 
 from .fields import Field
 from .linalg import (Matrix, Subspace, block_matrix, quotient_section,
-                     intertwiner_space, kron_sum, basis_vec)
+                     intertwiner_space, kron_sum)
 from .reports import CheckReport, first_failure
 from .quasihopf import (Algebra, HModule, QuasiHopfAlgebra, StructureError, max_tensor_dim,
                         left_hom, right_hom, zeta_l, eta_l, zeta_r, eta_r, _over_cop,
@@ -148,20 +148,15 @@ class HopfAlgebroid(Algebra):
     @cached_property
     def rel_l(self) -> Subspace:
         """Relations of H (x)_{R_l} H: t_l(r) x (x) y - x (x) s_l(r) y."""
-        return self._pair_relations(
-            lambda b: self.left_mult_matrix(self.t_l.col(b)),
-            lambda b: self.left_mult_matrix(self.s_l.col(b)))
+        L = self.left_mult_matrix
+        return _relation_space(self.field, [(L(self.t_l.col(b)), L(self.s_l.col(b)))
+                                            for b in range(self.base.dim)], self.dim, self.dim)
 
     @cached_property
     def rel_r(self) -> Subspace:
-        """Relations of H (x)_{R_r} H: x s_r(a) (x) y - x (x) y t_r(a)."""
-        return self._pair_relations(
-            lambda b: self.right_mult_matrix(self.s_r.col(b)),
-            lambda b: self.right_mult_matrix(self.t_r.col(b)))
-
-    def _pair_relations(self, first_op, second_op) -> Subspace:
-        return _relation_space(self.field, [(first_op(b), second_op(b))
-                                            for b in range(self.base.dim)], self.dim, self.dim)
+        """Relations of H (x)_{R_r} H: x s_r(a) (x) y - x (x) y t_r(a), the
+        left relations of H^op."""
+        return self.op.rel_l
 
     # -- reversed structures --------------------------------------------------
 
@@ -220,19 +215,21 @@ class HopfAlgebroid(Algebra):
     def unit_object(self):
         return base_module(self)
 
+    def _base_actions(self, V, images: Matrix) -> Matrix:
+        """R (x) V -> V, r (x) v |-> images(r) v: the actions of the images
+        of the base basis side by side."""
+        d = V.dim
+        return block_matrix(self.field, d, self.base.dim * d,
+                            [(0, j * d, V.act(images.col(j))) for j in range(self.base.dim)])
+
     def left_unitor(self, V) -> Matrix:
         """R (x)_R V -> V, r (x) v |-> s_l(r) v, on the quotient carrier."""
-        r = self.base.dim
-        cols = [V.act(self.s_l.col(j)).col(v) for j in range(r) for v in range(V.dim)]
-        amb = Matrix.from_cols(self.field, cols, ambient=V.dim)
-        return amb * module_tensor_relations(base_module(self), V).lift
+        return self._base_actions(V, self.s_l) * module_tensor_relations(base_module(self), V).lift
 
     def right_unitor(self, V) -> Matrix:
         """V (x)_R R -> V, v (x) r |-> t_l(r) v, on the quotient carrier."""
-        r = self.base.dim
-        cols = [V.act(self.t_l.col(j)).col(v) for v in range(V.dim) for j in range(r)]
-        amb = Matrix.from_cols(self.field, cols, ambient=V.dim)
-        return amb * module_tensor_relations(V, base_module(self)).lift
+        return (_swap_factors(self._base_actions(V, self.t_l), self.base.dim, V.dim)
+                * module_tensor_relations(V, base_module(self)).lift)
 
     # the four data of the biclosed layer of quasihopf.py: the Delta_r legs,
     # the right-base-linear maps as carrier of Hom^l, no zeta^l decoration
@@ -284,15 +281,10 @@ def regular_algebroid_module(H: HopfAlgebroid) -> AlgebroidModule:
 
 
 def base_module(H: HopfAlgebroid) -> AlgebroidModule:
-    """The monoidal unit: the base R with action h . r = eps_l(h s_l(r))."""
-    f = H.field
-    r = H.base.dim
-    mats = []
-    for i in range(H.dim):
-        cols = [H.eps_l.apply(H.prod(H.basis(i), H.s_l.col(j)))
-                for j in range(r)]
-        mats.append(Matrix.from_cols(f, cols, ambient=r))
-    return AlgebroidModule(H, mats, name="R")
+    """The monoidal unit: the base R with action h . r = eps_l(h s_l(r)),
+    the matrix eps_l L_h s_l."""
+    return AlgebroidModule(H, [H.eps_l * H.left_mult_matrix(H.basis(i)) * H.s_l
+                               for i in range(H.dim)], name="R")
 
 
 class RelationSpace:
@@ -567,11 +559,8 @@ def check_hopf_algebroid(H: HopfAlgebroid) -> CheckReport:
         rep.search(check_id, (("b", n),), lambda i: tp_contract(H, delta[i], term)
                    != sparse_apply(f, source, counit[i]))
 
-    kow_a = H.t_r * H.eps_r * H.t_l == Matrix.from_cols(
-        f, [H.apply_s_inv(H.t_l.col(b)) for b in range(r)], ambient=n)
-    kow_b = H.s_r * H.eps_r * H.s_l == Matrix.from_cols(
-        f, [H.apply_s(H.s_l.col(b)) for b in range(r)], ambient=n)
-    rep.add("kow_identity", kow_a and kow_b)
+    rep.add("kow_identity", H.t_r * H.eps_r * H.t_l == H.antipode_inv * H.t_l
+            and H.s_r * H.eps_r * H.s_l == H.antipode * H.s_l)
 
     rep.search("sinv_twisted_linear", (("r", r), ("h", n), ("rp", r)), lambda a, i, b:
                H.mul(t_r[b], s_inv[i], t_l[a])
@@ -596,81 +585,20 @@ def base_ring_scalars(field: Field) -> BaseRing:
 
 
 def enveloping_algebroid(A: BaseRing, name: str = "") -> HopfAlgebroid:
-    """The Hopf algebroid A (x) A^op with s_l(a) = a (x) 1, t_l(b) = 1 (x) b,
-    split coproducts, counits a (x) b |-> ab resp. ba, and S(a (x) b) = b (x) a."""
-    f = A.field
-    r = A.dim
-    n = r * r
-    z = f.zero
-
-    def idx(i, j):
-        return i * r + j
-
-    mult = [z] * n ** 3
-    for i1 in range(r):
-        for j1 in range(r):
-            for i2 in range(r):
-                for j2 in range(r):
-                    left = A.prod(A.basis(i1), A.basis(i2))
-                    right = A.prod(A.basis(j2), A.basis(j1))
-                    row = (idx(i1, j1) * n + idx(i2, j2)) * n
-                    for k, lv in enumerate(left):
-                        if lv == 0:
-                            continue
-                        for l, rv in enumerate(right):
-                            if rv != 0:
-                                mult[row + idx(k, l)] = f.add(mult[row + idx(k, l)],
-                                                              f.mul(lv, rv))
-    unit = [z] * n
-    for i, ci in enumerate(A.unit):
-        if ci != 0:
-            for j, cj in enumerate(A.unit):
-                if cj != 0:
-                    unit[idx(i, j)] = f.mul(ci, cj)
-
-    # source/target maps, built columnwise
-    def col_sl(b):
-        v = [z] * n
-        for j, cj in enumerate(A.unit):
-            if cj != 0:
-                v[idx(b, j)] = cj
-        return v
-
-    def col_tl(b):
-        v = [z] * n
-        for i, ci in enumerate(A.unit):
-            if ci != 0:
-                v[idx(i, b)] = ci
-        return v
-
-    s_l = Matrix.from_cols(f, [col_sl(b) for b in range(r)], ambient=n)
-    t_l = Matrix.from_cols(f, [col_tl(b) for b in range(r)], ambient=n)
-    s_r, t_r = t_l, s_l
-
-    lift_cols = []
-    for i in range(r):
-        for j in range(r):
-            v = [z] * (n * n)
-            for s, cs in enumerate(A.unit):
-                if cs == 0:
-                    continue
-                for t, ct in enumerate(A.unit):
-                    if ct != 0:
-                        v[idx(i, s) * n + idx(t, j)] = f.mul(cs, ct)
-            lift_cols.append(v)
-    lift = Matrix.from_cols(f, lift_cols, ambient=n * n)
-
-    eps_l = Matrix.from_cols(f, [A.prod(A.basis(i), A.basis(j))
-                                 for i in range(r) for j in range(r)], ambient=r)
-    eps_r = Matrix.from_cols(f, [A.prod(A.basis(j), A.basis(i))
-                                 for i in range(r) for j in range(r)], ambient=r)
-
-    s_cols = [basis_vec(f, n, idx(j, i)) for i in range(r) for j in range(r)]
-    antipode = Matrix.from_cols(f, s_cols, ambient=n)
-
-    return HopfAlgebroid(A, n, mult, unit, s_l, t_l, s_r, t_r, lift, lift,
-                         eps_l, eps_r, antipode, antipode,
-                         name=name or "%s^e" % A.name)
+    """The Hopf algebroid A (x) A^op, every structure map a product of the
+    multiplication m and the unit u of A: the product (m (x) m^op)(I (x)
+    flip (x) I), the unit u (x) u, s_l = I (x) u (a |-> a (x) 1) = t_r,
+    t_l = u (x) I (b |-> 1 (x) b) = s_r, both coproduct lifts s_l (x) t_l,
+    the counits eps_l = m and eps_r = m^op, and S = S^-1 = flip."""
+    f, r = A.field, A.dim
+    eye, u = Matrix.identity(f, r), Matrix.from_cols(f, [A.unit])
+    flip = _swap_factors(eye.kron(eye), r, r)
+    m, m_op = A.mult_matrix, A.op.mult_matrix
+    mult = (m.kron(m_op) * eye.kron(flip).kron(eye)).transpose().entries
+    s_l, t_l = eye.kron(u), u.kron(eye)
+    lift = s_l.kron(t_l)
+    return HopfAlgebroid(A, r * r, mult, u.kron(u).col(0), s_l, t_l, t_l, s_l, lift, lift,
+                         m, m_op, flip, flip, name=name or "%s^e" % A.name)
 
 
 def algebroid_from_hopf(Hq: QuasiHopfAlgebra, name: str = "") -> HopfAlgebroid:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from .linalg import Matrix, lmul_blocks
 from .reports import CheckReport
-from .coefficients import Contramodule, tau_from_contramodule, hexagon_sides
+from .coefficients import Contramodule, tau_from_contramodule, hexagon_sides, _compare
 from .quasihopf import hom_module_morphisms, zeta_l, zeta_r, eta_r
 from .algebroid import HopfAlgebroid, zeta_l_algebroid, zeta_r_algebroid, eta_r_algebroid
 
@@ -67,9 +67,7 @@ def _adjunctions(H):
 def check_hexagon(E: CenterElement, V, W) -> CheckReport:
     """The hexagon for the cached taus at V, W and V (x) W."""
     lhs, rhs = hexagon_sides(E.coefficient, V, W, E.tau)
-    rep = CheckReport()
-    rep.search("hexagon", (("f_index", lhs.cols),), lambda i: lhs.col(i) != rhs.col(i))
-    return rep
+    return _compare("hexagon", (("f_index", lhs.cols),), lhs, rhs)
 
 
 def check_unitality(E: CenterElement) -> CheckReport:

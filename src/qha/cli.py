@@ -200,6 +200,8 @@ def _check_entries(check_id: str, rep: CheckReport):
 
 
 def cmd_cohomology(args) -> int:
+    if args.degree < 0:
+        raise UsageError("--degree must be at least 0, got %d" % args.degree)
     structure = parse_structure(args.structure)
     algebra = parse_structure(args.algebra, parent=structure)
     coeff = parse_structure(args.coefficient, parent=structure)

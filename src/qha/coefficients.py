@@ -27,7 +27,7 @@ from functools import cached_property
 
 from .linalg import (Matrix, Subspace, block_matrix, intertwiner_space, kron_sum,
                      quotient_section)
-from .reports import AydReport
+from .reports import CheckReport
 from .quasihopf import (HModule, QuasiHopfAlgebra, IntertwinerError, StructureError,
                         regular_module, is_intertwiner, eps_p_q_beta_s_r, left_hom, right_hom,
                         hom_carriers, right_hom_carrier, _restricted)
@@ -101,7 +101,7 @@ def _require_hopf(C: Contramodule):
 
 # -- every equation as two matrices ----------------------------------------------
 
-def _compare(check_id: str, ranges, lhs: Matrix, rhs: Matrix) -> AydReport:
+def _compare(check_id: str, ranges, lhs: Matrix, rhs: Matrix) -> CheckReport:
     """check_id, failed at the first instance at which the two sides differ:
     column c of each side is the instance numbered c in the lexicographic
     order of ranges (the last index fastest)."""
@@ -112,12 +112,12 @@ def _compare(check_id: str, ranges, lhs: Matrix, rhs: Matrix) -> AydReport:
         for name, size in reversed(ranges):
             c, i = divmod(c, size)
             wit.insert(0, (name, i))
-    rep = AydReport()
+    rep = CheckReport()
     rep.add(check_id, diff is None, wit)
     return rep
 
 
-def _identity_check(check_id: str, lhs: Matrix) -> AydReport:
+def _identity_check(check_id: str, lhs: Matrix) -> CheckReport:
     """check_id: the square matrix lhs is the identity, failed at the first
     basis vector m that it moves."""
     return _compare(check_id, (("m", lhs.rows),), lhs, Matrix.identity(lhs.field, lhs.rows))
@@ -165,7 +165,7 @@ def _contra_assoc_sides(C: Contramodule, delta: Matrix, inst: Matrix):
 
 # -- Hopf flavor ---------------------------------------------------------------
 
-def check_contramodule_hopf(C: Contramodule) -> AydReport:
+def check_contramodule_hopf(C: Contramodule) -> CheckReport:
     """Contraassociativity and counitality of mu over a Hopf algebra.
 
     Coassociativity reads mu(h |-> mu(f(h))) = mu(h |-> f(h^1)(h^2)) for f
@@ -185,14 +185,14 @@ def check_contramodule_hopf(C: Contramodule) -> AydReport:
     return rep
 
 
-def _contra_counit(C: Contramodule, check_id: str, scale) -> AydReport:
+def _contra_counit(C: Contramodule, check_id: str, scale) -> CheckReport:
     """mu(h |-> scale eps(h) m) = m: mu (I (x) scale eps) is the identity."""
     H = C.parent
     counit = Matrix(C.field, H.dim, 1, H.counit).scale(scale)
     return _identity_check(check_id, C.mu * Matrix.identity(C.field, C.carrier.dim).kron(counit))
 
 
-def check_ayd_hopf(C: Contramodule) -> AydReport:
+def check_ayd_hopf(C: Contramodule) -> CheckReport:
     """The aYD compatibility over a Hopf algebra, in both equivalent forms.
 
     Form one: h mu(f) = mu(h^2 f(S(h^3) - h^1)).  Form two:
@@ -260,7 +260,7 @@ def _ayd_at(sides, mu: Matrix, inst: Matrix):
     return tuple(_beside(f, d, [side(pair[k]) for pair in sides]) for k in (0, 1))
 
 
-def _ayd_report(check_id: str, C: Contramodule, sides) -> AydReport:
+def _ayd_report(check_id: str, C: Contramodule, sides) -> CheckReport:
     """One aYD check at the matrix units: the first instance (h, f_row, f_col)
     whose two sides differ."""
     n, d = C.parent.dim, C.carrier.dim
@@ -300,7 +300,7 @@ def ayd_compatibility_system(carrier: HModule, flavor: str) -> Matrix:
         n * dn * d, d * dn, lambda r, t: ((r // (d * dn) * dn + r % dn) * d + r // dn % d, t))
 
 
-def check_stability_hopf(C: Contramodule) -> AydReport:
+def check_stability_hopf(C: Contramodule) -> CheckReport:
     """mu(r_m) = m with r_m(h) = h m, for every basis vector m."""
     _require_hopf(C)
     return _identity_check("stability", C.mu * _action_map(C.carrier.mats))
@@ -445,7 +445,7 @@ def hexagon_sides(C: Contramodule, V: HModule, W: HModule, tau):
 
 # -- quasi-Hopf flavors ---------------------------------------------------------
 
-def _quasi_contra_check(C: Contramodule, check_id: str) -> AydReport:
+def _quasi_contra_check(C: Contramodule, check_id: str) -> CheckReport:
     """The hexagon specialised to V = W = H and evaluated at the unit.
 
     This is the contraaction replacement for quasi-Hopf algebras; for
@@ -463,12 +463,12 @@ def _quasi_contra_check(C: Contramodule, check_id: str) -> AydReport:
         j, n = diff[0], H.dim
         wit = (("f_outer", j % n), ("f_row", j // n // n), ("f_col", j // n % n),
                ("coord", diff[1]))
-    rep = AydReport()
+    rep = CheckReport()
     rep.add(check_id, wit is None, wit)
     return rep
 
 
-def check_ayd_quasi_I(C: Contramodule) -> AydReport:
+def check_ayd_quasi_I(C: Contramodule) -> CheckReport:
     """Type I anti-Yetter-Drinfeld contramodule equations."""
     _require(C, QUASI_I)
     rep = _ayd_report("ayd_type_I", C, _ayd_sides_two(C.carrier, _delta_legs(C.parent)))
@@ -477,7 +477,7 @@ def check_ayd_quasi_I(C: Contramodule) -> AydReport:
     return rep
 
 
-def check_ayd_quasi_II(C: Contramodule) -> AydReport:
+def check_ayd_quasi_II(C: Contramodule) -> CheckReport:
     """Type II anti-Yetter-Drinfeld contramodule equations."""
     _require(C, QUASI_II)
     rep = _ayd_report("ayd_type_II", C, _ayd_sides_one(C.carrier))
@@ -531,7 +531,7 @@ def _require_algebroid(C: Contramodule):
         raise FlavorError("AlgebroidMu coefficients need a HopfAlgebroid parent")
 
 
-def check_contramodule_algebroid(C: Contramodule) -> AydReport:
+def check_contramodule_algebroid(C: Contramodule) -> CheckReport:
     """Def-of-contramodule axioms over a left bialgebroid.
 
     Contraassociativity is quantified over a basis of the right-base-linear
@@ -560,7 +560,7 @@ def check_contramodule_algebroid(C: Contramodule) -> AydReport:
     return rep
 
 
-def check_ayd_algebroid(C: Contramodule) -> AydReport:
+def check_ayd_algebroid(C: Contramodule) -> CheckReport:
     """The algebroid aYD compatibility plus the base-linearity of mu.
 
     Checks the S/S^-1-twisted equation (with Delta_r legs and its
@@ -603,13 +603,13 @@ def check_ayd_algebroid(C: Contramodule) -> AydReport:
     return rep
 
 
-def check_stability_algebroid(C: Contramodule) -> AydReport:
+def check_stability_algebroid(C: Contramodule) -> CheckReport:
     """mu(r_m) = m with r_m(h) = h m, per basis vector of the carrier."""
     _require_algebroid(C)
     return _identity_check("stability", C.mu * _action_map(C.carrier.mats))
 
 
-def check_stability_quasi(C: Contramodule) -> AydReport:
+def check_stability_quasi(C: Contramodule) -> CheckReport:
     """Type I stability R mu(r'_m) = m with r'_m(x) = beta x S^-1(Q) S^-1(alpha) P m,
     plus the helper identity eps(P) Q beta S(R) = beta checked once."""
     _require(C, QUASI_I)
@@ -617,7 +617,7 @@ def check_stability_quasi(C: Contramodule) -> AydReport:
     f = C.field
     d, n = C.carrier.dim, H.dim
     M = C.carrier
-    rep = AydReport()
+    rep = CheckReport()
     rep.add("helper_eps_p_q_beta_s_r", eps_p_q_beta_s_r(H))
     tails = [(coef, r, H.prod(H.apply_s_inv(H.basis(q)), H.apply_s_inv(H.alpha), H.basis(p)))
              for (p, q, r), coef in H.phi_inv_terms().items()]
@@ -629,7 +629,7 @@ def check_stability_quasi(C: Contramodule) -> AydReport:
     return rep
 
 
-def check_stability(C: Contramodule) -> AydReport:
+def check_stability(C: Contramodule) -> CheckReport:
     """The stability check of C's flavor; a type II coefficient is checked
     on its type I form."""
     if C.flavor == HOPF_MU:

@@ -237,9 +237,6 @@ class CohomologyResult:
     field: Field
     dims: list
 
-    def to_dict(self):
-        return {"theory": self.theory, "field": str(self.field), "dims": list(self.dims)}
-
 
 class CocyclicModule:
     """C^n = Hom_H(A^(x)(n+1), M) with all structure operators as matrices

@@ -53,18 +53,25 @@ class Algebra:
     shared by quasi-Hopf algebras, Hopf algebroids and their base rings.
 
     Subclasses set field, dim, mult and unit; mult[(i*n + j)*n + k] is the
-    e_k coefficient of e_i e_j.  Elements are dense coefficient vectors, or
-    sparse dicts {basis index: coefficient} (``elem``, ``mul``), the form
-    the axiom checks work in.
+    e_k coefficient of e_i e_j.  The same constants are held once as the
+    dim x dim^2 multiplication matrix m (``mult_matrix``), from which every
+    multiplication map is a product.  Elements are dense coefficient
+    vectors, or sparse dicts {basis index: coefficient} (``elem``, ``mul``),
+    the form the axiom checks work in.
     """
 
     @cached_property
+    def mult_matrix(self) -> Matrix:
+        """m: column i*n + j is e_i e_j."""
+        n = self.dim
+        return Matrix(self.field, n * n, n, self.mult).transpose()
+
+    @cached_property
     def _mult_sparse(self):
-        """table[i][j]: the nonzero (k, coefficient) pairs of e_i e_j."""
-        n, m = self.dim, self.mult
-        return tuple(tuple(tuple((k, m[(i * n + j) * n + k]) for k in range(n)
-                                 if m[(i * n + j) * n + k] != 0)
-                           for j in range(n)) for i in range(n))
+        """table[i][j]: the nonzero (k, coefficient) pairs of e_i e_j, in
+        increasing k: column i*n + j of m."""
+        n, cols = self.dim, self.mult_matrix.col_maps()
+        return tuple(tuple(tuple(cols[i * n + j].items()) for j in range(n)) for i in range(n))
 
     @cached_property
     def _products(self):
@@ -96,14 +103,14 @@ class Algebra:
         return tuple(out.get(k, zero) for k in range(self.dim))
 
     def left_mult_matrix(self, vec) -> Matrix:
-        """The matrix of x |-> vec x."""
-        return Matrix.from_cols(self.field, [self.prod(vec, self.basis(j))
-                                             for j in range(self.dim)], ambient=self.dim)
+        """The matrix of x |-> vec x: m (vec (x) I)."""
+        return self.mult_matrix * Matrix.from_cols(self.field, [vec]).kron(
+            Matrix.identity(self.field, self.dim))
 
     def right_mult_matrix(self, vec) -> Matrix:
-        """The matrix of x |-> x vec."""
-        return Matrix.from_cols(self.field, [self.prod(self.basis(j), vec)
-                                             for j in range(self.dim)], ambient=self.dim)
+        """The matrix of x |-> x vec: m (I (x) vec)."""
+        return self.mult_matrix * Matrix.identity(self.field, self.dim).kron(
+            Matrix.from_cols(self.field, [vec]))
 
     def check_algebra(self, rep: CheckReport, prefix: str, unit_witness: bool):
         """Add prefix_associative, with witness (i, j, k), and prefix_unital,

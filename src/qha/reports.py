@@ -71,9 +71,6 @@ class CheckReport:
                 return r
         raise KeyError(check_id)
 
-    def has(self, check_id: str) -> bool:
-        return any(r.check_id == check_id for r in self.results)
-
     def to_dict(self):
         return {"pass": self.passed, "checks": [r.to_dict() for r in self.results]}
 
@@ -86,7 +83,3 @@ class CheckReport:
                 extra = "  at " + ", ".join("%s=%s" % kv for kv in r.counterexample)
             lines.append("%s %s%s" % (mark, r.check_id, extra))
         return "\n".join(lines)
-
-
-# The coefficient checks report in exactly the same shape.
-AydReport = CheckReport

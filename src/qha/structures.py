@@ -76,6 +76,14 @@ def _scalar(f: Field, s, where, *index):
         raise StructureFileError("scalar_parse", str(e), _at(where, *index)) from None
 
 
+def _dim(doc, where) -> int:
+    """The dim key of doc, refused unless it is a positive integer."""
+    n = _want(doc, "dim", int, where)
+    if n <= 0:
+        raise StructureFileError("dimension_mismatch", "dim must be positive", where + ".dim")
+    return n
+
+
 def _vector(f, doc, length, where, *index):
     if not isinstance(doc, list) or len(doc) != length:
         raise StructureFileError("dimension_mismatch",
@@ -124,9 +132,7 @@ def _fmt_matrix(field, m: Matrix):
 # -- quasi-Hopf algebras -----------------------------------------------------------
 
 def _parse_quasi_hopf(f: Field, doc, name) -> QuasiHopfAlgebra:
-    n = _want(doc, "dim", int, "$")
-    if n <= 0:
-        raise StructureFileError("dimension_mismatch", "dim must be positive", "$.dim")
+    n = _dim(doc, "$")
     mult = _tensor3(f, _want(doc, "mult", list, "$"), n, "$.mult")
     unit = _vector(f, _want(doc, "unit", list, "$"), n, "$.unit")
     comult = _want(doc, "comult", list, "$")
@@ -167,12 +173,12 @@ def _serialize_quasi_hopf(H: QuasiHopfAlgebra):
 
 def _parse_hopf_algebroid(f: Field, doc, name) -> HopfAlgebroid:
     base_doc = _want(doc, "base", dict, "$")
-    r = _want(base_doc, "dim", int, "$.base")
+    r = _dim(base_doc, "$.base")
     base = BaseRing(f, r, _tensor3(f, _want(base_doc, "mult", list, "$.base"),
                                    r, "$.base.mult"),
                     _vector(f, _want(base_doc, "unit", list, "$.base"), r,
                             "$.base.unit"))
-    n = _want(doc, "dim", int, "$")
+    n = _dim(doc, "$")
     mult = _tensor3(f, _want(doc, "mult", list, "$"), n, "$.mult")
     unit = _vector(f, _want(doc, "unit", list, "$"), n, "$.unit")
     mats = {}

@@ -10,6 +10,8 @@ from qha.quasihopf import (group_algebra, sweedler_h4, twisted_dual_group_algebr
                            regular_module, trivial_module, hom_module_morphisms, HModule,
                            QuasiHopfAlgebra, tp_delta_slot, tp_mul, tp_tensor, tp_unit)
 from qha.algebroid import BaseRing, base_ring_dual_numbers, enveloping_algebroid
+from qha.coefficients import Contramodule, evaluation_at_unit, QUASI_I
+from qha.cyclic import ModuleAlgebra
 
 QQ = rationals()
 F5 = prime_field(5)
@@ -126,6 +128,41 @@ def twisted_h4_q():
     o, m = QQ.one, QQ.neg(QQ.one)
     return drinfeld_twist(sweedler_h4(QQ), {(0, 0): o, (2, 0): o, (2, 1): m},
                           {(0, 0): o, (2, 0): m, (2, 1): o}, "H4^F")
+
+
+def graded_dual_numbers(H, d):
+    """k[x]/x^2 as an algebra object over k^G_w (basis index 0 the unit of
+    G): the basis function delta_g projects onto degree g, with 1 in
+    degree e and x in degree d.  x^2 = 0 kills the only product that would
+    need w, so the algebra object is associative, but Phi acts on its
+    tensor cube by w(d, d, d) on x (x) x (x) x."""
+    f = H.field
+    o, z = f.one, f.zero
+    carrier = HModule(H, [Matrix.from_rows(f, [[o if g == 0 else z, z],
+                                               [z, o if g == d else z]])
+                          for g in range(H.dim)], name="k[x]/x^2")
+    mult = Matrix.from_cols(f, [(o, z), (z, o), (z, o), (z, z)], ambient=2)
+    return ModuleAlgebra(carrier, mult, Matrix.from_cols(f, [(o, z)]))
+
+
+GRADED_INPUTS = {
+    # id: (field, group order, cocycle, degree of x)
+    "Z2-Q-x1": (QQ, 2, z2_nontrivial_cocycle, 1),
+    "Z2-F5-x1": (F5, 2, z2_nontrivial_cocycle, 1),
+    "Z3-F7-x1": (prime_field(7), 3, z3_nontrivial_cocycle, 1),
+    "Z3-F7-x2": (prime_field(7), 3, z3_nontrivial_cocycle, 2),
+}
+
+
+@pytest.fixture(scope="session", params=sorted(GRADED_INPUTS))
+def graded_over_twisted(request):
+    """(id, A, M): graded_dual_numbers over k^G_w with the trivial QUASI_I
+    coefficient, one of the inputs on which Phi acts."""
+    f, order, cocycle, d = GRADED_INPUTS[request.param]
+    H = twisted_dual_group_algebra(f, cyclic_group_table(order), cocycle(f))
+    k = trivial_module(H)
+    return request.param, graded_dual_numbers(H, d), Contramodule(k, evaluation_at_unit(k),
+                                                                  QUASI_I)
 
 
 def base_ring_t2(field):

@@ -245,6 +245,44 @@ def test_malformed_max_dim_is_usage_error(tmp_path, kc2_file, monkeypatch, capsy
     assert "error [usage]" in err and "'4k'" in err
 
 
+def test_negative_degree_is_usage_error(tmp_path, kc2_file, capsys):
+    unit_a = tmp_path / "unitA.json"
+    coeff = tmp_path / "m.json"
+    assert main(["generate", "unit_algebra", "--structure", kc2_file,
+                 "--out", str(unit_a)]) == 0
+    assert main(["generate", "trivial_contramodule", "--structure", kc2_file,
+                 "--out", str(coeff)]) == 0
+    args = ["cohomology", kc2_file, str(unit_a), str(coeff), "--reproducible", "--degree"]
+    assert main(args + ["0"]) == 0
+    capsys.readouterr()
+    assert main(args + ["-1"]) == 2
+    assert "error [usage]: --degree must be at least 0" in capsys.readouterr().err
+
+
+def _zero_dim_algebroid(doc):
+    """The document of an algebroid of dimension 0 over the same base."""
+    r = doc["base"]["dim"]
+    doc.update({key: [] for key in ("mult", "unit", "s_l", "t_l", "s_r", "t_r", "delta_l_lift",
+                                    "delta_r_lift", "antipode", "antipode_inv")})
+    doc.update({key: [[] for _ in range(r)] for key in ("eps_l", "eps_r")})
+    doc["dim"] = 0
+
+
+@pytest.mark.parametrize("where, change", [
+    ("$.dim", _zero_dim_algebroid),
+    ("$.dim", lambda doc: doc.update(dim=-1)),
+    ("$.base.dim", lambda doc: doc["base"].update(dim=0)),
+], ids=["dim-0", "dim-negative", "base-dim-0"])
+def test_algebroid_nonpositive_dim_is_dimension_mismatch(tmp_path, capsys, where, change):
+    doc = serialize(enveloping_algebroid(base_ring_dual_numbers(F5)), "env")
+    change(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["check", str(bad), "--reproducible"]) == 2
+    assert ("error [dimension_mismatch]: dimension_mismatch at %s: dim must be positive"
+            % where) in capsys.readouterr().err
+
+
 def test_generate_twisted_from_files(tmp_path):
     table = tmp_path / "table.json"
     table.write_text(json.dumps(cyclic_group_table(2)))
