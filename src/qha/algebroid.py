@@ -16,10 +16,10 @@ right-hand maps there are the left-hand ones over the co-opposite
 algebroid ``H.cop`` (over R^op).  The right bialgebroid axioms are the
 left ones over the opposite algebroid ``H.op``.
 
-The axiom checks work on sparse elements {basis index: coefficient} and
-sparse tensors {(i_1, ..., i_k): coefficient}, as the quasi-Hopf checks
-do; a tensor becomes a dense vector only where a relation subspace is
-asked whether it contains a difference.  A failed check reports the
+Every axiom check is one matrix identity, as in quasihopf.py: two sides
+whose columns are its instances, where an identity in H (x)_R H or H
+(x)_R H (x)_R H "modulo relations" compares both sides after the quotient
+projector of its relation space.  A failed check reports the
 lexicographically first failing index tuple, in the order the check names
 its indices.  The right bialgebroid checks name the indices of H^op, so
 where they quantify over products of pairs (eps_r_character,
@@ -32,24 +32,17 @@ from functools import cached_property
 
 from .fields import Field
 from .linalg import (Matrix, Subspace, block_matrix, quotient_section,
-                     intertwiner_space, kron_sum)
-from .reports import CheckReport, first_failure
+                     intertwiner_space, kron_sum, slot_apply, vstack)
+from .reports import CheckReport
 from .quasihopf import (Algebra, HModule, QuasiHopfAlgebra, StructureError, max_tensor_dim,
                         left_hom, right_hom, zeta_l, eta_l, zeta_r, eta_r, _over_cop,
-                        _swap_factors, _collect, _terms_dict, sparse_apply,
-                        check_antipode_pair, perm_mwv_to_mvw, tp_contract, tp_leg, tp_mul,
-                        tp_slot, tp_unit)
+                        _swap_factors, lift_legs, check_antipode_pair, perm_mwv_to_mvw,
+                        _pair_products, _unit_row)
 
 
 def _opposite(mult, n: int):
     """Structure constants of the opposite multiplication a.b = ba."""
     return [mult[(j * n + i) * n + k] for i in range(n) for j in range(n) for k in range(n)]
-
-
-def lift_legs(lift: Matrix):
-    """The Sweedler terms (coef, p, q) of every column of a coproduct lift."""
-    n = lift.cols
-    return [tuple((c, *divmod(k, n)) for k, c in col.items()) for col in lift.col_maps()]
 
 
 def _flip_legs(lift: Matrix) -> Matrix:
@@ -123,13 +116,7 @@ class HopfAlgebroid(Algebra):
                 raise StructureError("structure matrix has shape %dx%d, want %dx%d"
                                      % (m.rows, m.cols, *shape))
 
-    # -- algebra plumbing ---------------------------------------------------
-
-    def apply_s(self, vec):
-        return self.antipode.apply(vec)
-
-    def apply_s_inv(self, vec):
-        return self.antipode_inv.apply(vec)
+    # -- coproduct legs -------------------------------------------------------
 
     @cached_property
     def _lift_terms(self):
@@ -148,9 +135,8 @@ class HopfAlgebroid(Algebra):
     @cached_property
     def rel_l(self) -> Subspace:
         """Relations of H (x)_{R_l} H: t_l(r) x (x) y - x (x) s_l(r) y."""
-        L = self.left_mult_matrix
-        return _relation_space(self.field, [(L(self.t_l.col(b)), L(self.s_l.col(b)))
-                                            for b in range(self.base.dim)], self.dim, self.dim)
+        return _relation_space(self.field, list(zip(self.mults_of(self.t_l),
+                                                    self.mults_of(self.s_l))), self.dim, self.dim)
 
     @cached_property
     def rel_r(self) -> Subspace:
@@ -276,15 +262,13 @@ class AlgebroidModule(HModule):
 
 
 def regular_algebroid_module(H: HopfAlgebroid) -> AlgebroidModule:
-    mats = [H.left_mult_matrix(H.basis(i)) for i in range(H.dim)]
-    return AlgebroidModule(H, mats, name="regular")
+    return AlgebroidModule(H, H.left_mults, name="regular")
 
 
 def base_module(H: HopfAlgebroid) -> AlgebroidModule:
     """The monoidal unit: the base R with action h . r = eps_l(h s_l(r)),
     the matrix eps_l L_h s_l."""
-    return AlgebroidModule(H, [H.eps_l * H.left_mult_matrix(H.basis(i)) * H.s_l
-                               for i in range(H.dim)], name="R")
+    return AlgebroidModule(H, [H.eps_l * L * H.s_l for L in H.left_mults], name="R")
 
 
 class RelationSpace:
@@ -311,10 +295,9 @@ def _relation_space(f: Field, pairs, d1: int, d2: int) -> Subspace:
     transposes of A (x) I - I (x) B, stacked."""
     d = d1 * d2
     eye1, eye2 = Matrix.identity(f, d1), Matrix.identity(f, d2)
-    blocks = [(k * d, 0, kron_sum(f, d, d, [(f.one, [a.transpose(), eye2]),
-                                            (f.neg(f.one), [eye1, b.transpose()])]))
-              for k, (a, b) in enumerate(pairs)]
-    return Subspace.row_space(block_matrix(f, len(blocks) * d, d, blocks))
+    return Subspace.row_space(vstack(f, d, [
+        kron_sum(f, d, d, [(f.one, [a.transpose(), eye2]), (f.neg(f.one), [eye1, b.transpose()])])
+        for a, b in pairs]))
 
 
 def module_tensor_relations(M: AlgebroidModule, N: AlgebroidModule) -> RelationSpace:
@@ -389,40 +372,32 @@ eta_r_algebroid = _algebroid_name(eta_r, "eta_r_algebroid")
 
 # -- axiom checks -------------------------------------------------------------
 
-def _congruent(H: HopfAlgebroid, rel: Subspace, x: dict, y: dict) -> bool:
-    """Whether the sparse tensors x and y of H^(x)k agree modulo rel, a
-    subspace of k^(n^k) with n = dim H."""
-    f, n = H.field, H.dim
-    vec = [f.zero] * rel.ambient_dim
-    diff = _collect(f, list(x.items()) + [(k, f.neg(c)) for k, c in y.items()])
-    for key, c in diff.items():
-        index = 0
-        for i in key:
-            index = index * n + i
-        vec[index] = c
-    return rel.contains(vec)
+def _projector(rel: Subspace) -> Matrix:
+    """The canonical quotient projector of the ambient space of rel, whose
+    kernel is rel: two vectors agree modulo rel iff their projections do."""
+    return quotient_section(rel.field, rel.ambient_dim, rel)[0]
 
 
-def _sweedler_dicts(H: HopfAlgebroid, terms):
-    return [_terms_dict(terms(i)) for i in range(H.dim)]
+def _swap_outer(m: Matrix, r: int, n: int) -> Matrix:
+    """m with its columns (x, i, y) in range(r) x range(n) x range(r) read as (y, i, x)."""
+    return m.reindexed(m.rows, m.cols,
+                       lambda k, c: (k, (c % r * n + c // r % n) * r + c // (n * r)))
 
 
 def check_algebroid_structure(H: HopfAlgebroid) -> CheckReport:
     """Ring-map invariants: algebra axioms, source/target (anti)homomorphisms
     with commuting images, and the antipode pair."""
-    f, R = H.field, H.base
-    r = R.dim
+    R = H.base
+    r, m = R.dim, H.mult_matrix
     rep = CheckReport()
     rep.extend(R.validate())
     H.check_algebra(rep, "mult", unit_witness=False)
 
     def is_hom(mat, opposite):
-        img, e = mat.col_maps(), R._basis_sparse
-        return first_failure((("a", r), ("b", r)), lambda a, b:
-                             sparse_apply(f, img, R.mul(e[a], e[b]))
-                             != (H.mul(img[b], img[a]) if opposite
-                                 else H.mul(img[a], img[b]))) is None \
-            and mat.apply(R.unit) == H.unit
+        # column (a, b) of m (mat (x) mat) is mat(e_a) mat(e_b)
+        images = m * mat.kron(mat)
+        return (mat * R.mult_matrix == (_swap_factors(images, r, r) if opposite else images)
+                and mat.apply(R.unit) == H.unit)
 
     rep.add("s_l_homomorphism", is_hom(H.s_l, opposite=False))
     rep.add("t_l_antihomomorphism", is_hom(H.t_l, opposite=True))
@@ -431,9 +406,7 @@ def check_algebroid_structure(H: HopfAlgebroid) -> CheckReport:
     rep.add("t_r_homomorphism", is_hom(H.t_r, opposite=False))
 
     def images_commute(source, target):
-        xs, ys = source.col_maps(), target.col_maps()
-        return first_failure((("a", r), ("b", r)), lambda a, b:
-                             H.mul(xs[a], ys[b]) != H.mul(ys[b], xs[a])) is None
+        return m * source.kron(target) == _swap_factors(m * target.kron(source), r, r)
 
     rep.add("left_images_commute", images_commute(H.s_l, H.t_l))
     rep.add("right_images_commute", images_commute(H.s_r, H.t_r))
@@ -447,64 +420,68 @@ def check_left_bialgebroid(H: HopfAlgebroid) -> CheckReport:
     f, R = H.field, H.base
     n, r = H.dim, R.dim
     rep = CheckReport()
-    rel = H.rel_l
-    e, prods = H._basis_sparse, H._products
-    s_l, t_l, eps_l = H.s_l.col_maps(), H.t_l.col_maps(), H.eps_l.col_maps()
-    delta = _sweedler_dicts(H, H.delta_l_terms)
+    proj = _projector(H.rel_l)
+    m, D, eps, s_l, t_l = H.mult_matrix, H.delta_l_lift, H.eps_l, H.s_l, H.t_l
+    deltas, eye = D.transpose(), Matrix.identity(f, n)
+
+    def each_base(maps, slot):
+        # rows (a, i): maps[a] applied to one slot of Delta(e_i)
+        return vstack(f, n * n, [slot_apply(x, deltas, *((1, n), (n, 1))[slot])
+                                 for x in maps])
+
+    def by_side(blocks):
+        # the rows (side, a, b) of the two blocks, projected, as columns (a, b, side)
+        return _swap_factors(proj * vstack(f, n * n, blocks).transpose(), 2, r * n)
 
     # Delta(s_l(a) b) = s_l(a) b_1 (x) b_2 and Delta(t_l(a) b) = b_1 (x) t_l(a) b_2
-    def bimodule_fails(b, i, side):
-        x = (s_l, t_l)[side][b]
-        return not _congruent(H, rel, sparse_apply(f, delta, H.mul(x, e[i])),
-                              tp_leg(H, delta[i], side, lambda p: H.mul(x, e[p])))
+    rep.compare("delta_l_bimodule", (("r", r), ("b", n), ("side", 2)),
+                by_side([(D * m * x.kron(eye)).transpose() for x in (s_l, t_l)]),
+                by_side([each_base(H.mults_of(s_l), 0), each_base(H.mults_of(t_l), 1)]))
 
-    rep.search("delta_l_bimodule", (("r", r), ("b", n), ("side", 2)), bimodule_fails)
-
-    rel3 = _triple_relations(H, ("l", "l"))
-    rep.search("delta_l_coassoc", (("b", n),), lambda i: not _congruent(
-        H, rel3, tp_slot(H, delta[i], 0, delta), tp_slot(H, delta[i], 1, delta)))
+    proj3 = _triple_projector(H, ("l", "l"))
+    rep.compare("delta_l_coassoc", (("b", n),), proj3 * slot_apply(D, deltas, 1, n).transpose(),
+                proj3 * slot_apply(D, deltas, n, 1).transpose())
 
     # s_l(eps_l(b_1)) b_2 = b = t_l(eps_l(b_2)) b_1
-    sl_eps = [sparse_apply(f, s_l, eps_l[p]) for p in range(n)]
-    tl_eps = [sparse_apply(f, t_l, eps_l[p]) for p in range(n)]
-    rep.search("delta_l_counital", (("b", n),), lambda i:
-               tp_contract(H, delta[i], lambda p, q: H.mul(sl_eps[p], e[q])) != e[i]
-               or tp_contract(H, delta[i], lambda p, q: H.mul(tl_eps[q], e[p])) != e[i])
+    rep.compare("delta_l_counital", (("b", n),),
+                vstack(f, n, [m * (s_l * eps).kron(eye) * D,
+                              m * (t_l * eps).kron(eye) * _flip_legs(D)]),
+                vstack(f, n, [eye, eye]))
 
-    def eps(a):
-        return sparse_apply(f, eps_l, a)
+    # eps_l((s_l(a) t_l(a')) b) = (a eps_l(b)) a', column (a, a', b)
+    eye_r = Matrix.identity(f, r)
+    rep.compare("eps_l_bimodule", (("r", r), ("rp", r), ("b", n)),
+                eps * m * (m * s_l.kron(t_l)).kron(eye),
+                R.mult_matrix * R.mult_matrix.kron(eye_r)
+                * eye_r.kron(_swap_factors(eps.kron(eye_r), n, r)))
 
-    eR = R._basis_sparse
-    rep.search("eps_l_bimodule", (("r", r), ("rp", r), ("b", n)), lambda a, b, i:
-               eps(H.mul(s_l[a], t_l[b], e[i])) != R.mul(eR[a], eps_l[i], eR[b]))
+    # b_1 t_l(a) (x) b_2 = b_1 (x) b_2 s_l(a), column (b, a)
+    rep.compare("takeuchi_left", (("b", n), ("r", r)),
+                _swap_factors(proj * each_base(H.mults_of(t_l, right=True), 0).transpose(), r, n),
+                _swap_factors(proj * each_base(H.mults_of(s_l, right=True), 1).transpose(), r, n))
 
-    # b_1 t_l(a) (x) b_2 = b_1 (x) b_2 s_l(a)
-    rep.search("takeuchi_left", (("b", n), ("r", r)), lambda i, b: not _congruent(
-        H, rel, tp_leg(H, delta[i], 0, lambda p: H.mul(e[p], t_l[b])),
-        tp_leg(H, delta[i], 1, lambda q: H.mul(e[q], s_l[b]))))
-
-    rep.search("delta_l_multiplicative", (("b", n), ("bp", n)), lambda i, j: not _congruent(
-        H, rel, sparse_apply(f, delta, prods[i][j]), tp_mul(H, delta[i], delta[j])),
-        _congruent(H, rel, sparse_apply(f, delta, H.elem(H.unit)), tp_unit(H, 2)))
+    rep.compare("delta_l_multiplicative", (("b", n), ("bp", n)), proj * D * m,
+                proj * _pair_products(H, 2, deltas).transpose(),
+                proj * (_unit_row(H, 1) * deltas).transpose()
+                == proj * _unit_row(H, 2).transpose())
 
     # eps_l(b b') = eps_l(b s_l(eps_l(b'))) = eps_l(b t_l(eps_l(b')))
-    rep.search("eps_l_character", (("b", n), ("bp", n)), lambda i, j:
-               eps(prods[i][j]) != eps(H.mul(e[i], sl_eps[j]))
-               or eps(prods[i][j]) != eps(H.mul(e[i], tl_eps[j])))
+    rep.compare("eps_l_character", (("b", n), ("bp", n)),
+                vstack(f, n * n, [eps * m, eps * m]),
+                vstack(f, n * n, [eps * m * eye.kron(s_l * eps), eps * m * eye.kron(t_l * eps)]))
     return rep
 
 
-def _triple_relations(H: HopfAlgebroid, kinds) -> Subspace:
-    """Relation subspace of H^(x)3 for the pair of tensor signs in ``kinds``:
-    "l" for (x)_{R_l} (t_l x (x) y - x (x) s_l y), "r" for (x)_{R_r}; the
-    first sign sits between slots 1|2, the second between 2|3."""
-    f = H.field
-    eye = Matrix.identity(f, H.dim)
+def _triple_projector(H: HopfAlgebroid, kinds) -> Matrix:
+    """The quotient projector of the relation subspace of H^(x)3 for the
+    pair of tensor signs in ``kinds``: "l" for (x)_{R_l} (t_l x (x) y -
+    x (x) s_l y), "r" for (x)_{R_r}; the first sign sits between slots 1|2,
+    the second between 2|3."""
+    eye = Matrix.identity(H.field, H.dim)
     first, second = [(H.rel_l if kind == "l" else H.rel_r).basis_matrix().transpose()
                      for kind in kinds]
-    a, b = first.kron(eye), eye.kron(second)
-    return Subspace.row_space(block_matrix(f, a.rows + b.rows, H.dim ** 3,
-                                           [(0, 0, a), (a.rows, 0, b)]))
+    return _projector(Subspace.row_space(vstack(H.field, H.dim ** 3,
+                                                [first.kron(eye), eye.kron(second)])))
 
 
 def check_right_bialgebroid(H: HopfAlgebroid) -> CheckReport:
@@ -535,36 +512,37 @@ def check_hopf_algebroid(H: HopfAlgebroid) -> CheckReport:
     rep.add("counit_source_target_3", H.t_l * H.eps_l * H.s_r == H.s_r)
     rep.add("counit_source_target_4", H.t_r * H.eps_r * H.s_l == H.s_l)
 
-    dl = _sweedler_dicts(H, H.delta_l_terms)
-    dr = _sweedler_dicts(H, H.delta_r_terms)
-    for check_id, kinds, first, second in (("mixed_coassoc_1", ("l", "r"), dr, dl),
-                                           ("mixed_coassoc_2", ("r", "l"), dl, dr)):
+    Dl, Dr = H.delta_l_lift, H.delta_r_lift
+    for check_id, kinds, first, second in (("mixed_coassoc_1", ("l", "r"), Dr, Dl),
+                                           ("mixed_coassoc_2", ("r", "l"), Dl, Dr)):
         # (Delta' (x) id) Delta = (id (x) Delta) Delta' for the two orders
-        rel3 = _triple_relations(H, kinds)
-        rep.search(check_id, (("b", n),), lambda i: not _congruent(
-            H, rel3, tp_slot(H, first[i], 0, second), tp_slot(H, second[i], 1, first)))
+        proj3 = _triple_projector(H, kinds)
+        rep.compare(check_id, (("b", n),),
+                    proj3 * slot_apply(second, first.transpose(), 1, n).transpose(),
+                    proj3 * slot_apply(first, second.transpose(), n, 1).transpose())
 
-    e = H._basis_sparse
-    s, s_inv = H.antipode.col_maps(), H.antipode_inv.col_maps()
-    s_l, t_l, s_r, t_r, eps_l, eps_r = (
-        m.col_maps() for m in (H.s_l, H.t_l, H.s_r, H.t_r, H.eps_l, H.eps_r))
-    rep.search("antipode_twisted_linear", (("r", r), ("h", n), ("rp", r)), lambda a, i, b:
-               sparse_apply(f, s, H.mul(t_l[a], e[i], t_r[b])) != H.mul(s_r[b], s[i], s_l[a]))
+    m, eye = H.mult_matrix, Matrix.identity(f, n)
+    S, S_inv = H.antipode, H.antipode_inv
+    # S((t_l(a) h) t_r(a')) = (s_r(a') S(h)) s_l(a), column (a, h, a')
+    rep.compare("antipode_twisted_linear", (("r", r), ("h", n), ("rp", r)),
+                S * m * (m * H.t_l.kron(eye)).kron(H.t_r),
+                _swap_outer(m * (m * H.s_r.kron(S)).kron(H.s_l), r, n))
 
     for check_id, delta, term, source, counit in (
-            ("antipode_convolution_left", dl, lambda p, q: H.mul(s[p], e[q]), s_r, eps_r),
-            ("antipode_convolution_right", dr, lambda p, q: H.mul(e[p], s[q]), s_l, eps_l),
-            ("derived_sinv_convolution", dl, lambda p, q: H.mul(s_inv[q], e[p]), t_r, eps_r),
-            ("derived_tl_convolution", dr, lambda p, q: H.mul(e[q], s_inv[p]), t_l, eps_l)):
-        rep.search(check_id, (("b", n),), lambda i: tp_contract(H, delta[i], term)
-                   != sparse_apply(f, source, counit[i]))
+            ("antipode_convolution_left", Dl, S.kron(eye), H.s_r, H.eps_r),
+            ("antipode_convolution_right", Dr, eye.kron(S), H.s_l, H.eps_l),
+            ("derived_sinv_convolution", _flip_legs(Dl), S_inv.kron(eye), H.t_r, H.eps_r),
+            ("derived_tl_convolution", _flip_legs(Dr), eye.kron(S_inv), H.t_l, H.eps_l)):
+        # the legs b_1 (x) b_2 (flipped for the derived ones) contracted by term
+        rep.compare(check_id, (("b", n),), m * term * delta, source * counit)
 
     rep.add("kow_identity", H.t_r * H.eps_r * H.t_l == H.antipode_inv * H.t_l
             and H.s_r * H.eps_r * H.s_l == H.antipode * H.s_l)
 
-    rep.search("sinv_twisted_linear", (("r", r), ("h", n), ("rp", r)), lambda a, i, b:
-               H.mul(t_r[b], s_inv[i], t_l[a])
-               != sparse_apply(f, s_inv, H.mul(s_l[a], e[i], s_r[b])))
+    # (t_r(a') S^-1(h)) t_l(a) = S^-1((s_l(a) h) s_r(a')), column (a, h, a')
+    rep.compare("sinv_twisted_linear", (("r", r), ("h", n), ("rp", r)),
+                _swap_outer(m * (m * H.t_r.kron(S_inv)).kron(H.t_l), r, n),
+                S_inv * m * (m * H.s_l.kron(eye)).kron(H.s_r))
     return rep
 
 

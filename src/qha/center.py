@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from .linalg import Matrix, lmul_blocks
 from .reports import CheckReport
-from .coefficients import Contramodule, tau_from_contramodule, hexagon_sides, _compare
+from .coefficients import Contramodule, tau_from_contramodule, hexagon_sides
 from .quasihopf import hom_module_morphisms, zeta_l, zeta_r, eta_r
 from .algebroid import HopfAlgebroid, zeta_l_algebroid, zeta_r_algebroid, eta_r_algebroid
 
@@ -67,7 +67,7 @@ def _adjunctions(H):
 def check_hexagon(E: CenterElement, V, W) -> CheckReport:
     """The hexagon for the cached taus at V, W and V (x) W."""
     lhs, rhs = hexagon_sides(E.coefficient, V, W, E.tau)
-    return _compare("hexagon", (("f_index", lhs.cols),), lhs, rhs)
+    return CheckReport().compare("hexagon", (("f_index", lhs.cols),), lhs, rhs)
 
 
 def check_unitality(E: CenterElement) -> CheckReport:
@@ -82,9 +82,7 @@ def check_unitality(E: CenterElement) -> CheckReport:
     unit = H.unit_object()
     zl, zr, _ = _adjunctions(H)
     lhs = E.tau(unit) * zl(H.right_unitor(M), M, unit, M)
-    rep = CheckReport()
-    rep.add("unitality", lhs == zr(H.left_unitor(M), unit, M, M))
-    return rep
+    return CheckReport().add("unitality", lhs == zr(H.left_unitor(M), unit, M, M))
 
 
 def check_stability_central(E: CenterElement) -> CheckReport:
@@ -96,17 +94,13 @@ def check_stability_central(E: CenterElement) -> CheckReport:
     unit = H.unit_object()
     zl, _, er = _adjunctions(H)
     g = E.tau(M) * zl(H.left_unitor(M), unit, M, M)
-    rep = CheckReport()
-    rep.add("stability_central", er(g, M, unit, M) == H.right_unitor(M))
-    return rep
+    return CheckReport().add("stability_central", er(g, M, unit, M) == H.right_unitor(M))
 
 
 def check_weakstrong(E: CenterElement, V) -> CheckReport:
     """Stability forces invertibility: tau_V must have full rank."""
-    rep = CheckReport()
     tau = E.tau(V)
-    rep.add("tau_invertible", tau.rank() == tau.rows)
-    return rep
+    return CheckReport().add("tau_invertible", tau.rank() == tau.rows)
 
 
 def iota_apply(E: CenterElement, T, V, f_mat: Matrix) -> Matrix:

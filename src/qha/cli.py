@@ -15,11 +15,11 @@ import time
 from .fields import rationals, prime_field, FieldError
 from .reports import CheckReport
 from .quasihopf import (QuasiHopfAlgebra, StructureError, GroupTableError, IntertwinerError,
-                        group_algebra, sweedler_h4, twisted_dual_group_algebra,
+                        _validate_group, group_algebra, sweedler_h4, twisted_dual_group_algebra,
                         cyclic_group_table, symmetric_group_table,
                         z2_nontrivial_cocycle, z3_nontrivial_cocycle, trivial_module,
                         validate_structure, check_quasi_bialgebra, check_quasi_hopf)
-from .algebroid import (HopfAlgebroid, BaseRing, enveloping_algebroid,
+from .algebroid import (HopfAlgebroid, enveloping_algebroid,
                         base_ring_dual_numbers,
                         check_algebroid_structure, check_left_bialgebroid,
                         check_right_bialgebroid, check_hopf_algebroid)
@@ -31,8 +31,8 @@ from .coefficients import (Contramodule, FlavorError, HOPF_MU, QUASI_I, QUASI_II
                            convert_I_to_II, convert_II_to_I)
 from .cyclic import (ModuleAlgebra, build_cocyclic, check_algebra_object,
                      hochschild_cohomology, cyclic_cohomology, CocyclicError)
-from .structures import (parse_structure, serialize, write_structure,
-                         content_hash, StructureFileError, FLAVOR_NAMES)
+from .structures import (parse_structure, serialize, write_structure, content_hash,
+                         StructureFileError, FLAVOR_NAMES, _parse_base, _tensor3)
 
 
 class UsageError(ValueError):
@@ -242,7 +242,10 @@ def cmd_cohomology(args) -> int:
 
 def _load_table(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as e:
+            raise StructureFileError("json", str(e)) from None
 
 
 def cmd_generate(args) -> int:
@@ -277,8 +280,9 @@ def cmd_generate(args) -> int:
         if not (args.table and args.omega):
             raise UsageError("twisted_dual needs --table FILE and --omega FILE")
         table = _load_table(args.table)
-        omega_raw = _load_table(args.omega)
-        omega = [[[f.parse(v) for v in row] for row in slab] for slab in omega_raw]
+        n = len(_validate_group(table)[0])
+        flat = _tensor3(f, _load_table(args.omega), n, "$")
+        omega = [[flat[k:k + n] for k in range(i, i + n * n, n)] for i in range(0, n ** 3, n * n)]
         obj = twisted_dual_group_algebra(f, table, omega)
         name = name or "k^G_w"
     elif what == "enveloping_dual_numbers":
@@ -288,18 +292,16 @@ def cmd_generate(args) -> int:
         if not args.base:
             raise UsageError("enveloping needs --base FILE with dim/mult/unit")
         doc = _load_table(args.base)
-        r = doc["dim"]
-        mult = []
-        for slab in doc["mult"]:
-            for row in slab:
-                mult.extend(f.parse(v) for v in row)
-        unit = [f.parse(v) for v in doc["unit"]]
-        obj = enveloping_algebroid(BaseRing(f, r, mult, unit))
+        if not isinstance(doc, dict):
+            raise UsageError("--base must hold an object with dim/mult/unit")
+        obj = enveloping_algebroid(_parse_base(f, doc, "$"))
         name = name or obj.name
     elif what == "unit_algebra":
         if not args.structure:
             raise UsageError("unit_algebra needs --structure FILE")
         parent = parse_structure(args.structure)
+        if not isinstance(parent, (QuasiHopfAlgebra, HopfAlgebroid)):
+            raise UsageError("unit_algebra needs a quasi_hopf or hopf_algebroid structure")
         from .cyclic import unit_algebra
         obj = unit_algebra(parent)
         name = name or "unitA"

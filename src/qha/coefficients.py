@@ -26,7 +26,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from .linalg import (Matrix, Subspace, block_matrix, intertwiner_space, kron_sum,
-                     quotient_section)
+                     quotient_section, vstack)
 from .reports import CheckReport
 from .quasihopf import (HModule, QuasiHopfAlgebra, IntertwinerError, StructureError,
                         regular_module, is_intertwiner, eps_p_q_beta_s_r, left_hom, right_hom,
@@ -101,35 +101,11 @@ def _require_hopf(C: Contramodule):
 
 # -- every equation as two matrices ----------------------------------------------
 
-def _compare(check_id: str, ranges, lhs: Matrix, rhs: Matrix) -> CheckReport:
-    """check_id, failed at the first instance at which the two sides differ:
-    column c of each side is the instance numbered c in the lexicographic
-    order of ranges (the last index fastest)."""
-    diff = _first_difference(lhs, rhs)
-    wit = None
-    if diff is not None:
-        c, wit = diff[0], []
-        for name, size in reversed(ranges):
-            c, i = divmod(c, size)
-            wit.insert(0, (name, i))
-    rep = CheckReport()
-    rep.add(check_id, diff is None, wit)
-    return rep
-
-
 def _identity_check(check_id: str, lhs: Matrix) -> CheckReport:
     """check_id: the square matrix lhs is the identity, failed at the first
     basis vector m that it moves."""
-    return _compare(check_id, (("m", lhs.rows),), lhs, Matrix.identity(lhs.field, lhs.rows))
-
-
-def _first_difference(lhs: Matrix, rhs: Matrix):
-    """(column, row) of the first column at which lhs and rhs differ and its
-    first differing row, or None."""
-    for j, col in enumerate((lhs - rhs).col_maps()):
-        if col:
-            return j, min(col)
-    return None
+    return CheckReport().compare(check_id, (("m", lhs.rows),), lhs,
+                                 Matrix.identity(lhs.field, lhs.rows))
 
 
 def _beside(f, rows: int, blocks) -> Matrix:
@@ -144,8 +120,7 @@ def _action_map(mats) -> Matrix:
     e_x sits at i*n + x."""
     f, n = mats[0].field, len(mats)
     rows, cols = mats[0].rows, mats[0].cols
-    acts = block_matrix(f, n, rows * cols,
-                        [(x, 0, m.reshaped(1, rows * cols)) for x, m in enumerate(mats)])
+    acts = vstack(f, rows * cols, [m.reshaped(1, rows * cols) for m in mats])
     return acts.reindexed(rows * n, cols, lambda x, k: (k // cols * n + x, k % cols))
 
 
@@ -179,8 +154,9 @@ def check_contramodule_hopf(C: Contramodule) -> CheckReport:
     # the matrix unit at outer source b, row j, column a, in that order
     units = Matrix.identity(C.field, size).reindexed(
         size, size, lambda i, k: (i % (d * n) * n + i // (d * n), k))
-    rep = _compare("contra_coassoc", (("f_outer", n), ("f_row", d), ("f_col", n)),
-                   *_contra_assoc_sides(C, Matrix.from_rows(C.field, H.comult), units))
+    rep = CheckReport().compare(
+        "contra_coassoc", (("f_outer", n), ("f_row", d), ("f_col", n)),
+        *_contra_assoc_sides(C, Matrix.from_rows(C.field, H.comult), units))
     rep.extend(_contra_counit(C, "contra_counit", C.field.one))
     return rep
 
@@ -201,13 +177,8 @@ def check_ayd_hopf(C: Contramodule) -> CheckReport:
     """
     _require_hopf(C)
     rep = _ayd_report("ayd_eq_one", C, _ayd_sides_one(C.carrier))
-    rep.extend(_ayd_report("ayd_eq_two", C, _ayd_sides_two(C.carrier, _delta_legs(C.parent))))
+    rep.extend(_ayd_report("ayd_eq_two", C, _ayd_sides_two(C.carrier, C.parent.delta_legs)))
     return rep
-
-
-def _delta_legs(H: QuasiHopfAlgebra):
-    """The Sweedler legs (coef, h1, h2) of Delta(h) for every basis element h."""
-    return [H.delta_terms(h) for h in range(H.dim)]
 
 
 # An aYD equation is given per basis element h of H by its two sides, each
@@ -224,11 +195,11 @@ def _ayd_sides_one(M: HModule):
     f = H.field
     n, d = H.dim, M.dim
     eye, eye_dn = Matrix.identity(f, d), Matrix.identity(f, d * n)
+    l_s = H.antipode_mults[0]
     # f |-> (y |-> h^2 f(S(h^3) y h^1)), as a map on the carrier of Hom(H, M)
     return [([(f.one, M.mats[h], eye_dn)],
              [(f.one, eye, kron_sum(f, d * n, d * n, [
-                 (f.mul(c1, c2), [M.mats[h2], (H.left_mult_matrix(H.apply_s(H.basis(h3)))
-                                               * H.right_mult_matrix(H.basis(h1))).transpose()])
+                 (f.mul(c1, c2), [M.mats[h2], (l_s[h3] * H.right_mults[h1]).transpose()])
                  for c1, h1, q in H.delta_terms(h) for c2, h2, h3 in H.delta_terms(q)]))])
             for h in range(n)]
 
@@ -240,13 +211,11 @@ def _ayd_sides_two(M: HModule, legs):
     f = H.field
     n, d = H.dim, M.dim
     eye = Matrix.identity(f, d)
+    l_s, r_s_inv = H.antipode_mults
     # f |-> f(- S^-1(h^1)), and f |-> h^1 f(S(h^2) -), on the carrier of Hom(H, M)
-    return [([(coef, M.mats[h2],
-               eye.kron(H.right_mult_matrix(H.apply_s_inv(H.basis(h1))).transpose()))
-              for coef, h1, h2 in t],
+    return [([(coef, M.mats[h2], eye.kron(r_s_inv[h1].transpose())) for coef, h1, h2 in t],
              [(f.one, eye, kron_sum(f, d * n, d * n, [
-                 (coef, [M.mats[h1], H.left_mult_matrix(H.apply_s(H.basis(h2))).transpose()])
-                 for coef, h1, h2 in t]))])
+                 (coef, [M.mats[h1], l_s[h2].transpose()]) for coef, h1, h2 in t]))])
             for t in legs]
 
 
@@ -264,8 +233,8 @@ def _ayd_report(check_id: str, C: Contramodule, sides) -> CheckReport:
     """One aYD check at the matrix units: the first instance (h, f_row, f_col)
     whose two sides differ."""
     n, d = C.parent.dim, C.carrier.dim
-    return _compare(check_id, (("h", n), ("f_row", d), ("f_col", n)),
-                    *_ayd_at(sides, C.mu, Matrix.identity(C.field, d * n)))
+    return CheckReport().compare(check_id, (("h", n), ("f_row", d), ("f_col", n)),
+                                 *_ayd_at(sides, C.mu, Matrix.identity(C.field, d * n)))
 
 
 def ayd_compatibility_system(carrier: HModule, flavor: str) -> Matrix:
@@ -283,7 +252,7 @@ def ayd_compatibility_system(carrier: HModule, flavor: str) -> Matrix:
     f = H.field
     d, n = carrier.dim, H.dim
     if flavor in (HOPF_MU, QUASI_I):
-        sides = _ayd_sides_two(carrier, _delta_legs(H))
+        sides = _ayd_sides_two(carrier, H.delta_legs)
     elif flavor == QUASI_II:
         sides = _ayd_sides_one(carrier)
     else:
@@ -329,8 +298,7 @@ def _mu_contraction(mu: Matrix, mats, dv: int) -> Matrix:
     """f |-> (v |-> mu(x |-> f(mats[x] v))) on the carrier of Hom(V, M), for
     a d x (d*n) contraaction mu and n matrices acting on V (dv x dv)."""
     d, n = mu.rows, len(mats)
-    acts = block_matrix(mu.field, n, dv * dv,
-                        [(x, 0, m.reshaped(1, dv * dv)) for x, m in enumerate(mats)])
+    acts = vstack(mu.field, dv * dv, [m.reshaped(1, dv * dv) for m in mats])
     # (mu read as (d*d) x n) * acts holds sum_x mu[i, a*n + x] mats[x][b, c] at
     # (i*d + a, b*dv + c); the map has it at (i*dv + c, a*dv + b)
     return (mu.reshaped(d * d, n) * acts).reindexed(
@@ -456,22 +424,20 @@ def _quasi_contra_check(C: Contramodule, check_id: str) -> CheckReport:
     lhs, rhs = hexagon_sides(C, reg, reg, lambda X: tau_raw(C, X))
     # Hom(H, Hom(H, M)) -> M, g |-> g(1)(1)
     ev = evaluation_at_unit(C.carrier).kron(Matrix(H.field, 1, H.dim, H.unit))
-    # column j = (f_row * n + f_col) * n + f_outer of the evaluated sides
-    diff = _first_difference(ev * lhs, ev * rhs)
-    wit = None
-    if diff is not None:
-        j, n = diff[0], H.dim
-        wit = (("f_outer", j % n), ("f_row", j // n // n), ("f_col", j // n % n),
-               ("coord", diff[1]))
-    rep = CheckReport()
-    rep.add(check_id, wit is None, wit)
-    return rep
+    # instance ((f_row * n + f_col) * n + f_outer) * d + coord: the evaluated
+    # sides read column after column, reported with f_outer first
+    d, n = C.carrier.dim, H.dim
+    wit = CheckReport().compare(
+        check_id, (("f_row", d), ("f_col", n), ("f_outer", n), ("coord", d)),
+        *((ev * side).transpose().reshaped(1, n * n * d * d) for side in (lhs, rhs))
+    ).results[0].counterexample
+    return CheckReport().add(check_id, wit is None, wit and (wit[2],) + wit[:2] + wit[3:])
 
 
 def check_ayd_quasi_I(C: Contramodule) -> CheckReport:
     """Type I anti-Yetter-Drinfeld contramodule equations."""
     _require(C, QUASI_I)
-    rep = _ayd_report("ayd_type_I", C, _ayd_sides_two(C.carrier, _delta_legs(C.parent)))
+    rep = _ayd_report("ayd_type_I", C, _ayd_sides_two(C.carrier, C.parent.delta_legs))
     rep.extend(_quasi_contra_check(C, "quasi_contra_I"))
     rep.extend(_contra_counit(C, "contra_unit_I", C.field.one))
     return rep
@@ -516,9 +482,8 @@ def convert_II_to_I(C: Contramodule) -> Contramodule:
     for (x, y, z), coef in H.phi_terms().items():
         rw = H.right_mult_matrix(H.prod(H.basis(y), H.apply_s_inv(H.beta),
                                         H.apply_s_inv(H.basis(x))))
-        terms += [(f.mul(coef, cz), [C.carrier.mats[z1], (
-            H.left_mult_matrix(H.apply_s(H.basis(z2))) * rw).transpose()])
-            for cz, z1, z2 in H.delta_terms(z)]
+        terms += [(f.mul(coef, cz), [C.carrier.mats[z1], (H.antipode_mults[0][z2] * rw)
+                                     .transpose()]) for cz, z1, z2 in H.delta_terms(z)]
     return Contramodule(C.carrier, C.mu * kron_sum(f, d * n, d * n, terms), QUASI_I)
 
 
@@ -548,13 +513,13 @@ def check_contramodule_algebroid(C: Contramodule) -> CheckReport:
     # right R-action on the quotient: (x (x) y) . r = x (x) t_l(r) y
     eye = Matrix.identity(f, n)
     phi_basis = intertwiner_space(
-        f, [(proj * eye.kron(H.left_mult_matrix(H.t_l.col(b))) * lift, M.act(H.t_l.col(b)))
-            for b in range(H.base.dim)], d, proj.rows)
+        f, [(proj * eye.kron(L) * lift, M.act(H.t_l.col(b)))
+            for b, L in enumerate(H.mults_of(H.t_l))], d, proj.rows)
     # phi |-> F with F(e_x)(e_y) = phi(e_x (x) e_y), on the carrier of Hom(H, Hom(H, M))
     swapped = proj.reindexed(proj.rows, n * n, lambda r, k: (r, k % n * n + k // n))
     inst = Matrix.identity(f, d).kron(swapped.transpose()) * phi_basis.basis_matrix()
-    rep = _compare("contra_assoc_algebroid", (("phi_index", phi_basis.dim),),
-                   *_contra_assoc_sides(C, H.delta_l_lift.transpose(), inst))
+    rep = CheckReport().compare("contra_assoc_algebroid", (("phi_index", phi_basis.dim),),
+                                *_contra_assoc_sides(C, H.delta_l_lift.transpose(), inst))
     rep.extend(_identity_check("contra_unit_algebroid", C.mu * _action_map(
         [M.act(H.t_l.apply(H.eps_l.apply(H.basis(x)))) for x in range(n)])))
     return rep
@@ -578,7 +543,7 @@ def check_ayd_algebroid(C: Contramodule) -> CheckReport:
     ranges = (("h", n), ("f_index", maps.cols))
 
     sides = _ayd_at(_ayd_sides_two(M, lift_legs(H.delta_r_lift)), C.mu, maps)
-    rep = _compare("ayd_algebroid", ranges, *sides)
+    rep = CheckReport().compare("ayd_algebroid", ranges, *sides)
     # the sides must not move when the Delta_r lift moves by a relation element
     same = True
     if H.rel_r.dim > 0:
@@ -588,18 +553,18 @@ def check_ayd_algebroid(C: Contramodule) -> CheckReport:
     rep.add("ayd_lift_independent", same)
 
     s_l = [H.s_l.col(b) for b in range(r)]
-    rep.extend(_compare("bimodule_compatible", (("r", r), ("m", d)), C.mu * _beside(f, d * n, [
+    rep.compare("bimodule_compatible", (("r", r), ("m", d)), C.mu * _beside(f, d * n, [
         _action_map([M.act(H.t_l.apply(H.eps_l.apply(H.prod(H.basis(x), s_l[b]))))
                      for x in range(n)]) for b in range(r)]),
-        _beside(f, d, [M.act(s_l[b]) for b in range(r)])))
+        _beside(f, d, [M.act(s_l[b]) for b in range(r)]))
 
     # mu(f(s_l(r) -)) = t_l(r) mu(f) and mu(f(- s_l(r))) = s_l(r) mu(f)
     eye, mu_maps = Matrix.identity(f, d), C.mu * maps
-    for check_id, mult, post in (("mu_right_linear", H.left_mult_matrix, H.t_l),
-                                 ("mu_left_linear", H.right_mult_matrix, H.s_l)):
-        rep.extend(_compare(check_id, (("r", r), ("f_index", maps.cols)), C.mu * _beside(
-            f, d * n, [eye.kron(mult(s_l[b]).transpose()) * maps for b in range(r)]),
-            _beside(f, d, [M.act(post.col(b)) * mu_maps for b in range(r)])))
+    for check_id, right, post in (("mu_right_linear", False, H.t_l),
+                                  ("mu_left_linear", True, H.s_l)):
+        rep.compare(check_id, (("r", r), ("f_index", maps.cols)), C.mu * _beside(
+            f, d * n, [eye.kron(x.transpose()) * maps for x in H.mults_of(H.s_l, right)]),
+            _beside(f, d, [M.act(post.col(b)) * mu_maps for b in range(r)]))
     return rep
 
 
@@ -617,8 +582,7 @@ def check_stability_quasi(C: Contramodule) -> CheckReport:
     f = C.field
     d, n = C.carrier.dim, H.dim
     M = C.carrier
-    rep = CheckReport()
-    rep.add("helper_eps_p_q_beta_s_r", eps_p_q_beta_s_r(H))
+    rep = CheckReport().add("helper_eps_p_q_beta_s_r", eps_p_q_beta_s_r(H))
     tails = [(coef, r, H.prod(H.apply_s_inv(H.basis(q)), H.apply_s_inv(H.alpha), H.basis(p)))
              for (p, q, r), coef in H.phi_inv_terms().items()]
     # sum c M(R) mu B over Phi^-1, with B the map m |-> r'_m

@@ -139,6 +139,10 @@ class Matrix:
         """Every column as a {row: nonzero value} dict."""
         return self.transpose()._rows
 
+    def row_map(self, i: int) -> dict:
+        """Row i as its {column: nonzero value} dict, which is shared."""
+        return self._rows[i]
+
     def row_list(self):
         return [list(self.row(i)) for i in range(self.rows)]
 
@@ -267,6 +271,15 @@ class Matrix:
         return kron_sum(self.field, self.rows * other.rows, self.cols * other.cols,
                         [(self.field.one, [self, other])])
 
+    def first_difference(self, other: "Matrix"):
+        """The first column at which self and other differ, or None; no
+        difference matrix is formed."""
+        self._same_shape(other)
+        if self._rows == other._rows:
+            return None
+        return min(j for a, b in zip(self._rows, other._rows) if a != b
+                   for j in a.keys() | b.keys() if a.get(j) != b.get(j))
+
     def is_zero(self) -> bool:
         return not any(self._rows)
 
@@ -393,6 +406,13 @@ class Matrix:
         c = self.cols
         return self.reindexed(h, self.rows // h * c, lambda i, j: (i % h, i // h * c + j))
 
+    def row_blocks(self, h: int):
+        """The row blocks of h rows, as a list of matrices."""
+        if h <= 0 or self.rows % h:
+            raise ShapeError("%d rows do not split into blocks of %d" % (self.rows, h))
+        return [Matrix._sparse(self.field, h, self.cols, self._rows[k:k + h])
+                for k in range(0, self.rows, h)]
+
     def stacked(self, c: int) -> "Matrix":
         """The column blocks of c columns stacked vertically: h x (k*c) -> (k*h) x c."""
         if c <= 0 or self.cols % c:
@@ -449,7 +469,7 @@ def kron_sum(field: Field, rows: int, cols: int, terms) -> Matrix:
     Only the nonzero entries of each factor are visited, and every product
     goes straight into the output rows: no Kronecker product, scaled copy
     or partial sum is built as a matrix."""
-    add, mul = field.add, field.mul
+    add, mul, one = field.add, field.mul, field.one
     out = {}
     # id -> (factor, its nonzero entries (i, j, a)); holding the factor
     # keeps its id from being reused by another matrix during the call
@@ -465,7 +485,8 @@ def kron_sum(field: Field, rows: int, cols: int, terms) -> Matrix:
             fr, fc = F.rows, F.cols
             if id(F) not in nonzeros:
                 nonzeros[id(F)] = (F, F._nonzeros())
-            part = [(i * fr + p, j * fc + q, mul(v, a))
+            # a product with the shared one is its other factor
+            part = [(i * fr + p, j * fc + q, a if v is one else (v if a is one else mul(v, a)))
                     for i, j, v in part for p, q, a in nonzeros[id(F)][1]]
         for i, j, v in part:
             r = out.get(i)
@@ -476,6 +497,44 @@ def kron_sum(field: Field, rows: int, cols: int, terms) -> Matrix:
     return Matrix._sparse(field, rows, cols, _row_list(rows, {
         i: r if all(r.values()) else {j: v for j, v in r.items() if v}
         for i, r in out.items()}))
+
+
+def vstack(field: Field, cols: int, mats) -> Matrix:
+    """The matrices of mats, each cols wide, one below the other."""
+    rows = []
+    for m in mats:
+        if m.cols != cols:
+            raise ShapeError("a block of %d columns in a stack of %d" % (m.cols, cols))
+        rows.extend(m._rows)
+    return Matrix._sparse(field, len(rows), cols, rows)
+
+
+def slot_apply(F: Matrix, X: Matrix, before: int, after: int) -> Matrix:
+    """X (I_before (x) F (x) I_after)^T: F applied to one tensor slot of
+    every row of X, columns (b, i, a) in range(before) x range(F.cols) x
+    range(after), without forming the Kronecker product.  F may change the
+    width of the slot: raise or lower the tensor degree, or merge slots."""
+    d, e = F.cols, F.rows
+    if X.cols != before * d * after:
+        raise ShapeError("rows of length %d do not split as %d x %d x %d"
+                         % (X.cols, before, d, after))
+    f = X.field
+    add, mul, one = f.add, f.mul, f.one
+    images = F.col_maps()
+    out = []
+    for r in X._rows:
+        acc = {}
+        for j, c in r.items():
+            b, i = divmod(j, d * after)
+            i, t = divmod(i, after)
+            base = b * e * after + t
+            for p, v in images[i].items():
+                k = base + p * after
+                w = c if v is one else mul(c, v)
+                acc[k] = add(acc[k], w) if k in acc else w
+        out.append((acc if all(acc.values()) else {k: v for k, v in acc.items() if v})
+                   or _EMPTY)
+    return Matrix._sparse(f, X.rows, before * e * after, out)
 
 
 def lmul_blocks(a: Matrix, stack: Matrix) -> Matrix:
@@ -648,12 +707,11 @@ def intertwiner_space(field: Field, constraints, rows: int, cols: int) -> Subspa
         if b.rows != rows or b.cols != rows:
             raise ShapeError("B constraint must be %dx%d" % (rows, rows))
         # vec(XA - BX) = (I (x) A^T - B (x) I) vec(X), row-major vec.
-        blocks.append((len(blocks) * n, 0,
-                       kron_sum(field, n, n, [(field.one, [eye_r, a.transpose()]),
-                                              (field.neg(field.one), [b, eye_c])])))
+        blocks.append(kron_sum(field, n, n, [(field.one, [eye_r, a.transpose()]),
+                                             (field.neg(field.one), [b, eye_c])]))
     if not blocks:
         return Subspace.full(field, rows * cols)
-    return block_matrix(field, len(blocks) * n, n, blocks).kernel()
+    return vstack(field, n, blocks).kernel()
 
 
 # -- small vector helpers used across the package -------------------------

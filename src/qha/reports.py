@@ -1,25 +1,31 @@
 """Check reports: named pass/fail results with first-counterexample data.
 
-Every check quantified over basis indices reports the same witness: the
-lexicographically first failing index tuple, in the order the check names
-its indices (``first_failure``).
+Every check is two matrices, one per side of its identity, whose columns
+are its instances in the lexicographic order of the indices the check
+names (``CheckReport.compare``), so every check reports the same witness:
+the lexicographically first failing index tuple, in that order.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
+from math import prod
+
+from .linalg import ShapeError
 
 
-def first_failure(ranges, bad):
-    """The witness ((name, index), ...) of the lexicographically first tuple
-    of range(size_1) x range(size_2) x ... at which bad(*indices) holds, for
-    ranges ((name_1, size_1), (name_2, size_2), ...), or None."""
-    names = [name for name, _ in ranges]
-    for idx in itertools.product(*(range(size) for _, size in ranges)):
-        if bad(*idx):
-            return tuple(zip(names, idx))
-    return None
+def _decode(ranges, column: int):
+    """The index tuple ((name, index), ...) of instance number column, the
+    last index fastest; a range whose size is a tuple of sizes reads its
+    index as a tuple too."""
+    out = []
+    for name, size in reversed(ranges):
+        idx = []
+        for s in reversed(size if isinstance(size, tuple) else (size,)):
+            column, i = divmod(column, s)
+            idx.insert(0, i)
+        out.insert(0, (name, tuple(idx) if isinstance(size, tuple) else idx[0]))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -42,18 +48,27 @@ class CheckReport:
 
     results: list = field(default_factory=list)
 
-    def add(self, check_id: str, passed: bool, counterexample=None):
+    def add(self, check_id: str, passed: bool, counterexample=None) -> "CheckReport":
+        """Append one result and return the report."""
         if passed:
             counterexample = None
         elif counterexample is not None:
             counterexample = tuple(counterexample)
         self.results.append(CheckResult(check_id, bool(passed), counterexample))
+        return self
 
-    def search(self, check_id: str, ranges, bad, holds: bool = True):
-        """Add check_id, failed at the first_failure of bad over ranges, or
-        failed without a witness when the extra condition holds is false."""
-        witness = first_failure(ranges, bad)
-        self.add(check_id, witness is None and holds, witness)
+    def compare(self, check_id: str, ranges, lhs, rhs, holds: bool = True) -> "CheckReport":
+        """Add check_id: lhs and rhs agree, where column c of each side is
+        instance number c in the lexicographic order of ranges ((name,
+        size), ...).  A failure names the first differing column (nothing
+        when ranges is None); equal sides fail, unnamed, unless holds."""
+        if ranges is not None:
+            count = prod(prod(s) if isinstance(s, tuple) else s for _, s in ranges)
+            if count != lhs.cols:
+                raise ShapeError("%d instances in %d columns" % (count, lhs.cols))
+        column = lhs.first_difference(rhs)
+        witness = None if column is None or ranges is None else _decode(ranges, column)
+        return self.add(check_id, column is None and holds, witness)
 
     def extend(self, other: "CheckReport"):
         self.results.extend(other.results)

@@ -13,7 +13,7 @@ import hashlib
 import json
 
 from .fields import Field, FieldError, ScalarParseError, rationals, prime_field
-from .linalg import Matrix, block_matrix
+from .linalg import Matrix, vstack
 from .quasihopf import QuasiHopfAlgebra, HModule
 from .algebroid import BaseRing, HopfAlgebroid, AlgebroidModule
 from .coefficients import Contramodule, HOPF_MU, QUASI_I, QUASI_II, ALGEBROID_MU
@@ -171,13 +171,16 @@ def _serialize_quasi_hopf(H: QuasiHopfAlgebra):
 
 # -- Hopf algebroids ----------------------------------------------------------------
 
+def _parse_base(f: Field, doc, where) -> BaseRing:
+    """A base ring {"dim", "mult", "unit"} at the location where."""
+    r = _dim(doc, where)
+    return BaseRing(f, r, _tensor3(f, _want(doc, "mult", list, where), r, where + ".mult"),
+                    _vector(f, _want(doc, "unit", list, where), r, where + ".unit"))
+
+
 def _parse_hopf_algebroid(f: Field, doc, name) -> HopfAlgebroid:
-    base_doc = _want(doc, "base", dict, "$")
-    r = _dim(base_doc, "$.base")
-    base = BaseRing(f, r, _tensor3(f, _want(base_doc, "mult", list, "$.base"),
-                                   r, "$.base.mult"),
-                    _vector(f, _want(base_doc, "unit", list, "$.base"), r,
-                            "$.base.unit"))
+    base = _parse_base(f, _want(doc, "base", dict, "$"), "$.base")
+    r = base.dim
     n = _dim(doc, "$")
     mult = _tensor3(f, _want(doc, "mult", list, "$"), n, "$.mult")
     unit = _vector(f, _want(doc, "unit", list, "$"), n, "$.unit")
@@ -239,7 +242,7 @@ def _module_cls(parent):
 
 
 def _parse_module_payload(f, doc, parent, where):
-    d = _want(doc, "dim", int, where)
+    d = _dim(doc, where)
     mats = _parse_action(f, _want(doc, "action", list, where), parent.dim, d,
                          where + ".action")
     return _module_cls(parent)(parent, mats, name=doc.get("name", ""))
@@ -364,8 +367,8 @@ def parse_document(doc, parent=None):
                                      "contraaction needs %d slices" % d,
                                      "$.contraaction")
         # row i of the contraaction is slice i read row-major
-        mu = block_matrix(f, d, d * n, [(i, 0, _matrix(f, slab, d, n, "$.contraaction", i)
-                                           .reshaped(1, d * n)) for i, slab in enumerate(raw)])
+        mu = vstack(f, d * n, [_matrix(f, slab, d, n, "$.contraaction", i).reshaped(1, d * n)
+                               for i, slab in enumerate(raw)])
         flavor = FLAVOR_TAGS[flavor_tag]
         want_algebroid = isinstance(use_parent, HopfAlgebroid)
         if want_algebroid != (flavor == ALGEBROID_MU):

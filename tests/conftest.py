@@ -3,12 +3,12 @@ import random
 import pytest
 
 from qha.fields import rationals, prime_field
-from qha.linalg import Matrix
+from qha.linalg import Matrix, slot_apply
 from qha.quasihopf import (group_algebra, sweedler_h4, twisted_dual_group_algebra,
                            cyclic_group_table, symmetric_group_table,
                            z2_nontrivial_cocycle, z3_nontrivial_cocycle,
                            regular_module, trivial_module, hom_module_morphisms, HModule,
-                           QuasiHopfAlgebra, tp_delta_slot, tp_mul, tp_tensor, tp_unit)
+                           QuasiHopfAlgebra, tensor_times)
 from qha.algebroid import BaseRing, base_ring_dual_numbers, enveloping_algebroid
 from qha.coefficients import Contramodule, evaluation_at_unit, QUASI_I
 from qha.cyclic import ModuleAlgebra
@@ -83,21 +83,20 @@ def drinfeld_twist(H, F, F_inv, name):
     (Delta (x) id)(F^-1) F_12^-1, alpha_F = S(F^-1,1) alpha F^-1,2 and
     beta_F = F^1 beta S(F^2); the algebra and S are those of H."""
     f, n = H.field, H.dim
+    D = H.comult_matrix
 
-    def flat(t, k):
+    def row(t, k):
+        """A sparse tensor of H^(x)k as one row."""
         out = [f.zero] * n ** k
         for key, c in t.items():
             out[sum(i * n ** (k - 1 - s) for s, i in enumerate(key))] = c
-        return out
+        return Matrix(f, 1, n ** k, out)
 
-    def product(*ts):
-        out = ts[0]
-        for t in ts[1:]:
-            out = tp_mul(H, out, t)
+    def product(k, *rows):
+        out = rows[0]
+        for r in rows[1:]:
+            out = tensor_times(H, k, out, r)
         return out
-
-    def legs(flat3):
-        return {(k // n // n, k // n % n, k % n): c for k, c in enumerate(flat3) if c}
 
     def contract(t, left, right):
         out = [f.zero] * n
@@ -105,19 +104,18 @@ def drinfeld_twist(H, F, F_inv, name):
             out = [f.add(x, f.mul(c, y)) for x, y in zip(out, H.prod(left(a), right(b)))]
         return out
 
-    one = tp_unit(H, 1)
-    comult = [flat(product(F, {(p, q): c for c, p, q in H.delta_terms(i)}, F_inv), 2)
-              for i in range(n)]
-    phi = product(tp_tensor(H, one, F), tp_delta_slot(H, F, 1), legs(H.phi),
-                  tp_delta_slot(H, F_inv, 0), tp_tensor(H, F_inv, one))
-    phi_inv = product(tp_tensor(H, F, one), tp_delta_slot(H, F, 0), legs(H.phi_inv),
-                      tp_delta_slot(H, F_inv, 1), tp_tensor(H, one, F_inv))
+    one, Fr, Fi = Matrix(f, 1, n, H.unit), row(F, 2), row(F_inv, 2)
+    comult = [product(2, Fr, d, Fi).row(0) for d in D.transpose().row_blocks(1)]
+    phi = product(3, one.kron(Fr), slot_apply(D, Fr, n, 1), H.phi_row,
+                  slot_apply(D, Fi, 1, n), Fi.kron(one))
+    phi_inv = product(3, Fr.kron(one), slot_apply(D, Fr, 1, n), H.phi_inv_row,
+                      slot_apply(D, Fi, n, 1), one.kron(Fi))
     alpha = contract(F_inv, lambda a: H.apply_s(H.basis(a)),
                      lambda b: H.prod(H.alpha, H.basis(b)))
     beta = contract(F, lambda a: H.prod(H.basis(a), H.beta),
                     lambda b: H.apply_s(H.basis(b)))
     return QuasiHopfAlgebra(f, n, H.mult, H.unit, comult, H.counit, H.antipode,
-                            H.antipode_inv, flat(phi, 3), flat(phi_inv, 3), alpha, beta, name)
+                            H.antipode_inv, phi.row(0), phi_inv.row(0), alpha, beta, name)
 
 
 @pytest.fixture(scope="session")

@@ -1,0 +1,115 @@
+"""Malformed inputs end in a usage or parse error (exit 2), never a traceback.
+
+Module dimensions are read like every other dimension: zero and negative
+ones are a dimension_mismatch at the dim key.  The side files of
+``qha generate`` (--base, --omega, --table, --structure) are read with the
+validated readers of the structure files.
+"""
+
+import json
+
+import pytest
+
+from qha.cli import main
+from qha.structures import StructureFileError, parse_structure, serialize
+from qha.quasihopf import group_algebra, cyclic_group_table, trivial_module
+from qha.coefficients import Contramodule, evaluation_at_unit, HOPF_MU
+from qha.cyclic import unit_algebra
+
+from conftest import QQ
+
+
+KC2 = group_algebra(QQ, cyclic_group_table(2), "kC2")
+
+
+def _structure(tmp_path):
+    struct = tmp_path / "kC2.json"
+    struct.write_text(json.dumps(serialize(KC2, "kC2")))
+    return str(struct)
+
+
+def _files(tmp_path, kind, dim):
+    """The kC2 structure and a file of the given kind whose module has the
+    given dimension (its action, contraaction and multiplication emptied)."""
+    H = KC2
+    k = trivial_module(H)
+    obj = {"module": k, "contramodule": Contramodule(k, evaluation_at_unit(k), HOPF_MU),
+           "module_algebra": unit_algebra(H)}[kind]
+    doc = serialize(obj, "x")
+    module = doc if kind == "module" else doc["module"]
+    module.update(dim=dim, action=[[], []])
+    for key in ("contraaction", "mult", "unit"):
+        if key in doc:
+            doc[key] = []
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    return _structure(tmp_path), str(bad)
+
+
+@pytest.mark.parametrize("dim", [0, -1])
+@pytest.mark.parametrize("kind, where", [("module", "$.dim"),
+                                         ("contramodule", "$.module.dim"),
+                                         ("module_algebra", "$.module.dim")])
+def test_nonpositive_module_dim_is_dimension_mismatch(tmp_path, kind, where, dim):
+    _, bad = _files(tmp_path, kind, dim)
+    with pytest.raises(StructureFileError) as err:
+        parse_structure(bad)
+    assert (err.value.code, err.value.where) == ("dimension_mismatch", where)
+
+
+@pytest.mark.parametrize("dim", [0, -1])
+def test_zero_dim_coefficient_refused_by_every_command(tmp_path, capsys, dim):
+    struct, bad = _files(tmp_path, "contramodule", dim)
+    unit_a = tmp_path / "unitA.json"
+    assert main(["generate", "unit_algebra", "--structure", struct, "--out", str(unit_a)]) == 0
+    for argv in (["ayd", struct, bad], ["stability", struct, bad],
+                 ["cohomology", struct, str(unit_a), bad, "--degree", "1"]):
+        capsys.readouterr()
+        assert main(argv) == 2, argv
+        assert "dimension_mismatch at $.module.dim" in capsys.readouterr().err
+
+
+def _generate(tmp_path, capsys, argv, files):
+    for name, doc in files.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    capsys.readouterr()
+    code = main(["generate"] + argv + ["--out", str(tmp_path / "out.json")])
+    return code, capsys.readouterr().err
+
+
+Z2 = [[0, 1], [1, 0]]
+
+
+@pytest.mark.parametrize("argv, files, message", [
+    (["enveloping", "--base", "base.json"],
+     {"base.json": {"dim": 1, "unit": ["1"]}}, "missing key 'mult'"),
+    (["twisted_dual", "--table", "z2.json", "--omega", "omega.json"],
+     {"z2.json": Z2, "omega.json": [[["1", "1"], ["1", "1"]], [["1", "1"]]]},
+     "dimension_mismatch at $[1]: expected 2 rows"),
+    (["twisted_dual", "--table", "z2.json", "--omega", "omega.json"],
+     {"z2.json": Z2, "omega.json": [[["1", "1"], ["1", "1"]], [["1", "1"], ["1", "x"]]]},
+     "scalar_parse at $[1][1][1]"),
+    (["group_algebra", "--table", "table.json"], {"table.json": [[0, 1], [1, None]]},
+     "table must be a list of rows of integers"),
+], ids=["base-without-mult", "omega-shape", "omega-scalar", "table-entry"])
+def test_generate_side_file_errors_are_usage_errors(tmp_path, capsys, argv, files, message):
+    code, err = _generate(tmp_path, capsys, [a if a.startswith("-") or "." not in a
+                                             else str(tmp_path / a) for a in argv], files)
+    assert code == 2 and message in err
+
+
+def test_unit_algebra_of_a_contramodule_file_is_usage_error(tmp_path, capsys):
+    struct = _structure(tmp_path)
+    coeff = tmp_path / "m.json"
+    assert main(["generate", "trivial_contramodule", "--structure", struct,
+                 "--out", str(coeff)]) == 0
+    code, err = _generate(tmp_path, capsys, ["unit_algebra", "--structure", str(coeff)], {})
+    assert code == 2 and "error [usage]: unit_algebra needs" in err
+
+
+def test_side_file_that_is_not_json_is_parse_error(tmp_path, capsys):
+    table = tmp_path / "table.json"
+    table.write_text("[[0, 1], [1, 0]")
+    capsys.readouterr()
+    assert main(["generate", "group_algebra", "--table", str(table)]) == 2
+    assert "error [json]" in capsys.readouterr().err
