@@ -31,7 +31,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from .fields import Field
-from .linalg import (Matrix, Subspace, block_matrix, quotient_section,
+from .linalg import (Matrix, Subspace, quotient_section,
                      intertwiner_space, kron_sum, slot_apply, vstack)
 from .reports import CheckReport
 from .quasihopf import (Algebra, HModule, QuasiHopfAlgebra, StructureError, max_tensor_dim,
@@ -204,9 +204,7 @@ class HopfAlgebroid(Algebra):
     def _base_actions(self, V, images: Matrix) -> Matrix:
         """R (x) V -> V, r (x) v |-> images(r) v: the actions of the images
         of the base basis side by side."""
-        d = V.dim
-        return block_matrix(self.field, d, self.base.dim * d,
-                            [(0, j * d, V.act(images.col(j))) for j in range(self.base.dim)])
+        return vstack(self.field, V.dim, V.acts(images)).side_by_side(V.dim)
 
     def left_unitor(self, V) -> Matrix:
         """R (x)_R V -> V, r (x) v |-> s_l(r) v, on the quotient carrier."""
@@ -302,7 +300,7 @@ def _relation_space(f: Field, pairs, d1: int, d2: int) -> Subspace:
 
 def module_tensor_relations(M: AlgebroidModule, N: AlgebroidModule) -> RelationSpace:
     H = M.parent
-    pairs = [(M.act(H.t_l.col(b)), N.act(H.s_l.col(b))) for b in range(H.base.dim)]
+    pairs = list(zip(M.acts(H.t_l), N.acts(H.s_l)))
     return RelationSpace(H.field, M.dim * N.dim, _relation_space(H.field, pairs, M.dim, N.dim))
 
 
@@ -339,7 +337,7 @@ def tensor_over_base(M: AlgebroidModule, N: AlgebroidModule):
 def right_linear_hom_basis(M: AlgebroidModule, N: AlgebroidModule) -> Subspace:
     """Hom(M, N)_{R_l}: maps commuting with every t_l(r)-action."""
     H = M.parent
-    pairs = [(M.act(H.t_l.col(b)), N.act(H.t_l.col(b))) for b in range(H.base.dim)]
+    pairs = list(zip(M.acts(H.t_l), N.acts(H.t_l)))
     return intertwiner_space(H.field, pairs, N.dim, M.dim)
 
 

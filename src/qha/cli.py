@@ -253,10 +253,13 @@ def cmd_generate(args) -> int:
     what = args.what
     name = args.name
     if what == "group_algebra":
-        if args.cyclic:
+        for flag, size in (("cyclic", args.cyclic), ("symmetric", args.symmetric)):
+            if size is not None and size < 1:
+                raise UsageError("--%s must be at least 1, got %d" % (flag, size))
+        if args.cyclic is not None:
             table = cyclic_group_table(args.cyclic)
             name = name or "kC%d" % args.cyclic
-        elif args.symmetric:
+        elif args.symmetric is not None:
             table = symmetric_group_table(args.symmetric)
             name = name or "kS%d" % args.symmetric
         elif args.table:

@@ -18,7 +18,9 @@ which the sides differ, read as the lexicographically first failing index
 tuple in the order the check names its indices: basis elements h of H,
 vectors m of M, base indices r, matrix units E_ja of Hom(H, M) as
 (f_row, f_col) = (j, a), and f_index for the canonical basis of the
-base-linear maps.
+base-linear maps.  The one exception is the quasi-Hopf contraaction check
+(``_quasi_contra_check``): it finds the first failure in the order
+(f_row, f_col, f_outer, coord) but reports the tuple with f_outer first.
 """
 
 from __future__ import annotations
@@ -26,11 +28,11 @@ from __future__ import annotations
 from functools import cached_property
 
 from .linalg import (Matrix, Subspace, block_matrix, intertwiner_space, kron_sum,
-                     quotient_section, vstack)
+                     quotient_section, slot_apply, vstack)
 from .reports import CheckReport
 from .quasihopf import (HModule, QuasiHopfAlgebra, IntertwinerError, StructureError,
                         regular_module, is_intertwiner, eps_p_q_beta_s_r, left_hom, right_hom,
-                        hom_carriers, right_hom_carrier, _restricted)
+                        hom_carriers, right_hom_carrier, element_legs, _restricted)
 
 HOPF_MU = "HopfMu"
 QUASI_I = "QuasiTypeI"
@@ -108,20 +110,18 @@ def _identity_check(check_id: str, lhs: Matrix) -> CheckReport:
                                  Matrix.identity(lhs.field, lhs.rows))
 
 
-def _beside(f, rows: int, blocks) -> Matrix:
-    """The rows-row matrices of blocks, all of one width, side by side."""
-    w = blocks[0].cols if blocks else 0
-    return block_matrix(f, rows, len(blocks) * w, [(0, k * w, b) for k, b in enumerate(blocks)])
+def _action_map(M: HModule, X: Matrix) -> Matrix:
+    """m |-> (e_x |-> X_x m) on M, for the elements X_x of H in the columns of
+    X, as a map into the carrier of Hom(H, M): the coordinate i of the value
+    at e_x sits at i*n + x.  Its entries are those of X^T rho_M."""
+    d, n = M.dim, X.cols
+    return (X.transpose() * M.action).reindexed(d * n, d, lambda x, k: (k // d * n + x, k % d))
 
 
-def _action_map(mats) -> Matrix:
-    """v |-> (x |-> mats[x] v), for n matrices mats from one space into M, as
-    a map into the carrier of Hom(H, M): the coordinate i of the value at
-    e_x sits at i*n + x."""
-    f, n = mats[0].field, len(mats)
-    rows, cols = mats[0].rows, mats[0].cols
-    acts = vstack(f, rows * cols, [m.reshaped(1, rows * cols) for m in mats])
-    return acts.reindexed(rows * n, cols, lambda x, k: (k // cols * n + x, k % cols))
+def _sandwich(mu: Matrix, terms) -> Matrix:
+    """sum c A mu B over the terms (c, A, B), A on M and B on the carrier of
+    Hom(H, M)."""
+    return kron_sum(mu.field, mu.rows, mu.cols, [(c, [A * mu * B]) for c, A, B in terms])
 
 
 def _contra_assoc_sides(C: Contramodule, delta: Matrix, inst: Matrix):
@@ -222,11 +222,8 @@ def _ayd_sides_two(M: HModule, legs):
 def _ayd_at(sides, mu: Matrix, inst: Matrix):
     """The two sides of an aYD equation at mu and at the maps given as the
     columns of inst, the instances of every h side by side: (h, instance)."""
-    f, d = mu.field, mu.rows
-
-    def side(terms):
-        return kron_sum(f, d, mu.cols, [(c, [A * mu * B]) for c, A, B in terms]) * inst
-    return tuple(_beside(f, d, [side(pair[k]) for pair in sides]) for k in (0, 1))
+    return tuple(vstack(mu.field, inst.cols, [_sandwich(mu, pair[k]) * inst for pair in sides])
+                 .side_by_side(mu.rows) for k in (0, 1))
 
 
 def _ayd_report(check_id: str, C: Contramodule, sides) -> CheckReport:
@@ -272,7 +269,8 @@ def ayd_compatibility_system(carrier: HModule, flavor: str) -> Matrix:
 def check_stability_hopf(C: Contramodule) -> CheckReport:
     """mu(r_m) = m with r_m(h) = h m, for every basis vector m."""
     _require_hopf(C)
-    return _identity_check("stability", C.mu * _action_map(C.carrier.mats))
+    return _identity_check("stability", C.mu * _action_map(
+        C.carrier, Matrix.identity(C.field, C.parent.dim)))
 
 
 # -- tau / theta ---------------------------------------------------------------
@@ -284,22 +282,20 @@ def tau_matrix(C: Contramodule, V: HModule) -> Matrix:
     flavors; the type II tau is this one of the type I conversion.  tau_raw
     reads it on the hom carriers of the parent.
     """
-    return _mu_contraction(C.mu, V.mats, V.dim)
+    return _mu_contraction(C.mu, V.action, V.dim)
 
 
 def theta_matrix(C: Contramodule, V: HModule) -> Matrix:
     """theta_V(f)(v) = mu(h |-> f(S^-1(h) v)), inverse to tau in the Hopf case."""
-    H = C.parent
-    return _mu_contraction(C.mu, [V.act(H.apply_s_inv(H.basis(x))) for x in range(H.dim)],
-                           V.dim)
+    return _mu_contraction(C.mu, C.parent.antipode_inv.transpose() * V.action, V.dim)
 
 
-def _mu_contraction(mu: Matrix, mats, dv: int) -> Matrix:
-    """f |-> (v |-> mu(x |-> f(mats[x] v))) on the carrier of Hom(V, M), for
-    a d x (d*n) contraaction mu and n matrices acting on V (dv x dv)."""
-    d, n = mu.rows, len(mats)
-    acts = vstack(mu.field, dv * dv, [m.reshaped(1, dv * dv) for m in mats])
-    # (mu read as (d*d) x n) * acts holds sum_x mu[i, a*n + x] mats[x][b, c] at
+def _mu_contraction(mu: Matrix, acts: Matrix, dv: int) -> Matrix:
+    """f |-> (v |-> mu(x |-> f(A_x v))) on the carrier of Hom(V, M), for a
+    d x (d*n) contraaction mu and the dv x dv matrices A_x read row-major as
+    the n rows of acts (X^T rho_V for a family X)."""
+    d, n = mu.rows, acts.rows
+    # (mu read as (d*d) x n) * acts holds sum_x mu[i, a*n + x] A_x[b, c] at
     # (i*d + a, b*dv + c); the map has it at (i*dv + c, a*dv + b)
     return (mu.reshaped(d * d, n) * acts).reindexed(
         d * dv, d * dv, lambda r, k: (r // d * dv + k % dv, r % d * dv + k // dv))
@@ -455,35 +451,28 @@ def check_ayd_quasi_II(C: Contramodule) -> CheckReport:
 def convert_I_to_II(C: Contramodule) -> Contramodule:
     """nu(f) = R mu(h |-> f(h S^-1(Q) S^-1(alpha) P)); module action unchanged.
 
-    nu = sum c M(R) mu (I (x) R_w^T) over Phi^-1 = sum c P (x) Q (x) R, with
-    w = S^-1(Q) S^-1(alpha) P."""
+    nu = sum c M(e_r) mu (I (x) R_(e_w)^T) over the terms c e_w (x) e_r of
+    (S^-1 alpha-hat (x) id)(Phi^-1) = S^-1(Q) S^-1(alpha) P (x) R, since
+    S^-1(S(P) alpha Q) = S^-1(Q) S^-1(alpha) P."""
     _require(C, QUASI_I)
-    H = C.parent
-    f = C.field
-    d, n = C.carrier.dim, H.dim
-    eye = Matrix.identity(f, d)
-    nu = kron_sum(f, d, d * n, [
-        (coef, [C.carrier.mats[r] * C.mu * eye.kron(H.right_mult_matrix(
-            H.prod(H.apply_s_inv(H.basis(q)), H.apply_s_inv(H.alpha), H.basis(p))).transpose())])
-        for (p, q, r), coef in H.phi_inv_terms().items()])
-    return Contramodule(C.carrier, nu, QUASI_II)
+    H, M = C.parent, C.carrier
+    eye, n = Matrix.identity(C.field, M.dim), H.dim
+    terms = element_legs(slot_apply(H.antipode_inv * H.alpha_hat, H.phi_inv_row, 1, n), n, 2)
+    return Contramodule(M, _sandwich(C.mu, [(c, M.mats[r], eye.kron(H.right_mults[w].transpose()))
+                                            for (w, r), c in terms.items()]), QUASI_II)
 
 
 def convert_II_to_I(C: Contramodule) -> Contramodule:
     """mu(f) = nu(h |-> Z^1 f(S(Z^2) h Y S^-1(beta) S^-1(X))); action unchanged.
 
-    mu = nu sum c (M(Z^1) (x) (L_S(Z^2) R_w)^T) over Phi = sum c X (x) Y (x) Z,
-    with w = Y S^-1(beta) S^-1(X)."""
+    mu = nu sum c (M(Z^1) (x) (L_S(Z^2) R_(e_w))^T) over the terms c e_w (x) e_z
+    of (S^-1 beta-hat (x) id)(Phi) = Y S^-1(beta) S^-1(X) (x) Z."""
     _require(C, QUASI_II)
-    H = C.parent
-    f = C.field
-    d, n = C.carrier.dim, H.dim
-    terms = []
-    for (x, y, z), coef in H.phi_terms().items():
-        rw = H.right_mult_matrix(H.prod(H.basis(y), H.apply_s_inv(H.beta),
-                                        H.apply_s_inv(H.basis(x))))
-        terms += [(f.mul(coef, cz), [C.carrier.mats[z1], (H.antipode_mults[0][z2] * rw)
-                                     .transpose()]) for cz, z1, z2 in H.delta_terms(z)]
+    H, f = C.parent, C.field
+    d, n, l_s = C.carrier.dim, H.dim, H.antipode_mults[0]
+    wz = element_legs(slot_apply(H.antipode_inv * H.beta_hat, H.phi_row, 1, n), n, 2)
+    terms = [(f.mul(c, cz), [C.carrier.mats[z1], (l_s[z2] * H.right_mults[w]).transpose()])
+             for (w, z), c in wz.items() for cz, z1, z2 in H.delta_terms(z)]
     return Contramodule(C.carrier, C.mu * kron_sum(f, d * n, d * n, terms), QUASI_I)
 
 
@@ -513,15 +502,14 @@ def check_contramodule_algebroid(C: Contramodule) -> CheckReport:
     # right R-action on the quotient: (x (x) y) . r = x (x) t_l(r) y
     eye = Matrix.identity(f, n)
     phi_basis = intertwiner_space(
-        f, [(proj * eye.kron(L) * lift, M.act(H.t_l.col(b)))
-            for b, L in enumerate(H.mults_of(H.t_l))], d, proj.rows)
+        f, [(proj * eye.kron(L) * lift, A) for L, A in zip(H.mults_of(H.t_l), M.acts(H.t_l))],
+        d, proj.rows)
     # phi |-> F with F(e_x)(e_y) = phi(e_x (x) e_y), on the carrier of Hom(H, Hom(H, M))
     swapped = proj.reindexed(proj.rows, n * n, lambda r, k: (r, k % n * n + k // n))
     inst = Matrix.identity(f, d).kron(swapped.transpose()) * phi_basis.basis_matrix()
     rep = CheckReport().compare("contra_assoc_algebroid", (("phi_index", phi_basis.dim),),
                                 *_contra_assoc_sides(C, H.delta_l_lift.transpose(), inst))
-    rep.extend(_identity_check("contra_unit_algebroid", C.mu * _action_map(
-        [M.act(H.t_l.apply(H.eps_l.apply(H.basis(x)))) for x in range(n)])))
+    rep.extend(_identity_check("contra_unit_algebroid", C.mu * _action_map(M, H.t_l * H.eps_l)))
     return rep
 
 
@@ -552,44 +540,38 @@ def check_ayd_algebroid(C: Contramodule) -> CheckReport:
         same = _ayd_at(_ayd_sides_two(M, lift_legs(moved)), C.mu, maps) == sides
     rep.add("ayd_lift_independent", same)
 
-    s_l = [H.s_l.col(b) for b in range(r)]
-    rep.compare("bimodule_compatible", (("r", r), ("m", d)), C.mu * _beside(f, d * n, [
-        _action_map([M.act(H.t_l.apply(H.eps_l.apply(H.prod(H.basis(x), s_l[b]))))
-                     for x in range(n)]) for b in range(r)]),
-        _beside(f, d, [M.act(s_l[b]) for b in range(r)]))
+    # mu(x |-> t_l(eps_l(x s_l(r))) m) = s_l(r) m, column (r, m)
+    rep.compare("bimodule_compatible", (("r", r), ("m", d)), C.mu * vstack(f, d, [
+        _action_map(M, H.t_l * H.eps_l * R) for R in H.mults_of(H.s_l, right=True)])
+        .side_by_side(d * n), vstack(f, d, M.acts(H.s_l)).side_by_side(d))
 
     # mu(f(s_l(r) -)) = t_l(r) mu(f) and mu(f(- s_l(r))) = s_l(r) mu(f)
-    eye, mu_maps = Matrix.identity(f, d), C.mu * maps
+    eye, mu_maps, w = Matrix.identity(f, d), C.mu * maps, maps.cols
     for check_id, right, post in (("mu_right_linear", False, H.t_l),
                                   ("mu_left_linear", True, H.s_l)):
-        rep.compare(check_id, (("r", r), ("f_index", maps.cols)), C.mu * _beside(
-            f, d * n, [eye.kron(x.transpose()) * maps for x in H.mults_of(H.s_l, right)]),
-            _beside(f, d, [M.act(post.col(b)) * mu_maps for b in range(r)]))
+        rep.compare(check_id, (("r", r), ("f_index", w)), C.mu * vstack(f, w, [
+            eye.kron(x.transpose()) * maps for x in H.mults_of(H.s_l, right)]).side_by_side(d * n),
+            vstack(f, w, [A * mu_maps for A in M.acts(post)]).side_by_side(d))
     return rep
 
 
 def check_stability_algebroid(C: Contramodule) -> CheckReport:
     """mu(r_m) = m with r_m(h) = h m, per basis vector of the carrier."""
     _require_algebroid(C)
-    return _identity_check("stability", C.mu * _action_map(C.carrier.mats))
+    return _identity_check("stability", C.mu * _action_map(
+        C.carrier, Matrix.identity(C.field, C.parent.dim)))
 
 
 def check_stability_quasi(C: Contramodule) -> CheckReport:
     """Type I stability R mu(r'_m) = m with r'_m(x) = beta x S^-1(Q) S^-1(alpha) P m,
-    plus the helper identity eps(P) Q beta S(R) = beta checked once."""
+    which is nu(y |-> beta y m) = m for nu the type II form of C, plus the
+    helper identity eps(P) Q beta S(R) = beta checked once."""
     _require(C, QUASI_I)
     H = C.parent
-    f = C.field
-    d, n = C.carrier.dim, H.dim
-    M = C.carrier
     rep = CheckReport().add("helper_eps_p_q_beta_s_r", eps_p_q_beta_s_r(H))
-    tails = [(coef, r, H.prod(H.apply_s_inv(H.basis(q)), H.apply_s_inv(H.alpha), H.basis(p)))
-             for (p, q, r), coef in H.phi_inv_terms().items()]
-    # sum c M(R) mu B over Phi^-1, with B the map m |-> r'_m
-    lhs = kron_sum(f, d, d, [(coef, [M.mats[r] * C.mu * _action_map(
-        [M.act(H.prod(H.beta, H.basis(x), tail)) for x in range(n)])])
-        for coef, r, tail in tails])
-    rep.extend(_identity_check("stability_type_I", lhs))
+    l_beta = H.mults_of(Matrix.from_cols(C.field, [H.beta]))[0]
+    rep.extend(_identity_check("stability_type_I",
+                               convert_I_to_II(C).mu * _action_map(C.carrier, l_beta)))
     return rep
 
 

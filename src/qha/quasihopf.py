@@ -15,6 +15,10 @@ decoration (the action of P (x) Q beta S(R), none over an algebroid) and
 the evaluation (eval_left, none over an algebroid), besides ``tensor``,
 ``tensor_relations`` and ``cop``.
 
+Every Phi-decoration is Phi or Phi^-1 with two legs contracted by the
+stored alpha-hat or beta-hat (the rigid evaluation and coevaluation), an
+element of H (x) H that acts through the basis action matrices.
+
 Every axiom check is one matrix identity, two sides whose columns are its
 instances, and reports per-axiom pass/fail with the lexicographically first
 failing basis tuple, so runs are reproducible bit for bit.
@@ -55,9 +59,10 @@ def lift_legs(lift: Matrix):
     return [tuple((c, *divmod(k, n)) for k, c in col.items()) for col in lift.col_maps()]
 
 
-def _legs3(row: Matrix, n: int) -> dict:
-    """The nonzero terms {(x, y, z): coef} of a one-row element of H^(x)3."""
-    return {(k // n // n, k // n % n, k % n): c for k, c in row.row_map(0).items()}
+def element_legs(row: Matrix, n: int, k: int) -> dict:
+    """The nonzero terms {(i_1, ..., i_k): coef} of a one-row element of H^(x)k."""
+    return {tuple(key // n ** (k - 1 - s) % n for s in range(k)): c
+            for key, c in row.row_map(0).items()}
 
 
 class Algebra:
@@ -121,28 +126,18 @@ class Algebra:
                                                for a in out for b in v))
         return out
 
-    def left_mult_matrix(self, vec) -> Matrix:
-        """The matrix of x |-> vec x: the sum of vec_i L_(e_i)."""
-        return kron_sum(self.field, self.dim, self.dim,
-                        [(c, [L]) for c, L in zip(vec, self.left_mults)])
-
-    def right_mult_matrix(self, vec) -> Matrix:
-        """The matrix of x |-> x vec: the sum of vec_j R_(e_j)."""
-        return kron_sum(self.field, self.dim, self.dim,
-                        [(c, [R]) for c, R in zip(vec, self.right_mults)])
-
     def check_algebra(self, rep: CheckReport, prefix: str, unit_witness: bool):
         """Add prefix_associative, with witness (i, j, k), and prefix_unital,
         with witness (i,) when unit_witness, to rep.  Row (i, j, k) of
         (m^T (x) I) m^T is (e_i e_j) e_k and of (I (x) m^T) m^T is e_i (e_j e_k)."""
         f, n = self.field, self.dim
         table, eye = self.mult_matrix.transpose(), Matrix.identity(f, n)
+        unit = Matrix.from_cols(f, [self.unit])
         rep.compare(prefix + "_associative", (("i", n), ("j", n), ("k", n)),
                     (table.kron(eye) * table).transpose(),
                     (eye.kron(table) * table).transpose())
         rep.compare(prefix + "_unital", (("i", n),) if unit_witness else None,
-                    vstack(f, n, [self.left_mult_matrix(self.unit),
-                                  self.right_mult_matrix(self.unit)]),
+                    vstack(f, n, self.mults_of(unit) + self.mults_of(unit, right=True)),
                     vstack(f, n, [eye, eye]))
 
 
@@ -207,6 +202,19 @@ class QuasiHopfAlgebra(Algebra):
     def phi_inv_row(self) -> Matrix:
         return Matrix(self.field, 1, self.dim ** 3, self.phi_inv)
 
+    @cached_property
+    def alpha_hat(self) -> Matrix:
+        """m (R_alpha S (x) I): e_p (x) e_q |-> S(e_p) alpha e_q."""
+        r_alpha = self.mults_of(Matrix.from_cols(self.field, [self.alpha]), right=True)[0]
+        return self.mult_matrix * (r_alpha * self.antipode).kron(
+            Matrix.identity(self.field, self.dim))
+
+    @cached_property
+    def beta_hat(self) -> Matrix:
+        """m (R_beta (x) S): e_p (x) e_q |-> e_p beta S(e_q)."""
+        r_beta = self.mults_of(Matrix.from_cols(self.field, [self.beta]), right=True)[0]
+        return self.mult_matrix * r_beta.kron(self.antipode)
+
     def eps(self, vec):
         return Matrix(self.field, 1, self.dim, self.counit).apply(vec)[0]
 
@@ -216,10 +224,10 @@ class QuasiHopfAlgebra(Algebra):
 
     def phi_terms(self):
         """Nonzero terms of Phi as a dict {(x, y, z): coef}."""
-        return _legs3(self.phi_row, self.dim)
+        return element_legs(self.phi_row, self.dim, 3)
 
     def phi_inv_terms(self):
-        return _legs3(self.phi_inv_row, self.dim)
+        return element_legs(self.phi_inv_row, self.dim, 3)
 
     def is_hopf(self) -> bool:
         """True when Phi = 1(x)1(x)1 and alpha = beta = 1."""
@@ -283,11 +291,11 @@ class QuasiHopfAlgebra(Algebra):
         return None
 
     def zeta_decoration(self, M, N) -> Matrix:
-        """The action of P (x) Q beta S(R) on M (x) N, for Phi^-1 = P (x) Q (x) R."""
-        d, e = M.dim * N.dim, self.basis
-        return kron_sum(self.field, d, d, [
-            (c, [M.mats[p], N.act(self.prod(e(q), self.beta, self.apply_s(e(r))))])
-            for (p, q, r), c in self.phi_inv_terms().items()])
+        """The action on M (x) N of (id (x) beta-hat)(Phi^-1) = P (x) Q beta S(R)."""
+        d, n = M.dim * N.dim, self.dim
+        terms = element_legs(slot_apply(self.beta_hat, self.phi_inv_row, n, 1), n, 2)
+        return kron_sum(self.field, d, d,
+                        [(c, [M.mats[p], N.mats[w]]) for (p, w), c in terms.items()])
 
     def hom_evaluation(self, V, M) -> Matrix:
         return eval_left(V, M)
@@ -349,7 +357,8 @@ def _pair_products(H, k: int, X: Matrix) -> Matrix:
 # -- modules -----------------------------------------------------------------
 
 class HModule:
-    """A finite-dimensional left module: one action matrix per basis element."""
+    """A finite-dimensional left module: one action matrix per basis element,
+    held once more as rho_V (``action``) for the actions of families."""
 
     def __init__(self, parent: QuasiHopfAlgebra, mats, name: str = ""):
         self.parent = parent
@@ -362,10 +371,20 @@ class HModule:
                 raise StructureError("action matrices must be square of equal size")
         self.name = name
 
+    @cached_property
+    def action(self) -> Matrix:
+        """rho_V, dim H x dim V^2: row i is the action matrix of e_i, read row-major."""
+        d = self.dim
+        return vstack(self.parent.field, d * d, [m.reshaped(1, d * d) for m in self.mats])
+
+    def acts(self, X: Matrix):
+        """The action matrices of the columns of X, from the one product X^T rho_V."""
+        d = self.dim
+        return [a.reshaped(d, d) for a in (X.transpose() * self.action).row_blocks(1)]
+
     def act(self, vec) -> Matrix:
         """Action matrix of an arbitrary algebra element."""
-        return kron_sum(self.parent.field, self.dim, self.dim,
-                        [(c, [m]) for c, m in zip(vec, self.mats)])
+        return self.acts(Matrix(self.parent.field, self.parent.dim, 1, vec))[0]
 
     def structural_key(self):
         return ("mod", self.dim, self.mats,
@@ -383,12 +402,10 @@ def check_module(V: HModule) -> CheckReport:
     of the stacked actions with the actions side by side."""
     H, d = V.parent, V.dim
     n, stack = H.dim, vstack(H.field, d, V.mats)
-    beside = vstack(H.field, d, [a.transpose() for a in V.mats]).transpose()
-    pairs = (stack * beside).reindexed(
+    pairs = (stack * stack.side_by_side(d)).reindexed(
         d * d, n * n, lambda r, c: (r % d * d + c % d, r // d * n + c // d))
     return CheckReport().add("module_unit", V.act(H.unit).is_identity()).compare(
-        "module_multiplicative", (("i", n), ("j", n)),
-        stack.reshaped(n, d * d).transpose() * H.mult_matrix, pairs)
+        "module_multiplicative", (("i", n), ("j", n)), V.action.transpose() * H.mult_matrix, pairs)
 
 
 def trivial_module(H: QuasiHopfAlgebra) -> HModule:
@@ -519,7 +536,7 @@ def left_hom(V: HModule, M: HModule):
     H = V.parent
     carrier = H.hom_carrier(V, M)
     d = M.dim * V.dim
-    pre = [V.act(H.antipode.col(q)).transpose() for q in range(H.dim)]
+    pre = [a.transpose() for a in V.acts(H.antipode)]
     mats = []
     for i in range(H.dim):
         full = kron_sum(H.field, d, d, [(c, [M.mats[p], pre[q]]) for c, p, q in H.hom_legs(i)])
@@ -551,16 +568,15 @@ def hom_carriers(V: HModule, M: HModule):
 
 def eval_left(V: HModule, M: HModule) -> Matrix:
     """ev^l: Hom^l(V,M) (x) V -> M, phi (x) m |-> X( phi(S(Y) alpha Z m) ),
-    the evaluation of a quasi-Hopf parent."""
+    the evaluation of a quasi-Hopf parent: the action of (id (x) alpha-hat)(Phi)."""
     if V.parent is not M.parent:
         raise StructureError("evaluation factors must share a parent algebra")
-    H = V.parent
+    H, n = V.parent, V.parent.dim
+    rows = V.action.row_blocks(1)
     # column (a*dV + b)*dV + v: X e_a scaled by the (b, v) entry of S(Y) alpha Z
-    terms = [(c, [M.act(H.basis(x)),
-                  V.act(H.prod(H.apply_s(H.basis(y)), H.alpha, H.basis(z)))
-                  .reshaped(1, V.dim * V.dim)])
-             for (x, y, z), c in H.phi_terms().items()]
-    return kron_sum(H.field, M.dim, M.dim * V.dim * V.dim, terms)
+    terms = element_legs(slot_apply(H.alpha_hat, H.phi_row, n, 1), n, 2)
+    return kron_sum(H.field, M.dim, M.dim * V.dim * V.dim,
+                    [(c, [M.mats[x], rows[w]]) for (x, w), c in terms.items()])
 
 
 def eval_right(V: HModule, M: HModule) -> Matrix:
@@ -654,8 +670,7 @@ def _phi_decorated(H, V: HModule, W: HModule, M: HModule, legs) -> Matrix:
     """Sum over Phi of rho_M(l_1) (x) rho_V(S(l_2))^T (x) rho_W(S(l_3))^T, with
     l_1, l_2, l_3 the legs of Phi at the positions in ``legs``."""
     d = M.dim * V.dim * W.dim
-    sv = [V.act(H.apply_s(H.basis(i))).transpose() for i in range(H.dim)]
-    sw = [W.act(H.apply_s(H.basis(i))).transpose() for i in range(H.dim)]
+    sv, sw = ([a.transpose() for a in X.acts(H.antipode)] for X in (V, W))
     m, v, w = legs
     return kron_sum(H.field, d, d, [(c, [M.mats[t[m]], sv[t[v]], sw[t[w]]])
                                     for t, c in H.phi_terms().items()])
@@ -749,40 +764,32 @@ def check_quasi_bialgebra(H: QuasiHopfAlgebra) -> CheckReport:
     return rep
 
 
-def _beta_map(H) -> Matrix:
-    """H (x) H -> H, e_p (x) e_q |-> (e_p beta) S(e_q): m (R_beta (x) S)."""
-    return H.mult_matrix * H.right_mult_matrix(H.beta).kron(H.antipode)
-
-
 def eps_p_q_beta_s_r(H: QuasiHopfAlgebra) -> bool:
     """The identity eps(P) Q beta S(R) = beta, for Phi^-1 = P (x) Q (x) R."""
     n = H.dim
     eps_p = slot_apply(Matrix(H.field, 1, n, H.counit), H.phi_inv_row, 1, n * n)
-    return slot_apply(_beta_map(H), eps_p, 1, 1) == Matrix(H.field, 1, n, H.beta)
+    return slot_apply(H.beta_hat, eps_p, 1, 1) == Matrix(H.field, 1, n, H.beta)
 
 
 def check_quasi_hopf(H: QuasiHopfAlgebra) -> CheckReport:
     """The antipode axioms and the derived identities used downstream."""
     f, n = H.field, H.dim
     rep = CheckReport()
-    m, D, S = H.mult_matrix, H.comult_matrix, H.antipode
-    eye, eps = Matrix.identity(f, n), Matrix(f, 1, n, H.counit)
-    r_alpha, r_beta = H.right_mult_matrix(H.alpha), H.right_mult_matrix(H.beta)
-    # e_p (x) e_q |-> (S(e_p) alpha) e_q and |-> (e_p beta) S(e_q)
-    a_map, b_map = m * (r_alpha * S).kron(eye), _beta_map(H)
+    m, D, eps = H.mult_matrix, H.comult_matrix, Matrix(f, 1, n, H.counit)
+    r_alpha = H.mults_of(Matrix.from_cols(f, [H.alpha]), right=True)[0]
 
     # S(h_1) alpha h_2 = eps(h) alpha and h_1 beta S(h_2) = eps(h) beta
-    rep.compare("alpha_axiom", (("h", n),), a_map * D, Matrix(f, n, 1, H.alpha) * eps)
-    rep.compare("beta_axiom", (("h", n),), b_map * D, Matrix(f, n, 1, H.beta) * eps)
+    rep.compare("alpha_axiom", (("h", n),), H.alpha_hat * D, Matrix(f, n, 1, H.alpha) * eps)
+    rep.compare("beta_axiom", (("h", n),), H.beta_hat * D, Matrix(f, n, 1, H.beta) * eps)
 
-    # (((X beta) S(Y)) alpha) Z = 1 and (((S(P) alpha) Q) beta) S(R) = 1,
+    # (((X beta) S(Y)) alpha) Z = 1 and (S(P) alpha Q) beta S(R) = 1,
     # contracting the first two legs, then the last
     unit = _unit_row(H, 1)
-    rep.add("ev_coev", slot_apply(m, slot_apply(r_alpha * b_map, H.phi_row, 1, n), 1, 1)
+    rep.add("ev_coev", slot_apply(m, slot_apply(r_alpha * H.beta_hat, H.phi_row, 1, n), 1, 1)
             == unit)
-    rep.add("coev_ev", slot_apply(m * eye.kron(S), slot_apply(r_beta * a_map, H.phi_inv_row,
-                                                              1, n), 1, 1) == unit)
-    rep.compare("eps_antipode", (("h", n),), eps * S, eps)
+    rep.add("coev_ev", slot_apply(H.beta_hat, slot_apply(H.alpha_hat, H.phi_inv_row, 1, n),
+                                  1, 1) == unit)
+    rep.compare("eps_antipode", (("h", n),), eps * H.antipode, eps)
     rep.add("eps_p_q_beta_s_r", eps_p_q_beta_s_r(H))
     return rep
 
@@ -960,13 +967,16 @@ def z2_nontrivial_cocycle(field: Field):
 
 
 def primitive_root_of_unity(field: Field, order: int):
-    """A primitive root of unity of the given order in GF(p), if one exists."""
-    if field.kind == "Q":
+    """A primitive root of unity of the given order (at least 1) in Q or
+    GF(p), if one exists."""
+    if order < 1:
+        raise StructureError("a root of unity has order at least 1, got %d" % order)
+    if field.kind == "Q" or order == 1:
         if order <= 2:
             return field.one if order == 1 else field.neg(field.one)
         raise StructureError("the rationals have no %d-th roots of unity" % order)
     if (field.p - 1) % order != 0:
-        raise StructureError("GF(%d) has no primitive %d-th root of unity"
+        raise StructureError("GF(%d) has no primitive root of unity of order %d"
                              % (field.p, order))
     divisors = [d for d in range(1, order) if order % d == 0]
     for cand in range(2, field.p):

@@ -601,3 +601,54 @@ def test_graded_algebra_on_which_phi_acts(graded_over_twisted):
     got = ([cc.dim(n) for n in range(8)], cyclic_cohomology(cc, 6).dims,
            hochschild_cohomology(cc, 6).dims)
     assert got == GRADED_RECORDED[name]
+
+
+# -- oracles from closed forms ----------------------------------------------------
+#
+# With H = k and the trivial coefficient the complex is the classical one.
+# Burghelea: HH^*(kC_m) is m in degree 0 and zero above when the
+# characteristic does not divide m, with HC^* = m in every even degree; when
+# it does, HH^* is m in every degree.  Morita: M_2(k) has the cohomology of k.
+
+def structure_constant_algebra(H, dim, product, unit):
+    """The algebra with e_i e_j = e_product(i, j) (zero where product is
+    None) and the given unit vector, on which H = k acts trivially."""
+    f = H.field
+    carrier = HModule(H, [Matrix.identity(f, dim)] * H.dim, name="A")
+    basis = [tuple(f.one if k == i else f.zero for k in range(dim)) for i in range(dim)]
+    zero = (f.zero,) * dim
+    cols = [zero if product(i, j) is None else basis[product(i, j)]
+            for i in range(dim) for j in range(dim)]
+    A = ModuleAlgebra(carrier, Matrix.from_cols(f, cols, ambient=dim),
+                      Matrix.from_cols(f, [unit], ambient=dim))
+    assert check_algebra_object(A).passed
+    return A
+
+
+@pytest.mark.parametrize("m, p", [(2, None), (2, 5), (2, 7), (3, None), (3, 5), (3, 7),
+                                  (2, 2), (3, 3)],
+                         ids=["C2-Q", "C2-GF5", "C2-GF7", "C3-Q", "C3-GF5", "C3-GF7",
+                              "C2-GF2", "C3-GF3"])
+def test_burghelea_oracle_for_cyclic_group_algebras(m, p):
+    field = QQ if p is None else prime_field(p)
+    H = trivial_hopf(field)
+    A = structure_constant_algebra(H, m, lambda i, j: (i + j) % m,
+                                   [field.one] + [field.zero] * (m - 1))
+    cc = build_cocyclic(A, unit_coefficient(H), 4)
+    if p is not None and m % p == 0:
+        assert hochschild_cohomology(cc, 3).dims == [m, m, m, m]
+    else:
+        assert hochschild_cohomology(cc, 3).dims == [m, 0, 0, 0]
+        assert cyclic_cohomology(cc, 3).dims == [m, 0, m, 0]
+
+
+@pytest.mark.parametrize("field", [QQ, prime_field(2), F5], ids=["Q", "GF2", "GF5"])
+def test_morita_oracle_for_two_by_two_matrices(field):
+    H = trivial_hopf(field)
+    o, z = field.one, field.zero
+    # E_ab at index 2a + b, with E_ab E_cd = E_ad when b = c
+    A = structure_constant_algebra(H, 4, lambda i, j: 2 * (i // 2) + j % 2
+                                   if i % 2 == j // 2 else None, [o, z, z, o])
+    cc = build_cocyclic(A, unit_coefficient(H), 4)
+    assert hochschild_cohomology(cc, 3).dims == [1, 0, 0, 0]
+    assert cyclic_cohomology(cc, 3).dims == [1, 0, 1, 0]

@@ -113,3 +113,13 @@ def test_side_file_that_is_not_json_is_parse_error(tmp_path, capsys):
     capsys.readouterr()
     assert main(["generate", "group_algebra", "--table", str(table)]) == 2
     assert "error [json]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, size", [("--symmetric", "-3"), ("--symmetric", "0"),
+                                        ("--cyclic", "0"), ("--cyclic", "-2")])
+def test_group_algebra_size_below_one_is_usage_error(capsys, flag, size):
+    capsys.readouterr()
+    assert main(["generate", "group_algebra", flag, size]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error [usage]: %s must be at least 1, got %s\n" % (flag, size)

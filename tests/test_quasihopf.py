@@ -484,3 +484,21 @@ def test_corrupted_structure_constants_keep_their_witnesses(case, ks3_q, h4_q):
     want = {cid: None if idx is None else tuple(zip("ijk", idx))
             for cid, idx in BUMPED_STRUCTURE_FAILURES[case].items()}
     assert got == want
+
+
+@pytest.mark.parametrize("field, order, expected", [
+    (QQ, 0, "a root of unity has order at least 1, got 0"),
+    (QQ, -5, "a root of unity has order at least 1, got -5"),
+    (prime_field(7), -3, "a root of unity has order at least 1, got -3"),
+    (prime_field(7), 0, "a root of unity has order at least 1, got 0"),
+    (prime_field(7), 1, 1),
+    (F5, 3, "GF(5) has no primitive root of unity of order 3"),
+], ids=["Q-0", "Q-minus5", "GF7-minus3", "GF7-0", "GF7-1", "GF5-3"])
+def test_primitive_root_of_unity_refusals_and_order_one(field, order, expected):
+    from qha.quasihopf import primitive_root_of_unity
+    if isinstance(expected, str):
+        with pytest.raises(StructureError) as err:
+            primitive_root_of_unity(field, order)
+        assert str(err.value) == expected
+    else:
+        assert primitive_root_of_unity(field, order) == expected
