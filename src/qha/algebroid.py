@@ -35,7 +35,7 @@ from .linalg import (Matrix, Subspace, quotient_section,
                      intertwiner_space, kron_sum, slot_apply, vstack)
 from .reports import CheckReport
 from .quasihopf import (Algebra, HModule, QuasiHopfAlgebra, StructureError, max_tensor_dim,
-                        left_hom, right_hom, zeta_l, eta_l, zeta_r, eta_r, _over_cop,
+                        left_hom, right_hom, zeta_l, eta_l, zeta_r, eta_r,
                         _swap_factors, lift_legs, check_antipode_pair, perm_mwv_to_mvw,
                         _pair_products, _unit_row)
 
@@ -345,7 +345,7 @@ def left_linear_hom_basis(M: AlgebroidModule, N: AlgebroidModule) -> Subspace:
     """Hom_{R_l}(M, N): maps commuting with every s_l(r)-action, which are
     the right-base-linear maps over H^cop (t_l of H^cop is s_l), the
     carrier of Hom^r(M, N)."""
-    return right_linear_hom_basis(*_over_cop(M, N))
+    return right_linear_hom_basis(M.cop, N.cop)
 
 
 # The biclosed maps of an algebroid are those of quasihopf.py, read on the

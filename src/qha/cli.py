@@ -24,15 +24,12 @@ from .algebroid import (HopfAlgebroid, enveloping_algebroid,
                         check_algebroid_structure, check_left_bialgebroid,
                         check_right_bialgebroid, check_hopf_algebroid)
 from .coefficients import (Contramodule, FlavorError, HOPF_MU, QUASI_I, QUASI_II,
-                           evaluation_at_unit, check_stability,
-                           check_contramodule_hopf, check_ayd_hopf,
-                           check_ayd_quasi_I, check_ayd_quasi_II,
-                           check_contramodule_algebroid, check_ayd_algebroid,
+                           evaluation_at_unit, check_ayd, check_stability,
                            convert_I_to_II, convert_II_to_I)
 from .cyclic import (ModuleAlgebra, build_cocyclic, check_algebra_object,
                      hochschild_cohomology, cyclic_cohomology, CocyclicError)
 from .structures import (parse_structure, serialize, write_structure, content_hash,
-                         StructureFileError, FLAVOR_NAMES, _parse_base, _tensor3)
+                         StructureFileError, _parse_base, _tensor3)
 
 
 class UsageError(ValueError):
@@ -101,68 +98,39 @@ def _full_check(structure) -> CheckReport:
     return rep
 
 
+def _check_report(command: str, inputs, rep: CheckReport, **fields) -> dict:
+    """The report of a command that runs one CheckReport on its inputs."""
+    return {"command": command, "inputs": inputs, **fields,
+            "checks": rep.to_dict()["checks"], "pass": rep.passed}
+
+
 def cmd_check(args) -> int:
     structure = parse_structure(args.structure)
-    rep = _full_check(structure)
-    report = {
-        "command": "check",
-        "inputs": [_input_record(structure.name, args.structure, structure)],
-        "checks": rep.to_dict()["checks"],
-        "pass": rep.passed,
-    }
-    return _emit(report, args)
+    return _emit(_check_report(
+        "check", [_input_record(structure.name, args.structure, structure)],
+        _full_check(structure)), args)
 
 
-def _ayd_checks(coeff: Contramodule) -> CheckReport:
-    rep = CheckReport()
-    if coeff.flavor == HOPF_MU:
-        rep.extend(check_contramodule_hopf(coeff))
-        rep.extend(check_ayd_hopf(coeff))
-    elif coeff.flavor == QUASI_I:
-        rep.extend(check_ayd_quasi_I(coeff))
-    elif coeff.flavor == QUASI_II:
-        rep.extend(check_ayd_quasi_II(coeff))
-    else:
-        rep.extend(check_contramodule_algebroid(coeff))
-        rep.extend(check_ayd_algebroid(coeff))
-    return rep
-
-
-def _load_coefficient(args):
+def _coefficient_command(args, command: str, checks) -> int:
+    """qha ayd and qha stability: the checks of a contramodule file against
+    its parent structure file."""
     structure = parse_structure(args.structure)
     coeff = parse_structure(args.coefficient, parent=structure)
     if not isinstance(coeff, Contramodule):
         raise UsageError("expected a contramodule file, got %r"
                          % type(coeff).__name__)
-    return structure, coeff
+    return _emit(_check_report(
+        command, [_input_record(structure.name, args.structure, structure),
+                  _input_record("coefficient", args.coefficient, coeff)],
+        checks(coeff), flavor=coeff.flavor), args)
 
 
 def cmd_ayd(args) -> int:
-    structure, coeff = _load_coefficient(args)
-    rep = _ayd_checks(coeff)
-    report = {
-        "command": "ayd",
-        "inputs": [_input_record(structure.name, args.structure, structure),
-                   _input_record("coefficient", args.coefficient, coeff)],
-        "flavor": FLAVOR_NAMES[coeff.flavor],
-        "checks": rep.to_dict()["checks"],
-        "pass": rep.passed,
-    }
-    return _emit(report, args)
+    return _coefficient_command(args, "ayd", check_ayd)
 
 
 def cmd_stability(args) -> int:
-    structure, coeff = _load_coefficient(args)
-    rep = check_stability(coeff)
-    report = {
-        "command": "stability",
-        "inputs": [_input_record(structure.name, args.structure, structure),
-                   _input_record("coefficient", args.coefficient, coeff)],
-        "flavor": FLAVOR_NAMES[coeff.flavor],
-        "checks": rep.to_dict()["checks"],
-        "pass": rep.passed,
-    }
-    return _emit(report, args)
+    return _coefficient_command(args, "stability", check_stability)
 
 
 def cmd_convert(args) -> int:
@@ -181,7 +149,7 @@ def cmd_convert(args) -> int:
         out = convert_II_to_I(coeff)
     else:
         raise UsageError("cannot convert flavor %s to %s"
-                         % (FLAVOR_NAMES[coeff.flavor], args.to))
+                         % (coeff.flavor, args.to))
     if args.out:
         write_structure(args.out, out, name=args.name or "converted")
     else:

@@ -34,12 +34,13 @@ from .quasihopf import (HModule, QuasiHopfAlgebra, IntertwinerError, StructureEr
                         regular_module, is_intertwiner, eps_p_q_beta_s_r, left_hom, right_hom,
                         hom_carriers, right_hom_carrier, element_legs, _restricted)
 
-HOPF_MU = "HopfMu"
-QUASI_I = "QuasiTypeI"
-QUASI_II = "QuasiTypeII"
-ALGEBROID_MU = "AlgebroidMu"
+# the flavors, each named by its tag in structure files
+HOPF_MU = "hopf_mu"
+QUASI_I = "quasi_type_I"
+QUASI_II = "quasi_type_II"
+ALGEBROID_MU = "algebroid_mu"
 
-_FLAVORS = (HOPF_MU, QUASI_I, QUASI_II, ALGEBROID_MU)
+FLAVORS = (HOPF_MU, QUASI_I, QUASI_II, ALGEBROID_MU)
 
 
 class FlavorError(ValueError):
@@ -50,7 +51,7 @@ class Contramodule:
     """A module plus contraaction tensor; flavor tags which axioms apply."""
 
     def __init__(self, carrier, mu: Matrix, flavor: str):
-        if flavor not in _FLAVORS:
+        if flavor not in FLAVORS:
             raise FlavorError("unknown flavor %r" % (flavor,))
         n = carrier.parent.dim
         if mu.rows != carrier.dim or mu.cols != carrier.dim * n:
@@ -98,7 +99,7 @@ def _require(C: Contramodule, flavor: str):
 def _require_hopf(C: Contramodule):
     _require(C, HOPF_MU)
     if not C.parent.is_hopf():
-        raise FlavorError("HopfMu checks need a Hopf parent (trivial Phi, alpha, beta)")
+        raise FlavorError("hopf_mu checks need a Hopf parent (trivial Phi, alpha, beta)")
 
 
 # -- every equation as two matrices ----------------------------------------------
@@ -238,7 +239,7 @@ def ayd_compatibility_system(carrier: HModule, flavor: str) -> Matrix:
     """Matrix whose kernel is the space of contraaction tensors satisfying the
     flavor's aYD compatibility equation (which is linear in the tensor).
 
-    For HopfMu and type I this is the S/S^-1-twisted equation above; for
+    For hopf_mu and type I this is the S/S^-1-twisted equation above; for
     type II it is the nu-form with doubled Sweedler legs.  The remaining
     contramodule axioms are quadratic and are not part of this system.
     Column t holds both sides' difference at the unit tensor t, in the
@@ -482,7 +483,7 @@ def _require_algebroid(C: Contramodule):
     from .algebroid import HopfAlgebroid
     _require(C, ALGEBROID_MU)
     if not isinstance(C.parent, HopfAlgebroid):
-        raise FlavorError("AlgebroidMu coefficients need a HopfAlgebroid parent")
+        raise FlavorError("algebroid_mu coefficients need a HopfAlgebroid parent")
 
 
 def check_contramodule_algebroid(C: Contramodule) -> CheckReport:
@@ -572,6 +573,21 @@ def check_stability_quasi(C: Contramodule) -> CheckReport:
     l_beta = H.mults_of(Matrix.from_cols(C.field, [H.beta]))[0]
     rep.extend(_identity_check("stability_type_I",
                                convert_I_to_II(C).mu * _action_map(C.carrier, l_beta)))
+    return rep
+
+
+def check_ayd(C: Contramodule) -> CheckReport:
+    """The contramodule and aYD checks of C's flavor."""
+    if C.flavor == QUASI_I:
+        return check_ayd_quasi_I(C)
+    if C.flavor == QUASI_II:
+        return check_ayd_quasi_II(C)
+    if C.flavor == HOPF_MU:
+        rep = check_contramodule_hopf(C)
+        rep.extend(check_ayd_hopf(C))
+    else:
+        rep = check_contramodule_algebroid(C)
+        rep.extend(check_ayd_algebroid(C))
     return rep
 
 

@@ -23,6 +23,7 @@ cohomology from the first-quadrant bicomplex with columns b, -b' and rows
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import accumulate
 
 from .fields import Field
@@ -417,47 +418,58 @@ def verify_cocyclic_identities(cc: CocyclicModule):
 
 # -- cohomology -------------------------------------------------------------------
 
-def hochschild_cohomology(cc: CocyclicModule, up_to: int) -> CohomologyResult:
-    """Betti numbers of the b-complex in degrees 0..up_to; verifies b b = 0."""
+def _cohomology(theory: str, cc: CocyclicModule, dims, differentials) -> CohomologyResult:
+    """Betti numbers dims[n] - rank d_n - rank d_(n-1) of the complex whose
+    spaces have the dimensions dims and whose differentials d_n are given,
+    each d_n dropped once its rank is read."""
+    ranks = [d.rank() for d in differentials]
+    return CohomologyResult(theory, cc.field, [dims[n] - ranks[n] - (ranks[n - 1] if n else 0)
+                                               for n in range(len(dims))])
+
+
+def _check_truncation(cc: CocyclicModule, up_to: int):
+    if up_to < 0:
+        raise ValueError("up_to must be at least 0, got %d" % up_to)
     if up_to + 1 > cc.n_max:
         raise ValueError("truncation too short: need n_max >= %d" % (up_to + 1))
-    f = cc.field
+
+
+def hochschild_cohomology(cc: CocyclicModule, up_to: int) -> CohomologyResult:
+    """Betti numbers of the b-complex in degrees 0..up_to; verifies b b = 0."""
+    _check_truncation(cc, up_to)
     bs = [cc.boundary(n) for n in range(up_to + 1)]
     for n in range(up_to):
         if not (bs[n + 1] * bs[n]).is_zero():
             raise CocyclicError("b o b != 0", degree=n)
-    ranks = [b.rank() for b in bs]
-    dims = [cc.dim(n) - ranks[n] - (ranks[n - 1] if n >= 1 else 0)
-            for n in range(up_to + 1)]
-    return CohomologyResult("hochschild", f, dims)
+    return _cohomology("hochschild", cc, [cc.dim(n) for n in range(up_to + 1)], bs)
 
 
 def cyclic_cohomology(cc: CocyclicModule, up_to: int) -> CohomologyResult:
     """Cyclic cohomology via the first-quadrant bicomplex, degrees 0..up_to.
 
     Columns carry b and -b', rows 1 - lambda and N; the first-quadrant
-    support makes the n_max-truncation exact in the requested degrees."""
-    if up_to + 1 > cc.n_max:
-        raise ValueError("truncation too short: need n_max >= %d" % (up_to + 1))
+    support makes the n_max-truncation exact in the requested degrees.
+    Each block is built once: column p at row q holds (b, 1 - lambda) of
+    degree q for even p and (-b', N) for odd p."""
+    _check_truncation(cc, up_to)
     f = cc.field
 
-    def total_dim(n):
-        return sum(cc.dim(n - p) for p in range(n + 1))
+    @cache
+    def blocks(q, odd):
+        """The vertical and horizontal maps out of C^q in a column of the parity odd."""
+        if odd:
+            return cc.boundary_prime(q).scale(f.neg(f.one)), cc.norm(q)
+        return cc.boundary(q), Matrix.identity(f, cc.dim(q)) - cc.lam(q)
 
     def total_matrix(n):
         col_off = list(accumulate((cc.dim(n - p) for p in range(n + 1)), initial=0))
         row_off = list(accumulate((cc.dim(n + 1 - p) for p in range(n + 2)), initial=0))
-        blocks = []
+        placed = []
         for p in range(n + 1):
-            q = n - p
-            vert = cc.boundary(q) if p % 2 == 0 else \
-                cc.boundary_prime(q).scale(f.neg(f.one))
-            eye = Matrix.identity(f, cc.dim(q))
-            horiz = (eye - cc.lam(q)) if p % 2 == 0 else cc.norm(q)
-            blocks += [(row_off[p], col_off[p], vert), (row_off[p + 1], col_off[p], horiz)]
-        return block_matrix(f, row_off[-1], col_off[-1], blocks)
+            vert, horiz = blocks(n - p, p % 2)
+            placed += [(row_off[p], col_off[p], vert), (row_off[p + 1], col_off[p], horiz)]
+        return block_matrix(f, row_off[-1], col_off[-1], placed)
 
-    ranks = [total_matrix(n).rank() for n in range(up_to + 1)]
-    dims = [total_dim(n) - ranks[n] - (ranks[n - 1] if n >= 1 else 0)
-            for n in range(up_to + 1)]
-    return CohomologyResult("cyclic", f, dims)
+    return _cohomology("cyclic", cc,
+                       [sum(cc.dim(n - p) for p in range(n + 1)) for n in range(up_to + 1)],
+                       (total_matrix(n) for n in range(up_to + 1)))

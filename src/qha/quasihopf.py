@@ -377,6 +377,14 @@ class HModule:
         d = self.dim
         return vstack(self.parent.field, d * d, [m.reshaped(1, d * d) for m in self.mats])
 
+    @cached_property
+    def cop(self) -> "HModule":
+        """This module over the co-opposite parent H^cop, on the same action
+        matrices and rho_V: the view the right-hand biclosed maps read it in."""
+        view = type(self)(self.parent.cop, self.mats, name=self.name)
+        view.action = self.action
+        return view
+
     def acts(self, X: Matrix):
         """The action matrices of the columns of X, from the one product X^T rho_V."""
         d = self.dim
@@ -453,13 +461,10 @@ def associator(V: HModule, W: HModule, U: HModule) -> Matrix:
 # Hom_k(V, M) or None for all of it; ``zeta_decoration(M, N)``, a map on
 # M (x) N or None; and ``hom_evaluation(V, M)``, a map Hom_k(V, M) (x) V
 # -> M or None for phi (x) v |-> phi(v).  An H-module is an H^cop-module
-# on the same matrices, and V (x) W over H^cop is W (x) V over H with the
-# factors swapped, so each right-hand map is the left-hand one over H^cop
-# re-read on the swapped tensor domain (``_swap_domain``).
-
-def _over_cop(*mods):
-    return tuple(type(X)(X.parent.cop, X.mats, name=X.name) for X in mods)
-
+# on the same matrices (its cached view ``V.cop``), and V (x) W over H^cop
+# is W (x) V over H with the factors swapped, so each right-hand map is the
+# left-hand one over H^cop re-read on the swapped tensor domain
+# (``_swap_domain``).
 
 def _swap_factors(m: Matrix, d1: int, d2: int) -> Matrix:
     """m on a domain V1 (x) V2 (dims d1, d2), re-read on V2 (x) V1."""
@@ -551,14 +556,13 @@ def right_hom(V: HModule, M: HModule):
     """Hom^r(V, M) and its carrier: h.phi = h^2 phi(S^-1(h^1) -), which is
     Hom^l(V, M) over the co-opposite parent, on the same action matrices
     and carrier."""
-    mod, carrier = left_hom(*_over_cop(V, M))
+    mod, carrier = left_hom(V.cop, M.cop)
     return type(V)(V.parent, mod.mats, name="Hom^r(%s,%s)" % (V.name, M.name)), carrier
 
 
 def right_hom_carrier(V: HModule, M: HModule):
     """The carrier of Hom^r(V, M), without its module."""
-    Vc, Mc = _over_cop(V, M)
-    return Vc.parent.hom_carrier(Vc, Mc)
+    return V.cop.parent.hom_carrier(V.cop, M.cop)
 
 
 def hom_carriers(V: HModule, M: HModule):
@@ -583,7 +587,7 @@ def eval_right(V: HModule, M: HModule) -> Matrix:
     """ev^r: V (x) Hom^r(V,M) -> M, m (x) phi |-> R( phi(S^-1(Q) S^-1(alpha) P m) ).
 
     This is ev^l over H^cop, read on the swapped tensor domain."""
-    return _swap_factors(eval_left(*_over_cop(V, M)), M.dim * V.dim, V.dim)
+    return _swap_factors(eval_left(V.cop, M.cop), M.dim * V.dim, V.dim)
 
 
 def zeta_l(f_mat: Matrix, M: HModule, N: HModule, L: HModule) -> Matrix:
@@ -645,18 +649,17 @@ def zeta_r(f_mat: Matrix, N: HModule, M: HModule, L: HModule) -> Matrix:
     over the co-opposite parent applied to f read on M (x) N: over a
     quasi-Hopf algebra f |-> (m |-> f(Y S^-1(beta) S^-1(X) - (x) Z m)),
     over an algebroid f |-> (m |-> f(- (x) m))."""
-    Nc, Mc, Lc = _over_cop(N, M, L)
     f_cop = _swap_domain(f_mat, N.parent.tensor_relations(N, M),
-                         Mc.parent.tensor_relations(Mc, Nc), N.dim, M.dim)
-    return zeta_l(f_cop, Mc, Nc, Lc)
+                         M.cop.parent.tensor_relations(M.cop, N.cop), N.dim, M.dim)
+    return zeta_l(f_cop, M.cop, N.cop, L.cop)
 
 
 def eta_r(g_mat: Matrix, N: HModule, M: HModule, L: HModule) -> Matrix:
     """eta^r(g) = ev^r o (id (x) g): Hom_H(M, Hom^r(N, L)) -> Hom_H(N (x) M, L),
     which is eta^l over the co-opposite parent read on the swapped tensor
     domain."""
-    Nc, Mc, Lc = _over_cop(N, M, L)
-    return _swap_domain(eta_l(g_mat, Mc, Nc, Lc), Mc.parent.tensor_relations(Mc, Nc),
+    return _swap_domain(eta_l(g_mat, M.cop, N.cop, L.cop),
+                        M.cop.parent.tensor_relations(M.cop, N.cop),
                         N.parent.tensor_relations(N, M), M.dim, N.dim)
 
 

@@ -5,6 +5,10 @@ a kind tag, and kind-specific tensor arrays with scalars written as strings
 ("3", "-1/2", or a plain residue mod p).  Parsing is strict: every failure
 carries a distinct error code and the JSON path it happened at.  Parsing
 then serialising then parsing again is the identity on in-memory objects.
+
+Each parent kind is one ordered table of keys and shapes, which one reader
+and one writer walk; one parent reader serves whole parent files and the
+parents embedded in module, contramodule and algebra files, at their paths.
 """
 
 from __future__ import annotations
@@ -16,16 +20,8 @@ from .fields import Field, FieldError, ScalarParseError, rationals, prime_field
 from .linalg import Matrix, vstack
 from .quasihopf import QuasiHopfAlgebra, HModule
 from .algebroid import BaseRing, HopfAlgebroid, AlgebroidModule
-from .coefficients import Contramodule, HOPF_MU, QUASI_I, QUASI_II, ALGEBROID_MU
+from .coefficients import Contramodule, FLAVORS, ALGEBROID_MU
 from .cyclic import ModuleAlgebra
-
-FLAVOR_TAGS = {
-    "hopf_mu": HOPF_MU,
-    "quasi_type_I": QUASI_I,
-    "quasi_type_II": QUASI_II,
-    "algebroid_mu": ALGEBROID_MU,
-}
-FLAVOR_NAMES = {v: k for k, v in FLAVOR_TAGS.items()}
 
 
 class StructureFileError(ValueError):
@@ -39,10 +35,11 @@ class StructureFileError(ValueError):
 
 
 def _want(doc, key, typ, where):
+    """doc[key], refused unless it is a typ; a bool is not an int."""
     if key not in doc:
         raise StructureFileError("schema", "missing key %r" % key, where)
     val = doc[key]
-    if typ is not None and not isinstance(val, typ):
+    if not isinstance(val, typ) or (typ is int and isinstance(val, bool)):
         raise StructureFileError("schema", "key %r must be %s" % (key, typ.__name__),
                                  where + "." + key)
     return val
@@ -115,108 +112,106 @@ def _tensor3(f, doc, n, where):
     return tuple(out)
 
 
-def _unflatten3(field, flat, n):
-    fmt = field.format
-    return [[[fmt(flat[(i * n + j) * n + k]) for k in range(n)]
-             for j in range(n)] for i in range(n)]
-
-
-def _fmt_vec(field, vec):
-    return [field.format(a) for a in vec]
+def _rows(f, doc, count, length, where):
+    """count rows of length scalars each, as a list of tuples."""
+    if len(doc) != count:
+        raise StructureFileError("dimension_mismatch", "%s needs %d rows"
+                                 % (where[where.rindex(".") + 1:], count), where)
+    return [_vector(f, row, length, where, i) for i, row in enumerate(doc)]
 
 
 def _fmt_matrix(field, m: Matrix):
     return [[field.format(m.get(i, j)) for j in range(m.cols)] for i in range(m.rows)]
 
 
-# -- quasi-Hopf algebras -----------------------------------------------------------
-
-def _parse_quasi_hopf(f: Field, doc, name) -> QuasiHopfAlgebra:
-    n = _dim(doc, "$")
-    mult = _tensor3(f, _want(doc, "mult", list, "$"), n, "$.mult")
-    unit = _vector(f, _want(doc, "unit", list, "$"), n, "$.unit")
-    comult = _want(doc, "comult", list, "$")
-    if len(comult) != n:
-        raise StructureFileError("dimension_mismatch", "comult needs %d rows" % n,
-                                 "$.comult")
-    comult = [_vector(f, row, n * n, "$.comult", i)
-              for i, row in enumerate(comult)]
-    counit = _vector(f, _want(doc, "counit", list, "$"), n, "$.counit")
-    s = _matrix(f, _want(doc, "antipode", list, "$"), n, n, "$.antipode")
-    s_inv = _matrix(f, _want(doc, "antipode_inv", list, "$"), n, n, "$.antipode_inv")
-    phi = _vector(f, _want(doc, "phi", list, "$"), n ** 3, "$.phi")
-    phi_inv = _vector(f, _want(doc, "phi_inv", list, "$"), n ** 3, "$.phi_inv")
-    alpha = _vector(f, _want(doc, "alpha", list, "$"), n, "$.alpha")
-    beta = _vector(f, _want(doc, "beta", list, "$"), n, "$.beta")
-    return QuasiHopfAlgebra(f, n, mult, unit, comult, counit, s, s_inv,
-                            phi, phi_inv, alpha, beta, name=name)
+# Each reader's inverse: the JSON array it reads back as the value.
+_WRITERS = {
+    _vector: lambda f, vec, length: [f.format(a) for a in vec],
+    _rows: lambda f, rows, count, length: [[f.format(a) for a in row] for row in rows],
+    _matrix: lambda f, m, rows, cols: _fmt_matrix(f, m),
+    _tensor3: lambda f, flat, n: [[[f.format(flat[(i * n + j) * n + k]) for k in range(n)]
+                                   for j in range(n)] for i in range(n)],
+}
 
 
-def _serialize_quasi_hopf(H: QuasiHopfAlgebra):
-    f = H.field
-    return {
-        "dim": H.dim,
-        "mult": _unflatten3(f, H.mult, H.dim),
-        "unit": _fmt_vec(f, H.unit),
-        "comult": [_fmt_vec(f, row) for row in H.comult],
-        "counit": _fmt_vec(f, H.counit),
-        "antipode": _fmt_matrix(f, H.antipode),
-        "antipode_inv": _fmt_matrix(f, H.antipode_inv),
-        "phi": _fmt_vec(f, H.phi),
-        "phi_inv": _fmt_vec(f, H.phi_inv),
-        "alpha": _fmt_vec(f, H.alpha),
-        "beta": _fmt_vec(f, H.beta),
-    }
+# -- parents: one ordered table of keys and shapes per kind ------------------------
+#
+# A table lists, for the dims n of a structure and r of its base, the keys
+# after "dim" in file order, each with the reader of its array and that
+# reader's sizes.  The values come in the order of the constructor's
+# arguments, and errors are reported at the first bad key in table order.
+
+_PARENT_KINDS = ("quasi_hopf", "hopf_algebroid")
 
 
-# -- Hopf algebroids ----------------------------------------------------------------
+def _base_keys(r, _):
+    return (("mult", _tensor3, r), ("unit", _vector, r))
+
+
+def _quasi_hopf_keys(n, _):
+    return (("mult", _tensor3, n), ("unit", _vector, n), ("comult", _rows, n, n * n),
+            ("counit", _vector, n), ("antipode", _matrix, n, n),
+            ("antipode_inv", _matrix, n, n), ("phi", _vector, n ** 3),
+            ("phi_inv", _vector, n ** 3), ("alpha", _vector, n), ("beta", _vector, n))
+
+
+def _hopf_algebroid_keys(n, r):
+    return (("mult", _tensor3, n), ("unit", _vector, n),
+            ("s_l", _matrix, n, r), ("t_l", _matrix, n, r),
+            ("s_r", _matrix, n, r), ("t_r", _matrix, n, r),
+            ("delta_l_lift", _matrix, n * n, n), ("delta_r_lift", _matrix, n * n, n),
+            ("eps_l", _matrix, r, n), ("eps_r", _matrix, r, n),
+            ("antipode", _matrix, n, n), ("antipode_inv", _matrix, n, n))
+
+
+def _read(f: Field, doc, keys, where, r=None):
+    """The dim of doc at where and the values of the table keys(dim, r)."""
+    n = _dim(doc, where)
+    return n, [reader(f, _want(doc, key, list, where), *sizes, where + "." + key)
+               for key, reader, *sizes in keys(n, r)]
+
+
+def _write(obj, keys, r=None) -> dict:
+    """The dim of obj and the arrays of the table keys(dim, r), read back by _read."""
+    doc = {"dim": obj.dim}
+    for key, reader, *sizes in keys(obj.dim, r):
+        doc[key] = _WRITERS[reader](obj.field, getattr(obj, key), *sizes)
+    return doc
+
 
 def _parse_base(f: Field, doc, where) -> BaseRing:
     """A base ring {"dim", "mult", "unit"} at the location where."""
-    r = _dim(doc, where)
-    return BaseRing(f, r, _tensor3(f, _want(doc, "mult", list, where), r, where + ".mult"),
-                    _vector(f, _want(doc, "unit", list, where), r, where + ".unit"))
+    r, values = _read(f, doc, _base_keys, where)
+    return BaseRing(f, r, *values)
 
 
-def _parse_hopf_algebroid(f: Field, doc, name) -> HopfAlgebroid:
-    base = _parse_base(f, _want(doc, "base", dict, "$"), "$.base")
-    r = base.dim
-    n = _dim(doc, "$")
-    mult = _tensor3(f, _want(doc, "mult", list, "$"), n, "$.mult")
-    unit = _vector(f, _want(doc, "unit", list, "$"), n, "$.unit")
-    mats = {}
-    for key, shape in (("s_l", (n, r)), ("t_l", (n, r)), ("s_r", (n, r)),
-                       ("t_r", (n, r)), ("delta_l_lift", (n * n, n)),
-                       ("delta_r_lift", (n * n, n)), ("eps_l", (r, n)),
-                       ("eps_r", (r, n)), ("antipode", (n, n)),
-                       ("antipode_inv", (n, n))):
-        mats[key] = _matrix(f, _want(doc, key, list, "$"), shape[0], shape[1],
-                            "$." + key)
-    return HopfAlgebroid(base, n, mult, unit, mats["s_l"], mats["t_l"],
-                         mats["s_r"], mats["t_r"], mats["delta_l_lift"],
-                         mats["delta_r_lift"], mats["eps_l"], mats["eps_r"],
-                         mats["antipode"], mats["antipode_inv"], name=name)
+def _name(doc, where) -> str:
+    """The optional name of doc, refused unless it is a string."""
+    return _want(doc, "name", str, where) if "name" in doc else ""
 
 
-def _serialize_hopf_algebroid(H: HopfAlgebroid):
-    f = H.field
-    return {
-        "base": {
-            "dim": H.base.dim,
-            "mult": _unflatten3(f, H.base.mult, H.base.dim),
-            "unit": _fmt_vec(f, H.base.unit),
-        },
-        "dim": H.dim,
-        "mult": _unflatten3(f, H.mult, H.dim),
-        "unit": _fmt_vec(f, H.unit),
-        "s_l": _fmt_matrix(f, H.s_l), "t_l": _fmt_matrix(f, H.t_l),
-        "s_r": _fmt_matrix(f, H.s_r), "t_r": _fmt_matrix(f, H.t_r),
-        "delta_l_lift": _fmt_matrix(f, H.delta_l_lift),
-        "delta_r_lift": _fmt_matrix(f, H.delta_r_lift),
-        "eps_l": _fmt_matrix(f, H.eps_l), "eps_r": _fmt_matrix(f, H.eps_r),
-        "antipode": _fmt_matrix(f, H.antipode),
-        "antipode_inv": _fmt_matrix(f, H.antipode_inv),
-    }
+def _parse_parent(f: Field, doc, where):
+    """The quasi_hopf or hopf_algebroid structure of doc at where, a whole
+    document or an embedded parent, over the field f."""
+    kind = _want(doc, "kind", str, where)
+    name = _name(doc, where)
+    if kind == "quasi_hopf":
+        n, values = _read(f, doc, _quasi_hopf_keys, where)
+        return QuasiHopfAlgebra(f, n, *values, name=name)
+    if kind == "hopf_algebroid":
+        base = _parse_base(f, _want(doc, "base", dict, where), where + ".base")
+        n, values = _read(f, doc, _hopf_algebroid_keys, where, base.dim)
+        return HopfAlgebroid(base, n, *values, name=name)
+    raise StructureFileError("schema", "embedded parent has bad kind %r" % kind, where)
+
+
+def _write_parent(H):
+    """The kind of a quasi-Hopf or algebroid parent and the keys of its
+    document that _parse_parent reads."""
+    if isinstance(H, QuasiHopfAlgebra):
+        return "quasi_hopf", _write(H, _quasi_hopf_keys)
+    return "hopf_algebroid", {"base": _write(H.base, _base_keys),
+                              **_write(H, _hopf_algebroid_keys, H.base.dim)}
 
 
 # -- modules, coefficients, algebras --------------------------------------------------
@@ -233,8 +228,10 @@ def _parse_action(f, doc, n, d, where):
     return mats
 
 
-def _serialize_action(field, mats):
-    return [_fmt_matrix(field, m.transpose()) for m in mats]
+def _write_module(M) -> dict:
+    """The dim and action of a module payload, read back by _parse_module_payload."""
+    return {"dim": M.dim,
+            "action": [_fmt_matrix(M.parent.field, m.transpose()) for m in M.mats]}
 
 
 def _module_cls(parent):
@@ -245,78 +242,39 @@ def _parse_module_payload(f, doc, parent, where):
     d = _dim(doc, where)
     mats = _parse_action(f, _want(doc, "action", list, where), parent.dim, d,
                          where + ".action")
-    return _module_cls(parent)(parent, mats, name=doc.get("name", ""))
-
-
-def _parse_parent(f, doc, where):
-    kind = _want(doc, "kind", str, where)
-    name = doc.get("name", "")
-    if kind == "quasi_hopf":
-        return _parse_quasi_hopf(f, doc, name)
-    if kind == "hopf_algebroid":
-        return _parse_hopf_algebroid(f, doc, name)
-    raise StructureFileError("schema", "embedded parent has bad kind %r" % kind, where)
+    return _module_cls(parent)(parent, mats, name=_name(doc, where))
 
 
 def serialize(obj, name: str = "") -> dict:
     """Canonical JSON document for any supported in-memory structure."""
-    if isinstance(obj, QuasiHopfAlgebra):
-        doc = _serialize_quasi_hopf(obj)
-        kind = "quasi_hopf"
-        field = obj.field
-    elif isinstance(obj, HopfAlgebroid):
-        doc = _serialize_hopf_algebroid(obj)
-        kind = "hopf_algebroid"
-        field = obj.field
+    if isinstance(obj, (QuasiHopfAlgebra, HopfAlgebroid)):
+        kind, doc = _write_parent(obj)
     elif isinstance(obj, Contramodule):
-        field = obj.field
-        parent = obj.parent
-        doc = {
-            "flavor": FLAVOR_NAMES[obj.flavor],
-            "module": {
-                "dim": obj.carrier.dim,
-                "action": _serialize_action(field, obj.carrier.mats),
-            },
-            "contraaction": [
-                [[field.format(obj.mu.get(i, j * parent.dim + a))
-                  for a in range(parent.dim)]
-                 for j in range(obj.carrier.dim)]
-                for i in range(obj.carrier.dim)],
-            "parent": serialize(parent, parent.name),
+        n, d = obj.parent.dim, obj.carrier.dim
+        kind, doc = "contramodule", {
+            "flavor": obj.flavor,
+            "module": _write_module(obj.carrier),
+            "contraaction": [[[obj.field.format(obj.mu.get(i, j * n + a)) for a in range(n)]
+                              for j in range(d)] for i in range(d)],
         }
-        kind = "contramodule"
     elif isinstance(obj, ModuleAlgebra):
-        field = obj.field
-        parent = obj.parent
-        d = obj.carrier.dim
-        rel = parent.tensor_relations(obj.carrier, obj.carrier)
-        amb = obj.mult if rel is None else obj.mult * rel.projector
-        doc = {
-            "module": {
-                "dim": d,
-                "action": _serialize_action(field, obj.carrier.mats),
-            },
-            "mult": _fmt_matrix(field, amb),
-            "unit": _fmt_matrix(field, obj.unit),
-            "parent": serialize(parent, parent.name),
+        rel = obj.parent.tensor_relations(obj.carrier, obj.carrier)
+        kind, doc = "module_algebra", {
+            "module": _write_module(obj.carrier),
+            "mult": _fmt_matrix(obj.field, obj.mult if rel is None else obj.mult * rel.projector),
+            "unit": _fmt_matrix(obj.field, obj.unit),
         }
-        kind = "module_algebra"
-    elif isinstance(obj, (HModule, AlgebroidModule)):
-        field = obj.parent.field
-        doc = {
-            "dim": obj.dim,
-            "action": _serialize_action(field, obj.mats),
-            "parent": serialize(obj.parent, obj.parent.name),
-        }
-        kind = "module"
+    elif isinstance(obj, HModule):
+        kind, doc = "module", _write_module(obj)
     else:
         raise TypeError("cannot serialise %r" % type(obj))
-    out = {"kind": kind, "name": name or getattr(obj, "name", "") or "unnamed"}
-    if field.kind == "Q":
-        out["field"] = {"type": "Q"}
-    else:
-        out["field"] = {"type": "GFp", "p": field.p}
+    parent = None if kind in _PARENT_KINDS else obj.parent
+    field = (obj if parent is None else parent).field
+    out = {"kind": kind, "name": name or getattr(obj, "name", "") or "unnamed",
+           "field": {"type": "Q"} if field.kind == "Q" else {"type": "GFp", "p": field.p}}
     out.update(doc)
+    if parent is not None:
+        out["parent"] = serialize(parent, parent.name)
     return out
 
 
@@ -329,11 +287,9 @@ def parse_document(doc, parent=None):
         raise StructureFileError("schema", "top level must be an object")
     f = parse_field(_want(doc, "field", dict, "$"))
     kind = _want(doc, "kind", str, "$")
-    name = doc.get("name", "")
-    if kind == "quasi_hopf":
-        return _parse_quasi_hopf(f, doc, name)
-    if kind == "hopf_algebroid":
-        return _parse_hopf_algebroid(f, doc, name)
+    if kind in _PARENT_KINDS:
+        return _parse_parent(f, doc, "$")
+    _name(doc, "$")  # checked, though only a module keeps its name
 
     embedded = None
     if "parent" in doc:
@@ -354,10 +310,9 @@ def parse_document(doc, parent=None):
     if kind == "module":
         return _parse_module_payload(f, doc, use_parent, "$")
     if kind == "contramodule":
-        flavor_tag = _want(doc, "flavor", str, "$")
-        if flavor_tag not in FLAVOR_TAGS:
-            raise StructureFileError("schema", "unknown flavor %r" % flavor_tag,
-                                     "$.flavor")
+        flavor = _want(doc, "flavor", str, "$")
+        if flavor not in FLAVORS:
+            raise StructureFileError("schema", "unknown flavor %r" % flavor, "$.flavor")
         carrier = _parse_module_payload(f, _want(doc, "module", dict, "$"), use_parent,
                                         "$.module")
         d, n = carrier.dim, use_parent.dim
@@ -369,12 +324,11 @@ def parse_document(doc, parent=None):
         # row i of the contraaction is slice i read row-major
         mu = vstack(f, d * n, [_matrix(f, slab, d, n, "$.contraaction", i).reshaped(1, d * n)
                                for i, slab in enumerate(raw)])
-        flavor = FLAVOR_TAGS[flavor_tag]
         want_algebroid = isinstance(use_parent, HopfAlgebroid)
         if want_algebroid != (flavor == ALGEBROID_MU):
             raise StructureFileError("incompatible_kinds",
                                      "flavor %s does not match parent kind"
-                                     % flavor_tag, "$.flavor")
+                                     % flavor, "$.flavor")
         return Contramodule(carrier, mu, flavor)
     if kind == "module_algebra":
         carrier = _parse_module_payload(f, _want(doc, "module", dict, "$"), use_parent,

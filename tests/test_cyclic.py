@@ -173,6 +173,29 @@ def test_truncation_guard(kc2_q):
         cyclic_cohomology(cc, 2)
 
 
+def test_negative_degree_refused(kc2_q):
+    cc = build_cocyclic(unit_algebra(kc2_q), unit_coefficient(kc2_q), 2)
+    for theory in (hochschild_cohomology, cyclic_cohomology):
+        with pytest.raises(ValueError, match="up_to must be at least 0, got -1"):
+            theory(cc, -1)
+
+
+def test_bicomplex_blocks_are_built_once_per_degree(twisted_q, monkeypatch):
+    from qha.cyclic import CocyclicModule
+    cc = build_cocyclic(unit_algebra(twisted_q), unit_coefficient(twisted_q, QUASI_I), 5)
+    built = []
+    for op in ("boundary", "boundary_prime", "norm"):
+        def counted(self, q, real=getattr(CocyclicModule, op), op=op):
+            built.append((op, q))
+            return real(self, q)
+        monkeypatch.setattr(CocyclicModule, op, counted)
+    assert cyclic_cohomology(cc, 4).dims == [1, 0, 1, 0, 1]
+    # column p at row q holds b for even p, -b' and N for odd p, so q = 4 only b
+    assert sorted(built) == sorted([("boundary", q) for q in range(5)]
+                                   + [(op, q) for q in range(4)
+                                      for op in ("boundary_prime", "norm")])
+
+
 def test_row_exactness(kc2_q):
     cc = build_cocyclic(unit_algebra(kc2_q), unit_coefficient(kc2_q), 4)
     for n in range(5):

@@ -11,9 +11,11 @@ import json
 import pytest
 
 from qha.cli import main
-from qha.structures import StructureFileError, parse_structure, serialize
+from qha.linalg import Matrix
+from qha.structures import StructureFileError, parse_structure, serialize, write_structure
 from qha.quasihopf import group_algebra, cyclic_group_table, trivial_module
-from qha.coefficients import Contramodule, evaluation_at_unit, HOPF_MU
+from qha.algebroid import HopfAlgebroid, base_module, base_ring_dual_numbers, enveloping_algebroid
+from qha.coefficients import Contramodule, evaluation_at_unit, HOPF_MU, ALGEBROID_MU
 from qha.cyclic import unit_algebra
 
 from conftest import QQ
@@ -123,3 +125,87 @@ def test_group_algebra_size_below_one_is_usage_error(capsys, flag, size):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error [usage]: %s must be at least 1, got %s\n" % (flag, size)
+
+
+# -- names, integers and embedded parents ----------------------------------------
+#
+# A name is a string wherever it is read, a bool is not an integer, and an
+# error inside an embedded parent carries the parent's path.
+
+ENV = enveloping_algebroid(base_ring_dual_numbers(QQ))
+
+
+def _run(capsys, argv):
+    capsys.readouterr()
+    code = main(argv)
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def _set(path, value):
+    """An edit of a document: the key at the end of path set to value, or
+    removed when value is None."""
+    def edit(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        if value is None:
+            del doc[path[-1]]
+        else:
+            doc[path[-1]] = value
+    return edit
+
+
+@pytest.mark.parametrize("parent, edit, command, message", [
+    (ENV, _set(["name"], 5), "check", "schema at $.name: key 'name' must be str"),
+    (KC2, _set(["name"], 5), "cohomology", "schema at $.name: key 'name' must be str"),
+    (KC2, _set(["dim"], True), "check", "schema at $.dim: key 'dim' must be int"),
+    (KC2, _set(["field"], {"type": "GFp", "p": True}), "check",
+     "schema at $.field.p: key 'p' must be int"),
+], ids=["algebroid-name", "quasi-hopf-name", "dim-true", "p-true"])
+def test_structure_file_keys_of_the_wrong_type(tmp_path, capsys, parent, edit, command,
+                                               message):
+    struct = str(tmp_path / "H.json")
+    write_structure(struct, parent, "H")
+    argv = [command, struct]
+    if command == "cohomology":
+        for what in ("unit_algebra", "trivial_contramodule"):
+            argv.append(str(tmp_path / (what + ".json")))
+            assert main(["generate", what, "--structure", struct, "--out", argv[-1]]) == 0
+        argv += ["--degree", "1"]
+    doc = serialize(parent, "H")
+    edit(doc)
+    (tmp_path / "H.json").write_text(json.dumps(doc))
+    assert _run(capsys, argv) == (2, "", "error [schema]: %s\n" % message)
+
+
+def _coefficient(H):
+    """A contramodule over H: the trivial one over a quasi-Hopf algebra, a
+    zero contraaction on the base over an algebroid (it is only parsed)."""
+    if isinstance(H, HopfAlgebroid):
+        return Contramodule(base_module(H), Matrix.zeros(QQ, 2, 8), ALGEBROID_MU)
+    k = trivial_module(H)
+    return Contramodule(k, evaluation_at_unit(k), HOPF_MU)
+
+
+@pytest.mark.parametrize("parent, edit, message", [
+    (KC2, _set(["parent", "name"], 5),
+     "error [schema]: schema at $.parent.name: key 'name' must be str"),
+    (KC2, _set(["module", "name"], 5),
+     "error [schema]: schema at $.module.name: key 'name' must be str"),
+    (KC2, _set(["module", "dim"], True),
+     "error [schema]: schema at $.module.dim: key 'dim' must be int"),
+    (KC2, _set(["parent", "alpha"], ["1"]), "error [dimension_mismatch]: "
+     "dimension_mismatch at $.parent.alpha: expected a list of 2 scalars"),
+    (KC2, _set(["parent", "dim"], None),
+     "error [schema]: schema at $.parent: missing key 'dim'"),
+    (ENV, _set(["parent", "base", "unit"], ["1"]), "error [dimension_mismatch]: "
+     "dimension_mismatch at $.parent.base.unit: expected a list of 2 scalars"),
+], ids=["parent-name", "module-name", "module-dim-true", "parent-alpha", "parent-dim",
+        "parent-base-unit"])
+def test_coefficient_file_errors_carry_their_path(tmp_path, capsys, parent, edit, message):
+    struct, bad = tmp_path / "H.json", tmp_path / "M.json"
+    write_structure(str(struct), parent, "H")
+    doc = serialize(_coefficient(parent), "M")
+    edit(doc)
+    bad.write_text(json.dumps(doc))
+    assert _run(capsys, ["stability", str(struct), str(bad)]) == (2, "", message + "\n")

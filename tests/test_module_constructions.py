@@ -9,7 +9,7 @@ import pytest
 
 from qha.linalg import Matrix
 from qha.quasihopf import (regular_module, trivial_module, tensor_module, associator,
-                           left_hom, zeta_l)
+                           left_hom, right_hom, zeta_l)
 from qha.algebroid import (base_ring_dual_numbers, enveloping_algebroid,
                            regular_algebroid_module, base_module, tensor_over_base,
                            module_tensor_relations, left_hom_algebroid,
@@ -156,3 +156,24 @@ def test_algebroid_constructions_match_dense_references():
         full = dense_hom_actions(M, N, H.delta_r_terms, H.apply_s)
         assert list(hom.mats) == [basis.coordinate_matrix(m * basis.basis_matrix())
                                   for m in full]
+
+
+@pytest.mark.parametrize("which", ["quasi-Hopf", "algebroid"])
+def test_cop_view_is_kept_once_per_module(which, twisted_q):
+    if which == "quasi-Hopf":
+        H = twisted_q
+        V, M = regular_module(H), trivial_module(H)
+    else:
+        H = enveloping_algebroid(base_ring_dual_numbers(F5))
+        V, M = regular_algebroid_module(H), base_module(H)
+    assert V.cop is V.cop
+    assert V.cop.parent is V.parent.cop
+    assert type(V.cop) is type(V) and V.cop.mats is V.mats
+    assert V.cop.action is V.action
+    # the right-hand maps read the same views, so their actions are built once
+    right_hom(V, M)
+    views = (V.cop, M.cop)
+    actions = [X.action for X in views]
+    right_hom(V, M)
+    assert (V.cop, M.cop) == views
+    assert all(X.action is a for X, a in zip(views, actions))
