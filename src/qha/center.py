@@ -46,7 +46,6 @@ class CenterElement:
         key = V.structural_key()
         cached = self._tau_cache.get(key)
         if cached is None:
-            # idempotent fill: concurrent computations produce equal matrices
             cached = tau_from_contramodule(self.coefficient, V)
             self._tau_cache[key] = cached
         return cached

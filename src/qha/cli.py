@@ -26,7 +26,7 @@ from .algebroid import (HopfAlgebroid, enveloping_algebroid,
 from .coefficients import (Contramodule, FlavorError, HOPF_MU, QUASI_I, QUASI_II,
                            evaluation_at_unit, check_ayd, check_stability,
                            convert_I_to_II, convert_II_to_I)
-from .cyclic import (ModuleAlgebra, build_cocyclic, check_algebra_object,
+from .cyclic import (ModuleAlgebra, build_cocyclic, check_algebra_object, unit_algebra,
                      hochschild_cohomology, cyclic_cohomology, CocyclicError)
 from .structures import (parse_structure, serialize, write_structure, content_hash,
                          StructureFileError, _parse_base, _tensor3)
@@ -273,7 +273,6 @@ def cmd_generate(args) -> int:
         parent = parse_structure(args.structure)
         if not isinstance(parent, (QuasiHopfAlgebra, HopfAlgebroid)):
             raise UsageError("unit_algebra needs a quasi_hopf or hopf_algebroid structure")
-        from .cyclic import unit_algebra
         obj = unit_algebra(parent)
         name = name or "unitA"
     elif what == "trivial_contramodule":

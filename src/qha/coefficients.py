@@ -32,7 +32,9 @@ from .linalg import (Matrix, Subspace, block_matrix, intertwiner_space, kron_sum
 from .reports import CheckReport
 from .quasihopf import (HModule, QuasiHopfAlgebra, IntertwinerError, StructureError,
                         regular_module, is_intertwiner, eps_p_q_beta_s_r, left_hom, right_hom,
-                        hom_carriers, right_hom_carrier, element_legs, _restricted)
+                        hom_carriers, right_hom_carrier, element_legs, lift_legs,
+                        _restricted, _swap_factors)
+from .algebroid import HopfAlgebroid, right_linear_hom_basis
 
 # the flavors, each named by its tag in structure files
 HOPF_MU = "hopf_mu"
@@ -134,9 +136,8 @@ def _contra_assoc_sides(C: Contramodule, delta: Matrix, inst: Matrix):
     holds the coproduct of e_c at (c, p*n + q), and D reads F off along it."""
     f, mu = C.field, C.mu
     n, d = C.parent.dim, C.carrier.dim
-    pull = delta.reindexed(n, n * n, lambda c, k: (c, k % n * n + k // n))
     return (mu * (mu.kron(Matrix.identity(f, n)) * inst),
-            mu * (Matrix.identity(f, d).kron(pull) * inst))
+            mu * (Matrix.identity(f, d).kron(_swap_factors(delta, n, n)) * inst))
 
 
 # -- Hopf flavor ---------------------------------------------------------------
@@ -185,8 +186,8 @@ def check_ayd_hopf(C: Contramodule) -> CheckReport:
 # An aYD equation is given per basis element h of H by its two sides, each
 # a list of terms (c, A, B) standing for sum c A mu B: A acts on M, B on the
 # carrier of Hom(H, M), and column j*dim(H) + a of a side is its instance at
-# the matrix unit f = E_ja.  The checks evaluate the terms at mu; the linear
-# system reads them as sum c (A (x) B^T).
+# the matrix unit f = E_ja.  The checks evaluate the terms at mu, the linear
+# system at every matrix unit of Hom(H, M) in the place of mu.
 
 def _ayd_sides_one(M: HModule):
     """h mu(f) = mu(h^2 f(S(h^3) - h^1)) per basis element h, where
@@ -242,9 +243,8 @@ def ayd_compatibility_system(carrier: HModule, flavor: str) -> Matrix:
     For hopf_mu and type I this is the S/S^-1-twisted equation above; for
     type II it is the nu-form with doubled Sweedler legs.  The remaining
     contramodule axioms are quadratic and are not part of this system.
-    Column t holds both sides' difference at the unit tensor t, in the
-    order (h, f_row, f_col, coordinate) of the checks: per h the sum of
-    c (A (x) B^T) over the terms, lhs minus rhs, with its rows reindexed.
+    Column t is lhs minus rhs of the checks' sides at the matrix unit E_t,
+    read in the order (h, f_row, f_col, coordinate) of the checks.
     """
     H = carrier.parent
     f = H.field
@@ -255,21 +255,22 @@ def ayd_compatibility_system(carrier: HModule, flavor: str) -> Matrix:
         sides = _ayd_sides_one(carrier)
     else:
         raise FlavorError("no linear aYD system for flavor %s" % flavor)
-    dn = d * n
-    terms = []
-    for h, (lhs, rhs) in enumerate(sides):
-        at_h = Matrix(f, n, 1, [f.one if x == h else f.zero for x in range(n)])
-        terms += [(c, [at_h, A, B.transpose()]) for c, A, B in lhs]
-        terms += [(f.neg(c), [at_h, A, B.transpose()]) for c, A, B in rhs]
-    # row (h, i, c) of the sum is coordinate i at the instance c of h; the
-    # system has it at row (h, c, i)
-    return kron_sum(f, n * d * dn, d * dn, terms).reindexed(
-        n * dn * d, d * dn, lambda r, t: ((r // (d * dn) * dn + r % dn) * d + r // dn % d, t))
+    dn, eye = d * n, Matrix.identity(f, d * n)
+    diffs = []
+    for unit in Matrix.identity(f, d * dn).row_blocks(1):
+        lhs, rhs = _ayd_at(sides, unit.reshaped(d, dn), eye)
+        diffs.append((lhs - rhs).transpose().reshaped(1, n * dn * d))
+    return vstack(f, n * dn * d, diffs).transpose()
 
 
 def check_stability_hopf(C: Contramodule) -> CheckReport:
     """mu(r_m) = m with r_m(h) = h m, for every basis vector m."""
-    _require_hopf(C)
+    return _regular_stability(C, _require_hopf)
+
+
+def _regular_stability(C: Contramodule, require) -> CheckReport:
+    """The stability of the Hopf and algebroid flavors, once require(C) holds."""
+    require(C)
     return _identity_check("stability", C.mu * _action_map(
         C.carrier, Matrix.identity(C.field, C.parent.dim)))
 
@@ -480,7 +481,6 @@ def convert_II_to_I(C: Contramodule) -> Contramodule:
 # -- algebroid flavor ------------------------------------------------------------
 
 def _require_algebroid(C: Contramodule):
-    from .algebroid import HopfAlgebroid
     _require(C, ALGEBROID_MU)
     if not isinstance(C.parent, HopfAlgebroid):
         raise FlavorError("algebroid_mu coefficients need a HopfAlgebroid parent")
@@ -506,8 +506,8 @@ def check_contramodule_algebroid(C: Contramodule) -> CheckReport:
         f, [(proj * eye.kron(L) * lift, A) for L, A in zip(H.mults_of(H.t_l), M.acts(H.t_l))],
         d, proj.rows)
     # phi |-> F with F(e_x)(e_y) = phi(e_x (x) e_y), on the carrier of Hom(H, Hom(H, M))
-    swapped = proj.reindexed(proj.rows, n * n, lambda r, k: (r, k % n * n + k // n))
-    inst = Matrix.identity(f, d).kron(swapped.transpose()) * phi_basis.basis_matrix()
+    inst = Matrix.identity(f, d).kron(_swap_factors(proj, n, n).transpose()) \
+        * phi_basis.basis_matrix()
     rep = CheckReport().compare("contra_assoc_algebroid", (("phi_index", phi_basis.dim),),
                                 *_contra_assoc_sides(C, H.delta_l_lift.transpose(), inst))
     rep.extend(_identity_check("contra_unit_algebroid", C.mu * _action_map(M, H.t_l * H.eps_l)))
@@ -526,7 +526,6 @@ def check_ayd_algebroid(C: Contramodule) -> CheckReport:
     f = C.field
     n, d, r = H.dim, C.carrier.dim, H.base.dim
     M = C.carrier
-    from .algebroid import lift_legs, right_linear_hom_basis
     # the canonical basis of Hom(H, M)_{R_l}, the carrier of Hom^l(H, M)
     maps = right_linear_hom_basis(regular_module(H), M).basis_matrix()
     ranges = (("h", n), ("f_index", maps.cols))
@@ -558,9 +557,7 @@ def check_ayd_algebroid(C: Contramodule) -> CheckReport:
 
 def check_stability_algebroid(C: Contramodule) -> CheckReport:
     """mu(r_m) = m with r_m(h) = h m, per basis vector of the carrier."""
-    _require_algebroid(C)
-    return _identity_check("stability", C.mu * _action_map(
-        C.carrier, Matrix.identity(C.field, C.parent.dim)))
+    return _regular_stability(C, _require_algebroid)
 
 
 def check_stability_quasi(C: Contramodule) -> CheckReport:

@@ -129,7 +129,8 @@ def check_algebra_object(A: ModuleAlgebra) -> CheckReport:
 # -- tensor powers with bracketing ------------------------------------------------
 
 class TensorPowerChain:
-    """Left-nested tensor powers L_k = L_(k-1) (x) A of A.
+    """Left-nested tensor powers L_k = L_(k-1) (x) A of A for 1 <= k <= depth;
+    a depth below 1 is refused (the unit object is unit_algebra(H)).
 
     ``mods[k]`` is L_k and ``rels[k]`` the base relations of its last
     stage L_(k-1) (x) A (None when the parent has none).  Every map below
@@ -139,6 +140,8 @@ class TensorPowerChain:
     """
 
     def __init__(self, A: ModuleAlgebra, depth: int):
+        if depth < 1:
+            raise ValueError("n must be >= 1; the unit object is unit_algebra(H)")
         self.A = A
         H = A.parent
         d = A.carrier.dim
@@ -179,13 +182,7 @@ class TensorPowerChain:
         return self._fronts[k]
 
 
-def tensor_power_bracketed(A: ModuleAlgebra, n: int) -> TensorPowerChain:
-    """The left-nested tensor powers L_1 .. L_n of A with their rebracketing
-    isomorphisms.  The unit object (the would-be zeroth power) is available
-    separately through unit_algebra."""
-    if n < 1:
-        raise ValueError("n must be >= 1; the unit object is unit_algebra(H)")
-    return TensorPowerChain(A, n)
+tensor_power_bracketed = TensorPowerChain
 
 
 def _mult_map(chain: TensorPowerChain, k: int, i: int) -> Matrix:
@@ -354,65 +351,58 @@ def build_cocyclic(A: ModuleAlgebra, M: Contramodule, n_max: int) -> CocyclicMod
     return cc
 
 
+def _cocyclic_identities(cc: CocyclicModule):
+    """Every cosimplicial and cyclic identity of cc as (relation, indices,
+    lhs, rhs), in the order they are verified: cofaces, codegeneracies,
+    the mixed relations, t^(n+1) = id, then per degree the cyclic coface
+    and codegeneracy relations."""
+    d, s, t = cc.cofaces, cc.codegens, cc.cyclics
+    for n in range(cc.n_max - 1):
+        for j in range(n + 3):
+            for i in range(j):
+                yield ("coface relation", dict(n=n, i=i, j=j),
+                       d[n + 1][j] * d[n][i], d[n + 1][i] * d[n][j - 1])
+    for n in range(cc.n_max - 1):
+        for j in range(n + 1):
+            for i in range(j + 1):
+                yield ("codegeneracy relation", dict(n=n, i=i, j=j),
+                       s[n][i] * s[n + 1][j + 1], s[n][j] * s[n + 1][i])
+    for n in range(cc.n_max):
+        eye = Matrix.identity(cc.field, cc.dim(n))
+        for j in range(n + 1):
+            for i in range(n + 2):
+                lhs = s[n][j] * d[n][i]
+                if i in (j, j + 1):
+                    yield "mixed identity relation", dict(n=n, i=i, j=j), lhs, eye
+                else:
+                    # i < j or i > j + 1, so n >= 1
+                    yield "mixed relation", dict(n=n, i=i, j=j), lhs, (
+                        d[n - 1][i] * s[n - 1][j - 1] if i < j
+                        else d[n - 1][i - 1] * s[n - 1][j])
+    for n in range(cc.n_max + 1):
+        power = t[n]
+        for _ in range(n):
+            power = power * t[n]
+        yield "t^(n+1) != id", dict(n=n), power, Matrix.identity(cc.field, cc.dim(n))
+    for n in range(cc.n_max):
+        yield "cyclic coface wrap", dict(n=n), t[n + 1] * d[n][0], d[n][n + 1]
+        for i in range(1, n + 2):
+            yield ("cyclic coface relation", dict(n=n, i=i),
+                   t[n + 1] * d[n][i], d[n][i - 1] * t[n])
+        for i in range(1, n + 1):
+            yield ("cyclic codegeneracy relation", dict(n=n, i=i),
+                   t[n] * s[n][i], s[n][i - 1] * t[n + 1])
+        yield ("cyclic codegeneracy wrap", dict(n=n),
+               t[n] * s[n][0], s[n][n] * (t[n + 1] * t[n + 1]))
+
+
 def verify_cocyclic_identities(cc: CocyclicModule):
     """Return None when all identities hold, else a CocyclicError (not
     raised) naming the first failing relation and its indices; its message
     describes the relation."""
-    f = cc.field
-    for n in range(cc.n_max - 1):
-        d_lo, d_hi = cc.cofaces[n], cc.cofaces[n + 1]
-        for j in range(n + 3):
-            for i in range(j):
-                if d_hi[j] * d_lo[i] != d_hi[i] * d_lo[j - 1]:
-                    return CocyclicError("coface relation", n=n, i=i, j=j)
-    for n in range(cc.n_max - 1):
-        s_hi, s_lo = cc.codegens[n + 1], cc.codegens[n]
-        for j in range(n + 1):
-            for i in range(j + 1):
-                if s_lo[i] * s_hi[j + 1] != s_lo[j] * s_hi[i]:
-                    return CocyclicError("codegeneracy relation", n=n, i=i, j=j)
-    for n in range(cc.n_max):
-        d, s = cc.cofaces[n], cc.codegens[n]
-        eye = Matrix.identity(f, cc.dim(n))
-        for j in range(n + 1):
-            for i in range(n + 2):
-                lhs = s[j] * d[i]
-                if i < j:
-                    dd = cc.cofaces[n - 1][i] if n >= 1 else None
-                    ss = cc.codegens[n - 1][j - 1] if n >= 1 else None
-                    if dd is None or lhs != dd * ss:
-                        return CocyclicError("mixed relation", n=n, i=i, j=j)
-                elif i in (j, j + 1):
-                    if lhs != eye:
-                        return CocyclicError("mixed identity relation", n=n, i=i, j=j)
-                else:
-                    if n >= 1:
-                        dd = cc.cofaces[n - 1][i - 1]
-                        ss = cc.codegens[n - 1][j]
-                        if lhs != dd * ss:
-                            return CocyclicError("mixed relation", n=n, i=i, j=j)
-    for n in range(cc.n_max + 1):
-        t = cc.cyclics[n]
-        acc = Matrix.identity(f, cc.dim(n))
-        for _ in range(n + 1):
-            acc = acc * t
-        if not acc.is_identity():
-            return CocyclicError("t^(n+1) != id", n=n)
-    for n in range(cc.n_max):
-        t_hi = cc.cyclics[n + 1]
-        t_lo = cc.cyclics[n]
-        d = cc.cofaces[n]
-        if t_hi * d[0] != d[n + 1]:
-            return CocyclicError("cyclic coface wrap", n=n)
-        for i in range(1, n + 2):
-            if t_hi * d[i] != d[i - 1] * t_lo:
-                return CocyclicError("cyclic coface relation", n=n, i=i)
-        s = cc.codegens[n]
-        for i in range(1, n + 1):
-            if t_lo * s[i] != s[i - 1] * t_hi:
-                return CocyclicError("cyclic codegeneracy relation", n=n, i=i)
-        if t_lo * s[0] != s[n] * (t_hi * t_hi):
-            return CocyclicError("cyclic codegeneracy wrap", n=n)
+    for relation, indices, lhs, rhs in _cocyclic_identities(cc):
+        if lhs != rhs:
+            return CocyclicError(relation, **indices)
     return None
 
 

@@ -19,7 +19,7 @@ import json
 from .fields import Field, FieldError, ScalarParseError, rationals, prime_field
 from .linalg import Matrix, vstack
 from .quasihopf import QuasiHopfAlgebra, HModule
-from .algebroid import BaseRing, HopfAlgebroid, AlgebroidModule
+from .algebroid import BaseRing, HopfAlgebroid, AlgebroidModule, tensor_over_base
 from .coefficients import Contramodule, FLAVORS, ALGEBROID_MU
 from .cyclic import ModuleAlgebra
 
@@ -293,7 +293,11 @@ def parse_document(doc, parent=None):
 
     embedded = None
     if "parent" in doc:
-        embedded = _parse_parent(f, _want(doc, "parent", dict, "$"), "$.parent")
+        pdoc = _want(doc, "parent", dict, "$")
+        if parse_field(_want(pdoc, "field", dict, "$.parent"), "$.parent.field") != f:
+            raise StructureFileError("incompatible_kinds", "embedded parent field "
+                                     "differs from the document's", "$.parent.field")
+        embedded = _parse_parent(f, pdoc, "$.parent")
     if parent is not None and embedded is not None:
         if serialize(parent, "x") != serialize(embedded, "x"):
             raise StructureFileError(
@@ -337,7 +341,6 @@ def parse_document(doc, parent=None):
         amb = _matrix(f, _want(doc, "mult", list, "$"), d, d * d, "$.mult")
         unit_doc = _want(doc, "unit", list, "$")
         if isinstance(use_parent, HopfAlgebroid):
-            from .algebroid import tensor_over_base
             _, rel = tensor_over_base(carrier, carrier)
             mult = amb * rel.lift
             if mult * rel.projector != amb:

@@ -375,3 +375,10 @@ def test_mixed_coassoc_holds_modulo_relations(env_q):
     assert rep.result("mixed_coassoc_2").passed
     assert rep.result("kow_identity").passed
     assert rep.result("sinv_twisted_linear").passed
+
+
+def test_tensor_over_base_refuses_a_dimension_over_the_cap(monkeypatch):
+    reg = regular_algebroid_module(enveloping_algebroid(base_ring_dual_numbers(QQ)))
+    monkeypatch.setenv("QHA_MAX_DIM", "15")
+    with pytest.raises(StructureError, match="^tensor dimension 16 exceeds QHA_MAX_DIM$"):
+        tensor_over_base(reg, reg)

@@ -12,7 +12,7 @@ from qha.algebroid import (enveloping_algebroid, base_ring_dual_numbers,
 from qha.coefficients import (Contramodule, evaluation_at_unit, HOPF_MU, QUASI_I,
                               ALGEBROID_MU, check_stability)
 from qha.cyclic import (ModuleAlgebra, unit_algebra, check_algebra_object,
-                        build_cocyclic, verify_cocyclic_identities,
+                        CocyclicModule, build_cocyclic, verify_cocyclic_identities,
                         hochschild_cohomology, cyclic_cohomology)
 
 from conftest import QQ, F5, random_invertible, base_ring_t2
@@ -150,6 +150,54 @@ def test_functions_algebra_cocyclic(kc2_q):
     hc = cyclic_cohomology(cc, 2)
     assert all(d >= 0 for d in hh.dims) and all(d >= 0 for d in hc.dims)
     # b o b = 0 is asserted inside hochschild_cohomology
+
+
+def _with_entries(m, entries):
+    """m with the entries {(i, j): value} replaced."""
+    rows = [list(r) for r in m.row_list()]
+    for (i, j), v in entries.items():
+        rows[i][j] = v
+    return Matrix.from_rows(m.field, rows)
+
+
+def test_verify_names_the_first_failing_relation(kc2_q):
+    cc = build_cocyclic(functions_algebra(kc2_q), unit_coefficient(kc2_q), 3)
+
+    def first_failure(edits):
+        """The relation and indices reported once each edit (maps, position,
+        change) has replaced the map at that position by its change."""
+        maps = {"cofaces": [list(row) for row in cc.cofaces],
+                "codegens": [list(row) for row in cc.codegens],
+                "cyclics": list(cc.cyclics)}
+        for name, (*outer, last), change in edits:
+            holder = maps[name]
+            for k in outer:
+                holder = holder[k]
+            holder[last] = change(holder[last])
+        problem = verify_cocyclic_identities(CocyclicModule(
+            cc.n_max, cc.spaces, maps["cofaces"], maps["codegens"], maps["cyclics"], cc.field))
+        return problem.relation, dict(problem.indices)
+
+    def entry(i, j, v):
+        return lambda m: _with_entries(m, {(i, j): v})
+
+    zero, one, minus = QQ.zero, QQ.one, QQ.neg(QQ.one)
+    cases = [
+        ([("cofaces", (0, 0), entry(0, 0, zero))], "coface relation", {"n": 0, "i": 0, "j": 2}),
+        ([("codegens", (0, 0), entry(0, 0, zero))], "codegeneracy relation",
+         {"n": 0, "i": 0, "j": 0}),
+        ([("cyclics", (0,), entry(0, 0, zero))], "t^(n+1) != id", {"n": 0}),
+        ([("cyclics", (1,), entry(0, 0, minus))], "cyclic coface wrap", {"n": 0}),
+        ([("cyclics", (1,), entry(1, 1, minus))], "cyclic coface relation", {"n": 1, "i": 1}),
+        ([("cyclics", (3,), entry(5, 5, minus))], "cyclic codegeneracy relation",
+         {"n": 2, "i": 1}),
+        ([("codegens", (2, j), lambda m: m.scale(QQ.from_int(2))) for j in range(3)],
+         "mixed identity relation", {"n": 2, "i": 0, "j": 0}),
+        ([("cofaces", (2, i), entry(7, 2, one)) for i in (2, 3)], "mixed relation",
+         {"n": 2, "i": 2, "j": 0}),
+    ]
+    for edits, relation, indices in cases:
+        assert first_failure(edits) == (relation, indices)
 
 
 def test_algebroid_cocyclic():
@@ -375,6 +423,20 @@ def test_basis_change_invariance(kc2_q):
     cc2 = build_cocyclic(A2, unit_coefficient(H), 3)
     assert hochschild_cohomology(cc1, 2).dims == hochschild_cohomology(cc2, 2).dims
     assert cyclic_cohomology(cc1, 2).dims == cyclic_cohomology(cc2, 2).dims
+
+
+def test_tensor_power_chain_refuses_a_depth_below_one(kc2_q):
+    from qha.cyclic import TensorPowerChain
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        TensorPowerChain(functions_algebra(kc2_q), 0)
+
+
+def test_tensor_power_chain_refuses_a_dimension_over_the_cap(kc2_q, monkeypatch):
+    from qha.cyclic import TensorPowerChain
+    monkeypatch.setenv("QHA_MAX_DIM", "7")
+    with pytest.raises(StructureError,
+                       match="^tensor power dimension 8 exceeds QHA_MAX_DIM "):
+        TensorPowerChain(functions_algebra(kc2_q), 3)
 
 
 def test_tensor_power_bracketed(twisted_q, kc2_q):

@@ -209,3 +209,20 @@ def test_coefficient_file_errors_carry_their_path(tmp_path, capsys, parent, edit
     edit(doc)
     bad.write_text(json.dumps(doc))
     assert _run(capsys, ["stability", str(struct), str(bad)]) == (2, "", message + "\n")
+
+
+# An embedded parent declares the document's field: a different field, a
+# field that is not an object and a missing one are refused at the parent.
+@pytest.mark.parametrize("field, message", [
+    ({"type": "GFp", "p": 5}, "error [incompatible_kinds]: incompatible_kinds at "
+     "$.parent.field: embedded parent field differs from the document's"),
+    ("garbage", "error [schema]: schema at $.parent.field: key 'field' must be dict"),
+    (None, "error [schema]: schema at $.parent: missing key 'field'"),
+], ids=["other-field", "not-an-object", "missing"])
+def test_embedded_parent_field_is_read(tmp_path, capsys, field, message):
+    struct, bad = tmp_path / "H.json", tmp_path / "M.json"
+    write_structure(str(struct), KC2, "H")
+    doc = serialize(_coefficient(KC2), "M")
+    _set(["parent", "field"], field)(doc)
+    bad.write_text(json.dumps(doc))
+    assert _run(capsys, ["ayd", str(struct), str(bad)]) == (2, "", message + "\n")
