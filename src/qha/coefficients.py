@@ -11,15 +11,16 @@ constraint.  Every check rejects data of the wrong flavor.
 
 Every equation is written once as two matrices, one per side, each a sum
 of terms c A mu B: A acts on M, and B is a fixed map into the carrier of
-Hom(H, M) whose columns are the check's instances.  The conversions
-between the types are such sums, and the type II tau is the type I tau
-of the converted coefficient.  A failed check reports the first column at
-which the sides differ, read as the lexicographically first failing index
-tuple in the order the check names its indices: basis elements h of H,
-vectors m of M, base indices r, matrix units E_ja of Hom(H, M) as
-(f_row, f_col) = (j, a), and f_index for the canonical basis of the
-base-linear maps.  The one exception is the quasi-Hopf contraaction check
-(``_quasi_contra_check``): it finds the first failure in the order
+Hom(H, M) whose columns are the check's instances.  Such a sum is one
+matrix on the entries of mu (``_operator``), read by the aYD checks, the
+type I -> II conversion and the linear aYD system alike; the type II tau is
+the type I tau of the converted coefficient.  A failed check reports the
+first column at which the sides differ, read as the lexicographically first
+failing index tuple in the order the check names its indices: basis
+elements h of H, vectors m of M, base indices r, matrix units E_ja of
+Hom(H, M) as (f_row, f_col) = (j, a), and f_index for the canonical basis
+of the base-linear maps.  The one exception is the quasi-Hopf contraaction
+check (``_quasi_contra_check``): it finds the first failure in the order
 (f_row, f_col, f_outer, coord) but reports the tuple with f_outer first.
 """
 
@@ -30,10 +31,9 @@ from functools import cached_property
 from .linalg import (Matrix, Subspace, block_matrix, intertwiner_space, kron_sum,
                      quotient_section, slot_apply, vstack)
 from .reports import CheckReport
-from .quasihopf import (HModule, QuasiHopfAlgebra, IntertwinerError, StructureError,
-                        regular_module, is_intertwiner, eps_p_q_beta_s_r, left_hom, right_hom,
-                        hom_carriers, right_hom_carrier, element_legs, lift_legs,
-                        _restricted, _swap_factors)
+from .quasihopf import (HModule, IntertwinerError, StructureError, regular_module, is_intertwiner,
+                        eps_p_q_beta_s_r, left_hom, right_hom, hom_carriers, right_hom_carrier,
+                        element_legs, lift_legs, _restricted, _swap_factors)
 from .algebroid import HopfAlgebroid, right_linear_hom_basis
 
 # the flavors, each named by its tag in structure files
@@ -121,10 +121,20 @@ def _action_map(M: HModule, X: Matrix) -> Matrix:
     return (X.transpose() * M.action).reindexed(d * n, d, lambda x, k: (k // d * n + x, k % d))
 
 
-def _sandwich(mu: Matrix, terms) -> Matrix:
-    """sum c A mu B over the terms (c, A, B), A on M and B on the carrier of
-    Hom(H, M)."""
-    return kron_sum(mu.field, mu.rows, mu.cols, [(c, [A * mu * B]) for c, A, B in terms])
+def _operator(term_lists, inst: Matrix, d: int) -> Matrix:
+    """mu |-> sum c A mu B inst for each list of terms (c, A, B), A on M of
+    dimension d and B on the carrier of Hom(H, M), as one matrix on the
+    row-major vec(mu^T): the sums of c (B inst)^T (x) A, one below the other,
+    with rows (list, column of inst, coordinate)."""
+    f, w, k = inst.field, inst.rows, inst.cols
+    return vstack(f, w * d, [kron_sum(f, k * d, w * d, [
+        (c, [(B * inst).transpose(), A]) for c, A, B in terms]) for terms in term_lists])
+
+
+def _at(op: Matrix, mu: Matrix) -> Matrix:
+    """op at mu, as the matrix whose column k is the k-th instance."""
+    d = mu.rows
+    return (op * mu.transpose().reshaped(d * mu.cols, 1)).reshaped(op.rows // d, d).transpose()
 
 
 def _contra_assoc_sides(C: Contramodule, delta: Matrix, inst: Matrix):
@@ -186,8 +196,8 @@ def check_ayd_hopf(C: Contramodule) -> CheckReport:
 # An aYD equation is given per basis element h of H by its two sides, each
 # a list of terms (c, A, B) standing for sum c A mu B: A acts on M, B on the
 # carrier of Hom(H, M), and column j*dim(H) + a of a side is its instance at
-# the matrix unit f = E_ja.  The checks evaluate the terms at mu, the linear
-# system at every matrix unit of Hom(H, M) in the place of mu.
+# the matrix unit f = E_ja.  The checks evaluate each side's operator at
+# mu; the linear system is the operator of lhs - rhs.
 
 def _ayd_sides_one(M: HModule):
     """h mu(f) = mu(h^2 f(S(h^3) - h^1)) per basis element h, where
@@ -224,8 +234,7 @@ def _ayd_sides_two(M: HModule, legs):
 def _ayd_at(sides, mu: Matrix, inst: Matrix):
     """The two sides of an aYD equation at mu and at the maps given as the
     columns of inst, the instances of every h side by side: (h, instance)."""
-    return tuple(vstack(mu.field, inst.cols, [_sandwich(mu, pair[k]) * inst for pair in sides])
-                 .side_by_side(mu.rows) for k in (0, 1))
+    return tuple(_at(_operator([pair[k] for pair in sides], inst, mu.rows), mu) for k in (0, 1))
 
 
 def _ayd_report(check_id: str, C: Contramodule, sides) -> CheckReport:
@@ -243,24 +252,19 @@ def ayd_compatibility_system(carrier: HModule, flavor: str) -> Matrix:
     For hopf_mu and type I this is the S/S^-1-twisted equation above; for
     type II it is the nu-form with doubled Sweedler legs.  The remaining
     contramodule axioms are quadratic and are not part of this system.
-    Column t is lhs minus rhs of the checks' sides at the matrix unit E_t,
-    read in the order (h, f_row, f_col, coordinate) of the checks.
+    It is the checks' lhs - rhs as an operator at the matrix units, on the
+    row-major vec(mu), with rows (h, f_row, f_col, coordinate).
     """
     H = carrier.parent
-    f = H.field
-    d, n = carrier.dim, H.dim
     if flavor in (HOPF_MU, QUASI_I):
         sides = _ayd_sides_two(carrier, H.delta_legs)
     elif flavor == QUASI_II:
         sides = _ayd_sides_one(carrier)
     else:
         raise FlavorError("no linear aYD system for flavor %s" % flavor)
-    dn, eye = d * n, Matrix.identity(f, d * n)
-    diffs = []
-    for unit in Matrix.identity(f, d * dn).row_blocks(1):
-        lhs, rhs = _ayd_at(sides, unit.reshaped(d, dn), eye)
-        diffs.append((lhs - rhs).transpose().reshaped(1, n * dn * d))
-    return vstack(f, n * dn * d, diffs).transpose()
+    neg, d, dn = H.field.neg, carrier.dim, carrier.dim * H.dim
+    diff = [lhs + [(neg(c), A, B) for c, A, B in rhs] for lhs, rhs in sides]
+    return _swap_factors(_operator(diff, Matrix.identity(H.field, dn), d), dn, d)
 
 
 def check_stability_hopf(C: Contramodule) -> CheckReport:
@@ -460,8 +464,9 @@ def convert_I_to_II(C: Contramodule) -> Contramodule:
     H, M = C.parent, C.carrier
     eye, n = Matrix.identity(C.field, M.dim), H.dim
     terms = element_legs(slot_apply(H.antipode_inv * H.alpha_hat, H.phi_inv_row, 1, n), n, 2)
-    return Contramodule(M, _sandwich(C.mu, [(c, M.mats[r], eye.kron(H.right_mults[w].transpose()))
-                                            for (w, r), c in terms.items()]), QUASI_II)
+    op = _operator([[(c, M.mats[r], eye.kron(H.right_mults[w].transpose()))
+                     for (w, r), c in terms.items()]], Matrix.identity(C.field, M.dim * n), M.dim)
+    return Contramodule(M, _at(op, C.mu), QUASI_II)
 
 
 def convert_II_to_I(C: Contramodule) -> Contramodule:

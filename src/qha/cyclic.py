@@ -116,7 +116,7 @@ def check_algebra_object(A: ModuleAlgebra) -> CheckReport:
     rep.add("mult_is_morphism", is_intertwiner(A.mult, sq, V))
     rep.add("unit_is_morphism", is_intertwiner(A.unit, H.unit_object(), V))
     eye = Matrix.identity(f, V.dim)
-    lhs = A.mult * _kron(A.mult, eye, H.tensor_relations(V, V, V), rel)
+    lhs = A.mult * _kron(A.mult, eye, H.tensor_relations(sq, V), rel)
     rhs = A.mult * _kron(eye, A.mult, H.tensor_relations(V, sq), rel) \
         * H.associativity(V, V, V)
     rep.add("associative_up_to_phi", lhs == rhs)

@@ -348,15 +348,8 @@ class Matrix:
     def kernel(self) -> "Subspace":
         """Canonical basis of the null space {v : self @ v = 0}."""
         red, pivots = self.rref()
-        f = self.field
-        pivset = set(pivots)
-        # e_c minus the pivot entries of column c, for every free column c
-        gens = {c: {c: f.one} for c in range(self.cols) if c not in pivset}
-        for pc, r in zip(pivots, red._rows):
-            for c, a in r.items():
-                if c != pc:
-                    gens[c][pc] = f.neg(a)
-        return Subspace.row_space(Matrix._sparse(f, len(gens), self.cols, gens.values()))
+        gens = _null_rows(self.field, self.cols, pivots, red._rows)
+        return Subspace.row_space(Matrix._sparse(self.field, len(gens), self.cols, gens.values()))
 
     def solve(self, rhs):
         """A particular solution of self @ x = rhs, or None if inconsistent.
@@ -443,6 +436,18 @@ def _subtract_multiple(v: dict, a, p: dict, sub, mul):
             v[j] = sub(0, mul(a, b))
             fresh.append(j)
     return fresh
+
+
+def _null_rows(field: Field, ncols: int, pivots, rows) -> dict:
+    """The null-space rows of a reduced matrix with these pivot columns and
+    rows: {c: e_c minus column c of the rows} for every free column c."""
+    pivset = set(pivots)
+    out = {c: {c: field.one} for c in range(ncols) if c not in pivset}
+    for pc, r in zip(pivots, rows):
+        for c, a in r.items():
+            if c != pc:
+                out[c][pc] = field.neg(a)
+    return out
 
 
 def block_matrix(field: Field, rows: int, cols: int, blocks) -> Matrix:
@@ -672,22 +677,12 @@ def quotient_section(field: Field, ambient_dim: int, relations: Subspace):
     if relations.ambient_dim != ambient_dim:
         raise ShapeError("relations live in k^%d, not k^%d"
                          % (relations.ambient_dim, ambient_dim))
-    pivots = relations.pivots()
-    pivset = set(pivots)
-    free = [c for c in range(ambient_dim) if c not in pivset]
-    slot = {c: k for k, c in enumerate(free)}
-    one = field.one
-    # projector row for free coordinate c: e_c minus the relation corrections;
-    # subtracting x[pc] * basis[r] zeroes every pivot coordinate
-    proj_rows = [{c: one} for c in free]
-    for pc, r in zip(pivots, relations._rows._rows):
-        for c, a in r.items():
-            if c != pc:
-                proj_rows[slot[c]][pc] = field.neg(a)
-    projector = Matrix._sparse(field, len(free), ambient_dim, proj_rows)
-    lift = Matrix._sparse(field, ambient_dim, len(free),
-                          [{slot[c]: one} if c in slot else _EMPTY for c in range(ambient_dim)])
-    return projector, lift
+    # one projector row per free coordinate; subtracting x[pc] * basis[r]
+    # zeroes every pivot coordinate
+    free = _null_rows(field, ambient_dim, relations.pivots(), relations._rows._rows)
+    projector = Matrix._sparse(field, len(free), ambient_dim, free.values())
+    lift = Matrix._sparse(field, len(free), ambient_dim, [{c: field.one} for c in free])
+    return projector, lift.transpose()
 
 
 def intertwiner_space(field: Field, constraints, rows: int, cols: int) -> Subspace:
