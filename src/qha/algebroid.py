@@ -35,7 +35,7 @@ from .linalg import (Matrix, Subspace, quotient_section,
                      intertwiner_space, kron_sum, slot_apply, vstack)
 from .reports import CheckReport
 from .quasihopf import (Algebra, HModule, QuasiHopfAlgebra, StructureError, max_tensor_dim,
-                        left_hom, right_hom, zeta_l, eta_l, zeta_r, eta_r,
+                        shared, left_hom, right_hom, zeta_l, eta_l, zeta_r, eta_r,
                         _swap_factors, lift_legs, check_antipode_pair, perm_mwv_to_mvw,
                         _pair_products, _unit_row)
 
@@ -188,15 +188,8 @@ class HopfAlgebroid(Algebra):
         return module_tensor_relations(left, factors[-1])
 
     def associativity(self, U, V, W) -> Matrix:
-        """(U (x) V) (x) W -> U (x) (V (x) W) on the quotient carriers: the
-        strict requotient through the ambient U (x) V (x) W."""
-        UV, uv = tensor_over_base(U, V)
-        VW, vw = tensor_over_base(V, W)
-        f = self.field
-        return (module_tensor_relations(U, VW).projector
-                * Matrix.identity(f, U.dim).kron(vw.projector)
-                * uv.lift.kron(Matrix.identity(f, W.dim))
-                * module_tensor_relations(UV, W).lift)
+        """(U (x) V) (x) W -> U (x) (V (x) W) on the quotient carriers."""
+        return requotient_associativity(U, V, W)
 
     def unit_object(self):
         return base_module(self)
@@ -298,12 +291,14 @@ def _relation_space(f: Field, pairs, d1: int, d2: int) -> Subspace:
         for a, b in pairs]))
 
 
+@shared
 def module_tensor_relations(M: AlgebroidModule, N: AlgebroidModule) -> RelationSpace:
     H = M.parent
     pairs = list(zip(M.acts(H.t_l), N.acts(H.s_l)))
     return RelationSpace(H.field, M.dim * N.dim, _relation_space(H.field, pairs, M.dim, N.dim))
 
 
+@shared
 def tensor_over_base(M: AlgebroidModule, N: AlgebroidModule):
     """M (x)_{R_l} N with the Delta_l-induced action.
 
@@ -330,6 +325,20 @@ def tensor_over_base(M: AlgebroidModule, N: AlgebroidModule):
     mats = [rel.projector * a * rel.lift for a in amb]
     mod = AlgebroidModule(H, mats, name="(%s)x_R(%s)" % (M.name, N.name))
     return mod, rel
+
+
+@shared
+def requotient_associativity(U: AlgebroidModule, V: AlgebroidModule,
+                             W: AlgebroidModule) -> Matrix:
+    """(U (x)_R V) (x)_R W -> U (x)_R (V (x)_R W): the strict requotient
+    through the ambient U (x) V (x) W."""
+    UV, uv = tensor_over_base(U, V)
+    VW, vw = tensor_over_base(V, W)
+    f = U.parent.field
+    return (module_tensor_relations(U, VW).projector
+            * Matrix.identity(f, U.dim).kron(vw.projector)
+            * uv.lift.kron(Matrix.identity(f, W.dim))
+            * module_tensor_relations(UV, W).lift)
 
 
 # -- internal homs over the base ------------------------------------------------

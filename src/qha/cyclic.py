@@ -15,6 +15,11 @@ base relations as projector . (f (x) g) . lift.  The build verifies every
 cosimplicial and cocyclic identity as an exact matrix identity and refuses
 to return a structure that fails any of them.
 
+A build runs in one build scope (``quasihopf.build_scope``): every tensor
+product, relation space, associativity map, Hom^l module and intertwiner
+space that its cofaces and its zeta/eta/iota calls ask for is built once
+per distinct input and dropped when the build returns or raises.
+
 Hochschild cohomology is computed from the coface alternating sum, cyclic
 cohomology from the first-quadrant bicomplex with columns b, -b' and rows
 1 - lambda, N (lambda = (-1)^n t_n).
@@ -29,7 +34,7 @@ from itertools import accumulate
 from .fields import Field
 from .linalg import Matrix, block_matrix, kron_sum
 from .reports import CheckReport
-from .quasihopf import (QuasiHopfAlgebra, StructureError,
+from .quasihopf import (QuasiHopfAlgebra, StructureError, build_scope,
                         hom_module_morphisms, is_intertwiner, max_tensor_dim)
 from .coefficients import Contramodule, check_stability
 from .center import CenterElement, iota_apply
@@ -136,7 +141,10 @@ class TensorPowerChain:
     stage L_(k-1) (x) A (None when the parent has none).  Every map below
     is one recursion on k through these stages; the chain keeps each
     ``rebracket_front(k)``, multiplication map and unit insertion it has
-    built, so each associator is built and inverted once per chain.
+    built, so each associator is inverted once per chain, and inside a
+    build scope each associativity map and base-relation space is built
+    once per build.  Each stage's ambient L_(k-1) (x) A is checked against
+    QHA_MAX_DIM before the stage is built.
     """
 
     def __init__(self, A: ModuleAlgebra, depth: int):
@@ -145,13 +153,17 @@ class TensorPowerChain:
         self.A = A
         H = A.parent
         d = A.carrier.dim
-        if d ** depth > max_tensor_dim():
-            raise StructureError(
-                "tensor power dimension %d exceeds QHA_MAX_DIM "
-                "(set the environment variable to raise the cap)" % d ** depth)
+        cap = max_tensor_dim()
         self.mods = [None, A.carrier]
         self.rels = [None, None]
         for _ in range(2, depth + 1):
+            # over an algebroid each stage is a quotient, so the ambient of
+            # the next one is the last stage's dim times d, below d ** k
+            ambient = self.mods[-1].dim * d
+            if ambient > cap:
+                raise StructureError(
+                    "tensor power dimension %d exceeds QHA_MAX_DIM "
+                    "(set the environment variable to raise the cap)" % ambient)
             mod, rel = H.tensor(self.mods[-1], A.carrier)
             self.mods.append(mod)
             self.rels.append(rel)
@@ -289,7 +301,15 @@ def build_cocyclic(A: ModuleAlgebra, M: Contramodule, n_max: int) -> CocyclicMod
     Every structure map of a degree is one linear map applied to the whole
     stacked basis of its source space: cofaces and codegeneracies are one
     product each, t_n one call of iota_apply.  Each image is checked to lie
-    in its target space."""
+    in its target space.  The build runs in one build scope, so each
+    tensor product, relation space, associativity map and hom module it
+    asks for is built once."""
+    with build_scope():
+        return _build_cocyclic(A, M, n_max)
+
+
+def _build_cocyclic(A: ModuleAlgebra, M: Contramodule, n_max: int) -> CocyclicModule:
+    """The body of build_cocyclic, with every primitive run on every call."""
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     if not check_algebra_object(A).passed:

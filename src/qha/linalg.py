@@ -165,6 +165,11 @@ class Matrix:
     def __hash__(self):
         return hash((self.rows, self.cols, frozenset(self._nonzeros())))
 
+    def pattern(self):
+        """The shape and the nonzero columns of every row: equal for equal
+        matrices, and hashable without reading a scalar."""
+        return self.rows, self.cols, tuple(map(frozenset, self._rows))
+
     def __add__(self, other: "Matrix") -> "Matrix":
         return self._merge(other, self.field.add)
 

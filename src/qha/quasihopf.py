@@ -27,7 +27,9 @@ failing basis tuple, so runs are reproducible bit for bit.
 from __future__ import annotations
 
 import os
-from functools import cached_property, reduce
+from contextlib import contextmanager
+from contextvars import ContextVar
+from functools import cached_property, reduce, wraps
 
 from .fields import Field
 from .linalg import (Matrix, Subspace, ShapeError, intertwiner_space, kron_sum,
@@ -394,10 +396,6 @@ class HModule:
         """Action matrix of an arbitrary algebra element."""
         return self.acts(Matrix(self.parent.field, self.parent.dim, 1, vec))[0]
 
-    def structural_key(self):
-        return ("mod", self.dim, self.mats,
-                self.parent.structural_key())
-
     def __repr__(self):
         return "HModule(%s, dim %d)" % (self.name or "?", self.dim)
 
@@ -427,6 +425,92 @@ def regular_module(H: QuasiHopfAlgebra) -> HModule:
     return HModule(H, H.left_mults, name="regular")
 
 
+# -- build-scoped sharing -----------------------------------------------------
+#
+# One cocyclic build asks for the same tensor products, base relations,
+# associativity maps and hom modules many times.  Inside a build scope
+# (``build_scope``) each primitive marked ``shared`` runs once per distinct
+# tuple of module arguments and hands its kept result to every later call;
+# outside a scope it runs on every call.  A failing call raises and keeps
+# nothing.  Each primitive is a deterministic function of the parent and
+# the action matrices of its arguments, which is what the key compares, so
+# sharing changes no result.
+
+class ModuleKey:
+    """A module's parent (compared by identity), type and action matrices
+    (compared exactly).  The hash reads the dims and sparsity patterns only,
+    never a scalar, so it costs no Fraction hashing."""
+
+    __slots__ = ("parent", "kind", "mats", "_hash")
+
+    def __init__(self, V: HModule):
+        self.parent, self.kind, self.mats = V.parent, type(V), V.mats
+        self._hash = hash((id(V.parent), V.dim, tuple(m.pattern() for m in V.mats)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        return (isinstance(other, ModuleKey) and self.parent is other.parent
+                and self.kind is other.kind and self.mats == other.mats)
+
+
+class _BuildMemo:
+    """The results of the shared primitives within one scope, and the key
+    of every module seen, computed once per module object."""
+
+    def __init__(self):
+        self.results = {}
+        # id(module) -> (module, key): holding the module keeps its id unique
+        self._keys = {}
+
+    def key(self, V: HModule) -> ModuleKey:
+        kept = self._keys.get(id(V))
+        if kept is None:
+            kept = self._keys[id(V)] = (V, ModuleKey(V))
+        return kept[1]
+
+
+_build_memo: ContextVar = ContextVar("qha_build_memo", default=None)
+
+
+@contextmanager
+def build_scope():
+    """Share the primitives marked ``shared`` until the block exits, by
+    return or by raise; inside an open scope this reuses that scope."""
+    if _build_memo.get() is not None:
+        yield
+        return
+    token = _build_memo.set(_BuildMemo())
+    try:
+        yield
+    finally:
+        _build_memo.reset(token)
+
+
+def module_key(V: HModule) -> ModuleKey:
+    """The key of V: kept for the scope inside one, built afresh outside."""
+    memo = _build_memo.get()
+    return ModuleKey(V) if memo is None else memo.key(V)
+
+
+def shared(fn):
+    """fn, a function of modules only, run once per distinct argument keys
+    inside a build scope."""
+    @wraps(fn)
+    def once_per_scope(*modules):
+        memo = _build_memo.get()
+        if memo is None:
+            return fn(*modules)
+        key = (fn, *map(memo.key, modules))
+        out = memo.results.get(key)
+        if out is None:
+            out = memo.results[key] = fn(*modules)
+        return out
+    return once_per_scope
+
+
+@shared
 def tensor_module(V: HModule, W: HModule) -> HModule:
     """V (x) W with action a.(v (x) w) = a^1 v (x) a^2 w."""
     if V.parent is not W.parent:
@@ -441,6 +525,7 @@ def tensor_module(V: HModule, W: HModule) -> HModule:
     return HModule(H, mats, name="(%s)x(%s)" % (V.name, W.name))
 
 
+@shared
 def associator(V: HModule, W: HModule, U: HModule) -> Matrix:
     """The action of Phi on V (x) W (x) U, an isomorphism (VW)U -> V(WU)."""
     for X in (W, U):
@@ -524,6 +609,7 @@ def require_intertwiner(f_mat: Matrix, src: HModule, dst: HModule, what: str):
         raise IntertwinerError("%s is not an H-module morphism" % what)
 
 
+@shared
 def hom_module_morphisms(V: HModule, W: HModule) -> Subspace:
     """Canonical basis of Hom_H(V, W), vectorised row-major."""
     if V.parent is not W.parent:
@@ -532,6 +618,7 @@ def hom_module_morphisms(V: HModule, W: HModule) -> Subspace:
     return intertwiner_space(V.parent.field, pairs, W.dim, V.dim)
 
 
+@shared
 def left_hom(V: HModule, M: HModule):
     """Hom^l(V, M) and its carrier: the action h.phi = h^1 phi(S(h^2) -) on
     Hom_k(V, M), for the parent's hom legs h^1 (x) h^2, read in the
