@@ -35,7 +35,7 @@ from .linalg import (Matrix, Subspace, quotient_section,
                      intertwiner_space, kron_sum, slot_apply, vstack)
 from .reports import CheckReport
 from .quasihopf import (Algebra, HModule, QuasiHopfAlgebra, StructureError, max_tensor_dim,
-                        shared, left_hom, right_hom, zeta_l, eta_l, zeta_r, eta_r,
+                        regular_module, shared, left_hom, right_hom, zeta_l, eta_l, zeta_r, eta_r,
                         _swap_factors, lift_legs, check_antipode_pair, perm_mwv_to_mvw,
                         _pair_products, _unit_row)
 
@@ -238,28 +238,21 @@ class HopfAlgebroid(Algebra):
         return (eye_m.kron(rel.lift.transpose()) * perm, perm,
                 eye_m.kron(rel.projector.transpose()))
 
-    def structural_key(self):
-        return ("algebroid", self.dim, self.base.dim, self.mult, self.unit,
-                self.s_l, self.t_l, self.s_r, self.t_r, self.delta_l_lift,
-                self.delta_r_lift, self.eps_l, self.eps_r, self.antipode)
-
     def __repr__(self):
         return "HopfAlgebroid(%s, dim %d over base dim %d)" % (
             self.name, self.dim, self.base.dim)
 
 
-class AlgebroidModule(HModule):
-    """A left module over the underlying algebra of a Hopf algebroid."""
+# A module over a Hopf algebroid is an HModule over it, as over a
+# quasi-Hopf algebra; the second names are kept for callers.
+AlgebroidModule = HModule
+regular_algebroid_module = regular_module
 
 
-def regular_algebroid_module(H: HopfAlgebroid) -> AlgebroidModule:
-    return AlgebroidModule(H, H.left_mults, name="regular")
-
-
-def base_module(H: HopfAlgebroid) -> AlgebroidModule:
+def base_module(H: HopfAlgebroid) -> HModule:
     """The monoidal unit: the base R with action h . r = eps_l(h s_l(r)),
     the matrix eps_l L_h s_l."""
-    return AlgebroidModule(H, [H.eps_l * L * H.s_l for L in H.left_mults], name="R")
+    return HModule(H, [H.eps_l * L * H.s_l for L in H.left_mults], name="R")
 
 
 class RelationSpace:
@@ -292,14 +285,14 @@ def _relation_space(f: Field, pairs, d1: int, d2: int) -> Subspace:
 
 
 @shared
-def module_tensor_relations(M: AlgebroidModule, N: AlgebroidModule) -> RelationSpace:
+def module_tensor_relations(M: HModule, N: HModule) -> RelationSpace:
     H = M.parent
     pairs = list(zip(M.acts(H.t_l), N.acts(H.s_l)))
     return RelationSpace(H.field, M.dim * N.dim, _relation_space(H.field, pairs, M.dim, N.dim))
 
 
 @shared
-def tensor_over_base(M: AlgebroidModule, N: AlgebroidModule):
+def tensor_over_base(M: HModule, N: HModule):
     """M (x)_{R_l} N with the Delta_l-induced action.
 
     Returns (module, RelationSpace).  Raises StructureError with a witness
@@ -323,13 +316,12 @@ def tensor_over_base(M: AlgebroidModule, N: AlgebroidModule):
                 "tensor action ill-defined: basis element %d maps a relation "
                 "outside the relation space" % i)
     mats = [rel.projector * a * rel.lift for a in amb]
-    mod = AlgebroidModule(H, mats, name="(%s)x_R(%s)" % (M.name, N.name))
+    mod = HModule(H, mats, name="(%s)x_R(%s)" % (M.name, N.name))
     return mod, rel
 
 
 @shared
-def requotient_associativity(U: AlgebroidModule, V: AlgebroidModule,
-                             W: AlgebroidModule) -> Matrix:
+def requotient_associativity(U: HModule, V: HModule, W: HModule) -> Matrix:
     """(U (x)_R V) (x)_R W -> U (x)_R (V (x)_R W): the strict requotient
     through the ambient U (x) V (x) W."""
     UV, uv = tensor_over_base(U, V)
@@ -343,14 +335,14 @@ def requotient_associativity(U: AlgebroidModule, V: AlgebroidModule,
 
 # -- internal homs over the base ------------------------------------------------
 
-def right_linear_hom_basis(M: AlgebroidModule, N: AlgebroidModule) -> Subspace:
+def right_linear_hom_basis(M: HModule, N: HModule) -> Subspace:
     """Hom(M, N)_{R_l}: maps commuting with every t_l(r)-action."""
     H = M.parent
     pairs = list(zip(M.acts(H.t_l), N.acts(H.t_l)))
     return intertwiner_space(H.field, pairs, N.dim, M.dim)
 
 
-def left_linear_hom_basis(M: AlgebroidModule, N: AlgebroidModule) -> Subspace:
+def left_linear_hom_basis(M: HModule, N: HModule) -> Subspace:
     """Hom_{R_l}(M, N): maps commuting with every s_l(r)-action, which are
     the right-base-linear maps over H^cop (t_l of H^cop is s_l), the
     carrier of Hom^r(M, N)."""

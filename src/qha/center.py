@@ -1,10 +1,11 @@
 """Weak-center machinery: tau families, hexagon, stability, contratraces.
 
 A center element packages a coefficient contramodule with its family of
-maps tau_V : Hom^l(V, M) -> Hom^r(V, M), materialised lazily per module
-and cached by module key.  Stability of the coefficient makes every
-tau_V invertible (checked as an exact rank condition), which is what turns
-the weak-center datum into an honest center element.
+maps tau_V : Hom^l(V, M) -> Hom^r(V, M), materialised lazily and cached
+per module, where modules compare by parent and action matrices.
+Stability of the coefficient makes every tau_V invertible (checked as an
+exact rank condition), which is what turns the weak-center datum into an
+honest center element.
 
 Every check here is written once, for both parents: the contratrace,
 unitality and central stability call the one biclosed layer of
@@ -22,7 +23,7 @@ from __future__ import annotations
 from .linalg import Matrix, lmul_blocks
 from .reports import CheckReport
 from .coefficients import Contramodule, tau_from_contramodule, hexagon_sides
-from .quasihopf import hom_module_morphisms, module_key, zeta_l, zeta_r, eta_r
+from .quasihopf import hom_module_morphisms, zeta_l, zeta_r, eta_r
 from .algebroid import HopfAlgebroid, zeta_l_algebroid, zeta_r_algebroid, eta_r_algebroid
 
 
@@ -42,17 +43,16 @@ class CenterElement:
         return self.coefficient.carrier
 
     def tau(self, V) -> Matrix:
-        """tau_V, computed once per distinct module key (``module_key``)."""
-        key = module_key(V)
-        cached = self._tau_cache.get(key)
+        """tau_V, computed once per distinct module: equal modules (same
+        parent, equal action matrices) share one."""
+        cached = self._tau_cache.get(V)
         if cached is None:
-            cached = tau_from_contramodule(self.coefficient, V)
-            self._tau_cache[key] = cached
+            cached = self._tau_cache[V] = tau_from_contramodule(self.coefficient, V)
         return cached
 
     def set_tau(self, V, mat: Matrix):
         """Override a cached tau (used to probe failure modes in tests)."""
-        self._tau_cache[module_key(V)] = mat
+        self._tau_cache[V] = mat
 
 
 def _adjunctions(H):

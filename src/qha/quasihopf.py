@@ -311,10 +311,6 @@ class QuasiHopfAlgebra(Algebra):
         return (assoc_left_nest(self, V, W, M), assoc_swap_curry(self, V, W, M),
                 assoc_right_nest(self, V, W, M))
 
-    def structural_key(self):
-        return ("qha", self.dim, self.mult, self.unit, self.comult, self.counit,
-                self.antipode, self.phi, self.alpha, self.beta)
-
     def __repr__(self):
         return "QuasiHopfAlgebra(%s, dim %d over %s)" % (self.name, self.dim, self.field)
 
@@ -359,10 +355,13 @@ def _pair_products(H, k: int, X: Matrix) -> Matrix:
 # -- modules -----------------------------------------------------------------
 
 class HModule:
-    """A finite-dimensional left module: one action matrix per basis element,
-    held once more as rho_V (``action``) for the actions of families."""
+    """A finite-dimensional left module over a quasi-Hopf algebra or a Hopf
+    algebroid: one action matrix per basis element, held once more as rho_V
+    (``action``) for the actions of families.  Two modules are equal when
+    they have the same parent (by identity) and equal action matrices; the
+    name is not compared."""
 
-    def __init__(self, parent: QuasiHopfAlgebra, mats, name: str = ""):
+    def __init__(self, parent, mats, name: str = ""):
         self.parent = parent
         self.mats = tuple(mats)
         if len(self.mats) != parent.dim:
@@ -383,7 +382,7 @@ class HModule:
     def cop(self) -> "HModule":
         """This module over the co-opposite parent H^cop, on the same action
         matrices and rho_V: the view the right-hand biclosed maps read it in."""
-        view = type(self)(self.parent.cop, self.mats, name=self.name)
+        view = HModule(self.parent.cop, self.mats, name=self.name)
         view.action = self.action
         return view
 
@@ -395,6 +394,21 @@ class HModule:
     def act(self, vec) -> Matrix:
         """Action matrix of an arbitrary algebra element."""
         return self.acts(Matrix(self.parent.field, self.parent.dim, 1, vec))[0]
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if not isinstance(other, HModule):
+            return NotImplemented
+        return self.parent is other.parent and self.mats == other.mats
+
+    @cached_property
+    def _hash(self) -> int:
+        # dims and sparsity patterns only: no Fraction is hashed
+        return hash((id(self.parent), self.dim, tuple(m.pattern() for m in self.mats)))
+
+    def __hash__(self):
+        return self._hash
 
     def __repr__(self):
         return "HModule(%s, dim %d)" % (self.name or "?", self.dim)
@@ -420,8 +434,9 @@ def trivial_module(H: QuasiHopfAlgebra) -> HModule:
     return HModule(H, [Matrix(f, 1, 1, [H.counit[i]]) for i in range(H.dim)], name="k")
 
 
-def regular_module(H: QuasiHopfAlgebra) -> HModule:
-    """H acting on itself by left multiplication."""
+def regular_module(H) -> HModule:
+    """H acting on itself by left multiplication, over a quasi-Hopf algebra
+    or a Hopf algebroid."""
     return HModule(H, H.left_mults, name="regular")
 
 
@@ -433,43 +448,8 @@ def regular_module(H: QuasiHopfAlgebra) -> HModule:
 # tuple of module arguments and hands its kept result to every later call;
 # outside a scope it runs on every call.  A failing call raises and keeps
 # nothing.  Each primitive is a deterministic function of the parent and
-# the action matrices of its arguments, which is what the key compares, so
-# sharing changes no result.
-
-class ModuleKey:
-    """A module's parent (compared by identity), type and action matrices
-    (compared exactly).  The hash reads the dims and sparsity patterns only,
-    never a scalar, so it costs no Fraction hashing."""
-
-    __slots__ = ("parent", "kind", "mats", "_hash")
-
-    def __init__(self, V: HModule):
-        self.parent, self.kind, self.mats = V.parent, type(V), V.mats
-        self._hash = hash((id(V.parent), V.dim, tuple(m.pattern() for m in V.mats)))
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        return (isinstance(other, ModuleKey) and self.parent is other.parent
-                and self.kind is other.kind and self.mats == other.mats)
-
-
-class _BuildMemo:
-    """The results of the shared primitives within one scope, and the key
-    of every module seen, computed once per module object."""
-
-    def __init__(self):
-        self.results = {}
-        # id(module) -> (module, key): holding the module keeps its id unique
-        self._keys = {}
-
-    def key(self, V: HModule) -> ModuleKey:
-        kept = self._keys.get(id(V))
-        if kept is None:
-            kept = self._keys[id(V)] = (V, ModuleKey(V))
-        return kept[1]
-
+# the action matrices of its arguments, which is what module equality
+# compares, so sharing changes no result.
 
 _build_memo: ContextVar = ContextVar("qha_build_memo", default=None)
 
@@ -481,31 +461,25 @@ def build_scope():
     if _build_memo.get() is not None:
         yield
         return
-    token = _build_memo.set(_BuildMemo())
+    token = _build_memo.set({})
     try:
         yield
     finally:
         _build_memo.reset(token)
 
 
-def module_key(V: HModule) -> ModuleKey:
-    """The key of V: kept for the scope inside one, built afresh outside."""
-    memo = _build_memo.get()
-    return ModuleKey(V) if memo is None else memo.key(V)
-
-
 def shared(fn):
-    """fn, a function of modules only, run once per distinct argument keys
-    inside a build scope."""
+    """fn, a function of modules only, run once per distinct argument tuple
+    inside a build scope, equal modules counting as one."""
     @wraps(fn)
     def once_per_scope(*modules):
         memo = _build_memo.get()
         if memo is None:
             return fn(*modules)
-        key = (fn, *map(memo.key, modules))
-        out = memo.results.get(key)
+        key = (fn, *modules)
+        out = memo.get(key)
         if out is None:
-            out = memo.results[key] = fn(*modules)
+            out = memo[key] = fn(*modules)
         return out
     return once_per_scope
 
@@ -636,7 +610,7 @@ def left_hom(V: HModule, M: HModule):
         if mat is None:
             raise StructureError("hom action does not preserve the base-linear carrier")
         mats.append(mat)
-    return type(V)(H, mats, name="Hom^l(%s,%s)" % (V.name, M.name)), carrier
+    return HModule(H, mats, name="Hom^l(%s,%s)" % (V.name, M.name)), carrier
 
 
 def right_hom(V: HModule, M: HModule):
@@ -644,7 +618,7 @@ def right_hom(V: HModule, M: HModule):
     Hom^l(V, M) over the co-opposite parent, on the same action matrices
     and carrier."""
     mod, carrier = left_hom(V.cop, M.cop)
-    return type(V)(V.parent, mod.mats, name="Hom^r(%s,%s)" % (V.name, M.name)), carrier
+    return HModule(V.parent, mod.mats, name="Hom^r(%s,%s)" % (V.name, M.name)), carrier
 
 
 def right_hom_carrier(V: HModule, M: HModule):

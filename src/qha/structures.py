@@ -19,7 +19,7 @@ import json
 from .fields import Field, FieldError, ScalarParseError, rationals, prime_field
 from .linalg import Matrix, vstack
 from .quasihopf import QuasiHopfAlgebra, HModule
-from .algebroid import BaseRing, HopfAlgebroid, AlgebroidModule, tensor_over_base
+from .algebroid import BaseRing, HopfAlgebroid, tensor_over_base
 from .coefficients import Contramodule, FLAVORS, ALGEBROID_MU
 from .cyclic import ModuleAlgebra
 
@@ -234,15 +234,11 @@ def _write_module(M) -> dict:
             "action": [_fmt_matrix(M.parent.field, m.transpose()) for m in M.mats]}
 
 
-def _module_cls(parent):
-    return HModule if isinstance(parent, QuasiHopfAlgebra) else AlgebroidModule
-
-
 def _parse_module_payload(f, doc, parent, where):
     d = _dim(doc, where)
     mats = _parse_action(f, _want(doc, "action", list, where), parent.dim, d,
                          where + ".action")
-    return _module_cls(parent)(parent, mats, name=_name(doc, where))
+    return HModule(parent, mats, name=_name(doc, where))
 
 
 def serialize(obj, name: str = "") -> dict:

@@ -15,6 +15,7 @@ from qha.algebroid import (
     zeta_l_algebroid, eta_l_algebroid, zeta_r_algebroid,
     check_algebroid_structure, check_left_bialgebroid,
     check_right_bialgebroid, check_hopf_algebroid)
+from qha.structures import serialize
 
 from conftest import QQ, F5, random_intertwiner, base_ring_t2
 
@@ -55,8 +56,8 @@ def test_reversed_algebroids_pass_every_suite(make):
         assert all_pass(X), X.name
     assert H.cop.base.mult == H.op.base.mult == H.base.op.mult
     assert H.cop.cop.base.mult == H.op.op.base.mult == H.base.mult
-    assert H.cop.cop.structural_key() == H.structural_key()
-    assert H.op.op.structural_key() == H.structural_key()
+    assert serialize(H.cop.cop, "x") == serialize(H, "x")
+    assert serialize(H.op.op, "x") == serialize(H, "x")
     assert H.cop is H.cop and H.op is H.op
 
 

@@ -4,11 +4,13 @@ Inside one ``build_cocyclic`` each tensor product, base-relation space,
 associativity map, Hom^l module and intertwiner space is built once per
 distinct input (``qha.quasihopf.build_scope``).  These tests pin that the
 sharing changes no result, keeps no failure, leaves no scope open, and
-keys a module by its parent and its action matrices.
+compares modules by their parent and their action matrices.
 """
 
+import gc
 import importlib
 import importlib.util
+import weakref
 from pathlib import Path
 
 import pytest
@@ -153,13 +155,36 @@ def test_equal_modules_share_their_relation_space(env_q):
     assert kept.relations == plain.relations
 
 
-def test_a_module_key_compares_the_parent_by_identity():
+def test_a_module_key_compares_the_parent_by_identity(env_q):
     H1 = group_algebra(QQ, cyclic_group_table(2))
     H2 = group_algebra(QQ, cyclic_group_table(2))
     k1, k2 = trivial_module(H1), trivial_module(H2)
     with build_scope():
         assert tensor_module(k1, k1) is not tensor_module(k2, k2)
         assert tensor_module(k1, k1) is tensor_module(HModule(H1, k1.mats), k1)
+
+    # rebuilt from the same parent and matrices under another name
+    twin = HModule(H1, [Matrix(QQ, 1, 1, m.entries) for m in k1.mats], name="twin")
+    assert twin is not k1 and twin == k1 and hash(twin) == hash(k1)
+    # equal constants over a second parent object
+    assert k1 != k2
+    reg = regular_module(H1)
+    assert reg.cop != reg
+    R = base_module(env_q)
+    assert AlgebroidModule(env_q, R.mats) == R
+    assert regular_algebroid_module(env_q) == regular_module(env_q)
+    assert {k1: "found"}[twin] == "found"
+
+
+def test_nothing_outlives_the_scope(kc2_q):
+    """The scope's memo is dropped when the block exits, and with it every
+    module it kept."""
+    reg = regular_module(kc2_q)
+    with build_scope():
+        kept = weakref.ref(tensor_module(reg, reg))
+        assert kept() is not None
+    gc.collect()
+    assert kept() is None
 
 
 def test_tau_is_kept_per_module_key(kc2_q):
