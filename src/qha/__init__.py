@@ -32,9 +32,8 @@ from .center import (CenterElement, check_hexagon, check_unitality,
                      check_stability_central, check_weakstrong,
                      contratrace_iota, iota_apply)
 from .cyclic import (ModuleAlgebra, CocyclicModule, CohomologyResult,
-                     TensorPowerChain, tensor_power_bracketed,
-                     unit_algebra, check_algebra_object, build_cocyclic,
-                     verify_cocyclic_identities,
+                     TensorPowerChain, unit_algebra, check_algebra_object,
+                     build_cocyclic, verify_cocyclic_identities,
                      hochschild_cohomology, cyclic_cohomology)
 from .structures import parse_structure, serialize, write_structure, content_hash
 

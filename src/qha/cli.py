@@ -192,18 +192,17 @@ def cmd_cohomology(args) -> int:
     # the cocyclic module is built only on inputs that pass both checks
     if all(c["pass"] for c in checks):
         theory = hochschild_cohomology if args.theory == "hochschild" else cyclic_cohomology
+        witness = None
         try:
             report["dims"] = list(theory(build_cocyclic(algebra, coeff, args.degree + 1),
                                          args.degree).dims)
-            checks.append({"check": "cocyclic_identities", "pass": True,
-                           "counterexample": None})
         except CocyclicError as e:
-            checks.append({"check": "cocyclic_identities", "pass": False,
-                           "counterexample": {"relation": e.relation, **dict(e.indices)}})
+            witness = {"relation": e.relation, **dict(e.indices)}
         except IntertwinerError as e:
             # a stable coefficient that is not aYD: its tau is not H-linear
-            checks.append({"check": "cocyclic_identities", "pass": False,
-                           "counterexample": {"relation": str(e)}})
+            witness = {"relation": str(e)}
+        checks.append({"check": "cocyclic_identities", "pass": witness is None,
+                       "counterexample": witness})
     report["pass"] = all(c["pass"] for c in checks)
     return _emit(report, args)
 

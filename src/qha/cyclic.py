@@ -17,8 +17,10 @@ to return a structure that fails any of them.
 
 A build runs in one build scope (``quasihopf.build_scope``): every tensor
 product, relation space, associativity map, Hom^l module and intertwiner
-space that its cofaces and its zeta/eta/iota calls ask for is built once
-per distinct input and dropped when the build returns or raises.
+space that its cofaces and its zeta/eta/iota calls ask for, and every
+rebracketing, multiplication map and unit insertion of its tensor-power
+chain, is built once per distinct input and dropped when the build
+returns or raises.
 
 Hochschild cohomology is computed from the coface alternating sum, cyclic
 cohomology from the first-quadrant bicomplex with columns b, -b' and rows
@@ -35,7 +37,7 @@ from .fields import Field
 from .linalg import Matrix, block_matrix, kron_sum
 from .reports import CheckReport
 from .quasihopf import (QuasiHopfAlgebra, StructureError, build_scope,
-                        hom_module_morphisms, is_intertwiner, max_tensor_dim)
+                        hom_module_morphisms, is_intertwiner, max_tensor_dim, shared)
 from .coefficients import Contramodule, check_stability
 from .center import CenterElement, iota_apply
 
@@ -138,13 +140,13 @@ class TensorPowerChain:
     a depth below 1 is refused (the unit object is unit_algebra(H)).
 
     ``mods[k]`` is L_k and ``rels[k]`` the base relations of its last
-    stage L_(k-1) (x) A (None when the parent has none).  Every map below
-    is one recursion on k through these stages; the chain keeps each
-    ``rebracket_front(k)``, multiplication map and unit insertion it has
-    built, so each associator is inverted once per chain, and inside a
-    build scope each associativity map and base-relation space is built
-    once per build.  Each stage's ambient L_(k-1) (x) A is checked against
-    QHA_MAX_DIM before the stage is built.
+    stage L_(k-1) (x) A (None when the parent has none); the chain keeps
+    nothing else.  Every map below is one recursion on k through these
+    stages and is ``shared``: inside a build scope each rebracketing,
+    multiplication map and unit insertion is built once per chain (so each
+    associator is inverted once), outside one it is rebuilt on every call.
+    Each stage's ambient L_(k-1) (x) A is checked against QHA_MAX_DIM
+    before the stage is built.
     """
 
     def __init__(self, A: ModuleAlgebra, depth: int):
@@ -167,76 +169,52 @@ class TensorPowerChain:
             mod, rel = H.tensor(self.mods[-1], A.carrier)
             self.mods.append(mod)
             self.rels.append(rel)
-        self._fronts = [None]
-        self._mults = {}
-        self._units = {}
 
-    def module(self, k: int):
-        """The left-nested k-th tensor power as a module (1 <= k)."""
-        return self.mods[k]
-
+    @shared
     def rebracket_front(self, k: int) -> Matrix:
         """The morphism A (x) L_k -> L_(k+1) identifying the two bracketings:
         A (x) L_k -> (A (x) L_(k-1)) (x) A -> L_k (x) A, recursively."""
         A = self.A
         H = A.parent
         f = A.field
+        if k == 1:
+            return Matrix.identity(f, self.mods[2].dim)
+        step = H.associativity(A.carrier, self.mods[k - 1], A.carrier).inverse()
+        front = H.tensor_relations(A.carrier, self.mods[k - 1], A.carrier)
         eye = Matrix.identity(f, A.carrier.dim)
-        while len(self._fronts) <= k:
-            j = len(self._fronts)
-            if j == 1:
-                self._fronts.append(Matrix.identity(f, self.mods[2].dim))
-                continue
-            step = H.associativity(A.carrier, self.mods[j - 1], A.carrier).inverse()
-            front = H.tensor_relations(A.carrier, self.mods[j - 1], A.carrier)
-            self._fronts.append(
-                _kron(self._fronts[j - 1], eye, front, self.rels[j + 1]) * step)
-        return self._fronts[k]
+        return _kron(self.rebracket_front(k - 1), eye, front, self.rels[k + 1]) * step
 
 
-tensor_power_bracketed = TensorPowerChain
-
-
+@shared
 def _mult_map(chain: TensorPowerChain, k: int, i: int) -> Matrix:
     """The morphism L_(k) -> L_(k-1) multiplying slots i, i+1 (0-based)."""
-    kept = chain._mults.get((k, i))
-    if kept is not None:
-        return kept
     A = chain.A
     H = A.parent
     f = A.field
     if k == 2:
-        out = A.mult
-    elif i < k - 2:
+        return A.mult
+    if i < k - 2:
         eye = Matrix.identity(f, A.carrier.dim)
-        out = _kron(_mult_map(chain, k - 1, i), eye, chain.rels[k], chain.rels[k - 1])
-    else:
-        # rebracket the last pair together, then multiply
-        front = chain.mods[k - 2]
-        eye = Matrix.identity(f, front.dim)
-        step = _kron(eye, A.mult, H.tensor_relations(front, chain.mods[2]), chain.rels[k - 1])
-        out = step * H.associativity(front, A.carrier, A.carrier)
-    chain._mults[(k, i)] = out
-    return out
+        return _kron(_mult_map(chain, k - 1, i), eye, chain.rels[k], chain.rels[k - 1])
+    # rebracket the last pair together, then multiply
+    front = chain.mods[k - 2]
+    eye = Matrix.identity(f, front.dim)
+    step = _kron(eye, A.mult, H.tensor_relations(front, chain.mods[2]), chain.rels[k - 1])
+    return step * H.associativity(front, A.carrier, A.carrier)
 
 
+@shared
 def _unit_insertion(chain: TensorPowerChain, k: int, p: int) -> Matrix:
     """The morphism L_k -> L_(k+1) inserting the unit of A at slot p."""
-    kept = chain._units.get((k, p))
-    if kept is not None:
-        return kept
     A = chain.A
     f = A.field
     ucol = Matrix.from_cols(f, [A.unit_element()], ambient=A.carrier.dim)
-    eye = Matrix.identity(f, A.carrier.dim)
     if p == k:
-        out = _kron(Matrix.identity(f, chain.mods[k].dim), ucol, None, chain.rels[k + 1])
-    elif k == 1:
-        out = _kron(ucol, eye, None, chain.rels[2])
-    else:
-        out = _kron(_unit_insertion(chain, k - 1, p), eye, chain.rels[k], chain.rels[k + 1])
-    chain._units[(k, p)] = out
-    return out
+        return _kron(Matrix.identity(f, chain.mods[k].dim), ucol, None, chain.rels[k + 1])
+    eye = Matrix.identity(f, A.carrier.dim)
+    if k == 1:
+        return _kron(ucol, eye, None, chain.rels[2])
+    return _kron(_unit_insertion(chain, k - 1, p), eye, chain.rels[k], chain.rels[k + 1])
 
 
 # -- the cocyclic module ---------------------------------------------------------
@@ -302,8 +280,8 @@ def build_cocyclic(A: ModuleAlgebra, M: Contramodule, n_max: int) -> CocyclicMod
     stacked basis of its source space: cofaces and codegeneracies are one
     product each, t_n one call of iota_apply.  Each image is checked to lie
     in its target space.  The build runs in one build scope, so each
-    tensor product, relation space, associativity map and hom module it
-    asks for is built once."""
+    tensor product, relation space, associativity map, hom module and
+    chain map it asks for is built once."""
     with build_scope():
         return _build_cocyclic(A, M, n_max)
 

@@ -443,13 +443,14 @@ def regular_module(H) -> HModule:
 # -- build-scoped sharing -----------------------------------------------------
 #
 # One cocyclic build asks for the same tensor products, base relations,
-# associativity maps and hom modules many times.  Inside a build scope
-# (``build_scope``) each primitive marked ``shared`` runs once per distinct
-# tuple of module arguments and hands its kept result to every later call;
-# outside a scope it runs on every call.  A failing call raises and keeps
-# nothing.  Each primitive is a deterministic function of the parent and
-# the action matrices of its arguments, which is what module equality
-# compares, so sharing changes no result.
+# associativity maps, hom modules and tensor-power chain maps many times.
+# Inside a build scope (``build_scope``) each primitive marked ``shared``
+# runs once per distinct argument tuple and hands its kept result to every
+# later call; outside a scope it runs on every call.  A failing call raises
+# and keeps nothing.  Arguments are keys: modules compare by parent and
+# action matrices, a tensor-power chain by identity, integers by value.
+# Each primitive is a deterministic function of what its arguments compare
+# by, so sharing changes no result.
 
 _build_memo: ContextVar = ContextVar("qha_build_memo", default=None)
 
@@ -469,17 +470,18 @@ def build_scope():
 
 
 def shared(fn):
-    """fn, a function of modules only, run once per distinct argument tuple
-    inside a build scope, equal modules counting as one."""
+    """fn, run once per distinct argument tuple inside a build scope.  Its
+    arguments are modules (equal ones counting as one), tensor-power chains
+    (by identity) or integers."""
     @wraps(fn)
-    def once_per_scope(*modules):
+    def once_per_scope(*args):
         memo = _build_memo.get()
         if memo is None:
-            return fn(*modules)
-        key = (fn, *modules)
+            return fn(*args)
+        key = (fn, *args)
         out = memo.get(key)
         if out is None:
-            out = memo[key] = fn(*modules)
+            out = memo[key] = fn(*args)
         return out
     return once_per_scope
 

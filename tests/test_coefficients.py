@@ -485,3 +485,62 @@ def test_z3_twisted_coefficient_pipeline():
     assert convert_II_to_I(CII).mu == C.mu
     reg = regular_module(H)
     assert tau_matrix(C, reg) == tau_matrix(convert_II_to_I(CII), reg)
+
+
+# -- where beta is not a character: what is measured today ---------------------
+#
+# k^Z3_w' over GF(7) with w' = (db) or (z3_nontrivial_cocycle . db) for the
+# 2-cochain b below, so beta = (1, 3, 5) is not a character of Z3, and
+# A = graded_dual_numbers(H, 1) with the trivial carrier.  The aYD check
+# accepts mu exactly when mu is a character, while the build succeeds
+# exactly when mu . beta is one.  These pin the disagreement as it stands;
+# they are not a statement of what the answer should be.
+
+B_NONCHARACTER = [[1, 1, 1], [1, 3, 6], [1, 2, 5]]
+
+
+def _beta_twisted_z3(nontrivial):
+    from qha.fields import prime_field
+    from qha.quasihopf import (twisted_dual_group_algebra, cyclic_group_table,
+                               z3_nontrivial_cocycle)
+    from conftest import cohomologous_z3_cocycle
+    f = prime_field(7)
+    omega = cohomologous_z3_cocycle(f, B_NONCHARACTER)
+    if not nontrivial:
+        # divide the nontrivial class back out, leaving the coboundary db
+        w = z3_nontrivial_cocycle(f)
+        omega = [[[f.div(omega[x][y][z], w[x][y][z]) for z in range(3)]
+                  for y in range(3)] for x in range(3)]
+    return twisted_dual_group_algebra(f, cyclic_group_table(3), omega, "k^Z3_w'")
+
+
+def _character_coefficient(H, mu):
+    k = trivial_module(H)
+    return Contramodule(k, Matrix(H.field, 1, 3, [H.field.from_int(x) for x in mu]), QUASI_I)
+
+
+@pytest.mark.parametrize("nontrivial,t2", [(False, (1, 0, 0, 1)), (True, (1, 0, 0, 4))])
+def test_beta_shifted_coefficients_as_measured(nontrivial, t2):
+    from conftest import graded_dual_numbers
+    from qha.coefficients import check_ayd, check_stability
+    from qha.cyclic import CocyclicError
+    H = _beta_twisted_z3(nontrivial)
+    f = H.field
+    assert H.beta == tuple(f.from_int(x) for x in (1, 3, 5))
+    mus = [(1, a, b) for a in range(1, 7) for b in range(1, 7)]
+    stable = [mu for mu in mus if check_stability(_character_coefficient(H, mu)).passed]
+    assert stable == mus
+    accepted = [mu for mu in stable if check_ayd(_character_coefficient(H, mu)).passed]
+    assert accepted == [(1, 1, 1), (1, 2, 4), (1, 4, 2)]
+    A = graded_dual_numbers(H, 1)
+    with pytest.raises(CocyclicError) as err:
+        build_cocyclic(A, _character_coefficient(H, (1, 1, 1)), 3)
+    assert (err.value.relation, err.value.indices) == ("t^(n+1) != id", (("n", 2),))
+    # mu = beta^-1 builds, and fails only quasi_contra_I
+    inverse = _character_coefficient(H, (1, 5, 3))
+    cc = build_cocyclic(A, inverse, 3)
+    assert cc.cyclics[2].entries == tuple(f.from_int(x) for x in t2)
+    failed = [(r.check_id, r.counterexample)
+              for r in check_ayd(inverse).results if not r.passed]
+    assert failed == [("quasi_contra_I", (("f_outer", 1), ("f_row", 0),
+                                          ("f_col", 1), ("coord", 0)))]

@@ -6,7 +6,7 @@ import pytest
 from qha.fields import prime_field
 from qha.linalg import Matrix
 from qha.quasihopf import (group_algebra, cyclic_group_table, trivial_module,
-                           HModule, StructureError, associator)
+                           HModule, StructureError, associator, build_scope)
 from qha.algebroid import (enveloping_algebroid, base_ring_dual_numbers,
                            base_module)
 from qha.coefficients import (Contramodule, evaluation_at_unit, HOPF_MU, QUASI_I,
@@ -440,15 +440,15 @@ def test_tensor_power_chain_refuses_a_dimension_over_the_cap(kc2_q, monkeypatch)
 
 
 def test_tensor_power_bracketed(twisted_q, kc2_q):
-    from qha.cyclic import tensor_power_bracketed
+    from qha.cyclic import TensorPowerChain
     # n = 1 is A itself
     A = functions_algebra(kc2_q)
-    chain = tensor_power_bracketed(A, 1)
-    assert chain.module(1) is A.carrier
+    chain = TensorPowerChain(A, 1)
+    assert chain.mods[1] is A.carrier
     with pytest.raises(ValueError):
-        tensor_power_bracketed(A, 0)
+        TensorPowerChain(A, 0)
     # trivial Phi: every rebracketing isomorphism is the identity
-    chain = tensor_power_bracketed(A, 3)
+    chain = TensorPowerChain(A, 3)
     for k in (1, 2):
         assert chain.rebracket_front(k).is_identity()
     # dim-2 carrier over the twisted dual: 8-dim cube with +-1 diagonal
@@ -459,8 +459,8 @@ def test_tensor_power_bracketed(twisted_q, kc2_q):
     shape_only = ModuleAlgebra(
         reg, Matrix.zeros(QQ, 2, 4),
         Matrix.from_cols(QQ, [(QQ.one, QQ.zero)], ambient=2))
-    chain = tensor_power_bracketed(shape_only, 3)
-    assert chain.module(3).dim == 8
+    chain = TensorPowerChain(shape_only, 3)
+    assert chain.mods[3].dim == 8
     r2 = chain.rebracket_front(2)
     for i in range(8):
         for j in range(8):
@@ -626,14 +626,18 @@ def test_image_outside_its_space_names_the_map_and_basis_vector(kc2_q, monkeypat
 def test_rebracketing_is_built_once_per_chain(twisted_q):
     from qha.cyclic import TensorPowerChain
     A = dual_numbers_algebra_trivial_over(twisted_q)
-    chain = TensorPowerChain(A, 5)
-    order = (4, 2, 3, 1)
-    fronts = [chain.rebracket_front(k) for k in order]
-    assert all(chain.rebracket_front(k) is m for k, m in zip(order, fronts))
-    # the kept maps do not depend on the order they were asked for in
-    fresh = TensorPowerChain(A, 5)
-    assert [fresh.rebracket_front(k) for k in sorted(order)] == \
-        [m for _, m in sorted(zip(order, fronts), key=lambda km: km[0])]
+    with build_scope():
+        chain = TensorPowerChain(A, 5)
+        order = (4, 2, 3, 1)
+        fronts = [chain.rebracket_front(k) for k in order]
+        assert all(chain.rebracket_front(k) is m for k, m in zip(order, fronts))
+        # the kept maps do not depend on the order they were asked for in
+        fresh = TensorPowerChain(A, 5)
+        assert [fresh.rebracket_front(k) for k in sorted(order)] == \
+            [m for _, m in sorted(zip(order, fronts), key=lambda km: km[0])]
+    # outside a scope nothing is kept: each call builds its map afresh
+    again = chain.rebracket_front(4)
+    assert again == fronts[0] and again is not fronts[0]
 
 
 def test_multiplications_and_unit_insertions_are_built_once_per_chain(twisted_q,
@@ -648,21 +652,26 @@ def test_multiplications_and_unit_insertions_are_built_once_per_chain(twisted_q,
         built.append(tuple(X.dim for X in mods))
         return real(*mods)
     monkeypatch.setattr(qha.quasihopf, "associator", counted)
-    chain = TensorPowerChain(A, 5)
     mult_keys = [(5, 3), (4, 0), (5, 0), (3, 1), (2, 0), (4, 2), (5, 1), (3, 0)]
     unit_keys = [(4, 1), (2, 2), (4, 4), (1, 0), (3, 1), (4, 0), (1, 1)]
-    mults = [_mult_map(chain, k, i) for k, i in mult_keys]
-    units = [_unit_insertion(chain, k, p) for k, p in unit_keys]
-    assert all(_mult_map(chain, k, i) is m for (k, i), m in zip(mult_keys, mults))
-    assert all(_unit_insertion(chain, k, p) is u for (k, p), u in zip(unit_keys, units))
-    # one associator per last-slot multiplication (k = 3, 4, 5), each built once
-    assert sorted(built) == [(2, 2, 2), (4, 2, 2), (8, 2, 2)]
-    # the kept maps do not depend on the order they were asked for in
-    fresh = TensorPowerChain(A, 5)
-    assert [_mult_map(fresh, k, i) for k, i in sorted(mult_keys)] == \
-        [m for _, m in sorted(zip(mult_keys, mults), key=lambda km: km[0])]
-    assert [_unit_insertion(fresh, k, p) for k, p in sorted(unit_keys)] == \
-        [u for _, u in sorted(zip(unit_keys, units), key=lambda ku: ku[0])]
+    with build_scope():
+        chain = TensorPowerChain(A, 5)
+        mults = [_mult_map(chain, k, i) for k, i in mult_keys]
+        units = [_unit_insertion(chain, k, p) for k, p in unit_keys]
+        assert all(_mult_map(chain, k, i) is m for (k, i), m in zip(mult_keys, mults))
+        assert all(_unit_insertion(chain, k, p) is u for (k, p), u in zip(unit_keys, units))
+        # one associator per last-slot multiplication (k = 3, 4, 5), each built once
+        assert sorted(built) == [(2, 2, 2), (4, 2, 2), (8, 2, 2)]
+        # the kept maps do not depend on the order they were asked for in
+        fresh = TensorPowerChain(A, 5)
+        assert [_mult_map(fresh, k, i) for k, i in sorted(mult_keys)] == \
+            [m for _, m in sorted(zip(mult_keys, mults), key=lambda km: km[0])]
+        assert [_unit_insertion(fresh, k, p) for k, p in sorted(unit_keys)] == \
+            [u for _, u in sorted(zip(unit_keys, units), key=lambda ku: ku[0])]
+    # outside a scope nothing is kept: each call builds its map afresh
+    again_m, again_u = _mult_map(chain, 5, 3), _unit_insertion(chain, 4, 1)
+    assert again_m == mults[0] and again_m is not mults[0]
+    assert again_u == units[0] and again_u is not units[0]
 
 
 # Recorded, not derived: the answers the construction gave when these
