@@ -1,20 +1,21 @@
 """Exact scalar arithmetic: the rationals and prime fields GF(p).
 
-Every scalar in this package is either a ``fractions.Fraction`` (rationals,
-always stored reduced) or a plain ``int`` in ``range(p)`` (GF(p)).  There are
-no floats anywhere; equality of scalars is exact equality.
+Every scalar in this package is a plain ``int`` or a ``fractions.Fraction``.
+Over Q an integral value is an ``int`` wherever this module makes it (the
+constants, ``from_int``, ``parse``, ``inv`` and ``nonzero_map``), and a
+``Fraction`` (always reduced) holds the values whose denominator is not 1:
+the structure constants of most inputs are 0, 1 and -1, and an ``int``
+product or comparison runs in C where a ``Fraction`` one is a Python call.
+An ``int`` equals, hashes and prints like the equal ``Fraction``, so either
+form of a value gives the same results.  Over GF(p) a scalar is an ``int``
+in ``range(p)``.  There are no floats anywhere; equality of scalars is exact
+equality.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-
-# the shared constants of Q: one object each, so that comparing two zeros
-# (or two ones) can stop at identity
-_Q_ZERO = Fraction(0)
-_Q_ONE = Fraction(1)
 
 
 class FieldError(ValueError):
@@ -42,8 +43,9 @@ def is_prime(p: int) -> bool:
 class Field:
     """An exact coefficient field, either Q or GF(p) for a prime p < 2**31.
 
-    Elements are not wrapped: Q uses Fraction, GF(p) uses ints in [0, p).
-    All methods are pure; instances are immutable and hashable.
+    Elements are not wrapped: Q uses ints for integral values and Fractions
+    for the rest, GF(p) uses ints in [0, p).  All methods are pure;
+    instances are immutable and hashable.
     """
 
     kind: str  # "Q" or "GFp"
@@ -63,13 +65,10 @@ class Field:
 
     # -- constants ---------------------------------------------------------
 
-    @property
-    def zero(self):
-        return _Q_ZERO if self.kind == "Q" else 0
-
-    @property
-    def one(self):
-        return _Q_ONE if self.kind == "Q" else 1 % self.p
+    # the same in every field; small ints are shared objects, so a product
+    # with one can stop at identity
+    zero = 0
+    one = 1
 
     @property
     def characteristic(self) -> int:
@@ -93,7 +92,10 @@ class Field:
         if self.is_zero(a):
             raise ZeroDivisionError("inverse of zero")
         if self.kind == "Q":
-            return 1 / a
+            # 1 and -1 are their own inverses: most pivots are one of them
+            if type(a) is int and (a == 1 or a == -1):
+                return a
+            return _integral(Fraction(1, a))
         return pow(a, self.p - 2, self.p)
 
     def div(self, a, b):
@@ -108,7 +110,7 @@ class Field:
     # -- conversions -------------------------------------------------------
 
     def from_int(self, n: int):
-        return Fraction(n) if self.kind == "Q" else n % self.p
+        return n if self.kind == "Q" else n % self.p
 
     def parse(self, s: str):
         """Parse a scalar string: "3", "-1/2" over Q; a plain residue over GF(p)."""
@@ -121,7 +123,7 @@ class Field:
             return self.one
         if self.kind == "Q":
             try:
-                return Fraction(s)
+                return _integral(Fraction(s))
             except (ValueError, ZeroDivisionError) as e:
                 raise ScalarParseError("bad rational %r: %s" % (s, e)) from None
         try:
@@ -145,6 +147,17 @@ class Field:
 
     def __str__(self):
         return "Q" if self.kind == "Q" else "GF(%d)" % self.p
+
+
+def _integral(r):
+    """r, a Fraction, as an int when its denominator is 1."""
+    return r.numerator if r.denominator == 1 else r
+
+
+def nonzero_map(values) -> dict:
+    """{position: value} of the nonzero scalars of values, each integral
+    Fraction as its int: how a dense row or column enters a sparse matrix."""
+    return {j: _integral(a) if type(a) is Fraction else a for j, a in enumerate(values) if a}
 
 
 def rationals() -> Field:

@@ -19,7 +19,7 @@ from heapq import heapify, heappop, heappush
 from itertools import compress
 from math import prod
 
-from .fields import Field
+from .fields import Field, nonzero_map
 
 
 class ShapeError(ValueError):
@@ -66,16 +66,16 @@ class Matrix:
     __slots__ = ("field", "rows", "cols", "_rows")
 
     def __init__(self, field: Field, rows: int, cols: int, entries):
-        """The matrix with the given dense row-major entries; zeros are dropped."""
+        """The matrix with the given dense row-major entries; zeros are
+        dropped, and integral Fractions are stored as ints."""
         entries = tuple(entries)
         if rows < 0 or cols < 0 or len(entries) != rows * cols:
             raise ShapeError("entry count %d does not match %dx%d" % (len(entries), rows, cols))
         self.field = field
         self.rows = rows
         self.cols = cols
-        self._rows = tuple(
-            {j: a for j, a in enumerate(entries[i * cols:(i + 1) * cols]) if a} or _EMPTY
-            for i in range(rows))
+        self._rows = tuple(nonzero_map(entries[i * cols:(i + 1) * cols]) or _EMPTY
+                           for i in range(rows))
 
     @classmethod
     def _sparse(cls, field: Field, rows: int, cols: int, row_maps) -> "Matrix":
@@ -107,7 +107,7 @@ class Matrix:
             if len(r) != ncols:
                 raise ShapeError("ragged rows")
         return Matrix._sparse(field, len(rows), ncols,
-                              [{j: a for j, a in enumerate(r) if a} or _EMPTY for r in rows])
+                              [nonzero_map(r) or _EMPTY for r in rows])
 
     @staticmethod
     def from_cols(field: Field, cols, ambient: int | None = None) -> "Matrix":
@@ -117,9 +117,8 @@ class Matrix:
         for j, c in enumerate(cols):
             if len(c) != nrows:
                 raise ShapeError("ragged columns")
-            for i, a in enumerate(c):
-                if a:
-                    out[i][j] = a
+            for i, a in nonzero_map(c).items():
+                out[i][j] = a
         return Matrix._sparse(field, nrows, len(cols), [r or _EMPTY for r in out])
 
     # -- access ---------------------------------------------------------

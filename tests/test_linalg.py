@@ -478,7 +478,9 @@ def test_zeros_are_never_stored(field, rows, cols, data):
 
 def test_shared_scalars():
     assert QQ.zero is QQ.zero and QQ.one is QQ.one
-    assert QQ.parse(" 0 ") == 0 and QQ.parse("1") == 1 and type(QQ.parse("1")) is Fraction
+    assert QQ.parse(" 0 ") == 0 and QQ.parse("1") == 1
+    # integral rationals are ints, the rest Fractions
+    assert [type(QQ.parse(s)) for s in ("1", "-3", "4/2", "-1/2")] == [int, int, int, Fraction]
     assert F5.parse("1") == 1 and F5.parse("0") == 0 and F5.parse("6") == 1
     assert [QQ.format(x) for x in (QQ.zero, QQ.one, QQ.parse("-1/2"), QQ.from_int(7))] == \
         ["0", "1", "-1/2", "7"]

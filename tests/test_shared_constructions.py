@@ -2,9 +2,11 @@
 
 Inside one ``build_cocyclic`` each tensor product, base-relation space,
 associativity map, Hom^l module and intertwiner space is built once per
-distinct input (``qha.quasihopf.build_scope``).  These tests pin that the
-sharing changes no result, keeps no failure, leaves no scope open, and
-compares modules by their parent and their action matrices.
+distinct input (``qha.quasihopf.build_scope``), and so is each of the
+tensor-power chain's rebracketings, multiplications and unit insertions.
+These tests pin that the sharing changes no result, keeps no failure,
+leaves no scope open, and compares modules by their parent and their
+action matrices.
 """
 
 import gc
