@@ -6,9 +6,9 @@ Run:  python3 demos/demo_algebroids.py
 
 from qha.fields import prime_field
 from qha.linalg import Matrix
-from qha.quasihopf import check_module, hom_module_morphisms
+from qha.quasihopf import check_module, hom_module_morphisms, regular_module
 from qha.algebroid import (base_ring_dual_numbers, enveloping_algebroid,
-                           base_module, regular_algebroid_module,
+                           base_module,
                            tensor_over_base, left_hom_algebroid,
                            right_hom_algebroid, zeta_l_algebroid,
                            eta_l_algebroid,
@@ -31,7 +31,7 @@ print(check_right_bialgebroid(H).pretty())
 print(check_hopf_algebroid(H).pretty())
 
 print("\n== modules and base tensors ==")
-reg = regular_algebroid_module(H)
+reg = regular_module(H)
 R = base_module(H)
 print("regular module valid:", check_module(reg).passed,
       "  unit object valid:", check_module(R).passed)

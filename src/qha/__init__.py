@@ -1,8 +1,7 @@
 """Exact verification and cyclic cohomology for quasi-Hopf algebras and Hopf algebroids."""
 
 from .fields import Field, rationals, prime_field
-from .linalg import (Matrix, Subspace, kernel, solve, quotient_section,
-                     tensor_index, intertwiner_space)
+from .linalg import Matrix, Subspace, quotient_section, tensor_index, intertwiner_space
 from .reports import CheckReport
 from .quasihopf import (QuasiHopfAlgebra, HModule,
                         group_algebra, sweedler_h4, twisted_dual_group_algebra,
@@ -12,9 +11,9 @@ from .quasihopf import (QuasiHopfAlgebra, HModule,
                         associator, left_hom, right_hom, eval_left, eval_right,
                         zeta_l, eta_l, zeta_r, eta_r, hom_module_morphisms,
                         validate_structure, check_quasi_bialgebra, check_quasi_hopf)
-from .algebroid import (BaseRing, HopfAlgebroid, AlgebroidModule, RelationSpace,
+from .algebroid import (BaseRing, HopfAlgebroid, RelationSpace,
                         enveloping_algebroid, algebroid_from_hopf,
-                        base_module, regular_algebroid_module, tensor_over_base,
+                        base_module, tensor_over_base,
                         left_hom_algebroid, right_hom_algebroid,
                         check_algebroid_structure, check_left_bialgebroid,
                         check_right_bialgebroid, check_hopf_algebroid)

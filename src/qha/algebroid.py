@@ -35,7 +35,7 @@ from .linalg import (Matrix, Subspace, quotient_section,
                      intertwiner_space, kron_sum, slot_apply, vstack)
 from .reports import CheckReport
 from .quasihopf import (Algebra, HModule, QuasiHopfAlgebra, StructureError, max_tensor_dim,
-                        regular_module, shared, left_hom, right_hom, zeta_l, eta_l, zeta_r, eta_r,
+                        shared, left_hom, right_hom, zeta_l, eta_l, zeta_r, eta_r,
                         _swap_factors, lift_legs, check_antipode_pair, perm_mwv_to_mvw,
                         _pair_products, _unit_row)
 
@@ -241,12 +241,6 @@ class HopfAlgebroid(Algebra):
     def __repr__(self):
         return "HopfAlgebroid(%s, dim %d over base dim %d)" % (
             self.name, self.dim, self.base.dim)
-
-
-# A module over a Hopf algebroid is an HModule over it, as over a
-# quasi-Hopf algebra; the second names are kept for callers.
-AlgebroidModule = HModule
-regular_algebroid_module = regular_module
 
 
 def base_module(H: HopfAlgebroid) -> HModule:

@@ -648,9 +648,6 @@ class Subspace:
         coords = self.coordinate_matrix(Matrix(self.field, self.ambient_dim, 1, vec))
         return None if coords is None else coords.col(0)
 
-    def contains(self, vec) -> bool:
-        return self.coordinates(vec) is not None
-
     def __eq__(self, other):
         return (isinstance(other, Subspace) and self.ambient_dim == other.ambient_dim
                 and self._rows == other._rows)
@@ -660,14 +657,6 @@ class Subspace:
 
     def __repr__(self):
         return "Subspace(dim %d of k^%d)" % (self.dim, self.ambient_dim)
-
-
-def kernel(m: Matrix) -> Subspace:
-    return m.kernel()
-
-
-def solve(m: Matrix, rhs):
-    return m.solve(rhs)
 
 
 def quotient_section(field: Field, ambient_dim: int, relations: Subspace):

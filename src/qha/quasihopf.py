@@ -111,12 +111,6 @@ class Algebra:
         """L_(S(e_h)) and R_(S^-1(e_h)) for every basis element."""
         return self.mults_of(self.antipode), self.mults_of(self.antipode_inv, right=True)
 
-    def apply_s(self, vec):
-        return self.antipode.apply(vec)
-
-    def apply_s_inv(self, vec):
-        return self.antipode_inv.apply(vec)
-
     def basis(self, i: int):
         return basis_vec(self.field, self.dim, i)
 
@@ -220,16 +214,9 @@ class QuasiHopfAlgebra(Algebra):
     def eps(self, vec):
         return Matrix(self.field, 1, self.dim, self.counit).apply(vec)[0]
 
-    def delta_terms(self, i: int):
-        """Sweedler decomposition of Delta(e_i) as (coef, leg1, leg2) triples."""
-        return self.delta_legs[i]
-
     def phi_terms(self):
         """Nonzero terms of Phi as a dict {(x, y, z): coef}."""
         return element_legs(self.phi_row, self.dim, 3)
-
-    def phi_inv_terms(self):
-        return element_legs(self.phi_inv_row, self.dim, 3)
 
     def is_hopf(self) -> bool:
         """True when Phi = 1(x)1(x)1 and alpha = beta = 1."""
@@ -254,7 +241,7 @@ class QuasiHopfAlgebra(Algebra):
             self.field, n, self.mult, self.unit, comult, self.counit,
             self.antipode_inv, self.antipode,
             legs_reversed(self.phi_inv), legs_reversed(self.phi),
-            self.apply_s_inv(self.alpha), self.apply_s_inv(self.beta),
+            self.antipode_inv.apply(self.alpha), self.antipode_inv.apply(self.beta),
             name=self.name + "^cop")
 
     # -- monoidal primitives (shared with HopfAlgebroid) ------------------------
@@ -287,7 +274,7 @@ class QuasiHopfAlgebra(Algebra):
     # as carrier, the Phi-decoration of zeta^l and the evaluation eval_left
 
     def hom_legs(self, i: int):
-        return self.delta_terms(i)
+        return self.delta_legs[i]
 
     def hom_carrier(self, V, M):
         return None
@@ -496,7 +483,7 @@ def tensor_module(V: HModule, W: HModule) -> HModule:
     if d > max_tensor_dim():
         raise StructureError("tensor dimension %d exceeds QHA_MAX_DIM" % d)
     mats = [kron_sum(H.field, d, d, [(c, [V.mats[p], W.mats[q]])
-                                     for c, p, q in H.delta_terms(i)])
+                                     for c, p, q in H.delta_legs[i]])
             for i in range(H.dim)]
     return HModule(H, mats, name="(%s)x(%s)" % (V.name, W.name))
 
@@ -801,7 +788,7 @@ def check_antipode_pair(rep: CheckReport, H):
     # column (j, i) of m (S (x) S) is S(e_j) S(e_i)
     rep.compare("antipode_antihom", (("i", n), ("j", n)), S * H.mult_matrix,
                 _swap_factors(H.mult_matrix * S.kron(S), n, n),
-                H.apply_s(H.unit) == H.unit)
+                S.apply(H.unit) == H.unit)
 
 
 def check_quasi_bialgebra(H: QuasiHopfAlgebra) -> CheckReport:

@@ -110,10 +110,10 @@ def drinfeld_twist(H, F, F_inv, name):
                   slot_apply(D, Fi, 1, n), Fi.kron(one))
     phi_inv = product(3, Fr.kron(one), slot_apply(D, Fr, 1, n), H.phi_inv_row,
                       slot_apply(D, Fi, n, 1), one.kron(Fi))
-    alpha = contract(F_inv, lambda a: H.apply_s(H.basis(a)),
+    alpha = contract(F_inv, lambda a: H.antipode.apply(H.basis(a)),
                      lambda b: H.prod(H.alpha, H.basis(b)))
     beta = contract(F, lambda a: H.prod(H.basis(a), H.beta),
-                    lambda b: H.apply_s(H.basis(b)))
+                    lambda b: H.antipode.apply(H.basis(b)))
     return QuasiHopfAlgebra(f, n, H.mult, H.unit, comult, H.counit, H.antipode,
                             H.antipode_inv, phi.row(0), phi_inv.row(0), alpha, beta, name)
 

@@ -15,11 +15,11 @@ from qha.quasihopf import (
     QuasiHopfAlgebra, group_algebra, sweedler_h4, twisted_dual_group_algebra,
     cyclic_group_table, symmetric_group_table, z2_nontrivial_cocycle,
     validate_structure, check_quasi_bialgebra, check_quasi_hopf,
-    trivial_module, regular_module, tensor_module,
+    trivial_module, regular_module, tensor_module, HModule,
     zeta_l, eta_l, zeta_r, eta_r, hom_module_morphisms)
 from qha.algebroid import (
-    AlgebroidModule, enveloping_algebroid, base_ring_dual_numbers, base_module,
-    regular_algebroid_module, algebroid_from_hopf, tensor_over_base,
+    enveloping_algebroid, base_ring_dual_numbers, base_module,
+    algebroid_from_hopf, tensor_over_base,
     left_hom_algebroid, right_hom_algebroid,
     zeta_l_algebroid, eta_l_algebroid, zeta_r_algebroid, eta_r_algebroid,
     check_algebroid_structure, check_left_bialgebroid, check_right_bialgebroid,
@@ -152,7 +152,7 @@ def _random_algebroid_module(H, dim, seed):
     rng = random.Random(seed)
     f = H.field
     R = base_module(H)
-    K = AlgebroidModule(
+    K = HModule(
         H, [Matrix(f, 1, 1, [f.one if i == 0 else f.zero])
             for i in range(H.dim)], name="k0")
     blocks, total = [], 0
@@ -175,7 +175,7 @@ def _random_algebroid_module(H, dim, seed):
         mats.append(Matrix.from_rows(f, ent))
     g = random_invertible(f, dim, rng)
     gi = g.inverse()
-    return AlgebroidModule(H, [g * m * gi for m in mats], name="rand%d" % dim)
+    return HModule(H, [g * m * gi for m in mats], name="rand%d" % dim)
 
 
 def test_criterion_3_adjunction_roundtrips():
@@ -387,7 +387,7 @@ def test_criterion_9_algebroid_suite():
                  and check_left_bialgebroid(Ha).passed
                  and check_right_bialgebroid(Ha).passed
                  and check_hopf_algebroid(Ha).passed)
-    regq, rega = regular_module(Hq), regular_algebroid_module(Ha)
+    regq, rega = regular_module(Hq), regular_module(Ha)
     kq, ka = trivial_module(Hq), base_module(Ha)
     ok = ok and all(a == b for a, b in zip(kq.mats, ka.mats))
     ok = ok and all(a == b for a, b in zip(regq.mats, rega.mats))

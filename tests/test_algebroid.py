@@ -9,7 +9,7 @@ from qha.quasihopf import (trivial_module, regular_module, tensor_module,
 from qha.algebroid import (
     BaseRing, HopfAlgebroid,
     base_ring_dual_numbers, base_ring_scalars, enveloping_algebroid,
-    algebroid_from_hopf, regular_algebroid_module, base_module,
+    algebroid_from_hopf, base_module,
     tensor_over_base, left_hom_algebroid, right_hom_algebroid,
     right_linear_hom_basis, left_linear_hom_basis,
     zeta_l_algebroid, eta_l_algebroid, zeta_r_algebroid,
@@ -155,7 +155,7 @@ def test_corrupt_antipode_fails_axiom_3_or_4(env_q):
 def test_unitors_are_module_isomorphisms(t2e_f5):
     H = t2e_f5
     unit = H.unit_object()
-    for V in (regular_algebroid_module(H), unit):
+    for V in (regular_module(H), unit):
         for lam, tens in ((H.left_unitor(V), H.tensor(unit, V)[0]),
                           (H.right_unitor(V), H.tensor(V, unit)[0])):
             assert is_intertwiner(lam, tens, V)
@@ -164,7 +164,7 @@ def test_unitors_are_module_isomorphisms(t2e_f5):
 
 def test_tensor_over_base_quotient_dims(env_f5):
     H = env_f5
-    reg = regular_algebroid_module(H)
+    reg = regular_module(H)
     t, rel = tensor_over_base(reg, reg)
     assert t.dim == 8                       # 16 ambient minus 8 relations
     assert rel.relations.dim == 8
@@ -174,7 +174,7 @@ def test_tensor_over_base_quotient_dims(env_f5):
 
 def test_tensor_with_base_as_unit(env_f5):
     H = env_f5
-    reg = regular_algebroid_module(H)
+    reg = regular_module(H)
     R = base_module(H)
     t, _ = tensor_over_base(reg, R)
     assert t.dim == reg.dim
@@ -184,7 +184,7 @@ def test_tensor_with_base_as_unit(env_f5):
 
 def test_relations_vanish_over_scalar_base(kc2_f5):
     H = algebroid_from_hopf(kc2_f5)
-    reg = regular_algebroid_module(H)
+    reg = regular_module(H)
     t, rel = tensor_over_base(reg, reg)
     assert rel.relations.dim == 0
     assert t.dim == reg.dim ** 2
@@ -195,7 +195,7 @@ def test_hom_carriers_and_lemma_right_left(env_f5):
     # subspace computed from the equivalent s_r constraints: right
     # base-linearity coincides with left opposite-base-linearity
     H = env_f5
-    reg = regular_algebroid_module(H)
+    reg = regular_module(H)
     R = base_module(H)
     for M, N in [(reg, reg), (reg, R), (R, reg)]:
         via_tl = right_linear_hom_basis(M, N)
@@ -215,7 +215,7 @@ def test_hom_carriers_without_modules(env_f5, t2e_f5, twisted_q):
     # the carrier-only query gives the carriers of the hom modules; the
     # left-linear maps are the carrier of Hom^r, the H^cop carrier
     for H in (env_f5, t2e_f5):
-        reg, R = regular_algebroid_module(H), base_module(H)
+        reg, R = regular_module(H), base_module(H)
         for V, M in [(reg, reg), (reg, R), (R, reg), (R, R)]:
             assert hom_carriers(V, M) == (left_hom(V, M)[1], right_hom(V, M)[1])
             assert hom_carriers(V, M)[1] == left_linear_hom_basis(V, M)
@@ -226,7 +226,7 @@ def test_hom_carriers_without_modules(env_f5, t2e_f5, twisted_q):
 
 def test_hom_modules_are_unital_actions(env_f5):
     H = env_f5
-    reg = regular_algebroid_module(H)
+    reg = regular_module(H)
     R = base_module(H)
     for V, M in [(reg, reg), (reg, R), (R, reg)]:
         hl, _ = left_hom_algebroid(V, M)
@@ -240,7 +240,7 @@ def test_hom_action_independent_of_lift(env_f5):
     # hom action on the base-linear carrier unchanged
     H = env_f5
     f = H.field
-    reg = regular_algebroid_module(H)
+    reg = regular_module(H)
     R = base_module(H)
     hl, _ = left_hom_algebroid(reg, R)
     pert = list(H.delta_r_lift.entries)
@@ -251,7 +251,7 @@ def test_hom_action_independent_of_lift(env_f5):
     H2 = HopfAlgebroid(H.base, H.dim, H.mult, H.unit, H.s_l, H.t_l, H.s_r, H.t_r,
                        H.delta_l_lift, Matrix(f, n * n, n, pert),
                        H.eps_l, H.eps_r, H.antipode, H.antipode_inv)
-    reg2 = regular_algebroid_module(H2)
+    reg2 = regular_module(H2)
     R2 = base_module(H2)
     hl2, _ = left_hom_algebroid(reg2, R2)
     assert all(a == b for a, b in zip(hl.mats, hl2.mats))
@@ -259,7 +259,7 @@ def test_hom_action_independent_of_lift(env_f5):
 
 def _reg_and_base(*algebroids):
     for H in algebroids:
-        yield H, regular_algebroid_module(H), base_module(H)
+        yield H, regular_module(H), base_module(H)
 
 
 def test_lemma_rights_identities(env_f5, t2e_f5):
@@ -351,7 +351,7 @@ def test_right_hand_maps_act_on_the_second_factor(env_f5, t2e_f5):
 def test_scalar_base_reduces_to_quasihopf(kc2_f5):
     Hq = kc2_f5
     Ha = algebroid_from_hopf(Hq)
-    regq, rega = regular_module(Hq), regular_algebroid_module(Ha)
+    regq, rega = regular_module(Hq), regular_module(Ha)
     kq, ka = trivial_module(Hq), base_module(Ha)
     assert all(a == b for a, b in zip(kq.mats, ka.mats))
     assert all(a == b for a, b in zip(regq.mats, rega.mats))
@@ -379,7 +379,7 @@ def test_mixed_coassoc_holds_modulo_relations(env_q):
 
 
 def test_tensor_over_base_refuses_a_dimension_over_the_cap(monkeypatch):
-    reg = regular_algebroid_module(enveloping_algebroid(base_ring_dual_numbers(QQ)))
+    reg = regular_module(enveloping_algebroid(base_ring_dual_numbers(QQ)))
     monkeypatch.setenv("QHA_MAX_DIM", "15")
     with pytest.raises(StructureError, match="^tensor dimension 16 exceeds QHA_MAX_DIM$"):
         tensor_over_base(reg, reg)

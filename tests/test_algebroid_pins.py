@@ -15,9 +15,9 @@ import json
 import pytest
 
 from qha.fields import prime_field
-from qha.quasihopf import group_algebra, cyclic_group_table, sweedler_h4
+from qha.quasihopf import group_algebra, cyclic_group_table, sweedler_h4, regular_module
 from qha.algebroid import (base_ring_dual_numbers, base_ring_scalars, enveloping_algebroid,
-                           algebroid_from_hopf, base_module, regular_algebroid_module,
+                           algebroid_from_hopf, base_module,
                            check_algebroid_structure, check_left_bialgebroid,
                            check_right_bialgebroid, check_hopf_algebroid)
 from qha.structures import content_hash
@@ -114,7 +114,7 @@ def _digest(fmt, *objs):
 
 def derived_digests(H):
     fmt = H.field.format
-    R, reg = base_module(H), regular_algebroid_module(H)
+    R, reg = base_module(H), regular_module(H)
     return {
         "base_module": _digest(fmt, *R.mats),
         "unitors_base": _digest(fmt, H.left_unitor(R), H.right_unitor(R)),

@@ -475,3 +475,100 @@ def test_cohomology_reports_stable_non_ayd_coefficient_as_failed_check(tmp_path,
         ("algebra_object", True, None), ("coefficient_stable", True, None),
         ("cocyclic_identities", False,
          {"relation": "tau is not H-linear; aYD condition fails"})]
+
+
+def test_report_out_file_holds_the_stdout_bytes(tmp_path, kc2_file, capsys):
+    for extra in ([], ["--pretty"]):
+        capsys.readouterr()
+        assert main(["check", kc2_file, "--reproducible"] + extra) == 0
+        printed = capsys.readouterr().out
+        report = tmp_path / "report.txt"
+        assert main(["check", kc2_file, "--reproducible", "--out", str(report)] + extra) == 0
+        assert capsys.readouterr().out == ""
+        assert report.read_bytes() == printed.encode("utf-8")
+
+
+def test_pretty_lists_counterexamples_by_name_and_dims(tmp_path, kc2_file, capsys):
+    doc = json.load(open(kc2_file))
+    doc["counit"] = ["1", "0"]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["check", str(bad), "--reproducible", "--pretty"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if line.startswith("FAIL")] == [
+        "FAIL counit_algebra_map  at i=1, j=1", "FAIL counit  at a=1",
+        "FAIL alpha_axiom  at h=1", "FAIL beta_axiom  at h=1"]
+    assert lines[-1] == "result: FAIL"
+
+    # a quasi_contra witness is rendered with its index names sorted
+    tw, coeff = tmp_path / "tw.json", tmp_path / "m.json"
+    assert main(["generate", "twisted_dual_z2", "--out", str(tw)]) == 0
+    assert main(["generate", "trivial_contramodule", "--structure", str(tw),
+                 "--out", str(coeff)]) == 0
+    doc = json.load(open(coeff))
+    doc["contraaction"] = [[["1", "2"]]]
+    coeff.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["ayd", str(tw), str(coeff), "--reproducible", "--pretty"]) == 1
+    assert capsys.readouterr().out.splitlines()[3:] == [
+        "ok   ayd_type_I",
+        "FAIL quasi_contra_I  at coord=0, f_col=1, f_outer=1, f_row=0",
+        "ok   contra_unit_I", "result: FAIL"]
+
+    unit_a, coeff = _kc2_cohomology_inputs(tmp_path, kc2_file)
+    capsys.readouterr()
+    assert main(["cohomology", kc2_file, str(unit_a), str(coeff), "--degree", "3",
+                 "--reproducible", "--pretty"]) == 0
+    assert capsys.readouterr().out.splitlines()[4:] == [
+        "ok   algebra_object", "ok   coefficient_stable", "ok   cocyclic_identities",
+        "dims: [1, 0, 1, 0]", "result: PASS"]
+
+
+def _canonical(path):
+    return json.dumps(json.load(open(path)), sort_keys=True) + "\n"
+
+
+def test_convert_to_own_flavor_and_to_stdout(tmp_path, capsys):
+    tw, coeff = tmp_path / "tw.json", tmp_path / "m.json"
+    assert main(["generate", "twisted_dual_z2", "--out", str(tw)]) == 0
+    assert main(["generate", "trivial_contramodule", "--structure", str(tw),
+                 "--out", str(coeff)]) == 0
+    same = tmp_path / "same.json"
+    assert main(["convert", str(coeff), "--to", "typeI", "--out", str(same),
+                 "--name", "trivialM"]) == 0
+    assert same.read_bytes() == coeff.read_bytes()
+    two = tmp_path / "m2.json"
+    assert main(["convert", str(coeff), "--to", "typeII", "--out", str(two)]) == 0
+    capsys.readouterr()
+    assert main(["convert", str(coeff), "--to", "typeII"]) == 0
+    assert capsys.readouterr().out == _canonical(two)
+
+
+def test_generate_to_stdout_equals_the_out_file(tmp_path, capsys):
+    for argv in (["group_algebra", "--cyclic", "2"], ["twisted_dual_z2"],
+                 ["enveloping_dual_numbers", "--field", "GFp", "--p", "3"]):
+        out = tmp_path / "gen.json"
+        assert main(["generate"] + argv + ["--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["generate"] + argv) == 0
+        assert capsys.readouterr().out == _canonical(out)
+
+
+def test_module_algebra_unit_as_flat_list(tmp_path):
+    from qha.quasihopf import twisted_dual_group_algebra, z2_nontrivial_cocycle
+    from qha.structures import content_hash
+    from conftest import QQ, graded_dual_numbers
+    H = twisted_dual_group_algebra(QQ, cyclic_group_table(2), z2_nontrivial_cocycle(QQ))
+    path, flat = tmp_path / "a.json", tmp_path / "flat.json"
+    write_structure(str(path), graded_dual_numbers(H, 1), "A")
+    doc = json.load(open(path))
+    assert doc["unit"] == [["1"], ["0"]]
+    doc["unit"] = ["1", "0"]
+    flat.write_text(json.dumps(doc))
+    for parent in (None, H):
+        A, B = parse_structure(str(path), parent), parse_structure(str(flat), parent)
+        assert B.carrier.mats == A.carrier.mats and (B.mult, B.unit) == (A.mult, A.unit)
+        assert content_hash(B, "A") == content_hash(A, "A")
+        assert serialize(B, "A") == serialize(A, "A")
+        assert serialize(B, "A")["unit"] == [["1"], ["0"]]

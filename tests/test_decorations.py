@@ -4,7 +4,7 @@ against element products.
 alpha-hat sends e_p (x) e_q to S(e_p) alpha e_q and beta-hat sends it to
 e_p beta S(e_q); every Phi-decoration is Phi or Phi^-1 with two legs
 contracted by one of them.  The references build each element term by
-term with ``prod``, ``apply_s`` and ``apply_s_inv``.
+term with ``prod`` and the ``apply`` of the stored antipode pair.
 """
 
 import random
@@ -12,7 +12,7 @@ import random
 import pytest
 
 from qha.linalg import Matrix, slot_apply
-from qha.quasihopf import regular_module, tensor_module
+from qha.quasihopf import regular_module, tensor_module, element_legs
 
 from conftest import random_module
 
@@ -39,13 +39,13 @@ def dense_act(V, vec):
 @pytest.mark.parametrize("name", ["twisted_h4_q", "twisted_z3_skew_f7"])
 def test_decoration_maps_and_contracted_elements_match_term_sums(request, name):
     H = request.getfixturevalue(name)
-    n, e, s, s_inv = H.dim, H.basis, H.apply_s, H.apply_s_inv
+    n, e, s, s_inv = H.dim, H.basis, H.antipode.apply, H.antipode_inv.apply
     assert H.alpha != H.unit or H.beta != H.unit
     for p in range(n):
         for q in range(n):
             assert H.alpha_hat.col(p * n + q) == H.prod(s(e(p)), H.alpha, e(q))
             assert H.beta_hat.col(p * n + q) == H.prod(e(p), H.beta, s(e(q)))
-    phi, phi_inv = H.phi_terms().items(), H.phi_inv_terms().items()
+    phi, phi_inv = H.phi_terms().items(), element_legs(H.phi_inv_row, n, 3).items()
     # X (x) S(Y) alpha Z, the evaluation
     assert slot_apply(H.alpha_hat, H.phi_row, n, 1) == term_sum(
         H, [(c, e(x), H.prod(s(e(y)), H.alpha, e(z))) for (x, y, z), c in phi])

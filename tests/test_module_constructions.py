@@ -9,9 +9,9 @@ import pytest
 
 from qha.linalg import Matrix
 from qha.quasihopf import (regular_module, trivial_module, tensor_module, associator,
-                           left_hom, right_hom, zeta_l)
+                           left_hom, right_hom, zeta_l, element_legs)
 from qha.algebroid import (base_ring_dual_numbers, enveloping_algebroid,
-                           regular_algebroid_module, base_module, tensor_over_base,
+                           base_module, tensor_over_base,
                            module_tensor_relations, left_hom_algebroid,
                            right_linear_hom_basis)
 from qha.quasihopf import assoc_left_nest, assoc_swap_curry, assoc_right_nest
@@ -68,8 +68,8 @@ def dense_zeta_l(f_mat, M, N, L):
     H = M.parent
     d = M.dim * N.dim
     kmat = Matrix.zeros(H.field, d, d)
-    for (p, q, r), c in H.phi_inv_terms().items():
-        nq = dense_act(N, H.prod(H.basis(q), H.beta, H.apply_s(H.basis(r))))
+    for (p, q, r), c in element_legs(H.phi_inv_row, H.dim, 3).items():
+        nq = dense_act(N, H.prod(H.basis(q), H.beta, H.antipode.apply(H.basis(r))))
         kmat = kmat + dense_act(M, H.basis(p)).kron(nq).scale(c)
     g = f_mat * kmat
     # the value at e_i is the map e_b |-> g(e_i (x) e_b), at index a*dN + b
@@ -83,8 +83,8 @@ def dense_phi_decorated(V, W, M, legs):
     out = Matrix.zeros(H.field, d, d)
     for xyz, c in H.phi_terms().items():
         m, v, w = (xyz[k] for k in legs)
-        pv = dense_act(V, H.apply_s(H.basis(v))).transpose()
-        pw = dense_act(W, H.apply_s(H.basis(w))).transpose()
+        pv = dense_act(V, H.antipode.apply(H.basis(v))).transpose()
+        pw = dense_act(W, H.antipode.apply(H.basis(w))).transpose()
         out = out + M.mats[m].kron(pv).kron(pw).scale(c)
     return out
 
@@ -113,9 +113,10 @@ def test_quasi_hopf_constructions_match_dense_references(quasi):
     H, (reg, triv, rand) = quasi
     pairs = [(reg, rand), (rand, reg), (rand, triv), (triv, reg)]
     for V, W in pairs:
-        assert list(tensor_module(V, W).mats) == dense_tensor_actions(V, W, H.delta_terms)
+        assert list(tensor_module(V, W).mats) == \
+            dense_tensor_actions(V, W, H.delta_legs.__getitem__)
         assert list(left_hom(V, W)[0].mats) == \
-            dense_hom_actions(V, W, H.delta_terms, H.apply_s)
+            dense_hom_actions(V, W, H.delta_legs.__getitem__, H.antipode.apply)
         assert dense_act(V, H.beta) == V.act(H.beta)
     for U, V, W in [(reg, rand, triv), (rand, reg, rand), (triv, triv, reg)]:
         assert associator(U, V, W) == dense_associator(U, V, W)
@@ -144,7 +145,7 @@ def test_phi_decorated_associativity_maps_match_dense_references(quasi):
 
 def test_algebroid_constructions_match_dense_references():
     H = enveloping_algebroid(base_ring_dual_numbers(F5))
-    reg, base = regular_algebroid_module(H), base_module(H)
+    reg, base = regular_module(H), base_module(H)
     for M, N in [(reg, base), (base, reg), (base, base), (reg, reg)]:
         mod, rel = tensor_over_base(M, N)
         assert rel.relations == module_tensor_relations(M, N).relations
@@ -153,7 +154,7 @@ def test_algebroid_constructions_match_dense_references():
 
         hom, basis = left_hom_algebroid(M, N)
         assert basis == right_linear_hom_basis(M, N)
-        full = dense_hom_actions(M, N, H.delta_r_terms, H.apply_s)
+        full = dense_hom_actions(M, N, H.delta_r_terms, H.antipode.apply)
         assert list(hom.mats) == [basis.coordinate_matrix(m * basis.basis_matrix())
                                   for m in full]
 
@@ -165,7 +166,7 @@ def test_cop_view_is_kept_once_per_module(which, twisted_q):
         V, M = regular_module(H), trivial_module(H)
     else:
         H = enveloping_algebroid(base_ring_dual_numbers(F5))
-        V, M = regular_algebroid_module(H), base_module(H)
+        V, M = regular_module(H), base_module(H)
     assert V.cop is V.cop
     assert V.cop.parent is V.parent.cop
     assert type(V.cop) is type(V) and V.cop.mats is V.mats

@@ -13,7 +13,6 @@ from qha.quasihopf import (
     zeta_l, eta_l, zeta_r, eta_r, is_intertwiner, hom_module_morphisms,
     max_tensor_dim)
 
-from qha.algebroid import HopfAlgebroid, regular_algebroid_module
 
 from conftest import QQ, F5, random_intertwiner, vstack
 
@@ -217,7 +216,7 @@ def _biclosed_inputs(request, name):
     its right-hand seed offset."""
     fixture, roundtrips, stacks, offset = BICLOSED_PARENTS[name]
     H = request.getfixturevalue(fixture)
-    reg = regular_algebroid_module(H) if isinstance(H, HopfAlgebroid) else regular_module(H)
+    reg = regular_module(H)
     mods = {"u": H.unit_object(), "r": reg}
 
     def triples(names):
@@ -309,8 +308,8 @@ def test_hopf_specialization_matches_classical(kc2_q):
     f = QQ
     for i in range(H.dim):
         m = Matrix.zeros(f, hl.dim, hl.dim)
-        for c, p, q in H.delta_terms(i):
-            m = m + reg.mats[p].kron(reg.act(H.apply_s(H.basis(q))).transpose()).scale(c)
+        for c, p, q in H.delta_legs[i]:
+            m = m + reg.mats[p].kron(reg.act(H.antipode.apply(H.basis(q))).transpose()).scale(c)
         assert hl.mats[i] == m
 
 

@@ -21,8 +21,7 @@ import qha.cyclic
 from qha.linalg import Matrix
 from qha.quasihopf import (StructureError, build_scope, group_algebra, cyclic_group_table,
                            trivial_module, regular_module, tensor_module, HModule)
-from qha.algebroid import (AlgebroidModule, base_module, regular_algebroid_module,
-                           module_tensor_relations, tensor_over_base)
+from qha.algebroid import base_module, module_tensor_relations, tensor_over_base
 from qha.coefficients import Contramodule, ALGEBROID_MU, QUASI_I
 from qha.center import CenterElement
 from qha.cyclic import (CocyclicError, ModuleAlgebra, build_cocyclic, unit_algebra,
@@ -124,7 +123,7 @@ def test_a_failure_is_not_kept(env_q):
     o, z = QQ.one, QQ.zero
     up = Matrix.from_rows(QQ, [[z, o], [z, z]])
     # 1 (x) x and x (x) 1 act by matrices that do not commute
-    bad = AlgebroidModule(env_q, [Matrix.identity(QQ, 2), up, up.transpose(),
+    bad = HModule(env_q, [Matrix.identity(QQ, 2), up, up.transpose(),
                                   Matrix.zeros(QQ, 2, 2)], name="bad")
     with build_scope():
         for _ in range(2):
@@ -133,7 +132,7 @@ def test_a_failure_is_not_kept(env_q):
 
 
 def test_the_dimension_cap_holds_inside_a_scope(env_q, kc2_q, monkeypatch):
-    reg = regular_algebroid_module(env_q)
+    reg = regular_module(env_q)
     monkeypatch.setenv("QHA_MAX_DIM", "15")
     with build_scope():
         for _ in range(2):
@@ -146,7 +145,7 @@ def test_the_dimension_cap_holds_inside_a_scope(env_q, kc2_q, monkeypatch):
 
 def test_equal_modules_share_their_relation_space(env_q):
     R = base_module(env_q)
-    twin = AlgebroidModule(env_q, [Matrix(QQ, 2, 2, m.entries) for m in R.mats], name="twin")
+    twin = HModule(env_q, [Matrix(QQ, 2, 2, m.entries) for m in R.mats], name="twin")
     assert twin is not R and twin.mats == R.mats
     plain = module_tensor_relations(R, R)
     with build_scope():
@@ -173,8 +172,8 @@ def test_a_module_key_compares_the_parent_by_identity(env_q):
     reg = regular_module(H1)
     assert reg.cop != reg
     R = base_module(env_q)
-    assert AlgebroidModule(env_q, R.mats) == R
-    assert regular_algebroid_module(env_q) == regular_module(env_q)
+    assert HModule(env_q, R.mats) == R
+    assert regular_module(env_q) == regular_module(env_q)
     assert {k1: "found"}[twin] == "found"
 
 

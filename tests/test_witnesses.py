@@ -16,7 +16,7 @@ from qha.quasihopf import (QuasiHopfAlgebra, sweedler_h4, twisted_dual_group_alg
                            check_quasi_bialgebra, check_quasi_hopf, check_module,
                            regular_module, trivial_module, HModule)
 from qha.algebroid import (BaseRing, HopfAlgebroid, enveloping_algebroid,
-                           base_ring_dual_numbers, base_module, regular_algebroid_module,
+                           base_ring_dual_numbers, base_module,
                            check_algebroid_structure,
                            check_left_bialgebroid, check_right_bialgebroid,
                            check_hopf_algebroid)
@@ -1883,30 +1883,30 @@ COEFFICIENT_WITNESSES = {
     },
     ("typeI", "module", 0): {
         "check_ayd_quasi_I": {
-            "quasi_contra_I": (("f_outer", 0), ("f_row", 0), ("f_col", 0), ("coord", 0)),
+            "quasi_contra_I": (("f_row", 0), ("f_col", 0), ("f_outer", 0), ("coord", 0)),
         },
         "check_stability_quasi": {"stability_type_I": (("m", 0),)},
     },
     ("typeI", "module", 3): {
         "check_ayd_quasi_I": {
-            "quasi_contra_I": (("f_outer", 0), ("f_row", 1), ("f_col", 0), ("coord", 1)),
+            "quasi_contra_I": (("f_row", 1), ("f_col", 0), ("f_outer", 0), ("coord", 1)),
         },
         "check_stability_quasi": {"stability_type_I": (("m", 1),)},
     },
     ("typeI", "module", 5): {
         "check_ayd_quasi_I": {
-            "quasi_contra_I": (("f_outer", 0), ("f_row", 1), ("f_col", 0), ("coord", 0)),
+            "quasi_contra_I": (("f_row", 1), ("f_col", 0), ("f_outer", 0), ("coord", 0)),
         },
     },
     ("typeI", "module", 6): {
         "check_ayd_quasi_I": {
-            "quasi_contra_I": (("f_outer", 0), ("f_row", 0), ("f_col", 0), ("coord", 1)),
+            "quasi_contra_I": (("f_row", 0), ("f_col", 0), ("f_outer", 0), ("coord", 1)),
         },
         "check_stability_quasi": {"stability_type_I": (("m", 0),)},
     },
     ("typeI", "mu", 0): {
         "check_ayd_quasi_I": {
-            "quasi_contra_I": (("f_outer", 0), ("f_row", 0), ("f_col", 0), ("coord", 0)),
+            "quasi_contra_I": (("f_row", 0), ("f_col", 0), ("f_outer", 0), ("coord", 0)),
             "contra_unit_I": (("m", 0),),
         },
         "check_stability_quasi": {"stability_type_I": (("m", 0),)},
@@ -1914,21 +1914,21 @@ COEFFICIENT_WITNESSES = {
     ("typeI", "mu", 2): {
         "check_ayd_quasi_I": {
             "ayd_type_I": (("h", 0), ("f_row", 1), ("f_col", 0)),
-            "quasi_contra_I": (("f_outer", 0), ("f_row", 1), ("f_col", 0), ("coord", 0)),
+            "quasi_contra_I": (("f_row", 1), ("f_col", 0), ("f_outer", 0), ("coord", 0)),
             "contra_unit_I": (("m", 1),),
         },
     },
     ("typeI", "mu", 3): {
         "check_ayd_quasi_I": {
             "ayd_type_I": (("h", 0), ("f_row", 1), ("f_col", 1)),
-            "quasi_contra_I": (("f_outer", 1), ("f_row", 1), ("f_col", 1), ("coord", 1)),
+            "quasi_contra_I": (("f_row", 1), ("f_col", 1), ("f_outer", 1), ("coord", 1)),
         },
         "check_stability_quasi": {"stability_type_I": (("m", 1),)},
     },
     ("typeI", "mu", 4): {
         "check_ayd_quasi_I": {
             "ayd_type_I": (("h", 0), ("f_row", 0), ("f_col", 0)),
-            "quasi_contra_I": (("f_outer", 0), ("f_row", 0), ("f_col", 0), ("coord", 1)),
+            "quasi_contra_I": (("f_row", 0), ("f_col", 0), ("f_outer", 0), ("coord", 1)),
             "contra_unit_I": (("m", 0),),
         },
         "check_stability_quasi": {"stability_type_I": (("m", 0),)},
@@ -1936,34 +1936,34 @@ COEFFICIENT_WITNESSES = {
     ("typeII", "module", 1): {
         "check_ayd_quasi_II": {
             "ayd_type_II": (("h", 0), ("f_row", 1), ("f_col", 1)),
-            "quasi_contra_II": (("f_outer", 1), ("f_row", 1), ("f_col", 1), ("coord", 0)),
+            "quasi_contra_II": (("f_row", 1), ("f_col", 1), ("f_outer", 1), ("coord", 0)),
         },
         "check_stability": {"stability_type_I": (("m", 1),)},
     },
     ("typeII", "module", 2): {
         "check_ayd_quasi_II": {
             "ayd_type_II": (("h", 0), ("f_row", 0), ("f_col", 1)),
-            "quasi_contra_II": (("f_outer", 1), ("f_row", 0), ("f_col", 1), ("coord", 1)),
+            "quasi_contra_II": (("f_row", 0), ("f_col", 1), ("f_outer", 1), ("coord", 1)),
         },
         "check_stability": {"stability_type_I": (("m", 0),)},
     },
     ("typeII", "module", 5): {
         "check_ayd_quasi_II": {
             "ayd_type_II": (("h", 1), ("f_row", 1), ("f_col", 1)),
-            "quasi_contra_II": (("f_outer", 1), ("f_row", 1), ("f_col", 1), ("coord", 1)),
+            "quasi_contra_II": (("f_row", 1), ("f_col", 1), ("f_outer", 1), ("coord", 1)),
         },
         "check_stability": {"stability_type_I": (("m", 1),)},
     },
     ("typeII", "module", 6): {
         "check_ayd_quasi_II": {
             "ayd_type_II": (("h", 1), ("f_row", 0), ("f_col", 1)),
-            "quasi_contra_II": (("f_outer", 1), ("f_row", 1), ("f_col", 1), ("coord", 1)),
+            "quasi_contra_II": (("f_row", 1), ("f_col", 1), ("f_outer", 1), ("coord", 1)),
         },
         "check_stability": {"stability_type_I": (("m", 0),)},
     },
     ("typeII", "mu", 0): {
         "check_ayd_quasi_II": {
-            "quasi_contra_II": (("f_outer", 0), ("f_row", 0), ("f_col", 0), ("coord", 0)),
+            "quasi_contra_II": (("f_row", 0), ("f_col", 0), ("f_outer", 0), ("coord", 0)),
             "contra_unit_II": (("m", 0),),
         },
         "check_stability": {"stability_type_I": (("m", 0),)},
@@ -1971,21 +1971,21 @@ COEFFICIENT_WITNESSES = {
     ("typeII", "mu", 2): {
         "check_ayd_quasi_II": {
             "ayd_type_II": (("h", 0), ("f_row", 1), ("f_col", 0)),
-            "quasi_contra_II": (("f_outer", 0), ("f_row", 1), ("f_col", 0), ("coord", 0)),
+            "quasi_contra_II": (("f_row", 1), ("f_col", 0), ("f_outer", 0), ("coord", 0)),
             "contra_unit_II": (("m", 1),),
         },
     },
     ("typeII", "mu", 3): {
         "check_ayd_quasi_II": {
             "ayd_type_II": (("h", 0), ("f_row", 1), ("f_col", 1)),
-            "quasi_contra_II": (("f_outer", 1), ("f_row", 1), ("f_col", 1), ("coord", 1)),
+            "quasi_contra_II": (("f_row", 1), ("f_col", 1), ("f_outer", 1), ("coord", 1)),
         },
         "check_stability": {"stability_type_I": (("m", 1),)},
     },
     ("typeII", "mu", 4): {
         "check_ayd_quasi_II": {
             "ayd_type_II": (("h", 0), ("f_row", 0), ("f_col", 0)),
-            "quasi_contra_II": (("f_outer", 0), ("f_row", 0), ("f_col", 0), ("coord", 1)),
+            "quasi_contra_II": (("f_row", 0), ("f_col", 0), ("f_outer", 0), ("coord", 1)),
             "contra_unit_II": (("m", 0),),
         },
         "check_stability": {"stability_type_I": (("m", 0),)},
@@ -2061,7 +2061,7 @@ def _hexagon_modules(C):
     module of the coefficient's parent."""
     H = C.parent
     if C.flavor == ALGEBROID_MU:
-        return {"R": base_module(H), "reg": regular_algebroid_module(H)}
+        return {"R": base_module(H), "reg": regular_module(H)}
     return {"k": trivial_module(H), "reg": regular_module(H)}
 
 
