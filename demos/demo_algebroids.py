@@ -37,7 +37,7 @@ print("regular module valid:", check_module(reg).passed,
       "  unit object valid:", check_module(R).passed)
 T, rel = tensor_over_base(reg, reg)
 print("H (x)_R H: ambient 16, relations %d, quotient dim %d"
-      % (rel.relations.dim, T.dim))
+      % (rel.dim, T.dim))
 
 hl, _ = left_hom_algebroid(reg, R)
 hr, _ = right_hom_algebroid(reg, R)

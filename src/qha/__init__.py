@@ -11,8 +11,7 @@ from .quasihopf import (QuasiHopfAlgebra, HModule,
                         associator, left_hom, right_hom, eval_left, eval_right,
                         zeta_l, eta_l, zeta_r, eta_r, hom_module_morphisms,
                         validate_structure, check_quasi_bialgebra, check_quasi_hopf)
-from .algebroid import (BaseRing, HopfAlgebroid, RelationSpace,
-                        enveloping_algebroid, algebroid_from_hopf,
+from .algebroid import (BaseRing, HopfAlgebroid, enveloping_algebroid, algebroid_from_hopf,
                         base_module, tensor_over_base,
                         left_hom_algebroid, right_hom_algebroid,
                         check_algebroid_structure, check_left_bialgebroid,

@@ -3,9 +3,9 @@
 The coproducts of a bialgebroid land in tensor products over the base, so
 they are stored as chosen k-linear lifts into H (x) H together with the
 relation subspaces that define the quotients.  Every identity "modulo
-relations" is checked by projecting with a canonical quotient section, and
-the checks verify that stored lifts are compatible with the relations
-(Takeuchi membership, bimodule properties) rather than assuming it.
+relations" is checked through the canonical projector that its relation
+subspace carries, and the checks verify that stored lifts are compatible
+with the relations (Takeuchi membership, bimodule properties).
 
 The left base ring R is the stored one; the right base is its opposite
 ring ``BaseRing.op``.  The biclosed maps (Hom^l, Hom^r, zeta and eta) are
@@ -31,8 +31,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from .fields import Field
-from .linalg import (Matrix, Subspace, quotient_section,
-                     intertwiner_space, kron_sum, slot_apply, vstack)
+from .linalg import Matrix, Subspace, intertwiner_space, kron_sum, slot_apply, vstack
 from .reports import CheckReport
 from .quasihopf import (Algebra, HModule, QuasiHopfAlgebra, StructureError, max_tensor_dim,
                         shared, left_hom, right_hom, zeta_l, eta_l, zeta_r, eta_r,
@@ -119,16 +118,15 @@ class HopfAlgebroid(Algebra):
     # -- coproduct legs -------------------------------------------------------
 
     @cached_property
-    def _lift_terms(self):
-        """The Sweedler terms (coef, p, q) of Delta_l(e_i) and of Delta_r(e_i),
-        read from the stored lifts."""
-        return tuple(lift_legs(lift) for lift in (self.delta_l_lift, self.delta_r_lift))
+    def delta_l_legs(self):
+        """The Sweedler terms (coef, p, q) of Delta_l(e_i), for every i,
+        read from the stored lift."""
+        return lift_legs(self.delta_l_lift)
 
-    def delta_l_terms(self, i: int):
-        return self._lift_terms[0][i]
-
-    def delta_r_terms(self, i: int):
-        return self._lift_terms[1][i]
+    @cached_property
+    def delta_r_legs(self):
+        """The Sweedler terms (coef, p, q) of Delta_r(e_i), for every i."""
+        return lift_legs(self.delta_r_lift)
 
     # -- relation subspaces --------------------------------------------------
 
@@ -213,7 +211,7 @@ class HopfAlgebroid(Algebra):
     # and the plain evaluation phi (x) v |-> phi(v)
 
     def hom_legs(self, i: int):
-        return self.delta_r_terms(i)
+        return self.delta_r_legs[i]
 
     def hom_carrier(self, V, M):
         return right_linear_hom_basis(V, M)
@@ -249,24 +247,6 @@ def base_module(H: HopfAlgebroid) -> HModule:
     return HModule(H, [H.eps_l * L * H.s_l for L in H.left_mults], name="R")
 
 
-class RelationSpace:
-    """The base-tensor relations of M (x)_{R_l} N with a canonical section."""
-
-    def __init__(self, field, ambient_dim: int, relations: Subspace):
-        self.field = field
-        self.ambient_dim = ambient_dim
-        self.relations = relations
-        self.projector, self.lift = quotient_section(field, ambient_dim, relations)
-
-    @property
-    def quotient_dim(self) -> int:
-        return self.ambient_dim - self.relations.dim
-
-    def __repr__(self):
-        return "RelationSpace(ambient %d, relations %d)" % (
-            self.ambient_dim, self.relations.dim)
-
-
 def _relation_space(f: Field, pairs, d1: int, d2: int) -> Subspace:
     """The span of (A x) (x) y - x (x) (B y) over the pairs (A, B) of d1 x d1
     and d2 x d2 matrices and all basis vectors x, y: the rows of the
@@ -279,19 +259,24 @@ def _relation_space(f: Field, pairs, d1: int, d2: int) -> Subspace:
 
 
 @shared
-def module_tensor_relations(M: HModule, N: HModule) -> RelationSpace:
+def module_tensor_relations(M: HModule, N: HModule) -> Subspace:
+    """The base relations t_l(r) m (x) n - m (x) s_l(r) n of M (x)_{R_l} N,
+    a subspace of M (x) N whose quotient is the carrier of the tensor."""
     H = M.parent
     pairs = list(zip(M.acts(H.t_l), N.acts(H.s_l)))
-    return RelationSpace(H.field, M.dim * N.dim, _relation_space(H.field, pairs, M.dim, N.dim))
+    return _relation_space(H.field, pairs, M.dim, N.dim)
 
 
 @shared
 def tensor_over_base(M: HModule, N: HModule):
     """M (x)_{R_l} N with the Delta_l-induced action.
 
-    Returns (module, RelationSpace).  Raises StructureError with a witness
-    when the ambient diagonal action fails to preserve the relations (the
-    action would then be ill-defined on the quotient).
+    Returns (module, relations): the relations are the Subspace of
+    module_tensor_relations, and the module acts on its quotient through
+    their projector and lift.  An ambient M.dim * N.dim over QHA_MAX_DIM
+    is refused before anything is built.  Raises StructureError with a
+    witness when the ambient diagonal action fails to preserve the
+    relations (the action would then be ill-defined on the quotient).
     """
     if M.parent is not N.parent:
         raise StructureError("tensor factors must share a parent algebroid")
@@ -301,11 +286,11 @@ def tensor_over_base(M: HModule, N: HModule):
         raise StructureError("tensor dimension %d exceeds QHA_MAX_DIM" % (M.dim * N.dim))
     rel = module_tensor_relations(M, N)
     d = M.dim * N.dim
-    amb = [kron_sum(f, d, d, [(c, [M.mats[p], N.mats[q]]) for c, p, q in H.delta_l_terms(i)])
+    amb = [kron_sum(f, d, d, [(c, [M.mats[p], N.mats[q]]) for c, p, q in H.delta_l_legs[i]])
            for i in range(H.dim)]
-    relations = rel.relations.basis_matrix()
+    relations = rel.basis_matrix()
     for i in range(H.dim):
-        if rel.relations.coordinate_matrix(amb[i] * relations) is None:
+        if rel.coordinate_matrix(amb[i] * relations) is None:
             raise StructureError(
                 "tensor action ill-defined: basis element %d maps a relation "
                 "outside the relation space" % i)
@@ -365,12 +350,6 @@ eta_r_algebroid = _algebroid_name(eta_r, "eta_r_algebroid")
 
 # -- axiom checks -------------------------------------------------------------
 
-def _projector(rel: Subspace) -> Matrix:
-    """The canonical quotient projector of the ambient space of rel, whose
-    kernel is rel: two vectors agree modulo rel iff their projections do."""
-    return quotient_section(rel.field, rel.ambient_dim, rel)[0]
-
-
 def _swap_outer(m: Matrix, r: int, n: int) -> Matrix:
     """m with its columns (x, i, y) in range(r) x range(n) x range(r) read as (y, i, x)."""
     return m.reindexed(m.rows, m.cols,
@@ -413,7 +392,7 @@ def check_left_bialgebroid(H: HopfAlgebroid) -> CheckReport:
     f, R = H.field, H.base
     n, r = H.dim, R.dim
     rep = CheckReport()
-    proj = _projector(H.rel_l)
+    proj = H.rel_l.projector
     m, D, eps, s_l, t_l = H.mult_matrix, H.delta_l_lift, H.eps_l, H.s_l, H.t_l
     deltas, eye = D.transpose(), Matrix.identity(f, n)
 
@@ -473,8 +452,8 @@ def _triple_projector(H: HopfAlgebroid, kinds) -> Matrix:
     eye = Matrix.identity(H.field, H.dim)
     first, second = [(H.rel_l if kind == "l" else H.rel_r).basis_matrix().transpose()
                      for kind in kinds]
-    return _projector(Subspace.row_space(vstack(H.field, H.dim ** 3,
-                                                [first.kron(eye), eye.kron(second)])))
+    return Subspace.row_space(vstack(H.field, H.dim ** 3,
+                                     [first.kron(eye), eye.kron(second)])).projector
 
 
 def check_right_bialgebroid(H: HopfAlgebroid) -> CheckReport:

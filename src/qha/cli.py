@@ -13,7 +13,7 @@ import sys
 import time
 
 from .fields import rationals, prime_field, FieldError
-from .reports import CheckReport
+from .reports import CheckReport, pretty_line
 from .quasihopf import (QuasiHopfAlgebra, StructureError, GroupTableError, IntertwinerError,
                         _validate_group, group_algebra, sweedler_h4, twisted_dual_group_algebra,
                         cyclic_group_table, symmetric_group_table,
@@ -67,13 +67,7 @@ def _pretty(report: dict) -> str:
     lines = ["command: %s" % report.get("command", "?")]
     for rec in report.get("inputs", []):
         lines.append("input: %s (%s)" % (rec["name"], rec["sha256"][:12]))
-    for chk in report.get("checks", []):
-        mark = "ok  " if chk["pass"] else "FAIL"
-        extra = ""
-        if chk.get("counterexample"):
-            extra = "  at " + ", ".join("%s=%s" % kv
-                                        for kv in sorted(chk["counterexample"].items()))
-        lines.append("%s %s%s" % (mark, chk["check"], extra))
+    lines.extend(pretty_line(chk) for chk in report.get("checks", []))
     if "dims" in report:
         lines.append("dims: %s" % report["dims"])
     lines.append("result: %s" % ("PASS" if report.get("pass", True) else "FAIL"))
@@ -137,8 +131,7 @@ def cmd_convert(args) -> int:
     coeff = parse_structure(args.coefficient)
     if not isinstance(coeff, Contramodule):
         raise UsageError("convert expects a contramodule file")
-    target = {"typeI": QUASI_I, "typeII": QUASI_II,
-              "type_I": QUASI_I, "type_II": QUASI_II}.get(args.to)
+    target = {"typeI": QUASI_I, "typeII": QUASI_II}.get(args.to)
     if target is None:
         raise UsageError("--to must be typeI or typeII")
     if coeff.flavor == target:
@@ -150,10 +143,15 @@ def cmd_convert(args) -> int:
     else:
         raise UsageError("cannot convert flavor %s to %s"
                          % (coeff.flavor, args.to))
+    return _write_structure_out(args, out, args.name or "converted")
+
+
+def _write_structure_out(args, obj, name: str) -> int:
+    """Write obj to --out, or print its JSON when there is no --out."""
     if args.out:
-        write_structure(args.out, out, name=args.name or "converted")
+        write_structure(args.out, obj, name=name)
     else:
-        print(json.dumps(serialize(out, args.name or "converted"), sort_keys=True))
+        print(json.dumps(serialize(obj, name), sort_keys=True))
     return 0
 
 
@@ -286,11 +284,7 @@ def cmd_generate(args) -> int:
         name = name or "trivialM"
     else:
         raise UsageError("unknown generator %r" % what)
-    if args.out:
-        write_structure(args.out, obj, name=name)
-    else:
-        print(json.dumps(serialize(obj, name), sort_keys=True))
-    return 0
+    return _write_structure_out(args, obj, name)
 
 
 def build_parser() -> argparse.ArgumentParser:

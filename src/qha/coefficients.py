@@ -27,7 +27,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from .linalg import (Matrix, Subspace, block_matrix, intertwiner_space, kron_sum,
-                     quotient_section, slot_apply, vstack)
+                     slot_apply, vstack)
 from .reports import CheckReport
 from .quasihopf import (HModule, IntertwinerError, StructureError, regular_module, is_intertwiner,
                         eps_p_q_beta_s_r, left_hom, right_hom, hom_carriers, right_hom_carrier,
@@ -483,7 +483,7 @@ def check_contramodule_algebroid(C: Contramodule) -> CheckReport:
     f = C.field
     n, d = H.dim, C.carrier.dim
     M = C.carrier
-    proj, lift = quotient_section(f, n * n, H.rel_l)
+    proj, lift = H.rel_l.projector, H.rel_l.lift
     # right R-action on the quotient: (x (x) y) . r = x (x) t_l(r) y
     eye = Matrix.identity(f, n)
     phi_basis = intertwiner_space(

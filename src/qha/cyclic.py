@@ -37,7 +37,7 @@ from .fields import Field
 from .linalg import Matrix, block_matrix, kron_sum
 from .reports import CheckReport
 from .quasihopf import (QuasiHopfAlgebra, StructureError, build_scope,
-                        hom_module_morphisms, is_intertwiner, max_tensor_dim, shared)
+                        hom_module_morphisms, is_intertwiner, shared)
 from .coefficients import Contramodule, check_stability
 from .center import CenterElement, iota_apply
 
@@ -82,7 +82,7 @@ class ModuleAlgebra:
         H = carrier.parent
         self.is_algebroid = not isinstance(H, QuasiHopfAlgebra)
         rel = H.tensor_relations(carrier, carrier)
-        sq = carrier.dim * carrier.dim if rel is None else rel.quotient_dim
+        sq = carrier.dim * carrier.dim if rel is None else rel.ambient_dim - rel.dim
         unit_cols = H.unit_object().dim
         if mult.rows != carrier.dim or mult.cols != sq:
             raise StructureError("mult must be %dx%d" % (carrier.dim, sq))
@@ -145,8 +145,8 @@ class TensorPowerChain:
     stages and is ``shared``: inside a build scope each rebracketing,
     multiplication map and unit insertion is built once per chain (so each
     associator is inverted once), outside one it is rebuilt on every call.
-    Each stage's ambient L_(k-1) (x) A is checked against QHA_MAX_DIM
-    before the stage is built.
+    Each stage is ``H.tensor``, which refuses an ambient L_(k-1) (x) A over
+    QHA_MAX_DIM before it builds anything.
     """
 
     def __init__(self, A: ModuleAlgebra, depth: int):
@@ -154,18 +154,9 @@ class TensorPowerChain:
             raise ValueError("n must be >= 1; the unit object is unit_algebra(H)")
         self.A = A
         H = A.parent
-        d = A.carrier.dim
-        cap = max_tensor_dim()
         self.mods = [None, A.carrier]
         self.rels = [None, None]
         for _ in range(2, depth + 1):
-            # over an algebroid each stage is a quotient, so the ambient of
-            # the next one is the last stage's dim times d, below d ** k
-            ambient = self.mods[-1].dim * d
-            if ambient > cap:
-                raise StructureError(
-                    "tensor power dimension %d exceeds QHA_MAX_DIM "
-                    "(set the environment variable to raise the cap)" % ambient)
             mod, rel = H.tensor(self.mods[-1], A.carrier)
             self.mods.append(mod)
             self.rels.append(rel)

@@ -559,9 +559,11 @@ class Subspace:
 
     The basis vectors are the nonzero rows of the RREF of any generating
     set, so two computations of the same subspace store identical bases.
+    A subspace also carries its canonical quotient (``projector`` and
+    ``lift``), made on first use.
     """
 
-    __slots__ = ("field", "ambient_dim", "_rows", "_pivots", "_basis_matrix")
+    __slots__ = ("field", "ambient_dim", "_rows", "_pivots", "_basis_matrix", "_quotient")
 
     def __init__(self, rows: Matrix, pivots):
         """The subspace spanned by the rows of ``rows``, a matrix in reduced
@@ -571,6 +573,7 @@ class Subspace:
         self._rows = rows
         self._pivots = tuple(pivots)
         self._basis_matrix = None
+        self._quotient = None
 
     @staticmethod
     def row_space(m: Matrix) -> "Subspace":
@@ -618,6 +621,22 @@ class Subspace:
 
     def pivots(self):
         return list(self._pivots)
+
+    def _section(self):
+        if self._quotient is None:
+            self._quotient = quotient_section(self.field, self.ambient_dim, self)
+        return self._quotient
+
+    @property
+    def projector(self) -> Matrix:
+        """The canonical projector of k^ambient_dim onto its quotient by
+        this subspace, whose kernel is this subspace (``quotient_section``)."""
+        return self._section()[0]
+
+    @property
+    def lift(self) -> Matrix:
+        """The canonical section of ``projector``: projector . lift = identity."""
+        return self._section()[1]
 
     def coordinate_matrix(self, vecs: Matrix):
         """Coordinates of every column of vecs in the stored basis, as the

@@ -293,10 +293,17 @@ class QuasiHopfAlgebra(Algebra):
     # once: they carry the Phi-decoration between the full hom carriers
 
     def hom_associativity(self, V, W, M):
-        """The maps V <| (W <| M) -> (V (x) W) <| M, V <| (M |> W) -> (V <| M) |> W
-        and M |> (V (x) W) -> (M |> V) |> W between the full hom carriers."""
-        return (assoc_left_nest(self, V, W, M), assoc_swap_curry(self, V, W, M),
-                assoc_right_nest(self, V, W, M))
+        """The three maps of the weak-center hexagon between the full hom
+        carriers, with Phi = X (x) Y (x) Z:
+          V <| (W <| M) -> (V (x) W) <| M: f |-> (v (x) w |-> X f_{S(Z) v}(S(Y) w)),
+          V <| (M |> W) -> (V <| M) |> W: f |-> (w |-> (v |-> Y f_{S(Z) v}(S(X) w))),
+          M |> (V (x) W) -> (M |> V) |> W: f |-> (w |-> (v |-> Z f(S(Y) v (x) S(X) w))).
+        The domains of the first two are read in (m, w, v) order, every
+        other carrier in (m, v, w) order."""
+        perm = perm_mwv_to_mvw(self.field, M.dim, W.dim, V.dim)
+        return (_phi_decorated(self, V, W, M, (0, 2, 1)) * perm,
+                _phi_decorated(self, V, W, M, (1, 2, 0)) * perm,
+                _phi_decorated(self, V, W, M, (2, 1, 0)))
 
     def __repr__(self):
         return "QuasiHopfAlgebra(%s, dim %d over %s)" % (self.name, self.dim, self.field)
@@ -713,11 +720,7 @@ def eta_r(g_mat: Matrix, N: HModule, M: HModule, L: HModule) -> Matrix:
                         N.parent.tensor_relations(N, M), M.dim, N.dim)
 
 
-# -- hom associativity on full carriers --------------------------------------
-#
-# The three maps of the weak-center hexagon between nested homs, on the
-# Hom_k carriers; the carriers of V <| (W <| M) and V <| (M |> W) are read
-# in (m, w, v) order, the others in (m, v, w) order.
+# -- hom associativity on full carriers (QuasiHopfAlgebra.hom_associativity) --
 
 def _phi_decorated(H, V: HModule, W: HModule, M: HModule, legs) -> Matrix:
     """Sum over Phi of rho_M(l_1) (x) rho_V(S(l_2))^T (x) rho_W(S(l_3))^T, with
@@ -727,23 +730,6 @@ def _phi_decorated(H, V: HModule, W: HModule, M: HModule, legs) -> Matrix:
     m, v, w = legs
     return kron_sum(H.field, d, d, [(c, [M.mats[t[m]], sv[t[v]], sw[t[w]]])
                                     for t, c in H.phi_terms().items()])
-
-
-def assoc_left_nest(H, V: HModule, W: HModule, M: HModule) -> Matrix:
-    """V <| (W <| M) -> (V (x) W) <| M: f |-> (v (x) w |-> X f_{S(Z) v}(S(Y) w))."""
-    return (_phi_decorated(H, V, W, M, (0, 2, 1))
-            * perm_mwv_to_mvw(H.field, M.dim, W.dim, V.dim))
-
-
-def assoc_swap_curry(H, V: HModule, W: HModule, M: HModule) -> Matrix:
-    """V <| (M |> W) -> (V <| M) |> W: f |-> (w |-> (v |-> Y f_{S(Z) v}(S(X) w)))."""
-    return (_phi_decorated(H, V, W, M, (1, 2, 0))
-            * perm_mwv_to_mvw(H.field, M.dim, W.dim, V.dim))
-
-
-def assoc_right_nest(H, V: HModule, W: HModule, M: HModule) -> Matrix:
-    """M |> (V (x) W) -> (M |> V) |> W: f |-> (w |-> (v |-> Z f(S(Y) v (x) S(X) w)))."""
-    return _phi_decorated(H, V, W, M, (2, 1, 0))
 
 
 def perm_mwv_to_mvw(f: Field, d: int, dw: int, dv: int) -> Matrix:

@@ -42,6 +42,15 @@ class CheckResult:
         return d
 
 
+def pretty_line(check: dict) -> str:
+    """One text line of a check in its ``to_dict`` form: its mark, its id
+    and its counterexample's indices in quantifier order."""
+    extra = ""
+    if check.get("counterexample"):
+        extra = "  at " + ", ".join("%s=%s" % kv for kv in check["counterexample"].items())
+    return "%s %s%s" % ("ok  " if check["pass"] else "FAIL", check["check"], extra)
+
+
 @dataclass
 class CheckReport:
     """Ordered list of check results; passes iff every check passes."""
@@ -90,11 +99,4 @@ class CheckReport:
         return {"pass": self.passed, "checks": [r.to_dict() for r in self.results]}
 
     def pretty(self) -> str:
-        lines = []
-        for r in self.results:
-            mark = "ok  " if r.passed else "FAIL"
-            extra = ""
-            if r.counterexample:
-                extra = "  at " + ", ".join("%s=%s" % kv for kv in r.counterexample)
-            lines.append("%s %s%s" % (mark, r.check_id, extra))
-        return "\n".join(lines)
+        return "\n".join(pretty_line(r.to_dict()) for r in self.results)

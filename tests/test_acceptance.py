@@ -393,7 +393,7 @@ def test_criterion_9_algebroid_suite():
     ok = ok and all(a == b for a, b in zip(regq.mats, rega.mats))
     tq = tensor_module(regq, regq)
     ta, rel = tensor_over_base(rega, rega)
-    ok = ok and rel.relations.dim == 0
+    ok = ok and rel.dim == 0
     ok = ok and all(a == b for a, b in zip(tq.mats, ta.mats))
     from qha.quasihopf import left_hom, right_hom
     hla, _ = left_hom_algebroid(rega, rega)

@@ -167,9 +167,15 @@ def test_tensor_over_base_quotient_dims(env_f5):
     reg = regular_module(H)
     t, rel = tensor_over_base(reg, reg)
     assert t.dim == 8                       # 16 ambient minus 8 relations
-    assert rel.relations.dim == 8
+    assert rel.dim == 8
     assert check_module(t).passed
     # relations stable under the diagonal action was verified during the build
+
+
+def test_base_relations_quotient_is_made_once(env_f5):
+    H = env_f5
+    assert H.rel_l.projector is H.rel_l.projector
+    assert H.rel_l.lift is H.rel_l.lift
 
 
 def test_tensor_with_base_as_unit(env_f5):
@@ -186,7 +192,7 @@ def test_relations_vanish_over_scalar_base(kc2_f5):
     H = algebroid_from_hopf(kc2_f5)
     reg = regular_module(H)
     t, rel = tensor_over_base(reg, reg)
-    assert rel.relations.dim == 0
+    assert rel.dim == 0
     assert t.dim == reg.dim ** 2
 
 

@@ -188,6 +188,18 @@ def test_convert_roundtrip_bytes(tmp_path):
     assert a["contraaction"] == b["contraaction"]
 
 
+def test_convert_accepts_only_the_documented_targets(tmp_path, capsys):
+    tw, coeff = tmp_path / "tw.json", tmp_path / "m.json"
+    assert main(["generate", "twisted_dual_z2", "--out", str(tw)]) == 0
+    assert main(["generate", "trivial_contramodule", "--structure", str(tw),
+                 "--out", str(coeff)]) == 0
+    capsys.readouterr()
+    assert main(["convert", str(coeff), "--to", "type_I"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error [usage]: --to must be typeI or typeII\n"
+
+
 def test_cohomology_command(tmp_path, kc2_file, capsys):
     unit_a = tmp_path / "unitA.json"
     coeff = tmp_path / "m.json"
@@ -501,7 +513,7 @@ def test_pretty_lists_counterexamples_by_name_and_dims(tmp_path, kc2_file, capsy
         "FAIL alpha_axiom  at h=1", "FAIL beta_axiom  at h=1"]
     assert lines[-1] == "result: FAIL"
 
-    # a quasi_contra witness is rendered with its index names sorted
+    # a quasi_contra witness is rendered with its indices in quantifier order
     tw, coeff = tmp_path / "tw.json", tmp_path / "m.json"
     assert main(["generate", "twisted_dual_z2", "--out", str(tw)]) == 0
     assert main(["generate", "trivial_contramodule", "--structure", str(tw),
@@ -513,7 +525,7 @@ def test_pretty_lists_counterexamples_by_name_and_dims(tmp_path, kc2_file, capsy
     assert main(["ayd", str(tw), str(coeff), "--reproducible", "--pretty"]) == 1
     assert capsys.readouterr().out.splitlines()[3:] == [
         "ok   ayd_type_I",
-        "FAIL quasi_contra_I  at coord=0, f_col=1, f_outer=1, f_row=0",
+        "FAIL quasi_contra_I  at f_row=0, f_col=1, f_outer=1, coord=0",
         "ok   contra_unit_I", "result: FAIL"]
 
     unit_a, coeff = _kc2_cohomology_inputs(tmp_path, kc2_file)

@@ -435,7 +435,7 @@ def test_tensor_power_chain_refuses_a_dimension_over_the_cap(kc2_q, monkeypatch)
     from qha.cyclic import TensorPowerChain
     monkeypatch.setenv("QHA_MAX_DIM", "7")
     with pytest.raises(StructureError,
-                       match="^tensor power dimension 8 exceeds QHA_MAX_DIM "):
+                       match="^tensor dimension 8 exceeds QHA_MAX_DIM$"):
         TensorPowerChain(functions_algebra(kc2_q), 3)
 
 

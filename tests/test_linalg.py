@@ -106,6 +106,22 @@ def test_quotient_section_gf5_random_relations():
         assert proj.kernel() == rel
 
 
+@pytest.mark.parametrize("field, gens", [
+    (QQ, [[1, -1, 0], [2, 0, 3]]),
+    (QQ, []),
+    (F5, [[0, 2, 4], [1, 1, 1]]),
+    (F5, [[3, 0, 1]]),
+])
+def test_subspace_carries_its_quotient_section(field, gens):
+    S = Subspace.from_generators(field, 3, [vec(field, g) for g in gens])
+    proj, lift = S.projector, S.lift
+    assert (proj, lift) == quotient_section(S.field, S.ambient_dim, S)
+    # made on first use and kept: a second access returns the same objects
+    assert S.projector is proj and S.lift is lift
+    assert (proj * lift).is_identity()
+    assert (proj * S.basis_matrix()).is_zero()
+
+
 def test_tensor_index():
     assert tensor_index(0, 0, 7) == 0
     assert tensor_index(1, 2, 3) == 5

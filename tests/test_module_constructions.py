@@ -14,7 +14,6 @@ from qha.algebroid import (base_ring_dual_numbers, enveloping_algebroid,
                            base_module, tensor_over_base,
                            module_tensor_relations, left_hom_algebroid,
                            right_linear_hom_basis)
-from qha.quasihopf import assoc_left_nest, assoc_swap_curry, assoc_right_nest
 
 from conftest import F5, random_module, random_intertwiner
 
@@ -138,9 +137,10 @@ def test_phi_decorated_associativity_maps_match_dense_references(quasi):
     f = H.field
     for V, W, M in [(reg, rand, triv), (rand, reg, rand), (triv, reg, reg)]:
         perm = swap_mw_v(f, M.dim, W.dim, V.dim)
-        assert assoc_left_nest(H, V, W, M) == dense_phi_decorated(V, W, M, (0, 2, 1)) * perm
-        assert assoc_swap_curry(H, V, W, M) == dense_phi_decorated(V, W, M, (1, 2, 0)) * perm
-        assert assoc_right_nest(H, V, W, M) == dense_phi_decorated(V, W, M, (2, 1, 0))
+        assert H.hom_associativity(V, W, M) == (
+            dense_phi_decorated(V, W, M, (0, 2, 1)) * perm,
+            dense_phi_decorated(V, W, M, (1, 2, 0)) * perm,
+            dense_phi_decorated(V, W, M, (2, 1, 0)))
 
 
 def test_algebroid_constructions_match_dense_references():
@@ -148,13 +148,13 @@ def test_algebroid_constructions_match_dense_references():
     reg, base = regular_module(H), base_module(H)
     for M, N in [(reg, base), (base, reg), (base, base), (reg, reg)]:
         mod, rel = tensor_over_base(M, N)
-        assert rel.relations == module_tensor_relations(M, N).relations
-        amb = dense_tensor_actions(M, N, H.delta_l_terms)
+        assert rel == module_tensor_relations(M, N)
+        amb = dense_tensor_actions(M, N, H.delta_l_legs.__getitem__)
         assert list(mod.mats) == [rel.projector * a * rel.lift for a in amb]
 
         hom, basis = left_hom_algebroid(M, N)
         assert basis == right_linear_hom_basis(M, N)
-        full = dense_hom_actions(M, N, H.delta_r_terms, H.antipode.apply)
+        full = dense_hom_actions(M, N, H.delta_r_legs.__getitem__, H.antipode.apply)
         assert list(hom.mats) == [basis.coordinate_matrix(m * basis.basis_matrix())
                                   for m in full]
 
