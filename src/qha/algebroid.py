@@ -189,6 +189,10 @@ class HopfAlgebroid(Algebra):
         """(U (x) V) (x) W -> U (x) (V (x) W) on the quotient carriers."""
         return requotient_associativity(U, V, W)
 
+    def associativity_inverse(self, U, V, W) -> Matrix:
+        """U (x) (V (x) W) -> (U (x) V) (x) W on the quotient carriers."""
+        return requotient_associativity_inverse(U, V, W)
+
     def unit_object(self):
         return base_module(self)
 
@@ -310,6 +314,19 @@ def requotient_associativity(U: HModule, V: HModule, W: HModule) -> Matrix:
             * Matrix.identity(f, U.dim).kron(vw.projector)
             * uv.lift.kron(Matrix.identity(f, W.dim))
             * module_tensor_relations(UV, W).lift)
+
+
+@shared
+def requotient_associativity_inverse(U: HModule, V: HModule, W: HModule) -> Matrix:
+    """U (x)_R (V (x)_R W) -> (U (x)_R V) (x)_R W: the strict requotient the
+    other way through the ambient U (x) V (x) W."""
+    UV, uv = tensor_over_base(U, V)
+    VW, vw = tensor_over_base(V, W)
+    f = U.parent.field
+    return (module_tensor_relations(UV, W).projector
+            * uv.projector.kron(Matrix.identity(f, W.dim))
+            * Matrix.identity(f, U.dim).kron(vw.lift)
+            * module_tensor_relations(U, VW).lift)
 
 
 # -- internal homs over the base ------------------------------------------------

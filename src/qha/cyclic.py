@@ -143,8 +143,8 @@ class TensorPowerChain:
     stage L_(k-1) (x) A (None when the parent has none); the chain keeps
     nothing else.  Every map below is one recursion on k through these
     stages and is ``shared``: inside a build scope each rebracketing,
-    multiplication map and unit insertion is built once per chain (so each
-    associator is inverted once), outside one it is rebuilt on every call.
+    multiplication map and unit insertion is built once per chain, outside
+    one it is rebuilt on every call.
     Each stage is ``H.tensor``, which refuses an ambient L_(k-1) (x) A over
     QHA_MAX_DIM before it builds anything.
     """
@@ -170,8 +170,14 @@ class TensorPowerChain:
         f = A.field
         if k == 1:
             return Matrix.identity(f, self.mods[2].dim)
-        step = H.associativity(A.carrier, self.mods[k - 1], A.carrier).inverse()
-        front = H.tensor_relations(A.carrier, self.mods[k - 1], A.carrier)
+        factors = (A.carrier, self.mods[k - 1], A.carrier)
+        step = H.associativity_inverse(*factors)
+        # square, so one product decides that the two maps are inverse
+        if step.rows != step.cols or \
+                H.associativity(*factors) * step != Matrix.identity(f, step.rows):
+            raise StructureError("the associativity maps of A, L_%d, A are not inverse"
+                                 % (k - 1))
+        front = H.tensor_relations(*factors)
         eye = Matrix.identity(f, A.carrier.dim)
         return _kron(self.rebracket_front(k - 1), eye, front, self.rels[k + 1]) * step
 

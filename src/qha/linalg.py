@@ -329,20 +329,26 @@ class Matrix:
         return piv
 
     def rref(self):
-        """Reduced row echelon form.  Returns (matrix, pivot column list)."""
+        """Reduced row echelon form.  Returns (matrix, pivot column list).
+
+        Back-substitution clears each pivot column above its pivot, last
+        pivot first, so the row subtracted is already clear at every pivot
+        to its right.  Clearing pivot p therefore adds only non-pivot
+        columns to a row, so the rows that hold each pivot column are
+        indexed once, before any clearing, and only they are cleared."""
         f = self.field
         piv = self._echelon()
         pivots = sorted(piv)
-        # clear each pivot column above its pivot, last pivot first: the row
-        # subtracted is then already clear at every pivot to its right
-        for k in range(len(pivots) - 1, 0, -1):
-            p = pivots[k]
+        holders = {p: [] for p in pivots}
+        for q in pivots:
+            for c in piv[q]:
+                if c != q and c in holders:
+                    holders[c].append(q)
+        for p in reversed(pivots):
             row = piv[p]
-            for q in pivots[:k]:
+            for q in holders[p]:
                 v = piv[q]
-                a = v.get(p)
-                if a is not None:
-                    _subtract_multiple(v, a, row, f.sub, f.mul)
+                _subtract_multiple(v, v[p], row, f.sub, f.mul)
         rows = [piv[c] for c in pivots] + [_EMPTY] * (self.rows - len(pivots))
         return Matrix._sparse(f, self.rows, self.cols, rows), pivots
 

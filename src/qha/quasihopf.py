@@ -78,6 +78,11 @@ class Algebra:
     Elements are dense vectors; those of H^(x)k are one-row matrices.
     """
 
+    # whether the parent has passed the structure checks under which tensor
+    # products and hom spaces of modules are modules: the premise of
+    # ``generators``, claimed only by a quasi-Hopf parent
+    structure_passed = False
+
     @cached_property
     def mult_matrix(self) -> Matrix:
         """m: column i*n + j is e_i e_j."""
@@ -110,6 +115,32 @@ class Algebra:
     def antipode_mults(self):
         """L_(S(e_h)) and R_(S^-1(e_h)) for every basis element."""
         return self.mults_of(self.antipode), self.mults_of(self.antipode_inv, right=True)
+
+    @cached_property
+    def generators(self) -> tuple:
+        """Basis indices whose unital subalgebra is the whole algebra, picked
+        greedily in index order: an index joins when its element lies
+        outside the subalgebra generated so far, the closure of k1 under
+        left multiplication by the picked elements.  Every index until
+        ``structure_passed``, whose checks include associativity."""
+        f, n = self.field, self.dim
+        if not self.structure_passed:
+            return tuple(range(n))
+        picked, span = [], Subspace.from_generators(f, n, [self.unit])
+        for i in range(n):
+            if span.dim == n:
+                break
+            if span.coordinates(self.basis(i)) is not None:
+                continue
+            picked.append(i)
+            while True:
+                cols = span.basis_matrix()
+                grown = Subspace.row_space(vstack(f, n, [cols.transpose()] + [
+                    (self.left_mults[g] * cols).transpose() for g in picked]))
+                if grown.dim == span.dim:
+                    break
+                span = grown
+        return tuple(picked)
 
     def basis(self, i: int):
         return basis_vec(self.field, self.dim, i)
@@ -162,6 +193,7 @@ class QuasiHopfAlgebra(Algebra):
         self.alpha = tuple(alpha)
         self.beta = tuple(beta)
         self.name = name or "H"
+        self._cop_of = None
         if len(self.mult) != n ** 3:
             raise StructureError("mult tensor must have %d entries" % n ** 3)
         if len(self.unit) != n or len(self.counit) != n:
@@ -211,6 +243,17 @@ class QuasiHopfAlgebra(Algebra):
         r_beta = self.mults_of(Matrix.from_cols(self.field, [self.beta]), right=True)[0]
         return self.mult_matrix * r_beta.kron(self.antipode)
 
+    @cached_property
+    def structure_passed(self) -> bool:
+        """Whether validate_structure passes: Delta and eps are algebra maps
+        and S an anti-homomorphism, so that tensor products and hom spaces
+        of modules are modules.  Decided at most once per parent: each call
+        of validate_structure records its verdict here, and H^cop, on the
+        same algebra, reads the verdict of H."""
+        if self._cop_of is not None:
+            return self._cop_of.structure_passed
+        return validate_structure(self).passed
+
     def eps(self, vec):
         return Matrix(self.field, 1, self.dim, self.counit).apply(vec)[0]
 
@@ -237,12 +280,15 @@ class QuasiHopfAlgebra(Algebra):
 
         comult = [[row[q * n + p] for p in range(n) for q in range(n)]
                   for row in self.comult]
-        return QuasiHopfAlgebra(
+        cop = QuasiHopfAlgebra(
             self.field, n, self.mult, self.unit, comult, self.counit,
             self.antipode_inv, self.antipode,
             legs_reversed(self.phi_inv), legs_reversed(self.phi),
             self.antipode_inv.apply(self.alpha), self.antipode_inv.apply(self.beta),
             name=self.name + "^cop")
+        # its structure checks pass exactly when those of H do
+        cop._cop_of = self
+        return cop
 
     # -- monoidal primitives (shared with HopfAlgebroid) ------------------------
 
@@ -257,6 +303,10 @@ class QuasiHopfAlgebra(Algebra):
     def associativity(self, U, V, W) -> Matrix:
         """(U (x) V) (x) W -> U (x) (V (x) W): the action of Phi."""
         return associator(U, V, W)
+
+    def associativity_inverse(self, U, V, W) -> Matrix:
+        """U (x) (V (x) W) -> (U (x) V) (x) W: the action of the stored Phi^-1."""
+        return associator_inverse(U, V, W)
 
     def unit_object(self):
         return trivial_module(self)
@@ -353,10 +403,16 @@ class HModule:
     algebroid: one action matrix per basis element, held once more as rho_V
     (``action``) for the actions of families.  Two modules are equal when
     they have the same parent (by identity) and equal action matrices; the
-    name is not compared."""
+    name is not compared.
 
-    def __init__(self, parent, mats, name: str = ""):
+    ``made_from`` names the modules that a tensor product or hom module
+    was built from, and a cop view shares it with its module: over a
+    parent that has passed its structure checks, such a module is a
+    module when they are (see ``genuine``)."""
+
+    def __init__(self, parent, mats, name: str = "", made_from=None):
         self.parent = parent
+        self.made_from = made_from
         self.mats = tuple(mats)
         if len(self.mats) != parent.dim:
             raise StructureError("need %d action matrices" % parent.dim)
@@ -376,9 +432,24 @@ class HModule:
     def cop(self) -> "HModule":
         """This module over the co-opposite parent H^cop, on the same action
         matrices and rho_V: the view the right-hand biclosed maps read it in."""
-        view = HModule(self.parent.cop, self.mats, name=self.name)
+        view = HModule(self.parent.cop, self.mats, name=self.name, made_from=self.made_from)
         view.action = self.action
         return view
+
+    @cached_property
+    def genuine(self) -> bool:
+        """Whether the action is known to be unital and multiplicative, the
+        premise of reading H-linearity on the parent's generators.  False
+        without a check when the parent has as many generators as basis
+        elements, since nothing is saved then.  Otherwise decided by
+        check_module, or for a module made from others (``made_from``) by
+        theirs, since such a parent has passed its structure checks."""
+        H = self.parent
+        if len(H.generators) == H.dim:
+            return False
+        if self.made_from is not None:
+            return all(X.genuine for X in self.made_from)
+        return check_module(self).passed
 
     def acts(self, X: Matrix):
         """The action matrices of the columns of X, from the one product X^T rho_V."""
@@ -492,19 +563,30 @@ def tensor_module(V: HModule, W: HModule) -> HModule:
     mats = [kron_sum(H.field, d, d, [(c, [V.mats[p], W.mats[q]])
                                      for c, p, q in H.delta_legs[i]])
             for i in range(H.dim)]
-    return HModule(H, mats, name="(%s)x(%s)" % (V.name, W.name))
+    return HModule(H, mats, name="(%s)x(%s)" % (V.name, W.name), made_from=(V, W))
 
 
-@shared
-def associator(V: HModule, W: HModule, U: HModule) -> Matrix:
-    """The action of Phi on V (x) W (x) U, an isomorphism (VW)U -> V(WU)."""
+def _triple_action(V: HModule, W: HModule, U: HModule, element: Matrix) -> Matrix:
+    """The action on V (x) W (x) U of a one-row element of H^(x)3."""
     for X in (W, U):
         if X.parent is not V.parent:
             raise StructureError("associator factors must share a parent algebra")
     H = V.parent
     d = V.dim * W.dim * U.dim
     return kron_sum(H.field, d, d, [(c, [V.mats[x], W.mats[y], U.mats[z]])
-                                    for (x, y, z), c in H.phi_terms().items()])
+                                    for (x, y, z), c in element_legs(element, H.dim, 3).items()])
+
+
+@shared
+def associator(V: HModule, W: HModule, U: HModule) -> Matrix:
+    """The action of Phi on V (x) W (x) U, an isomorphism (VW)U -> V(WU)."""
+    return _triple_action(V, W, U, V.parent.phi_row)
+
+
+@shared
+def associator_inverse(V: HModule, W: HModule, U: HModule) -> Matrix:
+    """The action of the stored Phi^-1 on V (x) W (x) U: V(WU) -> (VW)U."""
+    return _triple_action(V, W, U, V.parent.phi_inv_row)
 
 
 # -- the biclosed layer, written once for both parents --------------------------
@@ -562,11 +644,23 @@ def _restricted(op: Matrix, src, dst):
     return op if dst is None else dst.coordinate_matrix(op)
 
 
+def _linearity_indices(V: HModule, W: HModule):
+    """The basis indices whose actions decide H-linearity from V to W: the
+    parent's generators when both are genuine modules (a map commuting
+    with the actions of a and b commutes with those of ab, a + b and 1),
+    every index otherwise."""
+    if V.genuine and W.genuine:
+        return V.parent.generators
+    return range(V.parent.dim)
+
+
 def is_intertwiner(f_mat: Matrix, src: HModule, dst: HModule) -> bool:
     """f_mat rho_src(e_i) = rho_dst(e_i) f_mat for every basis element; on a
-    vertical stack of maps (blocks of dst.dim rows), for every map of it."""
+    vertical stack of maps (blocks of dst.dim rows), for every map of it.
+    Between genuine modules this is decided exactly on the parent's
+    generators alone (``_linearity_indices``)."""
     return all(f_mat * src.mats[i] == lmul_blocks(dst.mats[i], f_mat)
-               for i in range(src.parent.dim))
+               for i in _linearity_indices(src, dst))
 
 
 def require_intertwiner(f_mat: Matrix, src: HModule, dst: HModule, what: str):
@@ -581,10 +675,13 @@ def require_intertwiner(f_mat: Matrix, src: HModule, dst: HModule, what: str):
 
 @shared
 def hom_module_morphisms(V: HModule, W: HModule) -> Subspace:
-    """Canonical basis of Hom_H(V, W), vectorised row-major."""
+    """Canonical basis of Hom_H(V, W), vectorised row-major.  Between
+    genuine modules the commutation constraints are those of the parent's
+    generators only (``_linearity_indices``): the same subspace, so the same
+    canonical basis, from fewer equations."""
     if V.parent is not W.parent:
         raise StructureError("hom factors must share a parent algebra")
-    pairs = [(V.mats[i], W.mats[i]) for i in range(V.parent.dim)]
+    pairs = [(V.mats[i], W.mats[i]) for i in _linearity_indices(V, W)]
     return intertwiner_space(V.parent.field, pairs, W.dim, V.dim)
 
 
@@ -606,7 +703,8 @@ def left_hom(V: HModule, M: HModule):
         if mat is None:
             raise StructureError("hom action does not preserve the base-linear carrier")
         mats.append(mat)
-    return HModule(H, mats, name="Hom^l(%s,%s)" % (V.name, M.name)), carrier
+    return HModule(H, mats, name="Hom^l(%s,%s)" % (V.name, M.name),
+                   made_from=(V, M)), carrier
 
 
 def right_hom(V: HModule, M: HModule):
@@ -614,7 +712,8 @@ def right_hom(V: HModule, M: HModule):
     Hom^l(V, M) over the co-opposite parent, on the same action matrices
     and carrier."""
     mod, carrier = left_hom(V.cop, M.cop)
-    return HModule(V.parent, mod.mats, name="Hom^r(%s,%s)" % (V.name, M.name)), carrier
+    return HModule(V.parent, mod.mats, name="Hom^r(%s,%s)" % (V.name, M.name),
+                   made_from=(V, M)), carrier
 
 
 def right_hom_carrier(V: HModule, M: HModule):
@@ -760,6 +859,7 @@ def validate_structure(H: QuasiHopfAlgebra) -> CheckReport:
     rep.add("phi_invertible", tensor_times(H, 3, H.phi_row, H.phi_inv_row) == one
             and tensor_times(H, 3, H.phi_inv_row, H.phi_row) == one)
     check_antipode_pair(rep, H)
+    H.structure_passed = rep.passed
     return rep
 
 

@@ -439,6 +439,25 @@ def test_tensor_power_chain_refuses_a_dimension_over_the_cap(kc2_q, monkeypatch)
         TensorPowerChain(functions_algebra(kc2_q), 3)
 
 
+def test_rebracketing_refuses_a_stored_phi_inverse_that_is_not_one(twisted_z3_f7):
+    """Phi^-1 is read from the parent, so a parent whose stored Phi^-1 is
+    Phi itself (w(1, 1, 1) is a primitive cube root of unity) is refused by
+    the product check of the rebracketing."""
+    from qha.quasihopf import QuasiHopfAlgebra
+    from qha.cyclic import TensorPowerChain
+    from conftest import graded_dual_numbers
+    H = twisted_z3_f7
+    bad = QuasiHopfAlgebra(H.field, H.dim, H.mult, H.unit, H.comult, H.counit, H.antipode,
+                           H.antipode_inv, H.phi, H.phi, H.alpha, H.beta, name="bad")
+    chain = TensorPowerChain(graded_dual_numbers(bad, 1), 3)
+    assert chain.rebracket_front(1).is_identity()
+    with pytest.raises(StructureError, match="^the associativity maps of A, L_1, A are not"):
+        chain.rebracket_front(2)
+    good = TensorPowerChain(graded_dual_numbers(H, 1), 3)
+    assert good.rebracket_front(2) == \
+        associator(*(good.A.carrier,) * 3).inverse()
+
+
 def test_tensor_power_bracketed(twisted_q, kc2_q):
     from qha.cyclic import TensorPowerChain
     # n = 1 is A itself

@@ -564,6 +564,25 @@ def test_elimination_matches_the_old_dense_elimination(field, rows, cols, width,
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
 @settings(max_examples=60, deadline=None)
+@given(rows=st.integers(1, 12), cols=st.integers(1, 14), data=st.data())
+def test_back_substitution_on_sparse_matrices(field, rows, cols, data):
+    """Sparse rows with many pivots, so that pivot columns are cleared from
+    several earlier rows at once; the RREF matches the dense elimination,
+    which clears every other row at each pivot."""
+    f = field
+    nonzero = scalars(f).filter(lambda a: a != 0)
+    d = [[f.zero] * cols for _ in range(rows)]
+    for i in range(rows):
+        for j in data.draw(st.lists(st.integers(0, cols - 1), max_size=3)):
+            d[i][j] = f.add(d[i][j], data.draw(nonzero))
+    red, pivots = of_dense(f, d, cols).rref()
+    want, want_pivots = old_rref(f, d, rows, cols)
+    assert pivots == want_pivots
+    assert_matches(red, want, rows, cols)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, 5), cols=st.integers(1, 5), data=st.data())
 def test_subspace_maps_match_dense(field, n, cols, data):
     f = field

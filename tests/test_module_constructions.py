@@ -9,7 +9,7 @@ import pytest
 
 from qha.linalg import Matrix
 from qha.quasihopf import (regular_module, trivial_module, tensor_module, associator,
-                           left_hom, right_hom, zeta_l, element_legs)
+                           associator_inverse, left_hom, right_hom, zeta_l, element_legs)
 from qha.algebroid import (base_ring_dual_numbers, enveloping_algebroid,
                            base_module, tensor_over_base,
                            module_tensor_relations, left_hom_algebroid,
@@ -119,6 +119,26 @@ def test_quasi_hopf_constructions_match_dense_references(quasi):
         assert dense_act(V, H.beta) == V.act(H.beta)
     for U, V, W in [(reg, rand, triv), (rand, reg, rand), (triv, triv, reg)]:
         assert associator(U, V, W) == dense_associator(U, V, W)
+
+
+def test_associativity_maps_compose_to_the_identity(quasi):
+    H, (reg, triv, rand) = quasi
+    for U, V, W in [(reg, rand, triv), (rand, reg, rand), (triv, triv, reg)]:
+        fwd, back = H.associativity(U, V, W), H.associativity_inverse(U, V, W)
+        assert back == associator_inverse(U, V, W)
+        eye = Matrix.identity(H.field, fwd.rows)
+        assert fwd * back == eye and back * fwd == eye
+
+
+@pytest.mark.parametrize("name", ["env_f5", "t2e_f5"])
+def test_algebroid_associativity_maps_compose_to_the_identity(name, request):
+    H = request.getfixturevalue(name)
+    reg, base = regular_module(H), base_module(H)
+    for U, V, W in [(reg, reg, base), (base, reg, reg), (reg, base, reg), (reg, reg, reg)]:
+        fwd, back = H.associativity(U, V, W), H.associativity_inverse(U, V, W)
+        assert (back.rows, back.cols) == (fwd.cols, fwd.rows) and fwd.rows == fwd.cols
+        eye = Matrix.identity(H.field, fwd.rows)
+        assert fwd * back == eye and back * fwd == eye
 
 
 def test_zeta_l_matches_dense_reference(quasi):
