@@ -104,6 +104,7 @@ class HopfAlgebroid(Algebra):
         self.antipode = antipode
         self.antipode_inv = antipode_inv
         self.name = name or "H"
+        self._unit = None
         n, r = dim, base.dim
         if len(self.mult) != n ** 3 or len(self.unit) != n:
             raise StructureError("algebra tensors have wrong shape")
@@ -194,7 +195,10 @@ class HopfAlgebroid(Algebra):
         return requotient_associativity_inverse(U, V, W)
 
     def unit_object(self):
-        return base_module(self)
+        """The monoidal unit R, made once per parent."""
+        if self._unit is None:
+            self._unit = base_module(self)
+        return self._unit
 
     def _base_actions(self, V, images: Matrix) -> Matrix:
         """R (x) V -> V, r (x) v |-> images(r) v: the actions of the images

@@ -268,7 +268,17 @@ class Matrix:
         return self.reindexed(rows, cols, lambda i, j: divmod(i * c + j, cols))
 
     def transpose(self) -> "Matrix":
-        return self.reindexed(self.cols, self.rows, lambda i, j: (j, i))
+        """Each nonzero moved from its row dict into a new dict for its
+        column; a column with no nonzero is the shared empty row."""
+        src, out = self._rows, [None] * self.cols
+        for i in _filled(src):
+            for j, a in src[i].items():
+                r = out[j]
+                if r is None:
+                    out[j] = {i: a}
+                else:
+                    r[i] = a
+        return Matrix._sparse(self.field, self.cols, self.rows, [r or _EMPTY for r in out])
 
     def kron(self, other: "Matrix") -> "Matrix":
         """Kronecker product, consistent with ``tensor_index`` ordering."""

@@ -155,14 +155,15 @@ class Algebra:
 
     def check_algebra(self, rep: CheckReport, prefix: str, unit_witness: bool):
         """Add prefix_associative, with witness (i, j, k), and prefix_unital,
-        with witness (i,) when unit_witness, to rep.  Row (i, j, k) of
-        (m^T (x) I) m^T is (e_i e_j) e_k and of (I (x) m^T) m^T is e_i (e_j e_k)."""
-        f, n = self.field, self.dim
-        table, eye = self.mult_matrix.transpose(), Matrix.identity(f, n)
+        with witness (i,) when unit_witness, to rep.  Column (i, j, k) of
+        m (m (x) I) is (e_i e_j) e_k and of m (I (x) m) is e_i (e_j e_k),
+        each side made from the rows of m by one slot_apply, at the first
+        or the last slot, with no Kronecker product formed."""
+        f, n, m = self.field, self.dim, self.mult_matrix
+        table, eye = m.transpose(), Matrix.identity(f, n)
         unit = Matrix.from_cols(f, [self.unit])
         rep.compare(prefix + "_associative", (("i", n), ("j", n), ("k", n)),
-                    (table.kron(eye) * table).transpose(),
-                    (eye.kron(table) * table).transpose())
+                    slot_apply(table, m, 1, n), slot_apply(table, m, n, 1))
         rep.compare(prefix + "_unital", (("i", n),) if unit_witness else None,
                     vstack(f, n, self.mults_of(unit) + self.mults_of(unit, right=True)),
                     vstack(f, n, [eye, eye]))
@@ -193,6 +194,7 @@ class QuasiHopfAlgebra(Algebra):
         self.alpha = tuple(alpha)
         self.beta = tuple(beta)
         self.name = name or "H"
+        self._unit = None
         self._cop_of = None
         if len(self.mult) != n ** 3:
             raise StructureError("mult tensor must have %d entries" % n ** 3)
@@ -309,7 +311,10 @@ class QuasiHopfAlgebra(Algebra):
         return associator_inverse(U, V, W)
 
     def unit_object(self):
-        return trivial_module(self)
+        """The monoidal unit k, made once per parent."""
+        if self._unit is None:
+            self._unit = trivial_module(self)
+        return self._unit
 
     def left_unitor(self, V) -> Matrix:
         """k (x) V -> V: the identity on carriers."""

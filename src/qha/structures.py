@@ -81,20 +81,32 @@ def _dim(doc, where) -> int:
     return n
 
 
-def _vector(f, doc, length, where, *index):
+def _vector(f, doc, length, where, *index, known=None):
+    """length scalars over f.  known ({string: scalar over f}) holds the
+    strings read so far by the calling reader, so that each distinct string
+    is parsed once; an item that is not in it, or is not a string, goes
+    through _scalar, which reports it at its own path."""
     if not isinstance(doc, list) or len(doc) != length:
         raise StructureFileError("dimension_mismatch",
                                  "expected a list of %d scalars" % length, _at(where, *index))
-    return tuple(_scalar(f, s, where, *index, i) for i, s in enumerate(doc))
+    if known is None:
+        known = {}
+    try:
+        return tuple(map(known.__getitem__, doc))
+    except (KeyError, TypeError):
+        for i, s in enumerate(doc):
+            if type(s) is not str or s not in known:
+                known[s] = _scalar(f, s, where, *index, i)
+        return tuple(map(known.__getitem__, doc))
 
 
 def _matrix(f, doc, rows, cols, where, *index) -> Matrix:
     if not isinstance(doc, list) or len(doc) != rows:
         raise StructureFileError("dimension_mismatch",
                                  "expected %d rows" % rows, _at(where, *index))
-    ent = []
+    ent, known = [], {}
     for i, row in enumerate(doc):
-        ent.extend(_vector(f, row, cols, where, *index, i))
+        ent.extend(_vector(f, row, cols, where, *index, i, known=known))
     return Matrix(f, rows, cols, ent)
 
 
@@ -102,13 +114,13 @@ def _tensor3(f, doc, n, where):
     """A nested n x n x n array, flattened row-major."""
     if not isinstance(doc, list) or len(doc) != n:
         raise StructureFileError("dimension_mismatch", "expected %d slices" % n, where)
-    out = []
+    out, known = [], {}
     for i, slab in enumerate(doc):
         if not isinstance(slab, list) or len(slab) != n:
             raise StructureFileError("dimension_mismatch", "expected %d rows" % n,
                                      _at(where, i))
         for j, row in enumerate(slab):
-            out.extend(_vector(f, row, n, where, i, j))
+            out.extend(_vector(f, row, n, where, i, j, known=known))
     return tuple(out)
 
 
@@ -117,11 +129,20 @@ def _rows(f, doc, count, length, where):
     if len(doc) != count:
         raise StructureFileError("dimension_mismatch", "%s needs %d rows"
                                  % (where[where.rindex(".") + 1:], count), where)
-    return [_vector(f, row, length, where, i) for i, row in enumerate(doc)]
+    known = {}
+    return [_vector(f, row, length, where, i, known=known) for i, row in enumerate(doc)]
 
 
 def _fmt_matrix(field, m: Matrix):
-    return [[field.format(m.get(i, j)) for j in range(m.cols)] for i in range(m.rows)]
+    return [[field.format(a) for a in m.row(i)] for i in range(m.rows)]
+
+
+def _fmt_tensor3(f, flat, n):
+    """The nested n x n x n array of a row-major tensor: the scalars
+    formatted in one pass, then sliced into rows and the rows into slices."""
+    text = [f.format(a) for a in flat]
+    rows = [text[r:r + n] for r in range(0, n ** 3, n)]
+    return [rows[i:i + n] for i in range(0, n * n, n)]
 
 
 # Each reader's inverse: the JSON array it reads back as the value.
@@ -129,8 +150,7 @@ _WRITERS = {
     _vector: lambda f, vec, length: [f.format(a) for a in vec],
     _rows: lambda f, rows, count, length: [[f.format(a) for a in row] for row in rows],
     _matrix: lambda f, m, rows, cols: _fmt_matrix(f, m),
-    _tensor3: lambda f, flat, n: [[[f.format(flat[(i * n + j) * n + k]) for k in range(n)]
-                                   for j in range(n)] for i in range(n)],
+    _tensor3: _fmt_tensor3,
 }
 
 

@@ -634,3 +634,38 @@ def test_parse_returns_the_shared_zero_and_one(field):
     for text in ("1", " 1"):
         assert field.parse(text) is field.one
     assert field.parse("2") == field.from_int(2)
+
+
+def reindexed_transpose(m):
+    """The transpose as an index permutation of the nonzeros."""
+    return m.reindexed(m.cols, m.rows, lambda i, j: (j, i))
+
+
+@pytest.mark.parametrize("field", [QQ, F5, prime_field(7)], ids=str)
+@settings(max_examples=80, deadline=None)
+@given(rows=st.integers(0, 9), cols=st.integers(0, 9), data=st.data())
+def test_transpose_matches_the_reindexed_transpose(field, rows, cols, data):
+    """Sparse matrices, 0 x n and n x 0 among them, with all-zero rows and
+    columns: the direct transpose equals the reindexed one, transposing
+    twice is the identity, every empty row is the shared one, and no row
+    dict of either matrix is changed."""
+    f = field
+    nonzero = scalars(f).filter(lambda a: a != 0)
+    d = [[f.zero] * cols for _ in range(rows)]
+    for i in data.draw(st.lists(st.integers(0, max(rows - 1, 0)), max_size=rows)):
+        for j in data.draw(st.lists(st.integers(0, max(cols - 1, 0)), max_size=3)):
+            if rows and cols:
+                d[i][j] = data.draw(nonzero)
+    m = of_dense(f, d, cols)
+    m_rows, m_copies = m._rows, [dict(r) for r in m._rows]
+    t = m.transpose()
+    assert (t.rows, t.cols) == (cols, rows)
+    assert t == reindexed_transpose(m)
+    assert_matches(t, dense_transpose(d, rows, cols), cols, rows)
+    assert all(r is linalg._EMPTY for r in t._rows if not r)
+    t_copies = [dict(r) for r in t._rows]
+    back = t.transpose()
+    assert back == m
+    assert all(r is linalg._EMPTY for r in back._rows if not r)
+    assert m._rows is m_rows and [dict(r) for r in m._rows] == m_copies
+    assert [dict(r) for r in t._rows] == t_copies

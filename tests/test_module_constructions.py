@@ -8,8 +8,9 @@ one by one, straight from the defining formulas.
 import pytest
 
 from qha.linalg import Matrix
-from qha.quasihopf import (regular_module, trivial_module, tensor_module, associator,
-                           associator_inverse, left_hom, right_hom, zeta_l, element_legs)
+from qha.quasihopf import (QuasiHopfAlgebra, regular_module, trivial_module, tensor_module,
+                           associator, associator_inverse, left_hom, right_hom, zeta_l,
+                           element_legs)
 from qha.algebroid import (base_ring_dual_numbers, enveloping_algebroid,
                            base_module, tensor_over_base,
                            module_tensor_relations, left_hom_algebroid,
@@ -139,6 +140,20 @@ def test_algebroid_associativity_maps_compose_to_the_identity(name, request):
         assert (back.rows, back.cols) == (fwd.cols, fwd.rows) and fwd.rows == fwd.cols
         eye = Matrix.identity(H.field, fwd.rows)
         assert fwd * back == eye and back * fwd == eye
+
+
+@pytest.mark.parametrize("name", ["kc2_q", "h4_q", "twisted_q", "env_q", "env_f5", "t2e_f5"])
+def test_one_unit_object_per_parent(name, request):
+    """The unit object is made once per parent, and is the module the unit
+    constructor makes; H^cop, another parent, has its own."""
+    H = request.getfixturevalue(name)
+    unit = H.unit_object()
+    assert unit is H.unit_object()
+    assert unit.parent is H
+    made = trivial_module(H) if isinstance(H, QuasiHopfAlgebra) else base_module(H)
+    assert unit.mats == made.mats
+    assert H.cop.unit_object() is H.cop.unit_object()
+    assert H.cop.unit_object() is not unit
 
 
 def test_zeta_l_matches_dense_reference(quasi):
