@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 import time
+from functools import cache
 
 from .fields import rationals, prime_field, FieldError
 from .reports import CheckReport, pretty_line
@@ -287,7 +288,10 @@ def cmd_generate(args) -> int:
     return _write_structure_out(args, obj, name)
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once per process: main
+    dispatches by the command's name, so the parser holds no function."""
     ap = argparse.ArgumentParser(
         prog="qha",
         description="Exact checks and cyclic cohomology for quasi-Hopf algebras "
@@ -304,26 +308,22 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="verify all axioms of a structure file")
     p.add_argument("structure")
     common(p)
-    p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("ayd", help="verify contramodule and aYD conditions")
     p.add_argument("structure")
     p.add_argument("coefficient")
     common(p)
-    p.set_defaults(fn=cmd_ayd)
 
     p = sub.add_parser("stability", help="verify the stability condition")
     p.add_argument("structure")
     p.add_argument("coefficient")
     common(p)
-    p.set_defaults(fn=cmd_stability)
 
     p = sub.add_parser("convert", help="convert a coefficient between type I and II")
     p.add_argument("coefficient")
     p.add_argument("--to", required=True, help="typeI or typeII")
     p.add_argument("--out", help="write the converted coefficient to a file")
     p.add_argument("--name", default="")
-    p.set_defaults(fn=cmd_convert)
 
     p = sub.add_parser("cohomology", help="compute Hochschild or cyclic cohomology")
     p.add_argument("structure")
@@ -332,7 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--theory", choices=["hochschild", "cyclic"], default="cyclic")
     common(p)
-    p.set_defaults(fn=cmd_cohomology)
 
     p = sub.add_parser("generate", help="emit a built-in structure as JSON")
     p.add_argument("what", choices=[
@@ -350,16 +349,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--structure")
     p.add_argument("--name", default="")
     p.add_argument("--out")
-    p.set_defaults(fn=cmd_generate)
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     args._t0 = time.monotonic()
     try:
-        return args.fn(args)
+        # looked up at each call, so that the cmd_* bound in this module
+        # now is the one that runs, also after it was rebound
+        return globals()["cmd_" + args.cmd](args)
     except (StructureFileError, UsageError, FlavorError, GroupTableError,
             StructureError, FieldError, OSError) as e:
         code = getattr(e, "code", "usage")

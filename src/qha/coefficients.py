@@ -74,6 +74,12 @@ class Contramodule:
         coefficient, made once; any other flavor is its own."""
         return convert_II_to_I(self) if self.flavor == QUASI_II else self
 
+    @cached_property
+    def stability_passed(self) -> bool:
+        """Whether check_stability passes.  Decided at most once per object:
+        each call of check_stability records its verdict here."""
+        return check_stability(self).passed
+
     def scaled(self, c) -> "Contramodule":
         return Contramodule(self.carrier, self.mu.scale(c), self.flavor)
 
@@ -574,9 +580,12 @@ def check_ayd(C: Contramodule) -> CheckReport:
 
 def check_stability(C: Contramodule) -> CheckReport:
     """The stability check of C's flavor; a type II coefficient is checked
-    on its type I form."""
+    on its type I form.  The verdict is recorded on C."""
     if C.flavor == HOPF_MU:
-        return check_stability_hopf(C)
-    if C.flavor in (QUASI_I, QUASI_II):
-        return check_stability_quasi(C.type_I)
-    return check_stability_algebroid(C)
+        rep = check_stability_hopf(C)
+    elif C.flavor in (QUASI_I, QUASI_II):
+        rep = check_stability_quasi(C.type_I)
+    else:
+        rep = check_stability_algebroid(C)
+    C.stability_passed = rep.passed
+    return rep

@@ -30,7 +30,7 @@ cohomology from the first-quadrant bicomplex with columns b, -b' and rows
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from itertools import accumulate
 
 from .fields import Field
@@ -38,7 +38,7 @@ from .linalg import Matrix, block_matrix, kron_sum
 from .reports import CheckReport
 from .quasihopf import (QuasiHopfAlgebra, StructureError, build_scope,
                         hom_module_morphisms, is_intertwiner, shared)
-from .coefficients import Contramodule, check_stability
+from .coefficients import Contramodule
 from .center import CenterElement, iota_apply
 
 
@@ -97,6 +97,12 @@ class ModuleAlgebra:
     def field(self):
         return self.carrier.parent.field
 
+    @cached_property
+    def axioms_passed(self) -> bool:
+        """Whether check_algebra_object passes.  Decided at most once per
+        object: each call of check_algebra_object records its verdict here."""
+        return check_algebra_object(self).passed
+
     def unit_element(self):
         """The unit of A as a carrier vector (the image of 1 in the base)."""
         H = self.parent
@@ -130,6 +136,7 @@ def check_algebra_object(A: ModuleAlgebra) -> CheckReport:
     ucol = Matrix.from_cols(f, [A.unit_element()], ambient=V.dim)
     rep.add("left_unital", (A.mult * _kron(ucol, eye, None, rel)) == eye)
     rep.add("right_unital", (A.mult * _kron(eye, ucol, None, rel)) == eye)
+    A.axioms_passed = rep.passed
     return rep
 
 
@@ -284,12 +291,14 @@ def build_cocyclic(A: ModuleAlgebra, M: Contramodule, n_max: int) -> CocyclicMod
 
 
 def _build_cocyclic(A: ModuleAlgebra, M: Contramodule, n_max: int) -> CocyclicModule:
-    """The body of build_cocyclic, with every primitive run on every call."""
+    """The body of build_cocyclic, with every primitive run on every call.
+    Each input's check runs here unless it has run on that object before,
+    whose recorded verdict is read instead."""
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    if not check_algebra_object(A).passed:
+    if not A.axioms_passed:
         raise StructureError("the algebra object fails its axioms")
-    if not check_stability(M).passed:
+    if not M.stability_passed:
         raise StructureError("the coefficient contramodule is not stable")
     if A.parent is not M.parent:
         raise StructureError("algebra object and coefficient parents differ")

@@ -265,7 +265,44 @@ class Matrix:
             raise ShapeError("cannot reshape %dx%d to %dx%d"
                              % (self.rows, self.cols, rows, cols))
         c = self.cols
+        if cols and c % cols == 0:
+            return self._cut(rows, cols, c // cols, 1)
+        if c and cols % c == 0:
+            return self._glue(rows, cols, cols // c, False)
         return self.reindexed(rows, cols, lambda i, j: divmod(i * c + j, cols))
+
+    def _cut(self, rows: int, cols: int, spread: int, step: int) -> "Matrix":
+        """Each row i cut into pieces of cols columns, piece b moved to row
+        i * spread + b * step of a rows x cols matrix: the row-split reshape
+        (spread k, step 1) and stacked (spread 1, step h)."""
+        src, out = self._rows, [_EMPTY] * rows
+        for i in _filled(src):
+            base = i * spread
+            for j, a in src[i].items():
+                b, q = divmod(j, cols)
+                r = out[base + b * step]
+                if r is _EMPTY:
+                    out[base + b * step] = {q: a}
+                else:
+                    r[q] = a
+        return Matrix._sparse(self.field, rows, cols, out)
+
+    def _glue(self, rows: int, cols: int, k: int, strided: bool) -> "Matrix":
+        """The rows glued into a rows x cols matrix, row i at the column
+        offset b * self.cols of row p: (p, b) = divmod(i, k) for the
+        row-merge reshape, (b, p) = divmod(i, k) when strided (side_by_side,
+        k = h).  Each new row holds its pieces in source order."""
+        src, c, out = self._rows, self.cols, [_EMPTY] * rows
+        for i in _filled(src):
+            p, b = divmod(i, k)
+            if strided:
+                p, b = b, p
+            r, off = out[p], b * c
+            if r is _EMPTY:
+                r = out[p] = {}
+            for j, a in src[i].items():
+                r[off + j] = a
+        return Matrix._sparse(self.field, rows, cols, out)
 
     def transpose(self) -> "Matrix":
         """Each nonzero moved from its row dict into a new dict for its
@@ -416,8 +453,7 @@ class Matrix:
         """The row blocks of h rows placed side by side: (k*h) x c -> h x (k*c)."""
         if h <= 0 or self.rows % h:
             raise ShapeError("%d rows do not split into blocks of %d" % (self.rows, h))
-        c = self.cols
-        return self.reindexed(h, self.rows // h * c, lambda i, j: (i % h, i // h * c + j))
+        return self._glue(h, self.rows // h * self.cols, h, True)
 
     def row_blocks(self, h: int):
         """The row blocks of h rows, as a list of matrices."""
@@ -430,8 +466,7 @@ class Matrix:
         """The column blocks of c columns stacked vertically: h x (k*c) -> (k*h) x c."""
         if c <= 0 or self.cols % c:
             raise ShapeError("%d columns do not split into blocks of %d" % (self.cols, c))
-        h = self.rows
-        return self.reindexed(self.cols // c * h, c, lambda i, j: (j // c * h + i, j % c))
+        return self._cut(self.cols // c * self.rows, c, 1, self.rows)
 
     def __repr__(self):
         return "Matrix(%dx%d over %s)" % (self.rows, self.cols, self.field)

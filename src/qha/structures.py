@@ -199,6 +199,26 @@ def _write(obj, keys, r=None) -> dict:
     return doc
 
 
+def _same(a, b, keys, r=None) -> bool:
+    """Whether _write writes a and b alike: the same dim and equal values
+    at every key of the table keys(dim, r).  Scalars compare by value, as
+    Field.format is injective on stored scalars, and matrices by their
+    normalised rows."""
+    return a.dim == b.dim and all(getattr(a, key) == getattr(b, key)
+                                  for key, *_ in keys(a.dim, r))
+
+
+def _same_parent(a, b) -> bool:
+    """Whether serialize writes the parents a and b alike under one name:
+    the same kind, field, dims and values, compared without formatting a
+    scalar.  Any other object is no parent and differs from both."""
+    if isinstance(a, QuasiHopfAlgebra) and isinstance(b, QuasiHopfAlgebra):
+        return a.field == b.field and _same(a, b, _quasi_hopf_keys)
+    return (isinstance(a, HopfAlgebroid) and isinstance(b, HopfAlgebroid)
+            and a.field == b.field and _same(a.base, b.base, _base_keys)
+            and _same(a, b, _hopf_algebroid_keys, a.base.dim))
+
+
 def _parse_base(f: Field, doc, where) -> BaseRing:
     """A base ring {"dim", "mult", "unit"} at the location where."""
     r, values = _read(f, doc, _base_keys, where)
@@ -315,7 +335,7 @@ def parse_document(doc, parent=None):
                                      "differs from the document's", "$.parent.field")
         embedded = _parse_parent(f, pdoc, "$.parent")
     if parent is not None and embedded is not None:
-        if serialize(parent, "x") != serialize(embedded, "x"):
+        if not _same_parent(parent, embedded):
             raise StructureFileError(
                 "incompatible_kinds",
                 "embedded parent differs from the supplied structure", "$.parent")

@@ -584,3 +584,89 @@ def test_module_algebra_unit_as_flat_list(tmp_path):
         assert content_hash(B, "A") == content_hash(A, "A")
         assert serialize(B, "A") == serialize(A, "A")
         assert serialize(B, "A")["unit"] == [["1"], ["0"]]
+
+
+# -- one parser per process: each call reads the command anew -------------------
+
+def test_the_parser_is_built_once():
+    from qha.cli import build_parser
+    assert build_parser() is build_parser()
+
+
+def test_a_repeated_command_gives_the_same_bytes(tmp_path, kc2_file, capsys):
+    unit_a, coeff = _kc2_cohomology_inputs(tmp_path, kc2_file)
+    argv = ["cohomology", kc2_file, str(unit_a), str(coeff), "--degree", "2",
+            "--reproducible"]
+    capsys.readouterr()
+    outs = []
+    for _ in range(2):
+        assert main(argv) == 0
+        outs.append(capsys.readouterr())
+    assert outs[0] == outs[1] and outs[0].err == ""
+
+
+def _outcome(argv, capsys):
+    """The exit code of main(argv), an argparse exit included, and what it
+    printed."""
+    try:
+        code = main(argv)
+    except SystemExit as e:
+        code = e.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_errors_and_successes_leave_later_calls_unchanged(tmp_path, kc2_file, capsys):
+    named = tmp_path / "named.json"
+    calls = [
+        ["check", kc2_file, "--reproducible"],
+        ["check", kc2_file, "--bogus"],                        # argparse: exit 2
+        ["cohomology", kc2_file, kc2_file, kc2_file, "--degree", "x"],
+        ["convert", kc2_file, "--to", "typeII"],                # UsageError: exit 2
+        ["generate", "group_algebra", "--cyclic", "2", "--name", "named",
+         "--out", str(named)],
+        ["generate", "group_algebra", "--cyclic", "2"],         # the default name again
+    ]
+    capsys.readouterr()
+    first = [_outcome(argv, capsys) for argv in calls]
+    assert [code for code, _, _ in first] == [0, 2, 2, 2, 0, 0]
+    assert "unrecognized arguments: --bogus" in first[1][2]
+    assert "invalid int value: 'x'" in first[2][2]
+    assert first[3][2] == "error [usage]: convert expects a contramodule file\n"
+    assert json.loads(first[5][1])["name"] == "kC2"
+    # every call again, in reverse order, and then in order
+    again = [_outcome(argv, capsys) for argv in reversed(calls)][::-1]
+    assert again == first
+    assert [_outcome(argv, capsys) for argv in calls] == first
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["cohomology", "--help"]])
+def test_help_is_that_of_a_new_parser(argv, kc2_file, capsys, monkeypatch):
+    from qha.cli import build_parser
+    monkeypatch.setenv("COLUMNS", "80")
+    capsys.readouterr()
+    assert main(["check", kc2_file, "--reproducible"]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit):
+        build_parser.__wrapped__().parse_args(argv)
+    fresh = capsys.readouterr().out
+    assert fresh.startswith("usage: qha")
+    for _ in range(2):
+        assert _outcome(argv, capsys) == (0, fresh, "")
+
+
+def test_a_rebound_command_is_the_one_that_runs(kc2_file, monkeypatch, capsys):
+    """main looks cmd_* up when it is called, as a tracer that rebinds the
+    module's functions needs."""
+    import qha.cli
+    assert main(["check", kc2_file, "--reproducible"]) == 0
+    seen = []
+
+    def patched(args):
+        seen.append(args.structure)
+        return 7
+    monkeypatch.setattr(qha.cli, "cmd_check", patched)
+    assert main(["check", kc2_file]) == 7
+    assert seen == [kc2_file]
+    monkeypatch.undo()
+    assert main(["check", kc2_file, "--reproducible"]) == 0 and seen == [kc2_file]

@@ -669,3 +669,53 @@ def test_transpose_matches_the_reindexed_transpose(field, rows, cols, data):
     assert all(r is linalg._EMPTY for r in back._rows if not r)
     assert m._rows is m_rows and [dict(r) for r in m._rows] == m_copies
     assert [dict(r) for r in t._rows] == t_copies
+
+
+def draw_sparse(data, f, rows, cols):
+    """A rows x cols matrix with a few nonzeros in some rows, so that most
+    rows (and all of a 0-sized shape) are empty."""
+    nonzero = scalars(f).filter(lambda a: a != 0)
+    d = [[f.zero] * cols for _ in range(rows)]
+    for i in data.draw(st.lists(st.integers(0, max(rows - 1, 0)), max_size=rows)):
+        for j in data.draw(st.lists(st.integers(0, max(cols - 1, 0)), max_size=3)):
+            if rows and cols:
+                d[i][j] = data.draw(nonzero)
+    return of_dense(f, d, cols)
+
+
+def reindexed_forms(m, k, w):
+    """Each index kernel with its own arguments, and its form as one index
+    map per nonzero through reindexed: m is (k*h) x (k*w) for some h."""
+    r, c = m.rows, m.cols
+    forms = [(m.reshaped(r * k, c // k), m.reindexed(
+                r * k, c // k, lambda i, j: divmod(i * c + j, c // k))),
+             (m.stacked(w), m.reindexed(c // w * r, w, lambda i, j: (j // w * r + i, j % w)))]
+    if r:
+        h = r // k
+        forms += [(m.reshaped(h, c * k), m.reindexed(h, c * k, lambda i, j: divmod(i * c + j, c * k))),
+                  (m.side_by_side(h), m.reindexed(h, k * c, lambda i, j: (i % h, i // h * c + j)))]
+    # g columns, neither a row split nor a row merge: the general reshape
+    for g in [g for g in range(2, r * c) if r * c % g == 0 and c % g and g % c][:1]:
+        forms.append((m.reshaped(r * c // g, g), m.reindexed(
+            r * c // g, g, lambda i, j: divmod(i * c + j, g))))
+    return forms
+
+
+@pytest.mark.parametrize("field", [QQ, F5, prime_field(7)], ids=str)
+@settings(max_examples=80, deadline=None)
+@given(h=st.integers(0, 4), k=st.integers(1, 3), w=st.integers(1, 3), data=st.data())
+def test_index_kernels_match_their_reindexed_forms(field, h, k, w, data):
+    """reshaped (row split, row merge and the general case), side_by_side
+    and stacked on sparse matrices, 0-sized ones among them: each equals its
+    reindexed form with the same row order, every empty row is the shared
+    one, every other row a new dict, and no row dict of the source changes."""
+    m = draw_sparse(data, field, k * h, k * w)
+    m_rows, m_copies = m._rows, [dict(r) for r in m._rows]
+    for got, want in reindexed_forms(m, k, w):
+        assert (got.rows, got.cols) == (want.rows, want.cols)
+        assert [list(r.items()) for r in got._rows] == [list(r.items()) for r in want._rows]
+        assert got.entries == want.entries
+        assert all(r is linalg._EMPTY for r in got._rows if not r)
+        assert not any(r is s for r in got._rows if r for s in m_rows)
+    assert not linalg._EMPTY, "the shared empty row was written to"
+    assert m._rows is m_rows and [dict(r) for r in m._rows] == m_copies
