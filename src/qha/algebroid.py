@@ -31,11 +31,12 @@ from __future__ import annotations
 from functools import cached_property
 
 from .fields import Field
-from .linalg import Matrix, Subspace, intertwiner_space, kron_sum, slot_apply, vstack
+from .linalg import (Matrix, Subspace, hstack, intertwiner_space, kron_sum, slot_apply,
+                     swap_factors, vstack)
 from .reports import CheckReport
 from .quasihopf import (Algebra, HModule, QuasiHopfAlgebra, StructureError, max_tensor_dim,
                         shared, left_hom, right_hom, zeta_l, eta_l, zeta_r, eta_r,
-                        _swap_factors, lift_legs, check_antipode_pair, perm_mwv_to_mvw,
+                        lift_legs, check_antipode_pair, perm_mwv_to_mvw,
                         _pair_products, _unit_row)
 
 
@@ -47,7 +48,7 @@ def _opposite(mult, n: int):
 def _flip_legs(lift: Matrix) -> Matrix:
     """A coproduct lift with the two legs of every column exchanged."""
     n = lift.cols
-    return _swap_factors(lift.transpose(), n, n).transpose()
+    return swap_factors(lift.transpose(), n, n).transpose()
 
 
 class BaseRing(Algebra):
@@ -203,7 +204,7 @@ class HopfAlgebroid(Algebra):
     def _base_actions(self, V, images: Matrix) -> Matrix:
         """R (x) V -> V, r (x) v |-> images(r) v: the actions of the images
         of the base basis side by side."""
-        return vstack(self.field, V.dim, V.acts(images)).side_by_side(V.dim)
+        return hstack(self.field, V.dim, V.acts(images))
 
     def left_unitor(self, V) -> Matrix:
         """R (x)_R V -> V, r (x) v |-> s_l(r) v, on the quotient carrier."""
@@ -211,7 +212,7 @@ class HopfAlgebroid(Algebra):
 
     def right_unitor(self, V) -> Matrix:
         """V (x)_R R -> V, v (x) r |-> t_l(r) v, on the quotient carrier."""
-        return (_swap_factors(self._base_actions(V, self.t_l), self.base.dim, V.dim)
+        return (swap_factors(self._base_actions(V, self.t_l), self.base.dim, V.dim)
                 * module_tensor_relations(V, base_module(self)).lift)
 
     # the four data of the biclosed layer of quasihopf.py: the Delta_r legs,
@@ -389,7 +390,7 @@ def check_algebroid_structure(H: HopfAlgebroid) -> CheckReport:
     def is_hom(mat, opposite):
         # column (a, b) of m (mat (x) mat) is mat(e_a) mat(e_b)
         images = m * mat.kron(mat)
-        return (mat * R.mult_matrix == (_swap_factors(images, r, r) if opposite else images)
+        return (mat * R.mult_matrix == (swap_factors(images, r, r) if opposite else images)
                 and mat.apply(R.unit) == H.unit)
 
     rep.add("s_l_homomorphism", is_hom(H.s_l, opposite=False))
@@ -399,7 +400,7 @@ def check_algebroid_structure(H: HopfAlgebroid) -> CheckReport:
     rep.add("t_r_homomorphism", is_hom(H.t_r, opposite=False))
 
     def images_commute(source, target):
-        return m * source.kron(target) == _swap_factors(m * target.kron(source), r, r)
+        return m * source.kron(target) == swap_factors(m * target.kron(source), r, r)
 
     rep.add("left_images_commute", images_commute(H.s_l, H.t_l))
     rep.add("right_images_commute", images_commute(H.s_r, H.t_r))
@@ -424,7 +425,7 @@ def check_left_bialgebroid(H: HopfAlgebroid) -> CheckReport:
 
     def by_side(blocks):
         # the rows (side, a, b) of the two blocks, projected, as columns (a, b, side)
-        return _swap_factors(proj * vstack(f, n * n, blocks).transpose(), 2, r * n)
+        return swap_factors(proj * vstack(f, n * n, blocks).transpose(), 2, r * n)
 
     # Delta(s_l(a) b) = s_l(a) b_1 (x) b_2 and Delta(t_l(a) b) = b_1 (x) t_l(a) b_2
     rep.compare("delta_l_bimodule", (("r", r), ("b", n), ("side", 2)),
@@ -446,12 +447,12 @@ def check_left_bialgebroid(H: HopfAlgebroid) -> CheckReport:
     rep.compare("eps_l_bimodule", (("r", r), ("rp", r), ("b", n)),
                 eps * m * (m * s_l.kron(t_l)).kron(eye),
                 R.mult_matrix * R.mult_matrix.kron(eye_r)
-                * eye_r.kron(_swap_factors(eps.kron(eye_r), n, r)))
+                * eye_r.kron(swap_factors(eps.kron(eye_r), n, r)))
 
     # b_1 t_l(a) (x) b_2 = b_1 (x) b_2 s_l(a), column (b, a)
     rep.compare("takeuchi_left", (("b", n), ("r", r)),
-                _swap_factors(proj * each_base(H.mults_of(t_l, right=True), 0).transpose(), r, n),
-                _swap_factors(proj * each_base(H.mults_of(s_l, right=True), 1).transpose(), r, n))
+                swap_factors(proj * each_base(H.mults_of(t_l, right=True), 0).transpose(), r, n),
+                swap_factors(proj * each_base(H.mults_of(s_l, right=True), 1).transpose(), r, n))
 
     rep.compare("delta_l_multiplicative", (("b", n), ("bp", n)), proj * D * m,
                 proj * _pair_products(H, 2, deltas).transpose(),
@@ -563,7 +564,7 @@ def enveloping_algebroid(A: BaseRing, name: str = "") -> HopfAlgebroid:
     the counits eps_l = m and eps_r = m^op, and S = S^-1 = flip."""
     f, r = A.field, A.dim
     eye, u = Matrix.identity(f, r), Matrix.from_cols(f, [A.unit])
-    flip = _swap_factors(eye.kron(eye), r, r)
+    flip = swap_factors(eye.kron(eye), r, r)
     m, m_op = A.mult_matrix, A.op.mult_matrix
     mult = (m.kron(m_op) * eye.kron(flip).kron(eye)).transpose().entries
     s_l, t_l = eye.kron(u), u.kron(eye)

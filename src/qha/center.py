@@ -20,7 +20,7 @@ carriers are the base-linear maps and the associativity maps are strict.
 
 from __future__ import annotations
 
-from .linalg import Matrix, lmul_blocks
+from .linalg import Matrix, stack_lmul, stack_of_maps, maps_of_stack
 from .reports import CheckReport
 from .coefficients import Contramodule, tau_from_contramodule, hexagon_sides
 from .quasihopf import hom_module_morphisms, zeta_l, zeta_r, eta_r
@@ -102,17 +102,19 @@ def check_weakstrong(E: CenterElement, V) -> CheckReport:
     return CheckReport().add("tau_invertible", tau.rank() == tau.rows)
 
 
-def iota_apply(E: CenterElement, T, V, f_mat: Matrix) -> Matrix:
+def iota_apply(E: CenterElement, T, V, f_mat: Matrix, stack: bool = False) -> Matrix:
     """The contratrace map Hom_H(T (x) V, M) -> Hom_H(V (x) T, M),
     f |-> eta^r(tau_V o zeta^l(f)).
 
-    f_mat is a vertical stack of intertwiners (row blocks of dim M rows) and
-    the result the stack of their images, so every module behind zeta^l,
-    tau_V and eta^r is built once for the whole stack; one intertwiner is
-    a stack of one."""
+    f_mat is one intertwiner, or intertwiners one below the other (a stack
+    of them when stack), and the result their images in that layout; the
+    maps go through as one stack, so every module behind zeta^l, tau_V
+    and eta^r is built once for all of them."""
     M = E.carrier
     zl, _, er = _adjunctions(E.parent)
-    return er(lmul_blocks(E.tau(V), zl(f_mat, T, V, M)), V, T, M)
+    S = f_mat if stack else stack_of_maps(f_mat, M.dim)
+    out = er(stack_lmul(E.tau(V), zl(S, T, V, M, stack=True)), V, T, M, stack=True)
+    return out if stack else maps_of_stack(out, M.dim)
 
 
 def contratrace_iota(E: CenterElement, T, V) -> Matrix:
@@ -124,7 +126,7 @@ def contratrace_iota(E: CenterElement, T, V) -> Matrix:
     vt, _ = H.tensor(V, T)
     dom = hom_module_morphisms(tv, M)
     cod = hom_module_morphisms(vt, M)
-    out = cod.stack_coordinates(iota_apply(E, T, V, dom.basis_stack(tv.dim)))
+    out = cod.stack_coordinates(iota_apply(E, T, V, dom.basis_stack(), stack=True))
     if out is None:
         raise ValueError("iota image left the intertwiner subspace")
-    return out
+    return out.transpose()

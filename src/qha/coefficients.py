@@ -26,12 +26,12 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .linalg import (Matrix, Subspace, block_matrix, intertwiner_space, kron_sum,
-                     slot_apply, vstack)
+from .linalg import (Matrix, Subspace, block_matrix, hstack, intertwiner_space, kron_sum,
+                     slot_apply, swap_factors, vstack)
 from .reports import CheckReport
 from .quasihopf import (HModule, IntertwinerError, StructureError, regular_module, is_intertwiner,
                         eps_p_q_beta_s_r, left_hom, right_hom, hom_carriers, right_hom_carrier,
-                        element_legs, lift_legs, _restricted, _swap_factors)
+                        element_legs, lift_legs, _restricted)
 from .algebroid import HopfAlgebroid, right_linear_hom_basis
 
 # the flavors, each named by its tag in structure files
@@ -148,7 +148,7 @@ def _contra_assoc_sides(C: Contramodule, delta: Matrix, inst: Matrix):
     f, mu = C.field, C.mu
     n, d = C.parent.dim, C.carrier.dim
     return (mu * (mu.kron(Matrix.identity(f, n)) * inst),
-            mu * (Matrix.identity(f, d).kron(_swap_factors(delta, n, n)) * inst))
+            mu * (Matrix.identity(f, d).kron(swap_factors(delta, n, n)) * inst))
 
 
 # -- Hopf flavor ---------------------------------------------------------------
@@ -265,7 +265,7 @@ def ayd_compatibility_system(carrier: HModule, flavor: str) -> Matrix:
         raise FlavorError("no linear aYD system for flavor %s" % flavor)
     neg, d, dn = H.field.neg, carrier.dim, carrier.dim * H.dim
     diff = [lhs + [(neg(c), A, B) for c, A, B in rhs] for lhs, rhs in sides]
-    return _swap_factors(_operator(diff, Matrix.identity(H.field, dn), d), dn, d)
+    return swap_factors(_operator(diff, Matrix.identity(H.field, dn), d), dn, d)
 
 
 def check_stability_hopf(C: Contramodule) -> CheckReport:
@@ -496,7 +496,7 @@ def check_contramodule_algebroid(C: Contramodule) -> CheckReport:
         f, [(proj * eye.kron(L) * lift, A) for L, A in zip(H.mults_of(H.t_l), M.acts(H.t_l))],
         d, proj.rows)
     # phi |-> F with F(e_x)(e_y) = phi(e_x (x) e_y), on the carrier of Hom(H, Hom(H, M))
-    inst = Matrix.identity(f, d).kron(_swap_factors(proj, n, n).transpose()) \
+    inst = Matrix.identity(f, d).kron(swap_factors(proj, n, n).transpose()) \
         * phi_basis.basis_matrix()
     rep = CheckReport().compare("contra_assoc_algebroid", (("phi_index", phi_basis.dim),),
                                 *_contra_assoc_sides(C, H.delta_l_lift.transpose(), inst))
@@ -531,17 +531,17 @@ def check_ayd_algebroid(C: Contramodule) -> CheckReport:
     rep.add("ayd_lift_independent", same)
 
     # mu(x |-> t_l(eps_l(x s_l(r))) m) = s_l(r) m, column (r, m)
-    rep.compare("bimodule_compatible", (("r", r), ("m", d)), C.mu * vstack(f, d, [
-        _action_map(M, H.t_l * H.eps_l * R) for R in H.mults_of(H.s_l, right=True)])
-        .side_by_side(d * n), vstack(f, d, M.acts(H.s_l)).side_by_side(d))
+    rep.compare("bimodule_compatible", (("r", r), ("m", d)), C.mu * hstack(f, d * n, [
+        _action_map(M, H.t_l * H.eps_l * R) for R in H.mults_of(H.s_l, right=True)]),
+        hstack(f, d, M.acts(H.s_l)))
 
     # mu(f(s_l(r) -)) = t_l(r) mu(f) and mu(f(- s_l(r))) = s_l(r) mu(f)
     eye, mu_maps, w = Matrix.identity(f, d), C.mu * maps, maps.cols
     for check_id, right, post in (("mu_right_linear", False, H.t_l),
                                   ("mu_left_linear", True, H.s_l)):
-        rep.compare(check_id, (("r", r), ("f_index", w)), C.mu * vstack(f, w, [
-            eye.kron(x.transpose()) * maps for x in H.mults_of(H.s_l, right)]).side_by_side(d * n),
-            vstack(f, w, [A * mu_maps for A in M.acts(post)]).side_by_side(d))
+        rep.compare(check_id, (("r", r), ("f_index", w)), C.mu * hstack(f, d * n, [
+            eye.kron(x.transpose()) * maps for x in H.mults_of(H.s_l, right)]),
+            hstack(f, d, [A * mu_maps for A in M.acts(post)]))
     return rep
 
 

@@ -34,7 +34,7 @@ from functools import cache, cached_property
 from itertools import accumulate
 
 from .fields import Field
-from .linalg import Matrix, block_matrix, kron_sum
+from .linalg import Matrix, block_matrix, kron_sum, stack_rmul
 from .reports import CheckReport
 from .quasihopf import (QuasiHopfAlgebra, StructureError, build_scope,
                         hom_module_morphisms, is_intertwiner, shared)
@@ -280,10 +280,10 @@ def build_cocyclic(A: ModuleAlgebra, M: Contramodule, n_max: int) -> CocyclicMod
     cosimplicial and cocyclic identity; raises CocyclicError naming the
     first failing relation otherwise.
 
-    Every structure map of a degree is one linear map applied to the whole
-    stacked basis of its source space: cofaces and codegeneracies are one
-    product each, t_n one call of iota_apply.  Each image is checked to lie
-    in its target space.  The build runs in one build scope, so each
+    Every structure map of a degree is one linear map applied to the basis
+    of its source space as one stack (row b = vec(F_b)): cofaces and
+    codegeneracies are one stack product each, t_n one call of iota_apply.
+    Each image is checked to lie in its target space.  The build runs in one build scope, so each
     tensor product, relation space, associativity map, hom module and
     chain map it asks for is built once."""
     with build_scope():
@@ -312,27 +312,25 @@ def _build_cocyclic(A: ModuleAlgebra, M: Contramodule, n_max: int) -> CocyclicMo
               for n in range(n_max + 1)]
 
     def coords(space, stack, relation, **indices) -> Matrix:
-        """The maps of a stack in the coordinates of space, one column each."""
+        """The maps of a stack in the coordinates of space, one column each,
+        or an error naming the first map that leaves it."""
         out = space.stack_coordinates(stack)
         if out is None:
-            amb = space.ambient_dim
-            vecs = stack.reshaped(stack.rows * stack.cols // amb, amb)
-            b = next(j for j in range(vecs.rows) if space.coordinates(vecs.row(j)) is None)
             raise CocyclicError("%s left its intertwiner space" % relation,
-                                **indices, basis=b)
-        return out
+                                **indices, basis=space.first_outside(stack))
+        return out.transpose()
 
     def precompose(n_src, n_dst, carrier_map: Matrix, relation, **indices) -> Matrix:
         """F |-> F o carrier_map from C^n_src to C^n_dst, in intertwiner coordinates."""
-        stack = spaces[n_src].basis_stack(carrier_map.rows) * carrier_map
+        stack = stack_rmul(spaces[n_src].basis_stack(), carrier_map)
         return coords(spaces[n_dst], stack, relation, **indices)
 
     def t_op(n: int) -> Matrix:
         if n == 0:
             # the order-one cyclic operator is forced to be the identity
             return Matrix.identity(f, spaces[0].dim)
-        stack = spaces[n].basis_stack(chain.mods[n + 1].dim) * chain.rebracket_front(n)
-        images = iota_apply(E, A.carrier, chain.mods[n], stack)
+        stack = stack_rmul(spaces[n].basis_stack(), chain.rebracket_front(n))
+        images = iota_apply(E, A.carrier, chain.mods[n], stack, stack=True)
         return coords(spaces[n], images, "cyclic operator", n=n)
 
     cyclics = [t_op(n) for n in range(n_max + 1)]

@@ -16,7 +16,7 @@ never changed after construction, so matrices may share them.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from itertools import compress
+from itertools import accumulate, compress
 from math import prod
 
 from .fields import Field, nonzero_map
@@ -38,8 +38,8 @@ def tensor_index(i: int, j: int, dim_w: int, dim_v: int | None = None) -> int:
     return i * dim_w + j
 
 
-# every all-zero row of every matrix is this one dict, so a tall, mostly
-# empty stack costs one reference per zero row; row dicts are never changed
+# every all-zero row of every matrix is this one dict, so a mostly empty
+# matrix costs one reference per zero row; row dicts are never changed
 # once they are in a matrix
 _EMPTY = {}
 
@@ -260,49 +260,21 @@ class Matrix:
         return Matrix._sparse(self.field, rows, cols, _row_list(rows, out))
 
     def reshaped(self, rows: int, cols: int) -> "Matrix":
-        """The same row-major entries read as a rows x cols matrix."""
+        """The same row-major entries read as a rows x cols matrix: each
+        nonzero moved by one divmod of its row-major index, in order."""
         if rows * cols != self.rows * self.cols:
             raise ShapeError("cannot reshape %dx%d to %dx%d"
                              % (self.rows, self.cols, rows, cols))
-        c = self.cols
-        if cols and c % cols == 0:
-            return self._cut(rows, cols, c // cols, 1)
-        if c and cols % c == 0:
-            return self._glue(rows, cols, cols // c, False)
-        return self.reindexed(rows, cols, lambda i, j: divmod(i * c + j, cols))
-
-    def _cut(self, rows: int, cols: int, spread: int, step: int) -> "Matrix":
-        """Each row i cut into pieces of cols columns, piece b moved to row
-        i * spread + b * step of a rows x cols matrix: the row-split reshape
-        (spread k, step 1) and stacked (spread 1, step h)."""
-        src, out = self._rows, [_EMPTY] * rows
+        src, c, out = self._rows, self.cols, {}
         for i in _filled(src):
-            base = i * spread
             for j, a in src[i].items():
-                b, q = divmod(j, cols)
-                r = out[base + b * step]
-                if r is _EMPTY:
-                    out[base + b * step] = {q: a}
+                p, q = divmod(i * c + j, cols)
+                r = out.get(p)
+                if r is None:
+                    out[p] = {q: a}
                 else:
                     r[q] = a
-        return Matrix._sparse(self.field, rows, cols, out)
-
-    def _glue(self, rows: int, cols: int, k: int, strided: bool) -> "Matrix":
-        """The rows glued into a rows x cols matrix, row i at the column
-        offset b * self.cols of row p: (p, b) = divmod(i, k) for the
-        row-merge reshape, (b, p) = divmod(i, k) when strided (side_by_side,
-        k = h).  Each new row holds its pieces in source order."""
-        src, c, out = self._rows, self.cols, [_EMPTY] * rows
-        for i in _filled(src):
-            p, b = divmod(i, k)
-            if strided:
-                p, b = b, p
-            r, off = out[p], b * c
-            if r is _EMPTY:
-                r = out[p] = {}
-            for j, a in src[i].items():
-                r[off + j] = a
-        return Matrix._sparse(self.field, rows, cols, out)
+        return Matrix._sparse(self.field, rows, cols, _row_list(rows, out))
 
     def transpose(self) -> "Matrix":
         """Each nonzero moved from its row dict into a new dict for its
@@ -443,30 +415,12 @@ class Matrix:
             raise ShapeError("matrix is singular")
         return inv
 
-    # -- stacks of maps ----------------------------------------------------
-    #
-    # A vertical stack holds k maps of equal shape as the row blocks of one
-    # matrix.  Right multiplication acts on every map at once (vec(F C) =
-    # (I (x) C^T) vec(F) for each); one map is a stack of one.
-
-    def side_by_side(self, h: int) -> "Matrix":
-        """The row blocks of h rows placed side by side: (k*h) x c -> h x (k*c)."""
-        if h <= 0 or self.rows % h:
-            raise ShapeError("%d rows do not split into blocks of %d" % (self.rows, h))
-        return self._glue(h, self.rows // h * self.cols, h, True)
-
     def row_blocks(self, h: int):
         """The row blocks of h rows, as a list of matrices."""
         if h <= 0 or self.rows % h:
             raise ShapeError("%d rows do not split into blocks of %d" % (self.rows, h))
         return [Matrix._sparse(self.field, h, self.cols, self._rows[k:k + h])
                 for k in range(0, self.rows, h)]
-
-    def stacked(self, c: int) -> "Matrix":
-        """The column blocks of c columns stacked vertically: h x (k*c) -> (k*h) x c."""
-        if c <= 0 or self.cols % c:
-            raise ShapeError("%d columns do not split into blocks of %d" % (self.cols, c))
-        return self._cut(self.cols // c * self.rows, c, 1, self.rows)
 
     def __repr__(self):
         return "Matrix(%dx%d over %s)" % (self.rows, self.cols, self.field)
@@ -569,40 +523,104 @@ def vstack(field: Field, cols: int, mats) -> Matrix:
     return Matrix._sparse(field, len(rows), cols, rows)
 
 
+def hstack(field: Field, rows: int, mats) -> Matrix:
+    """The matrices of the list mats, each with rows rows, side by side."""
+    if any(m.rows != rows for m in mats):
+        raise ShapeError("a block of other than %d rows side by side" % rows)
+    offsets = [0, *accumulate(m.cols for m in mats)]
+    return block_matrix(field, rows, offsets[-1], [(0, o, m) for o, m in zip(offsets, mats)])
+
+
 def slot_apply(F: Matrix, X: Matrix, before: int, after: int) -> Matrix:
     """X (I_before (x) F (x) I_after)^T: F applied to one tensor slot of
     every row of X, columns (b, i, a) in range(before) x range(F.cols) x
     range(after), without forming the Kronecker product.  F may change the
     width of the slot: raise or lower the tensor degree, or merge slots."""
-    d, e = F.cols, F.rows
+    return _slot_product(F.col_maps(), F.rows, X, before, after)
+
+
+def _slot_product(images, e: int, X: Matrix, before: int, after: int) -> Matrix:
+    """slot_apply with F given by its columns: images[i] is the {p: value}
+    image of slot index i, in a slot of width e."""
+    d = len(images)
     if X.cols != before * d * after:
         raise ShapeError("rows of length %d do not split as %d x %d x %d"
                          % (X.cols, before, d, after))
+    if before == after == 1:
+        # the product with the matrix whose rows are the images, which shares
+        # the image row of a one-nonzero row instead of rebuilding it; the
+        # membership product of stack_coordinates and maps into a
+        # one-dimensional module come here (measured in BENCH_26.json)
+        return X * Matrix._sparse(X.field, d, e, images)
     f = X.field
     add, mul, one = f.add, f.mul, f.one
-    images = F.col_maps()
+    da, ea = d * after, e * after
     out = []
     for r in X._rows:
         acc = {}
         for j, c in r.items():
-            b, i = divmod(j, d * after)
+            b, i = divmod(j, da)
             i, t = divmod(i, after)
-            base = b * e * after + t
+            base = b * ea + t
             for p, v in images[i].items():
                 k = base + p * after
                 w = c if v is one else mul(c, v)
                 acc[k] = add(acc[k], w) if k in acc else w
         out.append((acc if all(acc.values()) else {k: v for k, v in acc.items() if v})
                    or _EMPTY)
-    return Matrix._sparse(f, X.rows, before * e * after, out)
+    return Matrix._sparse(f, X.rows, before * ea, out)
 
 
-def lmul_blocks(a: Matrix, stack: Matrix) -> Matrix:
-    """a @ X for every row block X of a vertical stack (blocks of a.cols
-    rows), as the stack of the products; for one block this is a @ stack."""
-    if stack.rows == a.cols:
-        return a * stack
-    return (a * stack.side_by_side(a.cols)).stacked(stack.cols)
+# -- stacks of maps ------------------------------------------------------------
+#
+# A stack holds k maps F_b: X -> Y as the k x (dim Y * dim X) matrix whose
+# row b is vec(F_b), read row-major (index y * dim X + x); one map is a
+# stack of one row.  vec(F C) and vec(B F) are slot products on each row,
+# and currying, uncurrying and the swap of two tensor factors permute the
+# columns (Van Loan, J. Comput. Appl. Math. 123, 2000), so each step visits
+# the nonzeros of the stack only.
+
+def stack_rmul(S: Matrix, C: Matrix) -> Matrix:
+    """The stack of the F_b C, each row multiplied by C on its second slot;
+    C's rows are read as they are, with no transpose."""
+    return _slot_product(C._rows, C.cols, S, S.cols // (C.rows or 1), 1)
+
+
+def stack_lmul(B: Matrix, S: Matrix) -> Matrix:
+    """The stack of the B F_b, B applied to the first slot of each row."""
+    return slot_apply(B, S, 1, S.cols // (B.cols or 1))
+
+
+def swap_slots(S: Matrix, d1: int, d2: int) -> Matrix:
+    """The rows of S with their columns (p, i, j) in range(S.cols // (d1*d2))
+    x range(d1) x range(d2) moved to (p, j, i).  On one map of domain
+    V1 (x) V2 this re-reads it on V2 (x) V1; on a stack of maps L <- M (x) N
+    with (d1, d2) = (dim M, dim N) it curries each into M -> Hom(N, L), and
+    (d1, d2) = (dim N, dim M) uncurries."""
+    w = d1 * d2
+    if S.cols % w if w else S.cols:
+        raise ShapeError("rows of length %d do not split into slots %d x %d" % (S.cols, d1, d2))
+    # each column that holds a nonzero, moved once: (i, j) = divmod(c % w, d2)
+    perm = {c: c - c % w + c % d2 * d1 + c % w // d2 for c in set().union(*S._rows)}
+    return Matrix._sparse(S.field, S.rows, S.cols,
+                          [{perm[c]: a for c, a in r.items()} if r else _EMPTY for r in S._rows])
+
+
+def swap_factors(m: Matrix, d1: int, d2: int) -> Matrix:
+    """One map on a domain V1 (x) V2 (dims d1, d2), re-read on V2 (x) V1."""
+    if m.cols != d1 * d2:
+        raise ShapeError("map has %d columns, want %d" % (m.cols, d1 * d2))
+    return swap_slots(m, d1, d2)
+
+
+def stack_of_maps(f_mat: Matrix, rows: int) -> Matrix:
+    """One map, or maps of rows rows each one below the other, as a stack."""
+    return f_mat.reshaped(f_mat.rows // rows if rows else 0, rows * f_mat.cols)
+
+
+def maps_of_stack(S: Matrix, rows: int) -> Matrix:
+    """The maps of a stack, each of rows rows, one below the other."""
+    return S.reshaped(S.rows * rows, S.cols // rows if rows else 0)
 
 
 class Subspace:
@@ -665,10 +683,10 @@ class Subspace:
             self._basis_matrix = self._rows.transpose()
         return self._basis_matrix
 
-    def basis_stack(self, cols: int) -> Matrix:
-        """The basis vectors read as row-major maps with ``cols`` columns,
-        as one vertical stack (one row block per basis vector)."""
-        return self._rows.reshaped(self.dim * (self.ambient_dim // cols), cols)
+    def basis_stack(self) -> Matrix:
+        """The basis vectors as the rows of one matrix: a stack whose maps
+        are the basis vectors read row-major, in any shape."""
+        return self._rows
 
     def pivots(self):
         return list(self._pivots)
@@ -706,12 +724,28 @@ class Subspace:
             return None
         return coords
 
-    def stack_coordinates(self, stack: Matrix):
-        """coordinate_matrix of the maps of a vertical stack, each read
-        row-major as one vector (the inverse of ``basis_stack``)."""
+    def _stack_split(self, stack: Matrix, after: int):
+        """The entries of each row of stack at the pivots (of the first slot,
+        when rows split as ambient_dim x after), and the stack they rebuild."""
         n = self.ambient_dim
-        return self.coordinate_matrix(
-            stack.reshaped(stack.rows * stack.cols // n, n).transpose())
+        if stack.cols != n * after:
+            raise ShapeError("rows of length %d, ambient %d x %d" % (stack.cols, n, after))
+        at = {p * after + t: r * after + t for r, p in enumerate(self._pivots) for t in range(after)}
+        coords = Matrix._sparse(self.field, stack.rows, self.dim * after, [
+            {at[j]: a for j, a in r.items() if j in at} or _EMPTY for r in stack._rows])
+        return coords, _slot_product(self._rows._rows, n, coords, 1, after)
+
+    def stack_coordinates(self, stack: Matrix, after: int = 1):
+        """The stack of the coordinate maps (dim x after: the entries at the
+        pivots) of a stack of maps k^after -> k^ambient_dim, or None if one
+        leaves the subspace, which one product rebuilding the stack decides."""
+        coords, rebuilt = self._stack_split(stack, after)
+        return coords if rebuilt == stack else None
+
+    def first_outside(self, stack: Matrix):
+        """The first row of stack at which the membership product differs."""
+        rebuilt = self._stack_split(stack, 1)[1]._rows
+        return next((b for b, r in enumerate(stack._rows) if r != rebuilt[b]), None)
 
     def coordinates(self, vec):
         """Coordinates of vec in the stored basis, or None if not a member."""

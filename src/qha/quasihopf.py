@@ -33,7 +33,8 @@ from functools import cached_property, reduce, wraps
 
 from .fields import Field
 from .linalg import (Matrix, Subspace, ShapeError, intertwiner_space, kron_sum,
-                     lmul_blocks, slot_apply, vstack, basis_vec, vec_scale)
+                     slot_apply, stack_lmul, stack_rmul, stack_of_maps, maps_of_stack,
+                     swap_factors, swap_slots, vstack, hstack, basis_vec, vec_scale)
 from .reports import CheckReport
 
 
@@ -492,7 +493,7 @@ def check_module(V: HModule) -> CheckReport:
     of the stacked actions with the actions side by side."""
     H, d = V.parent, V.dim
     n, stack = H.dim, vstack(H.field, d, V.mats)
-    pairs = (stack * stack.side_by_side(d)).reindexed(
+    pairs = (stack * hstack(H.field, d, V.mats)).reindexed(
         d * d, n * n, lambda r, c: (r % d * d + c % d, r // d * n + c // d))
     return CheckReport().add("module_unit", V.act(H.unit).is_identity()).compare(
         "module_multiplicative", (("i", n), ("j", n)), V.action.transpose() * H.mult_matrix, pairs)
@@ -608,35 +609,14 @@ def associator_inverse(V: HModule, W: HModule, U: HModule) -> Matrix:
 # left-hand one over H^cop re-read on the swapped tensor domain
 # (``_swap_domain``).
 
-def _swap_factors(m: Matrix, d1: int, d2: int) -> Matrix:
-    """m on a domain V1 (x) V2 (dims d1, d2), re-read on V2 (x) V1."""
-    if m.cols != d1 * d2:
-        raise ShapeError("map has %d columns, want %d" % (m.cols, d1 * d2))
-    return m.reindexed(m.rows, m.cols, lambda r, k: (r, k % d2 * d1 + k // d2))
-
-
-def _swap_domain(f_mat: Matrix, src, dst, d1: int, d2: int) -> Matrix:
-    """f on the quotient src of V1 (x) V2 (dims d1, d2), re-read on the
-    quotient dst of V2 (x) V1; between full tensor carriers (both None)
-    this is _swap_factors."""
-    if src is None and dst is None:
-        return _swap_factors(f_mat, d1, d2)
-    return _swap_factors(f_mat * src.projector, d1, d2) * dst.lift
-
-
-# Currying moves the second tensor factor of a map's domain into its
-# values: f on V1 (x) V2 (dims d1, d2) becomes V1 -> Hom(V2, L), whose value
-# at e_i is the map e_b |-> f(e_i (x) e_b), at hom-carrier index a*d2 + b.
-# On a vertical stack both act on every map at once.
-
-def _curry(m: Matrix, d2: int) -> Matrix:
-    """R x (d1*d2) -> (R*d2) x d1: out[r*d2 + b, i] = m[r, i*d2 + b]."""
-    return m.reindexed(m.rows * d2, m.cols // d2, lambda r, k: (r * d2 + k % d2, k // d2))
-
-
-def _uncurry(m: Matrix, d2: int) -> Matrix:
-    """(R*d2) x d1 -> R x (d1*d2), the inverse of _curry."""
-    return m.reindexed(m.rows // d2, m.cols * d2, lambda s, i: (s // d2, i * d2 + s % d2))
+def _swap_domain(S: Matrix, src, dst, d1: int, d2: int) -> Matrix:
+    """Maps on the quotient src of V1 (x) V2 (dims d1, d2), in a stack or one
+    below the other, re-read on the quotient dst of V2 (x) V1; a carrier
+    that is None is the full tensor product."""
+    if src is not None:
+        S = stack_rmul(S, src.projector)
+    S = swap_slots(S, d1, d2)
+    return S if dst is None else stack_rmul(S, dst.lift)
 
 
 def _restricted(op: Matrix, src, dst):
@@ -659,22 +639,21 @@ def _linearity_indices(V: HModule, W: HModule):
     return range(V.parent.dim)
 
 
-def is_intertwiner(f_mat: Matrix, src: HModule, dst: HModule) -> bool:
-    """f_mat rho_src(e_i) = rho_dst(e_i) f_mat for every basis element; on a
-    vertical stack of maps (blocks of dst.dim rows), for every map of it.
-    Between genuine modules this is decided exactly on the parent's
-    generators alone (``_linearity_indices``)."""
-    return all(f_mat * src.mats[i] == lmul_blocks(dst.mats[i], f_mat)
+def is_intertwiner(f_mat: Matrix, src: HModule, dst: HModule, stack: bool = False) -> bool:
+    """F rho_src(e_i) = rho_dst(e_i) F, two slot products, for every map F of
+    f_mat (one map or maps one below the other; a stack of maps when
+    stack) and, between genuine modules, the parent's generators e_i only
+    (``_linearity_indices``)."""
+    S = f_mat if stack else stack_of_maps(f_mat, dst.dim)
+    if S.cols != dst.dim * src.dim:
+        raise ShapeError("rows of length %d hold no maps %d -> %d" % (S.cols, src.dim, dst.dim))
+    return all(stack_rmul(S, src.mats[i]) == stack_lmul(dst.mats[i], S)
                for i in _linearity_indices(src, dst))
 
 
-def require_intertwiner(f_mat: Matrix, src: HModule, dst: HModule, what: str):
-    """Raise unless f_mat (one map, or a vertical stack of maps) is H-linear."""
-    whole_maps = f_mat.rows % dst.dim == 0 if dst.dim else f_mat.rows == 0
-    if f_mat.cols != src.dim or not whole_maps:
-        raise ShapeError("%s must be %dx%d, got %dx%d"
-                         % (what, dst.dim, src.dim, f_mat.rows, f_mat.cols))
-    if not is_intertwiner(f_mat, src, dst):
+def require_intertwiner(S: Matrix, src: HModule, dst: HModule, what: str):
+    """Raise unless every map of the stack S is H-linear (is_intertwiner)."""
+    if not is_intertwiner(S, src, dst, stack=True):
         raise IntertwinerError("%s is not an H-module morphism" % what)
 
 
@@ -748,37 +727,42 @@ def eval_right(V: HModule, M: HModule) -> Matrix:
     """ev^r: V (x) Hom^r(V,M) -> M, m (x) phi |-> R( phi(S^-1(Q) S^-1(alpha) P m) ).
 
     This is ev^l over H^cop, read on the swapped tensor domain."""
-    return _swap_factors(eval_left(V.cop, M.cop), M.dim * V.dim, V.dim)
+    return swap_factors(eval_left(V.cop, M.cop), M.dim * V.dim, V.dim)
 
 
-def zeta_l(f_mat: Matrix, M: HModule, N: HModule, L: HModule) -> Matrix:
+# zeta_l, eta_l, zeta_r and eta_r take one map, or maps one below the
+# other, and return their images so; with stack set, zeta_l, eta_l and
+# eta_r, the maps behind the cyclic operator (iota_apply), take and return
+# stacks of maps (see linalg), the one layout they compute in.
+
+def zeta_l(f_mat: Matrix, M: HModule, N: HModule, L: HModule, stack: bool = False) -> Matrix:
     """zeta^l: Hom_H(M (x) N, L) -> Hom_H(M, Hom^l(N, L)), f |-> curry(f . proj . K),
     read in the coordinates of the carrier of Hom^l(N, L).
 
     proj is the quotient projector of M (x) N and K the parent's decoration:
     f |-> (m |-> f(P m (x) Q beta S(R) -)) over a quasi-Hopf algebra, plain
-    currying f |-> (m |-> f(m (x) -)) over an algebroid.  f_mat may be a
-    vertical stack of maps; the result is the stack of their images, and
-    the input and output checks cover every map of it.
+    currying f |-> (m |-> f(m (x) -)) over an algebroid.  The input and
+    output checks cover every map.
     """
     H = M.parent
     tens, rel = H.tensor(M, N)
-    require_intertwiner(f_mat, tens, L, "zeta_l input")
+    S = f_mat if stack else stack_of_maps(f_mat, L.dim)
+    require_intertwiner(S, tens, L, "zeta_l input")
     hom, carrier = left_hom(N, L)
-    m = f_mat if rel is None else f_mat * rel.projector
+    if rel is not None:
+        S = stack_rmul(S, rel.projector)
     k = H.zeta_decoration(M, N)
-    out = _curry(m if k is None else m * k, N.dim)
+    out = swap_slots(S if k is None else stack_rmul(S, k), M.dim, N.dim)
     if carrier is not None:
-        # the columns of every curried map are full-carrier vectors of Hom_k(N, L)
-        out = carrier.coordinate_matrix(out.side_by_side(L.dim * N.dim))
+        # each curried map sends M into the full carrier Hom_k(N, L)
+        out = carrier.stack_coordinates(out, M.dim)
         if out is None:
             raise IntertwinerError("zeta_l image is not base-linear")
-        out = out.stacked(M.dim)
     require_intertwiner(out, M, hom, "zeta_l output")
-    return out
+    return out if stack else maps_of_stack(out, hom.dim)
 
 
-def eta_l(g_mat: Matrix, M: HModule, N: HModule, L: HModule) -> Matrix:
+def eta_l(g_mat: Matrix, M: HModule, N: HModule, L: HModule, stack: bool = False) -> Matrix:
     """eta^l(g) = ev^l o (g (x) id): Hom_H(M, Hom^l(N, L)) -> Hom_H(M (x) N, L),
     g |-> uncurry(curry(ev) . basis . g) . lift.
 
@@ -786,23 +770,24 @@ def eta_l(g_mat: Matrix, M: HModule, N: HModule, L: HModule) -> Matrix:
     parent's evaluation (phi (x) m |-> X phi(S(Y) alpha Z m) over a
     quasi-Hopf algebra, phi(m) over an algebroid) and lift is the section
     of the quotient M (x) N, on whose relation classes the result must be
-    constant.  On a vertical stack, for every map."""
+    constant."""
     H = M.parent
     hom, carrier = left_hom(N, L)
-    require_intertwiner(g_mat, M, hom, "eta_l input")
-    amb = g_mat
+    S = g_mat if stack else stack_of_maps(g_mat, hom.dim)
+    require_intertwiner(S, M, hom, "eta_l input")
     if carrier is not None:
-        amb = lmul_blocks(carrier.basis_matrix(), amb)
+        S = stack_lmul(carrier.basis_matrix(), S)
     ev = H.hom_evaluation(N, L)
     if ev is not None:
-        amb = lmul_blocks(_curry(ev, N.dim), amb)
-    amb = _uncurry(amb, N.dim)
+        d = L.dim * N.dim
+        S = stack_lmul(swap_factors(ev, d, N.dim).reshaped(d, d), S)
+    amb = swap_slots(S, N.dim, M.dim)
     tens, rel = H.tensor(M, N)
-    out = amb if rel is None else amb * rel.lift
-    if rel is not None and out * rel.projector != amb:
+    out = amb if rel is None else stack_rmul(amb, rel.lift)
+    if rel is not None and stack_rmul(out, rel.projector) != amb:
         raise StructureError("eta_l image not constant on relation classes")
     require_intertwiner(out, tens, L, "eta_l output")
-    return out
+    return out if stack else maps_of_stack(out, L.dim)
 
 
 def zeta_r(f_mat: Matrix, N: HModule, M: HModule, L: HModule) -> Matrix:
@@ -815,11 +800,11 @@ def zeta_r(f_mat: Matrix, N: HModule, M: HModule, L: HModule) -> Matrix:
     return zeta_l(f_cop, M.cop, N.cop, L.cop)
 
 
-def eta_r(g_mat: Matrix, N: HModule, M: HModule, L: HModule) -> Matrix:
+def eta_r(g_mat: Matrix, N: HModule, M: HModule, L: HModule, stack: bool = False) -> Matrix:
     """eta^r(g) = ev^r o (id (x) g): Hom_H(M, Hom^r(N, L)) -> Hom_H(N (x) M, L),
     which is eta^l over the co-opposite parent read on the swapped tensor
     domain."""
-    return _swap_domain(eta_l(g_mat, M.cop, N.cop, L.cop),
+    return _swap_domain(eta_l(g_mat, M.cop, N.cop, L.cop, stack),
                         M.cop.parent.tensor_relations(M.cop, N.cop),
                         N.parent.tensor_relations(N, M), M.dim, N.dim)
 
@@ -838,7 +823,7 @@ def _phi_decorated(H, V: HModule, W: HModule, M: HModule, legs) -> Matrix:
 
 def perm_mwv_to_mvw(f: Field, d: int, dw: int, dv: int) -> Matrix:
     """Permutation from (m, w, v)-ordered carriers to (m, v, w)-ordered ones."""
-    return Matrix.identity(f, d).kron(_swap_factors(Matrix.identity(f, dw * dv), dv, dw))
+    return Matrix.identity(f, d).kron(swap_factors(Matrix.identity(f, dw * dv), dv, dw))
 
 
 # -- axiom checks --------------------------------------------------------------
@@ -878,7 +863,7 @@ def check_antipode_pair(rep: CheckReport, H):
             S * H.antipode_inv == eye and H.antipode_inv * S == eye)
     # column (j, i) of m (S (x) S) is S(e_j) S(e_i)
     rep.compare("antipode_antihom", (("i", n), ("j", n)), S * H.mult_matrix,
-                _swap_factors(H.mult_matrix * S.kron(S), n, n),
+                swap_factors(H.mult_matrix * S.kron(S), n, n),
                 S.apply(H.unit) == H.unit)
 
 

@@ -642,6 +642,44 @@ def test_image_outside_its_space_names_the_map_and_basis_vector(kc2_q, monkeypat
     assert dict(err.value.indices)["n"] == 1 and dict(err.value.indices)["i"] == 1
 
 
+def test_the_first_map_that_leaves_its_space_is_the_witness(kc2_q, monkeypatch):
+    """The cyclic operator's images in degree 2 moved off Hom_H at one map
+    b: the error names b, read from the first row at which the membership
+    product differs from the stack of images."""
+    import qha.cyclic
+    from qha.cyclic import CocyclicError
+    from qha.quasihopf import hom_module_morphisms
+    real = qha.cyclic.iota_apply
+    for b in (0, 2, 3):
+        def moved(E, T, V, maps, stack=False):
+            out = real(E, T, V, maps, stack=stack)
+            if V.dim != 4:
+                return out
+            space = hom_module_morphisms(kc2_q.tensor(V, T)[0], E.carrier)
+            j = next(c for c in range(out.cols) if c not in space.pivots())
+            rows = [dict(out.row_map(i)) for i in range(out.rows)]
+            rows[b][j] = QQ.add(rows[b].get(j, QQ.zero), QQ.one)
+            return Matrix.from_rows(QQ, [[r.get(c, QQ.zero) for c in range(out.cols)]
+                                         for r in rows])
+        monkeypatch.setattr(qha.cyclic, "iota_apply", moved)
+        with pytest.raises(CocyclicError) as err:
+            build_cocyclic(functions_algebra(kc2_q), unit_coefficient(kc2_q), 3)
+        assert err.value.relation == "cyclic operator left its intertwiner space"
+        assert err.value.indices == (("n", 2), ("basis", b))
+
+
+def test_quasi_inputs_at_depth_eight():
+    """k[x]/x^2 acted on through the counit over k^Z2_w over Q, with the
+    trivial QUASI_I coefficient, at n_max 8: the depth where stacks of maps
+    are largest in Tier-1."""
+    from qha.quasihopf import twisted_dual_group_algebra, z2_nontrivial_cocycle
+    H = twisted_dual_group_algebra(QQ, cyclic_group_table(2), z2_nontrivial_cocycle(QQ))
+    cc = build_cocyclic(dual_numbers_algebra_trivial_over(H), unit_coefficient(H, QUASI_I), 8)
+    assert [cc.dim(n) for n in range(9)] == [2 ** (n + 1) for n in range(9)]
+    assert cyclic_cohomology(cc, 7).dims == [2, 0, 2, 0, 2, 0, 2, 0]
+    assert hochschild_cohomology(cc, 7).dims == [2, 1, 1, 1, 1, 1, 1, 1]
+
+
 def test_rebracketing_is_built_once_per_chain(twisted_q):
     from qha.cyclic import TensorPowerChain
     A = dual_numbers_algebra_trivial_over(twisted_q)

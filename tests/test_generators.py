@@ -142,7 +142,7 @@ def test_a_non_module_is_decided_over_every_basis_element(kc3_f7):
     assert all(eye * V.mats[i] == W.mats[i] * eye for i in kc3_f7.generators)
     assert not is_intertwiner(eye, V, W)
     with pytest.raises(IntertwinerError):
-        require_intertwiner(eye, V, W, "identity")
+        require_intertwiner(eye.reshaped(1, eye.rows * eye.cols), V, W, "identity")
     space = hom_module_morphisms(V, W)
     assert space == _all_basis_space(V, W)
     assert space.coordinates(eye.entries) is None

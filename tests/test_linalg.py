@@ -9,7 +9,8 @@ from qha import linalg
 from qha.fields import FieldError, rationals, prime_field
 from qha.linalg import (Matrix, Subspace, ShapeError,
                         quotient_section, tensor_index, intertwiner_space,
-                        kron_sum, lmul_blocks, block_matrix)
+                        kron_sum, block_matrix, hstack, vstack, stack_lmul, stack_rmul,
+                        swap_slots, swap_factors, stack_of_maps, maps_of_stack)
 
 QQ = rationals()
 F2 = prime_field(2)
@@ -260,16 +261,31 @@ def test_solve_matrix_is_columnwise_solve(rows, cols, width, data):
 
 
 def test_stacks_of_maps():
+    # two maps k^3 -> k^2 as one stack: row b is vec(F_b)
     blocks = [mat(QQ, [[1, 2, 0], [0, 1, 3]]), mat(QQ, [[4, 0, 1], [1, 1, 1]])]
-    stack = Matrix.from_rows(QQ, [r for b in blocks for r in b.row_list()])
-    assert stack.side_by_side(2).stacked(3) == stack
+    stack = Matrix.from_rows(QQ, [b.entries for b in blocks])
     a = mat(QQ, [[1, 1], [2, -1], [0, 5]])
-    assert lmul_blocks(a, stack) == Matrix.from_rows(
-        QQ, [r for b in blocks for r in (a * b).row_list()])
+    c = mat(QQ, [[1, 0], [2, 1], [0, -1]])
+    assert stack_lmul(a, stack) == Matrix.from_rows(QQ, [(a * b).entries for b in blocks])
+    assert stack_rmul(stack, c) == Matrix.from_rows(QQ, [(b * c).entries for b in blocks])
     s = Subspace.from_generators(QQ, 6, [b.entries for b in blocks])
-    assert s.stack_coordinates(s.basis_stack(3)).is_identity()
+    assert s.stack_coordinates(s.basis_stack()).is_identity()
     with pytest.raises(ShapeError):
-        stack.side_by_side(3)
+        stack_rmul(stack, Matrix.identity(QQ, 4))
+    with pytest.raises(ShapeError):
+        swap_slots(stack, 4, 1)
+    # the maps one below the other, and back
+    assert maps_of_stack(stack, 2) == vstack(QQ, 3, blocks)
+    assert stack_of_maps(vstack(QQ, 3, blocks), 2) == stack
+    # one map is re-read on the swapped domain only at its exact width
+    assert swap_factors(blocks[0].reshaped(1, 6), 2, 3) == swap_slots(stack, 2, 3).row_blocks(1)[0]
+    with pytest.raises(ShapeError):
+        swap_factors(stack, 3, 1)
+    assert swap_factors(Matrix.zeros(QQ, 2, 0), 0, 3) == Matrix.zeros(QQ, 2, 0)
+    # side by side, every block must have the stated rows
+    assert hstack(QQ, 2, blocks) == mat(QQ, [[1, 2, 0, 4, 0, 1], [0, 1, 3, 1, 1, 1]])
+    with pytest.raises(ShapeError):
+        hstack(QQ, 2, [blocks[0], Matrix.identity(QQ, 1)])
 
 
 # -- the sparse Kronecker accumulator ------------------------------------------
@@ -510,9 +526,9 @@ def test_stacks_and_index_permutations_match_dense(field, k, h, c, data):
     f = field
     d = data.draw(dense(f, k * h, c))
     s = of_dense(f, d, c)
+    # the row blocks of h rows side by side
     side = [[d[j * h + r][x] for j in range(k) for x in range(c)] for r in range(h)]
-    assert_matches(s.side_by_side(h), side, h, k * c)
-    assert s.side_by_side(h).stacked(c) == s
+    assert_matches(hstack(f, h, s.row_blocks(h)), side, h, k * c)
     flat = [a for r in d for a in r]
     assert_matches(s.reshaped(k, h * c), [flat[i * h * c:(i + 1) * h * c] for i in range(k)],
                    k, h * c)
@@ -590,8 +606,7 @@ def test_subspace_maps_match_dense(field, n, cols, data):
     s = Subspace.from_generators(f, n * cols, gens)
     basis = [list(v) for v in s.basis]
     assert_matches(s.basis_matrix(), dense_transpose(basis, s.dim, n * cols), n * cols, s.dim)
-    assert_matches(s.basis_stack(cols), [v[i * cols:(i + 1) * cols] for v in basis
-                                         for i in range(n)], s.dim * n, cols)
+    assert_matches(s.basis_stack(), basis, s.dim, n * cols)
     assert s.pivots() == [next(j for j, a in enumerate(v) if a != 0) for v in basis]
     # a member (a combination of the basis) and an arbitrary vector
     cs = data.draw(st.lists(scalars(f), min_size=s.dim, max_size=s.dim))
@@ -601,7 +616,7 @@ def test_subspace_maps_match_dense(field, n, cols, data):
     assert_matches(s.coordinate_matrix(vecs), [[c] for c in cs], s.dim, 1)
     in_s = old_rref(f, basis + [probe], s.dim + 1, n * cols)[1] == s.pivots()
     assert (s.coordinates(tuple(probe)) is not None) == in_s
-    assert s.stack_coordinates(s.basis_stack(cols)) == Matrix.identity(f, s.dim)
+    assert s.stack_coordinates(s.basis_stack()) == Matrix.identity(f, s.dim)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
@@ -689,11 +704,13 @@ def reindexed_forms(m, k, w):
     r, c = m.rows, m.cols
     forms = [(m.reshaped(r * k, c // k), m.reindexed(
                 r * k, c // k, lambda i, j: divmod(i * c + j, c // k))),
-             (m.stacked(w), m.reindexed(c // w * r, w, lambda i, j: (j // w * r + i, j % w)))]
+             # columns (p, i, j) in range(k) x range(w) x range(1) read as (p, j, i),
+             # and (p, i, j) in range(1) x range(k) x range(w) as (p, j, i)
+             (swap_slots(m, w, 1), m),
+             (swap_slots(m, k, w), m.reindexed(r, c, lambda i, j: (i, j % w * k + j // w)))]
     if r:
         h = r // k
-        forms += [(m.reshaped(h, c * k), m.reindexed(h, c * k, lambda i, j: divmod(i * c + j, c * k))),
-                  (m.side_by_side(h), m.reindexed(h, k * c, lambda i, j: (i % h, i // h * c + j)))]
+        forms.append((m.reshaped(h, c * k), m.reindexed(h, c * k, lambda i, j: divmod(i * c + j, c * k))))
     # g columns, neither a row split nor a row merge: the general reshape
     for g in [g for g in range(2, r * c) if r * c % g == 0 and c % g and g % c][:1]:
         forms.append((m.reshaped(r * c // g, g), m.reindexed(
@@ -705,10 +722,10 @@ def reindexed_forms(m, k, w):
 @settings(max_examples=80, deadline=None)
 @given(h=st.integers(0, 4), k=st.integers(1, 3), w=st.integers(1, 3), data=st.data())
 def test_index_kernels_match_their_reindexed_forms(field, h, k, w, data):
-    """reshaped (row split, row merge and the general case), side_by_side
-    and stacked on sparse matrices, 0-sized ones among them: each equals its
-    reindexed form with the same row order, every empty row is the shared
-    one, every other row a new dict, and no row dict of the source changes."""
+    """reshaped (row split, row merge and the general case) and swap_slots
+    on sparse matrices, 0-sized ones among them: each equals its reindexed
+    form with the same row order, every empty row is the shared one, every
+    other row a new dict, and no row dict of the source changes."""
     m = draw_sparse(data, field, k * h, k * w)
     m_rows, m_copies = m._rows, [dict(r) for r in m._rows]
     for got, want in reindexed_forms(m, k, w):
@@ -719,3 +736,81 @@ def test_index_kernels_match_their_reindexed_forms(field, h, k, w, data):
         assert not any(r is s for r in got._rows if r for s in m_rows)
     assert not linalg._EMPTY, "the shared empty row was written to"
     assert m._rows is m_rows and [dict(r) for r in m._rows] == m_copies
+
+
+# -- stacks of maps against per-map dense products and reshapes ------------------
+#
+# A stack holds maps F_b: k^x -> k^y as the rows vec(F_b); each reference
+# below builds every map as a dense y x x matrix and works map by map.
+
+def stack_of(f, maps, rows, cols):
+    return Matrix(f, len(maps), rows * cols, [a for m in maps for r in m for a in r])
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(0, 3), y=st.integers(1, 3), x=st.integers(1, 3), z=st.integers(1, 3),
+       data=st.data())
+def test_stack_products_match_per_map_dense_products(field, k, y, x, z, data):
+    """stack_rmul(S, C) is the stack of the F_b C, and stack_lmul(B, S) that
+    of the B F_b, for zero maps, empty stacks and scalars of every kind."""
+    f = field
+    maps = [data.draw(dense(f, y, x)) for _ in range(k)]
+    c, b = data.draw(dense(f, x, z)), data.draw(dense(f, z, y))
+    S = stack_of(f, maps, y, x)
+    right = [[a for r in dense_mul(f, m, c, x, z) for a in r] for m in maps]
+    left = [[a for r in dense_mul(f, b, m, y, x) for a in r] for m in maps]
+    assert_matches(stack_rmul(S, of_dense(f, c, z)), right, k, y * z)
+    assert_matches(stack_lmul(of_dense(f, b, y), S), left, k, z * x)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(0, 3), p=st.integers(1, 3), d1=st.integers(1, 3), d2=st.integers(1, 3),
+       data=st.data())
+def test_curry_uncurry_and_swap_are_inverse_column_permutations(field, k, p, d1, d2, data):
+    """On a stack of maps k^(d1 d2) -> k^p, swap_slots(., d1, d2) curries each
+    map F into G with G[a d2 + b, i] = F[a, i d2 + b] (the dense reshape),
+    swap_slots(., d2, d1) uncurries it back, and on one map of domain
+    V1 (x) V2 the same call re-reads it on V2 (x) V1."""
+    f = field
+    S = draw_sparse(data, f, k, p * d1 * d2)
+    T = swap_slots(S, d1, d2)
+    assert swap_slots(T, d2, d1) == S
+    for s_row, t_row in zip(S.row_list(), T.row_list()):
+        F = [s_row[a * d1 * d2:(a + 1) * d1 * d2] for a in range(p)]
+        curried = [[F[a][i * d2 + b] for i in range(d1)] for a in range(p) for b in range(d2)]
+        assert t_row == [v for r in curried for v in r]
+    m = draw_sparse(data, f, p, d1 * d2)
+    swapped = [[r[j % d1 * d2 + j // d1] for j in range(d1 * d2)] for r in m.row_list()]
+    assert_matches(swap_factors(m, d1, d2), swapped, p, d1 * d2)
+    assert swap_factors(swap_factors(m, d1, d2), d2, d1) == m
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 5), after=st.integers(1, 3), k=st.integers(1, 3), data=st.data())
+def test_basis_rows_and_stack_coordinates_round_trip(field, n, after, k, data):
+    """Maps k^after -> k^n with every column in a subspace s come back as
+    their coordinate maps, and the basis rows as the identity; one map
+    moved off s at a random entry makes the whole stack None, and
+    first_outside names that map."""
+    f = field
+    s = Subspace.from_generators(f, n, data.draw(dense(f, data.draw(st.integers(0, 4)), n)))
+    assert s.stack_coordinates(s.basis_stack()) == Matrix.identity(f, s.dim)
+    basis = [list(v) for v in s.basis]
+    coords = [data.draw(dense(f, s.dim, after)) for _ in range(k)]
+    maps = [[[sum_(f, (f.mul(c[r][t], basis[r][y]) for r in range(s.dim)))
+              for t in range(after)] for y in range(n)] for c in coords]
+    assert s.stack_coordinates(stack_of(f, maps, n, after), after) == \
+        stack_of(f, coords, s.dim, after)
+    assert s.first_outside(stack_of(f, [[[a] for a in r] for m in maps for r in zip(*m)],
+                                    n, 1)) is None
+    free = [y for y in range(n) if y not in s.pivots()]
+    if free:
+        b, y = data.draw(st.integers(0, k - 1)), data.draw(st.sampled_from(free))
+        t = data.draw(st.integers(0, after - 1))
+        maps[b][y][t] = f.add(maps[b][y][t], f.one)
+        assert s.stack_coordinates(stack_of(f, maps, n, after), after) is None
+        columns = [[[a] for a in col] for m in maps for col in zip(*m)]
+        assert s.first_outside(stack_of(f, columns, n, 1)) == b * after + t

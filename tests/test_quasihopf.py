@@ -1,5 +1,7 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from qha import quasihopf
 from qha.fields import prime_field
 from qha.linalg import Matrix
 from qha.quasihopf import (
@@ -244,16 +246,23 @@ def test_adjunction_roundtrips(parent, request):
 def test_adjunctions_act_on_stacks(parent, request):
     # a vertical stack of maps goes through each map in one call, and the
     # intertwiner checks see every map of the stack
+    # a stack of maps (stack=True) holds each map as its row vec(F)
     H, reg, _, triples, _ = _biclosed_inputs(request, parent)
+
+    def rows(maps):
+        return Matrix.from_rows(H.field, [m.entries for m in maps])
     for M, N, L in triples:
         fs = [random_intertwiner(H.tensor(M, N)[0], L, s) for s in (1, 2, 3)]
         gs = [zeta_l(f, M, N, L) for f in fs]
         assert zeta_l(vstack(fs), M, N, L) == vstack(gs)
         assert eta_l(vstack(gs), M, N, L) == vstack(fs)
+        assert zeta_l(rows(fs), M, N, L, stack=True) == rows(gs)
+        assert eta_l(rows(gs), M, N, L, stack=True) == rows(fs)
         fs = [random_intertwiner(H.tensor(N, M)[0], L, s) for s in (4, 5, 6)]
         gs = [zeta_r(f, N, M, L) for f in fs]
         assert zeta_r(vstack(fs), N, M, L) == vstack(gs)
         assert eta_r(vstack(gs), N, M, L) == vstack(fs)
+        assert eta_r(rows(gs), N, M, L, stack=True) == rows(fs)
     tens = H.tensor(reg, reg)[0]
     f = random_intertwiner(tens, reg, 1)
     bad = Matrix(H.field, reg.dim, tens.dim,
@@ -261,6 +270,52 @@ def test_adjunctions_act_on_stacks(parent, request):
     assert not is_intertwiner(bad, tens, reg)
     with pytest.raises(IntertwinerError):
         zeta_l(vstack([f, f, bad]), reg, reg, reg)
+
+
+def _moved(S, b, j):
+    """The stack S with 1 added at column j of its row (map) b."""
+    f = S.field
+    rows = [dict(S.row_map(i)) for i in range(S.rows)]
+    rows[b][j] = f.add(rows[b].get(j, f.zero), f.one)
+    return Matrix.from_rows(f, [[r.get(c, f.zero) for c in range(S.cols)] for r in rows])
+
+
+def _leaving_columns(S, b, src, dst):
+    """The columns at which a move of map b of the stack S leaves Hom_H(src, dst)."""
+    return [j for j in range(S.cols)
+            if not is_intertwiner(_moved(S, b, j).row_blocks(1)[b], src, dst, stack=True)]
+
+
+@pytest.mark.parametrize("name", ["kc2_q", "h4_q", "twisted_q"])
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_one_moved_map_fails_the_checks_of_zeta_and_eta(name, kc2_q, h4_q, twisted_q, data):
+    """One map of a stack moved off Hom_H at a random entry is refused with an
+    IntertwinerError by zeta_l and eta_l, at their input checks, and at
+    their output checks when the move is made just before them."""
+    H = locals()[name]
+    reg = regular_module(H)
+    tens = tensor_module(reg, reg)
+    fs = [random_intertwiner(tens, reg, s) for s in (1, 2, 3)]
+    S = Matrix.from_rows(H.field, [f.entries for f in fs])
+    G = zeta_l(S, reg, reg, reg, stack=True)
+    hom = left_hom(reg, reg)[0]
+    b = data.draw(st.integers(0, 2))
+    real = quasihopf.require_intertwiner
+    for fn, maps, ins, outs, what in ((zeta_l, S, (tens, reg), (reg, hom), "zeta_l"),
+                                      (eta_l, G, (reg, hom), (tens, reg), "eta_l")):
+        j = data.draw(st.sampled_from(_leaving_columns(maps, b, *ins)))
+        with pytest.raises(IntertwinerError, match="^%s input " % what):
+            fn(_moved(maps, b, j), reg, reg, reg, stack=True)
+        j = data.draw(st.sampled_from(_leaving_columns(fn(maps, reg, reg, reg, stack=True),
+                                                       b, *outs)))
+
+        def moved_output(T, src, dst, label):
+            return real(_moved(T, b, j) if label.endswith("output") else T, src, dst, label)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(quasihopf, "require_intertwiner", moved_output)
+            with pytest.raises(IntertwinerError, match="^%s output " % what):
+                fn(maps, reg, reg, reg, stack=True)
 
 
 def test_zeta_rejects_non_intertwiner(kc2_q):
