@@ -47,7 +47,8 @@ print("Hom^l(H, R) dim %d, Hom^r(H, R) dim %d (base-linear carriers)"
 print("\n== an adjunction roundtrip ==")
 tens, _ = tensor_over_base(reg, R)
 sp = hom_module_morphisms(tens, reg)
-fm = Matrix(F5, reg.dim, tens.dim, sp.basis[0])
+# f is a basis row of Hom_H(H (x)_R R, H), that is vec(f): a one-row stack
+fm = Matrix(F5, 1, reg.dim * tens.dim, sp.basis[0])
 g = zeta_l_algebroid(fm, reg, R, reg)
 print("eta^l(zeta^l(f)) = f:", eta_l_algebroid(g, reg, R, reg) == fm)
 

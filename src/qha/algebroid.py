@@ -37,7 +37,7 @@ from .reports import CheckReport
 from .quasihopf import (Algebra, HModule, QuasiHopfAlgebra, StructureError, max_tensor_dim,
                         shared, left_hom, right_hom, zeta_l, eta_l, zeta_r, eta_r,
                         lift_legs, check_antipode_pair, perm_mwv_to_mvw,
-                        _pair_products, _unit_row)
+                        _pair_products, _unit_row, _require_one_parent)
 
 
 def _opposite(mult, n: int):
@@ -287,8 +287,7 @@ def tensor_over_base(M: HModule, N: HModule):
     witness when the ambient diagonal action fails to preserve the
     relations (the action would then be ill-defined on the quotient).
     """
-    if M.parent is not N.parent:
-        raise StructureError("tensor factors must share a parent algebroid")
+    _require_one_parent("tensor over the base", M, N)
     H = M.parent
     f = H.field
     if M.dim * N.dim > max_tensor_dim():

@@ -20,7 +20,7 @@ carriers are the base-linear maps and the associativity maps are strict.
 
 from __future__ import annotations
 
-from .linalg import Matrix, stack_lmul, stack_of_maps, maps_of_stack
+from .linalg import Matrix, stack_lmul, stack_of_maps
 from .reports import CheckReport
 from .coefficients import Contramodule, tau_from_contramodule, hexagon_sides
 from .quasihopf import hom_module_morphisms, zeta_l, zeta_r, eta_r
@@ -80,8 +80,9 @@ def check_unitality(E: CenterElement) -> CheckReport:
     M = E.carrier
     unit = H.unit_object()
     zl, zr, _ = _adjunctions(H)
-    lhs = E.tau(unit) * zl(H.right_unitor(M), M, unit, M)
-    return CheckReport().add("unitality", lhs == zr(H.left_unitor(M), unit, M, M))
+    lhs = stack_lmul(E.tau(unit), zl(stack_of_maps(H.right_unitor(M), M.dim), M, unit, M))
+    rhs = zr(stack_of_maps(H.left_unitor(M), M.dim), unit, M, M)
+    return CheckReport().add("unitality", lhs == rhs)
 
 
 def check_stability_central(E: CenterElement) -> CheckReport:
@@ -92,8 +93,9 @@ def check_stability_central(E: CenterElement) -> CheckReport:
     M = E.carrier
     unit = H.unit_object()
     zl, _, er = _adjunctions(H)
-    g = E.tau(M) * zl(H.left_unitor(M), unit, M, M)
-    return CheckReport().add("stability_central", er(g, M, unit, M) == H.right_unitor(M))
+    g = stack_lmul(E.tau(M), zl(stack_of_maps(H.left_unitor(M), M.dim), unit, M, M))
+    rho = stack_of_maps(H.right_unitor(M), M.dim)
+    return CheckReport().add("stability_central", er(g, M, unit, M) == rho)
 
 
 def check_weakstrong(E: CenterElement, V) -> CheckReport:
@@ -102,19 +104,17 @@ def check_weakstrong(E: CenterElement, V) -> CheckReport:
     return CheckReport().add("tau_invertible", tau.rank() == tau.rows)
 
 
-def iota_apply(E: CenterElement, T, V, f_mat: Matrix, stack: bool = False) -> Matrix:
+def iota_apply(E: CenterElement, T, V, S: Matrix) -> Matrix:
     """The contratrace map Hom_H(T (x) V, M) -> Hom_H(V (x) T, M),
     f |-> eta^r(tau_V o zeta^l(f)).
 
-    f_mat is one intertwiner, or intertwiners one below the other (a stack
-    of them when stack), and the result their images in that layout; the
-    maps go through as one stack, so every module behind zeta^l, tau_V
+    S is a stack of intertwiners (one map is the one-row stack
+    ``stack_of_maps(f, dim M)``) and the result the stack of their images;
+    the maps go through together, so every module behind zeta^l, tau_V
     and eta^r is built once for all of them."""
     M = E.carrier
     zl, _, er = _adjunctions(E.parent)
-    S = f_mat if stack else stack_of_maps(f_mat, M.dim)
-    out = er(stack_lmul(E.tau(V), zl(S, T, V, M, stack=True)), V, T, M, stack=True)
-    return out if stack else maps_of_stack(out, M.dim)
+    return er(stack_lmul(E.tau(V), zl(S, T, V, M)), V, T, M)
 
 
 def contratrace_iota(E: CenterElement, T, V) -> Matrix:
@@ -126,7 +126,7 @@ def contratrace_iota(E: CenterElement, T, V) -> Matrix:
     vt, _ = H.tensor(V, T)
     dom = hom_module_morphisms(tv, M)
     cod = hom_module_morphisms(vt, M)
-    out = cod.stack_coordinates(iota_apply(E, T, V, dom.basis_stack(), stack=True))
+    out = cod.stack_coordinates(iota_apply(E, T, V, dom.basis_stack()))
     if out is None:
         raise ValueError("iota image left the intertwiner subspace")
     return out.transpose()

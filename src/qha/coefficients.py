@@ -27,7 +27,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from .linalg import (Matrix, Subspace, block_matrix, hstack, intertwiner_space, kron_sum,
-                     slot_apply, swap_factors, vstack)
+                     slot_apply, stack_of_maps, swap_factors, vstack)
 from .reports import CheckReport
 from .quasihopf import (HModule, IntertwinerError, StructureError, regular_module, is_intertwiner,
                         eps_p_q_beta_s_r, left_hom, right_hom, hom_carriers, right_hom_carrier,
@@ -337,7 +337,7 @@ def tau_from_contramodule(C: Contramodule, V: HModule) -> Matrix:
     on the hom carriers of the parent, verified to be a module morphism."""
     (hl, src), (hr, dst) = left_hom(V, C.carrier), right_hom(V, C.carrier)
     tau = _tau_on_carriers(C, V, src, dst)
-    if not is_intertwiner(tau, hl, hr):
+    if not is_intertwiner(stack_of_maps(tau, hr.dim), hl, hr):
         raise IntertwinerError("tau is not H-linear; aYD condition fails")
     return tau
 

@@ -34,7 +34,7 @@ from functools import cache, cached_property
 from itertools import accumulate
 
 from .fields import Field
-from .linalg import Matrix, block_matrix, kron_sum, stack_rmul
+from .linalg import Matrix, block_matrix, kron_sum, stack_of_maps, stack_rmul
 from .reports import CheckReport
 from .quasihopf import (QuasiHopfAlgebra, StructureError, build_scope,
                         hom_module_morphisms, is_intertwiner, shared)
@@ -126,8 +126,8 @@ def check_algebra_object(A: ModuleAlgebra) -> CheckReport:
     f = A.field
     V = A.carrier
     sq, rel = H.tensor(V, V)
-    rep.add("mult_is_morphism", is_intertwiner(A.mult, sq, V))
-    rep.add("unit_is_morphism", is_intertwiner(A.unit, H.unit_object(), V))
+    rep.add("mult_is_morphism", is_intertwiner(stack_of_maps(A.mult, V.dim), sq, V))
+    rep.add("unit_is_morphism", is_intertwiner(stack_of_maps(A.unit, V.dim), H.unit_object(), V))
     eye = Matrix.identity(f, V.dim)
     lhs = A.mult * _kron(A.mult, eye, H.tensor_relations(sq, V), rel)
     rhs = A.mult * _kron(eye, A.mult, H.tensor_relations(V, sq), rel) \
@@ -179,11 +179,11 @@ class TensorPowerChain:
             return Matrix.identity(f, self.mods[2].dim)
         factors = (A.carrier, self.mods[k - 1], A.carrier)
         step = H.associativity_inverse(*factors)
-        # square, so one product decides that the two maps are inverse
+        # square, so one product decides that the two maps are inverse; a
+        # failure is a failed identity of the input (a bad Phi^-1), not misuse
         if step.rows != step.cols or \
                 H.associativity(*factors) * step != Matrix.identity(f, step.rows):
-            raise StructureError("the associativity maps of A, L_%d, A are not inverse"
-                                 % (k - 1))
+            raise CocyclicError("associativity maps of A, L_(k-1), A are not inverse", k=k)
         front = H.tensor_relations(*factors)
         eye = Matrix.identity(f, A.carrier.dim)
         return _kron(self.rebracket_front(k - 1), eye, front, self.rels[k + 1]) * step
@@ -330,7 +330,7 @@ def _build_cocyclic(A: ModuleAlgebra, M: Contramodule, n_max: int) -> CocyclicMo
             # the order-one cyclic operator is forced to be the identity
             return Matrix.identity(f, spaces[0].dim)
         stack = stack_rmul(spaces[n].basis_stack(), chain.rebracket_front(n))
-        images = iota_apply(E, A.carrier, chain.mods[n], stack, stack=True)
+        images = iota_apply(E, A.carrier, chain.mods[n], stack)
         return coords(spaces[n], images, "cyclic operator", n=n)
 
     cyclics = [t_op(n) for n in range(n_max + 1)]

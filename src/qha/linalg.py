@@ -613,14 +613,11 @@ def swap_factors(m: Matrix, d1: int, d2: int) -> Matrix:
     return swap_slots(m, d1, d2)
 
 
-def stack_of_maps(f_mat: Matrix, rows: int) -> Matrix:
-    """One map, or maps of rows rows each one below the other, as a stack."""
-    return f_mat.reshaped(f_mat.rows // rows if rows else 0, rows * f_mat.cols)
-
-
-def maps_of_stack(S: Matrix, rows: int) -> Matrix:
-    """The maps of a stack, each of rows rows, one below the other."""
-    return S.reshaped(S.rows * rows, S.cols // rows if rows else 0)
+def stack_of_maps(F: Matrix, rows: int) -> Matrix:
+    """One map F: X -> Y with dim Y = rows, as the one-row stack vec(F)."""
+    if F.rows != rows:
+        raise ShapeError("map has %d rows, want %d" % (F.rows, rows))
+    return F.reshaped(1, F.rows * F.cols)
 
 
 class Subspace:

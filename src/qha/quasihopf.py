@@ -33,8 +33,8 @@ from functools import cached_property, reduce, wraps
 
 from .fields import Field
 from .linalg import (Matrix, Subspace, ShapeError, intertwiner_space, kron_sum,
-                     slot_apply, stack_lmul, stack_rmul, stack_of_maps, maps_of_stack,
-                     swap_factors, swap_slots, vstack, hstack, basis_vec, vec_scale)
+                     slot_apply, stack_lmul, stack_rmul, swap_factors, swap_slots, vstack,
+                     hstack, basis_vec, vec_scale)
 from .reports import CheckReport
 
 
@@ -511,6 +511,13 @@ def regular_module(H) -> HModule:
     return HModule(H, H.left_mults, name="regular")
 
 
+def _require_one_parent(what: str, V: HModule, *others: HModule):
+    """Raise unless the factors of the construction named what share the
+    parent of V: its actions are built from that one parent's structure."""
+    if any(X.parent is not V.parent for X in others):
+        raise StructureError("%s factors must share a parent" % what)
+
+
 # -- build-scoped sharing -----------------------------------------------------
 #
 # One cocyclic build asks for the same tensor products, base relations,
@@ -560,8 +567,7 @@ def shared(fn):
 @shared
 def tensor_module(V: HModule, W: HModule) -> HModule:
     """V (x) W with action a.(v (x) w) = a^1 v (x) a^2 w."""
-    if V.parent is not W.parent:
-        raise StructureError("tensor factors must share a parent algebra")
+    _require_one_parent("tensor", V, W)
     H = V.parent
     d = V.dim * W.dim
     if d > max_tensor_dim():
@@ -574,9 +580,7 @@ def tensor_module(V: HModule, W: HModule) -> HModule:
 
 def _triple_action(V: HModule, W: HModule, U: HModule, element: Matrix) -> Matrix:
     """The action on V (x) W (x) U of a one-row element of H^(x)3."""
-    for X in (W, U):
-        if X.parent is not V.parent:
-            raise StructureError("associator factors must share a parent algebra")
+    _require_one_parent("associator", V, W, U)
     H = V.parent
     d = V.dim * W.dim * U.dim
     return kron_sum(H.field, d, d, [(c, [V.mats[x], W.mats[y], U.mats[z]])
@@ -610,9 +614,9 @@ def associator_inverse(V: HModule, W: HModule, U: HModule) -> Matrix:
 # (``_swap_domain``).
 
 def _swap_domain(S: Matrix, src, dst, d1: int, d2: int) -> Matrix:
-    """Maps on the quotient src of V1 (x) V2 (dims d1, d2), in a stack or one
-    below the other, re-read on the quotient dst of V2 (x) V1; a carrier
-    that is None is the full tensor product."""
+    """The stack S of maps on the quotient src of V1 (x) V2 (dims d1, d2),
+    re-read on the quotient dst of V2 (x) V1; a carrier that is None is the
+    full tensor product."""
     if src is not None:
         S = stack_rmul(S, src.projector)
     S = swap_slots(S, d1, d2)
@@ -639,12 +643,11 @@ def _linearity_indices(V: HModule, W: HModule):
     return range(V.parent.dim)
 
 
-def is_intertwiner(f_mat: Matrix, src: HModule, dst: HModule, stack: bool = False) -> bool:
+def is_intertwiner(S: Matrix, src: HModule, dst: HModule) -> bool:
     """F rho_src(e_i) = rho_dst(e_i) F, two slot products, for every map F of
-    f_mat (one map or maps one below the other; a stack of maps when
-    stack) and, between genuine modules, the parent's generators e_i only
+    the stack S (a single map is the one-row stack ``stack_of_maps``) and,
+    between genuine modules, the parent's generators e_i only
     (``_linearity_indices``)."""
-    S = f_mat if stack else stack_of_maps(f_mat, dst.dim)
     if S.cols != dst.dim * src.dim:
         raise ShapeError("rows of length %d hold no maps %d -> %d" % (S.cols, src.dim, dst.dim))
     return all(stack_rmul(S, src.mats[i]) == stack_lmul(dst.mats[i], S)
@@ -653,7 +656,7 @@ def is_intertwiner(f_mat: Matrix, src: HModule, dst: HModule, stack: bool = Fals
 
 def require_intertwiner(S: Matrix, src: HModule, dst: HModule, what: str):
     """Raise unless every map of the stack S is H-linear (is_intertwiner)."""
-    if not is_intertwiner(S, src, dst, stack=True):
+    if not is_intertwiner(S, src, dst):
         raise IntertwinerError("%s is not an H-module morphism" % what)
 
 
@@ -663,8 +666,7 @@ def hom_module_morphisms(V: HModule, W: HModule) -> Subspace:
     genuine modules the commutation constraints are those of the parent's
     generators only (``_linearity_indices``): the same subspace, so the same
     canonical basis, from fewer equations."""
-    if V.parent is not W.parent:
-        raise StructureError("hom factors must share a parent algebra")
+    _require_one_parent("hom", V, W)
     pairs = [(V.mats[i], W.mats[i]) for i in _linearity_indices(V, W)]
     return intertwiner_space(V.parent.field, pairs, W.dim, V.dim)
 
@@ -674,8 +676,7 @@ def left_hom(V: HModule, M: HModule):
     """Hom^l(V, M) and its carrier: the action h.phi = h^1 phi(S(h^2) -) on
     Hom_k(V, M), for the parent's hom legs h^1 (x) h^2, read in the
     coordinates of the parent's carrier (None: all of Hom_k(V, M))."""
-    if V.parent is not M.parent:
-        raise StructureError("hom factors must share a parent algebra")
+    _require_one_parent("hom", V, M)
     H = V.parent
     carrier = H.hom_carrier(V, M)
     d = M.dim * V.dim
@@ -713,8 +714,7 @@ def hom_carriers(V: HModule, M: HModule):
 def eval_left(V: HModule, M: HModule) -> Matrix:
     """ev^l: Hom^l(V,M) (x) V -> M, phi (x) m |-> X( phi(S(Y) alpha Z m) ),
     the evaluation of a quasi-Hopf parent: the action of (id (x) alpha-hat)(Phi)."""
-    if V.parent is not M.parent:
-        raise StructureError("evaluation factors must share a parent algebra")
+    _require_one_parent("evaluation", V, M)
     H, n = V.parent, V.parent.dim
     rows = V.action.row_blocks(1)
     # column (a*dV + b)*dV + v: X e_a scaled by the (b, v) entry of S(Y) alpha Z
@@ -730,12 +730,12 @@ def eval_right(V: HModule, M: HModule) -> Matrix:
     return swap_factors(eval_left(V.cop, M.cop), M.dim * V.dim, V.dim)
 
 
-# zeta_l, eta_l, zeta_r and eta_r take one map, or maps one below the
-# other, and return their images so; with stack set, zeta_l, eta_l and
-# eta_r, the maps behind the cyclic operator (iota_apply), take and return
-# stacks of maps (see linalg), the one layout they compute in.
+# zeta_l, eta_l, zeta_r and eta_r take a stack of maps (see linalg) and
+# return the stack of their images: all maps of a family go through each
+# step at once, and the modules behind them are built once.  A single map
+# F: X -> Y is the one-row stack ``stack_of_maps(F, dim Y)``.
 
-def zeta_l(f_mat: Matrix, M: HModule, N: HModule, L: HModule, stack: bool = False) -> Matrix:
+def zeta_l(S: Matrix, M: HModule, N: HModule, L: HModule) -> Matrix:
     """zeta^l: Hom_H(M (x) N, L) -> Hom_H(M, Hom^l(N, L)), f |-> curry(f . proj . K),
     read in the coordinates of the carrier of Hom^l(N, L).
 
@@ -746,7 +746,6 @@ def zeta_l(f_mat: Matrix, M: HModule, N: HModule, L: HModule, stack: bool = Fals
     """
     H = M.parent
     tens, rel = H.tensor(M, N)
-    S = f_mat if stack else stack_of_maps(f_mat, L.dim)
     require_intertwiner(S, tens, L, "zeta_l input")
     hom, carrier = left_hom(N, L)
     if rel is not None:
@@ -759,10 +758,10 @@ def zeta_l(f_mat: Matrix, M: HModule, N: HModule, L: HModule, stack: bool = Fals
         if out is None:
             raise IntertwinerError("zeta_l image is not base-linear")
     require_intertwiner(out, M, hom, "zeta_l output")
-    return out if stack else maps_of_stack(out, hom.dim)
+    return out
 
 
-def eta_l(g_mat: Matrix, M: HModule, N: HModule, L: HModule, stack: bool = False) -> Matrix:
+def eta_l(S: Matrix, M: HModule, N: HModule, L: HModule) -> Matrix:
     """eta^l(g) = ev^l o (g (x) id): Hom_H(M, Hom^l(N, L)) -> Hom_H(M (x) N, L),
     g |-> uncurry(curry(ev) . basis . g) . lift.
 
@@ -773,7 +772,6 @@ def eta_l(g_mat: Matrix, M: HModule, N: HModule, L: HModule, stack: bool = False
     constant."""
     H = M.parent
     hom, carrier = left_hom(N, L)
-    S = g_mat if stack else stack_of_maps(g_mat, hom.dim)
     require_intertwiner(S, M, hom, "eta_l input")
     if carrier is not None:
         S = stack_lmul(carrier.basis_matrix(), S)
@@ -787,24 +785,24 @@ def eta_l(g_mat: Matrix, M: HModule, N: HModule, L: HModule, stack: bool = False
     if rel is not None and stack_rmul(out, rel.projector) != amb:
         raise StructureError("eta_l image not constant on relation classes")
     require_intertwiner(out, tens, L, "eta_l output")
-    return out if stack else maps_of_stack(out, L.dim)
+    return out
 
 
-def zeta_r(f_mat: Matrix, N: HModule, M: HModule, L: HModule) -> Matrix:
+def zeta_r(S: Matrix, N: HModule, M: HModule, L: HModule) -> Matrix:
     """zeta^r: Hom_H(N (x) M, L) -> Hom_H(M, Hom^r(N, L)), which is zeta^l
     over the co-opposite parent applied to f read on M (x) N: over a
     quasi-Hopf algebra f |-> (m |-> f(Y S^-1(beta) S^-1(X) - (x) Z m)),
     over an algebroid f |-> (m |-> f(- (x) m))."""
-    f_cop = _swap_domain(f_mat, N.parent.tensor_relations(N, M),
+    f_cop = _swap_domain(S, N.parent.tensor_relations(N, M),
                          M.cop.parent.tensor_relations(M.cop, N.cop), N.dim, M.dim)
     return zeta_l(f_cop, M.cop, N.cop, L.cop)
 
 
-def eta_r(g_mat: Matrix, N: HModule, M: HModule, L: HModule, stack: bool = False) -> Matrix:
+def eta_r(S: Matrix, N: HModule, M: HModule, L: HModule) -> Matrix:
     """eta^r(g) = ev^r o (id (x) g): Hom_H(M, Hom^r(N, L)) -> Hom_H(N (x) M, L),
     which is eta^l over the co-opposite parent read on the swapped tensor
     domain."""
-    return _swap_domain(eta_l(g_mat, M.cop, N.cop, L.cop, stack),
+    return _swap_domain(eta_l(S, M.cop, N.cop, L.cop),
                         M.cop.parent.tensor_relations(M.cop, N.cop),
                         N.parent.tensor_relations(N, M), M.dim, N.dim)
 

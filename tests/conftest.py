@@ -3,7 +3,7 @@ import random
 import pytest
 
 from qha.fields import rationals, prime_field
-from qha.linalg import Matrix, slot_apply
+from qha.linalg import Matrix, slot_apply, stack_of_maps
 from qha.quasihopf import (group_algebra, sweedler_h4, twisted_dual_group_algebra,
                            cyclic_group_table, symmetric_group_table,
                            z2_nontrivial_cocycle, z3_nontrivial_cocycle,
@@ -226,9 +226,9 @@ def random_invertible(f, n, rng):
             return m
 
 
-def vstack(maps):
-    """Maps of one shape as a vertical stack, one row block per map."""
-    return Matrix.from_rows(maps[0].field, [r for m in maps for r in m.row_list()])
+def stack(maps):
+    """Maps of one shape as a stack: row b is vec(F_b)."""
+    return Matrix.from_rows(maps[0].field, [m.entries for m in maps])
 
 
 def random_intertwiner(V, W, seed):
@@ -243,3 +243,10 @@ def random_intertwiner(V, W, seed):
         c = f.from_int(rng.randrange(1, 5))
         vec = [f.add(a, f.mul(c, x)) for a, x in zip(vec, b)]
     return Matrix(f, W.dim, V.dim, vec)
+
+
+def random_stack(V, W, seed):
+    """random_intertwiner(V, W, seed) as a one-row stack (its row is vec(f)),
+    or None when Hom_H(V, W) is zero."""
+    fm = random_intertwiner(V, W, seed)
+    return None if fm is None else stack_of_maps(fm, W.dim)

@@ -36,7 +36,7 @@ from qha.center import (CenterElement, check_hexagon, check_unitality,
 from qha.cyclic import (unit_algebra, build_cocyclic, verify_cocyclic_identities,
                         hochschild_cohomology, cyclic_cohomology)
 
-from conftest import random_module, random_invertible, random_intertwiner
+from conftest import random_module, random_invertible, random_stack
 from test_cyclic import (trivial_hopf, dual_numbers_algebra, dual_numbers_oracle,
                          functions_algebra)
 
@@ -188,13 +188,13 @@ def test_criterion_3_adjunction_roundtrips():
         mods = {d: random_module(H, d, 100 + d) for d in (1, 2, 3)}
         for d1, d2, d3 in itertools.product((1, 2, 3), repeat=3):
             M, N, L = mods[d1], mods[d2], mods[d3]
-            fm = random_intertwiner(tensor_module(M, N), L, d1 * 9 + d2 * 3 + d3)
+            fm = random_stack(tensor_module(M, N), L, d1 * 9 + d2 * 3 + d3)
             if fm is not None:
                 g = zeta_l(fm, M, N, L)
                 ok = ok and eta_l(g, M, N, L) == fm
                 ok = ok and zeta_l(eta_l(g, M, N, L), M, N, L) == g
                 tested += 1
-            fm = random_intertwiner(tensor_module(N, M), L,
+            fm = random_stack(tensor_module(N, M), L,
                                     500 + d1 * 9 + d2 * 3 + d3)
             if fm is not None:
                 g = zeta_r(fm, N, M, L)
@@ -206,14 +206,14 @@ def test_criterion_3_adjunction_roundtrips():
     for d1, d2, d3 in itertools.product((1, 2, 3), repeat=3):
         M, N, L = mods[d1], mods[d2], mods[d3]
         tens, _ = tensor_over_base(M, N)
-        fm = random_intertwiner(tens, L, d1 * 9 + d2 * 3 + d3)
+        fm = random_stack(tens, L, d1 * 9 + d2 * 3 + d3)
         if fm is not None:
             g = zeta_l_algebroid(fm, M, N, L)
             ok = ok and eta_l_algebroid(g, M, N, L) == fm
             ok = ok and zeta_l_algebroid(eta_l_algebroid(g, M, N, L), M, N, L) == g
             tested += 1
         tens, _ = tensor_over_base(N, M)
-        fm = random_intertwiner(tens, L, 700 + d1 * 9 + d2 * 3 + d3)
+        fm = random_stack(tens, L, 700 + d1 * 9 + d2 * 3 + d3)
         if fm is not None:
             g = zeta_r_algebroid(fm, N, M, L)
             ok = ok and eta_r_algebroid(g, N, M, L) == fm
@@ -401,7 +401,7 @@ def test_criterion_9_algebroid_suite():
     ok = ok and all(a == b for a, b in zip(left_hom(regq, regq)[0].mats, hla.mats))
     ok = ok and all(a == b for a, b in zip(right_hom(regq, regq)[0].mats, hra.mats))
     sp = hom_module_morphisms(tq, regq)
-    fm = Matrix(F5, regq.dim, tq.dim, sp.basis[0])
+    fm = Matrix(F5, 1, regq.dim * tq.dim, sp.basis[0])
     ok = ok and zeta_l(fm, regq, regq, regq) == zeta_l_algebroid(fm, rega, rega, rega)
     ok = ok and zeta_r(fm, regq, regq, regq) == zeta_r_algebroid(fm, rega, rega, rega)
     Cq = Contramodule(kq, evaluation_at_unit(kq), HOPF_MU)

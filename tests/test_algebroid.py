@@ -1,6 +1,6 @@
 import pytest
 
-from qha.linalg import Matrix
+from qha.linalg import Matrix, stack_of_maps, stack_rmul
 from qha.quasihopf import (trivial_module, regular_module, tensor_module,
                            left_hom, right_hom, zeta_l, eta_l, zeta_r, eta_r, hom_carriers,
                            hom_module_morphisms, check_module, is_intertwiner,
@@ -17,7 +17,7 @@ from qha.algebroid import (
     check_right_bialgebroid, check_hopf_algebroid)
 from qha.structures import serialize
 
-from conftest import QQ, F5, random_intertwiner, base_ring_t2
+from conftest import QQ, F5, random_stack, base_ring_t2
 
 
 def all_pass(H):
@@ -158,7 +158,7 @@ def test_unitors_are_module_isomorphisms(t2e_f5):
     for V in (regular_module(H), unit):
         for lam, tens in ((H.left_unitor(V), H.tensor(unit, V)[0]),
                           (H.right_unitor(V), H.tensor(V, unit)[0])):
-            assert is_intertwiner(lam, tens, V)
+            assert is_intertwiner(stack_of_maps(lam, V.dim), tens, V)
             assert lam.rows == lam.cols == V.dim == lam.rank()
 
 
@@ -299,10 +299,15 @@ def _unit_vec(f, n, i):
     return tuple(f.one if k == i else f.zero for k in range(n))
 
 
+def _image(S, vec):
+    """F(vec) for the map F of the one-row stack S: the row of vec(F . vec)."""
+    return stack_rmul(S, Matrix.from_cols(S.field, [vec])).row(0)
+
+
 def _assert_evaluates(ev, rel, basis, V, M, hom_first):
-    """ev on the quotient rel of Hom (x) V (hom_first) or V (x) Hom sends the
-    class of e_c (x) e_v, resp. e_v (x) e_c, to phi_c(v), phi_c the basis
-    map c of the hom carrier."""
+    """ev, a one-row stack, on the quotient rel of Hom (x) V (hom_first) or
+    V (x) Hom sends the class of e_c (x) e_v, resp. e_v (x) e_c, to
+    phi_c(v), phi_c the basis map c of the hom carrier."""
     f = V.parent.field
     bm, dh = basis.basis_matrix(), basis.dim
     for c in range(dh):
@@ -310,7 +315,7 @@ def _assert_evaluates(ev, rel, basis, V, M, hom_first):
         for v in range(V.dim):
             k = c * V.dim + v if hom_first else v * dh + c
             amb = _unit_vec(f, dh * V.dim, k)
-            assert ev.apply(rel.projector.apply(amb)) == phi.col(v)
+            assert _image(ev, rel.projector.apply(amb)) == phi.col(v)
 
 
 def test_evaluations_are_morphisms(env_f5, t2e_f5):
@@ -325,12 +330,12 @@ def test_evaluations_are_morphisms(env_f5, t2e_f5):
             pairs.insert(0, (reg, reg))
         for V, M in pairs:
             hl, bl = left_hom(V, M)
-            ev = eta_l(Matrix.identity(f, hl.dim), hl, V, M)
+            ev = eta_l(stack_of_maps(Matrix.identity(f, hl.dim), hl.dim), hl, V, M)
             tens, rel = tensor_over_base(hl, V)
             assert is_intertwiner(ev, tens, M)
             _assert_evaluates(ev, rel, bl, V, M, hom_first=True)
             hr, br = right_hom(V, M)
-            evr = eta_r(Matrix.identity(f, hr.dim), V, hr, M)
+            evr = eta_r(stack_of_maps(Matrix.identity(f, hr.dim), hr.dim), V, hr, M)
             tens, rel = tensor_over_base(V, hr)
             assert is_intertwiner(evr, tens, M)
             _assert_evaluates(evr, rel, br, V, M, hom_first=False)
@@ -344,14 +349,14 @@ def test_right_hand_maps_act_on_the_second_factor(env_f5, t2e_f5):
         f = H.field
         for N, M, L in [(reg, R, reg), (R, reg, reg)]:
             tens, rel = tensor_over_base(N, M)
-            fm = random_intertwiner(tens, L, 7)
+            fm = random_stack(tens, L, 7)
             g = zeta_r_algebroid(fm, N, M, L)
             bm = right_hom_algebroid(N, L)[1].basis_matrix()
             for i in range(M.dim):
-                phi = Matrix(f, L.dim, N.dim, bm.apply(g.col(i)))
+                phi = Matrix(f, L.dim, N.dim, bm.apply(_image(g, _unit_vec(f, M.dim, i))))
                 for j in range(N.dim):
                     amb = _unit_vec(f, N.dim * M.dim, j * M.dim + i)
-                    assert phi.col(j) == fm.apply(rel.projector.apply(amb))
+                    assert phi.col(j) == _image(fm, rel.projector.apply(amb))
 
 
 def test_scalar_base_reduces_to_quasihopf(kc2_f5):
@@ -369,7 +374,7 @@ def test_scalar_base_reduces_to_quasihopf(kc2_f5):
     (hrq, _), (hra, _) = right_hom(regq, regq), right_hom_algebroid(rega, rega)
     assert all(a == b for a, b in zip(hrq.mats, hra.mats))
     sp = hom_module_morphisms(tq, regq)
-    fm = Matrix(F5, regq.dim, tq.dim, sp.basis[0])
+    fm = Matrix(F5, 1, regq.dim * tq.dim, sp.basis[0])
     assert zeta_l(fm, regq, regq, regq) == zeta_l_algebroid(fm, rega, rega, rega)
     assert zeta_r(fm, regq, regq, regq) == zeta_r_algebroid(fm, rega, rega, rega)
     ga = zeta_l_algebroid(fm, rega, rega, rega)

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +11,12 @@ from qha.algebroid import enveloping_algebroid, base_ring_dual_numbers
 from qha.coefficients import Contramodule, evaluation_at_unit, HOPF_MU
 
 from conftest import F5
+
+
+def _load(path):
+    """The JSON document at path, read through a file that is closed again."""
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 @pytest.fixture()
@@ -49,7 +56,7 @@ def test_roundtrip_contramodule(tmp_path, kc2_file):
 
 def test_check_exit_codes(tmp_path, kc2_file, capsys):
     assert main(["check", kc2_file, "--reproducible"]) == 0
-    doc = json.load(open(kc2_file))
+    doc = _load(kc2_file)
     doc["counit"] = ["1", "0"]      # breaks the counit algebra-map axiom
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
@@ -65,7 +72,7 @@ def test_non_prime_characteristic(tmp_path, capsys):
 
 
 def test_dimension_mismatch_names_the_field(tmp_path, kc2_file, capsys):
-    doc = json.load(open(kc2_file))
+    doc = _load(kc2_file)
     doc["mult"][0][0] = ["1"]       # wrong row length
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
@@ -75,7 +82,7 @@ def test_dimension_mismatch_names_the_field(tmp_path, kc2_file, capsys):
 
 
 def test_scalar_parse_error(tmp_path, kc2_file, capsys):
-    doc = json.load(open(kc2_file))
+    doc = _load(kc2_file)
     doc["unit"][0] = "one half"
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
@@ -98,7 +105,7 @@ def test_ayd_and_stability_commands(tmp_path, kc2_file):
     assert main(["ayd", kc2_file, str(coeff), "--reproducible"]) == 0
     assert main(["stability", kc2_file, str(coeff), "--reproducible"]) == 0
     # scaled contraaction fails stability with exit code 1
-    doc = json.load(open(coeff))
+    doc = _load(coeff)
     doc["contraaction"][0] = [[str(2 * int(x)) for x in row]
                               for row in doc["contraaction"][0]]
     bad = tmp_path / "scaled.json"
@@ -125,7 +132,7 @@ def _failed_checks(capsys):
 def test_cohomology_reports_failed_inputs_as_failed_checks(tmp_path, kc2_file, capsys):
     unit_a, coeff = _kc2_cohomology_inputs(tmp_path, kc2_file)
     # the scaled contraaction of test_ayd_and_stability_commands
-    doc = json.load(open(coeff))
+    doc = _load(coeff)
     doc["contraaction"][0] = [[str(2 * int(x)) for x in row]
                               for row in doc["contraaction"][0]]
     scaled = tmp_path / "scaled.json"
@@ -136,7 +143,7 @@ def test_cohomology_reports_failed_inputs_as_failed_checks(tmp_path, kc2_file, c
     assert _failed_checks(capsys) == [
         ("coefficient_stable", {"relation": "stability", "m": 0})]
     # a doubled multiplication of k breaks both unit laws, one entry each
-    doc = json.load(open(unit_a))
+    doc = _load(unit_a)
     doc["mult"] = [[str(2 * int(x)) for x in row] for row in doc["mult"]]
     doubled = tmp_path / "doubled.json"
     doubled.write_text(json.dumps(doc))
@@ -163,6 +170,40 @@ def test_cohomology_reports_broken_identity_as_failed_check(tmp_path, kc2_file,
         ("cocyclic_identities", {"relation": "coface relation", "n": 1, "i": 0, "j": 2})]
 
 
+def _with_phi_inv_entry(doc, value):
+    """doc with phi_inv[0] set to value in it and in every embedded parent."""
+    if "phi_inv" in doc:
+        doc["phi_inv"][0] = value
+    if isinstance(doc.get("parent"), dict):
+        _with_phi_inv_entry(doc["parent"], value)
+    return doc
+
+
+def test_cohomology_reports_a_phi_inverse_that_is_not_one_as_failed_check(tmp_path, kc2_file,
+                                                                           capsys):
+    # phi_inv[0] = 2 in the structure and in both embedded parents: the
+    # rebracketing of the tensor powers needs Phi^-1, and a stored Phi^-1
+    # that does not invert Phi is a failed identity (exit 1), as in qha check
+    unit_a, coeff = _kc2_cohomology_inputs(tmp_path, kc2_file)
+    bad = []
+    for path in (kc2_file, unit_a, coeff):
+        out = tmp_path / ("bad_" + Path(path).name)
+        out.write_text(json.dumps(_with_phi_inv_entry(_load(path), "2")))
+        bad.append(str(out))
+    capsys.readouterr()
+    assert main(["check", bad[0], "--reproducible"]) == 1
+    assert ("phi_invertible", None) in _failed_checks(capsys)
+    assert main(["cohomology", *bad, "--degree", "2", "--reproducible"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    out = json.loads(captured.out)
+    assert out["pass"] is False and "dims" not in out
+    assert [c for c in out["checks"] if not c["pass"]] == [
+        {"check": "cocyclic_identities", "pass": False,
+         "counterexample": {"relation": "associativity maps of A, L_(k-1), A are not inverse",
+                            "k": 2}}]
+
+
 def test_incompatible_kinds_usage_error(tmp_path, kc2_file, capsys):
     env = tmp_path / "env.json"
     assert main(["generate", "enveloping_dual_numbers", "--out", str(env)]) == 0
@@ -183,8 +224,8 @@ def test_convert_roundtrip_bytes(tmp_path):
     assert main(["convert", str(coeff), "--to", "typeII", "--out", str(two)]) == 0
     assert main(["convert", str(two), "--to", "typeI", "--out", str(back),
                  "--name", "trivialM"]) == 0
-    a = json.load(open(coeff))
-    b = json.load(open(back))
+    a = _load(coeff)
+    b = _load(back)
     assert a["contraaction"] == b["contraaction"]
 
 
@@ -501,7 +542,7 @@ def test_report_out_file_holds_the_stdout_bytes(tmp_path, kc2_file, capsys):
 
 
 def test_pretty_lists_counterexamples_by_name_and_dims(tmp_path, kc2_file, capsys):
-    doc = json.load(open(kc2_file))
+    doc = _load(kc2_file)
     doc["counit"] = ["1", "0"]
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
@@ -518,7 +559,7 @@ def test_pretty_lists_counterexamples_by_name_and_dims(tmp_path, kc2_file, capsy
     assert main(["generate", "twisted_dual_z2", "--out", str(tw)]) == 0
     assert main(["generate", "trivial_contramodule", "--structure", str(tw),
                  "--out", str(coeff)]) == 0
-    doc = json.load(open(coeff))
+    doc = _load(coeff)
     doc["contraaction"] = [[["1", "2"]]]
     coeff.write_text(json.dumps(doc))
     capsys.readouterr()
@@ -538,7 +579,7 @@ def test_pretty_lists_counterexamples_by_name_and_dims(tmp_path, kc2_file, capsy
 
 
 def _canonical(path):
-    return json.dumps(json.load(open(path)), sort_keys=True) + "\n"
+    return json.dumps(_load(path), sort_keys=True) + "\n"
 
 
 def test_convert_to_own_flavor_and_to_stdout(tmp_path, capsys):
@@ -574,7 +615,7 @@ def test_module_algebra_unit_as_flat_list(tmp_path):
     H = twisted_dual_group_algebra(QQ, cyclic_group_table(2), z2_nontrivial_cocycle(QQ))
     path, flat = tmp_path / "a.json", tmp_path / "flat.json"
     write_structure(str(path), graded_dual_numbers(H, 1), "A")
-    doc = json.load(open(path))
+    doc = _load(path)
     assert doc["unit"] == [["1"], ["0"]]
     doc["unit"] = ["1", "0"]
     flat.write_text(json.dumps(doc))

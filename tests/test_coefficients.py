@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from qha.linalg import Matrix
+from qha.linalg import Matrix, stack_of_maps
 from qha.quasihopf import (trivial_module, regular_module, tensor_module, element_legs,
                            left_hom, right_hom, is_intertwiner, IntertwinerError)
 from qha.coefficients import (
@@ -99,7 +99,8 @@ def test_tau_theta_hopf(kc2_q):
     reg = regular_module(kc2_q)
     tau, theta = tau_theta_hopf(C, reg)
     assert (tau * theta).is_identity() and (theta * tau).is_identity()
-    assert is_intertwiner(tau, left_hom(reg, C.carrier)[0], right_hom(reg, C.carrier)[0])
+    hl, hr = left_hom(reg, C.carrier)[0], right_hom(reg, C.carrier)[0]
+    assert is_intertwiner(stack_of_maps(tau, hr.dim), hl, hr)
     # V = k: tau is the identity
     tau_k, _ = tau_theta_hopf(C, trivial_module(kc2_q))
     assert tau_k.is_identity()

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from qha.fields import prime_field
-from qha.linalg import Matrix
+from qha.linalg import Matrix, stack_of_maps
 from qha.quasihopf import (group_algebra, cyclic_group_table, trivial_module,
                            HModule, StructureError, associator, build_scope)
 from qha.algebroid import (enveloping_algebroid, base_ring_dual_numbers,
@@ -442,17 +442,19 @@ def test_tensor_power_chain_refuses_a_dimension_over_the_cap(kc2_q, monkeypatch)
 def test_rebracketing_refuses_a_stored_phi_inverse_that_is_not_one(twisted_z3_f7):
     """Phi^-1 is read from the parent, so a parent whose stored Phi^-1 is
     Phi itself (w(1, 1, 1) is a primitive cube root of unity) is refused by
-    the product check of the rebracketing."""
+    the product check of the rebracketing, with the relation and k."""
     from qha.quasihopf import QuasiHopfAlgebra
-    from qha.cyclic import TensorPowerChain
+    from qha.cyclic import CocyclicError, TensorPowerChain
     from conftest import graded_dual_numbers
     H = twisted_z3_f7
     bad = QuasiHopfAlgebra(H.field, H.dim, H.mult, H.unit, H.comult, H.counit, H.antipode,
                            H.antipode_inv, H.phi, H.phi, H.alpha, H.beta, name="bad")
     chain = TensorPowerChain(graded_dual_numbers(bad, 1), 3)
     assert chain.rebracket_front(1).is_identity()
-    with pytest.raises(StructureError, match="^the associativity maps of A, L_1, A are not"):
+    with pytest.raises(CocyclicError) as err:
         chain.rebracket_front(2)
+    assert err.value.relation == "associativity maps of A, L_(k-1), A are not inverse"
+    assert err.value.indices == (("k", 2),)
     good = TensorPowerChain(graded_dual_numbers(H, 1), 3)
     assert good.rebracket_front(2) == \
         associator(*(good.A.carrier,) * 3).inverse()
@@ -579,7 +581,8 @@ def reference_cocyclic(A, M, n_max):
     for n in range(1, n_max + 1):
         r_n = chain.rebracket_front(n)
         cyclics.append(in_coordinates(spaces[n], [
-            iota_apply(E, A.carrier, chain.mods[n], Matrix(f, d, r_n.rows, b) * r_n)
+            iota_apply(E, A.carrier, chain.mods[n],
+                       stack_of_maps(Matrix(f, d, r_n.rows, b) * r_n, d))
             for b in spaces[n].basis]))
     cofaces = [[precompose(spaces[n], spaces[n + 1], _mult_map(chain, n + 2, i))
                 for i in range(n + 1)] for n in range(n_max)]
@@ -651,8 +654,8 @@ def test_the_first_map_that_leaves_its_space_is_the_witness(kc2_q, monkeypatch):
     from qha.quasihopf import hom_module_morphisms
     real = qha.cyclic.iota_apply
     for b in (0, 2, 3):
-        def moved(E, T, V, maps, stack=False):
-            out = real(E, T, V, maps, stack=stack)
+        def moved(E, T, V, maps):
+            out = real(E, T, V, maps)
             if V.dim != 4:
                 return out
             space = hom_module_morphisms(kc2_q.tensor(V, T)[0], E.carrier)

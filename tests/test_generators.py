@@ -13,13 +13,13 @@ from hypothesis import given, settings, strategies as st
 
 from qha import quasihopf
 from qha.fields import prime_field
-from qha.linalg import Matrix, intertwiner_space
+from qha.linalg import Matrix, intertwiner_space, stack_of_maps
 from qha.quasihopf import (HModule, IntertwinerError, QuasiHopfAlgebra, group_algebra,
                            cyclic_group_table, hom_module_morphisms, is_intertwiner,
                            left_hom, require_intertwiner, right_hom, tensor_module,
                            trivial_module, validate_structure)
 
-from conftest import random_module, vstack
+from conftest import random_module, stack
 
 F7 = prime_field(7)
 
@@ -78,8 +78,7 @@ def _all_basis_space(V, W):
 
 
 def _all_basis_check(f_mat, V, W):
-    return all(f_mat * V.mats[i] == vstack([W.mats[i] * b for b in f_mat.row_blocks(W.dim)])
-               for i in range(V.parent.dim))
+    return all(f_mat * V.mats[i] == W.mats[i] * f_mat for i in range(V.parent.dim))
 
 
 def _module(H, kind, data):
@@ -117,8 +116,9 @@ def test_generators_decide_what_the_whole_basis_decides(
             k = data.draw(st.integers(0, len(vec) - 1))
             vec[k] = f.add(vec[k], f.one)
         maps.append(Matrix(f, W.dim, V.dim, vec))
-    for m in maps + [vstack(maps)]:
-        assert is_intertwiner(m, V, W) == _all_basis_check(m, V, W)
+    for m in maps:
+        assert is_intertwiner(stack_of_maps(m, W.dim), V, W) == _all_basis_check(m, V, W)
+    assert is_intertwiner(stack(maps), V, W) == all(_all_basis_check(m, V, W) for m in maps)
 
 
 # -- a carrier that is not a module --------------------------------------------
@@ -140,9 +140,9 @@ def test_a_non_module_is_decided_over_every_basis_element(kc3_f7):
     eye = Matrix.identity(F7, 2)
     assert W.genuine and not V.genuine
     assert all(eye * V.mats[i] == W.mats[i] * eye for i in kc3_f7.generators)
-    assert not is_intertwiner(eye, V, W)
+    assert not is_intertwiner(stack_of_maps(eye, 2), V, W)
     with pytest.raises(IntertwinerError):
-        require_intertwiner(eye.reshaped(1, eye.rows * eye.cols), V, W, "identity")
+        require_intertwiner(stack_of_maps(eye, 2), V, W, "identity")
     space = hom_module_morphisms(V, W)
     assert space == _all_basis_space(V, W)
     assert space.coordinates(eye.entries) is None
@@ -150,5 +150,5 @@ def test_a_non_module_is_decided_over_every_basis_element(kc3_f7):
     k = trivial_module(kc3_f7)
     VK = tensor_module(V, k)
     assert not VK.genuine and not VK.cop.genuine
-    assert not is_intertwiner(eye, VK, W)
+    assert not is_intertwiner(stack_of_maps(eye, 2), VK, W)
     assert hom_module_morphisms(VK, W) == _all_basis_space(VK, W)

@@ -18,7 +18,7 @@ from qha.algebroid import HopfAlgebroid, base_module, base_ring_dual_numbers, en
 from qha.coefficients import Contramodule, evaluation_at_unit, HOPF_MU, ALGEBROID_MU
 from qha.cyclic import unit_algebra
 
-from conftest import QQ
+from conftest import QQ, F5
 
 
 KC2 = group_algebra(QQ, cyclic_group_table(2), "kC2")
@@ -226,3 +226,69 @@ def test_embedded_parent_field_is_read(tmp_path, capsys, field, message):
     _set(["parent", "field"], field)(doc)
     bad.write_text(json.dumps(doc))
     assert _run(capsys, ["ayd", str(struct), str(bad)]) == (2, "", message + "\n")
+
+
+# -- every refusal of the structure-file reader -------------------------------------
+#
+# One case per raise of qha.structures that no other test reaches: each file
+# is refused with exit 2, its error code and the path the error happened at.
+
+KC2_F5 = group_algebra(F5, cyclic_group_table(2), "kC2")
+
+
+def _edited(obj, edit):
+    """The text of obj's document after edit."""
+    def text():
+        doc = serialize(obj, "x")
+        edit(doc)
+        return json.dumps(doc)
+    return text
+
+
+def _drop_last(*path):
+    """An edit that removes the last item of the list at path."""
+    def edit(doc):
+        for key in path:
+            doc = doc[key]
+        doc.pop()
+    return edit
+
+
+@pytest.mark.parametrize("command, text, code, where", [
+    ("check", None, "io", "$"),
+    ("check", lambda: "{", "json", "$"),
+    ("check", lambda: "[]", "schema", "$"),
+    ("check", _edited(_coefficient(KC2), _set(["kind"], "ring")), "schema", "$.kind"),
+    ("check", _edited(trivial_module(KC2), _set(["parent"], None)), "schema", "$"),
+    ("ayd", _edited(_coefficient(KC2_F5), _set(["parent"], None)),
+     "incompatible_kinds", "$.field"),
+    ("check", _edited(_coefficient(KC2), _set(["parent", "kind"], "module")),
+     "schema", "$.parent"),
+    ("check", _edited(_coefficient(KC2), _set(["flavor"], "typeIII")), "schema", "$.flavor"),
+    ("check", _edited(_coefficient(KC2), _drop_last("contraaction")),
+     "dimension_mismatch", "$.contraaction"),
+    ("check", _edited(_coefficient(KC2), _set(["flavor"], ALGEBROID_MU)),
+     "incompatible_kinds", "$.flavor"),
+    ("check", _edited(unit_algebra(ENV), _set(["mult"], [["0", "1", "0", "0"],
+                                                         ["0", "0", "0", "0"]])),
+     "dimension_mismatch", "$.mult"),
+    ("check", _edited(KC2, _drop_last("antipode")), "dimension_mismatch", "$.antipode"),
+    ("check", _edited(KC2, _drop_last("mult")), "dimension_mismatch", "$.mult"),
+    ("check", _edited(KC2, _drop_last("comult")), "dimension_mismatch", "$.comult"),
+    ("check", _edited(trivial_module(KC2), _drop_last("action")),
+     "dimension_mismatch", "$.action"),
+    ("check", _edited(KC2, _set(["field"], {"type": "R"})), "schema", "$.field"),
+], ids=["io", "json", "top-level-not-object", "unknown-kind", "no-parent",
+        "field-differs-from-supplied-parent", "embedded-parent-kind", "unknown-flavor",
+        "contraaction-slices", "flavor-of-other-parent-kind", "algebroid-mult-not-constant",
+        "matrix-rows", "tensor3-slices", "rows-count", "action-slices", "unknown-field-type"])
+def test_structure_file_errors_name_their_code_and_path(tmp_path, capsys, command, text,
+                                                        code, where):
+    struct, bad = tmp_path / "H.json", tmp_path / "bad.json"
+    write_structure(str(struct), KC2, "H")
+    if text is not None:
+        bad.write_text(text())
+    argv = ["check", str(bad)] if command == "check" else [command, str(struct), str(bad)]
+    exit_code, out, err = _run(capsys, argv)
+    assert (exit_code, out) == (2, "")
+    assert err.startswith("error [%s]: %s at %s: " % (code, code, where)), err

@@ -10,7 +10,7 @@ from qha.fields import FieldError, rationals, prime_field
 from qha.linalg import (Matrix, Subspace, ShapeError,
                         quotient_section, tensor_index, intertwiner_space,
                         kron_sum, block_matrix, hstack, vstack, stack_lmul, stack_rmul,
-                        swap_slots, swap_factors, stack_of_maps, maps_of_stack)
+                        swap_slots, swap_factors, stack_of_maps)
 
 QQ = rationals()
 F2 = prime_field(2)
@@ -274,9 +274,10 @@ def test_stacks_of_maps():
         stack_rmul(stack, Matrix.identity(QQ, 4))
     with pytest.raises(ShapeError):
         swap_slots(stack, 4, 1)
-    # the maps one below the other, and back
-    assert maps_of_stack(stack, 2) == vstack(QQ, 3, blocks)
-    assert stack_of_maps(vstack(QQ, 3, blocks), 2) == stack
+    # one map is the one-row stack of vec(F); maps one below the other are not
+    assert stack_of_maps(blocks[1], 2) == stack.row_blocks(1)[1]
+    with pytest.raises(ShapeError):
+        stack_of_maps(vstack(QQ, 3, blocks), 2)
     # one map is re-read on the swapped domain only at its exact width
     assert swap_factors(blocks[0].reshaped(1, 6), 2, 3) == swap_slots(stack, 2, 3).row_blocks(1)[0]
     with pytest.raises(ShapeError):

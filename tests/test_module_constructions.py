@@ -7,10 +7,11 @@ one by one, straight from the defining formulas.
 
 import pytest
 
-from qha.linalg import Matrix
+from qha.linalg import Matrix, stack_of_maps
 from qha.quasihopf import (QuasiHopfAlgebra, regular_module, trivial_module, tensor_module,
                            associator, associator_inverse, left_hom, right_hom, zeta_l,
-                           element_legs)
+                           element_legs, hom_module_morphisms, eval_left, group_algebra,
+                           cyclic_group_table, StructureError)
 from qha.algebroid import (base_ring_dual_numbers, enveloping_algebroid,
                            base_module, tensor_over_base,
                            module_tensor_relations, left_hom_algebroid,
@@ -162,7 +163,8 @@ def test_zeta_l_matches_dense_reference(quasi):
     for M, N, L in [(reg, rand, reg), (rand, reg, rand), (reg, reg, triv)]:
         f_mat = random_intertwiner(tensor_module(M, N), L, seed=3)
         if f_mat is not None:
-            assert zeta_l(f_mat, M, N, L) == dense_zeta_l(f_mat, M, N, L)
+            dense = dense_zeta_l(f_mat, M, N, L)
+            assert zeta_l(stack_of_maps(f_mat, L.dim), M, N, L) == stack_of_maps(dense, dense.rows)
             checked += 1
     assert checked >= 2
 
@@ -213,3 +215,28 @@ def test_cop_view_is_kept_once_per_module(which, twisted_q):
     right_hom(V, M)
     assert (V.cop, M.cop) == views
     assert all(X.action is a for X, a in zip(views, actions))
+
+
+# -- factors over two parents --------------------------------------------------------
+#
+# Two parents built alike are still two parents: every construction that
+# builds actions or maps from the structure of one parent refuses factors
+# over another, and names itself in the error.
+
+@pytest.mark.parametrize("construction, what", [
+    (tensor_module, "tensor"),
+    (lambda V, W: associator(V, V, W), "associator"),
+    (hom_module_morphisms, "hom"),
+    (left_hom, "hom"),
+    (eval_left, "evaluation"),
+    (tensor_over_base, "tensor over the base"),
+], ids=["tensor_module", "associator", "hom_module_morphisms", "left_hom", "eval_left",
+        "tensor_over_base"])
+def test_factors_over_two_parents_are_refused(construction, what):
+    if construction is tensor_over_base:
+        parents = [enveloping_algebroid(base_ring_dual_numbers(F5)) for _ in range(2)]
+    else:
+        parents = [group_algebra(F5, cyclic_group_table(2), "kC2") for _ in range(2)]
+    V, W = (regular_module(H) for H in parents)
+    with pytest.raises(StructureError, match="^%s factors must share a parent$" % what):
+        construction(V, W)

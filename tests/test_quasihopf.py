@@ -3,7 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from qha import quasihopf
 from qha.fields import prime_field
-from qha.linalg import Matrix
+from qha.linalg import Matrix, stack_of_maps
 from qha.quasihopf import (
     QuasiHopfAlgebra, GroupTableError, StructureError, IntertwinerError,
     group_algebra, sweedler_h4, twisted_dual_group_algebra,
@@ -16,7 +16,7 @@ from qha.quasihopf import (
     max_tensor_dim)
 
 
-from conftest import QQ, F5, random_intertwiner, vstack
+from conftest import QQ, F5, random_intertwiner, random_stack, stack
 
 
 def all_checks_pass(H):
@@ -131,7 +131,7 @@ def test_associator_twisted_diagonal_and_intertwiner(twisted_q):
                 assert v == 0
     lhs = tensor_module(tensor_module(reg, reg), reg)
     rhs = tensor_module(reg, tensor_module(reg, reg))
-    assert is_intertwiner(a, lhs, rhs)
+    assert is_intertwiner(stack_of_maps(a, rhs.dim), lhs, rhs)
     assert (a * a.inverse()).is_identity()
 
 
@@ -191,13 +191,13 @@ def test_evaluations_are_intertwiners(algebra, kc2_q, h4_q, twisted_q):
     for V in (trivial_module(H), regular_module(H)):
         for M in (trivial_module(H), regular_module(H)):
             hl, _ = left_hom(V, M)
-            ev = eta_l(Matrix.identity(H.field, hl.dim), hl, V, M)
+            ev = eta_l(stack_of_maps(Matrix.identity(H.field, hl.dim), hl.dim), hl, V, M)
             assert is_intertwiner(ev, tensor_module(hl, V), M)
-            assert ev == eval_left(V, M)
+            assert ev == stack_of_maps(eval_left(V, M), M.dim)
             hr, _ = right_hom(V, M)
-            evr = eta_r(Matrix.identity(H.field, hr.dim), V, hr, M)
+            evr = eta_r(stack_of_maps(Matrix.identity(H.field, hr.dim), hr.dim), V, hr, M)
             assert is_intertwiner(evr, tensor_module(V, hr), M)
-            assert evr == eval_right(V, M)
+            assert evr == stack_of_maps(eval_right(V, M), M.dim)
 
 
 # The parents the one biclosed layer is tested over, with the triples
@@ -230,12 +230,12 @@ def _biclosed_inputs(request, name):
 def test_adjunction_roundtrips(parent, request):
     H, _, triples, _, offset = _biclosed_inputs(request, parent)
     for seed, (M, N, L) in enumerate(triples, start=1):
-        f = random_intertwiner(H.tensor(M, N)[0], L, seed)
+        f = random_stack(H.tensor(M, N)[0], L, seed)
         if f is not None:
             g = zeta_l(f, M, N, L)
             assert eta_l(g, M, N, L) == f
             assert zeta_l(eta_l(g, M, N, L), M, N, L) == g
-        f = random_intertwiner(H.tensor(N, M)[0], L, seed + offset)
+        f = random_stack(H.tensor(N, M)[0], L, seed + offset)
         if f is not None:
             g = zeta_r(f, N, M, L)
             assert eta_r(g, N, M, L) == f
@@ -244,32 +244,25 @@ def test_adjunction_roundtrips(parent, request):
 
 @pytest.mark.parametrize("parent", list(BICLOSED_PARENTS))
 def test_adjunctions_act_on_stacks(parent, request):
-    # a vertical stack of maps goes through each map in one call, and the
-    # intertwiner checks see every map of the stack
-    # a stack of maps (stack=True) holds each map as its row vec(F)
+    # a stack of maps (row b = vec(F_b)) goes through each map in one call,
+    # and the intertwiner checks see every map of the stack
     H, reg, _, triples, _ = _biclosed_inputs(request, parent)
-
-    def rows(maps):
-        return Matrix.from_rows(H.field, [m.entries for m in maps])
     for M, N, L in triples:
-        fs = [random_intertwiner(H.tensor(M, N)[0], L, s) for s in (1, 2, 3)]
+        fs = [random_stack(H.tensor(M, N)[0], L, s) for s in (1, 2, 3)]
         gs = [zeta_l(f, M, N, L) for f in fs]
-        assert zeta_l(vstack(fs), M, N, L) == vstack(gs)
-        assert eta_l(vstack(gs), M, N, L) == vstack(fs)
-        assert zeta_l(rows(fs), M, N, L, stack=True) == rows(gs)
-        assert eta_l(rows(gs), M, N, L, stack=True) == rows(fs)
-        fs = [random_intertwiner(H.tensor(N, M)[0], L, s) for s in (4, 5, 6)]
+        assert zeta_l(stack(fs), M, N, L) == stack(gs)
+        assert eta_l(stack(gs), M, N, L) == stack(fs)
+        fs = [random_stack(H.tensor(N, M)[0], L, s) for s in (4, 5, 6)]
         gs = [zeta_r(f, N, M, L) for f in fs]
-        assert zeta_r(vstack(fs), N, M, L) == vstack(gs)
-        assert eta_r(vstack(gs), N, M, L) == vstack(fs)
-        assert eta_r(rows(gs), N, M, L, stack=True) == rows(fs)
+        assert zeta_r(stack(fs), N, M, L) == stack(gs)
+        assert eta_r(stack(gs), N, M, L) == stack(fs)
     tens = H.tensor(reg, reg)[0]
     f = random_intertwiner(tens, reg, 1)
     bad = Matrix(H.field, reg.dim, tens.dim,
                  [H.field.from_int(i % 3) for i in range(reg.dim * tens.dim)])
-    assert not is_intertwiner(bad, tens, reg)
+    assert not is_intertwiner(stack_of_maps(bad, reg.dim), tens, reg)
     with pytest.raises(IntertwinerError):
-        zeta_l(vstack([f, f, bad]), reg, reg, reg)
+        zeta_l(stack([f, f, bad]), reg, reg, reg)
 
 
 def _moved(S, b, j):
@@ -283,7 +276,7 @@ def _moved(S, b, j):
 def _leaving_columns(S, b, src, dst):
     """The columns at which a move of map b of the stack S leaves Hom_H(src, dst)."""
     return [j for j in range(S.cols)
-            if not is_intertwiner(_moved(S, b, j).row_blocks(1)[b], src, dst, stack=True)]
+            if not is_intertwiner(_moved(S, b, j).row_blocks(1)[b], src, dst)]
 
 
 @pytest.mark.parametrize("name", ["kc2_q", "h4_q", "twisted_q"])
@@ -298,7 +291,7 @@ def test_one_moved_map_fails_the_checks_of_zeta_and_eta(name, kc2_q, h4_q, twist
     tens = tensor_module(reg, reg)
     fs = [random_intertwiner(tens, reg, s) for s in (1, 2, 3)]
     S = Matrix.from_rows(H.field, [f.entries for f in fs])
-    G = zeta_l(S, reg, reg, reg, stack=True)
+    G = zeta_l(S, reg, reg, reg)
     hom = left_hom(reg, reg)[0]
     b = data.draw(st.integers(0, 2))
     real = quasihopf.require_intertwiner
@@ -306,8 +299,8 @@ def test_one_moved_map_fails_the_checks_of_zeta_and_eta(name, kc2_q, h4_q, twist
                                       (eta_l, G, (reg, hom), (tens, reg), "eta_l")):
         j = data.draw(st.sampled_from(_leaving_columns(maps, b, *ins)))
         with pytest.raises(IntertwinerError, match="^%s input " % what):
-            fn(_moved(maps, b, j), reg, reg, reg, stack=True)
-        j = data.draw(st.sampled_from(_leaving_columns(fn(maps, reg, reg, reg, stack=True),
+            fn(_moved(maps, b, j), reg, reg, reg)
+        j = data.draw(st.sampled_from(_leaving_columns(fn(maps, reg, reg, reg),
                                                        b, *outs)))
 
         def moved_output(T, src, dst, label):
@@ -315,7 +308,7 @@ def test_one_moved_map_fails_the_checks_of_zeta_and_eta(name, kc2_q, h4_q, twist
         with pytest.MonkeyPatch.context() as m:
             m.setattr(quasihopf, "require_intertwiner", moved_output)
             with pytest.raises(IntertwinerError, match="^%s output " % what):
-                fn(maps, reg, reg, reg, stack=True)
+                fn(maps, reg, reg, reg)
 
 
 def test_zeta_rejects_non_intertwiner(kc2_q):
@@ -323,7 +316,7 @@ def test_zeta_rejects_non_intertwiner(kc2_q):
     bad = Matrix(QQ, reg.dim, reg.dim * reg.dim,
                  [QQ.from_int(i % 3) for i in range(reg.dim ** 3)])
     with pytest.raises(IntertwinerError):
-        zeta_l(bad, reg, reg, reg)
+        zeta_l(stack_of_maps(bad, reg.dim), reg, reg, reg)
 
 
 def test_zeta_on_identity_is_coevaluation_style(kc2_q):
@@ -331,7 +324,7 @@ def test_zeta_on_identity_is_coevaluation_style(kc2_q):
     m2 = tensor_module(reg, reg)
     eye = Matrix.identity(QQ, m2.dim)
     # curry the identity of M (x) N over the second factor
-    g = zeta_l(eye, reg, reg, m2)
+    g = zeta_l(stack_of_maps(eye, m2.dim), reg, reg, m2)
     assert is_intertwiner(g, reg, left_hom(reg, m2)[0])
 
 
@@ -369,17 +362,18 @@ def test_hopf_specialization_matches_classical(kc2_q):
 
 
 def test_zeta_l_hopf_case_is_plain_currying(kc2_q):
-    # with Phi trivial and beta = 1: zeta^l(f)(m) = f(m (x) -)
+    # with Phi trivial and beta = 1: zeta^l(f)(m) = f(m (x) -); entry (r, c)
+    # of a map with C columns sits at r * C + c of its one-row stack
     H = kc2_q
     reg = regular_module(H)
     mn = tensor_module(reg, reg)
-    f = random_intertwiner(mn, reg, 21)
+    f = random_stack(mn, reg, 21)
     g = zeta_l(f, reg, reg, reg)
     d = reg.dim
     for i in range(d):
         for a in range(d):
             for b in range(d):
-                assert g.get(a * d + b, i) == f.get(a, i * d + b)
+                assert g.get(0, (a * d + b) * d + i) == f.get(0, a * d * d + i * d + b)
 
 
 def test_eta_r_hopf_case_is_plain_evaluation(kc2_q):
@@ -387,14 +381,14 @@ def test_eta_r_hopf_case_is_plain_evaluation(kc2_q):
     H = kc2_q
     reg = regular_module(H)
     nm = tensor_module(reg, reg)
-    f = random_intertwiner(nm, reg, 22)
+    f = random_stack(nm, reg, 22)
     g = zeta_r(f, reg, reg, reg)
     back = eta_r(g, reg, reg, reg)
     d = reg.dim
     for a in range(d):
         for j in range(d):
             for i in range(d):
-                assert back.get(a, j * d + i) == f.get(a, j * d + i)
+                assert back.get(0, a * d * d + j * d + i) == f.get(0, a * d * d + j * d + i)
 
 
 def test_z3_twisted_dual_full_suite():
@@ -438,9 +432,9 @@ def test_z3_generator_representative_passes_every_check():
     assert all_checks_pass(H)
     k, reg = trivial_module(H), regular_module(H)
     for seed, (M, N, L) in enumerate([(reg, reg, reg), (k, reg, reg), (reg, reg, k)]):
-        f = random_intertwiner(tensor_module(M, N), L, seed)
+        f = random_stack(tensor_module(M, N), L, seed)
         assert eta_l(zeta_l(f, M, N, L), M, N, L) == f
-        f = random_intertwiner(tensor_module(N, M), L, seed + 100)
+        f = random_stack(tensor_module(N, M), L, seed + 100)
         assert eta_r(zeta_r(f, N, M, L), N, M, L) == f
     # the check still has teeth: doubling alpha or beta at one element fails it
     two = field.from_int(2)
