@@ -415,10 +415,14 @@ class Matrix:
             raise ShapeError("matrix is singular")
         return inv
 
-    def row_blocks(self, h: int):
-        """The row blocks of h rows, as a list of matrices."""
+    def row_blocks(self, h: int, strided: bool = False):
+        """The row blocks of h rows, as a list of matrices; strided, block k
+        of b holds rows k, k + b, k + 2b, ... instead."""
         if h <= 0 or self.rows % h:
             raise ShapeError("%d rows do not split into blocks of %d" % (self.rows, h))
+        if strided:
+            b = self.rows // h
+            return [Matrix._sparse(self.field, h, self.cols, self._rows[k::b]) for k in range(b)]
         return [Matrix._sparse(self.field, h, self.cols, self._rows[k:k + h])
                 for k in range(0, self.rows, h)]
 

@@ -21,7 +21,9 @@ element of H (x) H that acts through the basis action matrices.
 
 Every axiom check is one matrix identity, two sides whose columns are its
 instances, and reports per-axiom pass/fail with the lexicographically first
-failing basis tuple, so runs are reproducible bit for bit.
+failing basis tuple, so runs are reproducible bit for bit.  Once its
+premises have passed, an axiom is first compared at a generating set,
+whose instances decide the rest (``compare_on_generators``).
 """
 
 from __future__ import annotations
@@ -83,32 +85,48 @@ class Algebra:
     # products and hom spaces of modules are modules: the premise of
     # ``generators``, claimed only by a quasi-Hopf parent
     structure_passed = False
+    # the algebra whose co-opposite this is, on the same multiplication
+    _cop_of = None
+
+    @cached_property
+    def mult_table(self) -> Matrix:
+        """m^T: row i*n + j is e_i e_j."""
+        n = self.dim
+        return Matrix(self.field, n * n, n, self.mult)
 
     @cached_property
     def mult_matrix(self) -> Matrix:
         """m: column i*n + j is e_i e_j."""
-        n = self.dim
-        return Matrix(self.field, n * n, n, self.mult).transpose()
+        return self.mult_table.transpose()
+
+    def products(self, X: Matrix, right: bool = False) -> Matrix:
+        """m (X (x) I), or m (I (x) X) when right: the products of the
+        columns of X with the basis, made from the rows of m^T that X picks
+        with no pass over all of m."""
+        eye, Xt = Matrix.identity(self.field, self.dim), X.transpose()
+        return ((eye.kron(Xt) if right else Xt.kron(eye)) * self.mult_table).transpose()
 
     def mults_of(self, X: Matrix, right: bool = False):
         """The left (right) multiplication matrices of the columns of X: the
         column blocks of m (X (x) I), or the strided ones of m (I (x) X)."""
-        n, k, eye = self.dim, X.cols, Matrix.identity(self.field, self.dim)
+        n, k = self.dim, X.cols
         if right:
-            return (self.mult_matrix * eye.kron(X)).reindexed(
+            return self.products(X, right=True).reindexed(
                 k * n, n, lambda r, c: (c % k * n + r, c // k)).row_blocks(n)
-        return (self.mult_matrix * X.kron(eye)).reindexed(
+        return self.products(X).reindexed(
             k * n, n, lambda r, c: (c // n * n + r, c % n)).row_blocks(n)
 
     @cached_property
     def left_mults(self):
-        """L_(e_i) = m (e_i (x) I) for every basis element."""
-        return self.mults_of(Matrix.identity(self.field, self.dim))
+        """L_(e_i) = m (e_i (x) I) for every basis element: column j is
+        e_i e_j, so L_(e_i) is block i of n rows of m^T, transposed."""
+        return [b.transpose() for b in self.mult_table.row_blocks(self.dim)]
 
     @cached_property
     def right_mults(self):
-        """R_(e_j) = m (I (x) e_j) for every basis element."""
-        return self.mults_of(Matrix.identity(self.field, self.dim), right=True)
+        """R_(e_j) = m (I (x) e_j) for every basis element: column i is
+        e_i e_j, so R_(e_j) is strided block j of m^T, transposed."""
+        return [b.transpose() for b in self.mult_table.row_blocks(self.dim, strided=True)]
 
     # the antipode of a parent (not of a base ring)
 
@@ -118,15 +136,17 @@ class Algebra:
         return self.mults_of(self.antipode), self.mults_of(self.antipode_inv, right=True)
 
     @cached_property
-    def generators(self) -> tuple:
-        """Basis indices whose unital subalgebra is the whole algebra, picked
-        greedily in index order: an index joins when its element lies
-        outside the subalgebra generated so far, the closure of k1 under
-        left multiplication by the picked elements.  Every index until
-        ``structure_passed``, whose checks include associativity."""
+    def generating_set(self) -> tuple:
+        """The basis indices G picked greedily in index order, read from the
+        structure constants alone: an index joins when its element lies
+        outside the span so far, the closure of k1 under left multiplication
+        by the picked elements.  When 1 is a unit each picked e_g = e_g 1
+        lies in it, so that closure is all of H, and a subspace of H that
+        holds 1 and G and is closed under products is all of H.  H^cop
+        shares the set of H."""
+        if self._cop_of is not None:
+            return self._cop_of.generating_set
         f, n = self.field, self.dim
-        if not self.structure_passed:
-            return tuple(range(n))
         picked, span = [], Subspace.from_generators(f, n, [self.unit])
         for i in range(n):
             if span.dim == n:
@@ -143,6 +163,12 @@ class Algebra:
                 span = grown
         return tuple(picked)
 
+    @property
+    def generators(self) -> tuple:
+        """``generating_set`` once ``structure_passed`` holds, whose checks
+        include the unit and associativity; every index before."""
+        return self.generating_set if self.structure_passed else tuple(range(self.dim))
+
     def basis(self, i: int):
         return basis_vec(self.field, self.dim, i)
 
@@ -156,18 +182,28 @@ class Algebra:
 
     def check_algebra(self, rep: CheckReport, prefix: str, unit_witness: bool):
         """Add prefix_associative, with witness (i, j, k), and prefix_unital,
-        with witness (i,) when unit_witness, to rep.  Column (i, j, k) of
-        m (m (x) I) is (e_i e_j) e_k and of m (I (x) m) is e_i (e_j e_k),
-        each side made from the rows of m by one slot_apply, at the first
-        or the last slot, with no Kronecker product formed."""
+        with witness (i,) when unit_witness, to rep.  For the k that E picks
+        and r = m (I (x) E), column (i, j, k) of r (m (x) I) is (e_i e_j) e_k
+        and of m (I (x) r) is e_i (e_j e_k), each side one slot_apply with no
+        Kronecker product formed; E = I gives m (m (x) I) and m (I (x) m).
+
+        Once 1 is a unit, the k in G suffice (Light's test): the c with
+        (ab)c = a(bc) for all a, b form a subspace that holds 1 and is
+        closed under products, since (ab)(cd) = ((ab)c)d = (a(bc))d =
+        a((bc)d) = a(b(cd)), so it is all of H once it holds G."""
         f, n, m = self.field, self.dim, self.mult_matrix
-        table, eye = m.transpose(), Matrix.identity(f, n)
-        unit = Matrix.from_cols(f, [self.unit])
-        rep.compare(prefix + "_associative", (("i", n), ("j", n), ("k", n)),
-                    slot_apply(table, m, 1, n), slot_apply(table, m, n, 1))
-        rep.compare(prefix + "_unital", (("i", n),) if unit_witness else None,
-                    vstack(f, n, self.mults_of(unit) + self.mults_of(unit, right=True)),
-                    vstack(f, n, [eye, eye]))
+        unit, eye = Matrix.from_cols(f, [self.unit]), Matrix.identity(f, n)
+        unital = (vstack(f, n, self.mults_of(unit) + self.mults_of(unit, right=True)),
+                  vstack(f, n, [eye, eye]))
+
+        def sides(E):
+            right = self.products(E, right=True)
+            return (slot_apply(self.mult_table, right, 1, E.cols),
+                    slot_apply(right.transpose(), m, n, 1))
+
+        compare_on_generators(rep, self, prefix + "_associative", (("i", n), ("j", n), ("k", n)),
+                              sides, unital[0] == unital[1])
+        rep.compare(prefix + "_unital", (("i", n),) if unit_witness else None, *unital)
 
 
 class QuasiHopfAlgebra(Algebra):
@@ -196,7 +232,6 @@ class QuasiHopfAlgebra(Algebra):
         self.beta = tuple(beta)
         self.name = name or "H"
         self._unit = None
-        self._cop_of = None
         if len(self.mult) != n ** 3:
             raise StructureError("mult tensor must have %d entries" % n ** 3)
         if len(self.unit) != n or len(self.counit) != n:
@@ -490,13 +525,22 @@ def check_module(V: HModule) -> CheckReport:
 
     Column (i, j) of each side is a d x d matrix read row-major: rho(e_i e_j)
     from rho m, and rho(e_i) rho(e_j) from the block (i, j) of the products
-    of the stacked actions with the actions side by side."""
+    of the stacked actions with the picked actions side by side.  Once
+    rho(1) = id and the parent's ``structure_passed`` hold, the j in G
+    suffice, since rho(a(bc)) = rho((ab)c) = rho(a) rho(b) rho(c)."""
     H, d = V.parent, V.dim
-    n, stack = H.dim, vstack(H.field, d, V.mats)
-    pairs = (stack * hstack(H.field, d, V.mats)).reindexed(
-        d * d, n * n, lambda r, c: (r % d * d + c % d, r // d * n + c // d))
-    return CheckReport().add("module_unit", V.act(H.unit).is_identity()).compare(
-        "module_multiplicative", (("i", n), ("j", n)), V.action.transpose() * H.mult_matrix, pairs)
+    n, stack, rep = H.dim, vstack(H.field, d, V.mats), CheckReport()
+    unit = V.act(H.unit).is_identity()
+
+    def sides(E):
+        k = E.cols
+        return V.action.transpose() * H.products(E, right=True), (
+            stack * hstack(H.field, d, V.acts(E))).reindexed(
+                d * d, n * k, lambda r, c: (r % d * d + c % d, r // d * k + c // d))
+
+    compare_on_generators(rep.add("module_unit", unit), H, "module_multiplicative",
+                          (("i", n), ("j", n)), sides, unit and H.structure_passed)
+    return rep
 
 
 def trivial_module(H: QuasiHopfAlgebra) -> HModule:
@@ -830,63 +874,101 @@ def perm_mwv_to_mvw(f: Field, d: int, dw: int, dv: int) -> Matrix:
 # (CheckReport.compare); elements of H^(x)k are rows, so the sides are built
 # as rows and compared transposed.
 
+def compare_on_generators(rep: CheckReport, H, check_id: str, ranges, sides, premise: bool,
+                          holds: bool = True):
+    """Add check_id to rep from sides(E), the two sides of its instances at
+    the basis elements that the columns of E pick.  When premise and holds,
+    E first picks the generators G (``generating_set``), whose instances
+    decide all the others under the premise: the elements whose instances
+    pass form a subspace that holds 1 and is closed under products, and
+    G generates H.  Otherwise, or when they differ, E is the identity and
+    the check is compare on every instance, so every verdict and witness
+    is that of the full comparison."""
+    f, n = H.field, H.dim
+    if premise and holds:
+        lhs, rhs = sides(Matrix.from_cols(f, [H.basis(g) for g in H.generating_set], n))
+        if lhs == rhs:
+            return rep.add(check_id, True)
+    return rep.compare(check_id, ranges, *sides(Matrix.identity(f, n)), holds)
+
+
 def validate_structure(H: QuasiHopfAlgebra) -> CheckReport:
     """Type invariants: associative unital algebra, Delta/eps algebra maps,
-    Phi invertible, S anti-automorphism with the stored inverse."""
+    Phi invertible, S anti-automorphism with the stored inverse.
+
+    Once the algebra checks have passed, a map F (Delta, eps, or S with its
+    products reversed) that sends 1 to 1 is multiplicative when
+    F(a e_j) = F(a) F(e_j) for every a and every j in G: the b with
+    F(ab) = F(a) F(b) for all a form a subspace that holds 1 and is closed
+    under products, since F(a(bc)) = F((ab)c) = F(a) F(b) F(c) = F(a) F(bc)."""
     f, n = H.field, H.dim
     rep = CheckReport()
     H.check_algebra(rep, "mult", unit_witness=True)
+    algebra = rep.passed
     deltas, eps = H.comult_matrix.transpose(), Matrix(f, 1, n, H.counit)
-    # column (i, j): Delta(e_i e_j) against Delta(e_i) Delta(e_j)
-    rep.compare("comult_algebra_map", (("i", n), ("j", n)), H.comult_matrix * H.mult_matrix,
-                _pair_products(H, 2, deltas).transpose(),
-                _unit_row(H, 1) * deltas == _unit_row(H, 2))
-    rep.compare("counit_algebra_map", (("i", n), ("j", n)), eps * H.mult_matrix,
-                eps.kron(eps), f.is_one(H.eps(H.unit)))
+    # column (i, j) for the picked j: Delta(e_i e_j) against Delta(e_i) Delta(e_j),
+    # each Delta(e_j) multiplying every Delta(e_i) from the right
+    compare_on_generators(rep, H, "comult_algebra_map", (("i", n), ("j", n)), lambda E: (
+        H.comult_matrix * H.products(E, right=True), swap_slots(vstack(f, n * n, [
+            tensor_times(H, 2, d, deltas, right=True)
+            for d in (E.transpose() * deltas).row_blocks(1)]).transpose(), E.cols, n)),
+        algebra, _unit_row(H, 1) * deltas == _unit_row(H, 2))
+    compare_on_generators(rep, H, "counit_algebra_map", (("i", n), ("j", n)), lambda E: (
+        eps * H.products(E, right=True), eps.kron(eps * E)), algebra, f.is_one(H.eps(H.unit)))
     one = _unit_row(H, 3)
     rep.add("phi_invertible", tensor_times(H, 3, H.phi_row, H.phi_inv_row) == one
             and tensor_times(H, 3, H.phi_inv_row, H.phi_row) == one)
-    check_antipode_pair(rep, H)
+    check_antipode_pair(rep, H, algebra)
     H.structure_passed = rep.passed
     return rep
 
 
-def check_antipode_pair(rep: CheckReport, H):
+def check_antipode_pair(rep: CheckReport, H, premise: bool = False):
     """Add antipode_inverse_pair and antipode_antihom, with witness (i, j), to
     rep: S and the stored S^-1 are inverse, S(e_i e_j) = S(e_j) S(e_i) and
-    S(1) = 1."""
+    S(1) = 1, the last two read on the generators once premise, that the
+    algebra checks have passed, holds (see validate_structure)."""
     n = H.dim
-    S, eye = H.antipode, Matrix.identity(H.field, n)
+    S, m, eye = H.antipode, H.mult_matrix, Matrix.identity(H.field, n)
     rep.add("antipode_inverse_pair",
             S * H.antipode_inv == eye and H.antipode_inv * S == eye)
-    # column (j, i) of m (S (x) S) is S(e_j) S(e_i)
-    rep.compare("antipode_antihom", (("i", n), ("j", n)), S * H.mult_matrix,
-                swap_factors(H.mult_matrix * S.kron(S), n, n),
-                S.apply(H.unit) == H.unit)
+    # column (j, i) of m (S E (x) S) is S(e_j) S(e_i), for the picked j
+    compare_on_generators(rep, H, "antipode_antihom", (("i", n), ("j", n)), lambda E: (
+        S * H.products(E, right=True), swap_factors(m * (S * E).kron(S), E.cols, n)),
+        premise, S.apply(H.unit) == H.unit)
 
 
 def check_quasi_bialgebra(H: QuasiHopfAlgebra) -> CheckReport:
     """The quasi-bialgebra axioms: Phi-twisted coassociativity, the pentagon,
-    counitality, and the Phi counit normalisation."""
+    counitality, and the Phi counit normalisation.
+
+    Once ``structure_passed`` holds, twisted coassociativity and
+    counitality are read on the generators, since Delta and eps are
+    algebra maps and Phi is invertible."""
     f, n = H.field, H.dim
     rep = CheckReport()
     D, phi, phi_inv = H.comult_matrix, H.phi_row, H.phi_inv_row
     deltas, eps, one = D.transpose(), Matrix(f, 1, n, H.counit), _unit_row(H, 1)
-    # (id (x) Delta) Delta = Phi ((Delta (x) id) Delta) Phi^-1
-    rep.compare("coassoc_twisted", (("a", n),), slot_apply(D, deltas, n, 1).transpose(),
-                tensor_times(H, 3, phi_inv, tensor_times(H, 3, phi, slot_apply(D, deltas, 1, n)),
-                             right=True).transpose())
+
+    # (id (x) Delta) Delta = Phi ((Delta (x) id) Delta) Phi^-1 on the picked rows of deltas
+    def coassoc(E):
+        X = E.transpose() * deltas
+        return [side.transpose() for side in (slot_apply(D, X, n, 1), tensor_times(
+            H, 3, phi_inv, tensor_times(H, 3, phi, slot_apply(D, X, 1, n)), right=True))]
+
+    compare_on_generators(rep, H, "coassoc_twisted", (("a", n),), coassoc, H.structure_passed)
     # (id (x) id (x) Delta)(Phi) (Delta (x) id (x) id)(Phi)
     #   = (1 (x) Phi) (id (x) Delta (x) id)(Phi) (Phi (x) 1)
     rep.compare("pentagon", (("tuple", (n,) * 4),),
                 tensor_times(H, 4, slot_apply(D, phi, n * n, 1), slot_apply(D, phi, 1, n * n)),
                 tensor_times(H, 4, phi.kron(one), tensor_times(
                     H, 4, one.kron(phi), slot_apply(D, phi, n, n)), right=True))
-    eye = Matrix.identity(f, n)
-    rep.compare("counit", (("a", n),),
-                vstack(f, n, [slot_apply(eps, deltas, 1, n).transpose(),
-                              slot_apply(eps, deltas, n, 1).transpose()]),
-                vstack(f, n, [eye, eye]))
+    def counit(E):
+        X = E.transpose() * deltas
+        return vstack(f, E.cols, [slot_apply(eps, X, 1, n).transpose(),
+                                  slot_apply(eps, X, n, 1).transpose()]), vstack(f, E.cols, [E, E])
+
+    compare_on_generators(rep, H, "counit", (("a", n),), counit, H.structure_passed)
     rep.add("phi_counit", slot_apply(eps, phi, n, n) == one.kron(one))
     return rep
 
@@ -899,15 +981,22 @@ def eps_p_q_beta_s_r(H: QuasiHopfAlgebra) -> bool:
 
 
 def check_quasi_hopf(H: QuasiHopfAlgebra) -> CheckReport:
-    """The antipode axioms and the derived identities used downstream."""
+    """The antipode axioms and the derived identities used downstream.
+
+    Once ``structure_passed`` holds, the alpha and beta axioms and
+    eps(S(h)) = eps(h) are read on the generators, since Delta and eps are
+    algebra maps and S an anti-homomorphism: S(a_1 b_1) alpha a_2 b_2 =
+    S(b_1) eps(a) alpha b_2."""
     f, n = H.field, H.dim
     rep = CheckReport()
     m, D, eps = H.mult_matrix, H.comult_matrix, Matrix(f, 1, n, H.counit)
     r_alpha = H.mults_of(Matrix.from_cols(f, [H.alpha]), right=True)[0]
 
     # S(h_1) alpha h_2 = eps(h) alpha and h_1 beta S(h_2) = eps(h) beta
-    rep.compare("alpha_axiom", (("h", n),), H.alpha_hat * D, Matrix(f, n, 1, H.alpha) * eps)
-    rep.compare("beta_axiom", (("h", n),), H.beta_hat * D, Matrix(f, n, 1, H.beta) * eps)
+    compare_on_generators(rep, H, "alpha_axiom", (("h", n),), lambda E: (
+        H.alpha_hat * (D * E), Matrix(f, n, 1, H.alpha) * (eps * E)), H.structure_passed)
+    compare_on_generators(rep, H, "beta_axiom", (("h", n),), lambda E: (
+        H.beta_hat * (D * E), Matrix(f, n, 1, H.beta) * (eps * E)), H.structure_passed)
 
     # (((X beta) S(Y)) alpha) Z = 1 and (S(P) alpha Q) beta S(R) = 1,
     # contracting the first two legs, then the last
@@ -916,7 +1005,8 @@ def check_quasi_hopf(H: QuasiHopfAlgebra) -> CheckReport:
             == unit)
     rep.add("coev_ev", slot_apply(H.beta_hat, slot_apply(H.alpha_hat, H.phi_inv_row, 1, n),
                                   1, 1) == unit)
-    rep.compare("eps_antipode", (("h", n),), eps * H.antipode, eps)
+    compare_on_generators(rep, H, "eps_antipode", (("h", n),), lambda E: (
+        eps * (H.antipode * E), eps * E), H.structure_passed)
     rep.add("eps_p_q_beta_s_r", eps_p_q_beta_s_r(H))
     return rep
 

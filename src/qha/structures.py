@@ -84,8 +84,9 @@ def _dim(doc, where) -> int:
 def _vector(f, doc, length, where, *index, known=None):
     """length scalars over f.  known ({string: scalar over f}) holds the
     strings read so far by the calling reader, so that each distinct string
-    is parsed once; an item that is not in it, or is not a string, goes
-    through _scalar, which reports it at its own path."""
+    is parsed once: those missing from it are found as one set.  When an
+    item is not a string or does not parse, the items go through _scalar
+    in order, which reports the first bad one at its own path."""
     if not isinstance(doc, list) or len(doc) != length:
         raise StructureFileError("dimension_mismatch",
                                  "expected a list of %d scalars" % length, _at(where, *index))
@@ -94,6 +95,13 @@ def _vector(f, doc, length, where, *index, known=None):
     try:
         return tuple(map(known.__getitem__, doc))
     except (KeyError, TypeError):
+        try:
+            missing = set(doc).difference(known)
+            if all(type(s) is str for s in missing):
+                known.update({s: f.parse(s) for s in missing})
+                return tuple(map(known.__getitem__, doc))
+        except (TypeError, ScalarParseError):
+            pass
         for i, s in enumerate(doc):
             if type(s) is not str or s not in known:
                 known[s] = _scalar(f, s, where, *index, i)

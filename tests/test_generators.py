@@ -1,23 +1,30 @@
-"""H-linearity read on a generating set of the parent.
+"""H-linearity and the axioms read on a generating set of the parent.
 
 Between genuine modules a map commutes with every action exactly when it
 commutes with the actions of the parent's generators, so the intertwiner
 checks and Hom_H spaces take their constraints from ``H.generators``.
 The tests pin the generators, compare every check with its version over
 the whole basis, and show that a carrier which is not a module is still
-decided over the whole basis.
+decided over the whole basis.  The axiom suites decide each axiom on the
+generators once its premises have passed: on corrupted structures their
+reports equal those computed with every basis index as a generator.
 """
+
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qha import quasihopf
+from qha.algebroid import BaseRing, HopfAlgebroid
 from qha.fields import prime_field
 from qha.linalg import Matrix, intertwiner_space, stack_of_maps
-from qha.quasihopf import (HModule, IntertwinerError, QuasiHopfAlgebra, group_algebra,
-                           cyclic_group_table, hom_module_morphisms, is_intertwiner,
-                           left_hom, require_intertwiner, right_hom, tensor_module,
-                           trivial_module, validate_structure)
+from qha.quasihopf import (Algebra, HModule, IntertwinerError, QuasiHopfAlgebra,
+                           check_module, check_quasi_bialgebra, check_quasi_hopf,
+                           group_algebra, cyclic_group_table, hom_module_morphisms,
+                           is_intertwiner, left_hom, regular_module, require_intertwiner,
+                           right_hom, tensor_module, trivial_module, validate_structure)
+from qha.reports import CheckReport
 
 from conftest import random_module, stack
 
@@ -152,3 +159,130 @@ def test_a_non_module_is_decided_over_every_basis_element(kc3_f7):
     assert not VK.genuine and not VK.cop.genuine
     assert not is_intertwiner(stack_of_maps(eye, 2), VK, W)
     assert hom_module_morphisms(VK, W) == _all_basis_space(VK, W)
+
+
+# -- multiplication matrices from the rows of the structure table ---------------
+
+@pytest.mark.parametrize("name", PARENTS + ["env_q", "env_f5"])
+def test_multiplication_matrices_are_those_of_the_identity(name, request):
+    H = request.getfixturevalue(name)
+    for A in (H, getattr(H, "base", H)):
+        eye = Matrix.identity(A.field, A.dim)
+        assert A.left_mults == A.mults_of(eye)
+        assert A.right_mults == A.mults_of(eye, right=True)
+
+
+# -- the axiom suites read the generators ---------------------------------------
+#
+# A one-scalar change of one structure array, seeded, with the reports of
+# every suite compared against those computed with ``generating_set``
+# patched to every basis index.  Half of the changed entries are nonzero
+# ones; the changes of mult and unit at the unit break the unit.
+
+KEYS = ("mult", "unit", "comult", "counit", "antipode", "antipode_inv", "phi", "phi_inv",
+        "alpha", "beta", "module")
+
+
+def _arrays(H):
+    """The structure arrays of H, flat, by key."""
+    return {"mult": H.mult, "unit": H.unit, "comult": sum(H.comult, ()), "counit": H.counit,
+            "antipode": H.antipode.entries, "antipode_inv": H.antipode_inv.entries,
+            "phi": H.phi, "phi_inv": H.phi_inv, "alpha": H.alpha, "beta": H.beta}
+
+
+def _parent(f, n, a):
+    rows = [a["comult"][i * n * n:(i + 1) * n * n] for i in range(n)]
+    return QuasiHopfAlgebra(f, n, a["mult"], a["unit"], rows, a["counit"],
+                            Matrix(f, n, n, a["antipode"]), Matrix(f, n, n, a["antipode_inv"]),
+                            a["phi"], a["phi_inv"], a["alpha"], a["beta"])
+
+
+def _changed(f, arr, rng, k=None):
+    """arr with entry k moved by a nonzero multiple of 1; without k, a
+    nonzero entry or any entry with even chances."""
+    arr = list(arr)
+    if k is None:
+        nonzero = [k for k, a in enumerate(arr) if a]
+        k = rng.choice(nonzero) if nonzero and rng.random() < 0.5 else rng.randrange(len(arr))
+    arr[k] = f.add(arr[k], f.from_int(rng.choice([1, 2, -1])))
+    return arr
+
+
+def _reports(f, n, arrays, key, seed):
+    """Every suite on a fresh parent built from arrays, with the regular
+    module's actions changed at one entry when key is "module"."""
+    H = _parent(f, n, arrays)
+    mats = regular_module(H).mats
+    if key == "module":
+        d = mats[0].rows
+        flat = _changed(f, [a for m in mats for a in m.entries], random.Random(seed))
+        mats = [Matrix(f, d, d, flat[i * d * d:(i + 1) * d * d]) for i in range(n)]
+    return [validate_structure(H).to_dict(), check_quasi_bialgebra(H).to_dict(),
+            check_quasi_hopf(H).to_dict(), check_module(HModule(H, mats)).to_dict(),
+            check_module(trivial_module(H)).to_dict()]
+
+
+def _every_index(monkeypatch):
+    monkeypatch.setattr(Algebra, "generating_set",
+                        property(lambda self: tuple(range(self.dim))))
+
+
+@pytest.fixture(scope="session")
+def scalars_f7():
+    return group_algebra(F7, [[0]], "k")
+
+
+CORRUPTED = ["kc2_q", "ks3_q", "h4_q", "kc3_f7", "twisted_z3_f7", "twisted_q", "scalars_f7"]
+
+
+@pytest.mark.parametrize("name", CORRUPTED)
+def test_reports_on_corrupted_parents_equal_those_over_every_index(name, request, monkeypatch):
+    H = request.getfixturevalue(name)
+    f, n, good = H.field, H.dim, _arrays(H)
+    unit = good["unit"].index(f.one)
+    cases = []
+    for key in KEYS:
+        # each entry of the vectors of length n, four seeded ones elsewhere
+        short = key in ("unit", "counit", "alpha", "beta")
+        for k in range(n if short else 4):
+            arrays, seed = dict(good), "%s %s %d" % (name, key, k)
+            if key != "module":
+                arrays[key] = _changed(f, good[key], random.Random(seed), k if short else None)
+            cases.append((key, seed, arrays))
+    # the e_(n-1) coefficient of e_u e_(n-1) moved, u the first index of the unit: no unit
+    mult = list(good["mult"])
+    mult[(unit * n + n - 1) * n + n - 1] = f.add(mult[(unit * n + n - 1) * n + n - 1], f.one)
+    cases.append(("mult", "unit row", dict(good, mult=mult)))
+    got = [_reports(f, n, arrays, key, seed) for key, seed, arrays in cases]
+    _every_index(monkeypatch)
+    for (key, seed, arrays), reports in zip(cases, got):
+        assert reports == _reports(f, n, arrays, key, seed), (key, seed)
+    # the unit was broken, and some suite failed with its premises passed
+    assert any(not r[0]["checks"][1]["pass"] for r in got)
+    assert any(r[0]["pass"] and not (r[1]["pass"] and r[2]["pass"] and r[3]["pass"])
+               for r in got) or n == 1
+
+
+def test_the_algebroid_algebra_axioms_equal_those_over_every_index(env_q, monkeypatch):
+    H, R = env_q, env_q.base
+    f = H.field
+
+    def reports(mult, unit, base_mult, base_unit):
+        A = HopfAlgebroid(BaseRing(f, R.dim, base_mult, base_unit), H.dim, mult, unit,
+                          H.s_l, H.t_l, H.s_r, H.t_r, H.delta_l_lift, H.delta_r_lift,
+                          H.eps_l, H.eps_r, H.antipode, H.antipode_inv)
+        rep = CheckReport()
+        A.check_algebra(rep, "mult", unit_witness=False)
+        return A.base.validate().to_dict(), rep.to_dict()
+
+    cases = []
+    for seed in range(6):
+        rng = random.Random("env %d" % seed)
+        cases += [(_changed(f, H.mult, rng), H.unit, R.mult, R.unit),
+                  (H.mult, _changed(f, H.unit, rng), R.mult, R.unit),
+                  (H.mult, H.unit, _changed(f, R.mult, rng), R.unit),
+                  (H.mult, H.unit, R.mult, _changed(f, R.unit, rng))]
+    got = [reports(*case) for case in cases]
+    assert any(not b["pass"] for b, _ in got) and any(not a["pass"] for _, a in got)
+    _every_index(monkeypatch)
+    assert got == [reports(*case) for case in cases]

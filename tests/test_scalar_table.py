@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from qha.fields import ScalarParseError
-from qha.quasihopf import cyclic_group_table, group_algebra
+from qha.quasihopf import cyclic_group_table, group_algebra, symmetric_group_table
 from qha.structures import StructureFileError, parse_document, serialize
 
 from conftest import F5, QQ
@@ -129,3 +129,32 @@ def test_a_string_bad_over_one_field_only():
     with pytest.raises(StructureFileError) as err:
         parse(F5, doc)
     assert (err.value.code, err.value.where) == ("scalar_parse", "$.phi[26]")
+
+
+# Strings missing from the table are found as one set and parsed once each;
+# an item that is not a string or does not parse sends the whole vector
+# through the ordered reader, which reports the first bad item.
+
+KS3_DOC = serialize(group_algebra(QQ, symmetric_group_table(3), "kS3"), "kS3")
+
+
+@pytest.mark.parametrize("f", [QQ, F5], ids=str)
+@pytest.mark.parametrize("items, first", [
+    ({215: "x"}, 215),                      # a bad scalar at the last index of phi
+    ({100: 3}, 100),                        # a non-string in the middle
+    ({50: ["1"]}, 50),                      # an unhashable item
+    ({10: None, 200: "x"}, 10),             # the first bad item, whatever its kind
+    ({10: "x", 200: ["1"]}, 10),
+    ({7: "2", 150: "x", 151: 2.5}, 150),    # after a new good string
+], ids=["bad_last", "int_middle", "list", "none_then_bad", "bad_then_list", "new_then_bad"])
+def test_the_first_bad_item_of_kS3_phi_keeps_its_code_and_path(f, items, first):
+    doc = dict(KS3_DOC, field=FIELD_DOCS[f], phi=list(KS3_DOC["phi"]))
+    for k, item in items.items():
+        doc["phi"][k] = item
+    with pytest.raises(StructureFileError) as err:
+        parse_document(doc)
+    item = items[first]
+    message = (_message(f, item) if isinstance(item, str)
+               else "scalars must be strings, got %r" % (item,))
+    assert (err.value.code, err.value.where, err.value.message) == (
+        "scalar_parse", "$.phi[%d]" % first, message)
