@@ -35,40 +35,38 @@ from .linalg import (Matrix, Subspace, hstack, intertwiner_space, kron_sum, slot
                      swap_factors, vstack)
 from .reports import CheckReport
 from .quasihopf import (Algebra, HModule, QuasiHopfAlgebra, StructureError, max_tensor_dim,
-                        shared, left_hom, right_hom, zeta_l, eta_l, zeta_r, eta_r,
+                        require_shapes, shared, left_hom, right_hom, zeta_l, eta_l, zeta_r, eta_r,
                         lift_legs, check_antipode_pair, perm_mwv_to_mvw,
                         _pair_products, _unit_row, _require_one_parent)
 
 
-def _opposite(mult, n: int):
-    """Structure constants of the opposite multiplication a.b = ba."""
-    return [mult[(j * n + i) * n + k] for i in range(n) for j in range(n) for k in range(n)]
-
-
 def _flip_legs(lift: Matrix) -> Matrix:
-    """A coproduct lift with the two legs of every column exchanged."""
+    """An n^2 x n matrix with the two legs of its row index exchanged: a
+    coproduct lift with the legs of every column exchanged, or the stored
+    multiplication m^T (row i*n + j is e_i e_j) made that of the opposite
+    algebra."""
     n = lift.cols
-    return swap_factors(lift.transpose(), n, n).transpose()
+    return lift.reindexed(n * n, n, lambda r, c: (r % n * n + r // n, c))
 
 
 class BaseRing(Algebra):
-    """An associative unital algebra over the scalar field (the base R)."""
+    """An associative unital algebra over the scalar field (the base R):
+    mult is the dim^2 x dim matrix of ``Algebra``, unit a tuple."""
 
-    def __init__(self, field: Field, dim: int, mult, unit, name: str = "R"):
+    def __init__(self, field: Field, dim: int, mult: Matrix, unit, name: str = "R"):
         if dim <= 0:
             raise StructureError("base ring must have positive dimension")
         self.field = field
         self.dim = dim
-        self.mult = tuple(mult)
+        self.mult = mult
         self.unit = tuple(unit)
         self.name = name
-        if len(self.mult) != dim ** 3 or len(self.unit) != dim:
-            raise StructureError("base ring tensors have wrong shape")
+        require_shapes(("mult", mult, (dim * dim, dim)), ("unit", self.unit, dim))
 
     @cached_property
     def op(self) -> "BaseRing":
         """R^op: the same carrier with the opposite multiplication."""
-        return BaseRing(self.field, self.dim, _opposite(self.mult, self.dim), self.unit,
+        return BaseRing(self.field, self.dim, _flip_legs(self.mult), self.unit,
                         name=self.name + "^op")
 
     def validate(self) -> CheckReport:
@@ -83,12 +81,15 @@ class BaseRing(Algebra):
 class HopfAlgebroid(Algebra):
     """Structure data (H, s_l, t_l, s_r, t_r, Delta_l, Delta_r, eps_l, eps_r, S).
 
-    Source/target maps are stored as dim(H) x dim(R) matrices, the coproduct
-    lifts as dim(H)^2 x dim(H) matrices (column i lifts Delta(e_i)), and the
-    counits as dim(R) x dim(H) matrices.
+    Every structure map is one sparse matrix, in the order of its flat
+    array in a structure file: the multiplication as the dim(H)^2 x dim(H)
+    matrix of ``Algebra`` (row i*n + j is e_i e_j), source/target maps as
+    dim(H) x dim(R) matrices, the coproduct lifts as dim(H)^2 x dim(H)
+    matrices (column i lifts Delta(e_i)), and the counits as dim(R) x
+    dim(H) matrices.  The unit is a tuple.
     """
 
-    def __init__(self, base: BaseRing, dim: int, mult, unit,
+    def __init__(self, base: BaseRing, dim: int, mult: Matrix, unit,
                  s_l: Matrix, t_l: Matrix, s_r: Matrix, t_r: Matrix,
                  delta_l_lift: Matrix, delta_r_lift: Matrix,
                  eps_l: Matrix, eps_r: Matrix,
@@ -96,7 +97,7 @@ class HopfAlgebroid(Algebra):
         self.base = base
         self.field = base.field
         self.dim = dim
-        self.mult = tuple(mult)
+        self.mult = mult
         self.unit = tuple(unit)
         self.s_l, self.t_l, self.s_r, self.t_r = s_l, t_l, s_r, t_r
         self.delta_l_lift = delta_l_lift
@@ -107,15 +108,13 @@ class HopfAlgebroid(Algebra):
         self.name = name or "H"
         self._unit = None
         n, r = dim, base.dim
-        if len(self.mult) != n ** 3 or len(self.unit) != n:
-            raise StructureError("algebra tensors have wrong shape")
-        for m, shape in ((s_l, (n, r)), (t_l, (n, r)), (s_r, (n, r)), (t_r, (n, r)),
-                         (delta_l_lift, (n * n, n)), (delta_r_lift, (n * n, n)),
-                         (eps_l, (r, n)), (eps_r, (r, n)),
-                         (antipode, (n, n)), (antipode_inv, (n, n))):
-            if (m.rows, m.cols) != shape:
-                raise StructureError("structure matrix has shape %dx%d, want %dx%d"
-                                     % (m.rows, m.cols, *shape))
+        require_shapes(("mult", mult, (n * n, n)), ("unit", self.unit, n),
+                       ("s_l", s_l, (n, r)), ("t_l", t_l, (n, r)),
+                       ("s_r", s_r, (n, r)), ("t_r", t_r, (n, r)),
+                       ("delta_l_lift", delta_l_lift, (n * n, n)),
+                       ("delta_r_lift", delta_r_lift, (n * n, n)),
+                       ("eps_l", eps_l, (r, n)), ("eps_r", eps_r, (r, n)),
+                       ("antipode", antipode, (n, n)), ("antipode_inv", antipode_inv, (n, n)))
 
     # -- coproduct legs -------------------------------------------------------
 
@@ -168,7 +167,7 @@ class HopfAlgebroid(Algebra):
         opposite of a Hopf algebra.  Its left bialgebroid is the right
         bialgebroid of H."""
         return HopfAlgebroid(
-            self.base.op, self.dim, _opposite(self.mult, self.dim), self.unit,
+            self.base.op, self.dim, _flip_legs(self.mult), self.unit,
             self.t_r, self.s_r, self.t_l, self.s_l,
             self.delta_r_lift, self.delta_l_lift,
             self.eps_r, self.eps_l, self.antipode_inv, self.antipode,
@@ -544,15 +543,13 @@ def check_hopf_algebroid(H: HopfAlgebroid) -> CheckReport:
 def base_ring_dual_numbers(field: Field) -> BaseRing:
     """k[x]/(x^2), basis (1, x)."""
     z, o = field.zero, field.one
-    mult = [z] * 8
-    mult[(0 * 2 + 0) * 2 + 0] = o     # 1*1 = 1
-    mult[(0 * 2 + 1) * 2 + 1] = o     # 1*x = x
-    mult[(1 * 2 + 0) * 2 + 1] = o     # x*1 = x
+    # rows 1*1 = 1, 1*x = x, x*1 = x and x*x = 0
+    mult = Matrix.from_rows(field, [(o, z), (z, o), (z, o), (z, z)])
     return BaseRing(field, 2, mult, (o, z), name="k[x]/(x^2)")
 
 
 def base_ring_scalars(field: Field) -> BaseRing:
-    return BaseRing(field, 1, [field.one], (field.one,), name="k")
+    return BaseRing(field, 1, Matrix.identity(field, 1), (field.one,), name="k")
 
 
 def enveloping_algebroid(A: BaseRing, name: str = "") -> HopfAlgebroid:
@@ -565,7 +562,7 @@ def enveloping_algebroid(A: BaseRing, name: str = "") -> HopfAlgebroid:
     eye, u = Matrix.identity(f, r), Matrix.from_cols(f, [A.unit])
     flip = swap_factors(eye.kron(eye), r, r)
     m, m_op = A.mult_matrix, A.op.mult_matrix
-    mult = (m.kron(m_op) * eye.kron(flip).kron(eye)).transpose().entries
+    mult = (m.kron(m_op) * eye.kron(flip).kron(eye)).transpose()
     s_l, t_l = eye.kron(u), u.kron(eye)
     lift = s_l.kron(t_l)
     return HopfAlgebroid(A, r * r, mult, u.kron(u).col(0), s_l, t_l, t_l, s_l, lift, lift,
@@ -578,13 +575,11 @@ def algebroid_from_hopf(Hq: QuasiHopfAlgebra, name: str = "") -> HopfAlgebroid:
         raise StructureError("algebroid_from_hopf needs a Hopf input "
                              "(trivial Phi, alpha = beta = 1)")
     f = Hq.field
-    n = Hq.dim
     base = base_ring_scalars(f)
-    unit_col = Matrix.from_cols(f, [Hq.unit], ambient=n)
-    lift = Matrix.from_cols(f, [Hq.comult[i] for i in range(n)], ambient=n * n)
+    unit_col = Matrix.from_cols(f, [Hq.unit])
     eps = Matrix.from_rows(f, [Hq.counit])
-    return HopfAlgebroid(base, n, Hq.mult, Hq.unit,
+    return HopfAlgebroid(base, Hq.dim, Hq.mult, Hq.unit,
                          unit_col, unit_col, unit_col, unit_col,
-                         lift, lift, eps, eps,
+                         Hq.comult_matrix, Hq.comult_matrix, eps, eps,
                          Hq.antipode, Hq.antipode_inv,
                          name=name or Hq.name)

@@ -250,8 +250,8 @@ def cmd_generate(args) -> int:
             raise UsageError("twisted_dual needs --table FILE and --omega FILE")
         table = _load_table(args.table)
         n = len(_validate_group(table)[0])
-        flat = _tensor3(f, _load_table(args.omega), n, "$")
-        omega = [[flat[k:k + n] for k in range(i, i + n * n, n)] for i in range(0, n ** 3, n * n)]
+        rows = _tensor3(f, _load_table(args.omega), n, "$")
+        omega = [[rows.row(x * n + y) for y in range(n)] for x in range(n)]
         obj = twisted_dual_group_algebra(f, table, omega)
         name = name or "k^G_w"
     elif what == "enveloping_dual_numbers":

@@ -169,7 +169,7 @@ def check_contramodule_hopf(C: Contramodule) -> CheckReport:
         size, size, lambda i, k: (i % (d * n) * n + i // (d * n), k))
     rep = CheckReport().compare(
         "contra_coassoc", (("f_outer", n), ("f_row", d), ("f_col", n)),
-        *_contra_assoc_sides(C, Matrix.from_rows(C.field, H.comult), units))
+        *_contra_assoc_sides(C, H.comult, units))
     rep.extend(_contra_counit(C, "contra_counit", C.field.one))
     return rep
 
@@ -448,7 +448,7 @@ def convert_I_to_II(C: Contramodule) -> Contramodule:
     _require(C, QUASI_I)
     H, M = C.parent, C.carrier
     eye, n = Matrix.identity(C.field, M.dim), H.dim
-    terms = element_legs(slot_apply(H.antipode_inv * H.alpha_hat, H.phi_inv_row, 1, n), n, 2)
+    terms = element_legs(slot_apply(H.antipode_inv * H.alpha_hat, H.phi_inv, 1, n), n, 2)
     op = _operator([[(c, M.mats[r], eye.kron(H.right_mults[w].transpose()))
                      for (w, r), c in terms.items()]], Matrix.identity(C.field, M.dim * n), M.dim)
     return Contramodule(M, _at(op, C.mu), QUASI_II)
@@ -462,7 +462,7 @@ def convert_II_to_I(C: Contramodule) -> Contramodule:
     _require(C, QUASI_II)
     H, f = C.parent, C.field
     d, n, l_s = C.carrier.dim, H.dim, H.antipode_mults[0]
-    wz = element_legs(slot_apply(H.antipode_inv * H.beta_hat, H.phi_row, 1, n), n, 2)
+    wz = element_legs(slot_apply(H.antipode_inv * H.beta_hat, H.phi, 1, n), n, 2)
     terms = [(f.mul(c, cz), [C.carrier.mats[z1], (l_s[z2] * H.right_mults[w]).transpose()])
              for (w, z), c in wz.items() for cz, z1, z2 in H.delta_legs[z]]
     return Contramodule(C.carrier, C.mu * kron_sum(f, d * n, d * n, terms), QUASI_I)

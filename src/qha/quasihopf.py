@@ -1,9 +1,11 @@
 """Quasi-Hopf algebras presented by structure constants.
 
-A quasi-Hopf algebra is stored as plain tensors over an exact field: the
-multiplication 3-tensor, unit vector, comultiplication rows, counit, an
-invertible antipode pair (S, S inverse), the associator element Phi with
-its inverse, and the two antipode decorations alpha, beta.  Hopf algebras
+A quasi-Hopf algebra is stored over an exact field as its structure maps,
+each one sparse matrix whose dense row-major entries are the flat array of
+its structure file: the multiplication m (n^2 x n), the comultiplication
+Delta (n x n^2), the antipode pair (S, S inverse), and the associator Phi
+with its inverse (1 x n^3 each); the unit, counit and the two antipode
+decorations alpha, beta are elements, tuples of n scalars.  Hopf algebras
 are the special case Phi = 1 (x) 1 (x) 1, alpha = beta = 1.
 
 The biclosed layer of both parents is written here once: Hom^l (with its
@@ -70,15 +72,27 @@ def element_legs(row: Matrix, n: int, k: int) -> dict:
             for key, c in row.row_map(0).items()}
 
 
+def require_shapes(*expected):
+    """Raise a StructureError at the first (name, value, shape) whose value
+    has another shape: a Matrix of shape (rows, cols), or a sequence of
+    shape length (an element, such as the unit)."""
+    for name, value, shape in expected:
+        got = (value.rows, value.cols) if isinstance(value, Matrix) else len(value)
+        if got != shape:
+            raise StructureError("%s has shape %s, want %s" % (name, got, shape))
+
+
 class Algebra:
     """The arithmetic of an associative algebra given by structure constants,
     shared by quasi-Hopf algebras, Hopf algebroids and their base rings.
 
-    Subclasses set field, dim, mult and unit; mult[(i*n + j)*n + k] is the
-    e_k coefficient of e_i e_j.  The same constants are held once as the
-    dim x dim^2 multiplication matrix m (``mult_matrix``) and once as the
-    multiplication matrices of the basis (``left_mults``, ``right_mults``).
-    Elements are dense vectors; those of H^(x)k are one-row matrices.
+    Subclasses set field, dim, mult and unit: mult is the dim^2 x dim
+    matrix m^T whose row i*n + j is e_i e_j, so that its row-major entries
+    are the flat array of the structure file, and unit is a tuple.  The
+    same constants are held once more as the dim x dim^2 multiplication
+    matrix m (``mult_matrix``) and as the multiplication matrices of the
+    basis (``left_mults``, ``right_mults``).  Elements are dense vectors;
+    those of H^(x)k are one-row matrices.
     """
 
     # whether the parent has passed the structure checks under which tensor
@@ -89,22 +103,16 @@ class Algebra:
     _cop_of = None
 
     @cached_property
-    def mult_table(self) -> Matrix:
-        """m^T: row i*n + j is e_i e_j."""
-        n = self.dim
-        return Matrix(self.field, n * n, n, self.mult)
-
-    @cached_property
     def mult_matrix(self) -> Matrix:
         """m: column i*n + j is e_i e_j."""
-        return self.mult_table.transpose()
+        return self.mult.transpose()
 
     def products(self, X: Matrix, right: bool = False) -> Matrix:
         """m (X (x) I), or m (I (x) X) when right: the products of the
         columns of X with the basis, made from the rows of m^T that X picks
         with no pass over all of m."""
         eye, Xt = Matrix.identity(self.field, self.dim), X.transpose()
-        return ((eye.kron(Xt) if right else Xt.kron(eye)) * self.mult_table).transpose()
+        return ((eye.kron(Xt) if right else Xt.kron(eye)) * self.mult).transpose()
 
     def mults_of(self, X: Matrix, right: bool = False):
         """The left (right) multiplication matrices of the columns of X: the
@@ -120,13 +128,13 @@ class Algebra:
     def left_mults(self):
         """L_(e_i) = m (e_i (x) I) for every basis element: column j is
         e_i e_j, so L_(e_i) is block i of n rows of m^T, transposed."""
-        return [b.transpose() for b in self.mult_table.row_blocks(self.dim)]
+        return [b.transpose() for b in self.mult.row_blocks(self.dim)]
 
     @cached_property
     def right_mults(self):
         """R_(e_j) = m (I (x) e_j) for every basis element: column i is
         e_i e_j, so R_(e_j) is strided block j of m^T, transposed."""
-        return [b.transpose() for b in self.mult_table.row_blocks(self.dim, strided=True)]
+        return [b.transpose() for b in self.mult.row_blocks(self.dim, strided=True)]
 
     # the antipode of a parent (not of a base ring)
 
@@ -198,7 +206,7 @@ class Algebra:
 
         def sides(E):
             right = self.products(E, right=True)
-            return (slot_apply(self.mult_table, right, 1, E.cols),
+            return (slot_apply(self.mult, right, 1, E.cols),
                     slot_apply(right.transpose(), m, n, 1))
 
         compare_on_generators(rep, self, prefix + "_associative", (("i", n), ("j", n), ("k", n)),
@@ -209,64 +217,48 @@ class Algebra:
 class QuasiHopfAlgebra(Algebra):
     """Structure-constant presentation of (H, m, u, Delta, eps, S, S^-1, Phi, alpha, beta).
 
-    mult[i][j][k] is the e_k coefficient of e_i * e_j, stored flat (row-major);
-    comult[i] is Delta(e_i) in k^(n*n) with tensor_index ordering; phi and
-    phi_inv live in k^(n^3).
+    Each structure tensor is one sparse matrix, in the order of its flat
+    array in a structure file: mult is n^2 x n with row i*n + j the product
+    e_i e_j, comult is n x n^2 with row i the element Delta(e_i) of H (x) H
+    in tensor_index order, and phi and phi_inv are 1 x n^3.  The unit,
+    counit, alpha and beta are tuples of n scalars.
     """
 
-    def __init__(self, field: Field, dim: int, mult, unit, comult, counit,
-                 antipode: Matrix, antipode_inv: Matrix, phi, phi_inv,
+    def __init__(self, field: Field, dim: int, mult: Matrix, unit, comult: Matrix, counit,
+                 antipode: Matrix, antipode_inv: Matrix, phi: Matrix, phi_inv: Matrix,
                  alpha, beta, name: str = ""):
         n = dim
         self.field = field
         self.dim = n
-        self.mult = tuple(mult)
+        self.mult = mult
         self.unit = tuple(unit)
-        self.comult = tuple(tuple(row) for row in comult)
+        self.comult = comult
         self.counit = tuple(counit)
         self.antipode = antipode
         self.antipode_inv = antipode_inv
-        self.phi = tuple(phi)
-        self.phi_inv = tuple(phi_inv)
+        self.phi = phi
+        self.phi_inv = phi_inv
         self.alpha = tuple(alpha)
         self.beta = tuple(beta)
         self.name = name or "H"
         self._unit = None
-        if len(self.mult) != n ** 3:
-            raise StructureError("mult tensor must have %d entries" % n ** 3)
-        if len(self.unit) != n or len(self.counit) != n:
-            raise StructureError("unit/counit must have length %d" % n)
-        if len(self.comult) != n or any(len(r) != n * n for r in self.comult):
-            raise StructureError("comult must be %d rows of length %d" % (n, n * n))
-        if antipode.rows != n or antipode.cols != n:
-            raise StructureError("antipode must be %dx%d" % (n, n))
-        if antipode_inv.rows != n or antipode_inv.cols != n:
-            raise StructureError("antipode_inv must be %dx%d" % (n, n))
-        if len(self.phi) != n ** 3 or len(self.phi_inv) != n ** 3:
-            raise StructureError("phi/phi_inv must have %d entries" % n ** 3)
-        if len(self.alpha) != n or len(self.beta) != n:
-            raise StructureError("alpha/beta must have length %d" % n)
+        require_shapes(("mult", mult, (n * n, n)), ("unit", self.unit, n),
+                       ("comult", comult, (n, n * n)), ("counit", self.counit, n),
+                       ("antipode", antipode, (n, n)), ("antipode_inv", antipode_inv, (n, n)),
+                       ("phi", phi, (1, n ** 3)), ("phi_inv", phi_inv, (1, n ** 3)),
+                       ("alpha", self.alpha, n), ("beta", self.beta, n))
 
     # -- derived tables (lazy, immutable once computed) --------------------
 
     @cached_property
     def comult_matrix(self) -> Matrix:
         """Delta: column i is Delta(e_i) in H (x) H."""
-        return Matrix.from_cols(self.field, self.comult)
+        return self.comult.transpose()
 
     @cached_property
     def delta_legs(self):
         """The Sweedler terms (coef, leg1, leg2) of Delta(e_i), for every i."""
         return lift_legs(self.comult_matrix)
-
-    @cached_property
-    def phi_row(self) -> Matrix:
-        """Phi as an element of H^(x)3: one row."""
-        return Matrix(self.field, 1, self.dim ** 3, self.phi)
-
-    @cached_property
-    def phi_inv_row(self) -> Matrix:
-        return Matrix(self.field, 1, self.dim ** 3, self.phi_inv)
 
     @cached_property
     def alpha_hat(self) -> Matrix:
@@ -297,11 +289,11 @@ class QuasiHopfAlgebra(Algebra):
 
     def phi_terms(self):
         """Nonzero terms of Phi as a dict {(x, y, z): coef}."""
-        return element_legs(self.phi_row, self.dim, 3)
+        return element_legs(self.phi, self.dim, 3)
 
     def is_hopf(self) -> bool:
         """True when Phi = 1(x)1(x)1 and alpha = beta = 1."""
-        return (self.phi_row == _unit_row(self, 3)
+        return (self.phi == _unit_row(self, 3)
                 and self.alpha == self.unit and self.beta == self.unit)
 
     @cached_property
@@ -312,16 +304,14 @@ class QuasiHopfAlgebra(Algebra):
         biclosed maps are the right-hand maps of H."""
         n = self.dim
 
-        def legs_reversed(flat):
-            return [flat[(z * n + y) * n + x]
-                    for x in range(n) for y in range(n) for z in range(n)]
+        def legs_321(r, c):
+            # column (x*n + y)*n + z of a one-row element of H^(x)3 takes (z, y, x)
+            return r, (c % n * n + c // n % n) * n + c // (n * n)
 
-        comult = [[row[q * n + p] for p in range(n) for q in range(n)]
-                  for row in self.comult]
         cop = QuasiHopfAlgebra(
-            self.field, n, self.mult, self.unit, comult, self.counit,
+            self.field, n, self.mult, self.unit, swap_slots(self.comult, n, n), self.counit,
             self.antipode_inv, self.antipode,
-            legs_reversed(self.phi_inv), legs_reversed(self.phi),
+            self.phi_inv.reindexed(1, n ** 3, legs_321), self.phi.reindexed(1, n ** 3, legs_321),
             self.antipode_inv.apply(self.alpha), self.antipode_inv.apply(self.beta),
             name=self.name + "^cop")
         # its structure checks pass exactly when those of H do
@@ -373,7 +363,7 @@ class QuasiHopfAlgebra(Algebra):
     def zeta_decoration(self, M, N) -> Matrix:
         """The action on M (x) N of (id (x) beta-hat)(Phi^-1) = P (x) Q beta S(R)."""
         d, n = M.dim * N.dim, self.dim
-        terms = element_legs(slot_apply(self.beta_hat, self.phi_inv_row, n, 1), n, 2)
+        terms = element_legs(slot_apply(self.beta_hat, self.phi_inv, n, 1), n, 2)
         return kron_sum(self.field, d, d,
                         [(c, [M.mats[p], N.mats[w]]) for (p, w), c in terms.items()])
 
@@ -634,13 +624,13 @@ def _triple_action(V: HModule, W: HModule, U: HModule, element: Matrix) -> Matri
 @shared
 def associator(V: HModule, W: HModule, U: HModule) -> Matrix:
     """The action of Phi on V (x) W (x) U, an isomorphism (VW)U -> V(WU)."""
-    return _triple_action(V, W, U, V.parent.phi_row)
+    return _triple_action(V, W, U, V.parent.phi)
 
 
 @shared
 def associator_inverse(V: HModule, W: HModule, U: HModule) -> Matrix:
     """The action of the stored Phi^-1 on V (x) W (x) U: V(WU) -> (VW)U."""
-    return _triple_action(V, W, U, V.parent.phi_inv_row)
+    return _triple_action(V, W, U, V.parent.phi_inv)
 
 
 # -- the biclosed layer, written once for both parents --------------------------
@@ -762,7 +752,7 @@ def eval_left(V: HModule, M: HModule) -> Matrix:
     H, n = V.parent, V.parent.dim
     rows = V.action.row_blocks(1)
     # column (a*dV + b)*dV + v: X e_a scaled by the (b, v) entry of S(Y) alpha Z
-    terms = element_legs(slot_apply(H.alpha_hat, H.phi_row, n, 1), n, 2)
+    terms = element_legs(slot_apply(H.alpha_hat, H.phi, n, 1), n, 2)
     return kron_sum(H.field, M.dim, M.dim * V.dim * V.dim,
                     [(c, [M.mats[x], rows[w]]) for (x, w), c in terms.items()])
 
@@ -905,7 +895,7 @@ def validate_structure(H: QuasiHopfAlgebra) -> CheckReport:
     rep = CheckReport()
     H.check_algebra(rep, "mult", unit_witness=True)
     algebra = rep.passed
-    deltas, eps = H.comult_matrix.transpose(), Matrix(f, 1, n, H.counit)
+    deltas, eps = H.comult, Matrix(f, 1, n, H.counit)
     # column (i, j) for the picked j: Delta(e_i e_j) against Delta(e_i) Delta(e_j),
     # each Delta(e_j) multiplying every Delta(e_i) from the right
     compare_on_generators(rep, H, "comult_algebra_map", (("i", n), ("j", n)), lambda E: (
@@ -916,8 +906,8 @@ def validate_structure(H: QuasiHopfAlgebra) -> CheckReport:
     compare_on_generators(rep, H, "counit_algebra_map", (("i", n), ("j", n)), lambda E: (
         eps * H.products(E, right=True), eps.kron(eps * E)), algebra, f.is_one(H.eps(H.unit)))
     one = _unit_row(H, 3)
-    rep.add("phi_invertible", tensor_times(H, 3, H.phi_row, H.phi_inv_row) == one
-            and tensor_times(H, 3, H.phi_inv_row, H.phi_row) == one)
+    rep.add("phi_invertible", tensor_times(H, 3, H.phi, H.phi_inv) == one
+            and tensor_times(H, 3, H.phi_inv, H.phi) == one)
     check_antipode_pair(rep, H, algebra)
     H.structure_passed = rep.passed
     return rep
@@ -947,8 +937,8 @@ def check_quasi_bialgebra(H: QuasiHopfAlgebra) -> CheckReport:
     algebra maps and Phi is invertible."""
     f, n = H.field, H.dim
     rep = CheckReport()
-    D, phi, phi_inv = H.comult_matrix, H.phi_row, H.phi_inv_row
-    deltas, eps, one = D.transpose(), Matrix(f, 1, n, H.counit), _unit_row(H, 1)
+    D, phi, phi_inv = H.comult_matrix, H.phi, H.phi_inv
+    deltas, eps, one = H.comult, Matrix(f, 1, n, H.counit), _unit_row(H, 1)
 
     # (id (x) Delta) Delta = Phi ((Delta (x) id) Delta) Phi^-1 on the picked rows of deltas
     def coassoc(E):
@@ -976,7 +966,7 @@ def check_quasi_bialgebra(H: QuasiHopfAlgebra) -> CheckReport:
 def eps_p_q_beta_s_r(H: QuasiHopfAlgebra) -> bool:
     """The identity eps(P) Q beta S(R) = beta, for Phi^-1 = P (x) Q (x) R."""
     n = H.dim
-    eps_p = slot_apply(Matrix(H.field, 1, n, H.counit), H.phi_inv_row, 1, n * n)
+    eps_p = slot_apply(Matrix(H.field, 1, n, H.counit), H.phi_inv, 1, n * n)
     return slot_apply(H.beta_hat, eps_p, 1, 1) == Matrix(H.field, 1, n, H.beta)
 
 
@@ -1001,9 +991,9 @@ def check_quasi_hopf(H: QuasiHopfAlgebra) -> CheckReport:
     # (((X beta) S(Y)) alpha) Z = 1 and (S(P) alpha Q) beta S(R) = 1,
     # contracting the first two legs, then the last
     unit = _unit_row(H, 1)
-    rep.add("ev_coev", slot_apply(m, slot_apply(r_alpha * H.beta_hat, H.phi_row, 1, n), 1, 1)
+    rep.add("ev_coev", slot_apply(m, slot_apply(r_alpha * H.beta_hat, H.phi, 1, n), 1, 1)
             == unit)
-    rep.add("coev_ev", slot_apply(H.beta_hat, slot_apply(H.alpha_hat, H.phi_inv_row, 1, n),
+    rep.add("coev_ev", slot_apply(H.beta_hat, slot_apply(H.alpha_hat, H.phi_inv, 1, n),
                                   1, 1) == unit)
     compare_on_generators(rep, H, "eps_antipode", (("h", n),), lambda E: (
         eps * (H.antipode * E), eps * E), H.structure_passed)
@@ -1053,19 +1043,16 @@ def group_algebra(field: Field, table, name: str = "kG") -> QuasiHopfAlgebra:
     """The group algebra kG as a (quasi-)Hopf algebra with trivial Phi."""
     table, e, inv = _validate_group(table)
     n = len(table)
-    z, o = field.zero, field.one
-    mult = [z] * n ** 3
-    for i in range(n):
-        for j in range(n):
-            mult[(i * n + j) * n + table[i][j]] = o
+    # row i*n + j of m is e_(ij), and row i of Delta is e_i (x) e_i
+    mult = Matrix.identity(field, n * n).reindexed(n * n, n,
+                                                   lambda r, _: (r, table[r // n][r % n]))
+    comult = Matrix.identity(field, n).reindexed(n, n * n, lambda r, _: (r, r * n + r))
     unit = basis_vec(field, n, e)
-    comult = [basis_vec(field, n * n, i * n + i) for i in range(n)]
-    counit = tuple([o] * n)
     s = Matrix.from_cols(field, [basis_vec(field, n, inv[i]) for i in range(n)])
-    phi = [z] * n ** 3
-    phi[(e * n + e) * n + e] = o
-    return QuasiHopfAlgebra(field, n, mult, unit, comult, counit, s, s,
-                            phi, list(phi), unit, unit, name=name)
+    one = Matrix.from_rows(field, [unit])
+    phi = one.kron(one).kron(one)
+    return QuasiHopfAlgebra(field, n, mult, unit, comult, (field.one,) * n, s, s,
+                            phi, phi, unit, unit, name=name)
 
 
 def cyclic_group_table(n: int):
@@ -1129,10 +1116,10 @@ def sweedler_h4(field: Field) -> QuasiHopfAlgebra:
               basis_vec(field, n, 2)]
     s = Matrix.from_cols(field, s_cols)
     s_inv = s.inverse()
-    phi = [z] * n ** 3
-    phi[0] = o
-    return QuasiHopfAlgebra(field, n, mult, unit, comult, counit, s, s_inv,
-                            phi, list(phi), unit, unit, name="H4")
+    phi = Matrix(field, 1, n ** 3, basis_vec(field, n ** 3, 0))
+    return QuasiHopfAlgebra(field, n, Matrix(field, n * n, n, mult), unit,
+                            Matrix.from_rows(field, comult), counit, s, s_inv,
+                            phi, phi, unit, unit, name="H4")
 
 
 def twisted_dual_group_algebra(field: Field, table, omega,
@@ -1159,16 +1146,16 @@ def twisted_dual_group_algebra(field: Field, table, omega,
             raise StructureError("omega must be nowhere zero")
         return val
 
-    mult = [z] * n ** 3
-    for i in range(n):
-        mult[(i * n + i) * n + i] = o
+    # the idempotents d_i: row i*n + i of m is d_i, every other row is zero
+    mult = Matrix.identity(field, n).reindexed(n * n, n, lambda r, c: (r * n + r, c))
     unit = tuple([o] * n)
-    comult = [[o if table[u][v] == g else z for u in range(n) for v in range(n)]
-              for g in range(n)]
+    comult = Matrix.from_rows(field, [[o if table[u][v] == g else z for u in range(n)
+                                       for v in range(n)] for g in range(n)])
     counit = tuple(o if g == e else z for g in range(n))
     s = Matrix.from_cols(field, [basis_vec(field, n, inv[i]) for i in range(n)])
     phi = [w(x, y, zz) for x in range(n) for y in range(n) for zz in range(n)]
-    phi_inv = [field.inv(c) for c in phi]
+    phi_inv = Matrix(field, 1, n ** 3, [field.inv(c) for c in phi])
+    phi = Matrix(field, 1, n ** 3, phi)
     alpha = unit
     beta = tuple(field.inv(w(x, inv[x], x)) for x in range(n))
     return QuasiHopfAlgebra(field, n, mult, unit, comult, counit, s, s,

@@ -9,6 +9,14 @@ then serialising then parsing again is the identity on in-memory objects.
 Each parent kind is one ordered table of keys and shapes, which one reader
 and one writer walk; one parent reader serves whole parent files and the
 parents embedded in module, contramodule and algebra files, at their paths.
+
+A parent's arrays are read straight into the shapes its object stores:
+each structure tensor becomes the sparse matrix whose dense row-major
+entries are the array flattened (mult, an n x n x n array, the n^2 x n
+matrix with row i*n + j the product e_i e_j; comult and every other nested
+array its rows; phi and phi_inv one row of n^3), and each element (unit,
+counit, alpha, beta) a tuple.  The writers fill each row with "0" and
+format only the stored nonzeros.
 """
 
 from __future__ import annotations
@@ -118,45 +126,49 @@ def _matrix(f, doc, rows, cols, where, *index) -> Matrix:
     return Matrix(f, rows, cols, ent)
 
 
-def _tensor3(f, doc, n, where):
-    """A nested n x n x n array, flattened row-major."""
+def _row(f, doc, length, where) -> Matrix:
+    """length scalars, as a one-row matrix."""
+    return Matrix.from_rows(f, [_vector(f, doc, length, where)])
+
+
+def _tensor3(f, doc, n, where) -> Matrix:
+    """A nested n x n x n array, as the n^2 x n matrix whose row i*n + j
+    is doc[i][j]: its row-major entries are the array flattened."""
     if not isinstance(doc, list) or len(doc) != n:
         raise StructureFileError("dimension_mismatch", "expected %d slices" % n, where)
-    out, known = [], {}
+    rows, known = [], {}
     for i, slab in enumerate(doc):
         if not isinstance(slab, list) or len(slab) != n:
             raise StructureFileError("dimension_mismatch", "expected %d rows" % n,
                                      _at(where, i))
-        for j, row in enumerate(slab):
-            out.extend(_vector(f, row, n, where, i, j, known=known))
-    return tuple(out)
-
-
-def _rows(f, doc, count, length, where):
-    """count rows of length scalars each, as a list of tuples."""
-    if len(doc) != count:
-        raise StructureFileError("dimension_mismatch", "%s needs %d rows"
-                                 % (where[where.rindex(".") + 1:], count), where)
-    known = {}
-    return [_vector(f, row, length, where, i, known=known) for i, row in enumerate(doc)]
+        rows.extend(_vector(f, row, n, where, i, j, known=known) for j, row in enumerate(slab))
+    return Matrix.from_rows(f, rows)
 
 
 def _fmt_matrix(field, m: Matrix):
-    return [[field.format(a) for a in m.row(i)] for i in range(m.rows)]
+    """The rows of m as lists of strings: each row starts as the shared
+    "0" (which Field.format gives for a zero), and only the stored nonzeros
+    are formatted."""
+    out = []
+    for i in range(m.rows):
+        row = ["0"] * m.cols
+        for j, a in m.row_map(i).items():
+            row[j] = field.format(a)
+        out.append(row)
+    return out
 
 
-def _fmt_tensor3(f, flat, n):
-    """The nested n x n x n array of a row-major tensor: the scalars
-    formatted in one pass, then sliced into rows and the rows into slices."""
-    text = [f.format(a) for a in flat]
-    rows = [text[r:r + n] for r in range(0, n ** 3, n)]
+def _fmt_tensor3(f, m: Matrix, n):
+    """The nested n x n x n array of an n^2 x n matrix: its rows, sliced
+    into n slices of n rows."""
+    rows = _fmt_matrix(f, m)
     return [rows[i:i + n] for i in range(0, n * n, n)]
 
 
 # Each reader's inverse: the JSON array it reads back as the value.
 _WRITERS = {
-    _vector: lambda f, vec, length: [f.format(a) for a in vec],
-    _rows: lambda f, rows, count, length: [[f.format(a) for a in row] for row in rows],
+    _vector: lambda f, vec, length: [f.format(a) if a else "0" for a in vec],
+    _row: lambda f, m, length: _fmt_matrix(f, m)[0],
     _matrix: lambda f, m, rows, cols: _fmt_matrix(f, m),
     _tensor3: _fmt_tensor3,
 }
@@ -177,10 +189,10 @@ def _base_keys(r, _):
 
 
 def _quasi_hopf_keys(n, _):
-    return (("mult", _tensor3, n), ("unit", _vector, n), ("comult", _rows, n, n * n),
+    return (("mult", _tensor3, n), ("unit", _vector, n), ("comult", _matrix, n, n * n),
             ("counit", _vector, n), ("antipode", _matrix, n, n),
-            ("antipode_inv", _matrix, n, n), ("phi", _vector, n ** 3),
-            ("phi_inv", _vector, n ** 3), ("alpha", _vector, n), ("beta", _vector, n))
+            ("antipode_inv", _matrix, n, n), ("phi", _row, n ** 3),
+            ("phi_inv", _row, n ** 3), ("alpha", _vector, n), ("beta", _vector, n))
 
 
 def _hopf_algebroid_keys(n, r):
@@ -298,8 +310,9 @@ def serialize(obj, name: str = "") -> dict:
         kind, doc = "contramodule", {
             "flavor": obj.flavor,
             "module": _write_module(obj.carrier),
-            "contraaction": [[[obj.field.format(obj.mu.get(i, j * n + a)) for a in range(n)]
-                              for j in range(d)] for i in range(d)],
+            # slice i is row i of mu read as d x n
+            "contraaction": [_fmt_matrix(obj.field, row.reshaped(d, n))
+                             for row in obj.mu.row_blocks(1)],
         }
     elif isinstance(obj, ModuleAlgebra):
         rel = obj.parent.tensor_relations(obj.carrier, obj.carrier)

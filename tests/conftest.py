@@ -3,7 +3,7 @@ import random
 import pytest
 
 from qha.fields import rationals, prime_field
-from qha.linalg import Matrix, slot_apply, stack_of_maps
+from qha.linalg import Matrix, slot_apply, stack_of_maps, vstack
 from qha.quasihopf import (group_algebra, sweedler_h4, twisted_dual_group_algebra,
                            cyclic_group_table, symmetric_group_table,
                            z2_nontrivial_cocycle, z3_nontrivial_cocycle,
@@ -105,17 +105,17 @@ def drinfeld_twist(H, F, F_inv, name):
         return out
 
     one, Fr, Fi = Matrix(f, 1, n, H.unit), row(F, 2), row(F_inv, 2)
-    comult = [product(2, Fr, d, Fi).row(0) for d in D.transpose().row_blocks(1)]
-    phi = product(3, one.kron(Fr), slot_apply(D, Fr, n, 1), H.phi_row,
+    comult = vstack(f, n * n, [product(2, Fr, d, Fi) for d in H.comult.row_blocks(1)])
+    phi = product(3, one.kron(Fr), slot_apply(D, Fr, n, 1), H.phi,
                   slot_apply(D, Fi, 1, n), Fi.kron(one))
-    phi_inv = product(3, Fr.kron(one), slot_apply(D, Fr, 1, n), H.phi_inv_row,
+    phi_inv = product(3, Fr.kron(one), slot_apply(D, Fr, 1, n), H.phi_inv,
                       slot_apply(D, Fi, n, 1), one.kron(Fi))
     alpha = contract(F_inv, lambda a: H.antipode.apply(H.basis(a)),
                      lambda b: H.prod(H.alpha, H.basis(b)))
     beta = contract(F, lambda a: H.prod(H.basis(a), H.beta),
                     lambda b: H.antipode.apply(H.basis(b)))
     return QuasiHopfAlgebra(f, n, H.mult, H.unit, comult, H.counit, H.antipode,
-                            H.antipode_inv, phi.row(0), phi_inv.row(0), alpha, beta, name)
+                            H.antipode_inv, phi, phi_inv, alpha, beta, name)
 
 
 @pytest.fixture(scope="session")
@@ -170,7 +170,7 @@ def base_ring_t2(field):
     mult = [z] * 27
     for i, j, k in ((0, 0, 0), (0, 1, 1), (1, 2, 1), (2, 2, 2)):
         mult[(i * 3 + j) * 3 + k] = o
-    return BaseRing(field, 3, mult, (o, z, o), name="T2")
+    return BaseRing(field, 3, Matrix(field, 9, 3, mult), (o, z, o), name="T2")
 
 
 @pytest.fixture(scope="session")

@@ -101,42 +101,29 @@ def test_criterion_1_axiom_suites():
 
 
 def _single_entry_mutants(H):
-    data_fields = [
-        ("mult", list(H.mult)), ("unit", list(H.unit)),
-        ("counit", list(H.counit)), ("phi", list(H.phi)),
-        ("phi_inv", list(H.phi_inv)), ("alpha", list(H.alpha)),
-        ("beta", list(H.beta)),
-        ("antipode", list(H.antipode.entries)),
-        ("antipode_inv", list(H.antipode_inv.entries)),
-    ]
-    for fname, data in data_fields:
+    """Every data argument with one scalar moved by 1 to 4 mod 5: the flat
+    entries of a matrix (comult last), or of an element."""
+    for fname in ("mult", "unit", "counit", "phi", "phi_inv", "alpha", "beta",
+                  "antipode", "antipode_inv", "comult"):
+        value = getattr(H, fname)
+        data = value.entries if isinstance(value, Matrix) else value
         for idx in range(len(data)):
             for delta in range(1, 5):
                 vals = list(data)
                 vals[idx] = (vals[idx] + delta) % 5
-                yield {fname: vals}
-    comult = [list(r) for r in H.comult]
-    for i in range(len(comult)):
-        for j in range(len(comult[i])):
-            for delta in range(1, 5):
-                rows = [list(r) for r in comult]
-                rows[i][j] = (rows[i][j] + delta) % 5
-                yield {"comult": rows}
+                yield fname, (Matrix(F5, value.rows, value.cols, vals)
+                              if isinstance(value, Matrix) else vals)
 
 
 def test_criterion_2_mutation_sensitivity():
     H = group_algebra(F5, cyclic_group_table(2), "kC2")
     total = flagged = 0
-    for patch in _single_entry_mutants(H):
+    for key, vals in _single_entry_mutants(H):
         kw = dict(field=H.field, dim=H.dim, mult=H.mult, unit=H.unit,
                   comult=H.comult, counit=H.counit, antipode=H.antipode,
                   antipode_inv=H.antipode_inv, phi=H.phi, phi_inv=H.phi_inv,
                   alpha=H.alpha, beta=H.beta)
-        for key, vals in patch.items():
-            if key in ("antipode", "antipode_inv"):
-                kw[key] = Matrix(F5, H.dim, H.dim, vals)
-            else:
-                kw[key] = vals
+        kw[key] = vals
         Hm = QuasiHopfAlgebra(**kw)
         valid = (validate_structure(Hm).passed
                  and check_quasi_bialgebra(Hm).passed

@@ -35,11 +35,11 @@ def transposed_kronecker_result(A, check_id):
 
 def mutated_mult(A, rng):
     """A's structure constants with one or two of them changed."""
-    f, mult = A.field, list(A.mult)
+    f, mult = A.field, list(A.mult.entries)
     for _ in range(rng.choice((1, 2))):
         k = rng.randrange(len(mult))
         mult[k] = f.add(mult[k], f.from_int(rng.choice((1, 2, -1))))
-    return mult
+    return Matrix(f, A.mult.rows, A.mult.cols, mult)
 
 
 def with_mult(A, mult):
@@ -101,9 +101,9 @@ def test_kS4_mutant_witness(k, witness):
     """A 24-dimensional case: e_5 e_7 (or e_17 e_20) given an extra e_3
     (or e_11) term."""
     H = group_algebra(QQ, symmetric_group_table(4), "kS4")
-    mult = list(H.mult)
+    mult = list(H.mult.entries)
     mult[k] = QQ.add(mult[k], QQ.one)
-    B = with_mult(H, mult)
+    B = with_mult(H, Matrix(QQ, H.mult.rows, H.mult.cols, mult))
     rep = CheckReport()
     B.check_algebra(rep, "mult", True)
     got = rep.result("mult_associative")

@@ -237,7 +237,7 @@ def test_stability_quasi_reads_beta_on_the_left(twisted_h4_q):
     # Hom(H, M) (coordinate i of the value at e_x at i*n + x), is
     # sum c (M(R) (x) B^T) vec(mu) = vec(I) over Phi^-1 = sum c P (x) Q (x) R
     system = Matrix.zeros(f, d * d, d * d * n)
-    for (p, q, r), c in element_legs(H.phi_inv_row, n, 3).items():
+    for (p, q, r), c in element_legs(H.phi_inv, n, 3).items():
         tail = H.prod(H.antipode_inv.apply(H.basis(q)), H.antipode_inv.apply(H.alpha), H.basis(p))
         acts = [dense_act(H.prod(H.beta, H.basis(x), tail)) for x in range(n)]
         b = Matrix.from_rows(f, [[acts[x].get(i, j) for j in range(d)]

@@ -53,15 +53,6 @@ def test_a_parent_refuses_a_truncated_argument(cls, arg):
         cls(**kwargs)
 
 
-def test_a_ragged_coproduct_row_is_refused():
-    H = _valid(QuasiHopfAlgebra)
-    comult = [list(row) for row in H.comult]
-    comult[-1].pop()
-    with pytest.raises(StructureError, match="^comult must be 2 rows of length 4$"):
-        QuasiHopfAlgebra(H.field, H.dim, H.mult, H.unit, comult, H.counit, H.antipode,
-                         H.antipode_inv, H.phi, H.phi_inv, H.alpha, H.beta)
-
-
 @pytest.mark.parametrize("mats, message", [
     ([Matrix.identity(QQ, 2)], "^need 2 action matrices$"),
     ([Matrix.identity(QQ, 2), Matrix.zeros(QQ, 2, 3)],

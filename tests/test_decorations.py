@@ -45,18 +45,18 @@ def test_decoration_maps_and_contracted_elements_match_term_sums(request, name):
         for q in range(n):
             assert H.alpha_hat.col(p * n + q) == H.prod(s(e(p)), H.alpha, e(q))
             assert H.beta_hat.col(p * n + q) == H.prod(e(p), H.beta, s(e(q)))
-    phi, phi_inv = H.phi_terms().items(), element_legs(H.phi_inv_row, n, 3).items()
+    phi, phi_inv = H.phi_terms().items(), element_legs(H.phi_inv, n, 3).items()
     # X (x) S(Y) alpha Z, the evaluation
-    assert slot_apply(H.alpha_hat, H.phi_row, n, 1) == term_sum(
+    assert slot_apply(H.alpha_hat, H.phi, n, 1) == term_sum(
         H, [(c, e(x), H.prod(s(e(y)), H.alpha, e(z))) for (x, y, z), c in phi])
     # P (x) Q beta S(R), the zeta^l decoration
-    assert slot_apply(H.beta_hat, H.phi_inv_row, n, 1) == term_sum(
+    assert slot_apply(H.beta_hat, H.phi_inv, n, 1) == term_sum(
         H, [(c, e(p), H.prod(e(q), H.beta, s(e(r)))) for (p, q, r), c in phi_inv])
     # S^-1(Q) S^-1(alpha) P (x) R, the type I to type II conversion
-    assert slot_apply(H.antipode_inv * H.alpha_hat, H.phi_inv_row, 1, n) == term_sum(
+    assert slot_apply(H.antipode_inv * H.alpha_hat, H.phi_inv, 1, n) == term_sum(
         H, [(c, H.prod(s_inv(e(q)), s_inv(H.alpha), e(p)), e(r)) for (p, q, r), c in phi_inv])
     # Y S^-1(beta) S^-1(X) (x) Z, the type II to type I conversion
-    assert slot_apply(H.antipode_inv * H.beta_hat, H.phi_row, 1, n) == term_sum(
+    assert slot_apply(H.antipode_inv * H.beta_hat, H.phi, 1, n) == term_sum(
         H, [(c, H.prod(e(y), s_inv(H.beta), s_inv(e(x))), e(z)) for (x, y, z), c in phi])
 
 

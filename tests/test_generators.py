@@ -56,10 +56,11 @@ def test_scalars_need_no_generator():
 def test_generators_fall_back_to_the_basis_without_multiplicative_delta():
     H = group_algebra(F7, cyclic_group_table(3), "kC3")
     z, o = F7.zero, F7.one
-    comult = list(H.comult)
-    comult[1] = tuple(o if k == 1 * 3 + 2 else z for k in range(9))   # Delta(g) = g (x) g^2
-    bad = QuasiHopfAlgebra(F7, 3, H.mult, H.unit, comult, H.counit, H.antipode,
-                           H.antipode_inv, H.phi, H.phi_inv, H.alpha, H.beta, name="bad")
+    comult = H.comult.row_list()
+    comult[1] = [o if k == 1 * 3 + 2 else z for k in range(9)]   # Delta(g) = g (x) g^2
+    bad = QuasiHopfAlgebra(F7, 3, H.mult, H.unit, Matrix.from_rows(F7, comult), H.counit,
+                           H.antipode, H.antipode_inv, H.phi, H.phi_inv, H.alpha, H.beta,
+                           name="bad")
     assert not validate_structure(bad).result("comult_algebra_map").passed
     assert bad.generators == (0, 1, 2)
     assert bad.cop.generators == (0, 1, 2)
@@ -184,17 +185,18 @@ KEYS = ("mult", "unit", "comult", "counit", "antipode", "antipode_inv", "phi", "
 
 
 def _arrays(H):
-    """The structure arrays of H, flat, by key."""
-    return {"mult": H.mult, "unit": H.unit, "comult": sum(H.comult, ()), "counit": H.counit,
-            "antipode": H.antipode.entries, "antipode_inv": H.antipode_inv.entries,
-            "phi": H.phi, "phi_inv": H.phi_inv, "alpha": H.alpha, "beta": H.beta}
+    """The structure arrays of H, flat, by key: the entries of its
+    matrices, and its elements."""
+    arrays = {key: getattr(H, key) for key in KEYS[:-1]}
+    return {key: a.entries if isinstance(a, Matrix) else a for key, a in arrays.items()}
 
 
 def _parent(f, n, a):
-    rows = [a["comult"][i * n * n:(i + 1) * n * n] for i in range(n)]
-    return QuasiHopfAlgebra(f, n, a["mult"], a["unit"], rows, a["counit"],
+    return QuasiHopfAlgebra(f, n, Matrix(f, n * n, n, a["mult"]), a["unit"],
+                            Matrix(f, n, n * n, a["comult"]), a["counit"],
                             Matrix(f, n, n, a["antipode"]), Matrix(f, n, n, a["antipode_inv"]),
-                            a["phi"], a["phi_inv"], a["alpha"], a["beta"])
+                            Matrix(f, 1, n ** 3, a["phi"]), Matrix(f, 1, n ** 3, a["phi_inv"]),
+                            a["alpha"], a["beta"])
 
 
 def _changed(f, arr, rng, k=None):
@@ -265,10 +267,11 @@ def test_reports_on_corrupted_parents_equal_those_over_every_index(name, request
 
 def test_the_algebroid_algebra_axioms_equal_those_over_every_index(env_q, monkeypatch):
     H, R = env_q, env_q.base
-    f = H.field
+    f, n, r = H.field, H.dim, R.dim
 
     def reports(mult, unit, base_mult, base_unit):
-        A = HopfAlgebroid(BaseRing(f, R.dim, base_mult, base_unit), H.dim, mult, unit,
+        A = HopfAlgebroid(BaseRing(f, r, Matrix(f, r * r, r, base_mult), base_unit), n,
+                          Matrix(f, n * n, n, mult), unit,
                           H.s_l, H.t_l, H.s_r, H.t_r, H.delta_l_lift, H.delta_r_lift,
                           H.eps_l, H.eps_r, H.antipode, H.antipode_inv)
         rep = CheckReport()
@@ -278,10 +281,11 @@ def test_the_algebroid_algebra_axioms_equal_those_over_every_index(env_q, monkey
     cases = []
     for seed in range(6):
         rng = random.Random("env %d" % seed)
-        cases += [(_changed(f, H.mult, rng), H.unit, R.mult, R.unit),
-                  (H.mult, _changed(f, H.unit, rng), R.mult, R.unit),
-                  (H.mult, H.unit, _changed(f, R.mult, rng), R.unit),
-                  (H.mult, H.unit, R.mult, _changed(f, R.unit, rng))]
+        mult, base_mult = H.mult.entries, R.mult.entries
+        cases += [(_changed(f, mult, rng), H.unit, base_mult, R.unit),
+                  (mult, _changed(f, H.unit, rng), base_mult, R.unit),
+                  (mult, H.unit, _changed(f, base_mult, rng), R.unit),
+                  (mult, H.unit, base_mult, _changed(f, R.unit, rng))]
     got = [reports(*case) for case in cases]
     assert any(not b["pass"] for b, _ in got) and any(not a["pass"] for _, a in got)
     _every_index(monkeypatch)

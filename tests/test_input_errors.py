@@ -275,13 +275,15 @@ def _drop_last(*path):
     ("check", _edited(KC2, _drop_last("antipode")), "dimension_mismatch", "$.antipode"),
     ("check", _edited(KC2, _drop_last("mult")), "dimension_mismatch", "$.mult"),
     ("check", _edited(KC2, _drop_last("comult")), "dimension_mismatch", "$.comult"),
+    ("check", _edited(KC2, _drop_last("comult", 1)), "dimension_mismatch", "$.comult[1]"),
     ("check", _edited(trivial_module(KC2), _drop_last("action")),
      "dimension_mismatch", "$.action"),
     ("check", _edited(KC2, _set(["field"], {"type": "R"})), "schema", "$.field"),
 ], ids=["io", "json", "top-level-not-object", "unknown-kind", "no-parent",
         "field-differs-from-supplied-parent", "embedded-parent-kind", "unknown-flavor",
         "contraaction-slices", "flavor-of-other-parent-kind", "algebroid-mult-not-constant",
-        "matrix-rows", "tensor3-slices", "rows-count", "action-slices", "unknown-field-type"])
+        "matrix-rows", "tensor3-slices", "rows-count", "row-one-scalar-short", "action-slices",
+        "unknown-field-type"])
 def test_structure_file_errors_name_their_code_and_path(tmp_path, capsys, command, text,
                                                         code, where):
     struct, bad = tmp_path / "H.json", tmp_path / "bad.json"

@@ -68,8 +68,8 @@ def test_phi_times_phi_inverse_is_one(request, fixture):
     f, n = H.field, H.dim
     u = Matrix(f, 1, n, H.unit)
     one = u.kron(u).kron(u)
-    assert tensor_times(H, 3, H.phi_row, H.phi_inv_row) == one
-    assert tensor_times(H, 3, H.phi_inv_row, H.phi_row) == one
+    assert tensor_times(H, 3, H.phi, H.phi_inv) == one
+    assert tensor_times(H, 3, H.phi_inv, H.phi) == one
 
 
 RANGES = (("a", 2), ("b", 3), ("c", 4))
@@ -120,4 +120,4 @@ def test_twisted_h4_content_hash(twisted_h4_q):
 
 def test_tensor_times_rejects_an_element_of_the_wrong_degree(h4_q):
     with pytest.raises(ShapeError):
-        tensor_times(h4_q, 3, h4_q.phi_row.kron(Matrix(QQ, 1, 4, h4_q.unit)), Matrix.zeros(QQ, 1, 64))
+        tensor_times(h4_q, 3, h4_q.phi.kron(Matrix(QQ, 1, 4, h4_q.unit)), Matrix.zeros(QQ, 1, 64))

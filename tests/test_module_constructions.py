@@ -69,7 +69,7 @@ def dense_zeta_l(f_mat, M, N, L):
     H = M.parent
     d = M.dim * N.dim
     kmat = Matrix.zeros(H.field, d, d)
-    for (p, q, r), c in element_legs(H.phi_inv_row, H.dim, 3).items():
+    for (p, q, r), c in element_legs(H.phi_inv, H.dim, 3).items():
         nq = dense_act(N, H.prod(H.basis(q), H.beta, H.antipode.apply(H.basis(r))))
         kmat = kmat + dense_act(M, H.basis(p)).kron(nq).scale(c)
     g = f_mat * kmat

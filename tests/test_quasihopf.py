@@ -463,12 +463,11 @@ def test_cop_passes_every_suite(name):
 def _bumped(H, part, pos):
     """H with one structure constant raised by one."""
     f, n = H.field, H.dim
-    parts = {"mult": list(H.mult), "unit": list(H.unit), "counit": list(H.counit),
-             "comult": [x for row in H.comult for x in row],
-             "antipode": list(H.antipode.entries)}
+    parts = {"mult": list(H.mult.entries), "unit": list(H.unit), "counit": list(H.counit),
+             "comult": list(H.comult.entries), "antipode": list(H.antipode.entries)}
     parts[part][pos] = f.add(parts[part][pos], f.one)
-    comult = [parts["comult"][i * n * n:(i + 1) * n * n] for i in range(n)]
-    return QuasiHopfAlgebra(f, n, parts["mult"], parts["unit"], comult, parts["counit"],
+    return QuasiHopfAlgebra(f, n, Matrix(f, n * n, n, parts["mult"]), parts["unit"],
+                            Matrix(f, n, n * n, parts["comult"]), parts["counit"],
                             Matrix(f, n, n, parts["antipode"]), H.antipode_inv,
                             H.phi, H.phi_inv, H.alpha, H.beta, name=H.name)
 

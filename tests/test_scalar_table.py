@@ -53,17 +53,17 @@ def test_the_same_strings_read_as_each_field_s_values(key):
         doc["mult"] = [[strings[(i * 3 + j) * 3:(i * 3 + j + 1) * 3] for j in range(3)]
                        for i in range(3)]
     for f in (QQ, F5, QQ):
-        got = getattr(parse(f, doc), key)
+        got = getattr(parse(f, doc), key).entries
         assert typed(got) == typed(f.parse(s) for s in strings)
-    assert getattr(parse(QQ, doc), key)[:3] == (6, 1, 1)
-    assert getattr(parse(F5, doc), key)[:3] == (1, 1, 1)
+    assert getattr(parse(QQ, doc), key).entries[:3] == (6, 1, 1)
+    assert getattr(parse(F5, doc), key).entries[:3] == (1, 1, 1)
 
 
 def test_rationals_read_exactly_as_field_parse():
     doc = kc3_doc(QQ)
     strings = ["2/4", "-0", "+1", " 1", "4/2", "-3/6", "2/4", "1/3", "0/7"]
     doc["phi"] = strings + ["0"] * (27 - len(strings))
-    got = parse(QQ, doc).phi[:len(strings)]
+    got = parse(QQ, doc).phi.entries[:len(strings)]
     assert typed(got) == typed(QQ.parse(s) for s in strings)
     assert typed(got[:5]) == typed([Fraction(1, 2), 0, 1, 1, 2])
 
@@ -125,7 +125,7 @@ def test_a_string_bad_over_one_field_only():
     and is refused over GF(5), at the place of the string."""
     doc = kc3_doc(QQ)
     doc["phi"][26] = "1/2"
-    assert parse(QQ, doc).phi[26] == Fraction(1, 2)
+    assert parse(QQ, doc).phi.get(0, 26) == Fraction(1, 2)
     with pytest.raises(StructureFileError) as err:
         parse(F5, doc)
     assert (err.value.code, err.value.where) == ("scalar_parse", "$.phi[26]")

@@ -69,7 +69,7 @@ ALGEBROIDS = {
 ALGEBROID_SUITES = (check_algebroid_structure, check_left_bialgebroid,
                     check_right_bialgebroid, check_hopf_algebroid)
 
-_ALGEBROID_MATRICES = ("s_l", "t_l", "s_r", "t_r", "delta_l_lift", "delta_r_lift",
+_ALGEBROID_MATRICES = ("mult", "s_l", "t_l", "s_r", "t_r", "delta_l_lift", "delta_r_lift",
                        "eps_l", "eps_r", "antipode")
 
 
@@ -79,13 +79,12 @@ def bumped_algebroid(H: HopfAlgebroid, part: str, pos: int) -> HopfAlgebroid:
     f = H.field
     base = H.base
     if part in ("base_mult", "base_unit"):
-        mult, unit = list(base.mult), list(base.unit)
-        base = BaseRing(f, base.dim, _bump(f, mult, pos) if part == "base_mult" else mult,
+        mult, unit = base.mult, base.unit
+        base = BaseRing(f, base.dim, _bump_matrix(mult, pos) if part == "base_mult" else mult,
                         _bump(f, unit, pos) if part == "base_unit" else unit,
                         name=base.name)
-    fields = dict(mult=list(H.mult), unit=list(H.unit),
-                  **{m: getattr(H, m) for m in _ALGEBROID_MATRICES})
-    if part in ("mult", "unit"):
+    fields = dict(unit=list(H.unit), **{m: getattr(H, m) for m in _ALGEBROID_MATRICES})
+    if part == "unit":
         fields[part] = _bump(f, fields[part], pos)
     elif part in _ALGEBROID_MATRICES:
         fields[part] = _bump_matrix(fields[part], pos)
@@ -1102,17 +1101,12 @@ QUASI_HOPF_SUITES = (validate_structure, check_quasi_bialgebra, check_quasi_hopf
 
 def bumped_quasi_hopf(H: QuasiHopfAlgebra, part: str, pos: int) -> QuasiHopfAlgebra:
     """H with one structure constant raised by one."""
-    f, n = H.field, H.dim
-    parts = {"mult": list(H.mult), "unit": list(H.unit), "counit": list(H.counit),
-             "comult": [x for row in H.comult for x in row],
-             "antipode": list(H.antipode.entries), "phi": list(H.phi),
-             "phi_inv": list(H.phi_inv), "alpha": list(H.alpha), "beta": list(H.beta)}
-    parts[part] = _bump(f, parts[part], pos)
-    comult = [parts["comult"][i * n * n:(i + 1) * n * n] for i in range(n)]
-    return QuasiHopfAlgebra(f, n, parts["mult"], parts["unit"], comult, parts["counit"],
-                            Matrix(f, n, n, parts["antipode"]), H.antipode_inv,
-                            parts["phi"], parts["phi_inv"], parts["alpha"], parts["beta"],
-                            name=H.name)
+    parts = {key: getattr(H, key) for key in ("mult", "unit", "comult", "counit", "antipode",
+                                              "phi", "phi_inv", "alpha", "beta")}
+    value = parts[part]
+    parts[part] = (_bump_matrix(value, pos) if isinstance(value, Matrix)
+                   else _bump(H.field, value, pos))
+    return QuasiHopfAlgebra(H.field, H.dim, antipode_inv=H.antipode_inv, name=H.name, **parts)
 
 
 def observe_quasi_hopf(name, part, pos):
