@@ -11,7 +11,8 @@ The left base ring R is the stored one; the right base is its opposite
 ring ``BaseRing.op``.  The biclosed maps (Hom^l, Hom^r, zeta and eta) are
 not written here: they are the one layer of quasihopf.py, to which a
 Hopf algebroid gives its Delta_r legs, the right-base-linear maps as the
-carrier of Hom^l, no zeta^l decoration and the plain evaluation; the
+carrier of Hom^l, the quotient projector onto M (x)_R N as the zeta^l
+decoration and the carrier's embedding in Hom_k as the evaluation; the
 right-hand maps there are the left-hand ones over the co-opposite
 algebroid ``H.cop`` (over R^op).  The right bialgebroid axioms are the
 left ones over the opposite algebroid ``H.op``.
@@ -31,8 +32,8 @@ from __future__ import annotations
 from functools import cached_property
 
 from .fields import Field
-from .linalg import (Matrix, Subspace, hstack, intertwiner_space, kron_sum, slot_apply,
-                     swap_factors, vstack)
+from .linalg import (Matrix, Subspace, hstack, intertwiner_space, intertwiner_system, kron_sum,
+                     slot_apply, swap_factors, vstack)
 from .reports import CheckReport
 from .quasihopf import (Algebra, HModule, QuasiHopfAlgebra, StructureError, max_tensor_dim,
                         require_shapes, shared, left_hom, right_hom, zeta_l, eta_l, zeta_r, eta_r,
@@ -106,7 +107,6 @@ class HopfAlgebroid(Algebra):
         self.antipode = antipode
         self.antipode_inv = antipode_inv
         self.name = name or "H"
-        self._unit = None
         n, r = dim, base.dim
         require_shapes(("mult", mult, (n * n, n)), ("unit", self.unit, n),
                        ("s_l", s_l, (n, r)), ("t_l", t_l, (n, r)),
@@ -195,10 +195,8 @@ class HopfAlgebroid(Algebra):
         return requotient_associativity_inverse(U, V, W)
 
     def unit_object(self):
-        """The monoidal unit R, made once per parent."""
-        if self._unit is None:
-            self._unit = base_module(self)
-        return self._unit
+        """The monoidal unit R."""
+        return base_module(self)
 
     def _base_actions(self, V, images: Matrix) -> Matrix:
         """R (x) V -> V, r (x) v |-> images(r) v: the actions of the images
@@ -215,8 +213,9 @@ class HopfAlgebroid(Algebra):
                 * module_tensor_relations(V, base_module(self)).lift)
 
     # the four data of the biclosed layer of quasihopf.py: the Delta_r legs,
-    # the right-base-linear maps as carrier of Hom^l, no zeta^l decoration
-    # and the plain evaluation phi (x) v |-> phi(v)
+    # the right-base-linear maps as carrier of Hom^l, the quotient onto
+    # M (x)_R N as the zeta^l decoration and the carrier's embedding as the
+    # evaluation, phi (x) v |-> phi(v) being plain uncurrying
 
     def hom_legs(self, i: int):
         return self.delta_r_legs[i]
@@ -224,11 +223,13 @@ class HopfAlgebroid(Algebra):
     def hom_carrier(self, V, M):
         return right_linear_hom_basis(V, M)
 
-    def zeta_decoration(self, M, N):
-        return None
+    def zeta_decoration(self, M, N) -> Matrix:
+        """M (x) N -> M (x)_R N: the projector of the base relations."""
+        return module_tensor_relations(M, N).projector
 
-    def hom_evaluation(self, V, M):
-        return None
+    def hom_evaluation(self, V, M) -> Matrix:
+        """The carrier of Hom^l(V, M) -> Hom_k(V, M): its basis embedding."""
+        return left_hom(V, M)[1].basis_matrix()
 
     # the hom associativity maps, so that tau and the hexagon are written
     # once: the strict currying maps, with the hom out of V (x)_R W read on
@@ -257,13 +258,11 @@ def base_module(H: HopfAlgebroid) -> HModule:
 
 def _relation_space(f: Field, pairs, d1: int, d2: int) -> Subspace:
     """The span of (A x) (x) y - x (x) (B y) over the pairs (A, B) of d1 x d1
-    and d2 x d2 matrices and all basis vectors x, y: the rows of the
-    transposes of A (x) I - I (x) B, stacked."""
-    d = d1 * d2
-    eye1, eye2 = Matrix.identity(f, d1), Matrix.identity(f, d2)
-    return Subspace.row_space(vstack(f, d, [
-        kron_sum(f, d, d, [(f.one, [a.transpose(), eye2]), (f.neg(f.one), [eye1, b.transpose()])])
-        for a, b in pairs]))
+    and d2 x d2 matrices and all basis vectors x, y: the row space of the
+    intertwiner system of the pairs (B, A^T), whose rows are those of the
+    transposes of A (x) I - I (x) B, negated."""
+    return Subspace.row_space(intertwiner_system(f, [(b, a.transpose()) for a, b in pairs],
+                                                 d1, d2))
 
 
 @shared

@@ -11,10 +11,10 @@ constraint.  Every check rejects data of the wrong flavor.
 
 Every equation is written once as two matrices, one per side, each a sum
 of terms c A mu B: A acts on M, and B is a fixed map into the carrier of
-Hom(H, M) whose columns are the check's instances.  Such a sum is one
-matrix on the entries of mu (``_operator``), read by the aYD checks, the
-type I -> II conversion and the linear aYD system alike; the type II tau is
-the type I tau of the converted coefficient.  A failed check reports the
+Hom(H, M) whose columns are the check's instances.  The checks and the
+type I -> II conversion evaluate such a sum at mu, and the linear aYD
+system is the aYD sums as one matrix on the entries of mu; the type II tau
+is the type I tau of the converted coefficient.  A failed check reports the
 first column at which the sides differ, read as the lexicographically first
 failing index tuple in the order the check names its indices: basis
 elements h of H, vectors m of M, base indices r, matrix units E_ja of
@@ -122,20 +122,11 @@ def _action_map(M: HModule, X: Matrix) -> Matrix:
     return (X.transpose() * M.action).reindexed(d * n, d, lambda x, k: (k // d * n + x, k % d))
 
 
-def _operator(term_lists, inst: Matrix, d: int) -> Matrix:
-    """mu |-> sum c A mu B inst for each list of terms (c, A, B), A on M of
-    dimension d and B on the carrier of Hom(H, M), as one matrix on the
-    row-major vec(mu^T): the sums of c (B inst)^T (x) A, one below the other,
-    with rows (list, column of inst, coordinate)."""
-    f, w, k = inst.field, inst.rows, inst.cols
-    return vstack(f, w * d, [kron_sum(f, k * d, w * d, [
-        (c, [(B * inst).transpose(), A]) for c, A, B in terms]) for terms in term_lists])
-
-
-def _at(op: Matrix, mu: Matrix) -> Matrix:
-    """op at mu, as the matrix whose column k is the k-th instance."""
-    d = mu.rows
-    return (op * mu.transpose().reshaped(d * mu.cols, 1)).reshaped(op.rows // d, d).transpose()
+def _terms_at(terms, mu: Matrix, inst: Matrix) -> Matrix:
+    """sum c A mu B inst over the terms (c, A, B), A on M and B on the
+    carrier of Hom(H, M): column k is the instance at column k of inst."""
+    return kron_sum(mu.field, mu.rows, inst.cols,
+                    [(c, [A * (mu * B * inst)]) for c, A, B in terms])
 
 
 def _contra_assoc_sides(C: Contramodule, delta: Matrix, inst: Matrix):
@@ -197,8 +188,8 @@ def check_ayd_hopf(C: Contramodule) -> CheckReport:
 # An aYD equation is given per basis element h of H by its two sides, each
 # a list of terms (c, A, B) standing for sum c A mu B: A acts on M, B on the
 # carrier of Hom(H, M), and column j*dim(H) + a of a side is its instance at
-# the matrix unit f = E_ja.  The checks evaluate each side's operator at
-# mu; the linear system is the operator of lhs - rhs.
+# the matrix unit f = E_ja.  The checks evaluate each side at mu; the
+# linear system is lhs - rhs as one matrix on the entries of mu.
 
 def _ayd_sides_one(M: HModule):
     """h mu(f) = mu(h^2 f(S(h^3) - h^1)) per basis element h, where
@@ -235,7 +226,8 @@ def _ayd_sides_two(M: HModule, legs):
 def _ayd_at(sides, mu: Matrix, inst: Matrix):
     """The two sides of an aYD equation at mu and at the maps given as the
     columns of inst, the instances of every h side by side: (h, instance)."""
-    return tuple(_at(_operator([pair[k] for pair in sides], inst, mu.rows), mu) for k in (0, 1))
+    return tuple(hstack(mu.field, mu.rows, [_terms_at(pair[k], mu, inst) for pair in sides])
+                 for k in (0, 1))
 
 
 def _ayd_report(check_id: str, C: Contramodule, sides) -> CheckReport:
@@ -263,9 +255,12 @@ def ayd_compatibility_system(carrier: HModule, flavor: str) -> Matrix:
         sides = _ayd_sides_one(carrier)
     else:
         raise FlavorError("no linear aYD system for flavor %s" % flavor)
-    neg, d, dn = H.field.neg, carrier.dim, carrier.dim * H.dim
-    diff = [lhs + [(neg(c), A, B) for c, A, B in rhs] for lhs, rhs in sides]
-    return swap_factors(_operator(diff, Matrix.identity(H.field, dn), d), dn, d)
+    f, d, dn = H.field, carrier.dim, carrier.dim * H.dim
+    # mu |-> sum c A mu B on the row-major vec(mu^T) is sum c B^T (x) A, one
+    # block per h below the other, with rows (h, column of B, coordinate)
+    return swap_factors(vstack(f, dn * d, [kron_sum(f, dn * d, dn * d, [
+        (c, [B.transpose(), A]) for c, A, B in lhs] + [
+        (f.neg(c), [B.transpose(), A]) for c, A, B in rhs]) for lhs, rhs in sides]), dn, d)
 
 
 def check_stability_hopf(C: Contramodule) -> CheckReport:
@@ -449,9 +444,9 @@ def convert_I_to_II(C: Contramodule) -> Contramodule:
     H, M = C.parent, C.carrier
     eye, n = Matrix.identity(C.field, M.dim), H.dim
     terms = element_legs(slot_apply(H.antipode_inv * H.alpha_hat, H.phi_inv, 1, n), n, 2)
-    op = _operator([[(c, M.mats[r], eye.kron(H.right_mults[w].transpose()))
-                     for (w, r), c in terms.items()]], Matrix.identity(C.field, M.dim * n), M.dim)
-    return Contramodule(M, _at(op, C.mu), QUASI_II)
+    return Contramodule(M, _terms_at([(c, M.mats[r], eye.kron(H.right_mults[w].transpose()))
+                                      for (w, r), c in terms.items()],
+                                     C.mu, Matrix.identity(C.field, M.dim * n)), QUASI_II)
 
 
 def convert_II_to_I(C: Contramodule) -> Contramodule:

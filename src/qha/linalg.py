@@ -783,13 +783,11 @@ def quotient_section(field: Field, ambient_dim: int, relations: Subspace):
     return projector, lift.transpose()
 
 
-def intertwiner_space(field: Field, constraints, rows: int, cols: int) -> Subspace:
-    """All matrices X (rows x cols) with X @ A_t = B_t @ X for every pair.
-
-    ``constraints`` is an iterable of (A_t, B_t) with A_t cols x cols and
-    B_t rows x rows.  The result is the canonical subspace of row-major
-    vectorised matrices; with no constraints it is the full space.
-    """
+def intertwiner_system(field: Field, constraints, rows: int, cols: int) -> Matrix:
+    """The blocks I (x) A_t^T - B_t (x) I, one below the other, for the pairs
+    (A_t, B_t) of ``constraints``, A_t cols x cols and B_t rows x rows:
+    block t sends the row-major vec(X) of a rows x cols matrix X to
+    vec(X A_t - B_t X).  With no constraints it has no rows."""
     blocks = []
     eye_r = Matrix.identity(field, rows)
     eye_c = Matrix.identity(field, cols)
@@ -799,12 +797,17 @@ def intertwiner_space(field: Field, constraints, rows: int, cols: int) -> Subspa
             raise ShapeError("A constraint must be %dx%d" % (cols, cols))
         if b.rows != rows or b.cols != rows:
             raise ShapeError("B constraint must be %dx%d" % (rows, rows))
-        # vec(XA - BX) = (I (x) A^T - B (x) I) vec(X), row-major vec.
         blocks.append(kron_sum(field, n, n, [(field.one, [eye_r, a.transpose()]),
                                              (field.neg(field.one), [b, eye_c])]))
-    if not blocks:
-        return Subspace.full(field, rows * cols)
-    return vstack(field, n, blocks).kernel()
+    return vstack(field, n, blocks)
+
+
+def intertwiner_space(field: Field, constraints, rows: int, cols: int) -> Subspace:
+    """All matrices X (rows x cols) with X @ A_t = B_t @ X for every pair:
+    the kernel of ``intertwiner_system``, the canonical subspace of
+    row-major vectorised matrices; with no constraints the full space."""
+    system = intertwiner_system(field, constraints, rows, cols)
+    return system.kernel() if system.rows else Subspace.full(field, rows * cols)
 
 
 # -- small vector helpers used across the package -------------------------

@@ -12,9 +12,11 @@ The biclosed layer of both parents is written here once: Hom^l (with its
 carrier), zeta^l and eta^l, and Hom^r, zeta^r and eta^r as those over the
 co-opposite parent.  A parent gives it four data and no algorithm: the
 coproduct legs of the hom action (Delta here, Delta_r over a Hopf
-algebroid), the carrier of Hom^l (None here: all of Hom_k), the zeta^l
-decoration (the action of P (x) Q beta S(R), none over an algebroid) and
-the evaluation (eval_left, none over an algebroid), besides ``tensor``,
+algebroid), the carrier of Hom^l (None here: all of Hom_k), the map that
+zeta^l precomposes with on M (x) N (the action of P (x) Q beta S(R) here,
+the quotient projector onto M (x)_R N over an algebroid) and the map that
+eta^l applies to the carrier of Hom^l (eval_left curried here, the
+carrier's embedding in Hom_k over an algebroid), besides ``tensor``,
 ``tensor_relations`` and ``cop``.
 
 Every Phi-decoration is Phi or Phi^-1 with two legs contracted by the
@@ -241,7 +243,6 @@ class QuasiHopfAlgebra(Algebra):
         self.alpha = tuple(alpha)
         self.beta = tuple(beta)
         self.name = name or "H"
-        self._unit = None
         require_shapes(("mult", mult, (n * n, n)), ("unit", self.unit, n),
                        ("comult", comult, (n, n * n)), ("counit", self.counit, n),
                        ("antipode", antipode, (n, n)), ("antipode_inv", antipode_inv, (n, n)),
@@ -337,10 +338,8 @@ class QuasiHopfAlgebra(Algebra):
         return associator_inverse(U, V, W)
 
     def unit_object(self):
-        """The monoidal unit k, made once per parent."""
-        if self._unit is None:
-            self._unit = trivial_module(self)
-        return self._unit
+        """The monoidal unit k."""
+        return trivial_module(self)
 
     def left_unitor(self, V) -> Matrix:
         """k (x) V -> V: the identity on carriers."""
@@ -368,7 +367,10 @@ class QuasiHopfAlgebra(Algebra):
                         [(c, [M.mats[p], N.mats[w]]) for (p, w), c in terms.items()])
 
     def hom_evaluation(self, V, M) -> Matrix:
-        return eval_left(V, M)
+        """eval_left curried, Hom_k(V, M) -> Hom_k(V, M):
+        phi |-> (v |-> X phi(S(Y) alpha Z v))."""
+        d = M.dim * V.dim
+        return swap_factors(eval_left(V, M), d, V.dim).reshaped(d, d)
 
     # the hom associativity maps, so that tau and the hexagon are written
     # once: they carry the Phi-decoration between the full hom carriers
@@ -639,9 +641,11 @@ def associator_inverse(V: HModule, W: HModule, U: HModule) -> Matrix:
 # (e_b |-> m_a), flattened row-major: index a*dV + b.  The parent's four
 # data (see the module docstring) are ``hom_legs(i)``, the Sweedler terms
 # (coef, h1, h2) of the hom action; ``hom_carrier(V, M)``, a Subspace of
-# Hom_k(V, M) or None for all of it; ``zeta_decoration(M, N)``, a map on
-# M (x) N or None; and ``hom_evaluation(V, M)``, a map Hom_k(V, M) (x) V
-# -> M or None for phi (x) v |-> phi(v).  An H-module is an H^cop-module
+# Hom_k(V, M) or None for all of it; ``zeta_decoration(M, N)``, the map
+# from M (x) N to the domain of the maps that zeta^l curries; and
+# ``hom_evaluation(V, M)``, the map from the carrier of Hom^l(V, M) to
+# Hom_k(V, M) that eta^l uncurries through.  Both are always a Matrix, and
+# zeta^l and eta^l apply them as they are.  An H-module is an H^cop-module
 # on the same matrices (its cached view ``V.cop``), and V (x) W over H^cop
 # is W (x) V over H with the factors swapped, so each right-hand map is the
 # left-hand one over H^cop re-read on the swapped tensor domain
@@ -770,56 +774,49 @@ def eval_right(V: HModule, M: HModule) -> Matrix:
 # F: X -> Y is the one-row stack ``stack_of_maps(F, dim Y)``.
 
 def zeta_l(S: Matrix, M: HModule, N: HModule, L: HModule) -> Matrix:
-    """zeta^l: Hom_H(M (x) N, L) -> Hom_H(M, Hom^l(N, L)), f |-> curry(f . proj . K),
+    """zeta^l: Hom_H(M (x) N, L) -> Hom_H(M, Hom^l(N, L)), f |-> curry(f . K),
     read in the coordinates of the carrier of Hom^l(N, L).
 
-    proj is the quotient projector of M (x) N and K the parent's decoration:
-    f |-> (m |-> f(P m (x) Q beta S(R) -)) over a quasi-Hopf algebra, plain
-    currying f |-> (m |-> f(m (x) -)) over an algebroid.  The input and
-    output checks cover every map.
+    K is the parent's ``zeta_decoration``: the action of P (x) Q beta S(R)
+    over a quasi-Hopf algebra, so f |-> (m |-> f(P m (x) Q beta S(R) -)),
+    and the quotient projector onto M (x)_R N over an algebroid, so plain
+    currying f |-> (m |-> f(m (x) -)).  The input and output checks cover
+    every map.  It runs in a build scope, so each relation space and hom
+    module it reads is built once.
     """
     H = M.parent
-    tens, rel = H.tensor(M, N)
-    require_intertwiner(S, tens, L, "zeta_l input")
-    hom, carrier = left_hom(N, L)
-    if rel is not None:
-        S = stack_rmul(S, rel.projector)
-    k = H.zeta_decoration(M, N)
-    out = swap_slots(S if k is None else stack_rmul(S, k), M.dim, N.dim)
-    if carrier is not None:
-        # each curried map sends M into the full carrier Hom_k(N, L)
-        out = carrier.stack_coordinates(out, M.dim)
-        if out is None:
-            raise IntertwinerError("zeta_l image is not base-linear")
-    require_intertwiner(out, M, hom, "zeta_l output")
-    return out
+    with build_scope():
+        require_intertwiner(S, H.tensor(M, N)[0], L, "zeta_l input")
+        hom, carrier = left_hom(N, L)
+        out = swap_slots(stack_rmul(S, H.zeta_decoration(M, N)), M.dim, N.dim)
+        if carrier is not None:
+            # each curried map sends M into the full carrier Hom_k(N, L)
+            out = carrier.stack_coordinates(out, M.dim)
+            if out is None:
+                raise IntertwinerError("zeta_l image is not base-linear")
+        require_intertwiner(out, M, hom, "zeta_l output")
+        return out
 
 
 def eta_l(S: Matrix, M: HModule, N: HModule, L: HModule) -> Matrix:
     """eta^l(g) = ev^l o (g (x) id): Hom_H(M, Hom^l(N, L)) -> Hom_H(M (x) N, L),
-    g |-> uncurry(curry(ev) . basis . g) . lift.
+    g |-> uncurry(ev . g) . lift.
 
-    basis embeds the carrier of Hom^l(N, L) in Hom_k(N, L), ev is the
-    parent's evaluation (phi (x) m |-> X phi(S(Y) alpha Z m) over a
-    quasi-Hopf algebra, phi(m) over an algebroid) and lift is the section
-    of the quotient M (x) N, on whose relation classes the result must be
-    constant."""
+    ev is the parent's ``hom_evaluation``, from the carrier of Hom^l(N, L)
+    to Hom_k(N, L): phi |-> (n |-> X phi(S(Y) alpha Z n)) over a quasi-Hopf
+    algebra, the carrier's embedding over an algebroid.  lift is the
+    section of the quotient M (x) N, on whose relation classes the result
+    must be constant.  It runs in a build scope, as zeta_l does."""
     H = M.parent
-    hom, carrier = left_hom(N, L)
-    require_intertwiner(S, M, hom, "eta_l input")
-    if carrier is not None:
-        S = stack_lmul(carrier.basis_matrix(), S)
-    ev = H.hom_evaluation(N, L)
-    if ev is not None:
-        d = L.dim * N.dim
-        S = stack_lmul(swap_factors(ev, d, N.dim).reshaped(d, d), S)
-    amb = swap_slots(S, N.dim, M.dim)
-    tens, rel = H.tensor(M, N)
-    out = amb if rel is None else stack_rmul(amb, rel.lift)
-    if rel is not None and stack_rmul(out, rel.projector) != amb:
-        raise StructureError("eta_l image not constant on relation classes")
-    require_intertwiner(out, tens, L, "eta_l output")
-    return out
+    with build_scope():
+        require_intertwiner(S, M, left_hom(N, L)[0], "eta_l input")
+        amb = swap_slots(stack_lmul(H.hom_evaluation(N, L), S), N.dim, M.dim)
+        tens, rel = H.tensor(M, N)
+        out = amb if rel is None else stack_rmul(amb, rel.lift)
+        if rel is not None and stack_rmul(out, rel.projector) != amb:
+            raise StructureError("eta_l image not constant on relation classes")
+        require_intertwiner(out, tens, L, "eta_l output")
+        return out
 
 
 def zeta_r(S: Matrix, N: HModule, M: HModule, L: HModule) -> Matrix:

@@ -294,3 +294,50 @@ def test_structure_file_errors_name_their_code_and_path(tmp_path, capsys, comman
     exit_code, out, err = _run(capsys, argv)
     assert (exit_code, out) == (2, "")
     assert err.startswith("error [%s]: %s at %s: " % (code, code, where)), err
+
+
+# -- usage errors of the commands ---------------------------------------------------
+#
+# One case per refusal of qha.cli that no other test reaches: a generator
+# without its side file, a field or parent it cannot use, and a file of the
+# wrong kind for its place on the command line.  Each exits 2 with its
+# error line and prints nothing.
+
+@pytest.mark.parametrize("argv, message", [
+    (["generate", "group_algebra"],
+     "group_algebra needs --cyclic N, --symmetric N or --table FILE"),
+    (["generate", "twisted_dual"], "twisted_dual needs --table FILE and --omega FILE"),
+    (["generate", "twisted_dual", "--table", "{tmp}/z2.json"],
+     "twisted_dual needs --table FILE and --omega FILE"),
+    (["generate", "enveloping"], "enveloping needs --base FILE with dim/mult/unit"),
+    (["generate", "enveloping", "--base", "{tmp}/z2.json"],
+     "--base must hold an object with dim/mult/unit"),
+    (["generate", "unit_algebra"], "unit_algebra needs --structure FILE"),
+    (["generate", "trivial_contramodule"], "trivial_contramodule needs --structure FILE"),
+    (["generate", "trivial_contramodule", "--structure", "{tmp}/env.json"],
+     "trivial_contramodule needs a quasi_hopf structure"),
+    (["generate", "sweedler_h4", "--field", "GFp", "--p", "4"], "non-prime characteristic 4"),
+    (["generate", "twisted_dual_z3"], "the rationals have no 3-th roots of unity"),
+    (["check", "{tmp}/k.json"], "check expects a quasi_hopf or hopf_algebroid file"),
+    (["ayd", "{tmp}/kC2.json", "{tmp}/unitA.json"],
+     "expected a contramodule file, got 'ModuleAlgebra'"),
+    (["convert", "{tmp}/M.json", "--to", "typeII"], "cannot convert flavor hopf_mu to typeII"),
+    (["cohomology", "{tmp}/kC2.json", "{tmp}/M.json", "{tmp}/unitA.json", "--degree", "1"],
+     "expected a module_algebra file for the algebra object"),
+    (["cohomology", "{tmp}/kC2.json", "{tmp}/unitA.json", "{tmp}/unitA.json", "--degree", "1"],
+     "expected a contramodule file for the coefficient"),
+], ids=["group-algebra-no-table", "twisted-dual-no-files", "twisted-dual-no-omega",
+        "enveloping-no-base", "enveloping-base-not-object", "unit-algebra-no-structure",
+        "trivial-contramodule-no-structure", "trivial-contramodule-of-algebroid",
+        "field-not-prime", "z3-cocycle-over-q", "check-module-file", "ayd-algebra-coefficient",
+        "convert-hopf-mu", "cohomology-swapped-files", "cohomology-algebra-as-coefficient"])
+def test_command_usage_errors(tmp_path, capsys, argv, message):
+    struct = str(tmp_path / "kC2.json")
+    write_structure(struct, KC2, "kC2")
+    write_structure(str(tmp_path / "env.json"), ENV, "env")
+    write_structure(str(tmp_path / "k.json"), trivial_module(KC2), "k")
+    write_structure(str(tmp_path / "unitA.json"), unit_algebra(KC2), "unitA")
+    write_structure(str(tmp_path / "M.json"), _coefficient(KC2), "M")
+    (tmp_path / "z2.json").write_text(json.dumps(Z2))
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    assert _run(capsys, argv) == (2, "", "error [usage]: %s\n" % message)

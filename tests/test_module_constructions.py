@@ -145,16 +145,17 @@ def test_algebroid_associativity_maps_compose_to_the_identity(name, request):
 
 @pytest.mark.parametrize("name", ["kc2_q", "h4_q", "twisted_q", "env_q", "env_f5", "t2e_f5"])
 def test_one_unit_object_per_parent(name, request):
-    """The unit object is made once per parent, and is the module the unit
-    constructor makes; H^cop, another parent, has its own."""
+    """The unit object is one module per parent, equal on every call, and
+    is the module the unit constructor makes; H^cop, another parent, has
+    its own."""
     H = request.getfixturevalue(name)
     unit = H.unit_object()
-    assert unit is H.unit_object()
+    assert unit == H.unit_object()
     assert unit.parent is H
     made = trivial_module(H) if isinstance(H, QuasiHopfAlgebra) else base_module(H)
     assert unit.mats == made.mats
-    assert H.cop.unit_object() is H.cop.unit_object()
-    assert H.cop.unit_object() is not unit
+    assert H.cop.unit_object() == H.cop.unit_object()
+    assert H.cop.unit_object() != unit
 
 
 def test_zeta_l_matches_dense_reference(quasi):

@@ -1,0 +1,123 @@
+"""The interface a parent gives the shared biclosed layer.
+
+Each parent gives zeta^l the map it precomposes with on M (x) N and eta^l
+the map it applies to the carrier of Hom^l(N, L), always as a Matrix: over
+a quasi-Hopf algebra the Phi-decoration and eval_left curried, over a Hopf
+algebroid the quotient projector onto M (x)_R N and the carrier's
+embedding in Hom_k.  A standalone zeta^l or eta^l builds each relation
+space and hom carrier once, and a parent holds no module of its own, so
+it is freed without the cyclic garbage collector.
+"""
+
+import gc
+import weakref
+
+import pytest
+
+from qha import algebroid
+from qha.fields import rationals
+from qha.linalg import Matrix, Subspace, basis_vec
+from qha.quasihopf import (build_scope, group_algebra, cyclic_group_table, eta_l,
+                           hom_module_morphisms, left_hom, regular_module, trivial_module, zeta_l)
+from qha.algebroid import (base_module, base_ring_dual_numbers, enveloping_algebroid,
+                           module_tensor_relations)
+
+PARENTS = ["kc2_q", "h4_q", "twisted_q", "env_q", "t2e_f5"]
+
+
+@pytest.mark.parametrize("name", PARENTS)
+def test_both_hooks_are_matrices_of_their_shape(name, request):
+    H = request.getfixturevalue(name)
+    mods = [regular_module(H), H.unit_object()]
+    for M in mods:
+        for N in mods:
+            K = H.zeta_decoration(M, N)
+            assert isinstance(K, Matrix)
+            assert (K.rows, K.cols) == (H.tensor(M, N)[0].dim, M.dim * N.dim)
+            ev = H.hom_evaluation(M, N)
+            assert isinstance(ev, Matrix)
+            assert (ev.rows, ev.cols) == (N.dim * M.dim, left_hom(M, N)[0].dim)
+
+
+def test_algebroid_hooks_are_the_quotient_and_the_carrier(env_q):
+    reg, base = regular_module(env_q), base_module(env_q)
+    assert env_q.zeta_decoration(reg, base) == module_tensor_relations(reg, base).projector
+    assert env_q.hom_evaluation(base, reg) == algebroid.right_linear_hom_basis(
+        base, reg).basis_matrix()
+
+
+@pytest.mark.parametrize("name", ["env_f5", "t2e_f5"])
+def test_base_relations_are_spanned_by_their_generators(name, request):
+    """(t_l(r) m) (x) n - m (x) (s_l(r) n) for every r, m and n spans the
+    relation space, made from the intertwiner system."""
+    H = request.getfixturevalue(name)
+    f = H.field
+    for M, N in [(regular_module(H), base_module(H)), (base_module(H), regular_module(H))]:
+        gens = [[f.sub(f.mul(p, q), f.mul(s, t))
+                 for p, s in zip(a.col(i), basis_vec(f, M.dim, i))
+                 for q, t in zip(basis_vec(f, N.dim, j), b.col(j))]
+                for a, b in zip(M.acts(H.t_l), N.acts(H.s_l))
+                for i in range(M.dim) for j in range(N.dim)]
+        assert module_tensor_relations(M, N) == Subspace.from_generators(
+            f, M.dim * N.dim, gens)
+
+
+def _counted(monkeypatch):
+    """Count the calls of the relation-space and intertwiner builders that
+    the algebroid layer makes."""
+    counts = {"_relation_space": 0, "intertwiner_space": 0}
+    for name in counts:
+        real = getattr(algebroid, name)
+
+        def counting(*args, _name=name, _real=real):
+            counts[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(algebroid, name, counting)
+    return counts
+
+
+def test_standalone_zeta_and_eta_build_each_space_once(env_q, monkeypatch):
+    reg = regular_module(env_q)
+    tens = env_q.tensor(reg, reg)[0]
+    f = hom_module_morphisms(tens, reg).basis_stack()
+    g = zeta_l(f, reg, reg, reg)
+    counts = _counted(monkeypatch)
+    assert zeta_l(f, reg, reg, reg) == g
+    assert counts == {"_relation_space": 1, "intertwiner_space": 1}
+    counts.update(_relation_space=0, intertwiner_space=0)
+    assert eta_l(g, reg, reg, reg) == f
+    assert counts == {"_relation_space": 1, "intertwiner_space": 1}
+    # inside an open scope, both reuse what the scope has built
+    counts.update(_relation_space=0, intertwiner_space=0)
+    with build_scope():
+        assert eta_l(zeta_l(f, reg, reg, reg), reg, reg, reg) == f
+    assert counts == {"_relation_space": 1, "intertwiner_space": 1}
+
+
+def _freed_without_gc(make, touch):
+    gc.collect()
+    gc.disable()
+    try:
+        H = make()
+        touch(H)
+        ref = weakref.ref(H)
+        del H
+        return ref() is None
+    finally:
+        gc.enable()
+
+
+def test_an_algebroid_is_freed_without_the_cycle_collector():
+    def touch(H):
+        H.unit_object()
+        H.cop.unit_object()
+        H.op.unit_object()
+    assert _freed_without_gc(lambda: enveloping_algebroid(base_ring_dual_numbers(rationals())),
+                             touch)
+
+
+def test_a_quasi_hopf_algebra_is_freed_without_the_cycle_collector():
+    def touch(H):
+        assert H.unit_object() == trivial_module(H)
+    assert _freed_without_gc(lambda: group_algebra(rationals(), cyclic_group_table(2), "kC2"),
+                             touch)
