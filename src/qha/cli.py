@@ -16,8 +16,8 @@ from functools import cache
 from .fields import rationals, prime_field, FieldError
 from .reports import CheckReport, pretty_line
 from .quasihopf import (QuasiHopfAlgebra, StructureError, GroupTableError, IntertwinerError,
-                        _validate_group, group_algebra, sweedler_h4, twisted_dual_group_algebra,
-                        cyclic_group_table, symmetric_group_table,
+                        _validate_group, build_scope, group_algebra, sweedler_h4,
+                        twisted_dual_group_algebra, cyclic_group_table, symmetric_group_table,
                         z2_nontrivial_cocycle, z3_nontrivial_cocycle, trivial_module,
                         validate_structure, check_quasi_bialgebra, check_quasi_hopf)
 from .algebroid import (HopfAlgebroid, enveloping_algebroid,
@@ -358,7 +358,10 @@ def main(argv=None) -> int:
     try:
         # looked up at each call, so that the cmd_* bound in this module
         # now is the one that runs, also after it was rebound
-        return globals()["cmd_" + args.cmd](args)
+        # in one build scope, so that the parse, the checks and the build
+        # share every tensor product, relation space and Hom module
+        with build_scope():
+            return globals()["cmd_" + args.cmd](args)
     except (StructureFileError, UsageError, FlavorError, GroupTableError,
             StructureError, FieldError, OSError) as e:
         code = getattr(e, "code", "usage")

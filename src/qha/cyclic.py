@@ -34,7 +34,7 @@ from functools import cache, cached_property
 from itertools import accumulate
 
 from .fields import Field
-from .linalg import Matrix, block_matrix, kron_sum, stack_of_maps, stack_rmul
+from .linalg import Matrix, block_matrix, kron_sum, stack_of_maps, stack_rmul, vstack
 from .reports import CheckReport
 from .quasihopf import (QuasiHopfAlgebra, StructureError, build_scope,
                         hom_module_morphisms, is_intertwiner, shared)
@@ -353,55 +353,77 @@ def _build_cocyclic(A: ModuleAlgebra, M: Contramodule, n_max: int) -> CocyclicMo
     return cc
 
 
+def _stacked_products(lefts, right: Matrix):
+    """The rows of X_a * right for each X_a of lefts, maps of one shape: one
+    product of their stack, cut into row blocks."""
+    if not lefts:
+        return []
+    r = lefts[0].rows
+    rows = (vstack(right.field, right.rows, lefts) * right)._rows
+    return [rows[a * r:(a + 1) * r] for a in range(len(lefts))]
+
+
 def _cocyclic_identities(cc: CocyclicModule):
     """Every cosimplicial and cyclic identity of cc as (relation, indices,
-    lhs, rhs), in the order they are verified: cofaces, codegeneracies,
-    the mixed relations, t^(n+1) = id, then per degree the cyclic coface
-    and codegeneracy relations."""
+    lhs rows, rhs rows), in the order they are verified: cofaces,
+    codegeneracies, the mixed relations, t^(n+1) = id, then per degree the
+    cyclic coface and codegeneracy relations.  The products that share a
+    right factor Y (of a family, or of the right-hand sides of the cyclic
+    relations) are made as one product of the stacked left factors with Y,
+    one degree at a time."""
     d, s, t = cc.cofaces, cc.codegens, cc.cyclics
     for n in range(cc.n_max - 1):
+        # by_right[k][a] = d[n+1][a] d[n][k]
+        by_right = [_stacked_products(d[n + 1], y) for y in d[n]]
         for j in range(n + 3):
             for i in range(j):
                 yield ("coface relation", dict(n=n, i=i, j=j),
-                       d[n + 1][j] * d[n][i], d[n + 1][i] * d[n][j - 1])
+                       by_right[i][j], by_right[j - 1][i])
     for n in range(cc.n_max - 1):
+        # by_right[k][a] = s[n][a] s[n+1][k]
+        by_right = [_stacked_products(s[n], y) for y in s[n + 1]]
         for j in range(n + 1):
             for i in range(j + 1):
                 yield ("codegeneracy relation", dict(n=n, i=i, j=j),
-                       s[n][i] * s[n + 1][j + 1], s[n][j] * s[n + 1][i])
+                       by_right[j + 1][i], by_right[i][j])
     for n in range(cc.n_max):
-        eye = Matrix.identity(cc.field, cc.dim(n))
+        eye = Matrix.identity(cc.field, cc.dim(n))._rows
+        lhs = [_stacked_products(s[n], y) for y in d[n]]
+        # rhs[k][a] = d[n-1][a] s[n-1][k]
+        rhs = [_stacked_products(d[n - 1], y) for y in s[n - 1]] if n else []
         for j in range(n + 1):
             for i in range(n + 2):
-                lhs = s[n][j] * d[n][i]
                 if i in (j, j + 1):
-                    yield "mixed identity relation", dict(n=n, i=i, j=j), lhs, eye
+                    yield "mixed identity relation", dict(n=n, i=i, j=j), lhs[i][j], eye
                 else:
                     # i < j or i > j + 1, so n >= 1
-                    yield "mixed relation", dict(n=n, i=i, j=j), lhs, (
-                        d[n - 1][i] * s[n - 1][j - 1] if i < j
-                        else d[n - 1][i - 1] * s[n - 1][j])
+                    yield "mixed relation", dict(n=n, i=i, j=j), lhs[i][j], (
+                        rhs[j - 1][i] if i < j else rhs[j][i - 1])
     for n in range(cc.n_max + 1):
         power = t[n]
         for _ in range(n):
             power = power * t[n]
-        yield "t^(n+1) != id", dict(n=n), power, Matrix.identity(cc.field, cc.dim(n))
+        yield ("t^(n+1) != id", dict(n=n), power._rows,
+               Matrix.identity(cc.field, cc.dim(n))._rows)
     for n in range(cc.n_max):
-        yield "cyclic coface wrap", dict(n=n), t[n + 1] * d[n][0], d[n][n + 1]
+        d_t = _stacked_products(d[n][:n + 1], t[n])
+        s_t = _stacked_products(s[n][:n], t[n + 1])
+        yield "cyclic coface wrap", dict(n=n), (t[n + 1] * d[n][0])._rows, d[n][n + 1]._rows
         for i in range(1, n + 2):
             yield ("cyclic coface relation", dict(n=n, i=i),
-                   t[n + 1] * d[n][i], d[n][i - 1] * t[n])
+                   (t[n + 1] * d[n][i])._rows, d_t[i - 1])
         for i in range(1, n + 1):
             yield ("cyclic codegeneracy relation", dict(n=n, i=i),
-                   t[n] * s[n][i], s[n][i - 1] * t[n + 1])
+                   (t[n] * s[n][i])._rows, s_t[i - 1])
         yield ("cyclic codegeneracy wrap", dict(n=n),
-               t[n] * s[n][0], s[n][n] * (t[n + 1] * t[n + 1]))
+               (t[n] * s[n][0])._rows, (s[n][n] * (t[n + 1] * t[n + 1]))._rows)
 
 
 def verify_cocyclic_identities(cc: CocyclicModule):
     """Return None when all identities hold, else a CocyclicError (not
     raised) naming the first failing relation and its indices; its message
-    describes the relation."""
+    describes the relation.  Each identity is one comparison of the row
+    tuples of its two sides, walked in the order of _cocyclic_identities."""
     for relation, indices, lhs, rhs in _cocyclic_identities(cc):
         if lhs != rhs:
             return CocyclicError(relation, **indices)

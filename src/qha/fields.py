@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 
 
 class FieldError(ValueError):
@@ -155,9 +156,15 @@ def _integral(r):
 
 
 def nonzero_map(values) -> dict:
-    """{position: value} of the nonzero scalars of values, each integral
-    Fraction as its int: how a dense row or column enters a sparse matrix."""
-    return {j: _integral(a) if type(a) is Fraction else a for j, a in enumerate(values) if a}
+    """{position: value} of the nonzero scalars of the sequence values, each
+    integral Fraction as its int: how a dense row or column enters a sparse
+    matrix.  The zeros are skipped in C, and the nonzeros are visited again
+    only when one of them is a Fraction."""
+    out = dict(compress(enumerate(values), values))
+    for a in out.values():
+        if type(a) is Fraction:
+            return {j: _integral(b) if type(b) is Fraction else b for j, b in out.items()}
+    return out
 
 
 def rationals() -> Field:

@@ -63,7 +63,7 @@ class Matrix:
     """Immutable sparse matrix over an exact field: one {column: nonzero}
     dict per row."""
 
-    __slots__ = ("field", "rows", "cols", "_rows")
+    __slots__ = ("field", "rows", "cols", "_rows", "_cols")
 
     def __init__(self, field: Field, rows: int, cols: int, entries):
         """The matrix with the given dense row-major entries; zeros are
@@ -76,6 +76,7 @@ class Matrix:
         self.cols = cols
         self._rows = tuple(nonzero_map(entries[i * cols:(i + 1) * cols]) or _EMPTY
                            for i in range(rows))
+        self._cols = None
 
     @classmethod
     def _sparse(cls, field: Field, rows: int, cols: int, row_maps) -> "Matrix":
@@ -86,6 +87,7 @@ class Matrix:
         m.rows = rows
         m.cols = cols
         m._rows = tuple(row_maps)
+        m._cols = None
         return m
 
     # -- construction --------------------------------------------------
@@ -135,8 +137,12 @@ class Matrix:
         return tuple(r.get(j, zero) for r in self._rows)
 
     def col_maps(self):
-        """Every column as a {row: nonzero value} dict."""
-        return self.transpose()._rows
+        """Every column as a {row: nonzero value} dict: the rows of the
+        transpose, made on the first call and kept, as a matrix never
+        changes."""
+        if self._cols is None:
+            self._cols = self.transpose()._rows
+        return self._cols
 
     def row_map(self, i: int) -> dict:
         """Row i as its {column: nonzero value} dict, which is shared."""

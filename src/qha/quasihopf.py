@@ -572,7 +572,9 @@ _build_memo: ContextVar = ContextVar("qha_build_memo", default=None)
 @contextmanager
 def build_scope():
     """Share the primitives marked ``shared`` until the block exits, by
-    return or by raise; inside an open scope this reuses that scope."""
+    return or by raise; inside an open scope this reuses that scope.  A
+    ``qha`` command is one scope (``cli.main``), and so is a cocyclic build
+    or a biclosed map run on its own."""
     if _build_memo.get() is not None:
         yield
         return
@@ -823,19 +825,22 @@ def zeta_r(S: Matrix, N: HModule, M: HModule, L: HModule) -> Matrix:
     """zeta^r: Hom_H(N (x) M, L) -> Hom_H(M, Hom^r(N, L)), which is zeta^l
     over the co-opposite parent applied to f read on M (x) N: over a
     quasi-Hopf algebra f |-> (m |-> f(Y S^-1(beta) S^-1(X) - (x) Z m)),
-    over an algebroid f |-> (m |-> f(- (x) m))."""
-    f_cop = _swap_domain(S, N.parent.tensor_relations(N, M),
-                         M.cop.parent.tensor_relations(M.cop, N.cop), N.dim, M.dim)
-    return zeta_l(f_cop, M.cop, N.cop, L.cop)
+    over an algebroid f |-> (m |-> f(- (x) m)).  The swap and zeta_l run
+    in one build scope, so each relation space is built once."""
+    with build_scope():
+        f_cop = _swap_domain(S, N.parent.tensor_relations(N, M),
+                             M.cop.parent.tensor_relations(M.cop, N.cop), N.dim, M.dim)
+        return zeta_l(f_cop, M.cop, N.cop, L.cop)
 
 
 def eta_r(S: Matrix, N: HModule, M: HModule, L: HModule) -> Matrix:
     """eta^r(g) = ev^r o (id (x) g): Hom_H(M, Hom^r(N, L)) -> Hom_H(N (x) M, L),
     which is eta^l over the co-opposite parent read on the swapped tensor
-    domain."""
-    return _swap_domain(eta_l(S, M.cop, N.cop, L.cop),
-                        M.cop.parent.tensor_relations(M.cop, N.cop),
-                        N.parent.tensor_relations(N, M), M.dim, N.dim)
+    domain, in one build scope as zeta_r."""
+    with build_scope():
+        return _swap_domain(eta_l(S, M.cop, N.cop, L.cop),
+                            M.cop.parent.tensor_relations(M.cop, N.cop),
+                            N.parent.tensor_relations(N, M), M.dim, N.dim)
 
 
 # -- hom associativity on full carriers (QuasiHopfAlgebra.hom_associativity) --

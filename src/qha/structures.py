@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from itertools import chain
 
 from .fields import Field, FieldError, ScalarParseError, rationals, prime_field
 from .linalg import Matrix, vstack
@@ -89,41 +90,56 @@ def _dim(doc, where) -> int:
     return n
 
 
-def _vector(f, doc, length, where, *index, known=None):
-    """length scalars over f.  known ({string: scalar over f}) holds the
-    strings read so far by the calling reader, so that each distinct string
-    is parsed once: those missing from it are found as one set.  When an
-    item is not a string or does not parse, the items go through _scalar
-    in order, which reports the first bad one at its own path."""
+def _dense(f, doc, depth: int, width: int):
+    """The scalars over f of the nested list doc, depth levels of lists of
+    width items, flattened row-major and mapped in C through a table of
+    the strings, each distinct one parsed once; None when some level is not
+    lists of width items or some item is not a string that parses (the
+    caller then reads doc again, reporting the first bad item at its path).
+    The readers make one row of them, whose nonzeros alone are then moved
+    into the rows of their matrix (``Matrix.reshaped``)."""
+    rows = doc
+    for level in range(depth):
+        if set(map(type, rows)) != {list} or set(map(len, rows)) != {width}:
+            return None
+        if level < depth - 1:
+            rows = list(chain.from_iterable(rows))
+    # "0" and "1", most strings of a file, need no parse in any field
+    known = {"0": f.zero, "1": f.one}
+    try:
+        try:
+            return list(map(known.__getitem__, chain.from_iterable(rows)))
+        except KeyError:
+            strings = set(chain.from_iterable(rows)).difference(known)
+            if set(map(type, strings)) != {str}:
+                return None
+            known.update({s: f.parse(s) for s in strings})
+            return list(map(known.__getitem__, chain.from_iterable(rows)))
+    except (TypeError, ScalarParseError):
+        return None
+
+
+def _vector(f, doc, length, where, *index):
+    """length scalars over f, read by _dense.  When an item is not a string
+    or does not parse, the items go through _scalar in order, which reports
+    the first bad one at its own path."""
     if not isinstance(doc, list) or len(doc) != length:
         raise StructureFileError("dimension_mismatch",
                                  "expected a list of %d scalars" % length, _at(where, *index))
-    if known is None:
-        known = {}
-    try:
-        return tuple(map(known.__getitem__, doc))
-    except (KeyError, TypeError):
-        try:
-            missing = set(doc).difference(known)
-            if all(type(s) is str for s in missing):
-                known.update({s: f.parse(s) for s in missing})
-                return tuple(map(known.__getitem__, doc))
-        except (TypeError, ScalarParseError):
-            pass
-        for i, s in enumerate(doc):
-            if type(s) is not str or s not in known:
-                known[s] = _scalar(f, s, where, *index, i)
-        return tuple(map(known.__getitem__, doc))
+    values = _dense(f, [doc], 1, length)
+    if values is None:
+        return tuple(_scalar(f, s, where, *index, i) for i, s in enumerate(doc))
+    return tuple(values)
 
 
 def _matrix(f, doc, rows, cols, where, *index) -> Matrix:
     if not isinstance(doc, list) or len(doc) != rows:
         raise StructureFileError("dimension_mismatch",
                                  "expected %d rows" % rows, _at(where, *index))
-    ent, known = [], {}
-    for i, row in enumerate(doc):
-        ent.extend(_vector(f, row, cols, where, *index, i, known=known))
-    return Matrix(f, rows, cols, ent)
+    values = _dense(f, doc, 1, cols)
+    if values is None:
+        values = [a for i, row in enumerate(doc) for a in _vector(f, row, cols, where, *index, i)]
+    return Matrix.from_rows(f, [values]).reshaped(rows, cols)
 
 
 def _row(f, doc, length, where) -> Matrix:
@@ -136,13 +152,16 @@ def _tensor3(f, doc, n, where) -> Matrix:
     is doc[i][j]: its row-major entries are the array flattened."""
     if not isinstance(doc, list) or len(doc) != n:
         raise StructureFileError("dimension_mismatch", "expected %d slices" % n, where)
-    rows, known = [], {}
-    for i, slab in enumerate(doc):
-        if not isinstance(slab, list) or len(slab) != n:
-            raise StructureFileError("dimension_mismatch", "expected %d rows" % n,
-                                     _at(where, i))
-        rows.extend(_vector(f, row, n, where, i, j, known=known) for j, row in enumerate(slab))
-    return Matrix.from_rows(f, rows)
+    values = _dense(f, doc, 2, n)
+    if values is None:
+        values = []
+        for i, slab in enumerate(doc):
+            if not isinstance(slab, list) or len(slab) != n:
+                raise StructureFileError("dimension_mismatch", "expected %d rows" % n,
+                                         _at(where, i))
+            for j, row in enumerate(slab):
+                values.extend(_vector(f, row, n, where, i, j))
+    return Matrix.from_rows(f, [values]).reshaped(n * n, n)
 
 
 def _fmt_matrix(field, m: Matrix):
@@ -335,6 +354,18 @@ def serialize(obj, name: str = "") -> dict:
     return out
 
 
+def _written_as(pdoc, parent, where) -> bool:
+    """Whether the embedded parent document pdoc, its name aside, is the
+    JSON that serialize writes for parent: it then parses to parent, so it
+    needs no parse.  A name that is not a string is still refused."""
+    _name(pdoc, where)
+    try:
+        mine = canonical_bytes({**pdoc, "name": ""})
+    except (TypeError, ValueError):
+        return False  # no JSON document: the parse reports it
+    return mine == canonical_bytes({**serialize(parent), "name": ""})
+
+
 def parse_document(doc, parent=None):
     """Parse a loaded JSON document into an in-memory structure.
 
@@ -354,7 +385,8 @@ def parse_document(doc, parent=None):
         if parse_field(_want(pdoc, "field", dict, "$.parent"), "$.parent.field") != f:
             raise StructureFileError("incompatible_kinds", "embedded parent field "
                                      "differs from the document's", "$.parent.field")
-        embedded = _parse_parent(f, pdoc, "$.parent")
+        if parent is None or not _written_as(pdoc, parent, "$.parent"):
+            embedded = _parse_parent(f, pdoc, "$.parent")
     if parent is not None and embedded is not None:
         if not _same_parent(parent, embedded):
             raise StructureFileError(
@@ -429,8 +461,66 @@ def parse_structure(path, parent=None):
     return parse_document(doc, parent=parent)
 
 
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def _plain_array(x):
+    """The JSON of x, a list with an item at the end of its first items,
+    when it is a rectangular array (lists of one length at each depth) of
+    plain strings, which JSON writes unescaped: printable ASCII with no
+    quote or backslash.  Its strings are checked in one pass and each
+    innermost list written by one join; None otherwise."""
+    widths, flat = [], [x]
+    while type(flat[0]) is list:
+        if set(map(type, flat)) != {list} or len(set(map(len, flat))) != 1:
+            return None
+        widths.append(len(flat[0]))
+        flat = list(chain.from_iterable(flat))
+    try:
+        body = "".join(flat)
+    except TypeError:
+        return None
+    if not (widths and body.isascii() and body.isprintable()
+            and '"' not in body and "\\" not in body):
+        return None
+    w = widths.pop()
+    parts = ['["%s"]' % '","'.join(flat[i:i + w]) for i in range(0, len(flat), w)]
+    for w in reversed(widths):
+        parts = ["[%s]" % ",".join(parts[i:i + w]) for i in range(0, len(parts), w)]
+    return parts[0]
+
+
+# json's C encoder writes a small array faster than the Python steps of
+# _plain_array: only arrays of at least this many entries are joined
+_JOIN_MIN = 256
+
+
+def _large(x) -> bool:
+    """Whether x is a list of at least _JOIN_MIN entries, counted along its
+    first items, or a dict that holds one at some depth."""
+    if type(x) is dict:
+        return any(map(_large, x.values()))
+    n = 1
+    while type(x) is list and x:
+        n *= len(x)
+        x = x[0]
+    return n >= _JOIN_MIN
+
+
+def _canonical(x) -> str:
+    """x as json.dumps(x, sort_keys=True, separators=(",", ":")) writes it:
+    a large array of plain strings by _plain_array, a dict with string keys
+    that holds one key by key, and everything else by json."""
+    if not _large(x):
+        return _encode(x)
+    if type(x) is dict and all(type(k) is str for k in x):
+        return "{%s}" % ",".join(_encode(k) + ":" + _canonical(x[k]) for k in sorted(x))
+    return (type(x) is list and _plain_array(x)) or _encode(x)
+
+
 def canonical_bytes(doc: dict) -> bytes:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    """The canonical JSON of doc: sorted keys, no spaces, ASCII."""
+    return _canonical(doc).encode("utf-8")
 
 
 def content_hash(obj, name: str = "") -> str:

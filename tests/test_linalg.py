@@ -815,3 +815,13 @@ def test_basis_rows_and_stack_coordinates_round_trip(field, n, after, k, data):
         assert s.stack_coordinates(stack_of(f, maps, n, after), after) is None
         columns = [[[a] for a in col] for m in maps for col in zip(*m)]
         assert s.first_outside(stack_of(f, columns, n, 1)) == b * after + t
+
+
+def test_column_maps_are_the_transpose_rows_made_once():
+    """col_maps() is the rows of the transpose, kept on the matrix: the same
+    tuple on every call, for a matrix made from dense entries or sparse rows."""
+    m = mat(QQ, [[0, 2, 0], [1, 0, 0], [0, 3, -1], [0, 0, 0]])
+    for a in (m, m.transpose(), m * Matrix.identity(QQ, 3), Matrix.zeros(F5, 2, 3)):
+        cols = a.col_maps()
+        assert cols == a.transpose()._rows
+        assert a.col_maps() is cols

@@ -5,8 +5,9 @@ the map it applies to the carrier of Hom^l(N, L), always as a Matrix: over
 a quasi-Hopf algebra the Phi-decoration and eval_left curried, over a Hopf
 algebroid the quotient projector onto M (x)_R N and the carrier's
 embedding in Hom_k.  A standalone zeta^l or eta^l builds each relation
-space and hom carrier once, and a parent holds no module of its own, so
-it is freed without the cyclic garbage collector.
+space and hom carrier once, a standalone zeta^r or eta^r each of its two
+relation spaces once, and a parent holds no module of its own, so it is
+freed without the cyclic garbage collector.
 """
 
 import gc
@@ -17,8 +18,9 @@ import pytest
 from qha import algebroid
 from qha.fields import rationals
 from qha.linalg import Matrix, Subspace, basis_vec
-from qha.quasihopf import (build_scope, group_algebra, cyclic_group_table, eta_l,
-                           hom_module_morphisms, left_hom, regular_module, trivial_module, zeta_l)
+from qha.quasihopf import (build_scope, group_algebra, cyclic_group_table, eta_l, eta_r,
+                           hom_module_morphisms, left_hom, regular_module, trivial_module, zeta_l,
+                           zeta_r)
 from qha.algebroid import (base_module, base_ring_dual_numbers, enveloping_algebroid,
                            module_tensor_relations)
 
@@ -92,6 +94,22 @@ def test_standalone_zeta_and_eta_build_each_space_once(env_q, monkeypatch):
     with build_scope():
         assert eta_l(zeta_l(f, reg, reg, reg), reg, reg, reg) == f
     assert counts == {"_relation_space": 1, "intertwiner_space": 1}
+
+
+def test_standalone_right_maps_build_each_relation_space_once(env_q, monkeypatch):
+    """zeta^r and eta^r re-read the maps between M (x) N over H and N (x) M
+    over H^cop around zeta^l and eta^l: two relation spaces, each built
+    once, as the swap and the left-hand map run in one scope."""
+    reg = regular_module(env_q)
+    tens = env_q.tensor(reg, reg)[0]
+    f = hom_module_morphisms(tens, reg).basis_stack()
+    g = zeta_r(f, reg, reg, reg)
+    counts = _counted(monkeypatch)
+    assert zeta_r(f, reg, reg, reg) == g
+    assert counts["_relation_space"] == 2
+    counts.update(_relation_space=0)
+    assert eta_r(g, reg, reg, reg) == f
+    assert counts["_relation_space"] == 2
 
 
 def _freed_without_gc(make, touch):
