@@ -6,6 +6,13 @@ every kernel (products, sums, Kronecker sums, index permutations, stacks,
 comparison, elimination) visits the nonzeros only.  Dense row-major entries go in through the constructor and come out
 through ``entries``, ``row``, ``col`` and ``get``.
 
+A matrix decides once, from its rows, whether it is an identity (square,
+row i exactly {i: 1}; ``Matrix.identity`` is one from the start), and
+keeps the answer.  An identity is never applied: a product, slot product
+or stack product with one is the other operand itself, a Kronecker product
+with the 1 x 1 identity is the other factor, and an identity is its own
+transpose.  Shapes are checked first, with the same errors.
+
 Everything here is deterministic and exact.  Subspaces are always stored
 with a reduced-row-echelon basis (pivot search by lowest column index), so
 equal subspaces have identical stored bases and all downstream reports are
@@ -63,7 +70,7 @@ class Matrix:
     """Immutable sparse matrix over an exact field: one {column: nonzero}
     dict per row."""
 
-    __slots__ = ("field", "rows", "cols", "_rows", "_cols")
+    __slots__ = ("field", "rows", "cols", "_rows", "_cols", "_eye")
 
     def __init__(self, field: Field, rows: int, cols: int, entries):
         """The matrix with the given dense row-major entries; zeros are
@@ -76,7 +83,7 @@ class Matrix:
         self.cols = cols
         self._rows = tuple(nonzero_map(entries[i * cols:(i + 1) * cols]) or _EMPTY
                            for i in range(rows))
-        self._cols = None
+        self._cols = self._eye = None
 
     @classmethod
     def _sparse(cls, field: Field, rows: int, cols: int, row_maps) -> "Matrix":
@@ -87,7 +94,7 @@ class Matrix:
         m.rows = rows
         m.cols = cols
         m._rows = tuple(row_maps)
-        m._cols = None
+        m._cols = m._eye = None
         return m
 
     # -- construction --------------------------------------------------
@@ -99,7 +106,9 @@ class Matrix:
     @staticmethod
     def identity(field: Field, n: int) -> "Matrix":
         one = field.one
-        return Matrix._sparse(field, n, n, [{i: one} for i in range(n)])
+        m = Matrix._sparse(field, n, n, [{i: one} for i in range(n)])
+        m._eye = True
+        return m
 
     @staticmethod
     def from_rows(field: Field, rows) -> "Matrix":
@@ -215,6 +224,13 @@ class Matrix:
         if self.cols != other.rows:
             raise ShapeError("cannot multiply %dx%d by %dx%d"
                              % (self.rows, self.cols, other.rows, other.cols))
+        # a product with an identity is its other factor
+        eye = self._eye
+        if eye or eye is None and self.is_identity():
+            return other
+        eye = other._eye
+        if eye or eye is None and other.is_identity():
+            return self
         f = self.field
         add, mul = f.add, f.mul
         srows, orows = self._rows, other._rows
@@ -234,6 +250,29 @@ class Matrix:
             out[i] = (acc if all(acc.values()) else
                       {j: v for j, v in acc.items() if v}) or _EMPTY
         return Matrix._sparse(f, self.rows, other.cols, out)
+
+    def tmul(self, other: "Matrix") -> "Matrix":
+        """self^T other with no transpose formed: each row r that other
+        holds adds the products of row r of self with row r of other, so
+        only the rows of self that other picks are read."""
+        if self.rows != other.rows:
+            raise ShapeError("cannot multiply the transpose of %dx%d by %dx%d"
+                             % (self.rows, self.cols, other.rows, other.cols))
+        f = self.field
+        add, mul = f.add, f.mul
+        srows, orows, out = self._rows, other._rows, {}
+        for r in _filled(orows):
+            rb = orows[r]
+            for p, a in srows[r].items():
+                acc = out.get(p)
+                if acc is None:
+                    acc = out[p] = {}
+                for j, b in rb.items():
+                    w = mul(a, b)
+                    acc[j] = add(acc[j], w) if j in acc else w
+        return Matrix._sparse(f, self.cols, other.cols, _row_list(self.cols, {
+            p: r if all(r.values()) else {j: v for j, v in r.items() if v}
+            for p, r in out.items()}))
 
     def apply(self, vec):
         """Matrix times column vector (a tuple), returning a tuple."""
@@ -284,7 +323,10 @@ class Matrix:
 
     def transpose(self) -> "Matrix":
         """Each nonzero moved from its row dict into a new dict for its
-        column; a column with no nonzero is the shared empty row."""
+        column; a column with no nonzero is the shared empty row.  An
+        identity is its own transpose."""
+        if self.is_identity():
+            return self
         src, out = self._rows, [None] * self.cols
         for i in _filled(src):
             for j, a in src[i].items():
@@ -296,7 +338,16 @@ class Matrix:
         return Matrix._sparse(self.field, self.cols, self.rows, [r or _EMPTY for r in out])
 
     def kron(self, other: "Matrix") -> "Matrix":
-        """Kronecker product, consistent with ``tensor_index`` ordering."""
+        """Kronecker product, consistent with ``tensor_index`` ordering; with
+        the 1 x 1 identity it is the other factor, of two identities an
+        identity."""
+        if self.is_identity():
+            if other.is_identity():
+                return Matrix.identity(self.field, self.rows * other.rows)
+            if self.rows == 1:
+                return other
+        elif other.rows == 1 and other.is_identity():
+            return self
         return kron_sum(self.field, self.rows * other.rows, self.cols * other.cols,
                         [(self.field.one, [self, other])])
 
@@ -313,8 +364,12 @@ class Matrix:
         return not any(self._rows)
 
     def is_identity(self) -> bool:
-        return self.rows == self.cols and all(
-            len(r) == 1 and r.get(i) == 1 for i, r in enumerate(self._rows))
+        """Square with row i exactly {i: 1}: read from the rows on the first
+        call and kept, as a matrix never changes."""
+        if self._eye is None:
+            self._eye = self.rows == self.cols and all(
+                len(r) == 1 and r.get(i) == 1 for i, r in enumerate(self._rows))
+        return self._eye
 
     def _same_shape(self, other):
         if self.rows != other.rows or self.cols != other.cols:
@@ -545,17 +600,25 @@ def slot_apply(F: Matrix, X: Matrix, before: int, after: int) -> Matrix:
     """X (I_before (x) F (x) I_after)^T: F applied to one tensor slot of
     every row of X, columns (b, i, a) in range(before) x range(F.cols) x
     range(after), without forming the Kronecker product.  F may change the
-    width of the slot: raise or lower the tensor degree, or merge slots."""
+    width of the slot: raise or lower the tensor degree, or merge slots.
+    With F an identity it is X."""
+    if F.is_identity():
+        _check_slots(X, before, F.cols, after)
+        return X
     return _slot_product(F.col_maps(), F.rows, X, before, after)
+
+
+def _check_slots(X: Matrix, before: int, d: int, after: int):
+    if X.cols != before * d * after:
+        raise ShapeError("rows of length %d do not split as %d x %d x %d"
+                         % (X.cols, before, d, after))
 
 
 def _slot_product(images, e: int, X: Matrix, before: int, after: int) -> Matrix:
     """slot_apply with F given by its columns: images[i] is the {p: value}
     image of slot index i, in a slot of width e."""
     d = len(images)
-    if X.cols != before * d * after:
-        raise ShapeError("rows of length %d do not split as %d x %d x %d"
-                         % (X.cols, before, d, after))
+    _check_slots(X, before, d, after)
     if before == after == 1:
         # the product with the matrix whose rows are the images, which shares
         # the image row of a one-nonzero row instead of rebuilding it; the
@@ -592,8 +655,13 @@ def _slot_product(images, e: int, X: Matrix, before: int, after: int) -> Matrix:
 
 def stack_rmul(S: Matrix, C: Matrix) -> Matrix:
     """The stack of the F_b C, each row multiplied by C on its second slot;
-    C's rows are read as they are, with no transpose."""
-    return _slot_product(C._rows, C.cols, S, S.cols // (C.rows or 1), 1)
+    C's rows are read as they are, with no transpose.  With C an identity
+    it is S."""
+    before = S.cols // (C.rows or 1)
+    if C.is_identity():
+        _check_slots(S, before, C.rows, 1)
+        return S
+    return _slot_product(C._rows, C.cols, S, before, 1)
 
 
 def stack_lmul(B: Matrix, S: Matrix) -> Matrix:

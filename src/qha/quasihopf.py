@@ -101,8 +101,13 @@ class Algebra:
     # products and hom spaces of modules are modules: the premise of
     # ``generators``, claimed only by a quasi-Hopf parent
     structure_passed = False
-    # the algebra whose co-opposite this is, on the same multiplication
-    _cop_of = None
+
+    @cached_property
+    def _decided(self) -> dict:
+        """What is decided once for this algebra and its co-opposite, on the
+        same multiplication and unit: one dict that both hold, so that
+        neither refers to the other."""
+        return {}
 
     @cached_property
     def mult_matrix(self) -> Matrix:
@@ -112,9 +117,9 @@ class Algebra:
     def products(self, X: Matrix, right: bool = False) -> Matrix:
         """m (X (x) I), or m (I (x) X) when right: the products of the
         columns of X with the basis, made from the rows of m^T that X picks
-        with no pass over all of m."""
-        eye, Xt = Matrix.identity(self.field, self.dim), X.transpose()
-        return ((eye.kron(Xt) if right else Xt.kron(eye)) * self.mult).transpose()
+        with no pass over all of m and no transpose."""
+        eye = Matrix.identity(self.field, self.dim)
+        return self.mult.tmul(eye.kron(X) if right else X.kron(eye))
 
     def mults_of(self, X: Matrix, right: bool = False):
         """The left (right) multiplication matrices of the columns of X: the
@@ -145,17 +150,21 @@ class Algebra:
         """L_(S(e_h)) and R_(S^-1(e_h)) for every basis element."""
         return self.mults_of(self.antipode), self.mults_of(self.antipode_inv, right=True)
 
-    @cached_property
+    @property
     def generating_set(self) -> tuple:
         """The basis indices G picked greedily in index order, read from the
         structure constants alone: an index joins when its element lies
         outside the span so far, the closure of k1 under left multiplication
         by the picked elements.  When 1 is a unit each picked e_g = e_g 1
         lies in it, so that closure is all of H, and a subspace of H that
-        holds 1 and G and is closed under products is all of H.  H^cop
-        shares the set of H."""
-        if self._cop_of is not None:
-            return self._cop_of.generating_set
+        holds 1 and G and is closed under products is all of H.  H^cop,
+        on the same multiplication and unit, shares the set of H."""
+        decided = self._decided
+        if "generating_set" not in decided:
+            decided["generating_set"] = self._pick_generators()
+        return decided["generating_set"]
+
+    def _pick_generators(self) -> tuple:
         f, n = self.field, self.dim
         picked, span = [], Subspace.from_generators(f, n, [self.unit])
         for i in range(n):
@@ -274,16 +283,23 @@ class QuasiHopfAlgebra(Algebra):
         r_beta = self.mults_of(Matrix.from_cols(self.field, [self.beta]), right=True)[0]
         return self.mult_matrix * r_beta.kron(self.antipode)
 
-    @cached_property
+    @property
     def structure_passed(self) -> bool:
         """Whether validate_structure passes: Delta and eps are algebra maps
         and S an anti-homomorphism, so that tensor products and hom spaces
-        of modules are modules.  Decided at most once per parent: each call
-        of validate_structure records its verdict here, and H^cop, on the
-        same algebra, reads the verdict of H."""
-        if self._cop_of is not None:
-            return self._cop_of.structure_passed
-        return validate_structure(self).passed
+        of modules are modules.  Decided at most once for a parent and its
+        H^cop together: each call of validate_structure records its verdict
+        here.  The two verdicts agree: the Delta, Phi, Phi^-1 and S of H^cop
+        are those of H with their legs reversed, or S and S^-1 exchanged,
+        which keeps every check."""
+        decided = self._decided
+        if "structure_passed" not in decided:
+            validate_structure(self)
+        return decided["structure_passed"]
+
+    @structure_passed.setter
+    def structure_passed(self, passed: bool):
+        self._decided["structure_passed"] = passed
 
     def eps(self, vec):
         return Matrix(self.field, 1, self.dim, self.counit).apply(vec)[0]
@@ -316,7 +332,7 @@ class QuasiHopfAlgebra(Algebra):
             self.antipode_inv.apply(self.alpha), self.antipode_inv.apply(self.beta),
             name=self.name + "^cop")
         # its structure checks pass exactly when those of H do
-        cop._cop_of = self
+        cop._decided = self._decided
         return cop
 
     # -- monoidal primitives (shared with HopfAlgebroid) ------------------------
@@ -562,7 +578,8 @@ def _require_one_parent(what: str, V: HModule, *others: HModule):
 # runs once per distinct argument tuple and hands its kept result to every
 # later call; outside a scope it runs on every call.  A failing call raises
 # and keeps nothing.  Arguments are keys: modules compare by parent and
-# action matrices, a tensor-power chain by identity, integers by value.
+# action matrices, parents and tensor-power chains by identity, integers
+# by value.
 # Each primitive is a deterministic function of what its arguments compare
 # by, so sharing changes no result.
 
@@ -587,8 +604,8 @@ def build_scope():
 
 def shared(fn):
     """fn, run once per distinct argument tuple inside a build scope.  Its
-    arguments are modules (equal ones counting as one), tensor-power chains
-    (by identity) or integers."""
+    arguments are modules (equal ones counting as one), parents and
+    tensor-power chains (by identity) or integers."""
     @wraps(fn)
     def once_per_scope(*args):
         memo = _build_memo.get()

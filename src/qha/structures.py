@@ -27,7 +27,7 @@ from itertools import chain
 
 from .fields import Field, FieldError, ScalarParseError, rationals, prime_field
 from .linalg import Matrix, vstack
-from .quasihopf import QuasiHopfAlgebra, HModule
+from .quasihopf import QuasiHopfAlgebra, HModule, shared
 from .algebroid import BaseRing, HopfAlgebroid, tensor_over_base
 from .coefficients import Contramodule, FLAVORS, ALGEBROID_MU
 from .cyclic import ModuleAlgebra
@@ -322,6 +322,19 @@ def _parse_module_payload(f, doc, parent, where):
 
 def serialize(obj, name: str = "") -> dict:
     """Canonical JSON document for any supported in-memory structure."""
+    out, parent = _document(obj, name)
+    if parent is not None:
+        out["parent"] = serialize(parent, parent.name)
+    return out
+
+
+def _name_of(obj, name: str) -> str:
+    return name or getattr(obj, "name", "") or "unnamed"
+
+
+def _document(obj, name: str):
+    """The document of obj but its embedded parent, and that parent (None
+    for a parent kind)."""
     if isinstance(obj, (QuasiHopfAlgebra, HopfAlgebroid)):
         kind, doc = _write_parent(obj)
     elif isinstance(obj, Contramodule):
@@ -346,12 +359,26 @@ def serialize(obj, name: str = "") -> dict:
         raise TypeError("cannot serialise %r" % type(obj))
     parent = None if kind in _PARENT_KINDS else obj.parent
     field = (obj if parent is None else parent).field
-    out = {"kind": kind, "name": name or getattr(obj, "name", "") or "unnamed",
+    out = {"kind": kind, "name": _name_of(obj, name),
            "field": {"type": "Q"} if field.kind == "Q" else {"type": "GFp", "p": field.p}}
     out.update(doc)
-    if parent is not None:
-        out["parent"] = serialize(parent, parent.name)
-    return out
+    return out, parent
+
+
+@shared
+def _parent_json(parent) -> dict:
+    """The canonical JSON of each key of the document of parent but its
+    name: made once per build scope, so that a command serialises and
+    encodes its parent once for every embedded parent it compares and
+    every content hash it takes."""
+    doc, _ = _document(parent, "")
+    del doc["name"]
+    return {key: _Json(_canonical(value)) for key, value in doc.items()}
+
+
+def _named_parent_json(parent, name: str) -> str:
+    """The canonical JSON of the document of parent under name."""
+    return _canonical({**_parent_json(parent), "name": name})
 
 
 def _written_as(pdoc, parent, where) -> bool:
@@ -360,10 +387,10 @@ def _written_as(pdoc, parent, where) -> bool:
     needs no parse.  A name that is not a string is still refused."""
     _name(pdoc, where)
     try:
-        mine = canonical_bytes({**pdoc, "name": ""})
+        mine = _canonical({**pdoc, "name": ""})
     except (TypeError, ValueError):
         return False  # no JSON document: the parse reports it
-    return mine == canonical_bytes({**serialize(parent), "name": ""})
+    return mine == _named_parent_json(parent, "")
 
 
 def parse_document(doc, parent=None):
@@ -464,6 +491,10 @@ def parse_structure(path, parent=None):
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
+class _Json(str):
+    """A value already written as canonical JSON, which _canonical copies."""
+
+
 def _plain_array(x):
     """The JSON of x, a list with an item at the end of its first items,
     when it is a rectangular array (lists of one length at each depth) of
@@ -497,9 +528,11 @@ _JOIN_MIN = 256
 
 def _large(x) -> bool:
     """Whether x is a list of at least _JOIN_MIN entries, counted along its
-    first items, or a dict that holds one at some depth."""
+    first items, or written JSON, or a dict that holds one at some depth."""
     if type(x) is dict:
         return any(map(_large, x.values()))
+    if type(x) is _Json:
+        return True
     n = 1
     while type(x) is list and x:
         n *= len(x)
@@ -510,7 +543,10 @@ def _large(x) -> bool:
 def _canonical(x) -> str:
     """x as json.dumps(x, sort_keys=True, separators=(",", ":")) writes it:
     a large array of plain strings by _plain_array, a dict with string keys
-    that holds one key by key, and everything else by json."""
+    that holds one key by key, written JSON as it is, and everything else
+    by json."""
+    if type(x) is _Json:
+        return x
     if not _large(x):
         return _encode(x)
     if type(x) is dict and all(type(k) is str for k in x):
@@ -524,8 +560,14 @@ def canonical_bytes(doc: dict) -> bytes:
 
 
 def content_hash(obj, name: str = "") -> str:
-    """sha256 of the canonicalised JSON serialisation."""
-    return hashlib.sha256(canonical_bytes(serialize(obj, name))).hexdigest()
+    """sha256 of the canonicalised JSON serialisation, with the parent's
+    keys read from _parent_json."""
+    if isinstance(obj, (QuasiHopfAlgebra, HopfAlgebroid)):
+        doc = {**_parent_json(obj), "name": _name_of(obj, name)}
+    else:
+        doc, parent = _document(obj, name)
+        doc["parent"] = _Json(_named_parent_json(parent, _name_of(parent, "")))
+    return hashlib.sha256(canonical_bytes(doc)).hexdigest()
 
 
 def write_structure(path, obj, name: str = ""):

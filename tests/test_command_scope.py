@@ -11,7 +11,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from qha import algebroid, quasihopf
+from qha import algebroid, quasihopf, structures
 from qha.algebroid import base_module, base_ring_dual_numbers, enveloping_algebroid
 from qha.cli import main
 from qha.coefficients import ALGEBROID_MU, Contramodule
@@ -57,6 +57,24 @@ def test_cohomology_builds_each_relation_space_once(env_files, monkeypatch):
     assert len(calls) == 2
     # the scope is closed again when the command returns
     assert quasihopf._build_memo.get() is None
+
+
+def test_cohomology_serialises_its_parent_once(env_files, monkeypatch):
+    """The two embedded parents are compared with, and the three input
+    records hash, one canonical JSON of the supplied parent."""
+    calls = []
+    real = structures._document
+
+    def counting(obj, name):
+        calls.append(type(obj).__name__)
+        return real(obj, name)
+    monkeypatch.setattr(structures, "_document", counting)
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(["cohomology", env_files["env"], env_files["alg"], env_files["mu"],
+                     "--degree", "1", "--reproducible"])
+    assert code == 0
+    assert calls == ["HopfAlgebroid", "ModuleAlgebra", "Contramodule"]
 
 
 def test_a_failing_command_closes_its_scope(tmp_path):

@@ -163,6 +163,8 @@ def test_solve_matrix_and_inverse():
     assert (m * inv).is_identity() and (inv * m).is_identity()
     with pytest.raises(ShapeError):
         mat(QQ, [[1, 1], [1, 1]]).inverse()
+    with pytest.raises(ShapeError, match="cannot multiply the transpose of 2x2 by 3x1"):
+        m.tmul(Matrix.zeros(QQ, 3, 1))
 
 
 small_entries = st.integers(min_value=-4, max_value=4)
@@ -480,6 +482,9 @@ def test_products_and_sums_match_dense(field, rows, inner, cols, data):
     v = data.draw(st.lists(scalars(f), min_size=inner, max_size=inner))
     assert a.apply(tuple(v)) == tuple(sum_(f, (f.mul(x, y) for x, y in zip(r, v))) for r in da)
     assert_matches(a.transpose(), dense_transpose(da, rows, inner), inner, rows)
+    dd = data.draw(dense(f, rows, cols))
+    assert_matches(a.tmul(of_dense(f, dd, cols)),
+                   dense_mul(f, dense_transpose(da, rows, inner), dd, rows, cols), inner, cols)
     assert [a.get(i, j) for i in range(rows) for j in range(inner)] == list(a.entries)
     assert [a.col(j) for j in range(inner)] == [tuple(r[j] for r in da) for j in range(inner)]
     assert a.is_zero() == all(x == 0 for r in da for x in r)

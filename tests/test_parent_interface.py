@@ -139,3 +139,15 @@ def test_a_quasi_hopf_algebra_is_freed_without_the_cycle_collector():
         assert H.unit_object() == trivial_module(H)
     assert _freed_without_gc(lambda: group_algebra(rationals(), cyclic_group_table(2), "kC2"),
                              touch)
+
+
+def test_a_quasi_hopf_algebra_with_its_cop_is_freed_without_the_cycle_collector():
+    # H^cop shares the generating set and the structure verdict of H, and
+    # holds no reference to H
+    def touch(H):
+        cop = H.cop
+        assert cop.unit_object() == trivial_module(cop)
+        assert cop.generators == H.generators == (1,)
+        assert cop.cop.structure_passed and H.structure_passed
+    assert _freed_without_gc(lambda: group_algebra(rationals(), cyclic_group_table(2), "kC2"),
+                             touch)
