@@ -30,7 +30,7 @@ from .coefficients import (Contramodule, FlavorError, HOPF_MU, QUASI_I, QUASI_II
 from .cyclic import (ModuleAlgebra, build_cocyclic, check_algebra_object, unit_algebra,
                      hochschild_cohomology, cyclic_cohomology, CocyclicError)
 from .structures import (parse_structure, serialize, write_structure, content_hash,
-                         StructureFileError, _parse_base, _tensor3)
+                         StructureFileError, _parse_base, _array)
 
 
 class UsageError(ValueError):
@@ -250,7 +250,7 @@ def cmd_generate(args) -> int:
             raise UsageError("twisted_dual needs --table FILE and --omega FILE")
         table = _load_table(args.table)
         n = len(_validate_group(table)[0])
-        rows = _tensor3(f, _load_table(args.omega), n, "$")
+        rows = _array(f, _load_table(args.omega), (n, n, n), "$")
         omega = [[rows.row(x * n + y) for y in range(n)] for x in range(n)]
         obj = twisted_dual_group_algebra(f, table, omega)
         name = name or "k^G_w"

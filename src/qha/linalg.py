@@ -7,11 +7,12 @@ comparison, elimination) visits the nonzeros only.  Dense row-major entries go i
 through ``entries``, ``row``, ``col`` and ``get``.
 
 A matrix decides once, from its rows, whether it is an identity (square,
-row i exactly {i: 1}; ``Matrix.identity`` is one from the start), and
-keeps the answer.  An identity is never applied: a product, slot product
-or stack product with one is the other operand itself, a Kronecker product
-with the 1 x 1 identity is the other factor, and an identity is its own
-transpose.  Shapes are checked first, with the same errors.
+row i exactly {i: 1}; ``Matrix.identity``, made once per field and size,
+is one from the start), and keeps the answer.  An identity is never
+applied: a product, slot product or stack product with one is the other
+operand itself, a Kronecker product with the 1 x 1 identity is the other
+factor, and an identity is its own transpose.  Shapes are checked first,
+with the same errors.
 
 Everything here is deterministic and exact.  Subspaces are always stored
 with a reduced-row-echelon basis (pivot search by lowest column index), so
@@ -22,6 +23,7 @@ never changed after construction, so matrices may share them.
 
 from __future__ import annotations
 
+from functools import cache
 from heapq import heapify, heappop, heappush
 from itertools import accumulate, compress
 from math import prod
@@ -104,7 +106,10 @@ class Matrix:
         return Matrix._sparse(field, rows, cols, [_EMPTY] * rows)
 
     @staticmethod
+    @cache
     def identity(field: Field, n: int) -> "Matrix":
+        """The n x n identity, made once per field and size: a matrix and
+        its row dicts never change, so every caller may share it."""
         one = field.one
         m = Matrix._sparse(field, n, n, [{i: one} for i in range(n)])
         m._eye = True

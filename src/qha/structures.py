@@ -6,17 +6,22 @@ a kind tag, and kind-specific tensor arrays with scalars written as strings
 carries a distinct error code and the JSON path it happened at.  Parsing
 then serialising then parsing again is the identity on in-memory objects.
 
-Each parent kind is one ordered table of keys and shapes, which one reader
-and one writer walk; one parent reader serves whole parent files and the
-parents embedded in module, contramodule and algebra files, at their paths.
+Every array of every file is read by one reader, _array, given its shape
+(sizes, outermost first), as the sparse matrix whose rows are its
+innermost lists: mult (n, n, n) is the n^2 x n matrix with row i*n + j
+the product e_i e_j, comult (n, n^2) its n rows, phi (n^3,) one row, a
+module action (n, d, d) and a contraaction (d, d, n) one stack of slices.
+It maps all the strings of an array through one table in C; on a bad
+item it walks the array item by item, so the first list of a wrong
+length or bad scalar is reported at its own path.  One writer, _json_array,
+is its inverse: it fills each row with "0", formats only the stored
+nonzeros and nests the rows by the shape.
 
-A parent's arrays are read straight into the shapes its object stores:
-each structure tensor becomes the sparse matrix whose dense row-major
-entries are the array flattened (mult, an n x n x n array, the n^2 x n
-matrix with row i*n + j the product e_i e_j; comult and every other nested
-array its rows; phi and phi_inv one row of n^3), and each element (unit,
-counit, alpha, beta) a tuple.  The writers fill each row with "0" and
-format only the stored nonzeros.
+Each parent kind is one ordered table of keys and shapes, which _read and
+_write walk; the elements (unit, counit, alpha, beta) are kept as tuples.
+One parent reader serves whole parent files and the parents embedded in
+module, contramodule and algebra files, at their paths.  An embedded
+parent is the supplied one when their canonical JSON agree, names aside.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from __future__ import annotations
 import hashlib
 import json
 from itertools import chain
+from math import prod
 
 from .fields import Field, FieldError, ScalarParseError, rationals, prime_field
 from .linalg import Matrix, vstack
@@ -90,19 +96,17 @@ def _dim(doc, where) -> int:
     return n
 
 
-def _dense(f, doc, depth: int, width: int):
-    """The scalars over f of the nested list doc, depth levels of lists of
-    width items, flattened row-major and mapped in C through a table of
-    the strings, each distinct one parsed once; None when some level is not
-    lists of width items or some item is not a string that parses (the
-    caller then reads doc again, reporting the first bad item at its path).
-    The readers make one row of them, whose nonzeros alone are then moved
-    into the rows of their matrix (``Matrix.reshaped``)."""
-    rows = doc
-    for level in range(depth):
-        if set(map(type, rows)) != {list} or set(map(len, rows)) != {width}:
+def _dense(f, doc, shape):
+    """The scalars over f of the nested list doc of the given shape,
+    flattened row-major and mapped in C through a table of the strings,
+    each distinct one parsed once; None when some level is not lists of
+    its size or some item is not a string that parses (the caller then
+    walks doc item by item, reporting the first bad one at its path)."""
+    rows = [doc]
+    for level, size in enumerate(shape):
+        if set(map(type, rows)) != {list} or set(map(len, rows)) != {size}:
             return None
-        if level < depth - 1:
+        if level < len(shape) - 1:
             rows = list(chain.from_iterable(rows))
     # "0" and "1", most strings of a file, need no parse in any field
     known = {"0": f.zero, "1": f.one}
@@ -119,143 +123,97 @@ def _dense(f, doc, depth: int, width: int):
         return None
 
 
-def _vector(f, doc, length, where, *index):
-    """length scalars over f, read by _dense.  When an item is not a string
-    or does not parse, the items go through _scalar in order, which reports
-    the first bad one at its own path."""
-    if not isinstance(doc, list) or len(doc) != length:
-        raise StructureFileError("dimension_mismatch",
-                                 "expected a list of %d scalars" % length, _at(where, *index))
-    values = _dense(f, [doc], 1, length)
+# the message for a list of the wrong length, by its depth above the scalars
+_LENGTHS = ("expected a list of %d scalars", "expected %d rows", "expected %d slices")
+
+
+def _walk(f, doc, shape, where, index=()):
+    """The scalars of doc read item by item, in order: the first list of
+    the wrong length, or item that is not a string that parses, is
+    reported at its own path."""
+    size, *inner = shape
+    if not isinstance(doc, list) or len(doc) != size:
+        raise StructureFileError("dimension_mismatch", _LENGTHS[len(inner)] % size,
+                                 _at(where, *index))
+    if not inner:
+        return [_scalar(f, s, where, *index, i) for i, s in enumerate(doc)]
+    return [a for i, item in enumerate(doc) for a in _walk(f, item, inner, where, (*index, i))]
+
+
+def _array(f, doc, shape, where) -> Matrix:
+    """The nested list doc at where of the given shape (its sizes,
+    outermost first) as the matrix whose rows are its innermost lists:
+    shape (n, n, n) gives the n^2 x n matrix with row i*n + j doc[i][j],
+    and a flat list one row.  Only the nonzeros of the one row of its
+    scalars are moved into the rows (``Matrix.reshaped``)."""
+    values = _dense(f, doc, shape)
     if values is None:
-        return tuple(_scalar(f, s, where, *index, i) for i, s in enumerate(doc))
-    return tuple(values)
+        values = _walk(f, doc, shape, where)
+    return Matrix.from_rows(f, [values]).reshaped(len(values) // shape[-1], shape[-1])
 
 
-def _matrix(f, doc, rows, cols, where, *index) -> Matrix:
-    if not isinstance(doc, list) or len(doc) != rows:
-        raise StructureFileError("dimension_mismatch",
-                                 "expected %d rows" % rows, _at(where, *index))
-    values = _dense(f, doc, 1, cols)
-    if values is None:
-        values = [a for i, row in enumerate(doc) for a in _vector(f, row, cols, where, *index, i)]
-    return Matrix.from_rows(f, [values]).reshaped(rows, cols)
-
-
-def _row(f, doc, length, where) -> Matrix:
-    """length scalars, as a one-row matrix."""
-    return Matrix.from_rows(f, [_vector(f, doc, length, where)])
-
-
-def _tensor3(f, doc, n, where) -> Matrix:
-    """A nested n x n x n array, as the n^2 x n matrix whose row i*n + j
-    is doc[i][j]: its row-major entries are the array flattened."""
-    if not isinstance(doc, list) or len(doc) != n:
-        raise StructureFileError("dimension_mismatch", "expected %d slices" % n, where)
-    values = _dense(f, doc, 2, n)
-    if values is None:
-        values = []
-        for i, slab in enumerate(doc):
-            if not isinstance(slab, list) or len(slab) != n:
-                raise StructureFileError("dimension_mismatch", "expected %d rows" % n,
-                                         _at(where, i))
-            for j, row in enumerate(slab):
-                values.extend(_vector(f, row, n, where, i, j))
-    return Matrix.from_rows(f, [values]).reshaped(n * n, n)
-
-
-def _fmt_matrix(field, m: Matrix):
-    """The rows of m as lists of strings: each row starts as the shared
-    "0" (which Field.format gives for a zero), and only the stored nonzeros
-    are formatted."""
-    out = []
+def _json_array(f, m: Matrix, shape):
+    """The nested list of the given shape that _array reads as m: each row
+    starts as the shared "0" (which Field.format gives for a zero), only
+    the stored nonzeros are formatted, and the rows are nested by shape."""
+    rows = []
     for i in range(m.rows):
         row = ["0"] * m.cols
         for j, a in m.row_map(i).items():
-            row[j] = field.format(a)
-        out.append(row)
-    return out
-
-
-def _fmt_tensor3(f, m: Matrix, n):
-    """The nested n x n x n array of an n^2 x n matrix: its rows, sliced
-    into n slices of n rows."""
-    rows = _fmt_matrix(f, m)
-    return [rows[i:i + n] for i in range(0, n * n, n)]
-
-
-# Each reader's inverse: the JSON array it reads back as the value.
-_WRITERS = {
-    _vector: lambda f, vec, length: [f.format(a) if a else "0" for a in vec],
-    _row: lambda f, m, length: _fmt_matrix(f, m)[0],
-    _matrix: lambda f, m, rows, cols: _fmt_matrix(f, m),
-    _tensor3: _fmt_tensor3,
-}
+            row[j] = f.format(a)
+        rows.append(row)
+    for size in reversed(shape[1:-1]):
+        rows = [rows[i:i + size] for i in range(0, len(rows), size)]
+    return rows if len(shape) > 1 else rows[0]
 
 
 # -- parents: one ordered table of keys and shapes per kind ------------------------
 #
 # A table lists, for the dims n of a structure and r of its base, the keys
-# after "dim" in file order, each with the reader of its array and that
-# reader's sizes.  The values come in the order of the constructor's
-# arguments, and errors are reported at the first bad key in table order.
+# after "dim" in file order, each with the shape of its array.  The values
+# come in the order of the constructor's arguments, and errors are reported
+# at the first bad key in table order.  An element key's value is a tuple,
+# every other key's the matrix that _array reads.
 
 _PARENT_KINDS = ("quasi_hopf", "hopf_algebroid")
+_ELEMENTS = frozenset(("unit", "counit", "alpha", "beta"))
 
 
 def _base_keys(r, _):
-    return (("mult", _tensor3, r), ("unit", _vector, r))
+    return (("mult", (r, r, r)), ("unit", (r,)))
 
 
 def _quasi_hopf_keys(n, _):
-    return (("mult", _tensor3, n), ("unit", _vector, n), ("comult", _matrix, n, n * n),
-            ("counit", _vector, n), ("antipode", _matrix, n, n),
-            ("antipode_inv", _matrix, n, n), ("phi", _row, n ** 3),
-            ("phi_inv", _row, n ** 3), ("alpha", _vector, n), ("beta", _vector, n))
+    return (("mult", (n, n, n)), ("unit", (n,)), ("comult", (n, n * n)), ("counit", (n,)),
+            ("antipode", (n, n)), ("antipode_inv", (n, n)), ("phi", (n ** 3,)),
+            ("phi_inv", (n ** 3,)), ("alpha", (n,)), ("beta", (n,)))
 
 
 def _hopf_algebroid_keys(n, r):
-    return (("mult", _tensor3, n), ("unit", _vector, n),
-            ("s_l", _matrix, n, r), ("t_l", _matrix, n, r),
-            ("s_r", _matrix, n, r), ("t_r", _matrix, n, r),
-            ("delta_l_lift", _matrix, n * n, n), ("delta_r_lift", _matrix, n * n, n),
-            ("eps_l", _matrix, r, n), ("eps_r", _matrix, r, n),
-            ("antipode", _matrix, n, n), ("antipode_inv", _matrix, n, n))
+    return (("mult", (n, n, n)), ("unit", (n,)),
+            ("s_l", (n, r)), ("t_l", (n, r)), ("s_r", (n, r)), ("t_r", (n, r)),
+            ("delta_l_lift", (n * n, n)), ("delta_r_lift", (n * n, n)),
+            ("eps_l", (r, n)), ("eps_r", (r, n)), ("antipode", (n, n)), ("antipode_inv", (n, n)))
 
 
 def _read(f: Field, doc, keys, where, r=None):
     """The dim of doc at where and the values of the table keys(dim, r)."""
     n = _dim(doc, where)
-    return n, [reader(f, _want(doc, key, list, where), *sizes, where + "." + key)
-               for key, reader, *sizes in keys(n, r)]
+    values = []
+    for key, shape in keys(n, r):
+        m = _array(f, _want(doc, key, list, where), shape, where + "." + key)
+        values.append(m.row(0) if key in _ELEMENTS else m)
+    return n, values
 
 
 def _write(obj, keys, r=None) -> dict:
     """The dim of obj and the arrays of the table keys(dim, r), read back by _read."""
-    doc = {"dim": obj.dim}
-    for key, reader, *sizes in keys(obj.dim, r):
-        doc[key] = _WRITERS[reader](obj.field, getattr(obj, key), *sizes)
+    f, doc = obj.field, {"dim": obj.dim}
+    for key, shape in keys(obj.dim, r):
+        value = getattr(obj, key)
+        doc[key] = _json_array(f, Matrix.from_rows(f, [value]) if key in _ELEMENTS else value,
+                               shape)
     return doc
-
-
-def _same(a, b, keys, r=None) -> bool:
-    """Whether _write writes a and b alike: the same dim and equal values
-    at every key of the table keys(dim, r).  Scalars compare by value, as
-    Field.format is injective on stored scalars, and matrices by their
-    normalised rows."""
-    return a.dim == b.dim and all(getattr(a, key) == getattr(b, key)
-                                  for key, *_ in keys(a.dim, r))
-
-
-def _same_parent(a, b) -> bool:
-    """Whether serialize writes the parents a and b alike under one name:
-    the same kind, field, dims and values, compared without formatting a
-    scalar.  Any other object is no parent and differs from both."""
-    if isinstance(a, QuasiHopfAlgebra) and isinstance(b, QuasiHopfAlgebra):
-        return a.field == b.field and _same(a, b, _quasi_hopf_keys)
-    return (isinstance(a, HopfAlgebroid) and isinstance(b, HopfAlgebroid)
-            and a.field == b.field and _same(a.base, b.base, _base_keys)
-            and _same(a, b, _hopf_algebroid_keys, a.base.dim))
 
 
 def _parse_base(f: Field, doc, where) -> BaseRing:
@@ -295,29 +253,24 @@ def _write_parent(H):
 
 # -- modules, coefficients, algebras --------------------------------------------------
 
-def _parse_action(f, doc, n, d, where):
-    """action[i][a][b]: coefficient of v_b in e_i . v_a, as stored matrices."""
-    if not isinstance(doc, list) or len(doc) != n:
-        raise StructureFileError("dimension_mismatch",
-                                 "action needs %d slices" % n, where)
-    mats = []
-    for i, slab in enumerate(doc):
-        m = _matrix(f, slab, d, d, where, i)
-        mats.append(m.transpose())
-    return mats
-
-
 def _write_module(M) -> dict:
     """The dim and action of a module payload, read back by _parse_module_payload."""
-    return {"dim": M.dim,
-            "action": [_fmt_matrix(M.parent.field, m.transpose()) for m in M.mats]}
+    n, d = M.parent.dim, M.dim
+    return {"dim": d, "action": _json_array(M.parent.field, vstack(
+        M.parent.field, d, [m.transpose() for m in M.mats]), (n, d, d))}
 
 
 def _parse_module_payload(f, doc, parent, where):
-    d = _dim(doc, where)
-    mats = _parse_action(f, _want(doc, "action", list, where), parent.dim, d,
-                         where + ".action")
-    return HModule(parent, mats, name=_name(doc, where))
+    """action[i][a][b]: coefficient of v_b in e_i . v_a, each slice the
+    transpose of a stored matrix."""
+    n, d = parent.dim, _dim(doc, where)
+    raw = _want(doc, "action", list, where)
+    if len(raw) != n:
+        raise StructureFileError("dimension_mismatch", "action needs %d slices" % n,
+                                 where + ".action")
+    action = _array(f, raw, (n, d, d), where + ".action")
+    return HModule(parent, [m.transpose() for m in action.row_blocks(d)],
+                   name=_name(doc, where))
 
 
 def serialize(obj, name: str = "") -> dict:
@@ -343,15 +296,16 @@ def _document(obj, name: str):
             "flavor": obj.flavor,
             "module": _write_module(obj.carrier),
             # slice i is row i of mu read as d x n
-            "contraaction": [_fmt_matrix(obj.field, row.reshaped(d, n))
-                             for row in obj.mu.row_blocks(1)],
+            "contraaction": _json_array(obj.field, obj.mu.reshaped(d * d, n), (d, d, n)),
         }
     elif isinstance(obj, ModuleAlgebra):
         rel = obj.parent.tensor_relations(obj.carrier, obj.carrier)
+        d = obj.carrier.dim
         kind, doc = "module_algebra", {
             "module": _write_module(obj.carrier),
-            "mult": _fmt_matrix(obj.field, obj.mult if rel is None else obj.mult * rel.projector),
-            "unit": _fmt_matrix(obj.field, obj.unit),
+            "mult": _json_array(obj.field, obj.mult if rel is None else obj.mult * rel.projector,
+                                (d, d * d)),
+            "unit": _json_array(obj.field, obj.unit, (d, obj.unit.cols)),
         }
     elif isinstance(obj, HModule):
         kind, doc = "module", _write_module(obj)
@@ -415,7 +369,7 @@ def parse_document(doc, parent=None):
         if parent is None or not _written_as(pdoc, parent, "$.parent"):
             embedded = _parse_parent(f, pdoc, "$.parent")
     if parent is not None and embedded is not None:
-        if not _same_parent(parent, embedded):
+        if _parent_json(embedded) != _parent_json(parent):
             raise StructureFileError(
                 "incompatible_kinds",
                 "embedded parent differs from the supplied structure", "$.parent")
@@ -442,8 +396,7 @@ def parse_document(doc, parent=None):
                                      "contraaction needs %d slices" % d,
                                      "$.contraaction")
         # row i of the contraaction is slice i read row-major
-        mu = vstack(f, d * n, [_matrix(f, slab, d, n, "$.contraaction", i).reshaped(1, d * n)
-                               for i, slab in enumerate(raw)])
+        mu = _array(f, raw, (d, d, n), "$.contraaction").reshaped(d, d * n)
         want_algebroid = isinstance(use_parent, HopfAlgebroid)
         if want_algebroid != (flavor == ALGEBROID_MU):
             raise StructureFileError("incompatible_kinds",
@@ -454,7 +407,7 @@ def parse_document(doc, parent=None):
         carrier = _parse_module_payload(f, _want(doc, "module", dict, "$"), use_parent,
                                         "$.module")
         d = carrier.dim
-        amb = _matrix(f, _want(doc, "mult", list, "$"), d, d * d, "$.mult")
+        amb = _array(f, _want(doc, "mult", list, "$"), (d, d * d), "$.mult")
         unit_doc = _want(doc, "unit", list, "$")
         if isinstance(use_parent, HopfAlgebroid):
             _, rel = tensor_over_base(carrier, carrier)
@@ -464,14 +417,12 @@ def parse_document(doc, parent=None):
                     "dimension_mismatch",
                     "multiplication is not constant on base-tensor classes",
                     "$.mult")
-            unit = _matrix(f, unit_doc, d, use_parent.base.dim, "$.unit")
+            shape = (d, use_parent.base.dim)
         else:
             mult = amb
-            if unit_doc and not isinstance(unit_doc[0], list):
-                unit = Matrix.from_cols(
-                    f, [_vector(f, unit_doc, d, "$.unit")], ambient=d)
-            else:
-                unit = _matrix(f, unit_doc, d, 1, "$.unit")
+            # a unit of one column may be written as a flat list
+            shape = (d,) if unit_doc and not isinstance(unit_doc[0], list) else (d, 1)
+        unit = _array(f, unit_doc, shape, "$.unit").reshaped(d, prod(shape) // d)
         return ModuleAlgebra(carrier, mult, unit)
     raise StructureFileError("schema", "unknown kind %r" % kind, "$.kind")
 

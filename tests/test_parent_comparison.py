@@ -1,11 +1,12 @@
-"""An embedded parent is compared with the supplied one by value.
+"""An embedded parent is compared with the supplied one by its serialisation.
 
 ``parse_document`` refuses a module, contramodule or algebra file whose
-embedded parent differs from the supplied structure.  It compares the two
-parents' kinds, fields, dims and stored values, and that must be the same
-predicate as comparing their serialisations under one name.  The parents
-below, their seeded one-scalar mutants at every key, and parents of other
-bases, dims, fields and names are each judged both ways.
+embedded parent differs from the supplied structure.  An embedded parent
+spelled otherwise than the supplied one serialises is parsed and compared
+by its canonical JSON, so a file is read exactly when the two parents
+serialise alike under one name.  The parents below, their seeded
+one-scalar mutants at every key, and parents of other bases, dims, fields
+and names are each judged both ways.
 """
 
 import json
@@ -17,11 +18,11 @@ from qha.cli import main
 from qha.fields import prime_field
 from qha.algebroid import base_ring_dual_numbers, enveloping_algebroid
 from qha.coefficients import Contramodule, evaluation_at_unit, HOPF_MU
-from qha.quasihopf import (cyclic_group_table, group_algebra, sweedler_h4, trivial_module,
-                           twisted_dual_group_algebra, z2_nontrivial_cocycle,
+from qha.quasihopf import (cyclic_group_table, group_algebra, regular_module, sweedler_h4,
+                           trivial_module, twisted_dual_group_algebra, z2_nontrivial_cocycle,
                            z3_nontrivial_cocycle)
-from qha.structures import (StructureFileError, _same_parent, parse_document, parse_structure,
-                            serialize, write_structure)
+from qha.structures import (StructureFileError, parse_document, parse_structure, serialize,
+                            write_structure)
 
 from conftest import QQ, F5, base_ring_t2
 
@@ -49,6 +50,26 @@ PARENTS["k^Z3_w/GF(7)"] = twisted_dual_group_algebra(F7, cyclic_group_table(3),
 
 def _same_serialisation(a, b):
     return serialize(a, "x") == serialize(b, "x")
+
+
+MISMATCH = ("incompatible_kinds", "$.parent",
+            "embedded parent differs from the supplied structure")
+
+
+def _reads(embedded, supplied):
+    """Whether the regular module file of the parent embedded, with one
+    scalar of its parent respelled so that it is parsed and compared, is
+    read with parent=supplied; any refusal is the mismatch at $.parent."""
+    doc = serialize(regular_module(embedded))
+    mult = doc["parent"]["mult"]
+    mult[0][0][0] = " %s " % mult[0][0][0]
+    try:
+        M = parse_document(doc, parent=supplied)
+    except StructureFileError as e:
+        assert (e.code, e.where, e.message) == MISMATCH
+        return False
+    assert M.parent is supplied
+    return True
 
 
 def _leaves(doc, path=()):
@@ -84,7 +105,7 @@ def _mutants(H, rng):
 def test_value_comparison_agrees_across_parents(a):
     """Every pair of the parents: other kinds, bases, dims and fields."""
     for b in sorted(PARENTS):
-        assert _same_parent(PARENTS[a], PARENTS[b]) \
+        assert _reads(PARENTS[a], PARENTS[b]) \
             == _same_serialisation(PARENTS[a], PARENTS[b]) == (a == b), b
 
 
@@ -96,8 +117,8 @@ def test_value_comparison_agrees_on_one_scalar_mutants(name, seed):
     assert len(mutants) == (14 if "env" in name else 10)
     for key, mutant in mutants:
         for a, b in ((H, mutant), (mutant, H)):
-            assert _same_parent(a, b) is _same_serialisation(a, b) is False, key
-        assert _same_parent(mutant, mutant) and _same_serialisation(mutant, mutant)
+            assert _reads(a, b) is _same_serialisation(a, b) is False, key
+        assert _reads(mutant, mutant) and _same_serialisation(mutant, mutant)
 
 
 @pytest.mark.parametrize("name", sorted(PARENTS))
@@ -105,15 +126,23 @@ def test_same_parent_under_another_name_and_read_back(name):
     H = PARENTS[name]
     again = parse_document(serialize(H, "another name"))
     assert again.name == "another name" != H.name
-    assert _same_parent(H, again) and _same_serialisation(H, again)
+    assert _reads(H, again) and _reads(again, H) and _same_serialisation(H, again)
 
 
 def test_something_else_is_no_parent():
+    """A module or contramodule, supplied or embedded as the parent, is
+    refused; a base ring has no serialisation to compare."""
     H = PARENTS["kC2/Q"]
     k = trivial_module(H)
-    for other in (k, Contramodule(k, evaluation_at_unit(k), HOPF_MU),
-                  PARENTS["env_dual/Q"].base):
-        assert not _same_parent(H, other) and not _same_parent(other, H)
+    for other in (k, Contramodule(k, evaluation_at_unit(k), HOPF_MU)):
+        assert not _reads(H, other)
+        doc = serialize(k)
+        doc["parent"] = serialize(other)
+        with pytest.raises(StructureFileError) as err:
+            parse_document(doc, parent=H)
+        assert (err.value.code, err.value.where) == ("schema", "$.parent")
+    with pytest.raises(TypeError):
+        _reads(H, PARENTS["env_dual/Q"].base)
 
 
 def _coefficient_file(tmp_path, H):

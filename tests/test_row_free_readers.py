@@ -1,22 +1,25 @@
 """Structure files read without a Python step per dense entry.
 
-The array readers map every string of an array through one table and
-build the rows of its matrix from the nonzero positions; on any bad item
-they read the array again row by row, so each error keeps its code and the
-path of the first bad item.  An embedded parent that is written exactly
-as the supplied parent serialises, its name aside, is not parsed, and any
-other embedded parent is parsed and compared as before.
+Every array is read by one reader, ``_array``, given its shape: it maps
+every string of the array through one table and builds the rows of its
+matrix from the nonzero positions; on any bad item it walks the array
+item by item, so each error keeps its code, message and the path of the
+first bad item.  An embedded parent that is written exactly as the
+supplied parent serialises, its name aside, is not parsed, and any other
+embedded parent is parsed and compared.
 """
+
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qha import structures
 from qha.algebroid import BaseRing, base_ring_scalars, enveloping_algebroid
+from qha.fields import ScalarParseError
 from qha.linalg import Matrix
 from qha.quasihopf import cyclic_group_table, group_algebra, regular_module, symmetric_group_table
-from qha.structures import (StructureFileError, _matrix, _row, _tensor3, parse_document,
-                            serialize)
+from qha.structures import StructureFileError, _array, parse_document, serialize
 
 from conftest import F5, QQ
 from test_stored_tensors import FIELDS, parents
@@ -39,16 +42,69 @@ def test_every_array_of_a_parent_reads_as_its_dense_matrix(f, name):
     doc = serialize(H)
     if "base" in doc:
         r = H.base.dim
-        assert _tensor3(f, doc["base"]["mult"], r, "$") == Matrix(
+        assert _array(f, doc["base"]["mult"], (r, r, r), "$") == Matrix(
             f, r * r, r, dense(f, doc["base"]["mult"]))
     n = H.dim
-    assert _tensor3(f, doc["mult"], n, "$") == Matrix(f, n * n, n, dense(f, doc["mult"]))
+    assert _array(f, doc["mult"], (n, n, n), "$") == Matrix(f, n * n, n, dense(f, doc["mult"]))
     for key, array in doc.items():
         if key != "mult" and isinstance(array, list) and isinstance(array[0], list):
             rows, cols = len(array), len(array[0])
-            assert _matrix(f, array, rows, cols, "$") == Matrix(f, rows, cols, dense(f, array))
+            assert _array(f, array, (rows, cols), "$") == Matrix(f, rows, cols, dense(f, array))
     if "phi" in doc:
-        assert _row(f, doc["phi"], n ** 3, "$") == Matrix(f, 1, n ** 3, dense(f, doc["phi"]))
+        assert _array(f, doc["phi"], (n ** 3,), "$") == Matrix(f, 1, n ** 3, dense(f, doc["phi"]))
+
+
+def nested(flat, shape):
+    """flat, a list of prod(shape) items, as the nested list of shape."""
+    for size in reversed(shape[1:]):
+        flat = [flat[i:i + size] for i in range(0, len(flat), size)]
+    return flat
+
+
+def item_at(array, index):
+    for i in index:
+        array = array[i]
+    return array
+
+
+# what the reader says of a list of the wrong length at each depth above the scalars
+LENGTHS = {1: "expected a list of %d scalars", 2: "expected %d rows", 3: "expected %d slices"}
+
+
+@st.composite
+def corruptions(draw, f, shape):
+    """An edit of a valid array of shape, and the code, path and message of
+    the one error it makes: a list of a wrong length or no list at some
+    level, an item that is not a string, or a string that does not parse."""
+    what = draw(st.sampled_from(["length", "not_a_list", "not_a_string", "no_parse"]))
+    if what in ("length", "not_a_list"):
+        depth = draw(st.integers(0, len(shape) - 1))
+        index = tuple(draw(st.integers(0, size - 1)) for size in shape[:depth])
+        size = shape[depth]
+        # the length is checked before any item of the list is read
+        bad = ("0" * size if what == "not_a_list"
+               else ["0"] * draw(st.integers(0, 5).filter(lambda k: k != size)))
+        want = ("dimension_mismatch", LENGTHS[len(shape) - depth] % size)
+    else:
+        index = tuple(draw(st.integers(0, size - 1)) for size in shape)
+        if what == "not_a_string":
+            bad = draw(st.sampled_from([1, 0, None, True, 2.5, ["0"], {"0": "1"}]))
+            want = ("scalar_parse", "scalars must be strings, got %r" % (bad,))
+        else:
+            bad = draw(st.sampled_from(["x", "1//2", "1/0", "", "two", "0x"]
+                                       + ([] if f is QQ else ["1/2"])))
+            try:
+                f.parse(bad)
+            except ScalarParseError as e:
+                want = ("scalar_parse", str(e))
+    path = "$" + "".join("[%d]" % i for i in index)
+
+    def edit(array):
+        if not index:
+            return bad
+        item_at(array, index[:-1])[index[-1]] = bad
+        return array
+    return edit, (want[0], path, want[1])
 
 
 @settings(max_examples=60, deadline=None)
@@ -58,11 +114,23 @@ def test_drawn_arrays_read_as_their_dense_matrices(f, rows, cols, data):
     size = max(rows * cols, rows ** 3)
     flat = data.draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size))
     matrix = [flat[i * cols:(i + 1) * cols] for i in range(rows)]
-    assert _matrix(f, matrix, rows, cols, "$") == Matrix(f, rows, cols, dense(f, matrix))
-    assert _row(f, flat[:cols], cols, "$") == Matrix(f, 1, cols, dense(f, flat[:cols]))
+    assert _array(f, matrix, (rows, cols), "$") == Matrix(f, rows, cols, dense(f, matrix))
+    assert _array(f, flat[:cols], (cols,), "$") == Matrix(f, 1, cols, dense(f, flat[:cols]))
     n = rows
     cube = [[flat[(i * n + j) * n:(i * n + j + 1) * n] for j in range(n)] for i in range(n)]
-    assert _tensor3(f, cube, n, "$") == Matrix(f, n * n, n, dense(f, cube))
+    assert _array(f, cube, (n, n, n), "$") == Matrix(f, n * n, n, dense(f, cube))
+    # a drawn shape of depth 1 to 3, its sizes unequal in general
+    shape = tuple(data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)))
+    flat = data.draw(st.lists(st.sampled_from(pool), min_size=prod(shape),
+                              max_size=prod(shape)))
+    array = nested(flat, shape)
+    assert _array(f, array, shape, "$") == Matrix(
+        f, prod(shape[:-1]), shape[-1], dense(f, flat))
+    # one corruption of it, reported as the item-by-item walk reports it
+    edit, want = data.draw(corruptions(f, shape))
+    with pytest.raises(StructureFileError) as info:
+        _array(f, edit(array), shape, "$")
+    assert (info.value.code, info.value.where, info.value.message) == want
 
 
 KS3 = group_algebra(QQ, symmetric_group_table(3), "kS3")
