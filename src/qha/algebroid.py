@@ -8,14 +8,15 @@ subspace carries, and the checks verify that stored lifts are compatible
 with the relations (Takeuchi membership, bimodule properties).
 
 The left base ring R is the stored one; the right base is its opposite
-ring ``BaseRing.op``.  The biclosed maps (Hom^l, Hom^r, zeta and eta) are
-not written here: they are the one layer of quasihopf.py, to which a
-Hopf algebroid gives its Delta_r legs, the right-base-linear maps as the
-carrier of Hom^l, the quotient projector onto M (x)_R N as the zeta^l
-decoration and the carrier's embedding in Hom_k as the evaluation; the
-right-hand maps there are the left-hand ones over the co-opposite
-algebroid ``H.cop`` (over R^op).  The right bialgebroid axioms are the
-left ones over the opposite algebroid ``H.op``.
+ring ``BaseRing.op``.  M (x)_R N and the biclosed maps (Hom^l, Hom^r,
+zeta and eta) are not written here: they are the one ``tensor_module``
+and biclosed layer of quasihopf.py, to which a Hopf algebroid gives its
+Delta_l legs and base relations, its Delta_r legs, the right-base-linear
+maps as the carrier of Hom^l, the quotient projector onto M (x)_R N as
+the zeta^l decoration and the carrier's embedding in Hom_k as the
+evaluation; the right-hand maps there are the left-hand ones over the
+co-opposite algebroid ``H.cop`` (over R^op).  The right bialgebroid
+axioms are the left ones over the opposite algebroid ``H.op``.
 
 Every axiom check is one matrix identity, as in quasihopf.py: two sides
 whose columns are its instances, where an identity in H (x)_R H or H
@@ -32,12 +33,12 @@ from __future__ import annotations
 from functools import cached_property
 
 from .fields import Field
-from .linalg import (Matrix, Subspace, hstack, intertwiner_space, intertwiner_system, kron_sum,
+from .linalg import (Matrix, Subspace, hstack, intertwiner_space, intertwiner_system,
                      slot_apply, swap_factors, vstack)
 from .reports import CheckReport
-from .quasihopf import (Algebra, HModule, QuasiHopfAlgebra, StructureError, max_tensor_dim,
+from .quasihopf import (Algebra, HModule, QuasiHopfAlgebra, StructureError, tensor_module,
                         require_shapes, shared, left_hom, right_hom, zeta_l, eta_l, zeta_r, eta_r,
-                        lift_legs, check_antipode_pair, perm_mwv_to_mvw,
+                        build_scope, lift_legs, check_antipode_pair, perm_mwv_to_mvw,
                         _pair_products, _unit_row, _require_one_parent)
 
 
@@ -186,6 +187,9 @@ class HopfAlgebroid(Algebra):
             left = tensor_over_base(left, V)[0]
         return module_tensor_relations(left, factors[-1])
 
+    def tensor_legs(self, i: int):
+        return self.delta_l_legs[i]
+
     def associativity(self, U, V, W) -> Matrix:
         """(U (x) V) (x) W -> U (x) (V (x) W) on the quotient carriers."""
         return requotient_associativity(U, V, W)
@@ -274,35 +278,12 @@ def module_tensor_relations(M: HModule, N: HModule) -> Subspace:
     return _relation_space(H.field, pairs, M.dim, N.dim)
 
 
-@shared
 def tensor_over_base(M: HModule, N: HModule):
-    """M (x)_{R_l} N with the Delta_l-induced action.
-
-    Returns (module, relations): the relations are the Subspace of
-    module_tensor_relations, and the module acts on its quotient through
-    their projector and lift.  An ambient M.dim * N.dim over QHA_MAX_DIM
-    is refused before anything is built.  Raises StructureError with a
-    witness when the ambient diagonal action fails to preserve the
-    relations (the action would then be ill-defined on the quotient).
-    """
+    """M (x)_{R_l} N, the ``tensor_module`` of factors over one algebroid,
+    and its ``module_tensor_relations``, in one scope that builds them once."""
     _require_one_parent("tensor over the base", M, N)
-    H = M.parent
-    f = H.field
-    if M.dim * N.dim > max_tensor_dim():
-        raise StructureError("tensor dimension %d exceeds QHA_MAX_DIM" % (M.dim * N.dim))
-    rel = module_tensor_relations(M, N)
-    d = M.dim * N.dim
-    amb = [kron_sum(f, d, d, [(c, [M.mats[p], N.mats[q]]) for c, p, q in H.delta_l_legs[i]])
-           for i in range(H.dim)]
-    relations = rel.basis_matrix()
-    for i in range(H.dim):
-        if rel.coordinate_matrix(amb[i] * relations) is None:
-            raise StructureError(
-                "tensor action ill-defined: basis element %d maps a relation "
-                "outside the relation space" % i)
-    mats = [rel.projector * a * rel.lift for a in amb]
-    mod = HModule(H, mats, name="(%s)x_R(%s)" % (M.name, N.name))
-    return mod, rel
+    with build_scope():
+        return tensor_module(M, N), module_tensor_relations(M, N)
 
 
 @shared

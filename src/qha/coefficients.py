@@ -346,9 +346,7 @@ def _nested(outer, inner, dim: int):
 
     (outer (x) id) inner is already in reduced echelon form, so its columns
     are the canonical basis: coordinates on the nested carrier are those
-    on inner.  When outer is all of Hom_k(W, M) (None) this is inner."""
-    if outer is None:
-        return inner
+    on inner."""
     emb = outer.basis_matrix().kron(Matrix.identity(outer.field, dim)) * inner.basis_matrix()
     return Subspace.row_space(emb.transpose())
 
@@ -362,8 +360,8 @@ def hexagon_sides(C: Contramodule, V: HModule, W: HModule, tau):
     hom carriers come from the biclosed layer and the three hom
     associativity maps between full carriers from the parent; the hexagon
     reads those maps, and tau (x) id, between the carriers.  Over a
-    quasi-Hopf algebra every carrier is full (None), so every leg is its
-    map itself.
+    quasi-Hopf algebra every carrier is the full subspace, so every leg is
+    its map itself.
     """
     H = C.parent
     f = C.field

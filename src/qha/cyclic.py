@@ -7,7 +7,7 @@ cofaces (precomposition with adjacent multiplications), codegeneracies
 contratrace maps.  Tensor powers are bracketed left to right.
 
 The construction is written once, against the monoidal primitives that
-both parents provide: ``tensor`` (the module and its base relations, none
+both parents provide: ``tensor`` (the module and its base relations, zero
 over a quasi-Hopf algebra), ``tensor_relations``, ``associativity`` (the
 action of Phi, or the strict requotient over a Hopf algebroid) and
 ``unit_object``.  A map f (x) g between tensor carriers passes through the
@@ -34,7 +34,7 @@ from functools import cache, cached_property
 from itertools import accumulate
 
 from .fields import Field
-from .linalg import Matrix, block_matrix, kron_sum, stack_of_maps, stack_rmul, vstack
+from .linalg import Matrix, Subspace, block_matrix, kron_sum, stack_of_maps, stack_rmul, vstack
 from .reports import CheckReport
 from .quasihopf import (QuasiHopfAlgebra, StructureError, build_scope,
                         hom_module_morphisms, is_intertwiner, shared)
@@ -55,15 +55,11 @@ class CocyclicError(ValueError):
                                       ", ".join("%s=%s" % kv for kv in self.indices)))
 
 
-def _kron(f: Matrix, g: Matrix, src_rel, dst_rel) -> Matrix:
-    """f (x) g between tensor carriers: projector . (f (x) g) . lift, where
-    either relation space may be None (no base relations)."""
-    out = f.kron(g)
-    if dst_rel is not None:
-        out = dst_rel.projector * out
-    if src_rel is not None:
-        out = out * src_rel.lift
-    return out
+def _kron(f: Matrix, g: Matrix, src_rel: Subspace, dst_rel: Subspace) -> Matrix:
+    """f (x) g between tensor carriers: projector . (f (x) g) . lift, for
+    the relation spaces of its source and target.  A unit insertion, whose
+    source k (x) V is V with no relations, is projector . (f (x) g) alone."""
+    return dst_rel.projector * f.kron(g) * src_rel.lift
 
 
 class ModuleAlgebra:
@@ -81,8 +77,7 @@ class ModuleAlgebra:
         self.unit = unit
         H = carrier.parent
         self.is_algebroid = not isinstance(H, QuasiHopfAlgebra)
-        rel = H.tensor_relations(carrier, carrier)
-        sq = carrier.dim * carrier.dim if rel is None else rel.ambient_dim - rel.dim
+        sq = carrier.dim * carrier.dim - H.tensor_relations(carrier, carrier).dim
         unit_cols = H.unit_object().dim
         if mult.rows != carrier.dim or mult.cols != sq:
             raise StructureError("mult must be %dx%d" % (carrier.dim, sq))
@@ -134,8 +129,8 @@ def check_algebra_object(A: ModuleAlgebra) -> CheckReport:
         * H.associativity(V, V, V)
     rep.add("associative_up_to_phi", lhs == rhs)
     ucol = Matrix.from_cols(f, [A.unit_element()], ambient=V.dim)
-    rep.add("left_unital", (A.mult * _kron(ucol, eye, None, rel)) == eye)
-    rep.add("right_unital", (A.mult * _kron(eye, ucol, None, rel)) == eye)
+    rep.add("left_unital", (A.mult * (rel.projector * ucol.kron(eye))) == eye)
+    rep.add("right_unital", (A.mult * (rel.projector * eye.kron(ucol))) == eye)
     A.axioms_passed = rep.passed
     return rep
 
@@ -147,11 +142,11 @@ class TensorPowerChain:
     a depth below 1 is refused (the unit object is unit_algebra(H)).
 
     ``mods[k]`` is L_k and ``rels[k]`` the base relations of its last
-    stage L_(k-1) (x) A (None when the parent has none); the chain keeps
-    nothing else.  Every map below is one recursion on k through these
-    stages and is ``shared``: inside a build scope each rebracketing,
-    multiplication map and unit insertion is built once per chain, outside
-    one it is rebuilt on every call.
+    stage L_(k-1) (x) A, for k >= 2; the chain keeps nothing else.  Every
+    map below is one recursion on k through these stages and is
+    ``shared``: inside a build scope each rebracketing, multiplication map
+    and unit insertion is built once per chain, outside one it is rebuilt
+    on every call.
     Each stage is ``H.tensor``, which refuses an ambient L_(k-1) (x) A over
     QHA_MAX_DIM before it builds anything.
     """
@@ -214,10 +209,10 @@ def _unit_insertion(chain: TensorPowerChain, k: int, p: int) -> Matrix:
     f = A.field
     ucol = Matrix.from_cols(f, [A.unit_element()], ambient=A.carrier.dim)
     if p == k:
-        return _kron(Matrix.identity(f, chain.mods[k].dim), ucol, None, chain.rels[k + 1])
+        return chain.rels[k + 1].projector * Matrix.identity(f, chain.mods[k].dim).kron(ucol)
     eye = Matrix.identity(f, A.carrier.dim)
     if k == 1:
-        return _kron(ucol, eye, None, chain.rels[2])
+        return chain.rels[2].projector * ucol.kron(eye)
     return _kron(_unit_insertion(chain, k - 1, p), eye, chain.rels[k], chain.rels[k + 1])
 
 

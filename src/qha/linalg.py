@@ -741,10 +741,12 @@ class Subspace:
                                          [a for g in gens for a in g]))
 
     @staticmethod
+    @cache
     def zero(field: Field, ambient_dim: int) -> "Subspace":
         return Subspace(Matrix.zeros(field, 0, ambient_dim), ())
 
     @staticmethod
+    @cache
     def full(field: Field, ambient_dim: int) -> "Subspace":
         return Subspace(Matrix.identity(field, ambient_dim), range(ambient_dim))
 
@@ -790,7 +792,7 @@ class Subspace:
     def coordinate_matrix(self, vecs: Matrix):
         """Coordinates of every column of vecs in the stored basis, as the
         columns of a dim x vecs.cols matrix, or None if some column is not
-        a member.
+        a member; in the full space, vecs itself.
 
         In the reduced-echelon basis the coordinates of a member are its
         entries at the pivots; membership is confirmed by rebuilding every
@@ -798,6 +800,8 @@ class Subspace:
         if vecs.rows != self.ambient_dim:
             raise ShapeError("vectors of length %d, ambient %d"
                              % (vecs.rows, self.ambient_dim))
+        if self.dim == self.ambient_dim:
+            return vecs
         coords = Matrix._sparse(self.field, self.dim, vecs.cols,
                                 [vecs._rows[p] for p in self._pivots])
         if self.basis_matrix() * coords != vecs:
@@ -806,10 +810,13 @@ class Subspace:
 
     def _stack_split(self, stack: Matrix, after: int):
         """The entries of each row of stack at the pivots (of the first slot,
-        when rows split as ambient_dim x after), and the stack they rebuild."""
+        when rows split as ambient_dim x after), and the stack they rebuild:
+        in the full space, the stack itself twice."""
         n = self.ambient_dim
         if stack.cols != n * after:
             raise ShapeError("rows of length %d, ambient %d x %d" % (stack.cols, n, after))
+        if self.dim == n:
+            return stack, stack
         at = {p * after + t: r * after + t for r, p in enumerate(self._pivots) for t in range(after)}
         coords = Matrix._sparse(self.field, stack.rows, self.dim * after, [
             {at[j]: a for j, a in r.items() if j in at} or _EMPTY for r in stack._rows])
@@ -849,11 +856,14 @@ def quotient_section(field: Field, ambient_dim: int, relations: Subspace):
     Returns (projector, lift) with projector . lift = identity on the
     quotient, projector(relations) = 0 and kernel(projector) = relations.
     The quotient coordinates are the ambient coordinates away from the
-    relation pivots, which makes the pair canonical.
+    relation pivots, which makes the pair canonical; with no relations both
+    are ``Matrix.identity`` itself.
     """
     if relations.ambient_dim != ambient_dim:
         raise ShapeError("relations live in k^%d, not k^%d"
                          % (relations.ambient_dim, ambient_dim))
+    if not relations.dim:
+        return (Matrix.identity(field, ambient_dim),) * 2
     # one projector row per free coordinate; subtracting x[pc] * basis[r]
     # zeroes every pivot coordinate
     free = _null_rows(field, ambient_dim, relations.pivots(), relations._rows._rows)

@@ -8,16 +8,17 @@ with its inverse (1 x n^3 each); the unit, counit and the two antipode
 decorations alpha, beta are elements, tuples of n scalars.  Hopf algebras
 are the special case Phi = 1 (x) 1 (x) 1, alpha = beta = 1.
 
-The biclosed layer of both parents is written here once: Hom^l (with its
-carrier), zeta^l and eta^l, and Hom^r, zeta^r and eta^r as those over the
-co-opposite parent.  A parent gives it four data and no algorithm: the
-coproduct legs of the hom action (Delta here, Delta_r over a Hopf
-algebroid), the carrier of Hom^l (None here: all of Hom_k), the map that
-zeta^l precomposes with on M (x) N (the action of P (x) Q beta S(R) here,
-the quotient projector onto M (x)_R N over an algebroid) and the map that
-eta^l applies to the carrier of Hom^l (eval_left curried here, the
-carrier's embedding in Hom_k over an algebroid), besides ``tensor``,
-``tensor_relations`` and ``cop``.
+V (x) W and the biclosed layer of both parents are written here once:
+``tensor_module``, Hom^l (with its carrier), zeta^l and eta^l, and Hom^r,
+zeta^r and eta^r as those over the co-opposite parent.  A parent gives
+them data and no algorithm: the coproduct legs of the tensor and hom
+actions (Delta here, Delta_l and Delta_r over a Hopf algebroid), the base
+relations and the carrier of Hom^l (subspaces: here the zero one and all
+of Hom_k, which cost nothing), the map that zeta^l precomposes with on
+M (x) N (the action of P (x) Q beta S(R) here, the quotient projector
+onto M (x)_R N over an algebroid) and the map that eta^l applies to the
+carrier of Hom^l (eval_left curried here, the carrier's embedding in
+Hom_k over an algebroid), besides ``tensor`` and ``cop``.
 
 Every Phi-decoration is Phi or Phi^-1 with two legs contracted by the
 stored alpha-hat or beta-hat (the rigid evaluation and coevaluation), an
@@ -33,6 +34,7 @@ whose instances decide the rest (``compare_on_generators``).
 from __future__ import annotations
 
 import os
+from math import prod
 from contextlib import contextmanager
 from contextvars import ContextVar
 from functools import cached_property, reduce, wraps
@@ -338,12 +340,15 @@ class QuasiHopfAlgebra(Algebra):
     # -- monoidal primitives (shared with HopfAlgebroid) ------------------------
 
     def tensor(self, V, W):
-        """V (x) W and its base relations: none over a quasi-Hopf algebra."""
-        return tensor_module(V, W), None
+        """V (x) W and its base relations, the zero subspace."""
+        return tensor_module(V, W), self.tensor_relations(V, W)
 
     def tensor_relations(self, *factors):
-        """Base relations of the last stage of ((F1 (x) F2) (x) ...) (x) Fn."""
-        return None
+        """Base relations of ((F1 (x) F2) (x) ...) (x) Fn: the zero subspace."""
+        return Subspace.zero(self.field, prod([F.dim for F in factors]))
+
+    def tensor_legs(self, i: int):
+        return self.delta_legs[i]
 
     def associativity(self, U, V, W) -> Matrix:
         """(U (x) V) (x) W -> U (x) (V (x) W): the action of Phi."""
@@ -373,7 +378,7 @@ class QuasiHopfAlgebra(Algebra):
         return self.delta_legs[i]
 
     def hom_carrier(self, V, M):
-        return None
+        return Subspace.full(self.field, M.dim * V.dim)
 
     def zeta_decoration(self, M, N) -> Matrix:
         """The action on M (x) N of (id (x) beta-hat)(Phi^-1) = P (x) Q beta S(R)."""
@@ -621,15 +626,25 @@ def shared(fn):
 
 @shared
 def tensor_module(V: HModule, W: HModule) -> HModule:
-    """V (x) W with action a.(v (x) w) = a^1 v (x) a^2 w."""
+    """V (x) W, a.(v (x) w) = a^1 v (x) a^2 w for the parent's ``tensor_legs``,
+    on the quotient by its ``tensor_relations`` if the action preserves them;
+    an ambient over QHA_MAX_DIM is refused before anything is built."""
     _require_one_parent("tensor", V, W)
     H = V.parent
     d = V.dim * W.dim
     if d > max_tensor_dim():
         raise StructureError("tensor dimension %d exceeds QHA_MAX_DIM" % d)
+    rel = H.tensor_relations(V, W)
     mats = [kron_sum(H.field, d, d, [(c, [V.mats[p], W.mats[q]])
-                                     for c, p, q in H.delta_legs[i]])
+                                     for c, p, q in H.tensor_legs(i)])
             for i in range(H.dim)]
+    if rel.dim:
+        for i, a in enumerate(mats):
+            if rel.coordinate_matrix(a * rel.basis_matrix()) is None:
+                raise StructureError(
+                    "tensor action ill-defined: basis element %d maps a relation "
+                    "outside the relation space" % i)
+        mats = [rel.projector * a * rel.lift for a in mats]
     return HModule(H, mats, name="(%s)x(%s)" % (V.name, W.name), made_from=(V, W))
 
 
@@ -660,34 +675,29 @@ def associator_inverse(V: HModule, W: HModule, U: HModule) -> Matrix:
 # (e_b |-> m_a), flattened row-major: index a*dV + b.  The parent's four
 # data (see the module docstring) are ``hom_legs(i)``, the Sweedler terms
 # (coef, h1, h2) of the hom action; ``hom_carrier(V, M)``, a Subspace of
-# Hom_k(V, M) or None for all of it; ``zeta_decoration(M, N)``, the map
-# from M (x) N to the domain of the maps that zeta^l curries; and
+# Hom_k(V, M) (all of it over a quasi-Hopf algebra); ``zeta_decoration``,
+# the map from M (x) N to the domain of the maps that zeta^l curries; and
 # ``hom_evaluation(V, M)``, the map from the carrier of Hom^l(V, M) to
-# Hom_k(V, M) that eta^l uncurries through.  Both are always a Matrix, and
-# zeta^l and eta^l apply them as they are.  An H-module is an H^cop-module
+# Hom_k(V, M) that eta^l uncurries through.  Base relations and carriers
+# are always a Subspace, the last two always a Matrix, and zeta^l and
+# eta^l apply them as they are.  An H-module is an H^cop-module
 # on the same matrices (its cached view ``V.cop``), and V (x) W over H^cop
 # is W (x) V over H with the factors swapped, so each right-hand map is the
 # left-hand one over H^cop re-read on the swapped tensor domain
 # (``_swap_domain``).
 
-def _swap_domain(S: Matrix, src, dst, d1: int, d2: int) -> Matrix:
-    """The stack S of maps on the quotient src of V1 (x) V2 (dims d1, d2),
-    re-read on the quotient dst of V2 (x) V1; a carrier that is None is the
-    full tensor product."""
-    if src is not None:
-        S = stack_rmul(S, src.projector)
-    S = swap_slots(S, d1, d2)
-    return S if dst is None else stack_rmul(S, dst.lift)
+def _swap_domain(S: Matrix, src: Subspace, dst: Subspace, d1: int, d2: int) -> Matrix:
+    """The stack S of maps on the quotient of V1 (x) V2 (dims d1, d2) by the
+    relations src, re-read on the quotient of V2 (x) V1 by dst."""
+    return stack_rmul(swap_slots(stack_rmul(S, src.projector), d1, d2), dst.lift)
 
 
-def _restricted(op: Matrix, src, dst):
+def _restricted(op: Matrix, src: Subspace, dst: Subspace):
     """op read from the carrier src to the carrier dst, in their canonical
-    coordinates, or None when its image leaves dst.  A carrier is a
-    Subspace of the full k-linear carrier, or None for all of it; between
-    full carriers this is op itself, with no product and no solve."""
-    if src is not None:
-        op = op * src.basis_matrix()
-    return op if dst is None else dst.coordinate_matrix(op)
+    coordinates, or None when its image leaves dst.  op times the basis is
+    a stack product on op's rows, so between full carriers this is op
+    itself, with no product, no solve and no scan of op for an identity."""
+    return dst.coordinate_matrix(stack_rmul(op, src.basis_matrix()))
 
 
 def _linearity_indices(V: HModule, W: HModule):
@@ -732,7 +742,7 @@ def hom_module_morphisms(V: HModule, W: HModule) -> Subspace:
 def left_hom(V: HModule, M: HModule):
     """Hom^l(V, M) and its carrier: the action h.phi = h^1 phi(S(h^2) -) on
     Hom_k(V, M), for the parent's hom legs h^1 (x) h^2, read in the
-    coordinates of the parent's carrier (None: all of Hom_k(V, M))."""
+    coordinates of the parent's carrier, a Subspace of Hom_k(V, M)."""
     _require_one_parent("hom", V, M)
     H = V.parent
     carrier = H.hom_carrier(V, M)
@@ -807,12 +817,11 @@ def zeta_l(S: Matrix, M: HModule, N: HModule, L: HModule) -> Matrix:
     with build_scope():
         require_intertwiner(S, H.tensor(M, N)[0], L, "zeta_l input")
         hom, carrier = left_hom(N, L)
-        out = swap_slots(stack_rmul(S, H.zeta_decoration(M, N)), M.dim, N.dim)
-        if carrier is not None:
-            # each curried map sends M into the full carrier Hom_k(N, L)
-            out = carrier.stack_coordinates(out, M.dim)
-            if out is None:
-                raise IntertwinerError("zeta_l image is not base-linear")
+        # each curried map sends M into the full carrier Hom_k(N, L)
+        out = carrier.stack_coordinates(
+            swap_slots(stack_rmul(S, H.zeta_decoration(M, N)), M.dim, N.dim), M.dim)
+        if out is None:
+            raise IntertwinerError("zeta_l image is not base-linear")
         require_intertwiner(out, M, hom, "zeta_l output")
         return out
 
@@ -831,8 +840,8 @@ def eta_l(S: Matrix, M: HModule, N: HModule, L: HModule) -> Matrix:
         require_intertwiner(S, M, left_hom(N, L)[0], "eta_l input")
         amb = swap_slots(stack_lmul(H.hom_evaluation(N, L), S), N.dim, M.dim)
         tens, rel = H.tensor(M, N)
-        out = amb if rel is None else stack_rmul(amb, rel.lift)
-        if rel is not None and stack_rmul(out, rel.projector) != amb:
+        out = stack_rmul(amb, rel.lift)
+        if stack_rmul(out, rel.projector) != amb:
             raise StructureError("eta_l image not constant on relation classes")
         require_intertwiner(out, tens, L, "eta_l output")
         return out
@@ -1063,8 +1072,7 @@ def group_algebra(field: Field, table, name: str = "kG") -> QuasiHopfAlgebra:
     table, e, inv = _validate_group(table)
     n = len(table)
     # row i*n + j of m is e_(ij), and row i of Delta is e_i (x) e_i
-    mult = Matrix.identity(field, n * n).reindexed(n * n, n,
-                                                   lambda r, _: (r, table[r // n][r % n]))
+    mult = Matrix._sparse(field, n * n, n, [{k: field.one} for row in table for k in row])
     comult = Matrix.identity(field, n).reindexed(n, n * n, lambda r, _: (r, r * n + r))
     unit = basis_vec(field, n, e)
     s = Matrix.from_cols(field, [basis_vec(field, n, inv[i]) for i in range(n)])

@@ -303,8 +303,7 @@ def _document(obj, name: str):
         d = obj.carrier.dim
         kind, doc = "module_algebra", {
             "module": _write_module(obj.carrier),
-            "mult": _json_array(obj.field, obj.mult if rel is None else obj.mult * rel.projector,
-                                (d, d * d)),
+            "mult": _json_array(obj.field, obj.mult * rel.projector, (d, d * d)),
             "unit": _json_array(obj.field, obj.unit, (d, obj.unit.cols)),
         }
     elif isinstance(obj, HModule):
@@ -350,14 +349,17 @@ def _written_as(pdoc, parent, where) -> bool:
 def parse_document(doc, parent=None):
     """Parse a loaded JSON document into an in-memory structure.
 
-    ``parent`` overrides (and is checked against) an embedded parent for
-    module, contramodule and module_algebra kinds."""
+    ``parent``, a parent structure, overrides (and is checked against) the
+    embedded one for module, contramodule and module_algebra kinds."""
     if not isinstance(doc, dict):
         raise StructureFileError("schema", "top level must be an object")
     f = parse_field(_want(doc, "field", dict, "$"))
     kind = _want(doc, "kind", str, "$")
     if kind in _PARENT_KINDS:
         return _parse_parent(f, doc, "$")
+    if parent is not None and not isinstance(parent, (QuasiHopfAlgebra, HopfAlgebroid)):
+        raise StructureFileError("incompatible_kinds", "the supplied %s is not a parent "
+                                 "structure" % type(parent).__name__, "$")
     _name(doc, "$")  # checked, though only a module keeps its name
 
     embedded = None

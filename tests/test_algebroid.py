@@ -1,6 +1,6 @@
 import pytest
 
-from qha.linalg import Matrix, stack_of_maps, stack_rmul
+from qha.linalg import Matrix, Subspace, stack_of_maps, stack_rmul
 from qha.quasihopf import (trivial_module, regular_module, tensor_module,
                            left_hom, right_hom, zeta_l, eta_l, zeta_r, eta_r, hom_carriers,
                            hom_module_morphisms, check_module, is_intertwiner,
@@ -225,9 +225,12 @@ def test_hom_carriers_without_modules(env_f5, t2e_f5, twisted_q):
         for V, M in [(reg, reg), (reg, R), (R, reg), (R, R)]:
             assert hom_carriers(V, M) == (left_hom(V, M)[1], right_hom(V, M)[1])
             assert hom_carriers(V, M)[1] == left_linear_hom_basis(V, M)
+    # over a quasi-Hopf algebra both carriers are all of Hom_k, the one
+    # shared full subspace of its size
     reg = regular_module(twisted_q)
-    assert hom_carriers(reg, reg) == (None, None)
-    assert left_hom(reg, reg)[1] is None and right_hom(reg, reg)[1] is None
+    full = Subspace.full(twisted_q.field, reg.dim * reg.dim)
+    assert hom_carriers(reg, reg) == (full, full)
+    assert left_hom(reg, reg)[1] is full and right_hom(reg, reg)[1] is full
 
 
 def test_hom_modules_are_unital_actions(env_f5):

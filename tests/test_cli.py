@@ -213,6 +213,22 @@ def test_incompatible_kinds_usage_error(tmp_path, kc2_file, capsys):
     assert main(["ayd", str(env), str(coeff)]) == 2
 
 
+def test_a_module_file_is_no_structure(tmp_path, kc2_file, capsys):
+    """A module file given as STRUCTURE is a usage error (exit 2) of kind
+    incompatible_kinds, also for inputs with no embedded parent to compare."""
+    unit_a, coeff = _kc2_cohomology_inputs(tmp_path, kc2_file)
+    module = tmp_path / "k.json"
+    write_structure(str(module), trivial_module(parse_structure(kc2_file)), "k")
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps({k: v for k, v in _load(coeff).items() if k != "parent"}))
+    capsys.readouterr()
+    for argv in (["ayd", str(module), str(bare)], ["ayd", str(module), str(coeff)],
+                 ["cohomology", str(module), str(unit_a), str(bare), "--degree", "1"]):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error [incompatible_kinds]: ") and "not a parent" in err, argv
+
+
 def test_convert_roundtrip_bytes(tmp_path):
     tw = tmp_path / "tw.json"
     assert main(["generate", "twisted_dual_z2", "--out", str(tw)]) == 0

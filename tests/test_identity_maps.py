@@ -296,3 +296,17 @@ def test_builds_equal_those_without_identity_detection(name, monkeypatch):
     assert cc.cofaces == plain.cofaces
     assert cc.codegens == plain.codegens
     assert cc.cyclics == plain.cyclics
+
+
+def test_group_algebra_asks_for_no_square_identity(monkeypatch):
+    """kG's n^2 x n multiplication is built from its rows: no n^2 x n^2
+    identity enters the identity cache (576 rows for kS4)."""
+    from qha.quasihopf import group_algebra, symmetric_group_table
+    asked, identity = [], Matrix.identity
+    monkeypatch.setattr(Matrix, "identity",
+                        staticmethod(lambda field, n: asked.append(n) or identity(field, n)))
+    table = symmetric_group_table(3)
+    H = group_algebra(QQ, table, "kS3")
+    assert 36 not in asked
+    assert [H.mult.row_map(i * 6 + j) for i in range(6) for j in range(6)] == [
+        {table[i][j]: 1} for i in range(6) for j in range(6)]

@@ -83,6 +83,35 @@ def test_solve_examples():
 def test_quotient_section_trivial_relations():
     proj, lift = quotient_section(QQ, 3, Subspace.zero(QQ, 3))
     assert proj.is_identity() and lift.is_identity()
+    # no relations, however made: both maps are the shared identity itself
+    for zero in (Subspace.zero(QQ, 3), Subspace.row_space(Matrix.zeros(QQ, 2, 3))):
+        assert quotient_section(QQ, 3, zero) == (Matrix.identity(QQ, 3),) * 2
+        assert zero.projector is Matrix.identity(QQ, 3) is zero.lift
+    assert Subspace.zero(QQ, 3) is Subspace.zero(QQ, 3) is not Subspace.zero(F5, 3)
+
+
+@pytest.mark.parametrize("field", [QQ, F5])
+def test_a_full_subspace_reads_vectors_as_their_coordinates(field):
+    """In a full subspace, made as such or spanned, the coordinates of
+    vectors are the vectors and of a stack the stack, the same objects;
+    shapes are refused as in any other subspace."""
+    rng = random.Random(7)
+    n = 4
+    X = Matrix(field, n, 3, [field.from_int(rng.randint(-2, 2)) for _ in range(n * 3)])
+    S = Matrix(field, 2, n * 3, [field.from_int(rng.randint(-2, 2)) for _ in range(2 * n * 3)])
+    spanned = Subspace.row_space(Matrix.identity(field, n).scale(field.from_int(2)))
+    assert Subspace.full(field, n) is Subspace.full(field, n) == spanned
+    for full in (Subspace.full(field, n), spanned):
+        assert full.coordinate_matrix(X) is X
+        assert full.stack_coordinates(S, 3) is S
+        T = S.reshaped(6, n)
+        assert full.stack_coordinates(T) is T and full.first_outside(T) is None
+    line = Subspace.from_generators(field, n, [vec(field, [1, 0, 0, 0])])
+    for space in (Subspace.full(field, n), spanned, line):
+        with pytest.raises(ShapeError, match=r"^vectors of length 3, ambient 4$"):
+            space.coordinate_matrix(Matrix.zeros(field, 3, 2))
+        with pytest.raises(ShapeError, match=r"^rows of length 10, ambient 4 x 2$"):
+            space.stack_coordinates(Matrix.zeros(field, 1, 10), 2)
 
 
 def test_quotient_section_line_in_plane():

@@ -130,19 +130,26 @@ def test_same_parent_under_another_name_and_read_back(name):
 
 
 def test_something_else_is_no_parent():
-    """A module or contramodule, supplied or embedded as the parent, is
-    refused; a base ring has no serialisation to compare."""
+    """A module, contramodule or base ring supplied as the parent is refused
+    before anything is serialised, with or without an embedded parent; a
+    module or contramodule embedded as the parent is a schema error there."""
     H = PARENTS["kC2/Q"]
     k = trivial_module(H)
-    for other in (k, Contramodule(k, evaluation_at_unit(k), HOPF_MU)):
-        assert not _reads(H, other)
+    contra = Contramodule(k, evaluation_at_unit(k), HOPF_MU)
+    embedded = serialize(regular_module(H))
+    bare = {key: value for key, value in embedded.items() if key != "parent"}
+    for other in (k, contra, PARENTS["env_dual/Q"].base):
+        for doc in (embedded, bare):
+            with pytest.raises(StructureFileError) as err:
+                parse_document(doc, parent=other)
+            assert (err.value.code, err.value.where) == ("incompatible_kinds", "$")
+            assert "not a parent" in err.value.message
+    for other in (k, contra):
         doc = serialize(k)
         doc["parent"] = serialize(other)
         with pytest.raises(StructureFileError) as err:
             parse_document(doc, parent=H)
         assert (err.value.code, err.value.where) == ("schema", "$.parent")
-    with pytest.raises(TypeError):
-        _reads(H, PARENTS["env_dual/Q"].base)
 
 
 def _coefficient_file(tmp_path, H):
