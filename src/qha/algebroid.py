@@ -8,15 +8,16 @@ subspace carries, and the checks verify that stored lifts are compatible
 with the relations (Takeuchi membership, bimodule properties).
 
 The left base ring R is the stored one; the right base is its opposite
-ring ``BaseRing.op``.  M (x)_R N and the biclosed maps (Hom^l, Hom^r,
-zeta and eta) are not written here: they are the one ``tensor_module``
-and biclosed layer of quasihopf.py, to which a Hopf algebroid gives its
-Delta_l legs and base relations, its Delta_r legs, the right-base-linear
-maps as the carrier of Hom^l, the quotient projector onto M (x)_R N as
-the zeta^l decoration and the carrier's embedding in Hom_k as the
-evaluation; the right-hand maps there are the left-hand ones over the
-co-opposite algebroid ``H.cop`` (over R^op).  The right bialgebroid
-axioms are the left ones over the opposite algebroid ``H.op``.
+ring ``BaseRing.op``.  M (x)_R N, its associativity constraint and the
+biclosed maps are not written here: they are the one ``tensor_module``,
+``associativity`` and biclosed layer of quasihopf.py, to which a Hopf
+algebroid gives data: Phi = Phi^-1 = 1 (x) 1 (x) 1, its Delta_l legs and
+base relations, its Delta_r legs, the right-base-linear maps as the
+carrier of Hom^l, the quotient projector onto M (x)_R N as the zeta^l
+decoration and the carrier's embedding in Hom_k as the evaluation; the
+right-hand maps there are the left-hand ones over the co-opposite
+algebroid ``H.cop`` (over R^op).  The right bialgebroid axioms are the
+left ones over the opposite algebroid ``H.op``.
 
 Every axiom check is one matrix identity, as in quasihopf.py: two sides
 whose columns are its instances, where an identity in H (x)_R H or H
@@ -38,7 +39,7 @@ from .linalg import (Matrix, Subspace, hstack, intertwiner_space, intertwiner_sy
 from .reports import CheckReport
 from .quasihopf import (Algebra, HModule, QuasiHopfAlgebra, StructureError, tensor_module,
                         require_shapes, shared, left_hom, right_hom, zeta_l, eta_l, zeta_r, eta_r,
-                        build_scope, lift_legs, check_antipode_pair, perm_mwv_to_mvw,
+                        build_scope, lift_legs, check_antipode_pair,
                         _pair_products, _unit_row, _require_one_parent)
 
 
@@ -176,10 +177,6 @@ class HopfAlgebroid(Algebra):
 
     # -- monoidal primitives (shared with QuasiHopfAlgebra) -----------------------
 
-    def tensor(self, V, W):
-        """V (x)_{R_l} W and its base relations."""
-        return tensor_over_base(V, W)
-
     def tensor_relations(self, *factors):
         """Base relations of the last stage of ((F1 (x) F2) (x) ...) (x) Fn."""
         left = factors[0]
@@ -190,13 +187,13 @@ class HopfAlgebroid(Algebra):
     def tensor_legs(self, i: int):
         return self.delta_l_legs[i]
 
-    def associativity(self, U, V, W) -> Matrix:
-        """(U (x) V) (x) W -> U (x) (V (x) W) on the quotient carriers."""
-        return requotient_associativity(U, V, W)
+    @cached_property
+    def phi(self) -> Matrix:
+        """Phi = Phi^-1 = 1 (x) 1 (x) 1, read by the shared associativity
+        maps, which are then the strict requotients through the ambient."""
+        return _unit_row(self, 3)
 
-    def associativity_inverse(self, U, V, W) -> Matrix:
-        """U (x) (V (x) W) -> (U (x) V) (x) W on the quotient carriers."""
-        return requotient_associativity_inverse(U, V, W)
+    phi_inv = property(lambda self: self.phi)
 
     def unit_object(self):
         """The monoidal unit R."""
@@ -235,20 +232,6 @@ class HopfAlgebroid(Algebra):
         """The carrier of Hom^l(V, M) -> Hom_k(V, M): its basis embedding."""
         return left_hom(V, M)[1].basis_matrix()
 
-    # the hom associativity maps, so that tau and the hexagon are written
-    # once: the strict currying maps, with the hom out of V (x)_R W read on
-    # the ambient V (x) W through its relations
-
-    def hom_associativity(self, V, W, M):
-        """The three maps of QuasiHopfAlgebra.hom_associativity, between the
-        full carriers of the k-linear homs."""
-        f = self.field
-        eye_m = Matrix.identity(f, M.dim)
-        rel = self.tensor_relations(V, W)
-        perm = perm_mwv_to_mvw(f, M.dim, W.dim, V.dim)
-        return (eye_m.kron(rel.lift.transpose()) * perm, perm,
-                eye_m.kron(rel.projector.transpose()))
-
     def __repr__(self):
         return "HopfAlgebroid(%s, dim %d over base dim %d)" % (
             self.name, self.dim, self.base.dim)
@@ -284,32 +267,6 @@ def tensor_over_base(M: HModule, N: HModule):
     _require_one_parent("tensor over the base", M, N)
     with build_scope():
         return tensor_module(M, N), module_tensor_relations(M, N)
-
-
-@shared
-def requotient_associativity(U: HModule, V: HModule, W: HModule) -> Matrix:
-    """(U (x)_R V) (x)_R W -> U (x)_R (V (x)_R W): the strict requotient
-    through the ambient U (x) V (x) W."""
-    UV, uv = tensor_over_base(U, V)
-    VW, vw = tensor_over_base(V, W)
-    f = U.parent.field
-    return (module_tensor_relations(U, VW).projector
-            * Matrix.identity(f, U.dim).kron(vw.projector)
-            * uv.lift.kron(Matrix.identity(f, W.dim))
-            * module_tensor_relations(UV, W).lift)
-
-
-@shared
-def requotient_associativity_inverse(U: HModule, V: HModule, W: HModule) -> Matrix:
-    """U (x)_R (V (x)_R W) -> (U (x)_R V) (x)_R W: the strict requotient the
-    other way through the ambient U (x) V (x) W."""
-    UV, uv = tensor_over_base(U, V)
-    VW, vw = tensor_over_base(V, W)
-    f = U.parent.field
-    return (module_tensor_relations(UV, W).projector
-            * uv.projector.kron(Matrix.identity(f, W.dim))
-            * Matrix.identity(f, U.dim).kron(vw.lift)
-            * module_tensor_relations(U, VW).lift)
 
 
 # -- internal homs over the base ------------------------------------------------
@@ -450,8 +407,7 @@ def _triple_projector(H: HopfAlgebroid, kinds) -> Matrix:
     x (x) s_l y), "r" for (x)_{R_r}; the first sign sits between slots 1|2,
     the second between 2|3."""
     eye = Matrix.identity(H.field, H.dim)
-    first, second = [(H.rel_l if kind == "l" else H.rel_r).basis_matrix().transpose()
-                     for kind in kinds]
+    first, second = [(H.rel_l if kind == "l" else H.rel_r).basis_stack() for kind in kinds]
     return Subspace.row_space(vstack(H.field, H.dim ** 3,
                                      [first.kron(eye), eye.kron(second)])).projector
 

@@ -10,12 +10,12 @@ honest center element.
 Every check here is written once, for both parents: the contratrace,
 unitality and central stability call the one biclosed layer of
 quasihopf.py (zeta^l, zeta^r, eta^r, under the algebroid's names over a
-Hopf algebroid) and the parent's ``tensor``, ``unit_object`` and
+Hopf algebroid), ``tensor_module`` and the parent's ``unit_object`` and
 unitors; tau and the hexagon read the hom modules and carriers of that
-layer and the parent's hom associativity maps (``hom_associativity``).
-Over a quasi-Hopf algebra every hom carrier is all of Hom_k and the
-associativity maps carry the Phi-decoration; over a Hopf algebroid the
-carriers are the base-linear maps and the associativity maps are strict.
+layer and its one ``hom_associativity``.  Over a quasi-Hopf algebra every
+hom carrier is all of Hom_k and those maps carry the Phi-decoration; over
+a Hopf algebroid (Phi = 1 (x) 1 (x) 1) the carriers are the base-linear
+maps and those maps are the strict currying maps.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 from .linalg import Matrix, stack_lmul, stack_of_maps
 from .reports import CheckReport
 from .coefficients import Contramodule, tau_from_contramodule, hexagon_sides
-from .quasihopf import hom_module_morphisms, zeta_l, zeta_r, eta_r
+from .quasihopf import hom_module_morphisms, tensor_module, zeta_l, zeta_r, eta_r
 from .algebroid import HopfAlgebroid, zeta_l_algebroid, zeta_r_algebroid, eta_r_algebroid
 
 
@@ -120,12 +120,9 @@ def iota_apply(E: CenterElement, T, V, S: Matrix) -> Matrix:
 def contratrace_iota(E: CenterElement, T, V) -> Matrix:
     """iota as a matrix between the canonical bases of the two intertwiner
     subspaces Hom_H(T (x) V, M) and Hom_H(V (x) T, M)."""
-    H = E.parent
     M = E.carrier
-    tv, _ = H.tensor(T, V)
-    vt, _ = H.tensor(V, T)
-    dom = hom_module_morphisms(tv, M)
-    cod = hom_module_morphisms(vt, M)
+    dom = hom_module_morphisms(tensor_module(T, V), M)
+    cod = hom_module_morphisms(tensor_module(V, T), M)
     out = cod.stack_coordinates(iota_apply(E, T, V, dom.basis_stack()))
     if out is None:
         raise ValueError("iota image left the intertwiner subspace")

@@ -31,7 +31,7 @@ from .linalg import (Matrix, Subspace, block_matrix, hstack, intertwiner_space, 
 from .reports import CheckReport
 from .quasihopf import (HModule, IntertwinerError, StructureError, regular_module, is_intertwiner,
                         eps_p_q_beta_s_r, left_hom, right_hom, hom_carriers, right_hom_carrier,
-                        element_legs, lift_legs, _restricted)
+                        hom_associativity, tensor_module, element_legs, lift_legs, _restricted)
 from .algebroid import HopfAlgebroid, right_linear_hom_basis
 
 # the flavors, each named by its tag in structure files
@@ -345,10 +345,12 @@ def _nested(outer, inner, dim: int):
     inner of Hom(U, X) in Hom_k(U, X).
 
     (outer (x) id) inner is already in reduced echelon form, so its columns
-    are the canonical basis: coordinates on the nested carrier are those
-    on inner."""
-    emb = outer.basis_matrix().kron(Matrix.identity(outer.field, dim)) * inner.basis_matrix()
-    return Subspace.row_space(emb.transpose())
+    are the canonical basis, with no elimination: pivot q of inner, in
+    block q // dim of outer's coordinates, sits at outer's pivot of that
+    block.  Coordinates on the nested carrier are those on inner."""
+    rows = inner.basis_stack() * outer.basis_stack().kron(Matrix.identity(outer.field, dim))
+    pivots = outer.pivots()
+    return Subspace(rows, [pivots[q // dim] * dim + q % dim for q in inner.pivots()])
 
 
 def hexagon_sides(C: Contramodule, V: HModule, W: HModule, tau):
@@ -357,9 +359,9 @@ def hexagon_sides(C: Contramodule, V: HModule, W: HModule, tau):
 
     ``tau`` maps a module X to tau_X on the hom carriers of the parent: a
     center element's cached (possibly perturbed) family, or tau_raw.  The
-    hom carriers come from the biclosed layer and the three hom
-    associativity maps between full carriers from the parent; the hexagon
-    reads those maps, and tau (x) id, between the carriers.  Over a
+    hom carriers come from the biclosed layer and the three maps between
+    full carriers from the one ``hom_associativity`` of both parents; the
+    hexagon reads those maps, and tau (x) id, between the carriers.  Over a
     quasi-Hopf algebra every carrier is the full subspace, so every leg is
     its map itself.
     """
@@ -367,10 +369,10 @@ def hexagon_sides(C: Contramodule, V: HModule, W: HModule, tau):
     f = C.field
     M = C.carrier
     tau_w, tau_v = tau(W), tau(V)
-    vw = H.tensor(V, W)[0]
+    vw = tensor_module(V, W)
     tau_vw = tau(vw)
     cvw = hom_carriers(vw, M)
-    left, swap, right = H.hom_associativity(V, W, M)
+    left, swap, right = hom_associativity(V, W, M)
 
     # the carriers of Hom(W, M) and Hom(V, M), read off their hom modules,
     # and inside those the carriers of Hom^l(V, -) and Hom^r(W, -)

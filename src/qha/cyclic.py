@@ -6,10 +6,11 @@ cofaces (precomposition with adjacent multiplications), codegeneracies
 (precomposition with unit insertions) and cyclic operators built from the
 contratrace maps.  Tensor powers are bracketed left to right.
 
-The construction is written once, against the monoidal primitives that
-both parents provide: ``tensor`` (the module and its base relations, zero
-over a quasi-Hopf algebra), ``tensor_relations``, ``associativity`` (the
-action of Phi, or the strict requotient over a Hopf algebroid) and
+The construction is written once, against the monoidal primitives of
+quasihopf.py: ``tensor_module``, ``associativity`` and its inverse (the
+action of Phi between the bracketings, the strict requotient over a Hopf
+algebroid, whose Phi is 1 (x) 1 (x) 1), and the parent's
+``tensor_relations`` (zero over a quasi-Hopf algebra) and
 ``unit_object``.  A map f (x) g between tensor carriers passes through the
 base relations as projector . (f (x) g) . lift.  The build verifies every
 cosimplicial and cocyclic identity as an exact matrix identity and refuses
@@ -36,8 +37,8 @@ from itertools import accumulate
 from .fields import Field
 from .linalg import Matrix, Subspace, block_matrix, kron_sum, stack_of_maps, stack_rmul, vstack
 from .reports import CheckReport
-from .quasihopf import (QuasiHopfAlgebra, StructureError, build_scope,
-                        hom_module_morphisms, is_intertwiner, shared)
+from .quasihopf import (QuasiHopfAlgebra, StructureError, associativity, associativity_inverse,
+                        build_scope, hom_module_morphisms, is_intertwiner, shared, tensor_module)
 from .coefficients import Contramodule
 from .center import CenterElement, iota_apply
 
@@ -120,13 +121,13 @@ def check_algebra_object(A: ModuleAlgebra) -> CheckReport:
     H = A.parent
     f = A.field
     V = A.carrier
-    sq, rel = H.tensor(V, V)
+    sq, rel = tensor_module(V, V), H.tensor_relations(V, V)
     rep.add("mult_is_morphism", is_intertwiner(stack_of_maps(A.mult, V.dim), sq, V))
     rep.add("unit_is_morphism", is_intertwiner(stack_of_maps(A.unit, V.dim), H.unit_object(), V))
     eye = Matrix.identity(f, V.dim)
     lhs = A.mult * _kron(A.mult, eye, H.tensor_relations(sq, V), rel)
     rhs = A.mult * _kron(eye, A.mult, H.tensor_relations(V, sq), rel) \
-        * H.associativity(V, V, V)
+        * associativity(V, V, V)
     rep.add("associative_up_to_phi", lhs == rhs)
     ucol = Matrix.from_cols(f, [A.unit_element()], ambient=V.dim)
     rep.add("left_unital", (A.mult * (rel.projector * ucol.kron(eye))) == eye)
@@ -147,8 +148,8 @@ class TensorPowerChain:
     ``shared``: inside a build scope each rebracketing, multiplication map
     and unit insertion is built once per chain, outside one it is rebuilt
     on every call.
-    Each stage is ``H.tensor``, which refuses an ambient L_(k-1) (x) A over
-    QHA_MAX_DIM before it builds anything.
+    Each stage is ``tensor_module``, which refuses an ambient L_(k-1) (x) A
+    over QHA_MAX_DIM before it builds anything.
     """
 
     def __init__(self, A: ModuleAlgebra, depth: int):
@@ -159,9 +160,8 @@ class TensorPowerChain:
         self.mods = [None, A.carrier]
         self.rels = [None, None]
         for _ in range(2, depth + 1):
-            mod, rel = H.tensor(self.mods[-1], A.carrier)
-            self.mods.append(mod)
-            self.rels.append(rel)
+            self.mods.append(tensor_module(self.mods[-1], A.carrier))
+            self.rels.append(H.tensor_relations(self.mods[-2], A.carrier))
 
     @shared
     def rebracket_front(self, k: int) -> Matrix:
@@ -173,11 +173,11 @@ class TensorPowerChain:
         if k == 1:
             return Matrix.identity(f, self.mods[2].dim)
         factors = (A.carrier, self.mods[k - 1], A.carrier)
-        step = H.associativity_inverse(*factors)
+        step = associativity_inverse(*factors)
         # square, so one product decides that the two maps are inverse; a
         # failure is a failed identity of the input (a bad Phi^-1), not misuse
         if step.rows != step.cols or \
-                H.associativity(*factors) * step != Matrix.identity(f, step.rows):
+                associativity(*factors) * step != Matrix.identity(f, step.rows):
             raise CocyclicError("associativity maps of A, L_(k-1), A are not inverse", k=k)
         front = H.tensor_relations(*factors)
         eye = Matrix.identity(f, A.carrier.dim)
@@ -199,7 +199,7 @@ def _mult_map(chain: TensorPowerChain, k: int, i: int) -> Matrix:
     front = chain.mods[k - 2]
     eye = Matrix.identity(f, front.dim)
     step = _kron(eye, A.mult, H.tensor_relations(front, chain.mods[2]), chain.rels[k - 1])
-    return step * H.associativity(front, A.carrier, A.carrier)
+    return step * associativity(front, A.carrier, A.carrier)
 
 
 @shared

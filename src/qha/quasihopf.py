@@ -8,17 +8,19 @@ with its inverse (1 x n^3 each); the unit, counit and the two antipode
 decorations alpha, beta are elements, tuples of n scalars.  Hopf algebras
 are the special case Phi = 1 (x) 1 (x) 1, alpha = beta = 1.
 
-V (x) W and the biclosed layer of both parents are written here once:
-``tensor_module``, Hom^l (with its carrier), zeta^l and eta^l, and Hom^r,
-zeta^r and eta^r as those over the co-opposite parent.  A parent gives
-them data and no algorithm: the coproduct legs of the tensor and hom
-actions (Delta here, Delta_l and Delta_r over a Hopf algebroid), the base
-relations and the carrier of Hom^l (subspaces: here the zero one and all
-of Hom_k, which cost nothing), the map that zeta^l precomposes with on
-M (x) N (the action of P (x) Q beta S(R) here, the quotient projector
-onto M (x)_R N over an algebroid) and the map that eta^l applies to the
-carrier of Hom^l (eval_left curried here, the carrier's embedding in
-Hom_k over an algebroid), besides ``tensor`` and ``cop``.
+V (x) W, its associativity constraint and the biclosed layer of both
+parents are written here once: ``tensor_module``, ``associativity`` and
+its inverse, Hom^l, zeta^l and eta^l, their mirrors over the co-opposite
+parent, and the hom associativity maps of the hexagon.  A parent gives
+them data and no algorithm: Phi and Phi^-1 (1 (x) 1 (x) 1 over a Hopf
+algebroid), the coproduct legs of the tensor and hom actions (Delta here,
+Delta_l and Delta_r over an algebroid), the base relations and the
+carrier of Hom^l (here the zero subspace and all of Hom_k, which cost
+nothing), the map that zeta^l precomposes with on M (x) N (the action of
+P (x) Q beta S(R) here, the projector onto M (x)_R N over an algebroid),
+the map that eta^l applies to the carrier of Hom^l (eval_left curried
+here, the carrier's embedding over an algebroid) and ``cop``.  The
+unitors are the one algorithm a parent still gives.
 
 Every Phi-decoration is Phi or Phi^-1 with two legs contracted by the
 stored alpha-hat or beta-hat (the rigid evaluation and coevaluation), an
@@ -306,10 +308,6 @@ class QuasiHopfAlgebra(Algebra):
     def eps(self, vec):
         return Matrix(self.field, 1, self.dim, self.counit).apply(vec)[0]
 
-    def phi_terms(self):
-        """Nonzero terms of Phi as a dict {(x, y, z): coef}."""
-        return element_legs(self.phi, self.dim, 3)
-
     def is_hopf(self) -> bool:
         """True when Phi = 1(x)1(x)1 and alpha = beta = 1."""
         return (self.phi == _unit_row(self, 3)
@@ -339,24 +337,12 @@ class QuasiHopfAlgebra(Algebra):
 
     # -- monoidal primitives (shared with HopfAlgebroid) ------------------------
 
-    def tensor(self, V, W):
-        """V (x) W and its base relations, the zero subspace."""
-        return tensor_module(V, W), self.tensor_relations(V, W)
-
     def tensor_relations(self, *factors):
         """Base relations of ((F1 (x) F2) (x) ...) (x) Fn: the zero subspace."""
         return Subspace.zero(self.field, prod([F.dim for F in factors]))
 
     def tensor_legs(self, i: int):
         return self.delta_legs[i]
-
-    def associativity(self, U, V, W) -> Matrix:
-        """(U (x) V) (x) W -> U (x) (V (x) W): the action of Phi."""
-        return associator(U, V, W)
-
-    def associativity_inverse(self, U, V, W) -> Matrix:
-        """U (x) (V (x) W) -> (U (x) V) (x) W: the action of the stored Phi^-1."""
-        return associator_inverse(U, V, W)
 
     def unit_object(self):
         """The monoidal unit k."""
@@ -392,22 +378,6 @@ class QuasiHopfAlgebra(Algebra):
         phi |-> (v |-> X phi(S(Y) alpha Z v))."""
         d = M.dim * V.dim
         return swap_factors(eval_left(V, M), d, V.dim).reshaped(d, d)
-
-    # the hom associativity maps, so that tau and the hexagon are written
-    # once: they carry the Phi-decoration between the full hom carriers
-
-    def hom_associativity(self, V, W, M):
-        """The three maps of the weak-center hexagon between the full hom
-        carriers, with Phi = X (x) Y (x) Z:
-          V <| (W <| M) -> (V (x) W) <| M: f |-> (v (x) w |-> X f_{S(Z) v}(S(Y) w)),
-          V <| (M |> W) -> (V <| M) |> W: f |-> (w |-> (v |-> Y f_{S(Z) v}(S(X) w))),
-          M |> (V (x) W) -> (M |> V) |> W: f |-> (w |-> (v |-> Z f(S(Y) v (x) S(X) w))).
-        The domains of the first two are read in (m, w, v) order, every
-        other carrier in (m, v, w) order."""
-        perm = perm_mwv_to_mvw(self.field, M.dim, W.dim, V.dim)
-        return (_phi_decorated(self, V, W, M, (0, 2, 1)) * perm,
-                _phi_decorated(self, V, W, M, (1, 2, 0)) * perm,
-                _phi_decorated(self, V, W, M, (2, 1, 0)))
 
     def __repr__(self):
         return "QuasiHopfAlgebra(%s, dim %d over %s)" % (self.name, self.dim, self.field)
@@ -669,6 +639,41 @@ def associator_inverse(V: HModule, W: HModule, U: HModule) -> Matrix:
     return _triple_action(V, W, U, V.parent.phi_inv)
 
 
+def _through_ambient(action: Matrix, U: HModule, V: HModule, W: HModule,
+                     inverse: bool) -> Matrix:
+    """action, on the ambient U (x) V (x) W, read from the carrier of
+    (U (x) V) (x) W to that of U (x) (V (x) W), or back when inverse: entered
+    through the lifts of one bracketing's base relations and left through
+    the projectors of the other's.  With no base relations (over a
+    quasi-Hopf algebra) it is action itself, with no product."""
+    H, f = U.parent, U.parent.field
+    uv, vw = H.tensor_relations(U, V), H.tensor_relations(V, W)
+    left, right = H.tensor_relations(U, V, W), H.tensor_relations(U, tensor_module(V, W))
+    if not (uv.dim or vw.dim or left.dim or right.dim):
+        return action
+    eye_u, eye_w = Matrix.identity(f, U.dim), Matrix.identity(f, W.dim)
+    if inverse:
+        return (left.projector * uv.projector.kron(eye_w) * action
+                * eye_u.kron(vw.lift) * right.lift)
+    return (right.projector * eye_u.kron(vw.projector) * action
+            * uv.lift.kron(eye_w) * left.lift)
+
+
+@shared
+def associativity(U: HModule, V: HModule, W: HModule) -> Matrix:
+    """(U (x) V) (x) W -> U (x) (V (x) W) on the quotient carriers, for both
+    parents: the action of Phi read through the ambient (``_through_ambient``),
+    so over a quasi-Hopf algebra the associator itself."""
+    return _through_ambient(associator(U, V, W), U, V, W, False)
+
+
+@shared
+def associativity_inverse(U: HModule, V: HModule, W: HModule) -> Matrix:
+    """U (x) (V (x) W) -> (U (x) V) (x) W on the quotient carriers: the action
+    of Phi^-1 read through the ambient the other way."""
+    return _through_ambient(associator_inverse(U, V, W), U, V, W, True)
+
+
 # -- the biclosed layer, written once for both parents --------------------------
 #
 # The carrier of Hom_k(V, M) is k^(dM*dV) in the matrix-unit basis E_ab
@@ -815,7 +820,7 @@ def zeta_l(S: Matrix, M: HModule, N: HModule, L: HModule) -> Matrix:
     """
     H = M.parent
     with build_scope():
-        require_intertwiner(S, H.tensor(M, N)[0], L, "zeta_l input")
+        require_intertwiner(S, tensor_module(M, N), L, "zeta_l input")
         hom, carrier = left_hom(N, L)
         # each curried map sends M into the full carrier Hom_k(N, L)
         out = carrier.stack_coordinates(
@@ -839,7 +844,7 @@ def eta_l(S: Matrix, M: HModule, N: HModule, L: HModule) -> Matrix:
     with build_scope():
         require_intertwiner(S, M, left_hom(N, L)[0], "eta_l input")
         amb = swap_slots(stack_lmul(H.hom_evaluation(N, L), S), N.dim, M.dim)
-        tens, rel = H.tensor(M, N)
+        tens, rel = tensor_module(M, N), H.tensor_relations(M, N)
         out = stack_rmul(amb, rel.lift)
         if stack_rmul(out, rel.projector) != amb:
             raise StructureError("eta_l image not constant on relation classes")
@@ -869,7 +874,7 @@ def eta_r(S: Matrix, N: HModule, M: HModule, L: HModule) -> Matrix:
                             N.parent.tensor_relations(N, M), M.dim, N.dim)
 
 
-# -- hom associativity on full carriers (QuasiHopfAlgebra.hom_associativity) --
+# -- hom associativity on full carriers ----------------------------------------
 
 def _phi_decorated(H, V: HModule, W: HModule, M: HModule, legs) -> Matrix:
     """Sum over Phi of rho_M(l_1) (x) rho_V(S(l_2))^T (x) rho_W(S(l_3))^T, with
@@ -878,7 +883,28 @@ def _phi_decorated(H, V: HModule, W: HModule, M: HModule, legs) -> Matrix:
     sv, sw = ([a.transpose() for a in X.acts(H.antipode)] for X in (V, W))
     m, v, w = legs
     return kron_sum(H.field, d, d, [(c, [M.mats[t[m]], sv[t[v]], sw[t[w]]])
-                                    for t, c in H.phi_terms().items()])
+                                    for t, c in element_legs(H.phi, H.dim, 3).items()])
+
+
+@shared
+def hom_associativity(V: HModule, W: HModule, M: HModule):
+    """The three maps of the weak-center hexagon between the full carriers of
+    the k-linear homs, for both parents, with Phi = X (x) Y (x) Z:
+      V <| (W <| M) -> (V (x) W) <| M: f |-> (v (x) w |-> X f_{S(Z) v}(S(Y) w)),
+      V <| (M |> W) -> (V <| M) |> W: f |-> (w |-> (v |-> Y f_{S(Z) v}(S(X) w))),
+      M |> (V (x) W) -> (M |> V) |> W: f |-> (w |-> (v |-> Z f(S(Y) v (x) S(X) w))).
+    The domains of the first two are read in (m, w, v) order, every other
+    carrier in (m, v, w) order.  A hom out of V (x) W, on its quotient
+    carrier, is read on the ambient V (x) W through I_M (x) lift^T and
+    I_M (x) projector^T; over a Hopf algebroid, with Phi = 1 (x) 1 (x) 1,
+    these are the strict currying maps."""
+    H, f = M.parent, M.parent.field
+    rel = H.tensor_relations(V, W)
+    eye_m = Matrix.identity(f, M.dim)
+    perm = perm_mwv_to_mvw(f, M.dim, W.dim, V.dim)
+    return (eye_m.kron(rel.lift.transpose()) * _phi_decorated(H, V, W, M, (0, 2, 1)) * perm,
+            _phi_decorated(H, V, W, M, (1, 2, 0)) * perm,
+            _phi_decorated(H, V, W, M, (2, 1, 0)) * eye_m.kron(rel.projector.transpose()))
 
 
 def perm_mwv_to_mvw(f: Field, d: int, dw: int, dv: int) -> Matrix:

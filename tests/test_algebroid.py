@@ -156,8 +156,8 @@ def test_unitors_are_module_isomorphisms(t2e_f5):
     H = t2e_f5
     unit = H.unit_object()
     for V in (regular_module(H), unit):
-        for lam, tens in ((H.left_unitor(V), H.tensor(unit, V)[0]),
-                          (H.right_unitor(V), H.tensor(V, unit)[0])):
+        for lam, tens in ((H.left_unitor(V), tensor_module(unit, V)),
+                          (H.right_unitor(V), tensor_module(V, unit))):
             assert is_intertwiner(stack_of_maps(lam, V.dim), tens, V)
             assert lam.rows == lam.cols == V.dim == lam.rank()
 

@@ -155,7 +155,7 @@ def test_hexagon_builds_each_hom_carrier_once(monkeypatch, twisted_q):
                             counted("hom", getattr(qha.coefficients, name)))
     H, E = algebroid_center()
     reg = regular_module(H)
-    for X in (reg, H.tensor(reg, reg)[0]):
+    for X in (reg, tensor_module(reg, reg)):
         E.tau(X)
     calls.update(solve=0, hom=0)
     assert check_hexagon(E, reg, reg).passed

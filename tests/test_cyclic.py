@@ -6,7 +6,7 @@ import pytest
 from qha.fields import prime_field
 from qha.linalg import Matrix, stack_of_maps
 from qha.quasihopf import (group_algebra, cyclic_group_table, trivial_module,
-                           HModule, StructureError, associator, build_scope)
+                           HModule, StructureError, associator, build_scope, tensor_module)
 from qha.algebroid import (enveloping_algebroid, base_ring_dual_numbers,
                            base_module)
 from qha.coefficients import (Contramodule, evaluation_at_unit, HOPF_MU, QUASI_I,
@@ -658,7 +658,7 @@ def test_the_first_map_that_leaves_its_space_is_the_witness(kc2_q, monkeypatch):
             out = real(E, T, V, maps)
             if V.dim != 4:
                 return out
-            space = hom_module_morphisms(kc2_q.tensor(V, T)[0], E.carrier)
+            space = hom_module_morphisms(tensor_module(V, T), E.carrier)
             j = next(c for c in range(out.cols) if c not in space.pivots())
             rows = [dict(out.row_map(i)) for i in range(out.rows)]
             rows[b][j] = QQ.add(rows[b].get(j, QQ.zero), QQ.one)

@@ -45,7 +45,7 @@ def test_decoration_maps_and_contracted_elements_match_term_sums(request, name):
         for q in range(n):
             assert H.alpha_hat.col(p * n + q) == H.prod(s(e(p)), H.alpha, e(q))
             assert H.beta_hat.col(p * n + q) == H.prod(e(p), H.beta, s(e(q)))
-    phi, phi_inv = H.phi_terms().items(), element_legs(H.phi_inv, n, 3).items()
+    phi, phi_inv = element_legs(H.phi, n, 3).items(), element_legs(H.phi_inv, n, 3).items()
     # X (x) S(Y) alpha Z, the evaluation
     assert slot_apply(H.alpha_hat, H.phi, n, 1) == term_sum(
         H, [(c, e(x), H.prod(s(e(y)), H.alpha, e(z))) for (x, y, z), c in phi])

@@ -14,7 +14,7 @@ from qha.linalg import Matrix
 from qha.quasihopf import (QuasiHopfAlgebra, sweedler_h4, twisted_dual_group_algebra,
                            cyclic_group_table, z2_nontrivial_cocycle, validate_structure,
                            check_quasi_bialgebra, check_quasi_hopf, check_module,
-                           regular_module, trivial_module, HModule)
+                           regular_module, trivial_module, tensor_module, HModule)
 from qha.algebroid import (BaseRing, HopfAlgebroid, enveloping_algebroid,
                            base_ring_dual_numbers, base_module,
                            check_algebroid_structure,
@@ -2067,7 +2067,7 @@ def observe_hexagon(name, v, w, where, pos):
     E = CenterElement(COEFFICIENTS[name][0]())
     mods = _hexagon_modules(E.coefficient)
     V, W = mods[v], mods[w]
-    X = W if where == "W" else E.parent.tensor(V, W)[0]
+    X = W if where == "W" else tensor_module(V, W)
     tau = E.tau(X)
     E.set_tau(X, tau.scale(tau.field.from_int(2)) if pos == "scale"
               else _bump_matrix(tau, pos % (tau.rows * tau.cols)))
