@@ -10,9 +10,20 @@ A matrix decides once, from its rows, whether it is an identity (square,
 row i exactly {i: 1}; ``Matrix.identity``, made once per field and size,
 is one from the start), and keeps the answer.  An identity is never
 applied: a product, slot product or stack product with one is the other
-operand itself, a Kronecker product with the 1 x 1 identity is the other
-factor, and an identity is its own transpose.  Shapes are checked first,
-with the same errors.
+operand itself, and an identity is its own transpose.  Shapes are checked
+first, with the same errors.
+
+A Kronecker sum (``kron_sum``, and ``Matrix.kron`` as its one term) pays
+only for the factors that do work, and forms no entry until each term is
+reduced.  One term with coefficient 1 whose factors are identities but
+at most one is ``Matrix.identity`` when all are, the other factor itself
+when the identities are 1 x 1, and I (x) F (x) I a shift of F's rows.
+Otherwise each term's 1 x 1 factors are folded into its coefficient, and
+it is dropped when the coefficient or a factor is zero; a single term
+left is then read off as before, scaled, or formed in one pass over the
+products, and a sum of one-factor terms is a linear combination of rows.
+So a result may be an operand or ``Matrix.identity`` itself, which
+immutability allows.
 
 Everything here is deterministic and exact.  Subspaces are always stored
 with a reduced-row-echelon basis (pivot search by lowest column index), so
@@ -343,16 +354,11 @@ class Matrix:
         return Matrix._sparse(self.field, self.cols, self.rows, [r or _EMPTY for r in out])
 
     def kron(self, other: "Matrix") -> "Matrix":
-        """Kronecker product, consistent with ``tensor_index`` ordering; with
-        the 1 x 1 identity it is the other factor, of two identities an
-        identity."""
-        if self.is_identity():
-            if other.is_identity():
-                return Matrix.identity(self.field, self.rows * other.rows)
-            if self.rows == 1:
-                return other
-        elif other.rows == 1 and other.is_identity():
-            return self
+        """Kronecker product, consistent with ``tensor_index`` ordering: the
+        one-term ``kron_sum``, so of two identities it is ``Matrix.identity``,
+        with the 1 x 1 identity the other factor itself, with another
+        identity a shift of the other factor's rows, and with another 1 x 1
+        factor the other factor scaled."""
         return kron_sum(self.field, self.rows * other.rows, self.cols * other.cols,
                         [(self.field.one, [self, other])])
 
@@ -550,34 +556,170 @@ def kron_sum(field: Field, rows: int, cols: int, terms) -> Matrix:
     """The rows x cols matrix sum c * (F_1 (x) ... (x) F_k) over the terms
     (c, [F_1, ..., F_k]), in ``Matrix.kron`` order; with no terms, zero.
 
-    Only the nonzero entries of each factor are visited, and every product
-    goes straight into the output rows: no Kronecker product, scaled copy
-    or partial sum is built as a matrix."""
-    add, mul, one = field.add, field.mul, field.one
-    out = {}
-    # id -> (factor, its nonzero entries (i, j, a)); holding the factor
-    # keeps its id from being reused by another matrix during the call
-    nonzeros = {}
+    Every term's shape is checked first, and no entry is formed until each
+    term has been reduced as far as it goes:
+
+    - one term with coefficient 1 in which every factor but at most one is
+      an identity is read off at once: ``Matrix.identity`` when every
+      factor is one, else the other factor itself when the identities are
+      all 1 x 1, else I (x) F (x) I as a shift of F's rows (with no
+      identity after F, the first block is F's own row dicts);
+    - otherwise each term's 1 x 1 factors are folded into its coefficient,
+      and the term is dropped when the coefficient or a factor is zero;
+    - a single term left is read off as above when its coefficient is now
+      1, is its lone factor scaled, or is one pass over the products of
+      the factors' nonzeros, with no sum and no zero test: each lands at
+      its own place, and a product of nonzeros is nonzero in a field;
+    - one-factor terms are merged row by row, a linear combination;
+    - any other sum visits the nonzero entries of each factor, and every
+      product goes straight into the output rows: no Kronecker product,
+      scaled copy or partial sum is built as a matrix."""
+    terms = list(terms)
     for c, factors in terms:
-        shape = (prod(F.rows for F in factors), prod(F.cols for F in factors))
-        if shape != (rows, cols):
-            raise ShapeError("a %dx%d term in a %dx%d sum" % (*shape, rows, cols))
-        if not c:
-            continue
-        part = [(0, 0, c)]
+        r = k = 1
         for F in factors:
-            fr, fc = F.rows, F.cols
-            if id(F) not in nonzeros:
-                nonzeros[id(F)] = (F, F._nonzeros())
-            # a product with the shared one is its other factor
-            part = [(i * fr + p, j * fc + q, a if v is one else (v if a is one else mul(v, a)))
-                    for i, j, v in part for p, q, a in nonzeros[id(F)][1]]
-        for i, j, v in part:
+            r *= F.rows
+            k *= F.cols
+        if r != rows or k != cols:
+            raise ShapeError("a %dx%d term in a %dx%d sum" % (r, k, rows, cols))
+    if len(terms) == 1 and terms[0][0] == 1:
+        out = _unit_term(field, rows, terms[0][1])
+        if out is not None:
+            return out
+    live = [t for c, factors in terms if (t := _folded(field, c, factors))]
+    if not live:
+        return Matrix.zeros(field, rows, cols)
+    if len(live) == 1:
+        return _kron_term(field, rows, cols, *live[0])
+    if all(len(factors) == 1 for _, factors in live):
+        return _linear_combination(field, rows, cols, live)
+    add = field.add
+    out = {}
+    nonzeros = {}
+    for c, factors in live:
+        for i, j, v in _products(field, c, factors, nonzeros):
             r = out.get(i)
             if r is None:
                 out[i] = {j: v}
             else:
                 r[j] = add(r[j], v) if j in r else v
+    return _summed(field, rows, cols, out)
+
+
+def _unit_term(field: Field, rows: int, factors):
+    """F_1 (x) ... (x) F_k when at most one factor is not an identity, with
+    no entry read: ``Matrix.identity``, or the shift of the one other
+    factor's rows (that factor itself when the identities are 1 x 1).
+    None when more than one factor is not an identity."""
+    moving = [k for k, F in enumerate(factors)
+              if not (F._eye or F._eye is None and F.is_identity())]
+    if not moving:
+        return Matrix.identity(field, rows)
+    if len(moving) > 1:
+        return None
+    k, = moving
+    return _padded(factors[k], prod(F.rows for F in factors[:k]),
+                   prod(F.rows for F in factors[k + 1:]))
+
+
+def _folded(field: Field, c, factors):
+    """The term (c, factors) with each 1 x 1 factor folded into c, as
+    (coefficient, factors left), at least the 1 x 1 identity; None when
+    the term is zero: c is, or a factor has no nonzero."""
+    if not c:
+        return None
+    left = []
+    for F in factors:
+        if F.rows == F.cols == 1:
+            a = F._rows[0].get(0)
+            if a is None:
+                return None
+            if a != 1:
+                c = field.mul(c, a)
+        elif not any(F._rows):
+            return None
+        else:
+            left.append(F)
+    return c, left or [Matrix.identity(field, 1)]
+
+
+def _kron_term(field: Field, rows: int, cols: int, c, factors) -> Matrix:
+    """c * (F_1 (x) ... (x) F_k) for a reduced term: c nonzero, and no
+    factor 1 x 1 or zero unless it is the only one."""
+    if c == 1:
+        out = _unit_term(field, rows, factors)
+        if out is not None:
+            return out
+    elif len(factors) == 1:
+        return factors[0].scale(c)
+    out = {}
+    for i, j, v in _products(field, c, factors, {}):
+        r = out.get(i)
+        if r is None:
+            out[i] = {j: v}
+        else:
+            r[j] = v
+    return Matrix._sparse(field, rows, cols, _row_list(rows, out))
+
+
+def _padded(F: Matrix, before: int, after: int) -> Matrix:
+    """I_before (x) F (x) I_after: each row of F with its columns moved, no
+    scalar read; F itself when before and after are 1.  With after 1,
+    block b is F's rows shifted by b * F.cols columns, and block 0 is F's
+    own rows."""
+    if before == after == 1:
+        return F
+    src = F._rows
+    if after == 1:
+        out = list(src) if before else []
+        for b in range(1, before):
+            s = b * F.cols
+            out.extend({j + s: a for j, a in r.items()} if r else _EMPTY for r in src)
+    else:
+        w = F.cols * after
+        out = [{b * w + j * after + t: a for j, a in r.items()} if r else _EMPTY
+               for b in range(before) for r in src for t in range(after)]
+    return Matrix._sparse(F.field, before * F.rows * after, before * F.cols * after, out)
+
+
+def _products(field: Field, c, factors, nonzeros):
+    """The entries (i, j, v) of c * (F_1 (x) ... (x) F_k), each the product
+    of c and one nonzero of every factor.  nonzeros maps id(F) to (F, its
+    nonzero entries) for the factors met so far; holding the factor keeps
+    its id from being reused by another matrix while nonzeros lives."""
+    mul, one = field.mul, field.one
+    part = [(0, 0, c)]
+    for F in factors:
+        fr, fc = F.rows, F.cols
+        if id(F) not in nonzeros:
+            nonzeros[id(F)] = (F, F._nonzeros())
+        # a product with the shared one is its other factor
+        part = [(i * fr + p, j * fc + q, a if v is one else (v if a is one else mul(v, a)))
+                for i, j, v in part for p, q, a in nonzeros[id(F)][1]]
+    return part
+
+
+def _linear_combination(field: Field, rows: int, cols: int, terms) -> Matrix:
+    """sum c * F over the one-factor terms (c, [F]), merged row by row."""
+    add, mul = field.add, field.mul
+    out = {}
+    for c, (F,) in terms:
+        unit = c == 1
+        for i in _filled(F._rows):
+            src, r = F._rows[i], out.get(i)
+            if r is None:
+                out[i] = dict(src) if unit else {j: mul(c, a) for j, a in src.items()}
+                continue
+            for j, a in src.items():
+                if not unit:
+                    a = mul(c, a)
+                r[j] = add(r[j], a) if j in r else a
+    return _summed(field, rows, cols, out)
+
+
+def _summed(field: Field, rows: int, cols: int, out: dict) -> Matrix:
+    """The matrix of the accumulated rows {row: {column: value}}, the zeros
+    that cancellation left dropped."""
     return Matrix._sparse(field, rows, cols, _row_list(rows, {
         i: r if all(r.values()) else {j: v for j, v in r.items() if v}
         for i, r in out.items()}))

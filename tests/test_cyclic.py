@@ -683,21 +683,37 @@ def test_quasi_inputs_at_depth_eight():
     assert hochschild_cohomology(cc, 7).dims == [2, 1, 1, 1, 1, 1, 1, 1]
 
 
-def test_rebracketing_is_built_once_per_chain(twisted_q):
+def test_rebracketing_is_built_once_per_chain(twisted_q, monkeypatch):
+    import qha.quasihopf
     from qha.cyclic import TensorPowerChain
     A = dual_numbers_algebra_trivial_over(twisted_q)
+    real = qha.quasihopf.associator_inverse
+    built = []
+
+    def counted(*mods):
+        built.append(tuple(X.dim for X in mods))
+        return real(*mods)
+    monkeypatch.setattr(qha.quasihopf, "associator_inverse", counted)
+    steps = [(2, 2, 2), (2, 4, 2), (2, 8, 2)]
     with build_scope():
         chain = TensorPowerChain(A, 5)
         order = (4, 2, 3, 1)
         fronts = [chain.rebracket_front(k) for k in order]
         assert all(chain.rebracket_front(k) is m for k, m in zip(order, fronts))
+        # one inverse associator on A (x) L_(k-1) (x) A per step k = 2, 3, 4,
+        # each built once
+        assert sorted(built) == steps
         # the kept maps do not depend on the order they were asked for in
         fresh = TensorPowerChain(A, 5)
         assert [fresh.rebracket_front(k) for k in sorted(order)] == \
             [m for _, m in sorted(zip(order, fronts), key=lambda km: km[0])]
-    # outside a scope nothing is kept: each call builds its map afresh
+        assert sorted(built) == steps
+    # outside a scope nothing is kept: each call builds its maps afresh.  Phi
+    # acts trivially on A here, so the map built may be the shared identity
+    # itself, and only the count of builds tells a rebuilt map from a kept one
     again = chain.rebracket_front(4)
-    assert again == fronts[0] and again is not fronts[0]
+    assert again == fronts[0]
+    assert sorted(built[len(steps):]) == steps
 
 
 def test_multiplications_and_unit_insertions_are_built_once_per_chain(twisted_q,

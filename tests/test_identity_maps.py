@@ -3,8 +3,10 @@
 A matrix decides once, from its rows, whether it is an identity (square,
 row i exactly {i: 1}), and keeps the answer.  A product, a slot product or
 a stack product with an identity is its other operand, the same object;
-the Kronecker product with the 1 x 1 identity is the other factor, and of
-two identities an identity.  These tests hold every shortcut against a
+the Kronecker product with the 1 x 1 identity is the other factor, and a
+Kronecker sum of one term with coefficient 1 is its lone factor itself, or
+``Matrix.identity`` when every factor is an identity.  These tests hold
+every shortcut against a
 dense oracle, on identities made by ``Matrix.identity`` and on computed
 ones, check that near-identities take the general kernels, that shapes are
 still refused with the same message, and that whole cocyclic builds are
@@ -13,6 +15,8 @@ equal with identity detection switched off.
 
 import importlib.util
 from fractions import Fraction
+from functools import reduce
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -21,7 +25,7 @@ from hypothesis import given, settings, strategies as st
 from qha.algebroid import base_ring_dual_numbers, enveloping_algebroid
 from qha.cyclic import build_cocyclic, unit_algebra
 from qha.fields import rationals, prime_field
-from qha.linalg import Matrix, ShapeError, slot_apply, stack_lmul, stack_rmul
+from qha.linalg import Matrix, ShapeError, kron_sum, slot_apply, stack_lmul, stack_rmul
 
 QQ = rationals()
 F5 = prime_field(5)
@@ -164,6 +168,29 @@ def test_kronecker_factors_that_are_identities(field, kind, m, n, rows, cols, da
     assert both == dense_kron(eye_m, eye_n) == Matrix.identity(f, m * n)
     Z = drawn(data, f, rows, m * n)
     assert Z * both is (both if Z.is_identity() else Z)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@settings(max_examples=30, deadline=None)
+@given(sizes=st.lists(st.integers(1, 3), min_size=1, max_size=3), rows=dims, cols=dims,
+       data=st.data())
+def test_kron_sums_return_a_lone_factor_or_the_shared_identity(field, kind, sizes, rows, cols,
+                                                               data):
+    f = field
+    one = identity(data, f, 1, kind)
+    X = drawn(data, f, rows, cols)
+    # a lone factor with coefficient 1, zero or not and among any 1 x 1
+    # identities, is that factor itself; an identity is the shared one
+    lone = Matrix.identity(f, rows) if X.is_identity() else X
+    assert kron_sum(f, rows, cols, [(f.one, [X])]) is lone
+    assert kron_sum(f, rows, cols, [(f.one, [one, X, one])]) is lone
+    # a product of identities, of any kind, is the shared identity of its size
+    eyes = [identity(data, f, n, kind) for n in sizes]
+    n = prod(sizes)
+    assert kron_sum(f, n, n, [(f.one, eyes)]) is Matrix.identity(f, n)
+    assert reduce(Matrix.kron, eyes, one) is Matrix.identity(f, n)
+    assert kron_sum(f, n, n, [(f.one, [one, *eyes, one])]) is Matrix.identity(f, n)
 
 
 def _near_identities(f):

@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -345,28 +346,95 @@ def dense_kron_sum(field, rows, cols, terms):
     return out
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), min_size=1, max_size=3),
-       st.integers(0, 4), st.booleans(), st.data())
-def test_kron_sum_is_the_dense_sum_gf5(shapes, n_terms, cancel, data):
+def kron_factor(field, r, c, data):
+    """An r x c factor: sparse, as in action matrices (a 1 x 1 one is 0, 1
+    or another scalar), all zero, or, when square, an identity made by
+    Matrix.identity or read from entries."""
+    kinds = ["sparse", "sparse", "zero"] + (["made identity", "read identity"] if r == c else [])
+    kind = data.draw(st.sampled_from(kinds))
+    if kind == "zero":
+        return Matrix.zeros(field, r, c)
+    if kind == "made identity":
+        return Matrix.identity(field, r)
+    if kind == "read identity":
+        return Matrix(field, r, r, [field.one if i == j else field.zero
+                                    for i in range(r) for j in range(r)])
+    entry = st.sampled_from([0, 0, 0, 1, 2, 3, 4] if field.characteristic else
+                            [0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 2)])
+    return Matrix(field, r, c, data.draw(st.lists(entry, min_size=r * c, max_size=r * c)))
+
+
+def check_kron_sum_is_the_dense_sum(field, shapes, n_terms, cancel, whole, data):
+    """kron_sum against dense_kron_sum on terms drawn to reach every path:
+    1 x 1, zero and identity factors in any position, single terms with
+    coefficient 1 or another, one-factor sums (one shape), sums that cancel,
+    and, when whole, a term of one factor of the full shape among terms of
+    several factors."""
     rows = cols = 1
     for r, c in shapes:
         rows, cols = rows * r, cols * c
-    # sparse factors: most entries zero, as in action matrices
-    entry = st.sampled_from([0, 0, 0, 1, 2, 3, 4])
-    terms = [(data.draw(st.integers(0, 4)),
-              [Matrix(F5, r, c, data.draw(st.lists(entry, min_size=r * c, max_size=r * c)))
-               for r, c in shapes])
+    coefficient = st.sampled_from([0, 1, 1, 2, 3, 4] if field.characteristic else
+                                  [0, 1, 1, -1, 2, Fraction(1, 2)])
+    terms = [(data.draw(coefficient), [kron_factor(field, r, c, data) for r, c in shapes])
              for _ in range(n_terms)]
+    if whole:
+        terms.append((data.draw(coefficient), [kron_factor(field, rows, cols, data)]))
     if cancel and terms:
         # a term and its negative: together they add up to zero
         c, factors = terms[0]
-        terms.append((F5.neg(c), factors))
-    got = kron_sum(F5, rows, cols, terms)
-    assert got == dense_kron_sum(F5, rows, cols, terms)
-    assert kron_sum(F5, rows, cols, terms[::-1]) == got
-    if cancel and n_terms == 1:
+        terms.append((field.neg(c), factors))
+    operands = [(F, F.entries) for _, factors in terms for F in factors]
+    got = kron_sum(field, rows, cols, terms)
+    assert got == dense_kron_sum(field, rows, cols, terms)
+    assert (got.rows, got.cols) == (rows, cols)
+    assert all(0 <= j < cols and a != 0 for r in got._rows for j, a in r.items())
+    assert kron_sum(field, rows, cols, terms[::-1]) == got
+    # a result may share an operand's rows, but no operand was changed
+    assert all(F.entries == e for F, e in operands)
+    assert not linalg._EMPTY, "the shared empty row was written to"
+    if cancel and n_terms == 1 and not whole:
         assert got.is_zero()
+
+
+kron_shapes = st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), min_size=1, max_size=3)
+
+
+@settings(max_examples=120, deadline=None)
+@given(kron_shapes, st.integers(0, 4), st.booleans(), st.booleans(), st.data())
+def test_kron_sum_is_the_dense_sum_gf5(shapes, n_terms, cancel, whole, data):
+    check_kron_sum_is_the_dense_sum(F5, shapes, n_terms, cancel, whole, data)
+
+
+@settings(max_examples=120, deadline=None)
+@given(kron_shapes, st.integers(0, 4), st.booleans(), st.booleans(), st.data())
+def test_kron_sum_is_the_dense_sum_q(shapes, n_terms, cancel, whole, data):
+    check_kron_sum_is_the_dense_sum(QQ, shapes, n_terms, cancel, whole, data)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([F5, QQ]), st.lists(st.integers(0, 3), max_size=2),
+       st.lists(st.integers(0, 3), max_size=2), st.integers(1, 3), st.integers(1, 3),
+       st.data())
+def test_kron_sum_of_one_factor_between_identities(field, before, after, r, c, data):
+    """I (x) F (x) I with coefficient 1, the identities (of k^0 too) in any
+    number on either side: a shift of F's rows, which with no identity
+    after F shares F's rows in its first block."""
+    def identity(n):
+        # made by Matrix.identity, or read from entries
+        if data.draw(st.booleans()):
+            return Matrix.identity(field, n)
+        return Matrix(field, n, n, [field.one if i == j else field.zero
+                                    for i in range(n) for j in range(n)])
+    F = kron_factor(field, r, c, data)
+    terms = [(field.one, [identity(n) for n in before] + [F] + [identity(n) for n in after])]
+    rows, cols = prod(before) * r * prod(after), prod(before) * c * prod(after)
+    got = kron_sum(field, rows, cols, terms)
+    assert got == dense_kron_sum(field, rows, cols, terms)
+    assert all(0 <= j < cols and a != 0 for r in got._rows for j, a in r.items())
+    if F.is_identity():
+        assert got is Matrix.identity(field, rows)
+    elif not after and F.rows * F.cols > 1 and not F.is_zero():
+        assert all(a is b for a, b in zip(got._rows, F._rows))
 
 
 def test_kron_sum_edge_cases():
