@@ -1,7 +1,7 @@
 """Exact verification and cyclic cohomology for quasi-Hopf algebras and Hopf algebroids."""
 
 from .fields import Field, rationals, prime_field
-from .linalg import Matrix, Subspace, quotient_section, tensor_index, intertwiner_space
+from .linalg import Matrix, Subspace, tensor_index, intertwiner_space
 from .reports import CheckReport
 from .quasihopf import (QuasiHopfAlgebra, HModule,
                         group_algebra, sweedler_h4, twisted_dual_group_algebra,

@@ -83,13 +83,11 @@ def _full_check(structure) -> CheckReport:
         rep.extend(validate_structure(structure))
         rep.extend(check_quasi_bialgebra(structure))
         rep.extend(check_quasi_hopf(structure))
-    elif isinstance(structure, HopfAlgebroid):
+    else:
         rep.extend(check_algebroid_structure(structure))
         rep.extend(check_left_bialgebroid(structure))
         rep.extend(check_right_bialgebroid(structure))
         rep.extend(check_hopf_algebroid(structure))
-    else:
-        raise UsageError("check expects a quasi_hopf or hopf_algebroid file")
     return rep
 
 
@@ -101,6 +99,9 @@ def _check_report(command: str, inputs, rep: CheckReport, **fields) -> dict:
 
 def cmd_check(args) -> int:
     structure = parse_structure(args.structure)
+    # refused before its content hash, which reads the name of a parent
+    if not isinstance(structure, (QuasiHopfAlgebra, HopfAlgebroid)):
+        raise UsageError("check expects a quasi_hopf or hopf_algebroid file")
     return _emit(_check_report(
         "check", [_input_record(structure.name, args.structure, structure)],
         _full_check(structure)), args)

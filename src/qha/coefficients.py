@@ -7,7 +7,8 @@ E_ja (e_a |-> m_j, flattened at index j*dim(H) + a) to mu(E_ja).
 Four flavors are supported: the Hopf contraaction, the two quasi-Hopf
 unravelings (type I fed by the naive evaluation, type II by the categorical
 one), and the algebroid contraaction whose domain carries a base-linearity
-constraint.  Every check rejects data of the wrong flavor.
+constraint.  A coefficient whose flavor does not fit its parent is refused
+when it is made, and every check rejects data of the wrong flavor.
 
 Every equation is written once as two matrices, one per side, each a sum
 of terms c A mu B: A acts on M, and B is a fixed map into the carrier of
@@ -30,7 +31,7 @@ from .linalg import (Matrix, Subspace, block_matrix, hstack, intertwiner_space, 
                      slot_apply, stack_of_maps, swap_factors, vstack)
 from .reports import CheckReport
 from .quasihopf import (HModule, IntertwinerError, StructureError, regular_module, is_intertwiner,
-                        eps_p_q_beta_s_r, left_hom, right_hom, hom_carriers, right_hom_carrier,
+                        eps_p_q_beta_s_r, left_hom, right_hom, right_hom_carrier,
                         hom_associativity, tensor_module, element_legs, lift_legs, _restricted)
 from .algebroid import HopfAlgebroid, right_linear_hom_basis
 
@@ -53,6 +54,10 @@ class Contramodule:
     def __init__(self, carrier, mu: Matrix, flavor: str):
         if flavor not in FLAVORS:
             raise FlavorError("unknown flavor %r" % (flavor,))
+        if (flavor == ALGEBROID_MU) != isinstance(carrier.parent, HopfAlgebroid):
+            raise FlavorError("algebroid_mu coefficients need a HopfAlgebroid parent"
+                              if flavor == ALGEBROID_MU else
+                              "%s coefficients need a quasi-Hopf parent" % flavor)
         n = carrier.parent.dim
         if mu.rows != carrier.dim or mu.cols != carrier.dim * n:
             raise StructureError("contraaction must be %dx%d" % (carrier.dim, carrier.dim * n))
@@ -265,12 +270,12 @@ def ayd_compatibility_system(carrier: HModule, flavor: str) -> Matrix:
 
 def check_stability_hopf(C: Contramodule) -> CheckReport:
     """mu(r_m) = m with r_m(h) = h m, for every basis vector m."""
-    return _regular_stability(C, _require_hopf)
+    _require_hopf(C)
+    return _regular_stability(C)
 
 
-def _regular_stability(C: Contramodule, require) -> CheckReport:
-    """The stability of the Hopf and algebroid flavors, once require(C) holds."""
-    require(C)
+def _regular_stability(C: Contramodule) -> CheckReport:
+    """The stability of the Hopf and algebroid flavors."""
     return _identity_check("stability", C.mu * _action_map(
         C.carrier, Matrix.identity(C.field, C.parent.dim)))
 
@@ -314,7 +319,8 @@ def tau_raw(C: Contramodule, V: HModule) -> Matrix:
     """tau_V on the hom carriers of the parent, without the intertwiner
     verification (used inside equation checks, which must report failures
     rather than raise)."""
-    return _tau_on_carriers(C, V, *hom_carriers(V, C.carrier))
+    return _tau_on_carriers(C, V, V.parent.hom_carrier(V, C.carrier),
+                            right_hom_carrier(V, C.carrier))
 
 
 def _tau_on_carriers(C: Contramodule, V: HModule, src, dst) -> Matrix:
@@ -371,7 +377,6 @@ def hexagon_sides(C: Contramodule, V: HModule, W: HModule, tau):
     tau_w, tau_v = tau(W), tau(V)
     vw = tensor_module(V, W)
     tau_vw = tau(vw)
-    cvw = hom_carriers(vw, M)
     left, swap, right = hom_associativity(V, W, M)
 
     # the carriers of Hom(W, M) and Hom(V, M), read off their hom modules,
@@ -390,8 +395,8 @@ def hexagon_sides(C: Contramodule, V: HModule, W: HModule, tau):
     lhs = (leg(tau_v.kron(Matrix.identity(f, W.dim)), d3, d4)
            * leg(swap, _nested(cwr, d2, V.dim), _nested(cvl, d3, W.dim))
            * leg(tau_w.kron(Matrix.identity(f, V.dim)), d1, d2))
-    rhs = (leg(right, cvw[1], _nested(cvr, d4, W.dim)) * tau_vw
-           * leg(left, _nested(cwl, d1, V.dim), cvw[0]))
+    rhs = (leg(right, right_hom_carrier(vw, M), _nested(cvr, d4, W.dim)) * tau_vw
+           * leg(left, _nested(cwl, d1, V.dim), H.hom_carrier(vw, M)))
     return lhs, rhs
 
 
@@ -465,12 +470,6 @@ def convert_II_to_I(C: Contramodule) -> Contramodule:
 
 # -- algebroid flavor ------------------------------------------------------------
 
-def _require_algebroid(C: Contramodule):
-    _require(C, ALGEBROID_MU)
-    if not isinstance(C.parent, HopfAlgebroid):
-        raise FlavorError("algebroid_mu coefficients need a HopfAlgebroid parent")
-
-
 def check_contramodule_algebroid(C: Contramodule) -> CheckReport:
     """Def-of-contramodule axioms over a left bialgebroid.
 
@@ -479,7 +478,7 @@ def check_contramodule_algebroid(C: Contramodule) -> CheckReport:
     projector, with Delta_l legs from the stored lift); the counit axiom
     reads mu(x |-> m . eps_l(x)) = m with m . r = t_l(r) m.
     """
-    _require_algebroid(C)
+    _require(C, ALGEBROID_MU)
     H = C.parent
     f = C.field
     n, d = H.dim, C.carrier.dim
@@ -506,7 +505,7 @@ def check_ayd_algebroid(C: Contramodule) -> CheckReport:
     independence of the stored lift), the coincidence of the induced left
     base action with s_l, and the right/left base-linearity of mu, with f
     over the canonical basis of the constrained maps Hom(H, M)_{R_l}."""
-    _require_algebroid(C)
+    _require(C, ALGEBROID_MU)
     H = C.parent
     f = C.field
     n, d, r = H.dim, C.carrier.dim, H.base.dim
@@ -542,7 +541,8 @@ def check_ayd_algebroid(C: Contramodule) -> CheckReport:
 
 def check_stability_algebroid(C: Contramodule) -> CheckReport:
     """mu(r_m) = m with r_m(h) = h m, per basis vector of the carrier."""
-    return _regular_stability(C, _require_algebroid)
+    _require(C, ALGEBROID_MU)
+    return _regular_stability(C)
 
 
 def check_stability_quasi(C: Contramodule) -> CheckReport:

@@ -21,14 +21,15 @@ when the identities are 1 x 1, and I (x) F (x) I a shift of F's rows.
 Otherwise each term's 1 x 1 factors are folded into its coefficient, and
 it is dropped when the coefficient or a factor is zero; a single term
 left is then read off as before, scaled, or formed in one pass over the
-products, and a sum of one-factor terms is a linear combination of rows.
-So a result may be an operand or ``Matrix.identity`` itself, which
-immutability allows.
+products, and a sum of one-factor terms is a linear combination of rows:
+``a + b`` and ``a - b`` are two-term sums.  So a result may be an operand
+or ``Matrix.identity`` itself, which immutability allows.
 
 Everything here is deterministic and exact.  Subspaces are always stored
 with a reduced-row-echelon basis (pivot search by lowest column index), so
 equal subspaces have identical stored bases and all downstream reports are
-bit-reproducible.  Matrices are immutable once built; their row dicts are
+bit-reproducible, and each carries its canonical quotient (``projector``
+and ``lift``).  Matrices are immutable once built; their row dicts are
 never changed after construction, so matrices may share them.
 """
 
@@ -201,32 +202,19 @@ class Matrix:
         return self.rows, self.cols, tuple(map(frozenset, self._rows))
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        return self._merge(other, self.field.add)
+        """The two-term ``kron_sum``, a merge of the rows."""
+        self._same_shape(other)
+        one = self.field.one
+        return kron_sum(self.field, self.rows, self.cols, [(one, [self]), (one, [other])])
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        return self._merge(other, self.field.sub)
-
-    def _merge(self, other: "Matrix", op) -> "Matrix":
-        """The entrywise op(self, other) for op = add or sub (op(0, 0) = 0)."""
         self._same_shape(other)
-        zero = self.field.zero
-        out = list(self._rows)
-        for i in _filled(other._rows):
-            d = dict(out[i])
-            for j, b in other._rows[i].items():
-                v = op(d.get(j, zero), b)
-                if v:
-                    d[j] = v
-                else:
-                    del d[j]
-            out[i] = d or _EMPTY
-        return Matrix._sparse(self.field, self.rows, self.cols, out)
+        one = self.field.one
+        return kron_sum(self.field, self.rows, self.cols,
+                        [(one, [self]), (self.field.neg(one), [other])])
 
     def __neg__(self) -> "Matrix":
-        neg = self.field.neg
-        return Matrix._sparse(self.field, self.rows, self.cols,
-                              [{j: neg(a) for j, a in r.items()} if r else _EMPTY
-                               for r in self._rows])
+        return self.scale(self.field.neg(self.field.one))
 
     def scale(self, c) -> "Matrix":
         if not c:
@@ -266,29 +254,6 @@ class Matrix:
             out[i] = (acc if all(acc.values()) else
                       {j: v for j, v in acc.items() if v}) or _EMPTY
         return Matrix._sparse(f, self.rows, other.cols, out)
-
-    def tmul(self, other: "Matrix") -> "Matrix":
-        """self^T other with no transpose formed: each row r that other
-        holds adds the products of row r of self with row r of other, so
-        only the rows of self that other picks are read."""
-        if self.rows != other.rows:
-            raise ShapeError("cannot multiply the transpose of %dx%d by %dx%d"
-                             % (self.rows, self.cols, other.rows, other.cols))
-        f = self.field
-        add, mul = f.add, f.mul
-        srows, orows, out = self._rows, other._rows, {}
-        for r in _filled(orows):
-            rb = orows[r]
-            for p, a in srows[r].items():
-                acc = out.get(p)
-                if acc is None:
-                    acc = out[p] = {}
-                for j, b in rb.items():
-                    w = mul(a, b)
-                    acc[j] = add(acc[j], w) if j in acc else w
-        return Matrix._sparse(f, self.cols, other.cols, _row_list(self.cols, {
-            p: r if all(r.values()) else {j: v for j, v in r.items() if v}
-            for p, r in out.items()}))
 
     def apply(self, vec):
         """Matrix times column vector (a tuple), returning a tuple."""
@@ -916,14 +881,28 @@ class Subspace:
         return list(self._pivots)
 
     def _section(self):
+        """(projector, lift), made on the first call and kept.  The quotient
+        coordinates are the ambient coordinates away from the pivots, which
+        makes the pair canonical; with no relations both are
+        ``Matrix.identity`` itself."""
         if self._quotient is None:
-            self._quotient = quotient_section(self.field, self.ambient_dim, self)
+            f, n = self.field, self.ambient_dim
+            if not self.dim:
+                self._quotient = (Matrix.identity(f, n),) * 2
+            else:
+                # one projector row per free coordinate; subtracting
+                # x[pc] * basis[r] zeroes every pivot coordinate
+                free = _null_rows(f, n, self._pivots, self._rows._rows)
+                lift = Matrix._sparse(f, len(free), n, [{c: f.one} for c in free])
+                self._quotient = (Matrix._sparse(f, len(free), n, free.values()),
+                                  lift.transpose())
         return self._quotient
 
     @property
     def projector(self) -> Matrix:
         """The canonical projector of k^ambient_dim onto its quotient by
-        this subspace, whose kernel is this subspace (``quotient_section``)."""
+        this subspace: projector(subspace) = 0, its kernel is the subspace,
+        and projector . lift = identity on the quotient."""
         return self._section()[0]
 
     @property
@@ -992,28 +971,6 @@ class Subspace:
         return "Subspace(dim %d of k^%d)" % (self.dim, self.ambient_dim)
 
 
-def quotient_section(field: Field, ambient_dim: int, relations: Subspace):
-    """Projector and section for the quotient k^ambient / relations.
-
-    Returns (projector, lift) with projector . lift = identity on the
-    quotient, projector(relations) = 0 and kernel(projector) = relations.
-    The quotient coordinates are the ambient coordinates away from the
-    relation pivots, which makes the pair canonical; with no relations both
-    are ``Matrix.identity`` itself.
-    """
-    if relations.ambient_dim != ambient_dim:
-        raise ShapeError("relations live in k^%d, not k^%d"
-                         % (relations.ambient_dim, ambient_dim))
-    if not relations.dim:
-        return (Matrix.identity(field, ambient_dim),) * 2
-    # one projector row per free coordinate; subtracting x[pc] * basis[r]
-    # zeroes every pivot coordinate
-    free = _null_rows(field, ambient_dim, relations.pivots(), relations._rows._rows)
-    projector = Matrix._sparse(field, len(free), ambient_dim, free.values())
-    lift = Matrix._sparse(field, len(free), ambient_dim, [{c: field.one} for c in free])
-    return projector, lift.transpose()
-
-
 def intertwiner_system(field: Field, constraints, rows: int, cols: int) -> Matrix:
     """The blocks I (x) A_t^T - B_t (x) I, one below the other, for the pairs
     (A_t, B_t) of ``constraints``, A_t cols x cols and B_t rows x rows:
@@ -1047,7 +1004,3 @@ def basis_vec(field: Field, n: int, i: int):
     v = [field.zero] * n
     v[i] = field.one
     return tuple(v)
-
-
-def vec_scale(field: Field, c, v):
-    return tuple(field.mul(c, a) for a in v)

@@ -44,7 +44,7 @@ from functools import cached_property, reduce, wraps
 from .fields import Field
 from .linalg import (Matrix, Subspace, ShapeError, intertwiner_space, kron_sum,
                      slot_apply, stack_lmul, stack_rmul, swap_factors, swap_slots, vstack,
-                     hstack, basis_vec, vec_scale)
+                     hstack, basis_vec)
 from .reports import CheckReport
 
 
@@ -120,10 +120,9 @@ class Algebra:
 
     def products(self, X: Matrix, right: bool = False) -> Matrix:
         """m (X (x) I), or m (I (x) X) when right: the products of the
-        columns of X with the basis, made from the rows of m^T that X picks
-        with no pass over all of m and no transpose."""
+        columns of X with the basis, one product with the cached m."""
         eye = Matrix.identity(self.field, self.dim)
-        return self.mult.tmul(eye.kron(X) if right else X.kron(eye))
+        return self.mult_matrix * (eye.kron(X) if right else X.kron(eye))
 
     def mults_of(self, X: Matrix, right: bool = False):
         """The left (right) multiplication matrices of the columns of X: the
@@ -610,7 +609,7 @@ def tensor_module(V: HModule, W: HModule) -> HModule:
             for i in range(H.dim)]
     if rel.dim:
         for i, a in enumerate(mats):
-            if rel.coordinate_matrix(a * rel.basis_matrix()) is None:
+            if _restricted(a, rel, rel) is None:
                 raise StructureError(
                     "tensor action ill-defined: basis element %d maps a relation "
                     "outside the relation space" % i)
@@ -778,11 +777,6 @@ def right_hom_carrier(V: HModule, M: HModule):
     return V.cop.parent.hom_carrier(V.cop, M.cop)
 
 
-def hom_carriers(V: HModule, M: HModule):
-    """The carriers of Hom^l(V, M) and Hom^r(V, M), without their modules."""
-    return V.parent.hom_carrier(V, M), right_hom_carrier(V, M)
-
-
 def eval_left(V: HModule, M: HModule) -> Matrix:
     """ev^l: Hom^l(V,M) (x) V -> M, phi (x) m |-> X( phi(S(Y) alpha Z m) ),
     the evaluation of a quasi-Hopf parent: the action of (id (x) alpha-hat)(Phi)."""
@@ -893,23 +887,19 @@ def hom_associativity(V: HModule, W: HModule, M: HModule):
       V <| (W <| M) -> (V (x) W) <| M: f |-> (v (x) w |-> X f_{S(Z) v}(S(Y) w)),
       V <| (M |> W) -> (V <| M) |> W: f |-> (w |-> (v |-> Y f_{S(Z) v}(S(X) w))),
       M |> (V (x) W) -> (M |> V) |> W: f |-> (w |-> (v |-> Z f(S(Y) v (x) S(X) w))).
-    The domains of the first two are read in (m, w, v) order, every other
-    carrier in (m, v, w) order.  A hom out of V (x) W, on its quotient
-    carrier, is read on the ambient V (x) W through I_M (x) lift^T and
-    I_M (x) projector^T; over a Hopf algebroid, with Phi = 1 (x) 1 (x) 1,
-    these are the strict currying maps."""
+    The domains of the first two are read in (m, w, v) order, their
+    columns moved by ``swap_slots``, every other carrier in (m, v, w)
+    order.  A hom out of V (x) W, on its quotient carrier, is read on the
+    ambient V (x) W through I_M (x) lift^T and I_M (x) projector^T; over a
+    Hopf algebroid, with Phi = 1 (x) 1 (x) 1, these are the strict currying
+    maps."""
     H, f = M.parent, M.parent.field
     rel = H.tensor_relations(V, W)
     eye_m = Matrix.identity(f, M.dim)
-    perm = perm_mwv_to_mvw(f, M.dim, W.dim, V.dim)
-    return (eye_m.kron(rel.lift.transpose()) * _phi_decorated(H, V, W, M, (0, 2, 1)) * perm,
-            _phi_decorated(H, V, W, M, (1, 2, 0)) * perm,
+    return (swap_slots(eye_m.kron(rel.lift.transpose())
+                       * _phi_decorated(H, V, W, M, (0, 2, 1)), V.dim, W.dim),
+            swap_slots(_phi_decorated(H, V, W, M, (1, 2, 0)), V.dim, W.dim),
             _phi_decorated(H, V, W, M, (2, 1, 0)) * eye_m.kron(rel.projector.transpose()))
-
-
-def perm_mwv_to_mvw(f: Field, d: int, dw: int, dv: int) -> Matrix:
-    """Permutation from (m, w, v)-ordered carriers to (m, v, w)-ordered ones."""
-    return Matrix.identity(f, d).kron(swap_factors(Matrix.identity(f, dw * dv), dv, dw))
 
 
 # -- axiom checks --------------------------------------------------------------
@@ -1165,7 +1155,7 @@ def sweedler_h4(field: Field) -> QuasiHopfAlgebra:
     counit = (o, o, z, z)
     # S: 1->1, g->g, x->-gx, gx->x
     s_cols = [basis_vec(field, n, 0), basis_vec(field, n, 1),
-              vec_scale(field, field.neg(o), basis_vec(field, n, 3)),
+              tuple(field.mul(field.neg(o), a) for a in basis_vec(field, n, 3)),
               basis_vec(field, n, 2)]
     s = Matrix.from_cols(field, s_cols)
     s_inv = s.inverse()

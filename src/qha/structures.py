@@ -264,11 +264,7 @@ def _parse_module_payload(f, doc, parent, where):
     """action[i][a][b]: coefficient of v_b in e_i . v_a, each slice the
     transpose of a stored matrix."""
     n, d = parent.dim, _dim(doc, where)
-    raw = _want(doc, "action", list, where)
-    if len(raw) != n:
-        raise StructureFileError("dimension_mismatch", "action needs %d slices" % n,
-                                 where + ".action")
-    action = _array(f, raw, (n, d, d), where + ".action")
+    action = _array(f, _want(doc, "action", list, where), (n, d, d), where + ".action")
     return HModule(parent, [m.transpose() for m in action.row_blocks(d)],
                    name=_name(doc, where))
 
@@ -392,13 +388,9 @@ def parse_document(doc, parent=None):
         carrier = _parse_module_payload(f, _want(doc, "module", dict, "$"), use_parent,
                                         "$.module")
         d, n = carrier.dim, use_parent.dim
-        raw = _want(doc, "contraaction", list, "$")
-        if len(raw) != d:
-            raise StructureFileError("dimension_mismatch",
-                                     "contraaction needs %d slices" % d,
-                                     "$.contraaction")
         # row i of the contraaction is slice i read row-major
-        mu = _array(f, raw, (d, d, n), "$.contraaction").reshaped(d, d * n)
+        mu = _array(f, _want(doc, "contraaction", list, "$"), (d, d, n),
+                    "$.contraaction").reshaped(d, d * n)
         want_algebroid = isinstance(use_parent, HopfAlgebroid)
         if want_algebroid != (flavor == ALGEBROID_MU):
             raise StructureFileError("incompatible_kinds",

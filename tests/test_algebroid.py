@@ -2,7 +2,7 @@ import pytest
 
 from qha.linalg import Matrix, Subspace, stack_of_maps, stack_rmul
 from qha.quasihopf import (trivial_module, regular_module, tensor_module,
-                           left_hom, right_hom, zeta_l, eta_l, zeta_r, eta_r, hom_carriers,
+                           left_hom, right_hom, zeta_l, eta_l, zeta_r, eta_r, right_hom_carrier,
                            hom_module_morphisms, check_module, is_intertwiner,
                            group_algebra, cyclic_group_table, sweedler_h4,
                            StructureError)
@@ -223,13 +223,14 @@ def test_hom_carriers_without_modules(env_f5, t2e_f5, twisted_q):
     for H in (env_f5, t2e_f5):
         reg, R = regular_module(H), base_module(H)
         for V, M in [(reg, reg), (reg, R), (R, reg), (R, R)]:
-            assert hom_carriers(V, M) == (left_hom(V, M)[1], right_hom(V, M)[1])
-            assert hom_carriers(V, M)[1] == left_linear_hom_basis(V, M)
+            assert H.hom_carrier(V, M) == left_hom(V, M)[1]
+            assert right_hom_carrier(V, M) == right_hom(V, M)[1]
+            assert right_hom_carrier(V, M) == left_linear_hom_basis(V, M)
     # over a quasi-Hopf algebra both carriers are all of Hom_k, the one
     # shared full subspace of its size
     reg = regular_module(twisted_q)
     full = Subspace.full(twisted_q.field, reg.dim * reg.dim)
-    assert hom_carriers(reg, reg) == (full, full)
+    assert twisted_q.hom_carrier(reg, reg) == full == right_hom_carrier(reg, reg)
     assert left_hom(reg, reg)[1] is full and right_hom(reg, reg)[1] is full
 
 

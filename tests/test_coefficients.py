@@ -402,9 +402,22 @@ def test_algebroid_flavor_firewall():
     H, C = solved_algebroid_coefficient()
     with pytest.raises(FlavorError):
         check_ayd_hopf(C)
-    wrong = Contramodule(C.carrier, C.mu, QUASI_I)
     with pytest.raises(FlavorError):
-        check_contramodule_algebroid(wrong)
+        check_contramodule_algebroid(Contramodule(C.carrier, C.mu, QUASI_I))
+
+
+def test_a_flavor_of_the_other_parent_kind_is_refused_when_made(env_q, kc2_q):
+    """A coefficient whose flavor does not fit its parent is refused by
+    its constructor, before a check could read what the parent lacks."""
+    k = base_module(env_q)
+    for flavor in (HOPF_MU, QUASI_I, QUASI_II):
+        with pytest.raises(FlavorError, match="^%s coefficients need a quasi-Hopf parent$"
+                           % flavor):
+            Contramodule(k, evaluation_at_unit(k), flavor)
+    k = trivial_module(kc2_q)
+    with pytest.raises(FlavorError,
+                       match="^algebroid_mu coefficients need a HopfAlgebroid parent$"):
+        Contramodule(k, evaluation_at_unit(k), ALGEBROID_MU)
 
 
 def test_regular_module_contramodule_passes(kc2_q):

@@ -319,6 +319,8 @@ def test_structure_file_errors_name_their_code_and_path(tmp_path, capsys, comman
     (["generate", "sweedler_h4", "--field", "GFp", "--p", "4"], "non-prime characteristic 4"),
     (["generate", "twisted_dual_z3"], "the rationals have no 3-th roots of unity"),
     (["check", "{tmp}/k.json"], "check expects a quasi_hopf or hopf_algebroid file"),
+    (["check", "{tmp}/M.json"], "check expects a quasi_hopf or hopf_algebroid file"),
+    (["check", "{tmp}/unitA.json"], "check expects a quasi_hopf or hopf_algebroid file"),
     (["ayd", "{tmp}/kC2.json", "{tmp}/unitA.json"],
      "expected a contramodule file, got 'ModuleAlgebra'"),
     (["convert", "{tmp}/M.json", "--to", "typeII"], "cannot convert flavor hopf_mu to typeII"),
@@ -329,7 +331,8 @@ def test_structure_file_errors_name_their_code_and_path(tmp_path, capsys, comman
 ], ids=["group-algebra-no-table", "twisted-dual-no-files", "twisted-dual-no-omega",
         "enveloping-no-base", "enveloping-base-not-object", "unit-algebra-no-structure",
         "trivial-contramodule-no-structure", "trivial-contramodule-of-algebroid",
-        "field-not-prime", "z3-cocycle-over-q", "check-module-file", "ayd-algebra-coefficient",
+        "field-not-prime", "z3-cocycle-over-q", "check-module-file", "check-contramodule-file",
+        "check-module-algebra-file", "ayd-algebra-coefficient",
         "convert-hopf-mu", "cohomology-swapped-files", "cohomology-algebra-as-coefficient"])
 def test_command_usage_errors(tmp_path, capsys, argv, message):
     struct = str(tmp_path / "kC2.json")

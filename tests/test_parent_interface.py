@@ -16,6 +16,7 @@ freed without the cyclic garbage collector.
 """
 
 import gc
+import random
 import weakref
 
 import pytest
@@ -24,8 +25,9 @@ from qha import algebroid
 from qha.fields import rationals
 from qha.linalg import Matrix, Subspace, basis_vec
 from qha.quasihopf import (HModule, StructureError, build_scope, group_algebra,
-                           cyclic_group_table, eta_l, eta_r, hom_carriers, hom_module_morphisms,
-                           left_hom, regular_module, right_hom, tensor_module, trivial_module,
+                           cyclic_group_table, eta_l, eta_r, hom_module_morphisms,
+                           left_hom, regular_module, right_hom, right_hom_carrier,
+                           tensor_module, trivial_module,
                            zeta_l, zeta_r)
 from qha.algebroid import (base_module, base_ring_dual_numbers, enveloping_algebroid,
                            module_tensor_relations, tensor_over_base)
@@ -34,6 +36,34 @@ PARENTS = ["kc2_q", "h4_q", "twisted_q", "env_q", "t2e_f5"]
 QUASI_HOPF = ["kc2_q", "kc2_f5", "ks3_q", "h4_q", "twisted_q", "twisted_f5", "twisted_z3_f7",
               "twisted_z3_skew_f7", "twisted_h4_q"]
 ALGEBROIDS = ["env_q", "env_f5", "t2e_f5"]
+
+
+@pytest.mark.parametrize("name", QUASI_HOPF + ALGEBROIDS)
+def test_products_with_the_basis_match_the_dense_product(name, request):
+    """Algebra.products(X) is m (X (x) I) and products(X, right=True) is
+    m (I (x) X), read off the structure constants entry by entry, for X of
+    one column, of as many as the generating set and of n."""
+    H = request.getfixturevalue(name)
+    f, n = H.field, H.dim
+    rng = random.Random(n)
+    for w in (1, len(H.generating_set), n):
+        X = Matrix(f, n, w, [f.from_int(rng.choice((0, 0, 1, -1, 2))) for _ in range(n * w)])
+
+        def dense(right):
+            # column (c, j) of m (X (x) I) is x_c e_j, column (j, c) of
+            # m (I (x) X) is e_j x_c
+            out = [[f.zero] * (w * n) for _ in range(n)]
+            for c in range(w):
+                for i in range(n):
+                    for j in range(n):
+                        a = X.get(i, c)
+                        col, row = (j * w + c, j * n + i) if right else (c * n + j, i * n + j)
+                        for k in range(n):
+                            out[k][col] = f.add(out[k][col], f.mul(a, H.mult.get(row, k)))
+            return Matrix.from_rows(f, out)
+
+        assert H.products(X) == dense(False)
+        assert H.products(X, right=True) == dense(True)
 
 
 @pytest.mark.parametrize("name", QUASI_HOPF)
@@ -54,7 +84,7 @@ def test_quasi_hopf_relations_and_carriers_are_free_subspaces(name, request):
             full = H.hom_carrier(V, W)
             assert full is Subspace.full(f, d) and (full.dim, full.ambient_dim) == (d, d)
             assert left_hom(V, W)[1] is full is right_hom(V, W)[1]
-            assert hom_carriers(V, W) == (full, full)
+            assert right_hom_carrier(V, W) == full
 
 
 @pytest.mark.parametrize("name", ALGEBROIDS)
